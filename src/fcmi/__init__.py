@@ -28,17 +28,12 @@ from .core import (
     ContractViolation,
     LabeledExample,
     PredictionSpace,
-    PredictionTable,
     SizeError,
-    SplitMask,
-    SubsetIndex,
     Supersample,
-    TrialRecord,
+    TrialTable,
     aggregate_gap,
-    complement_set,
     enumerate_splits,
-    gap_estimate,
-    select_train_set,
+    exact_rows,
 )
 from .datagen import GeneratorSpec, sample_examples, sample_supersample
 from .harness import (
@@ -55,20 +50,18 @@ from .harness import (
 )
 from .infotheory import (
     AbsoluteContinuityError,
-    JointHistogram,
-    SplitEnumeration,
     conditional_mutual_information,
     entropy,
-    exact_fcmi_enumeration,
     kl_divergence,
     mutual_information,
-    plugin_mi_from_samples,
+    plugin_mi,
 )
 from .learners import (
     LearnerOutput,
     LearnerSpec,
     ensemble_combine,
     estimate_stability,
+    fill_table,
     noisy_predict,
     threshold_erm_fit,
     train_predict,

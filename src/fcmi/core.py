@@ -1,8 +1,7 @@
-"""Supersample data model: paired examples, split masks, trials, and gap estimates."""
+"""Supersample data model: paired examples, split masks, trial tables, and gaps."""
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -62,144 +61,61 @@ class Supersample:
         self.xs = xs
         self.ys = ys
 
-    @classmethod
-    def from_arrays(cls, xs: np.ndarray, ys: np.ndarray) -> "Supersample":
-        xs = np.asarray(xs, dtype=float)
-        ys = np.asarray(ys)
-        if xs.ndim != 2 or xs.shape[0] % 2 != 0 or xs.shape[0] == 0:
-            raise ContractViolation("xs must be a (2n, d) array with n >= 1")
-        if ys.shape != (xs.shape[0],):
-            raise ContractViolation("ys must be a (2n,) array")
-        pairs = [
-            (LabeledExample(tuple(xs[2 * i]), int(ys[2 * i])),
-             LabeledExample(tuple(xs[2 * i + 1]), int(ys[2 * i + 1])))
-            for i in range(xs.shape[0] // 2)
-        ]
-        return cls(pairs)
-
     @property
     def feature_dim(self) -> int:
         return self.xs.shape[1]
-
-    def example(self, i: int, j: int) -> LabeledExample:
-        k = 2 * i + j
-        return LabeledExample(tuple(self.xs[k]), int(self.ys[k]))
-
-    def pair(self, i: int) -> tuple[LabeledExample, LabeledExample]:
-        return self.example(i, 0), self.example(i, 1)
-
-    def pairs(self) -> list[tuple[LabeledExample, LabeledExample]]:
-        return [self.pair(i) for i in range(self.n)]
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"Supersample(n={self.n}, dim={self.feature_dim})"
 
 
-@dataclass(frozen=True)
-class SplitMask:
-    """Binary vector selecting one example per pair for training."""
+def split_slots(masks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Flat slot indices of the training and test halves, in pair order.
 
-    bits: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        bits = tuple(int(b) for b in self.bits)
-        if any(b not in (0, 1) for b in bits):
-            raise ContractViolation(f"split bits must be 0/1, got {bits}")
-        object.__setattr__(self, "bits", bits)
-
-    @property
-    def n(self) -> int:
-        return len(self.bits)
-
-    def to_string(self) -> str:
-        """Bit string, pair index 0 leftmost."""
-        return "".join(str(b) for b in self.bits)
-
-    @classmethod
-    def from_string(cls, s: str) -> "SplitMask":
-        if not s or any(c not in "01" for c in s):
-            raise ContractViolation(f"malformed split string {s!r}")
-        return cls(tuple(int(c) for c in s))
-
-    def flipped(self) -> "SplitMask":
-        return SplitMask(tuple(1 - b for b in self.bits))
-
-    def train_slots(self) -> np.ndarray:
-        """Flat indices of the selected (training) slots, in pair order."""
-        return np.array([2 * i + b for i, b in enumerate(self.bits)], dtype=np.int64)
-
-    def test_slots(self) -> np.ndarray:
-        """Flat indices of the complementary (test) slots, in pair order."""
-        return np.array([2 * i + 1 - b for i, b in enumerate(self.bits)], dtype=np.int64)
+    Pair i contributes slot 2i + bit to the training half and slot
+    2i + 1 - bit to the test half; ``masks`` is (n,) or (T, n).
+    """
+    masks = np.asarray(masks, dtype=np.int64)
+    base = 2 * np.arange(masks.shape[-1])
+    return base + masks, base + 1 - masks
 
 
-@dataclass(frozen=True)
-class SubsetIndex:
-    """A sorted, duplicate-free set of pair indices."""
-
-    indices: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        idx = tuple(int(i) for i in self.indices)
-        if len(idx) < 1:
-            raise ContractViolation("subset must be nonempty")
-        if any(b <= a for a, b in zip(idx, idx[1:])):
-            raise ContractViolation(f"subset indices must be strictly increasing: {idx}")
-        if idx[0] < 0:
-            raise ContractViolation("subset indices must be >= 0")
-        object.__setattr__(self, "indices", idx)
-
-    @property
-    def m(self) -> int:
-        return len(self.indices)
-
-
-def _check_lengths(supersample: Supersample, mask: SplitMask) -> None:
-    if mask.n != supersample.n:
-        raise ContractViolation(
-            f"split length {mask.n} does not match supersample n={supersample.n}")
-
-
-def select_train_set(supersample: Supersample, mask: SplitMask) -> list[LabeledExample]:
-    """Training half: element i is pair i's member indexed by the split bit."""
-    _check_lengths(supersample, mask)
-    return [supersample.example(i, b) for i, b in enumerate(mask.bits)]
-
-
-def complement_set(supersample: Supersample, mask: SplitMask) -> list[LabeledExample]:
-    """Test half: element i is pair i's member indexed by the negated split bit."""
-    _check_lengths(supersample, mask)
-    return [supersample.example(i, 1 - b) for i, b in enumerate(mask.bits)]
-
-
-def enumerate_splits(n: int, limit: int = ENUMERATION_LIMIT) -> list[SplitMask]:
-    """All 2**n split masks in lexicographic order (bit of pair 0 most significant)."""
+def enumerate_splits(n: int, limit: int = ENUMERATION_LIMIT) -> np.ndarray:
+    """All 2**n split masks as a (2**n, n) uint8 array, pair 0 most significant."""
     if n < 1:
         raise ContractViolation("n must be >= 1")
     if n > limit:
         raise SizeError(f"refusing to enumerate 2**{n} splits (limit n <= {limit})")
-    masks = []
-    for code in range(2 ** n):
-        bits = tuple((code >> (n - 1 - j)) & 1 for j in range(n))
-        masks.append(SplitMask(bits))
-    return masks
+    codes = np.arange(2 ** n)[:, None]
+    return ((codes >> np.arange(n - 1, -1, -1)) & 1).astype(np.uint8)
+
+
+def exact_rows(n: int, seeds,
+               limit: int = ENUMERATION_LIMIT) -> tuple[np.ndarray, np.ndarray]:
+    """Exact mode's (mask, seed) rows: every split crossed with every seed,
+    mask-major and seed-minor."""
+    masks = enumerate_splits(n, limit)
+    seeds = np.asarray(seeds, dtype=np.uint64)
+    return np.repeat(masks, len(seeds), axis=0), np.tile(seeds, len(masks))
 
 
 # --- losses ----------------------------------------------------------------
 #
 # Every implemented bound assumes a [0, 1]-bounded loss. ``zero_one`` consumes
 # class-label predictions; ``absolute`` consumes one-dimensional probability
-# vectors for binary labels and is 1-Lipschitz in the prediction.
+# vectors for binary labels and is 1-Lipschitz in the prediction. Both score
+# arrays of predictions against broadcastable label arrays, slot by slot.
 
-def zero_one_loss(prediction: int, label: int) -> float:
-    return 0.0 if int(prediction) == int(label) else 1.0
+def zero_one_loss(predictions, labels) -> np.ndarray:
+    return (np.asarray(predictions) != np.asarray(labels)).astype(float)
 
 
-def absolute_loss(prediction: Sequence[float], label: int) -> float:
-    p = float(prediction[0])
-    if not 0.0 <= p <= 1.0 or label not in (0, 1):
+def absolute_loss(predictions, labels) -> np.ndarray:
+    p = np.asarray(predictions, dtype=float)[..., 0]
+    labels = np.asarray(labels)
+    if not np.all((p >= 0.0) & (p <= 1.0)) or np.any((labels != 0) & (labels != 1)):
         raise ContractViolation("absolute loss needs p in [0,1] and a binary label")
-    return abs(p - label)
+    return np.abs(p - labels)
 
 
 LOSSES: dict[str, Callable] = {
@@ -239,101 +155,81 @@ class PredictionSpace:
         return cls(kind=d["kind"], size=d.get("size"), dim=d.get("dim"))
 
 
-@dataclass(frozen=True)
-class TrialRecord:
-    """One (split, seed) run: predictions on all 2n slots plus the two half-losses.
+@dataclass(frozen=True, eq=False)
+class TrialTable:
+    """All (split, seed) trials of one learner on one supersample, one row each.
 
-    Predictions are pair-major: slot (i, 0) at index 2i, slot (i, 1) at 2i+1.
+    ``masks`` is (T, n) uint8 and ``seeds`` (T,) uint64. ``preds`` holds the
+    predictions on all 2n slots, pair-major (slot (i, j) at column 2i + j):
+    (T, 2n) ints for a finite prediction space, (T, 2n, d) floats for a real
+    one. ``weight_code`` is (T,) when the learner exposes one.
     """
 
-    split: SplitMask
-    seed: int
-    predictions: tuple
-    train_loss: float
-    test_loss: float
-
-    def __post_init__(self) -> None:
-        if len(self.predictions) != 2 * self.split.n:
-            raise ContractViolation(
-                f"expected {2 * self.split.n} predictions, got {len(self.predictions)}")
-        for name, v in (("train_loss", self.train_loss), ("test_loss", self.test_loss)):
-            if not (0.0 <= v <= 1.0) or math.isnan(v):
-                raise ContractViolation(f"{name}={v} outside [0, 1]")
-
-
-def gap_estimate(trial: TrialRecord) -> float:
-    """Signed generalization-gap estimate: test-half loss minus train-half loss."""
-    return trial.test_loss - trial.train_loss
-
-
-def aggregate_gap(table: "PredictionTable") -> tuple[float, float | None]:
-    """Mean and sample std (ddof=1) of the gap over trials; std is None for one trial."""
-    gaps = [gap_estimate(t) for t in table.trials]
-    mean = float(np.mean(gaps))
-    if len(gaps) < 2:
-        return mean, None
-    return mean, float(np.std(gaps, ddof=1))
-
-
-@dataclass(frozen=True)
-class PredictionTable:
-    """All trials of one learner on one supersample."""
-
     supersample_id: str
-    n: int
     prediction_space: PredictionSpace
-    trials: tuple[TrialRecord, ...]
+    masks: np.ndarray
+    seeds: np.ndarray
+    preds: np.ndarray
+    train_loss: np.ndarray
+    test_loss: np.ndarray
+    weight_code: np.ndarray | None = None
 
     def __post_init__(self) -> None:
-        if len(self.trials) < 1:
-            raise ContractViolation("a prediction table needs at least one trial")
-        if any(t.split.n != self.n for t in self.trials):
-            raise ContractViolation("all trials must share the supersample's n")
+        masks = np.asarray(self.masks)
+        if masks.ndim != 2 or masks.shape[0] < 1 or masks.shape[1] < 1:
+            raise ContractViolation("a trial table needs a (T, n) mask array, T, n >= 1")
+        if np.any((masks != 0) & (masks != 1)):
+            raise ContractViolation("split bits must be 0/1")
+        rows, n = masks.shape
+        seeds = np.asarray(self.seeds, dtype=np.uint64)
+        preds = np.asarray(self.preds)
+        if seeds.shape != (rows,) or preds.shape[:2] != (rows, 2 * n):
+            raise ContractViolation(
+                f"expected {rows} seeds and ({rows}, {2 * n}) predictions, got "
+                f"{seeds.shape} and {preds.shape}")
+        for name in ("train_loss", "test_loss"):
+            v = np.asarray(getattr(self, name), dtype=float)
+            if v.shape != (rows,) or not np.all((v >= 0.0) & (v <= 1.0)):
+                raise ContractViolation(f"{name} must hold {rows} values in [0, 1]")
+            object.__setattr__(self, name, v)
+        if self.weight_code is not None:
+            codes = np.asarray(self.weight_code)
+            if codes.shape != (rows,):
+                raise ContractViolation(f"expected {rows} weight codes, got {codes.shape}")
+            object.__setattr__(self, "weight_code", codes)
+        object.__setattr__(self, "masks", masks.astype(np.uint8))
+        object.__setattr__(self, "seeds", seeds)
+        object.__setattr__(self, "preds", preds)
+
+    @property
+    def n(self) -> int:
+        return self.masks.shape[1]
 
     def to_json_dict(self) -> dict:
-        def enc(p):
-            if self.prediction_space.kind == "finite":
-                return int(p)
-            return [float(v) for v in p]
-
+        rows = zip(self.masks.tolist(), self.seeds.tolist(), self.preds.tolist(),
+                   self.train_loss.tolist(), self.test_loss.tolist())
         return {
             "supersample_id": self.supersample_id,
             "n": self.n,
             "prediction_space": self.prediction_space.to_json_dict(),
             "trials": [
                 {
-                    "split": t.split.to_string(),
-                    "seed": int(t.seed),
-                    "predictions": [enc(p) for p in t.predictions],
-                    "train_loss": t.train_loss,
-                    "test_loss": t.test_loss,
+                    "split": "".join(map(str, bits)),
+                    "seed": seed,
+                    "predictions": preds,
+                    "train_loss": train_loss,
+                    "test_loss": test_loss,
                 }
-                for t in self.trials
+                for bits, seed, preds, train_loss, test_loss in rows
             ],
         }
 
-    @classmethod
-    def from_json_dict(cls, d: dict) -> "PredictionTable":
-        space = PredictionSpace.from_json_dict(d["prediction_space"])
 
-        def dec(p):
-            if space.kind == "finite":
-                return int(p)
-            return tuple(float(v) for v in p)
-
-        trials = tuple(
-            TrialRecord(
-                split=SplitMask.from_string(t["split"]),
-                seed=int(t["seed"]),
-                predictions=tuple(dec(p) for p in t["predictions"]),
-                train_loss=float(t["train_loss"]),
-                test_loss=float(t["test_loss"]),
-            )
-            for t in d["trials"]
-        )
-        return cls(
-            supersample_id=d["supersample_id"],
-            n=int(d["n"]),
-            prediction_space=space,
-            trials=trials,
-        )
+def aggregate_gap(table: TrialTable) -> tuple[float, float | None]:
+    """Mean and sample std (ddof=1) of the per-trial gap, test-half loss minus
+    train-half loss; std is None for one trial."""
+    gaps = table.test_loss - table.train_loss
+    mean = float(np.mean(gaps))
+    if gaps.size < 2:
+        return mean, None
+    return mean, float(np.std(gaps, ddof=1))

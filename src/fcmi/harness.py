@@ -25,28 +25,28 @@ from .core import (
     LOSS_SPACE,
     LOSSES,
     ContractViolation,
-    PredictionTable,
     SizeError,
-    SplitMask,
     Supersample,
-    TrialRecord,
+    TrialTable,
     aggregate_gap,
+    exact_rows,
 )
 from .datagen import GENERATOR_KINDS, GeneratorSpec, sample_supersample
 from .infotheory import (
     PLUGIN_ALPHABET_LIMIT,
-    SplitEnumeration,
     all_subsets,
-    plugin_mi_from_samples,
     product_alphabet_size,
+    split_cmi,
+    subset_mi,
+    mi_testslots,
 )
 from .learners import (
     LearnerSpec,
     derive_seed,
     estimate_stability,
+    fill_table,
     has_weight_code,
     prediction_space,
-    train_predict,
 )
 
 # spawn-key channels for counter-based seed derivation
@@ -223,7 +223,7 @@ class ExperimentReport:
     estimator_meta: dict
     # volatile / bulky companions, excluded from serialization and equality
     wall_clock_sec: float | None = field(default=None, compare=False)
-    tables: list[PredictionTable] | None = field(default=None, compare=False)
+    tables: list[TrialTable] | None = field(default=None, compare=False)
 
     def to_json_dict(self) -> dict:
         return {
@@ -315,10 +315,6 @@ def _draw_supersample(config: ExperimentConfig, a: int) -> Supersample:
     return sample_supersample(gen, config.n, seed)
 
 
-def _num_classes(config: ExperimentConfig, supersample: Supersample) -> int:
-    return max(2, int(supersample.ys.max()) + 1)
-
-
 # --- compatibility checks ----------------------------------------------------
 
 
@@ -402,100 +398,53 @@ def _needs(config: ExperimentConfig, *names: str) -> bool:
 
 def _run_supersample(config: ExperimentConfig, a: int,
                      subsets: list[tuple[int, ...]] | None):
-    """One supersample's trials plus every estimate the requested bounds need."""
+    """One supersample's trial table plus every estimate the requested bounds need."""
     supersample = _draw_supersample(config, a)
     n = config.n
-    num_classes = _num_classes(config, supersample)
-    space = prediction_space(config.learner, num_classes)
-    loss = LOSSES[config.loss]
-    finite = space.kind == "finite"
-    result = SupersampleResult(supersample_id=f"ss{a:03d}", gap_mean=0.0, gap_std=None)
-
-    if config.mode == "exact_enumeration":
+    exact = config.mode == "exact_enumeration"
+    if exact:
         seeds = [derive_seed(config.master_seed, _TRIAL, a, t)
                  for t in range(config.exact_seeds)]
-        enum = SplitEnumeration(supersample, config.learner, seeds=seeds,
-                                loss_name=config.loss)
-        trials = enum.trial_records()
-        if finite:
-            result.mi_per_index = [enum.mi_index(i) for i in range(n)]
-            result.fcmi_full = enum.mi_all()
-            result.mi_testslots = enum.mi_testslots()
-            if _needs(config, "cmi_weights"):
-                result.weight_mi_full = enum.weight_mi_all()
-                result.weight_mi_per_index = [enum.weight_mi_index(i) for i in range(n)]
-            if _needs(config, "fcmi_stability"):
-                result.cmi_per_index = [enum.cmi_index(i) for i in range(n)]
-            if _needs(config, "fcmi_stability_squared"):
-                result.cmi_allpairs_per_index = [
-                    enum.cmi_index(i, all_pairs=True) for i in range(n)]
-            if subsets is not None:
-                result.subset_mi = [enum.mi_subset(u) for u in subsets]
-            if _needs(config, "ensemble_mn"):
-                members = config.learner.params["members"]
-                result.member_fcmi = []
-                for j, member in enumerate(members):
-                    member_seeds = [derive_seed(s, j) for s in seeds]
-                    menum = SplitEnumeration(
-                        supersample, LearnerSpec.from_json_dict(member),
-                        seeds=member_seeds, loss_name=config.loss)
-                    result.member_fcmi.append(menum.mi_all())
+        masks, row_seeds = exact_rows(n, seeds)
     else:
-        queries = [tuple(x) for x in supersample.xs]
-        trial_list = []
-        for b in range(config.k2):
-            split_rng = np.random.default_rng(
-                derive_seed(config.master_seed, _SPLIT, a, b))
-            mask = SplitMask(tuple(int(v) for v in split_rng.integers(0, 2, n)))
-            trial_seed = derive_seed(config.master_seed, _TRIAL, a, b)
-            train = [supersample.example(i, bit) for i, bit in enumerate(mask.bits)]
-            out = train_predict(config.learner, train, queries, trial_seed)
-            preds = out.predictions
-            train_loss = float(np.mean(
-                [loss(preds[k], int(supersample.ys[k])) for k in mask.train_slots()]))
-            test_loss = float(np.mean(
-                [loss(preds[k], int(supersample.ys[k])) for k in mask.test_slots()]))
-            trial_list.append(
-                (TrialRecord(mask, trial_seed, tuple(preds), train_loss, test_loss),
-                 out.weight_code))
-        trials = tuple(t for t, _ in trial_list)
-        if finite:
-            result.mi_per_index = [
-                plugin_mi_from_samples(
-                    [((t.predictions[2 * i], t.predictions[2 * i + 1]),
-                      t.split.bits[i]) for t in trials])
-                for i in range(n)
-            ]
-            result.mi_testslots = plugin_mi_from_samples(
-                [(tuple(t.predictions[s] for s in t.split.test_slots()),
-                  t.split.bits) for t in trials])
-            if _needs(config, "fcmi_mn", "fcmi_squared"):
-                result.fcmi_full = plugin_mi_from_samples(
-                    [(t.predictions, t.split.bits) for t in trials])
-            if _needs(config, "cmi_weights"):
-                result.weight_mi_full = plugin_mi_from_samples(
-                    [(wc, t.split.bits) for t, wc in trial_list])
-            if subsets is not None:
-                result.subset_mi = []
-                for u in subsets:
-                    slots = tuple(s for i in u for s in (2 * i, 2 * i + 1))
-                    result.subset_mi.append(plugin_mi_from_samples(
-                        [(tuple(t.predictions[s] for s in slots),
-                          tuple(t.split.bits[i] for i in u)) for t in trials]))
+        split_seeds = [derive_seed(config.master_seed, _SPLIT, a, b)
+                       for b in range(config.k2)]
+        masks = np.array([np.random.default_rng(s).integers(0, 2, n) for s in split_seeds],
+                         dtype=np.uint8)
+        row_seeds = np.array([derive_seed(config.master_seed, _TRIAL, a, b)
+                              for b in range(config.k2)], dtype=np.uint64)
+    table = fill_table(supersample, config.learner, masks, row_seeds, config.loss,
+                       supersample_id=f"ss{a:03d}")
+    gap_mean, gap_std = aggregate_gap(table)
+    result = SupersampleResult(supersample_id=table.supersample_id,
+                               gap_mean=gap_mean, gap_std=gap_std)
+    if table.prediction_space.kind != "finite":
+        return result, table
 
-    table = PredictionTable(
-        supersample_id=result.supersample_id, n=n,
-        prediction_space=space, trials=tuple(trials))
-    result.gap_mean, result.gap_std = aggregate_gap(table)
+    every_pair = [tuple(range(n))]
+    result.mi_per_index = subset_mi(table, [(i,) for i in range(n)]).tolist()
+    result.mi_testslots = mi_testslots(table)
+    if exact or _needs(config, "fcmi_mn", "fcmi_squared"):
+        result.fcmi_full = float(subset_mi(table, every_pair)[0])
+    if _needs(config, "cmi_weights"):
+        result.weight_mi_full = float(subset_mi(table, every_pair, use_weights=True)[0])
+        if exact:
+            result.weight_mi_per_index = subset_mi(
+                table, [(i,) for i in range(n)], use_weights=True).tolist()
+    if _needs(config, "fcmi_stability"):
+        result.cmi_per_index = split_cmi(table).tolist()
+    if _needs(config, "fcmi_stability_squared"):
+        result.cmi_allpairs_per_index = split_cmi(table, all_pairs=True).tolist()
+    if subsets is not None:
+        result.subset_mi = subset_mi(table, subsets).tolist()
+    if _needs(config, "ensemble_mn"):
+        result.member_fcmi = []
+        for j, member in enumerate(config.learner.params["members"]):
+            member_rows = exact_rows(n, [derive_seed(s, j) for s in seeds])
+            member_table = fill_table(supersample, LearnerSpec.from_json_dict(member),
+                                      *member_rows, config.loss)
+            result.member_fcmi.append(float(subset_mi(member_table, every_pair)[0]))
     return result, table
-
-
-def _run_supersample_payload(config_json: str, a: int, subsets) -> tuple[dict, dict]:
-    """Process-pool entry point; ships results as JSON-ready dicts."""
-    config = ExperimentConfig.from_json_dict(json.loads(config_json))
-    subsets = [tuple(u) for u in subsets] if subsets is not None else None
-    result, table = _run_supersample(config, a, subsets)
-    return result.to_json_dict(), table.to_json_dict()
 
 
 # --- bound assembly ----------------------------------------------------------
@@ -620,20 +569,13 @@ def run_experiment(config: ExperimentConfig, keep_tables: bool = False) -> Exper
         subset_meta = {"subset_policy": policy, "subset_count": len(subsets)}
 
     if config.jobs > 1 and config.k1 > 1:
-        config_json = json.dumps(config.to_json_dict())
         with ProcessPoolExecutor(max_workers=config.jobs) as pool:
-            payloads = list(pool.map(
-                _run_supersample_payload,
-                [config_json] * config.k1, range(config.k1),
-                [subsets] * config.k1))
-        results = [SupersampleResult.from_json_dict(r) for r, _ in payloads]
-        tables = [PredictionTable.from_json_dict(t) for _, t in payloads]
+            runs = list(pool.map(_run_supersample, [config] * config.k1,
+                                 range(config.k1), [subsets] * config.k1))
     else:
-        results, tables = [], []
-        for a in range(config.k1):
-            r, t = _run_supersample(config, a, subsets)
-            results.append(r)
-            tables.append(t)
+        runs = [_run_supersample(config, a, subsets) for a in range(config.k1)]
+    results = [r for r, _ in runs]
+    tables = [t for _, t in runs]
 
     bound_reports, extra_meta = _assemble_bounds(config, results, subset_meta)
 
@@ -645,7 +587,7 @@ def run_experiment(config: ExperimentConfig, keep_tables: bool = False) -> Exper
         "loss": config.loss,
         "bias_correction": False,
         "exact_seeds": config.exact_seeds if config.mode == "exact_enumeration" else None,
-        "trials_per_supersample": len(tables[0].trials),
+        "trials_per_supersample": len(tables[0].masks),
         "plugin_alphabet_limit": PLUGIN_ALPHABET_LIMIT,
         **(subset_meta or {}),
         **extra_meta,

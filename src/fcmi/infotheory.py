@@ -10,20 +10,10 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
-from typing import Hashable, Iterable, Sequence
 
 import numpy as np
 
-from .core import (
-    ENUMERATION_LIMIT,
-    LOSSES,
-    ContractViolation,
-    SizeError,
-    Supersample,
-    TrialRecord,
-    enumerate_splits,
-)
+from .core import ContractViolation, TrialTable, split_slots
 
 _SUM_TOL = 1e-9
 _NEG_TOL = 1e-12
@@ -70,9 +60,7 @@ def kl_divergence(p, q) -> float:
 
 
 def _joint_probs(joint) -> np.ndarray:
-    """Accept a JointHistogram, a count grid, or a probability grid; normalize."""
-    if isinstance(joint, JointHistogram):
-        return joint.normalized()
+    """Accept a count grid or a probability grid; normalize."""
     arr = np.asarray(joint, dtype=float)
     if np.any(arr < 0):
         raise ContractViolation("joint entries must be nonnegative")
@@ -109,131 +97,75 @@ def conditional_mutual_information(joint3) -> float:
     return total
 
 
-def _sparse_mi(weights: dict[tuple[Hashable, Hashable], float]) -> float:
-    """MI of a joint given as {(a, b): probability} with positive entries.
+def _group_codes(prefix: np.ndarray, key: np.ndarray) -> np.ndarray:
+    """Dense rank of each row's (prefix, key) pair; equal pairs share a code.
 
-    Cells are processed in a canonical order so the result is independent of
-    sample/insertion order, bit for bit.
+    Codes are ordered by prefix first, so they refine the prefix's grouping.
     """
-    items = sorted(weights.items(), key=lambda kv: repr(kv[0]))
-    pa: dict[Hashable, float] = {}
-    pb: dict[Hashable, float] = {}
-    for (a, b), w in items:
-        pa[a] = pa.get(a, 0.0) + w
-        pb[b] = pb.get(b, 0.0) + w
-    val = 0.0
-    for (a, b), w in items:
-        if w > 0:
-            val += w * math.log(w / (pa[a] * pb[b]))
-    return max(val, 0.0)
+    order = np.lexsort((key, prefix))
+    p, k = prefix[order], key[order]
+    new = np.empty(order.size, dtype=bool)
+    new[0] = True
+    new[1:] = (p[1:] != p[:-1]) | (k[1:] != k[:-1])
+    codes = np.empty(order.size, dtype=np.int64)
+    codes[order] = np.cumsum(new) - 1
+    return codes
 
 
-@dataclass(frozen=True)
-class JointHistogram:
-    """Counts over a product of finite alphabets (2-D, or 3-D for conditional MI)."""
-
-    counts: np.ndarray
-    axis_names: tuple[str, ...] = ()
-
-    def __post_init__(self) -> None:
-        arr = np.asarray(self.counts)
-        if arr.ndim not in (2, 3):
-            raise ContractViolation("histogram must be 2-D or 3-D")
-        if np.any(arr < 0) or not np.issubdtype(arr.dtype, np.integer):
-            raise ContractViolation("histogram counts must be nonnegative integers")
-        if arr.sum() < 1:
-            raise ContractViolation("histogram total must be >= 1")
-        arr = arr.copy()
-        arr.setflags(write=False)
-        object.__setattr__(self, "counts", arr)
-        names = self.axis_names or tuple(f"axis{i}" for i in range(arr.ndim))
-        if len(names) != arr.ndim:
-            raise ContractViolation("one axis name per histogram dimension")
-        object.__setattr__(self, "axis_names", tuple(names))
-
-    @property
-    def total(self) -> int:
-        return int(self.counts.sum())
-
-    def normalized(self) -> np.ndarray:
-        return self.counts.astype(float) / self.total
-
-    def merge(self, other: "JointHistogram") -> "JointHistogram":
-        """Cell-wise addition; commutative, so parallel trial streams can merge."""
-        if self.counts.shape != other.counts.shape:
-            raise ContractViolation("histogram shapes differ")
-        return JointHistogram(self.counts + other.counts, self.axis_names)
-
-    def to_json_dict(self) -> dict:
-        return {
-            "axes": [
-                {"name": name, "size": int(size)}
-                for name, size in zip(self.axis_names, self.counts.shape)
-            ],
-            "counts": self.counts.tolist(),
-            "total": self.total,
-        }
-
-    @classmethod
-    def from_json_dict(cls, d: dict) -> "JointHistogram":
-        counts = np.asarray(d["counts"], dtype=np.int64)
-        names = tuple(a["name"] for a in d["axes"])
-        sizes = tuple(a["size"] for a in d["axes"])
-        if counts.shape != sizes:
-            raise ContractViolation("counts shape does not match alphabet descriptors")
-        return cls(counts, names)
+def _representatives(codes: np.ndarray) -> np.ndarray:
+    """One row index per code."""
+    rep = np.empty(int(codes.max()) + 1, dtype=np.int64)
+    rep[codes] = np.arange(codes.size)
+    return rep
 
 
-def histogram_from_pairs(
-    pairs: Iterable[tuple[int, int]], shape: tuple[int, int],
-    axis_names: tuple[str, str] = ("a", "b"),
-) -> JointHistogram:
-    """Dense 2-D histogram from (index, index) samples."""
-    counts = np.zeros(shape, dtype=np.int64)
-    for a, b in pairs:
-        if not (0 <= a < shape[0] and 0 <= b < shape[1]):
-            raise ContractViolation(f"symbol ({a}, {b}) outside declared alphabet {shape}")
-        counts[a, b] += 1
-    return JointHistogram(counts, axis_names)
+def plugin_mi(a, b, c=None, bias_correction: bool = False) -> np.ndarray:
+    """Plug-in I(A; B), or I(A; B | C) when ``c`` is given, for Q quantities.
 
-
-def plugin_mi_from_samples(
-    pairs: Sequence[tuple[Hashable, Hashable]],
-    alphabet_a: Sequence[Hashable] | None = None,
-    alphabet_b: Sequence[Hashable] | None = None,
-    bias_correction: bool = False,
-) -> float:
-    """Plug-in MI from (symbol, symbol) samples.
-
-    Symbols may be any hashable values; when alphabets are declared, samples
-    outside them are rejected. ``bias_correction`` applies the Miller-Madow
-    entropy correction (off by default).
+    Each argument is a (T,), (T, Q) or (T, Q, k) integer array: entry [t, q]
+    is sample t of quantity q's symbol, which spans k integer columns. A (T,)
+    array is one symbol shared by every quantity, and the arguments broadcast
+    over Q. The T rows are equally weighted. Only occupied cells are counted,
+    so alphabet sizes never matter. ``bias_correction`` adds the Miller-Madow
+    correction, which is defined for the unconditional form only. Returns the
+    Q values in nats.
     """
-    pairs = list(pairs)
-    if not pairs:
-        raise ContractViolation("need at least one sample pair")
-    if alphabet_a is not None:
-        allowed = set(alphabet_a)
-        for a, _ in pairs:
-            if a not in allowed:
-                raise ContractViolation(f"symbol {a!r} outside the declared first alphabet")
-    if alphabet_b is not None:
-        allowed = set(alphabet_b)
-        for _, b in pairs:
-            if b not in allowed:
-                raise ContractViolation(f"symbol {b!r} outside the declared second alphabet")
-    n = len(pairs)
-    counts: dict[tuple[Hashable, Hashable], int] = {}
-    for key in pairs:
-        counts[key] = counts.get(key, 0) + 1
-    weights = {k: c / n for k, c in counts.items()}
-    mi = _sparse_mi(weights)
+    args = [np.asarray(x) for x in ((a, b) if c is None else (a, b, c))]
+    if any(x.ndim not in (1, 2, 3) or not np.issubdtype(x.dtype, np.integer)
+           for x in args):
+        raise ContractViolation("symbols must be (T,), (T, Q) or (T, Q, k) integer arrays")
+    if bias_correction and c is not None:
+        raise ContractViolation("the Miller-Madow correction is for unconditional MI")
+    args = [x.reshape(x.shape + (1,) * (3 - x.ndim)) for x in args]
+    rows = args[0].shape[0]
+    if rows < 1:
+        raise ContractViolation("need at least one sample row")
+    quantities = max(x.shape[1] for x in args)
+    q = np.tile(np.arange(quantities), rows)
+
+    def symbol_codes(x: np.ndarray) -> np.ndarray:
+        # fold the symbol's columns in one at a time: codes of (q, symbol)
+        x = np.broadcast_to(x, (rows, quantities, x.shape[2]))
+        codes = q
+        for j in range(x.shape[2]):
+            codes = _group_codes(codes, x[:, :, j].ravel())
+        return codes
+
+    a_codes, b_codes = symbol_codes(args[0]), symbol_codes(args[1])
+    cond = symbol_codes(args[2]) if c is not None else q
+    ac = _group_codes(cond, a_codes)
+    bc = _group_codes(cond, b_codes)
+    abc = _group_codes(ac, b_codes)
+    rep = _representatives(abc)
+    n_abc = np.bincount(abc)
+    ratio = (n_abc * np.bincount(cond)[cond[rep]]) / (
+        np.bincount(ac)[ac[rep]] * np.bincount(bc)[bc[rep]])
+    mi = np.bincount(q[rep], weights=n_abc * np.log(ratio), minlength=quantities) / rows
+    mi = np.maximum(mi, 0.0)
     if bias_correction:
-        occ_a = len({a for a, _ in counts})
-        occ_b = len({b for _, b in counts})
-        occ_ab = len(counts)
-        mi += ((occ_a - 1) + (occ_b - 1) - (occ_ab - 1)) / (2 * n)
-        mi = max(mi, 0.0)
+        occ_a, occ_b, occ_ab = (np.bincount(q[_representatives(g)], minlength=quantities)
+                                for g in (ac, bc, abc))
+        mi = np.maximum(mi + ((occ_a - 1) + (occ_b - 1) - (occ_ab - 1)) / (2 * rows), 0.0)
     return mi
 
 
@@ -242,169 +174,54 @@ def product_alphabet_size(alphabet_size: int, m: int) -> int:
     return alphabet_size ** (2 * m) * 2 ** m
 
 
-# --- exact enumeration ------------------------------------------------------
-
-
-class SplitEnumeration:
-    """Learner outputs under every split of one supersample, with exact MI.
-
-    Runs the learner once per (split, seed), caching the full 2n-slot
-    prediction tuple, the per-trial half losses, and the weight code when the
-    learner exposes one. All information quantities are then exact under the
-    uniform distribution over splits (and the uniform seed mixture).
-    """
-
-    def __init__(
-        self,
-        supersample: Supersample,
-        learner_spec,
-        seeds: Sequence[int] = (0,),
-        limit: int = ENUMERATION_LIMIT,
-        loss_name: str = "zero_one",
-    ):
-        from .learners import train_predict  # deferred: learners sits above core
-
-        n = supersample.n
-        if n > limit:
-            raise SizeError(f"exact enumeration refuses n={n} (limit {limit})")
-        if len(seeds) < 1:
-            raise ContractViolation("seed policy must contain at least one seed")
-        loss = LOSSES[loss_name]
-        self.supersample = supersample
-        self.n = n
-        self.seeds = tuple(int(s) for s in seeds)
-        self.splits = enumerate_splits(n, limit=limit)
-        queries = [tuple(x) for x in supersample.xs]
-        records = []
-        for mask in self.splits:
-            train = [supersample.example(i, b) for i, b in enumerate(mask.bits)]
-            for seed in self.seeds:
-                out = train_predict(learner_spec, train, queries, seed)
-                preds = out.predictions
-                tr = mask.train_slots()
-                te = mask.test_slots()
-                train_loss = float(
-                    np.mean([loss(preds[k], int(supersample.ys[k])) for k in tr]))
-                test_loss = float(
-                    np.mean([loss(preds[k], int(supersample.ys[k])) for k in te]))
-                records.append((mask, seed, preds, out.weight_code, train_loss, test_loss))
-        self._records = records
-        self._weight = 1.0 / len(records)
-        self.has_weight_codes = all(r[3] is not None for r in records)
-
-    # -- joint builders --
-
-    def _mi_of(self, key_fn, cond_fn) -> float:
-        weights: dict[tuple, float] = {}
-        for mask, seed, preds, wcode, _, _ in self._records:
-            k = (key_fn(preds, wcode), cond_fn(mask))
-            weights[k] = weights.get(k, 0.0) + self._weight
-        return _sparse_mi(weights)
-
-    def mi_index(self, i: int) -> float:
-        """I(predictions on pair i ; S_i)."""
-        self._check_index(i)
-        return self._mi_of(lambda p, w: (p[2 * i], p[2 * i + 1]),
-                           lambda m: m.bits[i])
-
-    def mi_subset(self, indices: Sequence[int]) -> float:
-        """I(predictions on the subset's pairs ; the subset's split bits)."""
-        idx = tuple(indices)
-        for i in idx:
-            self._check_index(i)
-        slots = tuple(s for i in idx for s in (2 * i, 2 * i + 1))
-        return self._mi_of(lambda p, w: tuple(p[s] for s in slots),
-                           lambda m: tuple(m.bits[i] for i in idx))
-
-    def mi_all(self) -> float:
-        """I(full 2n-slot prediction tuple ; S)."""
-        return self._mi_of(lambda p, w: tuple(p), lambda m: m.bits)
-
-    def mi_testslots(self) -> float:
-        """I(test-slot-only predictions ; S)."""
-        weights: dict[tuple, float] = {}
-        for mask, _, preds, _, _, _ in self._records:
-            key = (tuple(preds[s] for s in mask.test_slots()), mask.bits)
-            weights[key] = weights.get(key, 0.0) + self._weight
-        return _sparse_mi(weights)
-
-    def weight_mi_index(self, i: int) -> float:
-        """I(weight code ; S_i)."""
-        self._require_weights()
-        self._check_index(i)
-        return self._mi_of(lambda p, w: w, lambda m: m.bits[i])
-
-    def weight_mi_subset(self, indices: Sequence[int]) -> float:
-        self._require_weights()
-        idx = tuple(indices)
-        for i in idx:
-            self._check_index(i)
-        return self._mi_of(lambda p, w: w, lambda m: tuple(m.bits[i] for i in idx))
-
-    def weight_mi_all(self) -> float:
-        """I(weight code ; S)."""
-        self._require_weights()
-        return self._mi_of(lambda p, w: w, lambda m: m.bits)
-
-    def cmi_index(self, i: int, all_pairs: bool = False) -> float:
-        """I(predictions ; S_i | S_-i), with pair-i or all-pair predictions."""
-        self._check_index(i)
-        groups: dict[tuple, dict[tuple, float]] = {}
-        for mask, _, preds, _, _, _ in self._records:
-            rest = tuple(b for j, b in enumerate(mask.bits) if j != i)
-            if all_pairs:
-                key = (tuple(preds), mask.bits[i])
-            else:
-                key = ((preds[2 * i], preds[2 * i + 1]), mask.bits[i])
-            cell = groups.setdefault(rest, {})
-            cell[key] = cell.get(key, 0.0) + self._weight
-        total = 0.0
-        for cell in groups.values():
-            w = sum(cell.values())
-            total += w * _sparse_mi({k: v / w for k, v in cell.items()})
-        return total
-
-    # -- gap statistics and trial export --
-
-    def gap_values(self) -> np.ndarray:
-        return np.array([te - tr for _, _, _, _, tr, te in self._records])
-
-    def trial_records(self):
-        return tuple(
-            TrialRecord(split=mask, seed=seed, predictions=tuple(preds),
-                        train_loss=tr, test_loss=te)
-            for mask, seed, preds, _, tr, te in self._records
-        )
-
-    def _check_index(self, i: int) -> None:
-        if not 0 <= i < self.n:
-            raise ContractViolation(f"pair index {i} outside [0, {self.n})")
-
-    def _require_weights(self) -> None:
-        if not self.has_weight_codes:
-            raise ContractViolation("learner exposes no discrete weight code")
-
-
-def exact_fcmi_enumeration(
-    supersample: Supersample,
-    learner_spec,
-    target: int | str = "all",
-    seeds: Sequence[int] = (0,),
-    limit: int = ENUMERATION_LIMIT,
-) -> float:
-    """Exact f-CMI by full split enumeration.
-
-    ``target`` is a pair index for the single-pair quantity, or "all" for the
-    MI between the full prediction tuple and the whole split vector.
-    """
-    enum = SplitEnumeration(supersample, learner_spec, seeds=seeds, limit=limit)
-    if target == "all":
-        return enum.mi_all()
-    return enum.mi_index(int(target))
-
-
 def all_subsets(n: int, m: int) -> list[tuple[int, ...]]:
     """All size-m subsets of range(n), lexicographic."""
     if not 1 <= m <= n:
         raise ContractViolation(f"subset size m={m} outside [1, {n}]")
     return list(itertools.combinations(range(n), m))
+
+
+# --- quantities of a trial table ----------------------------------------------
+#
+# Both modes read one table with the same estimator: exact mode's uniform law
+# over every split (and seed) is the plug-in over its equally weighted rows.
+
+# (row, subset) cells per estimator call in ``subset_mi``; bounds the scratch
+# memory of one call when there are many subsets.
+_CELLS_PER_CALL = 2 ** 14
+
+
+def subset_mi(table: TrialTable, subsets, use_weights: bool = False) -> np.ndarray:
+    """I(target ; S_u) for each pair subset u, batched over subsets.
+
+    The target is the predictions on u's pairs, or the learner's weight code
+    when ``use_weights`` is set.
+    """
+    if use_weights and table.weight_code is None:
+        raise ContractViolation("learner exposes no discrete weight code")
+    subsets = np.asarray(subsets, dtype=np.int64)
+    rows = table.masks.shape[0]
+    pair_preds = table.preds.reshape(rows, table.n, 2)
+    step = max(1, _CELLS_PER_CALL // rows)
+    out = []
+    for idx in np.split(subsets, range(step, len(subsets), step)):
+        target = (table.weight_code if use_weights
+                  else pair_preds[:, idx].reshape(rows, len(idx), -1))
+        out.append(plugin_mi(target, table.masks[:, idx]))
+    return np.concatenate(out)
+
+
+def split_cmi(table: TrialTable, all_pairs: bool = False) -> np.ndarray:
+    """I(predictions ; S_i | S_-i) for every pair i, with pair-i or all-pair predictions."""
+    n, rows = table.n, table.masks.shape[0]
+    rest = np.array([[j for j in range(n) if j != i] for i in range(n)],
+                    dtype=np.int64).reshape(n, n - 1)
+    target = table.preds[:, None] if all_pairs else table.preds.reshape(rows, n, 2)
+    return plugin_mi(target, table.masks, table.masks[:, rest])
+
+
+def mi_testslots(table: TrialTable) -> float:
+    """I(predictions on the test slots only ; S)."""
+    _, test_slots = split_slots(table.masks)
+    test_preds = np.take_along_axis(table.preds, test_slots, axis=1)
+    return float(plugin_mi(test_preds[:, None], table.masks[:, None])[0])

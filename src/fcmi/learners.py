@@ -1,8 +1,10 @@
 """Built-in learning procedures behind one train/predict contract.
 
-Every learner is a pure function of (training sequence, query inputs, seed):
+Every learner is a pure function of (training arrays, query array, seed):
 identical inputs and seed reproduce the output bit for bit. Class-label
-learners emit ints; probability-output learners emit tuples of floats.
+learners emit an int array of shape (Q,); probability-output learners emit a
+float array of shape (Q, d). ``fill_table`` runs a learner on every (split,
+seed) row of a trial table.
 """
 
 from __future__ import annotations
@@ -15,7 +17,14 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import ContractViolation, LabeledExample, PredictionSpace
+from .core import (
+    LOSSES,
+    ContractViolation,
+    PredictionSpace,
+    Supersample,
+    TrialTable,
+    split_slots,
+)
 
 LEARNER_KINDS = (
     "memorizer",
@@ -67,9 +76,9 @@ def _validate_params(kind: str, params: dict) -> None:
             raise ContractViolation("only the majority-vote combiner is implemented")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LearnerOutput:
-    predictions: tuple
+    predictions: np.ndarray
     weight_code: int | None = None
 
 
@@ -119,28 +128,25 @@ def is_deterministic(spec: LearnerSpec) -> bool:
 # --- individual learners ----------------------------------------------------
 
 
-def _train_arrays(train: Sequence[LabeledExample]) -> tuple[np.ndarray, np.ndarray]:
-    xs = np.array([ex.x for ex in train], dtype=float)
-    ys = np.array([ex.y for ex in train], dtype=np.int64)
-    return xs, ys
-
-
-def _memorize(train, queries) -> tuple:
+def _memorize(train_xs: np.ndarray, train_ys: np.ndarray,
+              query_xs: np.ndarray) -> np.ndarray:
     table: dict[tuple, int] = {}
-    for ex in train:
+    for x, y in zip(map(tuple, train_xs.tolist()), train_ys.tolist()):
         # first occurrence wins for duplicate inputs
-        table.setdefault(tuple(ex.x), int(ex.y))
-    return tuple(table.get(tuple(q), 0) for q in queries)
+        table.setdefault(x, y)
+    return np.array([table.get(q, 0) for q in map(tuple, query_xs.tolist())],
+                    dtype=np.int64)
 
 
-def threshold_erm_fit(train: Sequence[LabeledExample]) -> float:
+def threshold_erm_fit(xs: np.ndarray, ys: np.ndarray) -> float:
     """Empirical-risk-minimizing threshold for 1-D features in [0, 1].
 
     Separable samples get the midpoint of the zero-error interval; one-class
     samples snap to the domain edge (1.0 for all-zeros, 0.0 for all-ones).
     Otherwise the leftmost minimum-error cut wins.
     """
-    xs, ys = _train_arrays(train)
+    xs = np.asarray(xs, dtype=float)
+    ys = np.asarray(ys)
     x1 = xs[:, 0]
     if xs.shape[1] != 1 or np.any(x1 < 0) or np.any(x1 > 1):
         raise ContractViolation("threshold_erm needs 1-D features in [0, 1]")
@@ -155,26 +161,19 @@ def threshold_erm_fit(train: Sequence[LabeledExample]) -> float:
         return (m0 + m1) / 2.0
     values = np.unique(x1)
     candidates = np.concatenate(([0.0], (values[:-1] + values[1:]) / 2.0, [1.0]))
-    errors = [(np.mean((x1 > w).astype(int) != ys), w) for w in candidates]
-    best = min(e for e, _ in errors)
-    return float(next(w for e, w in errors if e == best))
+    errors = np.mean((x1 > candidates[:, None]) != ys, axis=1)
+    return float(candidates[np.argmin(errors)])  # argmin keeps the leftmost cut
 
 
-def _threshold_predict(w: float, queries) -> tuple:
-    return tuple(int(float(q[0]) > w) for q in queries)
-
-
-def _knn(train, queries, k: int) -> tuple:
-    xs, ys = _train_arrays(train)
-    k_eff = min(k, len(train))
-    num_classes = int(ys.max()) + 1 if len(ys) else 1
-    preds = []
-    for q in queries:
-        d2 = np.sum((xs - np.asarray(q, dtype=float)) ** 2, axis=1)
-        order = np.argsort(d2, kind="stable")  # distance ties fall to lower index
-        votes = np.bincount(ys[order[:k_eff]], minlength=num_classes)
-        preds.append(int(votes.argmax()))  # vote ties fall to lower class
-    return tuple(preds)
+def _knn(train_xs: np.ndarray, train_ys: np.ndarray, query_xs: np.ndarray,
+         k: int) -> np.ndarray:
+    k_eff = min(k, len(train_ys))
+    num_classes = int(train_ys.max()) + 1
+    d2 = np.sum((train_xs[None, :, :] - query_xs[:, None, :]) ** 2, axis=2)
+    order = np.argsort(d2, axis=1, kind="stable")  # distance ties fall to lower index
+    nearest = train_ys[order[:, :k_eff]]
+    votes = (nearest[:, :, None] == np.arange(num_classes)).sum(axis=1)
+    return votes.argmax(axis=1)  # vote ties fall to lower class
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
@@ -186,10 +185,9 @@ def _sigmoid(z: np.ndarray) -> np.ndarray:
     return out
 
 
-def logistic_fit(train, seed: int, steps: int = 100, lr: float = 0.5,
-                 init_scale: float = 0.01) -> np.ndarray:
+def logistic_fit(xs: np.ndarray, ys: np.ndarray, seed: int, steps: int = 100,
+                 lr: float = 0.5, init_scale: float = 0.01) -> np.ndarray:
     """Full-batch gradient descent on mean logistic loss; no early stopping."""
-    xs, ys = _train_arrays(train)
     if np.any((ys != 0) & (ys != 1)):
         raise ContractViolation("logistic_gd needs binary labels")
     X = np.hstack([xs, np.ones((xs.shape[0], 1))])
@@ -201,8 +199,8 @@ def logistic_fit(train, seed: int, steps: int = 100, lr: float = 0.5,
     return w
 
 
-def sgld_fit(train, seed: int, steps: int = 200, lr0: float = 0.05,
-             lr_decay: float = 0.9, lr_decay_every: int = 100,
+def sgld_fit(xs: np.ndarray, ys: np.ndarray, seed: int, steps: int = 200,
+             lr0: float = 0.05, lr_decay: float = 0.9, lr_decay_every: int = 100,
              temp_min: float = 100.0, temp_max: float = 4000.0,
              temp_scale: float = 100.0, init_scale: float = 0.01) -> np.ndarray:
     """Vanilla SGLD on the summed logistic loss of a linear model.
@@ -212,7 +210,6 @@ def sgld_fit(train, seed: int, steps: int = 200, lr0: float = 0.05,
     standard-normal stream is drawn unconditionally so that runs at different
     temperatures share it.
     """
-    xs, ys = _train_arrays(train)
     if np.any((ys != 0) & (ys != 1)):
         raise ContractViolation("sgld_linear needs binary labels")
     X = np.hstack([xs, np.ones((xs.shape[0], 1))])
@@ -227,27 +224,23 @@ def sgld_fit(train, seed: int, steps: int = 200, lr0: float = 0.05,
     return w
 
 
-def _linear_predict(w: np.ndarray, queries, output: str) -> tuple:
-    preds = []
-    for q in queries:
-        z = float(np.dot(np.append(np.asarray(q, dtype=float), 1.0), w))
-        p = float(_sigmoid(np.array([z]))[0])
-        preds.append((p,) if output == "prob" else int(p > 0.5))
-    return tuple(preds)
+def _linear_predict(w: np.ndarray, query_xs: np.ndarray, output: str) -> np.ndarray:
+    # one dot product and sigmoid per query: a single matmul over all queries
+    # changes the last ulp of some probabilities
+    probs = []
+    for q in query_xs:
+        z = float(np.dot(np.append(q, 1.0), w))
+        probs.append(float(_sigmoid(np.array([z]))[0]))
+    probs = np.array(probs)
+    return probs[:, None] if output == "prob" else (probs > 0.5).astype(np.int64)
 
 
 def _digest(data: bytes) -> int:
     return int.from_bytes(hashlib.blake2b(data, digest_size=8).digest(), "big")
 
 
-def _train_digest(train) -> int:
-    xs, ys = _train_arrays(train)
-    return _digest(np.ascontiguousarray(xs).tobytes() + ys.tobytes())
-
-
-def noisy_predict(inner_predictions: Sequence[Sequence[float]], sigma_sq: float,
-                  seed: int, train_digest: int,
-                  queries: Sequence[Sequence[float]]) -> tuple:
+def noisy_predict(inner_predictions, sigma_sq: float, seed: int, train_digest: int,
+                  queries) -> np.ndarray:
     """Add per-(train set, query) Gaussian noise to real-vector predictions.
 
     The noise stream is keyed on (seed, train digest, query digest): asking
@@ -257,13 +250,12 @@ def noisy_predict(inner_predictions: Sequence[Sequence[float]], sigma_sq: float,
     if sigma_sq <= 0:
         raise ContractViolation("sigma_sq must be > 0")
     sigma = math.sqrt(sigma_sq)
-    out = []
-    for vec, q in zip(inner_predictions, queries):
+    out = np.array(inner_predictions, dtype=float)
+    for row, q in zip(out, queries):
         qdig = _digest(np.asarray(q, dtype=float).tobytes())
         rng = np.random.default_rng([seed, train_digest, qdig])
-        noise = rng.normal(0.0, sigma, len(vec))
-        out.append(tuple(float(v) + float(e) for v, e in zip(vec, noise)))
-    return tuple(out)
+        row += rng.normal(0.0, sigma, len(row))
+    return out
 
 
 def ensemble_combine(member_predictions: Sequence[int]) -> int:
@@ -274,33 +266,36 @@ def ensemble_combine(member_predictions: Sequence[int]) -> int:
     return int(votes.argmax())
 
 
-def train_predict(spec: LearnerSpec, train: Sequence[LabeledExample],
-                  queries: Sequence[Sequence[float]], seed: int) -> LearnerOutput:
-    """Train the specified learner and predict on the queries."""
-    if len(train) == 0:
-        raise ContractViolation("training set must be nonempty")
-    dim = train[0].dim
-    if any(ex.dim != dim for ex in train) or any(len(q) != dim for q in queries):
+def train_predict(spec: LearnerSpec, train_xs, train_ys, query_xs,
+                  seed: int) -> LearnerOutput:
+    """Train the specified learner on (N, d) inputs and (N,) labels, and
+    predict on (Q, d) query inputs."""
+    train_xs = np.asarray(train_xs, dtype=float)
+    train_ys = np.asarray(train_ys, dtype=np.int64)
+    query_xs = np.asarray(query_xs, dtype=float)
+    if train_xs.ndim != 2 or train_xs.shape[0] == 0 or train_ys.shape != train_xs.shape[:1]:
+        raise ContractViolation("training set must be nonempty (N, d) inputs, N labels")
+    if query_xs.ndim != 2 or query_xs.shape[1] != train_xs.shape[1]:
         raise ContractViolation("feature dimensionality mismatch")
     p = spec.params
     if spec.kind == "memorizer":
-        return LearnerOutput(_memorize(train, queries))
+        return LearnerOutput(_memorize(train_xs, train_ys, query_xs))
     if spec.kind == "threshold_erm":
-        w = threshold_erm_fit(train)
+        w = threshold_erm_fit(train_xs, train_ys)
         # injective encoding keeps predictions a function of the code, so the
         # weight-level information never undercounts the prediction-level one;
         # for any fixed example pool the achievable code set is still finite
         code = struct.unpack("<q", struct.pack("<d", w))[0]
-        return LearnerOutput(_threshold_predict(w, queries), weight_code=code)
+        return LearnerOutput((query_xs[:, 0] > w).astype(np.int64), weight_code=code)
     if spec.kind == "knn":
-        return LearnerOutput(_knn(train, queries, int(p.get("k", 1))))
+        return LearnerOutput(_knn(train_xs, train_ys, query_xs, int(p.get("k", 1))))
     if spec.kind == "logistic_gd":
-        w = logistic_fit(train, seed, steps=int(p.get("steps", 100)),
+        w = logistic_fit(train_xs, train_ys, seed, steps=int(p.get("steps", 100)),
                          lr=float(p.get("lr", 0.5)),
                          init_scale=float(p.get("init_scale", 0.01)))
-        return LearnerOutput(_linear_predict(w, queries, p.get("output", "label")))
+        return LearnerOutput(_linear_predict(w, query_xs, p.get("output", "label")))
     if spec.kind == "sgld_linear":
-        w = sgld_fit(train, seed, steps=int(p.get("steps", 200)),
+        w = sgld_fit(train_xs, train_ys, seed, steps=int(p.get("steps", 200)),
                      lr0=float(p.get("lr0", 0.05)),
                      lr_decay=float(p.get("lr_decay", 0.9)),
                      lr_decay_every=int(p.get("lr_decay_every", 100)),
@@ -308,39 +303,62 @@ def train_predict(spec: LearnerSpec, train: Sequence[LabeledExample],
                      temp_max=float(p.get("temp_max", 4000.0)),
                      temp_scale=float(p.get("temp_scale", 100.0)),
                      init_scale=float(p.get("init_scale", 0.01)))
-        return LearnerOutput(_linear_predict(w, queries, p.get("output", "label")))
+        return LearnerOutput(_linear_predict(w, query_xs, p.get("output", "label")))
     if spec.kind == "noisy_wrapper":
         inner = LearnerSpec.from_json_dict(p["inner"])
         if prediction_space(inner).kind != "real":
             raise ContractViolation(
                 "noisy_wrapper needs an inner learner with real-vector output")
-        inner_out = train_predict(inner, train, queries, seed)
+        inner_out = train_predict(inner, train_xs, train_ys, query_xs, seed)
+        train_digest = _digest(
+            np.ascontiguousarray(train_xs).tobytes() + train_ys.tobytes())
         noisy = noisy_predict(inner_out.predictions, float(p["sigma_sq"]), seed,
-                              _train_digest(train), queries)
+                              train_digest, query_xs)
         return LearnerOutput(noisy)
     if spec.kind == "ensemble":
         members = [LearnerSpec.from_json_dict(m) for m in p["members"]]
-        per_member = [
-            train_predict(m, train, queries, derive_seed(seed, j)).predictions
+        per_member = np.stack([
+            train_predict(m, train_xs, train_ys, query_xs, derive_seed(seed, j)).predictions
             for j, m in enumerate(members)
-        ]
-        combined = tuple(
-            ensemble_combine([mp[q] for mp in per_member])
-            for q in range(len(queries))
-        )
-        return LearnerOutput(combined)
+        ])
+        return LearnerOutput(np.array([ensemble_combine(votes) for votes in per_member.T],
+                                      dtype=np.int64))
     raise ContractViolation(f"unknown learner kind {spec.kind!r}")
 
 
-def member_predictions(spec: LearnerSpec, train, queries, seed: int) -> list[tuple]:
-    """Per-member prediction tuples of an ensemble, with the derived member seeds."""
-    if spec.kind != "ensemble":
-        raise ContractViolation("member_predictions needs an ensemble learner")
-    members = [LearnerSpec.from_json_dict(m) for m in spec.params["members"]]
-    return [
-        train_predict(m, train, queries, derive_seed(seed, j)).predictions
-        for j, m in enumerate(members)
-    ]
+def fill_table(supersample: Supersample, spec: LearnerSpec, masks, seeds,
+               loss_name: str = "zero_one", supersample_id: str = "") -> TrialTable:
+    """Run the learner once per (mask, seed) row and score both halves.
+
+    Row t trains on slots 2i + masks[t, i] with seed ``seeds[t]`` and predicts
+    on all 2n supersample inputs; losses are scored on the arrays afterwards.
+    """
+    masks = np.asarray(masks, dtype=np.uint8)
+    if masks.ndim != 2 or masks.shape[0] < 1 or len(seeds) != masks.shape[0]:
+        raise ContractViolation("need at least one (mask, seed) row, one seed per mask")
+    xs, ys = supersample.xs, supersample.ys
+    rows, n = masks.shape
+    preds, codes = None, []
+    for t in range(rows):
+        train, _ = split_slots(masks[t])
+        out = train_predict(spec, xs[train], ys[train], xs, int(seeds[t]))
+        if preds is None:
+            preds = np.empty((rows,) + out.predictions.shape, dtype=out.predictions.dtype)
+        preds[t] = out.predictions
+        codes.append(out.weight_code)
+    # pair-major slot losses: [..., 0] is slot 2i, [..., 1] is slot 2i + 1
+    pair_loss = LOSSES[loss_name](preds, ys).reshape(rows, n, 2)
+    in_train = masks.astype(bool)
+    return TrialTable(
+        supersample_id=supersample_id,
+        prediction_space=prediction_space(spec, max(2, int(ys.max()) + 1)),
+        masks=masks,
+        seeds=seeds,
+        preds=preds,
+        train_loss=np.where(in_train, pair_loss[..., 1], pair_loss[..., 0]).mean(axis=1),
+        test_loss=np.where(in_train, pair_loss[..., 0], pair_loss[..., 1]).mean(axis=1),
+        weight_code=None if None in codes else np.array(codes, dtype=np.int64),
+    )
 
 
 # --- functional stability ----------------------------------------------------
@@ -375,21 +393,16 @@ def estimate_stability(spec: LearnerSpec, gen, n: int, which: str,
     acc = np.zeros((n, n)) if which == "train" else np.zeros(n)
     for t in range(trials):
         examples = sample_examples(gen, n + 2, derive_seed(seed, t, 0))
-        base_set = examples[:n]
-        z_new = examples[n]
-        z_test = examples[n + 1]
+        xs = np.array([ex.x for ex in examples], dtype=float)
+        ys = np.array([ex.y for ex in examples], dtype=np.int64)
+        base_xs, base_ys = xs[:n], ys[:n]
+        queries = xs[n + 1:n + 2] if which == "test" else base_xs
         r = derive_seed(seed, t, 1)
-        if which == "self":
-            queries = [ex.x for ex in base_set]
-        elif which == "test":
-            queries = [z_test.x]
-        else:
-            queries = [ex.x for ex in base_set]
-        base_preds = train_predict(spec, base_set, queries, r).predictions
+        base_preds = train_predict(spec, base_xs, base_ys, queries, r).predictions
         for i in range(n):
-            swapped = list(base_set)
-            swapped[i] = z_new
-            preds = train_predict(spec, swapped, queries, r).predictions
+            swapped_xs, swapped_ys = base_xs.copy(), base_ys.copy()
+            swapped_xs[i], swapped_ys[i] = xs[n], ys[n]
+            preds = train_predict(spec, swapped_xs, swapped_ys, queries, r).predictions
             if which == "self":
                 d = _as_vector(preds[i]) - _as_vector(base_preds[i])
                 acc[i] += float(np.dot(d, d))

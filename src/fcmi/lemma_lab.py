@@ -15,8 +15,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .core import ContractViolation
-from .infotheory import SplitEnumeration, all_subsets, mutual_information
+from .core import ContractViolation, TrialTable
+from .infotheory import all_subsets, mutual_information, subset_mi
 
 MARGIN_TOL = -1e-9
 
@@ -244,20 +244,20 @@ def verify_kl_decomposition(
     return cap - cmi
 
 
-def verify_monotonicity_in_m(enum: SplitEnumeration, use_weights: bool = False,
+def verify_monotonicity_in_m(table: TrialTable, use_weights: bool = False,
                              tol: float = 1e-9) -> dict:
     """Subset-size monotonicity of the exact bound sequences.
 
     For phi(x) = sqrt(x) and phi(x) = x, computes m -> mean over all size-m
     subsets of phi(I(target; S_u) / m) and asserts each sequence is
     non-decreasing. The target is the subset's predictions, or the weight
-    code when ``use_weights`` is set.
+    code when ``use_weights`` is set. ``table`` holds every split of one
+    supersample (see ``fcmi.learners.fill_table``).
     """
-    n = enum.n
-    mi_fn = enum.weight_mi_subset if use_weights else enum.mi_subset
+    n = table.n
     sqrt_seq, id_seq = [], []
     for m in range(1, n + 1):
-        vals = [mi_fn(u) / m for u in all_subsets(n, m)]
+        vals = subset_mi(table, all_subsets(n, m), use_weights) / m
         sqrt_seq.append(float(np.mean(np.sqrt(vals))))
         id_seq.append(float(np.mean(vals)))
     ok = all(b - a >= -tol for a, b in zip(sqrt_seq, sqrt_seq[1:])) and \

@@ -13,11 +13,11 @@ import numpy as np
 import pytest
 
 from fcmi.bounds import ensemble_fcmi_bound, vc_fcmi_bound
-from fcmi.core import LabeledExample
+from fcmi.core import exact_rows
 from fcmi.datagen import GeneratorSpec, sample_supersample
 from fcmi.harness import ExperimentConfig, canonical_json, run_experiment
-from fcmi.infotheory import SplitEnumeration
-from fcmi.learners import LearnerSpec, derive_seed, threshold_erm_fit
+from fcmi.infotheory import plugin_mi, subset_mi
+from fcmi.learners import LearnerSpec, derive_seed, fill_table, threshold_erm_fit
 from fcmi.lemma_lab import run_all_verifiers, verify_monotonicity_in_m
 
 
@@ -28,6 +28,12 @@ def _report(criterion: str, ok: bool) -> None:
 
 def _config(**kwargs) -> ExperimentConfig:
     return ExperimentConfig.from_json_dict(kwargs)
+
+
+def _exact_fcmi(ss, spec, seeds=(0,)) -> float:
+    """I(all 2n predictions ; S) over every split of ``ss``."""
+    table = fill_table(ss, spec, *exact_rows(ss.n, seeds))
+    return float(subset_mi(table, [tuple(range(ss.n))])[0])
 
 
 def test_c01_lemma_lab_clean_sweep():
@@ -55,8 +61,8 @@ def test_c02_monotonicity_in_m():
             ("memorizer", GeneratorSpec("uniform_labels", {"dim": 1})),
         ):
             ss = sample_supersample(gen, n, seed=n)
-            enum = SplitEnumeration(ss, LearnerSpec(kind))
-            out = verify_monotonicity_in_m(enum, tol=1e-9)
+            table = fill_table(ss, LearnerSpec(kind), *exact_rows(n, (0,)))
+            out = verify_monotonicity_in_m(table, tol=1e-9)
             ok = ok and out["non_decreasing"]
             # the m=1 bound is the smallest: sqrt-sequence non-decreasing
             ok = ok and all(out["sqrt"][0] <= v + 1e-9 for v in out["sqrt"][1:])
@@ -130,16 +136,14 @@ def test_c06_vc_dominance_and_pattern_count():
         cap = vc_fcmi_bound(1, n)
         for seed in range(3):
             ss = sample_supersample(gen, n, seed=seed)
-            enum = SplitEnumeration(ss, LearnerSpec("threshold_erm"))
-            ok = ok and enum.mi_all() <= cap + 1e-9
+            ok = ok and _exact_fcmi(ss, LearnerSpec("threshold_erm")) <= cap + 1e-9
         # oracle: threshold patterns on 2n sorted distinct points are exactly
         # the 2n+1 suffix patterns; ERM must realize each and nothing more
         rng = np.random.default_rng(n)
         points = np.sort(rng.random(2 * n))
         patterns = set()
         for labels in itertools.product((0, 1), repeat=2 * n):
-            w = threshold_erm_fit(
-                [LabeledExample((x,), y) for x, y in zip(points, labels)])
+            w = threshold_erm_fit(points[:, None], np.array(labels))
             patterns.add(tuple(int(x > w) for x in points))
         print(f"  n={n}: fCMI cap={cap:.4f}, patterns={len(patterns)}")
         ok = ok and len(patterns) == 2 * n + 1
@@ -152,12 +156,9 @@ def test_c07_plugin_estimator_convergence():
     exact = sum(p * math.log(p / 0.25) for p in probs)
     assert exact == pytest.approx(0.130812, abs=1e-6)
 
-    from fcmi.infotheory import plugin_mi_from_samples
-
     rng = np.random.default_rng(2024)
     draws = rng.choice(4, size=10 ** 5, p=probs)
-    pairs = [(int(d // 2), int(d % 2)) for d in draws]
-    err = abs(plugin_mi_from_samples(pairs) - exact)
+    err = abs(plugin_mi(draws // 2, draws % 2)[0] - exact)
 
     # bias trend: mean plug-in MI over many multinomial resamples, vectorized
     def mean_plugin_mi(k, reps):
@@ -208,10 +209,10 @@ def test_c09_ensembling():
     for n in (4, 6):
         ss = sample_supersample(gen, n, seed=n + 1)  # both instances non-degenerate
         seeds = (123,)
-        combined = SplitEnumeration(ss, spec, seeds=seeds).mi_all()
+        combined = _exact_fcmi(ss, spec, seeds)
         member_mis = [
-            SplitEnumeration(ss, LearnerSpec.from_json_dict(m),
-                             seeds=[derive_seed(s, j) for s in seeds]).mi_all()
+            _exact_fcmi(ss, LearnerSpec.from_json_dict(m),
+                        [derive_seed(s, j) for s in seeds])
             for j, m in enumerate(members)
         ]
         cap = ensemble_fcmi_bound(member_mis)

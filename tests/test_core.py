@@ -1,6 +1,7 @@
 import json
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -9,18 +10,13 @@ from fcmi.core import (
     ContractViolation,
     LabeledExample,
     PredictionSpace,
-    PredictionTable,
     SizeError,
-    SplitMask,
-    SubsetIndex,
     Supersample,
-    TrialRecord,
+    TrialTable,
     absolute_loss,
     aggregate_gap,
-    complement_set,
     enumerate_splits,
-    gap_estimate,
-    select_train_set,
+    split_slots,
     zero_one_loss,
 )
 
@@ -33,70 +29,84 @@ def make_supersample(values):
     return Supersample([(ex(a), ex(b)) for a, b in values])
 
 
+def train_half(ss, bits):
+    return ss.xs[split_slots(np.array(bits))[0], 0].tolist()
+
+
+def heldout_half(ss, bits):
+    return ss.xs[split_slots(np.array(bits))[1], 0].tolist()
+
+
+def table(masks, preds, train_loss, test_loss, seeds=None):
+    masks = np.array(masks)
+    return TrialTable("ss000", PredictionSpace("finite", size=2), masks,
+                      seeds if seeds is not None else np.zeros(len(masks)), np.array(preds),
+                      np.array(train_loss), np.array(test_loss))
+
+
 class TestSelection:
     def test_select_bit0_takes_first(self):
         ss = make_supersample([(1.0, 2.0)])
-        assert select_train_set(ss, SplitMask((0,))) == [ex(1.0)]
+        assert train_half(ss, (0,)) == [1.0]
 
     def test_select_bit1_takes_second(self):
         ss = make_supersample([(1.0, 2.0)])
-        assert select_train_set(ss, SplitMask((1,))) == [ex(2.0)]
+        assert train_half(ss, (1,)) == [2.0]
 
     def test_select_componentwise(self):
         ss = make_supersample([(1.0, 2.0), (3.0, 4.0)])
-        assert select_train_set(ss, SplitMask((1, 0))) == [ex(2.0), ex(3.0)]
+        assert train_half(ss, (1, 0)) == [2.0, 3.0]
 
     def test_complement_single_pair(self):
         ss = make_supersample([(1.0, 2.0)])
-        assert complement_set(ss, SplitMask((0,))) == [ex(2.0)]
-        assert complement_set(ss, SplitMask((1,))) == [ex(1.0)]
+        assert heldout_half(ss, (0,)) == [2.0]
+        assert heldout_half(ss, (1,)) == [1.0]
 
     def test_complement_componentwise(self):
         ss = make_supersample([(1.0, 2.0), (3.0, 4.0)])
-        assert complement_set(ss, SplitMask((1, 0))) == [ex(1.0), ex(4.0)]
+        assert heldout_half(ss, (1, 0)) == [1.0, 4.0]
 
     def test_length_mismatch_rejected(self):
-        ss = make_supersample([(1.0, 2.0)])
+        # masks of n=2 cannot index the 2n=2 predictions of an n=1 supersample
         with pytest.raises(ContractViolation):
-            select_train_set(ss, SplitMask((0, 1)))
+            table([[0, 1]], [[0, 0]], [0.0], [0.0])
 
     @given(st.integers(1, 6), st.data())
     @settings(max_examples=60, deadline=None)
     def test_union_is_all_examples(self, n, data):
         ss = make_supersample([(2 * i, 2 * i + 1) for i in range(n)])
         bits = tuple(data.draw(st.integers(0, 1)) for _ in range(n))
-        mask = SplitMask(bits)
-        both = select_train_set(ss, mask) + complement_set(ss, mask)
-        assert sorted(e.x[0] for e in both) == [float(v) for v in range(2 * n)]
+        both = train_half(ss, bits) + heldout_half(ss, bits)
+        assert sorted(both) == [float(v) for v in range(2 * n)]
 
     @given(st.integers(1, 6), st.data())
     @settings(max_examples=60, deadline=None)
     def test_flip_swaps_halves(self, n, data):
         ss = make_supersample([(2 * i, 2 * i + 1) for i in range(n)])
         bits = tuple(data.draw(st.integers(0, 1)) for _ in range(n))
-        mask = SplitMask(bits)
-        assert select_train_set(ss, mask.flipped()) == complement_set(ss, mask)
-        assert complement_set(ss, mask.flipped()) == select_train_set(ss, mask)
+        flipped = tuple(1 - b for b in bits)
+        assert train_half(ss, flipped) == heldout_half(ss, bits)
+        assert heldout_half(ss, flipped) == train_half(ss, bits)
 
 
 class TestEnumerateSplits:
     def test_n1(self):
-        assert [m.bits for m in enumerate_splits(1)] == [(0,), (1,)]
+        assert enumerate_splits(1).tolist() == [[0], [1]]
 
     def test_n2_lexicographic(self):
-        assert [m.bits for m in enumerate_splits(2)] == [
-            (0, 0), (0, 1), (1, 0), (1, 1)]
+        assert enumerate_splits(2).tolist() == [[0, 0], [0, 1], [1, 0], [1, 1]]
 
     def test_n3_first_last(self):
         masks = enumerate_splits(3)
-        assert len(masks) == 8
-        assert masks[0].bits == (0, 0, 0)
-        assert masks[-1].bits == (1, 1, 1)
+        assert masks.shape == (8, 3)
+        assert masks.dtype == np.uint8
+        assert masks[0].tolist() == [0, 0, 0]
+        assert masks[-1].tolist() == [1, 1, 1]
 
     @pytest.mark.parametrize("n", range(1, 13))
     def test_no_duplicates(self, n):
         masks = enumerate_splits(n)
-        assert len({m.bits for m in masks}) == 2 ** n
+        assert len({tuple(m) for m in masks.tolist()}) == 2 ** n
 
     def test_over_limit_refused(self):
         with pytest.raises(SizeError):
@@ -104,27 +114,25 @@ class TestEnumerateSplits:
 
 
 class TestGap:
-    def _trial(self, train_loss, test_loss):
-        return TrialRecord(SplitMask((0,)), seed=0, predictions=(0, 0),
-                           train_loss=train_loss, test_loss=test_loss)
+    def _table(self, gaps, train_loss=0.0):
+        k = len(gaps)
+        return table([[0]] * k, [[0, 0]] * k, [train_loss] * k,
+                     [train_loss + g for g in gaps])
 
     def test_zero_gap(self):
-        assert gap_estimate(self._trial(0.0, 0.0)) == 0.0
+        assert aggregate_gap(self._table([0.0]))[0] == 0.0
 
     def test_positive_gap(self):
-        assert gap_estimate(self._trial(0.0, 0.5)) == 0.5
+        assert aggregate_gap(self._table([0.5]))[0] == 0.5
 
     def test_negative_gap_permitted(self):
-        assert gap_estimate(self._trial(0.3, 0.2)) == pytest.approx(-0.1)
+        gap = aggregate_gap(table([[0]], [[0, 0]], [0.3], [0.2]))[0]
+        assert gap == pytest.approx(-0.1)
 
     def test_antisymmetric_under_swap(self):
-        a = self._trial(0.3, 0.8)
-        b = self._trial(0.8, 0.3)
-        assert gap_estimate(a) == -gap_estimate(b)
-
-    def _table(self, gaps):
-        trials = tuple(self._trial(0.0, g) for g in gaps)
-        return PredictionTable("ss", 1, PredictionSpace("finite", size=2), trials)
+        a = aggregate_gap(table([[0]], [[0, 0]], [0.3], [0.8]))[0]
+        b = aggregate_gap(table([[0]], [[0, 0]], [0.8], [0.3]))[0]
+        assert a == -b
 
     def test_aggregate_constant(self):
         mean, std = aggregate_gap(self._table([0.1, 0.1, 0.1]))
@@ -166,48 +174,58 @@ class TestTypes:
 
     def test_split_mask_bad_bits(self):
         with pytest.raises(ContractViolation):
-            SplitMask((0, 2))
-
-    def test_subset_index_sorted_unique(self):
-        assert SubsetIndex((0, 2, 5)).m == 3
-        with pytest.raises(ContractViolation):
-            SubsetIndex((2, 2))
-        with pytest.raises(ContractViolation):
-            SubsetIndex((3, 1))
+            table([[0, 2]], [[0, 0, 0, 0]], [0.0], [0.0])
 
     def test_trial_prediction_length_checked(self):
         with pytest.raises(ContractViolation):
-            TrialRecord(SplitMask((0, 1)), 0, (0, 0), 0.0, 0.0)
+            table([[0, 1]], [[0, 0]], [0.0], [0.0])
 
     def test_trial_loss_range_checked(self):
         with pytest.raises(ContractViolation):
-            TrialRecord(SplitMask((0,)), 0, (0, 0), 0.0, 1.5)
+            table([[0]], [[0, 0]], [0.0], [1.5])
+        with pytest.raises(ContractViolation):
+            table([[0]], [[0, 0]], [float("nan")], [0.0])
+
+    def test_empty_table_rejected(self):
+        with pytest.raises(ContractViolation):
+            table(np.zeros((0, 1)), np.zeros((0, 2)), [], [])
 
 
 class TestPredictionTableJson:
+    EXPECTED = {
+        "supersample_id": "ss000",
+        "n": 2,
+        "prediction_space": {"kind": "finite", "size": 2},
+        "trials": [
+            {"split": "01", "seed": 7, "predictions": [0, 1, 1, 0],
+             "train_loss": 0.5, "test_loss": 1.0},
+            {"split": "11", "seed": 2 ** 64 - 1, "predictions": [1, 1, 0, 0],
+             "train_loss": 0.0, "test_loss": 0.25},
+        ],
+    }
+
     def _table(self):
-        trials = (
-            TrialRecord(SplitMask((0, 1)), seed=7, predictions=(0, 1, 1, 0),
-                        train_loss=0.5, test_loss=1.0),
-            TrialRecord(SplitMask((1, 1)), seed=8, predictions=(1, 1, 0, 0),
-                        train_loss=0.0, test_loss=0.25),
-        )
-        return PredictionTable("ss000", 2, PredictionSpace("finite", size=2), trials)
+        return table([[0, 1], [1, 1]], [[0, 1, 1, 0], [1, 1, 0, 0]], [0.5, 0.0],
+                     [1.0, 0.25], seeds=np.array([7, 2 ** 64 - 1], dtype=np.uint64))
 
     def test_round_trip(self):
-        table = self._table()
-        again = PredictionTable.from_json_dict(table.to_json_dict())
-        assert again == table
+        # the dump is plain JSON that reads back to the same trials
+        d = self._table().to_json_dict()
+        assert json.loads(json.dumps(d)) == self.EXPECTED
 
     def test_schema_fields(self):
         d = self._table().to_json_dict()
         assert set(d) == {"supersample_id", "n", "prediction_space", "trials"}
         assert d["trials"][0]["split"] == "01"
         assert d["trials"][0]["predictions"] == [0, 1, 1, 0]
+        assert type(d["trials"][1]["seed"]) is int
         json.dumps(d)  # JSON-serializable as-is
 
     def test_real_predictions_round_trip(self):
-        trials = (TrialRecord(SplitMask((0,)), 1, ((0.25,), (0.5,)), 0.25, 0.5),)
-        table = PredictionTable("ss", 1, PredictionSpace("real", dim=1), trials)
-        again = PredictionTable.from_json_dict(table.to_json_dict())
-        assert again == table
+        real = TrialTable("ss", PredictionSpace("real", dim=1), np.array([[0]]),
+                          np.array([1]), np.array([[[0.25], [0.5]]]),
+                          np.array([0.25]), np.array([0.5]))
+        d = json.loads(json.dumps(real.to_json_dict()))
+        assert d["trials"] == [{"split": "0", "seed": 1, "predictions": [[0.25], [0.5]],
+                                "train_loss": 0.25, "test_loss": 0.5}]
+        assert d["prediction_space"] == {"kind": "real", "dim": 1}

@@ -23,7 +23,8 @@ class TestThresholdRealizable:
         gen = GeneratorSpec("threshold_realizable", {"threshold": 0.3})
         for seed in range(20):
             sample = sample_examples(gen, 12, seed=seed)
-            w = threshold_erm_fit(sample)
+            w = threshold_erm_fit(np.array([ex.x for ex in sample]),
+                                  np.array([ex.y for ex in sample]))
             assert all(int(ex.x[0] > w) == ex.y for ex in sample)
 
     def test_noise_rate_respected(self):

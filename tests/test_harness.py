@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from fcmi.core import ContractViolation, SizeError
+from fcmi.core import ContractViolation, SizeError, exact_rows
 from fcmi.harness import (
     ConfigError,
     ExperimentConfig,
@@ -19,8 +19,8 @@ from fcmi.harness import (
     run_experiment,
     sweep,
 )
-from fcmi.infotheory import SplitEnumeration
-from fcmi.learners import LearnerSpec
+from fcmi.infotheory import subset_mi
+from fcmi.learners import LearnerSpec, fill_table
 
 
 def base_config(**overrides):
@@ -161,20 +161,20 @@ class TestRunExperiment:
         report = run_experiment(config)
         ss = _draw_supersample(config, 0)
         # threshold_erm ignores the seed, so any seed reproduces the enumeration
-        enum = SplitEnumeration(ss, LearnerSpec("threshold_erm"), seeds=(0,))
-        expected = [enum.mi_index(i) for i in range(config.n)]
+        table = fill_table(ss, LearnerSpec("threshold_erm"), *exact_rows(config.n, (0,)))
+        expected = subset_mi(table, [(i,) for i in range(config.n)]).tolist()
         assert report.supersamples[0].mi_per_index == pytest.approx(expected,
                                                                     abs=1e-12)
-        assert report.supersamples[0].fcmi_full == pytest.approx(enum.mi_all(),
-                                                                 abs=1e-12)
+        full = subset_mi(table, [tuple(range(config.n))])[0]
+        assert report.supersamples[0].fcmi_full == pytest.approx(full, abs=1e-12)
 
     def test_exact_mode_gap_is_average_over_all_splits(self):
         config = base_config(mode="exact_enumeration", k1=1)
         report = run_experiment(config)
         ss = _draw_supersample(config, 0)
-        enum = SplitEnumeration(ss, LearnerSpec("memorizer"))
+        table = fill_table(ss, LearnerSpec("memorizer"), *exact_rows(config.n, (0,)))
         assert report.supersamples[0].gap_mean == pytest.approx(
-            float(enum.gap_values().mean()), abs=1e-12)
+            float((table.test_loss - table.train_loss).mean()), abs=1e-12)
 
     def test_monte_carlo_converges_to_exact(self):
         shared = dict(
@@ -197,12 +197,12 @@ class TestRunExperiment:
                              subset_policy={"m": 2})
         report = run_experiment(config)
         ss = _draw_supersample(config, 0)
-        enum = SplitEnumeration(ss, LearnerSpec("memorizer"))
+        table = fill_table(ss, LearnerSpec("memorizer"), *exact_rows(config.n, (0,)))
         subsets = [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
         bound = report.bounds[0]
         assert bound.inputs_digest["subset_policy"] == "enumerated"
         assert report.supersamples[0].subset_mi == pytest.approx(
-            [enum.mi_subset(u) for u in subsets], abs=1e-12)
+            subset_mi(table, subsets).tolist(), abs=1e-12)
         per_ss = [
             np.mean([math.sqrt(2 * v / 2) for v in r.subset_mi])
             for r in report.supersamples
@@ -255,9 +255,10 @@ class TestReproducibility:
         b = run_experiment(base_config(master_seed=12))
         assert canonical_json(a.to_json_dict()) != canonical_json(b.to_json_dict())
 
-    def test_parallel_matches_serial(self):
-        serial = run_experiment(base_config(k1=3, jobs=1)).to_json_dict()
-        parallel = run_experiment(base_config(k1=3, jobs=2)).to_json_dict()
+    @pytest.mark.parametrize("mode", ["monte_carlo", "exact_enumeration"])
+    def test_parallel_matches_serial(self, mode):
+        serial = run_experiment(base_config(k1=3, jobs=1, mode=mode)).to_json_dict()
+        parallel = run_experiment(base_config(k1=3, jobs=2, mode=mode)).to_json_dict()
         # the pool size is echoed as provenance; everything computed must match
         serial["config"].pop("jobs")
         parallel["config"].pop("jobs")

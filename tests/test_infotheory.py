@@ -5,22 +5,23 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fcmi.core import ContractViolation, LabeledExample, SizeError, Supersample
+from fcmi.core import ContractViolation, LabeledExample, SizeError, Supersample, exact_rows
 from fcmi.infotheory import (
     AbsoluteContinuityError,
-    JointHistogram,
-    SplitEnumeration,
     all_subsets,
     conditional_mutual_information,
     entropy,
-    exact_fcmi_enumeration,
-    histogram_from_pairs,
     kl_divergence,
     mutual_information,
-    plugin_mi_from_samples,
+    plugin_mi,
     product_alphabet_size,
+    split_cmi,
+    subset_mi,
+    mi_testslots,
 )
-from fcmi.learners import LearnerSpec
+from fcmi.learners import LearnerSpec, fill_table
+
+LOG2 = math.log(2.0)
 
 LOG2 = math.log(2.0)
 
@@ -137,66 +138,154 @@ class TestConditionalMutualInformation:
         assert conditional_mutual_information(joint) == pytest.approx(LOG2, abs=1e-12)
 
 
+def _sparse_mi(weights):
+    """Oracle: MI of a joint given as {(a, b): probability} with positive entries.
+
+    Cells are processed in a canonical order so the result is independent of
+    sample/insertion order, bit for bit.
+    """
+    items = sorted(weights.items(), key=lambda kv: repr(kv[0]))
+    pa, pb = {}, {}
+    for (a, b), w in items:
+        pa[a] = pa.get(a, 0.0) + w
+        pb[b] = pb.get(b, 0.0) + w
+    val = 0.0
+    for (a, b), w in items:
+        if w > 0:
+            val += w * math.log(w / (pa[a] * pb[b]))
+    return max(val, 0.0)
+
+
+def plugin_mi_oracle(pairs, bias_correction=False):
+    """Oracle: dict-counting plug-in MI of (hashable, hashable) samples."""
+    n = len(pairs)
+    counts = {}
+    for key in pairs:
+        counts[key] = counts.get(key, 0) + 1
+    mi = _sparse_mi({k: c / n for k, c in counts.items()})
+    if bias_correction:
+        occ_a = len({a for a, _ in counts})
+        occ_b = len({b for _, b in counts})
+        mi += ((occ_a - 1) + (occ_b - 1) - (len(counts) - 1)) / (2 * n)
+        mi = max(mi, 0.0)
+    return mi
+
+
+def cmi_oracle(triples):
+    """Oracle: plug-in I(A; B | C) grouped by C, each group through _sparse_mi."""
+    weight = 1.0 / len(triples)
+    groups = {}
+    for a, b, c in triples:
+        cell = groups.setdefault(c, {})
+        cell[(a, b)] = cell.get((a, b), 0.0) + weight
+    total = 0.0
+    for cell in groups.values():
+        w = sum(cell.values())
+        total += w * _sparse_mi({k: v / w for k, v in cell.items()})
+    return total
+
+
+def pairs_mi(pairs, **kwargs):
+    a, b = np.array(pairs).T
+    return float(plugin_mi(a, b, **kwargs)[0])
+
+
 class TestPluginEstimator:
     def test_constant_pairs(self):
-        assert plugin_mi_from_samples([(0, 0)] * 100) == 0.0
+        assert pairs_mi([(0, 0)] * 100) == 0.0
 
     def test_deterministic_relation(self):
         pairs = [(0, 0), (1, 1)] * 50
-        assert plugin_mi_from_samples(pairs) == pytest.approx(LOG2, abs=1e-12)
+        assert pairs_mi(pairs) == pytest.approx(LOG2, abs=1e-12)
 
     def test_convergence_to_generating_joint(self):
         exact = mi_oracle({(0, 0): 3 / 8, (0, 1): 1 / 8, (1, 0): 1 / 8, (1, 1): 3 / 8})
         rng = np.random.default_rng(7)
         draws = rng.choice(4, size=10 ** 5, p=[3 / 8, 1 / 8, 1 / 8, 3 / 8])
-        pairs = [(int(d // 2), int(d % 2)) for d in draws]
-        assert abs(plugin_mi_from_samples(pairs) - exact) <= 0.01
-
-    def test_symbol_outside_alphabet(self):
-        with pytest.raises(ContractViolation):
-            plugin_mi_from_samples([(0, 0), (2, 1)], alphabet_a=(0, 1))
+        assert abs(plugin_mi(draws // 2, draws % 2)[0] - exact) <= 0.01
 
     def test_order_independence(self):
         rng = np.random.default_rng(3)
-        pairs = [(int(a), int(b)) for a, b in rng.integers(0, 3, (500, 2))]
-        shuffled = list(pairs)
-        rng.shuffle(shuffled)
-        assert plugin_mi_from_samples(pairs) == plugin_mi_from_samples(shuffled)
+        pairs = rng.integers(0, 3, (500, 2))
+        shuffled = rng.permutation(pairs)
+        assert pairs_mi(pairs) == pairs_mi(shuffled)
 
     def test_miller_madow_shrinks_bias(self):
         # plug-in MI of an independent joint is biased up; the correction helps
         rng = np.random.default_rng(11)
         plain, corrected = [], []
         for _ in range(300):
-            pairs = [(int(a), int(b)) for a, b in rng.integers(0, 2, (200, 2))]
-            plain.append(plugin_mi_from_samples(pairs))
-            corrected.append(plugin_mi_from_samples(pairs, bias_correction=True))
+            pairs = rng.integers(0, 2, (200, 2))
+            plain.append(pairs_mi(pairs))
+            corrected.append(pairs_mi(pairs, bias_correction=True))
         assert abs(np.mean(corrected)) < abs(np.mean(plain))
 
     def test_product_alphabet_size(self):
         assert product_alphabet_size(2, 1) == 8
         assert product_alphabet_size(2, 3) == 2 ** 6 * 2 ** 3
 
-
-class TestJointHistogram:
-    def test_round_trip(self):
-        h = histogram_from_pairs([(0, 1), (1, 1), (0, 0)], (2, 2), ("pred", "bit"))
-        again = JointHistogram.from_json_dict(h.to_json_dict())
-        assert np.array_equal(again.counts, h.counts)
-        assert again.axis_names == ("pred", "bit")
-
-    def test_merge_is_cellwise_addition(self):
-        a = histogram_from_pairs([(0, 0)], (2, 2))
-        b = histogram_from_pairs([(0, 0), (1, 1)], (2, 2))
-        merged = a.merge(b)
-        assert merged.total == 3
-        assert merged.counts[0, 0] == 2
-
-    def test_rejects_negative_and_float(self):
+    def test_rejects_float_symbols_and_conditional_correction(self):
         with pytest.raises(ContractViolation):
-            JointHistogram(np.array([[0.5, 0.5], [0.0, 0.0]]))
+            plugin_mi(np.array([0.5, 1.0]), np.array([0, 1]))
         with pytest.raises(ContractViolation):
-            JointHistogram(np.array([[-1, 2], [0, 0]]))
+            plugin_mi(np.array([0, 1]), np.array([0, 1]), np.array([0, 0]),
+                      bias_correction=True)
+
+
+# random trial tables: n pairs, k prediction classes, T rows, a data seed
+tables = st.tuples(st.integers(1, 4), st.integers(1, 3), st.integers(1, 40),
+                   st.integers(0, 2 ** 32 - 1))
+
+
+def random_rows(n, k, rows, seed):
+    rng = np.random.default_rng(seed)
+    masks = rng.integers(0, 2, (rows, n))
+    # predictions lean on the split bits so the MI is not always near zero
+    preds = (rng.integers(0, k, (rows, 2 * n)) + np.repeat(masks, 2, axis=1)) % k
+    return masks, preds
+
+
+class TestEstimatorAgainstOracles:
+    """The batched estimator against the dict-based plug-in, on random tables."""
+
+    @given(tables, st.booleans())
+    @settings(max_examples=150, deadline=None)
+    def test_per_pair_mi_batched(self, shape, bias_correction):
+        n, k, rows, seed = shape
+        masks, preds = random_rows(n, k, rows, seed)
+        got = plugin_mi(preds.reshape(rows, n, 2), masks, bias_correction=bias_correction)
+        assert got.shape == (n,)
+        for i in range(n):
+            samples = [((int(p[2 * i]), int(p[2 * i + 1])), int(m[i]))
+                       for p, m in zip(preds, masks)]
+            expected = plugin_mi_oracle(samples, bias_correction=bias_correction)
+            assert got[i] == pytest.approx(expected, rel=1e-12, abs=1e-12)
+
+    @given(tables, st.booleans())
+    @settings(max_examples=150, deadline=None)
+    def test_full_tuple_mi(self, shape, bias_correction):
+        n, k, rows, seed = shape
+        masks, preds = random_rows(n, k, rows, seed)
+        got = plugin_mi(preds[:, None], masks[:, None], bias_correction=bias_correction)
+        samples = [(tuple(p.tolist()), tuple(m.tolist())) for p, m in zip(preds, masks)]
+        expected = plugin_mi_oracle(samples, bias_correction=bias_correction)
+        assert got[0] == pytest.approx(expected, rel=1e-12, abs=1e-12)
+
+    @given(tables, st.booleans())
+    @settings(max_examples=150, deadline=None)
+    def test_per_bit_cmi_given_other_bits(self, shape, all_pairs):
+        n, k, rows, seed = shape
+        masks, preds = random_rows(n, k, rows, seed)
+        rest = np.array([[j for j in range(n) if j != i] for i in range(n)],
+                        dtype=np.int64).reshape(n, n - 1)
+        target = preds[:, None] if all_pairs else preds.reshape(rows, n, 2)
+        got = plugin_mi(target, masks, masks[:, rest])
+        for i in range(n):
+            triples = [
+                (tuple(p.tolist()) if all_pairs else (int(p[2 * i]), int(p[2 * i + 1])),
+                 int(m[i]), tuple(int(b) for j, b in enumerate(m) if j != i))
+                for p, m in zip(preds, masks)]
+            assert got[i] == pytest.approx(cmi_oracle(triples), rel=1e-12, abs=1e-12)
 
 
 def threshold_instance():
@@ -225,6 +314,10 @@ def threshold_oracle_tables():
     return tables
 
 
+def exact_table(ss, spec, seeds=(0,)):
+    return fill_table(ss, spec, *exact_rows(ss.n, seeds))
+
+
 class TestExactEnumeration:
     def test_threshold_erm_oracle_values(self):
         tables = threshold_oracle_tables()
@@ -241,55 +334,48 @@ class TestExactEnumeration:
         assert expected_full == pytest.approx(0.5623351446, abs=1e-9)
         assert expected_idx1 == pytest.approx(0.2157615543, abs=1e-9)
 
-        ss = threshold_instance()
-        spec = LearnerSpec("threshold_erm")
-        assert exact_fcmi_enumeration(ss, spec, "all") == pytest.approx(
-            expected_full, abs=1e-12)
-        assert exact_fcmi_enumeration(ss, spec, 0) == pytest.approx(0.0, abs=1e-12)
-        assert exact_fcmi_enumeration(ss, spec, 1) == pytest.approx(
-            expected_idx1, abs=1e-12)
+        table = exact_table(threshold_instance(), LearnerSpec("threshold_erm"))
+        assert subset_mi(table, [(0, 1)])[0] == pytest.approx(expected_full, abs=1e-12)
+        per_index = subset_mi(table, [(0,), (1,)])
+        assert per_index[0] == pytest.approx(0.0, abs=1e-12)
+        assert per_index[1] == pytest.approx(expected_idx1, abs=1e-12)
 
     def test_memorizer_testslot_mi_zero(self):
         rng = np.random.default_rng(5)
         pairs = [(LabeledExample((rng.random(),), int(rng.integers(2))),
                   LabeledExample((rng.random(),), int(rng.integers(2))))
                  for _ in range(5)]
-        enum = SplitEnumeration(Supersample(pairs), LearnerSpec("memorizer"))
-        assert enum.mi_testslots() == 0.0
+        table = exact_table(Supersample(pairs), LearnerSpec("memorizer"))
+        assert mi_testslots(table) == 0.0
 
     def test_constant_learner_zero_everywhere(self):
         # one-class data makes threshold_erm constant: no information anywhere
         mk = lambda x: LabeledExample((x,), 0)
         ss = Supersample([(mk(0.1), mk(0.3)), (mk(0.5), mk(0.9))])
-        enum = SplitEnumeration(ss, LearnerSpec("threshold_erm"))
-        for i in range(2):
-            assert enum.mi_index(i) == 0.0
-            assert enum.cmi_index(i) == 0.0
-        assert enum.mi_all() == 0.0
+        table = exact_table(ss, LearnerSpec("threshold_erm"))
+        assert subset_mi(table, [(0,), (1,)]).tolist() == [0.0, 0.0]
+        assert split_cmi(table).tolist() == [0.0, 0.0]
+        assert subset_mi(table, [(0, 1)])[0] == 0.0
 
     def test_index_mi_at_most_log2(self):
-        ss = threshold_instance()
-        enum = SplitEnumeration(ss, LearnerSpec("threshold_erm"))
-        for i in range(ss.n):
-            assert enum.mi_index(i) <= LOG2 + 1e-12
-            assert enum.cmi_index(i) <= LOG2 + 1e-12
+        table = exact_table(threshold_instance(), LearnerSpec("threshold_erm"))
+        assert np.all(subset_mi(table, [(0,), (1,)]) <= LOG2 + 1e-12)
+        assert np.all(split_cmi(table) <= LOG2 + 1e-12)
 
     def test_cmi_with_n1_equals_mi(self):
         mk = lambda x, y: LabeledExample((x,), y)
         ss = Supersample([(mk(0.2, 0), mk(0.8, 1))])
-        enum = SplitEnumeration(ss, LearnerSpec("memorizer"))
-        assert enum.cmi_index(0) == pytest.approx(enum.mi_index(0), abs=1e-12)
+        table = exact_table(ss, LearnerSpec("memorizer"))
+        assert split_cmi(table)[0] == pytest.approx(subset_mi(table, [(0,)])[0], abs=1e-12)
 
     def test_subset_mi_full_matches_mi_all(self):
-        ss = threshold_instance()
-        enum = SplitEnumeration(ss, LearnerSpec("threshold_erm"))
-        assert enum.mi_subset((0, 1)) == pytest.approx(enum.mi_all(), abs=1e-12)
+        table = exact_table(threshold_instance(), LearnerSpec("threshold_erm"))
+        assert subset_mi(table, [(0, 1)])[0] == pytest.approx(
+            plugin_mi(table.preds[:, None], table.masks[:, None])[0], abs=1e-12)
 
     def test_size_limit(self):
-        mk = lambda x: LabeledExample((x,), 0)
-        ss = Supersample([(mk(0.0), mk(0.1))] * 3)
         with pytest.raises(SizeError):
-            SplitEnumeration(ss, LearnerSpec("memorizer"), limit=2)
+            exact_rows(3, (0,), limit=2)
 
     def test_finite_seed_mixture(self):
         # a seed-dependent learner enumerated with two seeds: the split MI is
@@ -298,8 +384,8 @@ class TestExactEnumeration:
         mk = lambda: LabeledExample((float(rng.random()),), int(rng.integers(2)))
         ss = Supersample([(mk(), mk()) for _ in range(3)])
         spec = LearnerSpec("sgld_linear", {"steps": 20})
-        a = SplitEnumeration(ss, spec, seeds=(1, 2)).mi_all()
-        b = SplitEnumeration(ss, spec, seeds=(1, 2)).mi_all()
+        a = subset_mi(exact_table(ss, spec, seeds=(1, 2)), [(0, 1, 2)])[0]
+        b = subset_mi(exact_table(ss, spec, seeds=(1, 2)), [(0, 1, 2)])[0]
         assert a == b
         assert 0.0 <= a <= 3 * LOG2 + 1e-12
 
@@ -307,7 +393,7 @@ class TestExactEnumeration:
         mk = lambda x: LabeledExample((x,), 0)
         ss = Supersample([(mk(0.0), mk(0.1))])
         with pytest.raises(ContractViolation):
-            SplitEnumeration(ss, LearnerSpec("memorizer"), seeds=())
+            exact_table(ss, LearnerSpec("memorizer"), seeds=())
 
     def test_all_subsets(self):
         assert all_subsets(3, 2) == [(0, 1), (0, 2), (1, 2)]

@@ -25,44 +25,54 @@ def mk(x, y=0):
     return LabeledExample((float(x),), y)
 
 
+def arrays(train):
+    """(N, d) inputs and (N,) labels of a list of examples."""
+    return (np.array([ex.x for ex in train], dtype=float),
+            np.array([ex.y for ex in train], dtype=np.int64))
+
+
+def fit_predict(spec, train, queries, seed=0):
+    return train_predict(spec, *arrays(train), np.array(queries, dtype=float), seed)
+
+
 class TestMemorizer:
     def test_recalls_memorized_label(self):
-        out = train_predict(LearnerSpec("memorizer"), [mk(0.3, 1)], [(0.3,)], 0)
-        assert out.predictions == (1,)
+        out = fit_predict(LearnerSpec("memorizer"), [mk(0.3, 1)], [(0.3,)], 0)
+        assert out.predictions.tolist() == [1]
 
     def test_constant_on_unseen(self):
-        out = train_predict(LearnerSpec("memorizer"), [mk(0.3, 1)], [(0.7,)], 0)
-        assert out.predictions == (0,)
+        out = fit_predict(LearnerSpec("memorizer"), [mk(0.3, 1)], [(0.7,)], 0)
+        assert out.predictions.tolist() == [0]
 
     def test_duplicate_inputs_first_wins(self):
-        out = train_predict(LearnerSpec("memorizer"),
-                            [mk(0.3, 1), mk(0.3, 0)], [(0.3,)], 0)
-        assert out.predictions == (1,)
+        out = fit_predict(LearnerSpec("memorizer"),
+                          [mk(0.3, 1), mk(0.3, 0)], [(0.3,)], 0)
+        assert out.predictions.tolist() == [1]
 
 
 class TestThresholdErm:
     def test_midpoint_of_separating_interval(self):
-        assert threshold_erm_fit([mk(0.2, 0), mk(0.8, 1)]) == pytest.approx(0.5)
+        assert threshold_erm_fit(*arrays([mk(0.2, 0), mk(0.8, 1)])) == pytest.approx(0.5)
 
     def test_all_zero_labels(self):
-        assert threshold_erm_fit([mk(0.2, 0), mk(0.7, 0)]) == 1.0
+        assert threshold_erm_fit(*arrays([mk(0.2, 0), mk(0.7, 0)])) == 1.0
 
     def test_all_one_labels(self):
-        assert threshold_erm_fit([mk(0.2, 1), mk(0.7, 1)]) == 0.0
+        assert threshold_erm_fit(*arrays([mk(0.2, 1), mk(0.7, 1)])) == 0.0
 
     def test_query_below_threshold(self):
-        out = train_predict(LearnerSpec("threshold_erm"),
-                            [mk(0.2, 0), mk(0.8, 1)], [(0.3,)], 0)
-        assert out.predictions == (0,)
+        out = fit_predict(LearnerSpec("threshold_erm"),
+                          [mk(0.2, 0), mk(0.8, 1)], [(0.3,)], 0)
+        assert out.predictions.tolist() == [0]
 
     def test_weight_code_injective_on_threshold(self):
         # equal fitted thresholds share a code; distinct thresholds never do
-        a = train_predict(LearnerSpec("threshold_erm"),
-                          [mk(0.2, 0), mk(0.8, 1)], [(0.3,)], 0)
-        b = train_predict(LearnerSpec("threshold_erm"),
-                          [mk(0.4, 0), mk(0.6, 1)], [(0.3,)], 0)
-        c = train_predict(LearnerSpec("threshold_erm"),
-                          [mk(0.4, 0), mk(0.8, 1)], [(0.3,)], 0)
+        a = fit_predict(LearnerSpec("threshold_erm"),
+                        [mk(0.2, 0), mk(0.8, 1)], [(0.3,)], 0)
+        b = fit_predict(LearnerSpec("threshold_erm"),
+                        [mk(0.4, 0), mk(0.6, 1)], [(0.3,)], 0)
+        c = fit_predict(LearnerSpec("threshold_erm"),
+                        [mk(0.4, 0), mk(0.8, 1)], [(0.3,)], 0)
         assert a.weight_code == b.weight_code  # both fit w = 0.5
         assert a.weight_code != c.weight_code  # c fits w = 0.6
 
@@ -70,7 +80,7 @@ class TestThresholdErm:
         # labels reversed: no zero-error cut; error(w) over candidate cuts:
         # w=0.0 -> predicts (1,1): error 1/2; midpoint 0.5 -> (0,1)... both
         # wrong -> error 1; w=1.0 -> (0,0): error 1/2. Leftmost minimum: 0.0.
-        assert threshold_erm_fit([mk(0.3, 1), mk(0.7, 0)]) == 0.0
+        assert threshold_erm_fit(*arrays([mk(0.3, 1), mk(0.7, 0)])) == 0.0
 
     def test_zero_train_error_when_separable(self):
         rng = np.random.default_rng(0)
@@ -78,19 +88,19 @@ class TestThresholdErm:
             w_true = rng.uniform(0.1, 0.9)
             xs = rng.random(8)
             train = [mk(x, int(x > w_true)) for x in xs]
-            w = threshold_erm_fit(train)
+            w = threshold_erm_fit(*arrays(train))
             assert all(int(x > w) == int(x > w_true) for x in xs)
 
     def test_rejects_features_outside_unit_interval(self):
         with pytest.raises(ContractViolation):
-            threshold_erm_fit([mk(1.2, 0)])
+            threshold_erm_fit(*arrays([mk(1.2, 0)]))
 
     def test_pattern_count_is_2n_plus_1(self):
         # distinct prediction patterns over all labelings of 2n distinct points
         points = [0.1, 0.25, 0.4, 0.55, 0.7, 0.85]
         patterns = set()
         for labels in itertools.product((0, 1), repeat=len(points)):
-            w = threshold_erm_fit([mk(x, y) for x, y in zip(points, labels)])
+            w = threshold_erm_fit(*arrays([mk(x, y) for x, y in zip(points, labels)]))
             patterns.add(tuple(int(x > w) for x in points))
         assert len(patterns) == len(points) + 1
 
@@ -98,24 +108,24 @@ class TestThresholdErm:
 class TestKnn:
     def test_k1_zero_train_error_on_distinct_points(self):
         train = [mk(0.1, 0), mk(0.4, 1), mk(0.9, 0)]
-        out = train_predict(LearnerSpec("knn", {"k": 1}), train,
-                            [ex.x for ex in train], 0)
-        assert out.predictions == (0, 1, 0)
+        out = fit_predict(LearnerSpec("knn", {"k": 1}), train,
+                          [ex.x for ex in train], 0)
+        assert out.predictions.tolist() == [0, 1, 0]
 
     def test_distance_tie_goes_to_lower_index(self):
         train = [mk(0.4, 1), mk(0.6, 0)]
-        out = train_predict(LearnerSpec("knn", {"k": 1}), train, [(0.5,)], 0)
-        assert out.predictions == (1,)
+        out = fit_predict(LearnerSpec("knn", {"k": 1}), train, [(0.5,)], 0)
+        assert out.predictions.tolist() == [1]
 
     def test_vote_tie_goes_to_lower_class(self):
         train = [mk(0.1, 1), mk(0.9, 0)]
-        out = train_predict(LearnerSpec("knn", {"k": 2}), train, [(0.5,)], 0)
-        assert out.predictions == (0,)
+        out = fit_predict(LearnerSpec("knn", {"k": 2}), train, [(0.5,)], 0)
+        assert out.predictions.tolist() == [0]
 
     def test_k_larger_than_train_uses_all(self):
         train = [mk(0.1, 1), mk(0.2, 1), mk(0.9, 0)]
-        out = train_predict(LearnerSpec("knn", {"k": 10}), train, [(0.5,)], 0)
-        assert out.predictions == (1,)
+        out = fit_predict(LearnerSpec("knn", {"k": 10}), train, [(0.5,)], 0)
+        assert out.predictions.tolist() == [1]
 
     def test_k_must_be_positive(self):
         with pytest.raises(ContractViolation):
@@ -131,22 +141,22 @@ class TestLogisticGd:
     def test_learns_separated_data(self):
         rng = np.random.default_rng(1)
         train = self._train(rng)
-        out = train_predict(LearnerSpec("logistic_gd", {"steps": 200, "lr": 2.0}),
-                            train, [ex.x for ex in train], 0)
+        out = fit_predict(LearnerSpec("logistic_gd", {"steps": 200, "lr": 2.0}),
+                          train, [ex.x for ex in train], 0)
         errors = sum(p != ex.y for p, ex in zip(out.predictions, train))
         assert errors <= 3
 
     def test_prob_output_in_unit_interval(self):
         rng = np.random.default_rng(2)
         train = self._train(rng)
-        out = train_predict(LearnerSpec("logistic_gd", {"output": "prob"}),
-                            train, [(0.5,)], 0)
+        out = fit_predict(LearnerSpec("logistic_gd", {"output": "prob"}),
+                          train, [(0.5,)], 0)
         (p,) = out.predictions[0]
         assert 0.0 <= p <= 1.0
 
     def test_rejects_nonbinary_labels(self):
         with pytest.raises(ContractViolation):
-            train_predict(LearnerSpec("logistic_gd"), [mk(0.1, 2)], [(0.1,)], 0)
+            fit_predict(LearnerSpec("logistic_gd"), [mk(0.1, 2)], [(0.1,)], 0)
 
 
 def _sigmoid_oracle(z):
@@ -175,7 +185,7 @@ class TestSgld:
         w_gd = _gd_oracle(train, seed=9, **kwargs)
         dists = []
         for temp in (1e2, 1e6, 1e10):
-            w = sgld_fit(train, seed=9, temp_min=temp, temp_max=temp, **kwargs)
+            w = sgld_fit(*arrays(train), seed=9, temp_min=temp, temp_max=temp, **kwargs)
             dists.append(float(np.linalg.norm(w - w_gd)))
         assert dists[0] > dists[1] > dists[2]
         assert dists[2] < 1e-4
@@ -184,8 +194,8 @@ class TestSgld:
         # just exercises the default schedule end to end
         rng = np.random.default_rng(4)
         train = [mk(x, int(x > 0.5)) for x in rng.random(10)]
-        out = train_predict(LearnerSpec("sgld_linear", {"steps": 50}), train,
-                            [(0.2,), (0.9,)], 5)
+        out = fit_predict(LearnerSpec("sgld_linear", {"steps": 50}), train,
+                          [(0.2,), (0.9,)], 5)
         assert all(p in (0, 1) for p in out.predictions)
 
 
@@ -214,9 +224,9 @@ class TestNoisyWrapper:
                            {"inner": self._inner(), "sigma_sq": 1e-18})
         rng = np.random.default_rng(5)
         train = [mk(x, int(x > 0.5)) for x in rng.random(10)]
-        inner_out = train_predict(LearnerSpec.from_json_dict(self._inner()),
-                                  train, [(0.3,)], 11)
-        noisy_out = train_predict(spec, train, [(0.3,)], 11)
+        inner_out = fit_predict(LearnerSpec.from_json_dict(self._inner()),
+                                train, [(0.3,)], 11)
+        noisy_out = fit_predict(spec, train, [(0.3,)], 11)
         assert noisy_out.predictions[0][0] == pytest.approx(
             inner_out.predictions[0][0], abs=1e-8)
 
@@ -229,7 +239,7 @@ class TestNoisyWrapper:
                            {"inner": {"kind": "knn", "params": {"k": 1}},
                             "sigma_sq": 0.1})
         with pytest.raises(ContractViolation):
-            train_predict(spec, [mk(0.1, 0)], [(0.1,)], 0)
+            fit_predict(spec, [mk(0.1, 0)], [(0.1,)], 0)
 
 
 class TestEnsemble:
@@ -247,8 +257,8 @@ class TestEnsemble:
         spec = LearnerSpec("ensemble", {"members": members})
         rng = np.random.default_rng(6)
         train = [mk(x, int(x > 0.5)) for x in rng.random(9)]
-        out = train_predict(spec, train, [(0.05,), (0.95,)], 0)
-        assert out.predictions == (0, 1)
+        out = fit_predict(spec, train, [(0.05,), (0.95,)], 0)
+        assert out.predictions.tolist() == [0, 1]
 
 
 class TestReproducibility:
@@ -274,9 +284,10 @@ class TestReproducibility:
         rng = np.random.default_rng(8)
         train = [mk(x, int(x > 0.5)) for x in rng.random(12)]
         queries = [(0.15,), (0.5,), (0.85,)]
-        a = train_predict(spec, train, queries, 424242)
-        b = train_predict(spec, train, queries, 424242)
-        assert a == b
+        a = fit_predict(spec, train, queries, 424242)
+        b = fit_predict(spec, train, queries, 424242)
+        assert np.array_equal(a.predictions, b.predictions)
+        assert a.weight_code == b.weight_code
 
     def test_derive_seed_is_stable(self):
         assert derive_seed(1, 2, 3) == derive_seed(1, 2, 3)

@@ -4,9 +4,8 @@ import math
 import numpy as np
 import pytest
 
-from fcmi.core import ContractViolation, LabeledExample, Supersample
-from fcmi.infotheory import SplitEnumeration
-from fcmi.learners import LearnerSpec
+from fcmi.core import ContractViolation, LabeledExample, Supersample, exact_rows
+from fcmi.learners import LearnerSpec, fill_table
 from fcmi.lemma_lab import (
     DiscreteJointInstance,
     MarginReport,
@@ -184,27 +183,27 @@ class TestMonotonicity:
     def test_constant_learner_all_zero(self):
         mkz = lambda x: LabeledExample((x,), 0)
         ss = Supersample([(mkz(0.1), mkz(0.2)), (mkz(0.6), mkz(0.9))])
-        enum = SplitEnumeration(ss, LearnerSpec("threshold_erm"))
-        out = verify_monotonicity_in_m(enum)
+        table = fill_table(ss, LearnerSpec("threshold_erm"), *exact_rows(ss.n, (0,)))
+        out = verify_monotonicity_in_m(table)
         assert out["non_decreasing"]
         assert out["sqrt"] == [0.0, 0.0]
 
     def test_threshold_erm_n4(self):
         ss = self._supersample(4, seed=10)
-        enum = SplitEnumeration(ss, LearnerSpec("threshold_erm"))
-        out = verify_monotonicity_in_m(enum)
+        table = fill_table(ss, LearnerSpec("threshold_erm"), *exact_rows(ss.n, (0,)))
+        out = verify_monotonicity_in_m(table)
         assert out["non_decreasing"]
         assert len(out["sqrt"]) == 4
 
     def test_memorizer_n4(self):
         ss = self._supersample(4, seed=11)
-        enum = SplitEnumeration(ss, LearnerSpec("memorizer"))
-        assert verify_monotonicity_in_m(enum)["non_decreasing"]
+        table = fill_table(ss, LearnerSpec("memorizer"), *exact_rows(ss.n, (0,)))
+        assert verify_monotonicity_in_m(table)["non_decreasing"]
 
     def test_weight_code_variant(self):
         ss = self._supersample(4, seed=12)
-        enum = SplitEnumeration(ss, LearnerSpec("threshold_erm"))
-        assert verify_monotonicity_in_m(enum, use_weights=True)["non_decreasing"]
+        table = fill_table(ss, LearnerSpec("threshold_erm"), *exact_rows(ss.n, (0,)))
+        assert verify_monotonicity_in_m(table, use_weights=True)["non_decreasing"]
 
 
 class TestRunners:
