@@ -9,7 +9,7 @@ then averaged, which is the tightest stated form of each bound.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
@@ -138,14 +138,9 @@ def fcmi_squared_bound(fcmi_mean: float, n: int, digest: dict | None = None) -> 
 
 
 def cmi_weight_bound(cmi_estimate, n: int, digest: dict | None = None) -> BoundReport:
-    """Weight-level bound sqrt(2 * CMI / n); CMI averaged over supersamples."""
-    rows = _rows(cmi_estimate).ravel()
-    per_ss = np.sqrt(2.0 * rows / n)
-    return BoundReport(
-        name="cmi_weights", value=float(math.sqrt(2.0 * float(np.mean(rows)) / n)),
-        spread=_spread(per_ss),
-        inputs_digest={"k1": rows.size, "n": n, **(digest or {})},
-        tag="cmi-weights")
+    """Weight-level bound: mean over supersamples of sqrt(2 * CMI / n)."""
+    return replace(fcmi_bound_mn(cmi_estimate, n, digest), name="cmi_weights",
+                   tag="cmi-weights")
 
 
 def stability_fcmi_bound(cmi_per_index, digest: dict | None = None) -> BoundReport:

@@ -14,7 +14,7 @@ import json
 import math
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -25,6 +25,7 @@ from .core import (
     LOSS_SPACE,
     LOSSES,
     ContractViolation,
+    LabeledExample,
     SizeError,
     Supersample,
     TrialTable,
@@ -46,6 +47,7 @@ from .learners import (
     estimate_stability,
     fill_table,
     has_weight_code,
+    needs_binary_labels,
     prediction_space,
 )
 
@@ -282,11 +284,17 @@ def load_report(path) -> ExperimentReport:
 # --- data plumbing -----------------------------------------------------------
 
 
-def _load_csv_examples(path: str):
-    from .core import LabeledExample
-
-    with open(path, newline="", encoding="utf-8") as fh:
-        rows = list(csv.DictReader(fh))
+def _load_pool(config: ExperimentConfig) -> tuple[np.ndarray, np.ndarray] | None:
+    """A csv source's (N, d) inputs and (N,) labels, read and validated once per
+    run; None for synthetic generators."""
+    if config.data["kind"] != "csv":
+        return None
+    path = config.data["params"]["path"]
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            rows = list(csv.DictReader(fh))
+    except OSError as e:
+        raise ConfigError(f"{path}: {e}") from e
     if not rows:
         raise ConfigError(f"{path}: empty dataset")
     dim = 0
@@ -294,25 +302,31 @@ def _load_csv_examples(path: str):
         dim += 1
     if dim == 0 or "y" not in rows[0]:
         raise ConfigError(f"{path}: expected columns x_0..x_{{p-1}} and y")
-    return [
-        LabeledExample(tuple(float(r[f"x_{j}"]) for j in range(dim)), int(r["y"]))
-        for r in rows
-    ]
+    try:
+        xs = np.array([[float(r[f"x_{j}"]) for j in range(dim)] for r in rows])
+        ys = np.array([int(r["y"]) for r in rows], dtype=np.int64)
+    except (TypeError, ValueError) as e:
+        raise ConfigError(f"{path}: {e}") from e
+    if not np.all(np.isfinite(xs)):
+        raise ConfigError(f"{path}: features must be finite")
+    if np.any(ys < 0):
+        raise ConfigError(f"{path}: labels must be >= 0")
+    if needs_binary_labels(config.learner) and np.any(ys > 1):
+        raise ConfigError(f"{path}: learner {config.learner.kind!r} needs labels in {{0, 1}}")
+    if len(ys) < 2 * config.n:
+        raise ConfigError(
+            f"csv pool of {len(ys)} rows cannot supply 2n={2 * config.n} examples")
+    return xs, ys
 
 
-def _draw_supersample(config: ExperimentConfig, a: int) -> Supersample:
+def _draw_supersample(config: ExperimentConfig, a: int, pool=None) -> Supersample:
     seed = derive_seed(config.master_seed, _DATA, a)
-    if config.data["kind"] == "csv":
-        pool = _load_csv_examples(config.data["params"]["path"])
-        if len(pool) < 2 * config.n:
-            raise ConfigError(
-                f"csv pool of {len(pool)} rows cannot supply 2n={2 * config.n} examples")
-        rng = np.random.default_rng(seed)
-        picks = rng.choice(len(pool), size=2 * config.n, replace=False)
-        ex = [pool[i] for i in picks]
-        return Supersample([(ex[2 * i], ex[2 * i + 1]) for i in range(config.n)])
-    gen = GeneratorSpec.from_json_dict(config.data)
-    return sample_supersample(gen, config.n, seed)
+    if pool is None:
+        return sample_supersample(GeneratorSpec.from_json_dict(config.data), config.n, seed)
+    xs, ys = pool
+    picks = np.random.default_rng(seed).choice(len(ys), size=2 * config.n, replace=False)
+    ex = [LabeledExample(xs[i], ys[i]) for i in picks]
+    return Supersample([(ex[2 * i], ex[2 * i + 1]) for i in range(config.n)])
 
 
 # --- compatibility checks ----------------------------------------------------
@@ -397,9 +411,9 @@ def _needs(config: ExperimentConfig, *names: str) -> bool:
 
 
 def _run_supersample(config: ExperimentConfig, a: int,
-                     subsets: list[tuple[int, ...]] | None):
+                     subsets: list[tuple[int, ...]] | None, pool=None):
     """One supersample's trial table plus every estimate the requested bounds need."""
-    supersample = _draw_supersample(config, a)
+    supersample = _draw_supersample(config, a, pool)
     n = config.n
     exact = config.mode == "exact_enumeration"
     if exact:
@@ -462,6 +476,9 @@ def _assemble_bounds(config: ExperimentConfig, results: list[SupersampleResult],
     reports: list[bnd.BoundReport] = []
     meta: dict = {}
     digest = {"mode": config.mode, "k2": config.k2, "loss": config.loss}
+    if _needs(config, *_REAL_SPACE):
+        stab = _stability_constants(config)
+        meta["stability"] = _stability_meta(stab, config)
     for name in config.bounds:
         if name == "fcmi_m1":
             reports.append(bnd.fcmi_bound_m1(_collect(results, "mi_per_index"), digest))
@@ -485,58 +502,40 @@ def _assemble_bounds(config: ExperimentConfig, results: list[SupersampleResult],
             reports.append(bnd.stability_fcmi_squared_bound(
                 _collect(results, "cmi_allpairs_per_index"), config.n, digest))
         elif name == "vc":
-            value = bnd.vc_fcmi_bound(1, config.n)
+            # growth-function cap on f-CMI (nats), turned into a gap bound
+            # by the fcmi_mn form
+            cap = bnd.vc_fcmi_bound(1, config.n)
             reports.append(bnd.BoundReport(
-                name="vc", value=value, spread=None,
-                inputs_digest={**digest, "d_vc": 1, "n": config.n},
+                name="vc", value=math.sqrt(2.0 * cap / config.n), spread=None,
+                inputs_digest={**digest, "d_vc": 1, "n": config.n, "fcmi_cap": cap},
                 tag="vc-sauer-shelah"))
         elif name == "ensemble_mn":
             sums = [bnd.ensemble_fcmi_bound(r) for r in _collect(results, "member_fcmi")]
-            per_ss = np.sqrt(2.0 * np.asarray(sums) / config.n)
-            reports.append(bnd.BoundReport(
-                name="ensemble_mn", value=float(per_ss.mean()),
-                spread=float(np.std(per_ss, ddof=1)) if per_ss.size > 1 else None,
+            reports.append(replace(
+                bnd.fcmi_bound_mn(sums, config.n), name="ensemble_mn", tag="ensemble-sum",
                 inputs_digest={**digest, "members": len(results[0].member_fcmi),
-                               "n": config.n},
-                tag="ensemble-sum"))
-        elif name in ("det_stability", "det_stability_squared"):
-            need_squared = "det_stability_squared" in config.bounds
-            if "stability" not in meta:
-                stab = _stability_constants(config, need_squared)
-                meta["stability"] = _stability_meta(stab, config)
-            info = meta["stability"]
-            stab = bnd.StabilityConstants(
-                beta=info["beta"], beta1=info["beta1"], beta2=info["beta2"],
-                gamma=info["gamma"], d_out=info["d_out"])
-            if name == "det_stability":
-                value = bnd.deterministic_stability_bound(stab)
-                tag = "det-stability"
-            else:
-                value = bnd.deterministic_stability_squared_bound(stab, config.n)
-                tag = "det-stability-squared"
+                               "n": config.n}))
+        elif name == "det_stability":
             reports.append(bnd.BoundReport(
-                name=name, value=value, spread=None,
-                inputs_digest={**digest, **info}, tag=tag))
+                name=name, value=bnd.deterministic_stability_bound(stab), spread=None,
+                inputs_digest={**digest, **meta["stability"]}, tag="det-stability"))
+        elif name == "det_stability_squared":
+            reports.append(bnd.BoundReport(
+                name=name, value=bnd.deterministic_stability_squared_bound(stab, config.n),
+                spread=None, inputs_digest={**digest, **meta["stability"]},
+                tag="det-stability-squared"))
         else:  # pragma: no cover
             raise ConfigError(f"unknown bound {name!r}")
     return reports, meta
 
 
-def _stability_constants(config: ExperimentConfig,
-                         need_squared: bool) -> bnd.StabilityConstants:
+def _stability_constants(config: ExperimentConfig) -> bnd.StabilityConstants:
     gen = GeneratorSpec.from_json_dict(config.data)
-    space = prediction_space(config.learner)
-    seed = derive_seed(config.master_seed, _STABILITY)
-    beta = estimate_stability(config.learner, gen, config.n, "self",
-                              config.stability_trials, seed)
-    beta1 = beta2 = 0.0
-    if need_squared:
-        beta1 = estimate_stability(config.learner, gen, config.n, "test",
-                                   config.stability_trials, seed)
-        beta2 = estimate_stability(config.learner, gen, config.n, "train",
-                                   config.stability_trials, seed)
-    return bnd.StabilityConstants(beta=beta, beta1=beta1, beta2=beta2,
-                                  gamma=config.gamma, d_out=space.dim or 1)
+    beta, beta1, beta2 = estimate_stability(
+        config.learner, gen, config.n, config.stability_trials,
+        derive_seed(config.master_seed, _STABILITY))
+    return bnd.StabilityConstants(beta=beta, beta1=beta1, beta2=beta2, gamma=config.gamma,
+                                  d_out=prediction_space(config.learner).dim or 1)
 
 
 def _stability_meta(stab: bnd.StabilityConstants, config: ExperimentConfig) -> dict:
@@ -562,6 +561,7 @@ def run_experiment(config: ExperimentConfig, keep_tables: bool = False) -> Exper
     """
     t0 = time.perf_counter()
     _check_bounds_supported(config)
+    pool = _load_pool(config)
     subsets = None
     subset_meta = None
     if "fcmi_subset_m" in config.bounds:
@@ -569,11 +569,12 @@ def run_experiment(config: ExperimentConfig, keep_tables: bool = False) -> Exper
         subset_meta = {"subset_policy": policy, "subset_count": len(subsets)}
 
     if config.jobs > 1 and config.k1 > 1:
-        with ProcessPoolExecutor(max_workers=config.jobs) as pool:
-            runs = list(pool.map(_run_supersample, [config] * config.k1,
-                                 range(config.k1), [subsets] * config.k1))
+        with ProcessPoolExecutor(max_workers=config.jobs) as workers:
+            runs = list(workers.map(_run_supersample, [config] * config.k1,
+                                    range(config.k1), [subsets] * config.k1,
+                                    [pool] * config.k1))
     else:
-        runs = [_run_supersample(config, a, subsets) for a in range(config.k1)]
+        runs = [_run_supersample(config, a, subsets, pool) for a in range(config.k1)]
     results = [r for r, _ in runs]
     tables = [t for _, t in runs]
 

@@ -125,6 +125,16 @@ def is_deterministic(spec: LearnerSpec) -> bool:
     return False
 
 
+def needs_binary_labels(spec: LearnerSpec) -> bool:
+    """Whether the learner, or a learner it wraps, fits only labels in {0, 1}."""
+    if spec.kind == "noisy_wrapper":
+        return needs_binary_labels(LearnerSpec.from_json_dict(spec.params["inner"]))
+    if spec.kind == "ensemble":
+        return any(needs_binary_labels(LearnerSpec.from_json_dict(m))
+                   for m in spec.params["members"])
+    return spec.kind in ("logistic_gd", "sgld_linear")
+
+
 # --- individual learners ----------------------------------------------------
 
 
@@ -364,55 +374,42 @@ def fill_table(supersample: Supersample, spec: LearnerSpec, masks, seeds,
 # --- functional stability ----------------------------------------------------
 
 
-def _as_vector(pred) -> np.ndarray:
-    """Real view of a prediction; class labels embed as 1-D real vectors."""
-    if isinstance(pred, (int, np.integer)):
-        return np.array([float(pred)])
-    return np.asarray(pred, dtype=float)
+def estimate_stability(spec: LearnerSpec, gen, n: int, trials: int,
+                       seed: int = 0) -> tuple[float, float, float]:
+    """Monte Carlo estimates of the self, test and train stability constants.
 
-
-def estimate_stability(spec: LearnerSpec, gen, n: int, which: str,
-                       trials: int, seed: int = 0) -> float:
-    """Monte Carlo estimate of a functional-stability constant.
-
-    Resamples the training collection and the replacement point, swaps out
-    each coordinate in turn, and measures the RMS prediction shift at the
-    replaced point ("self"), at a fresh test point ("test"), or at the other
-    training points ("train"). Returns the max over the probed coordinates,
-    matching the for-all quantifier of the definition.
+    Each trial resamples n training points, a replacement point and a fresh
+    test point, fits the base set and the n sets with one point swapped for
+    the replacement, and queries every fit on the n base points plus the test
+    point. Swap i gives row i of an (n, n + 1) array of squared prediction
+    shifts: the diagonal is the shift at the replaced point ("self", beta),
+    the last column the shift at the test point ("test", beta1), and the
+    off-diagonal n x n part the shift at the other training points ("train",
+    beta2). Each constant is the RMS over trials, maximized over the probed
+    coordinates to match the for-all quantifier of the definition; with
+    n = 1 there is no other training point and beta2 is 0.
     """
     from .datagen import sample_examples
 
-    if which not in ("self", "test", "train"):
-        raise ContractViolation(f"unknown stability clause {which!r}")
     if trials < 1:
         raise ContractViolation("trials must be >= 1")
-    if which == "train" and n < 2:
-        raise ContractViolation("train-stability needs n >= 2 (no other index j)")
-
-    acc = np.zeros((n, n)) if which == "train" else np.zeros(n)
+    acc = np.zeros((n, n + 1))
     for t in range(trials):
         examples = sample_examples(gen, n + 2, derive_seed(seed, t, 0))
         xs = np.array([ex.x for ex in examples], dtype=float)
         ys = np.array([ex.y for ex in examples], dtype=np.int64)
         base_xs, base_ys = xs[:n], ys[:n]
-        queries = xs[n + 1:n + 2] if which == "test" else base_xs
+        queries = np.concatenate([base_xs, xs[n + 1:]])
         r = derive_seed(seed, t, 1)
-        base_preds = train_predict(spec, base_xs, base_ys, queries, r).predictions
+        fits = [train_predict(spec, base_xs, base_ys, queries, r).predictions]
         for i in range(n):
             swapped_xs, swapped_ys = base_xs.copy(), base_ys.copy()
             swapped_xs[i], swapped_ys[i] = xs[n], ys[n]
-            preds = train_predict(spec, swapped_xs, swapped_ys, queries, r).predictions
-            if which == "self":
-                d = _as_vector(preds[i]) - _as_vector(base_preds[i])
-                acc[i] += float(np.dot(d, d))
-            elif which == "test":
-                d = _as_vector(preds[0]) - _as_vector(base_preds[0])
-                acc[i] += float(np.dot(d, d))
-            else:
-                for j in range(n):
-                    if j == i:
-                        continue
-                    d = _as_vector(preds[j]) - _as_vector(base_preds[j])
-                    acc[i, j] += float(np.dot(d, d))
-    return float(np.sqrt(acc.max() / trials))
+            fits.append(train_predict(spec, swapped_xs, swapped_ys, queries, r).predictions)
+        # class labels embed as 1-D real vectors
+        preds = np.asarray(fits, dtype=float).reshape(n + 1, n + 1, -1)
+        shift = preds[1:] - preds[0]
+        acc += np.sum(shift * shift, axis=2)
+    train_shift = acc[:, :n][~np.eye(n, dtype=bool)]
+    peaks = (acc.diagonal().max(), acc[:, n].max(), train_shift.max(initial=0.0))
+    return tuple(float(np.sqrt(p / trials)) for p in peaks)

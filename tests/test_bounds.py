@@ -107,6 +107,17 @@ class TestCmiWeightBound:
     def test_hand_value(self):
         assert cmi_weight_bound(1.0, 8).value == pytest.approx(0.5, abs=1e-12)
 
+    def test_mean_of_per_supersample_roots(self):
+        # roots first, then the mean, so value and spread describe the same
+        # per-supersample numbers; the root of the mean would give 0.79
+        got = cmi_weight_bound([0.25, 1.0], 2)
+        assert got.value == pytest.approx((0.5 + 1.0) / 2, abs=1e-12)
+        assert got.spread == pytest.approx(np.std([0.5, 1.0], ddof=1), abs=1e-12)
+        mn = fcmi_bound_mn([0.25, 1.0], 2)
+        assert (got.value, got.spread, got.inputs_digest) == (
+            mn.value, mn.spread, mn.inputs_digest)
+        assert (got.name, got.tag) == ("cmi_weights", "cmi-weights")
+
 
 class TestStabilityFcmi:
     def test_zero(self):

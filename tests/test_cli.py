@@ -67,6 +67,46 @@ class TestRun:
         assert [t.name for t in tables] == ["ss000.json", "ss001.json"]
 
 
+class TestCsvValidation:
+    """A bad csv pool is a configuration error, found before any fit."""
+
+    def _run(self, tmp_path, rows, learner):
+        data = tmp_path / "data.csv"
+        data.write_text("x_0,y\n" + "".join(f"{x},{y}\n" for x, y in rows),
+                        encoding="utf-8")
+        config = write_config(tmp_path, data={"kind": "csv", "params": {"path": str(data)}},
+                              learner=learner)
+        return main(["run", str(config), "-o", str(tmp_path / "out")])
+
+    GOOD = [(i / 10, i % 2) for i in range(10)]
+    KNN = {"kind": "knn", "params": {"k": 1}}
+    LOGISTIC = {"kind": "logistic_gd", "params": {"steps": 5}}
+
+    def test_valid_pool_runs(self, tmp_path):
+        assert self._run(tmp_path, self.GOOD, self.LOGISTIC) == 0
+
+    def test_nan_feature_is_config_error(self, tmp_path):
+        rows = self.GOOD[:-1] + [("nan", 1)]
+        assert self._run(tmp_path, rows, self.KNN) == 2
+        assert self._run(tmp_path, rows, self.LOGISTIC) == 2
+        assert not (tmp_path / "out" / "report.json").exists()
+
+    def test_infinite_feature_is_config_error(self, tmp_path):
+        assert self._run(tmp_path, self.GOOD[:-1] + [("inf", 1)], self.KNN) == 2
+
+    def test_nonbinary_label_for_linear_learner_is_config_error(self, tmp_path):
+        rows = self.GOOD[:-1] + [(0.95, 2)]
+        assert self._run(tmp_path, rows, self.LOGISTIC) == 2
+        sgld = {"kind": "sgld_linear", "params": {"steps": 5}}
+        assert self._run(tmp_path, rows, sgld) == 2
+        assert self._run(tmp_path, rows, self.KNN) == 0  # multi-class is fine here
+
+    def test_missing_file_is_config_error(self, tmp_path):
+        config = write_config(tmp_path, data={"kind": "csv", "params": {
+            "path": str(tmp_path / "absent.csv")}})
+        assert main(["run", str(config)]) == 2
+
+
 class TestSweep:
     def test_base_vary(self, tmp_path):
         base = {

@@ -226,6 +226,57 @@ class TestRunExperiment:
             2 ** 1.5 * info["d_out"] ** 0.25 * math.sqrt(info["gamma"] * info["beta"]),
             abs=1e-12)
 
+    def test_det_stability_reports_all_three_constants(self):
+        config = base_config(
+            learner={"kind": "logistic_gd",
+                     "params": {"output": "prob", "steps": 20}},
+            data={"kind": "two_gaussians", "params": {"dim": 2, "sep": 2.0}},
+            loss="absolute", bounds=["det_stability", "det_stability_squared"],
+            n=4, k1=1, k2=5, stability={"trials": 3, "gamma": 1.0}, master_seed=3)
+        info = run_experiment(config).estimator_meta["stability"]
+        alone = run_experiment(base_config(**{
+            **config.to_json_dict(), "bounds": ["det_stability"]}))
+        assert alone.estimator_meta["stability"] == info
+        assert min(info["beta"], info["beta1"], info["beta2"]) > 0.0
+
+    def test_cmi_weights_is_mean_of_per_supersample_roots(self):
+        config = base_config(
+            data={"kind": "threshold_realizable",
+                  "params": {"threshold": 0.5, "noise": 0.1}},
+            learner={"kind": "threshold_erm", "params": {}},
+            mode="exact_enumeration", bounds=["cmi_weights"], n=6, k1=4, k2=1,
+            master_seed=3)
+        report = run_experiment(config)
+        roots = [math.sqrt(2 * r.weight_mi_full / 6) for r in report.supersamples]
+        (bound,) = report.bounds
+        assert bound.value == pytest.approx(np.mean(roots), rel=1e-12)
+        assert bound.spread == pytest.approx(np.std(roots, ddof=1), rel=1e-12)
+
+    def test_vc_is_in_gap_units(self):
+        from fcmi.bounds import vc_fcmi_bound
+
+        config = base_config(
+            data={"kind": "threshold_realizable", "params": {"threshold": 0.5}},
+            learner={"kind": "threshold_erm", "params": {}},
+            bounds=["vc"], n=6, k1=1, k2=10)
+        (bound,) = run_experiment(config).bounds
+        cap = vc_fcmi_bound(1, 6)
+        assert bound.inputs_digest["fcmi_cap"] == cap
+        assert bound.value == math.sqrt(2 * cap / 6)
+
+    def test_csv_read_once_per_run(self, tmp_path, monkeypatch):
+        import csv
+
+        rows = ["x_0,y"] + [f"{i / 40},{int(i % 3 == 0)}" for i in range(40)]
+        path = tmp_path / "data.csv"
+        path.write_text("\n".join(rows), encoding="utf-8")
+        reads = []
+        real = csv.DictReader
+        monkeypatch.setattr(csv, "DictReader", lambda fh: reads.append(1) or real(fh))
+        run_experiment(base_config(data={"kind": "csv", "params": {"path": str(path)}},
+                                   n=5, k1=3, k2=5))
+        assert len(reads) == 1
+
     def test_csv_data_source(self, tmp_path):
         rows = ["x_0,y"] + [f"{i / 40},{int(i % 3 == 0)}" for i in range(40)]
         path = tmp_path / "data.csv"
@@ -249,6 +300,17 @@ class TestReproducibility:
         a = run_experiment(base_config())
         b = run_experiment(base_config())
         assert canonical_json(a.to_json_dict()) == canonical_json(b.to_json_dict())
+
+    def test_csv_parallel_matches_serial(self, tmp_path):
+        rows = ["x_0,y"] + [f"{i / 40},{int(i % 3 == 0)}" for i in range(40)]
+        path = tmp_path / "data.csv"
+        path.write_text("\n".join(rows), encoding="utf-8")
+        data = {"kind": "csv", "params": {"path": str(path)}}
+        serial = run_experiment(base_config(data=data, n=5, k1=2, jobs=1)).to_json_dict()
+        parallel = run_experiment(base_config(data=data, n=5, k1=2, jobs=2)).to_json_dict()
+        serial["config"].pop("jobs")
+        parallel["config"].pop("jobs")
+        assert canonical_json(serial) == canonical_json(parallel)
 
     def test_different_seed_differs(self):
         a = run_experiment(base_config())

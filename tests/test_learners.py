@@ -302,29 +302,124 @@ class TestReproducibility:
                                             {"output": "prob"})).kind == "real"
 
 
+def _as_vector(pred) -> np.ndarray:
+    """Real view of a prediction; class labels embed as 1-D real vectors."""
+    if isinstance(pred, (int, np.integer)):
+        return np.array([float(pred)])
+    return np.asarray(pred, dtype=float)
+
+
+def _stability_oracle(spec, gen, n, which, trials, seed=0):
+    """The earlier one-clause-per-call estimator, kept verbatim as an oracle."""
+    from fcmi.datagen import sample_examples
+
+    if which not in ("self", "test", "train"):
+        raise ContractViolation(f"unknown stability clause {which!r}")
+    if trials < 1:
+        raise ContractViolation("trials must be >= 1")
+    if which == "train" and n < 2:
+        raise ContractViolation("train-stability needs n >= 2 (no other index j)")
+
+    acc = np.zeros((n, n)) if which == "train" else np.zeros(n)
+    for t in range(trials):
+        examples = sample_examples(gen, n + 2, derive_seed(seed, t, 0))
+        xs = np.array([ex.x for ex in examples], dtype=float)
+        ys = np.array([ex.y for ex in examples], dtype=np.int64)
+        base_xs, base_ys = xs[:n], ys[:n]
+        queries = xs[n + 1:n + 2] if which == "test" else base_xs
+        r = derive_seed(seed, t, 1)
+        base_preds = train_predict(spec, base_xs, base_ys, queries, r).predictions
+        for i in range(n):
+            swapped_xs, swapped_ys = base_xs.copy(), base_ys.copy()
+            swapped_xs[i], swapped_ys[i] = xs[n], ys[n]
+            preds = train_predict(spec, swapped_xs, swapped_ys, queries, r).predictions
+            if which == "self":
+                d = _as_vector(preds[i]) - _as_vector(base_preds[i])
+                acc[i] += float(np.dot(d, d))
+            elif which == "test":
+                d = _as_vector(preds[0]) - _as_vector(base_preds[0])
+                acc[i] += float(np.dot(d, d))
+            else:
+                for j in range(n):
+                    if j == i:
+                        continue
+                    d = _as_vector(preds[j]) - _as_vector(base_preds[j])
+                    acc[i, j] += float(np.dot(d, d))
+    return float(np.sqrt(acc.max() / trials))
+
+
+_GAUSS = GeneratorSpec("two_gaussians", {"dim": 2, "sep": 1.0})
+_STABILITY_CASES = {
+    "logistic_prob": LearnerSpec("logistic_gd", {"output": "prob", "steps": 20}),
+    "logistic_label": LearnerSpec("logistic_gd", {"steps": 20, "lr": 5.0}),
+    "sgld_prob": LearnerSpec("sgld_linear", {"output": "prob", "steps": 20}),
+    "knn3": LearnerSpec("knn", {"k": 3}),
+    "memorizer": LearnerSpec("memorizer"),
+    "noisy_wrapper": LearnerSpec("noisy_wrapper", {
+        "inner": {"kind": "logistic_gd", "params": {"output": "prob", "steps": 20}},
+        "sigma_sq": 0.01}),
+    "ensemble": LearnerSpec("ensemble", {"members": [
+        {"kind": "knn", "params": {"k": 1}}, {"kind": "knn", "params": {"k": 3}},
+        {"kind": "memorizer", "params": {}}]}),
+}
+
+
 class TestEstimateStability:
+    @pytest.mark.parametrize("seed", [0, 7])
+    @pytest.mark.parametrize("n", [2, 5])
+    @pytest.mark.parametrize("case", sorted(_STABILITY_CASES))
+    def test_one_pass_equals_per_clause_oracle(self, case, n, seed):
+        spec = _STABILITY_CASES[case]
+        expected = tuple(_stability_oracle(spec, _GAUSS, n, which, 3, seed)
+                         for which in ("self", "test", "train"))
+        assert estimate_stability(spec, _GAUSS, n, trials=3, seed=seed) == expected
+
+    def test_one_fit_per_training_set(self, monkeypatch):
+        import fcmi.learners
+
+        calls = []
+        real = fcmi.learners.train_predict
+
+        def counting(spec, train_xs, *args):
+            calls.append(len(train_xs))
+            return real(spec, train_xs, *args)
+
+        monkeypatch.setattr(fcmi.learners, "train_predict", counting)
+        n, trials = 4, 3
+        estimate_stability(_STABILITY_CASES["logistic_prob"], _GAUSS, n, trials, seed=1)
+        assert calls == [n] * (trials * (n + 1))
+
     def test_constant_learner_zero_for_all_clauses(self):
         # knn on one-class data predicts the same label no matter the input
         gen = GeneratorSpec("threshold_realizable", {"threshold": 1.0})
         spec = LearnerSpec("knn", {"k": 1})
-        for which in ("self", "test", "train"):
-            assert estimate_stability(spec, gen, 3, which, trials=10, seed=0) == 0.0
+        assert estimate_stability(spec, gen, 3, trials=10, seed=0) == (0.0, 0.0, 0.0)
 
     def test_memorizer_self_clause_matches_label_marginal(self):
         # oracle: the replaced point's prediction drops to the constant class,
         # so the squared shift is y^2 and its mean is P(y = 1) = 1/2
         gen = GeneratorSpec("uniform_labels", {"dim": 1})
-        beta = estimate_stability(LearnerSpec("memorizer"), gen, 2, "self",
-                                  trials=600, seed=1)
+        beta, _, _ = estimate_stability(LearnerSpec("memorizer"), gen, 2,
+                                        trials=600, seed=1)
         assert beta ** 2 == pytest.approx(0.5, abs=0.08)
 
     def test_memorizer_train_clause_zero(self):
         gen = GeneratorSpec("uniform_labels", {"dim": 1})
-        assert estimate_stability(LearnerSpec("memorizer"), gen, 3, "train",
-                                  trials=20, seed=2) == 0.0
+        _, _, beta2 = estimate_stability(LearnerSpec("memorizer"), gen, 3,
+                                         trials=20, seed=2)
+        assert beta2 == 0.0
 
     def test_train_clause_needs_two_points(self):
+        # with one training point there is no other index j: the train clause
+        # is vacuous and beta2 is 0, while the other two are still measured
         gen = GeneratorSpec("uniform_labels", {"dim": 1})
+        beta, beta1, beta2 = estimate_stability(LearnerSpec("memorizer"), gen, 1,
+                                                trials=20, seed=0)
+        assert beta2 == 0.0
+        assert beta > 0.0
+        assert beta == _stability_oracle(LearnerSpec("memorizer"), gen, 1, "self", 20, 0)
+        assert beta1 == _stability_oracle(LearnerSpec("memorizer"), gen, 1, "test", 20, 0)
+
+    def test_rejects_zero_trials(self):
         with pytest.raises(ContractViolation):
-            estimate_stability(LearnerSpec("memorizer"), gen, 1, "train",
-                               trials=5, seed=0)
+            estimate_stability(LearnerSpec("memorizer"), _GAUSS, 2, trials=0)
