@@ -26,7 +26,6 @@ from .bounds import (
 )
 from .core import (
     ContractViolation,
-    LabeledExample,
     PredictionSpace,
     SizeError,
     Supersample,

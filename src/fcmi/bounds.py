@@ -145,12 +145,8 @@ def cmi_weight_bound(cmi_estimate, n: int, digest: dict | None = None) -> BoundR
 
 def stability_fcmi_bound(cmi_per_index, digest: dict | None = None) -> BoundReport:
     """Conditional single-pair bound: mean over pairs of sqrt(2 * I(.; S_i | S_-i))."""
-    rows = _rows(cmi_per_index)
-    per_ss = np.mean(np.sqrt(2.0 * rows), axis=1)
-    return BoundReport(
-        name="fcmi_stability", value=float(np.mean(per_ss)), spread=_spread(per_ss),
-        inputs_digest={"k1": rows.shape[0], "n": rows.shape[1], **(digest or {})},
-        tag="fcmi-stability")
+    return replace(fcmi_bound_m1(cmi_per_index, digest), name="fcmi_stability",
+                   tag="fcmi-stability")
 
 
 def stability_fcmi_squared_bound(

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -19,43 +19,25 @@ class SizeError(ValueError):
     """A requested enumeration exceeds the configured size limit."""
 
 
-@dataclass(frozen=True)
-class LabeledExample:
-    """A single (feature vector, label) pair. Features are immutable tuples."""
-
-    x: tuple[float, ...]
-    y: int
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "x", tuple(float(v) for v in self.x))
-        object.__setattr__(self, "y", int(self.y))
-        if self.y < 0:
-            raise ContractViolation(f"class label must be >= 0, got {self.y}")
-
-    @property
-    def dim(self) -> int:
-        return len(self.x)
-
-
 class Supersample:
-    """n pairs of examples; slot (i, j) flattens to index 2*i + j.
+    """n pairs of examples as stacked read-only arrays: inputs ``xs`` (2n, d)
+    and labels ``ys`` (2n,); pair i is rows 2i and 2i + 1, so slot (i, j)
+    is row 2i + j."""
 
-    Internally stores stacked read-only arrays ``xs`` (2n, d) and ``ys`` (2n,)
-    so learners can avoid per-example overhead.
-    """
-
-    def __init__(self, pairs: Sequence[tuple[LabeledExample, LabeledExample]]):
-        if len(pairs) < 1:
-            raise ContractViolation("a supersample needs at least one pair")
-        flat: list[LabeledExample] = []
-        for a, b in pairs:
-            flat.extend((a, b))
-        dims = {ex.dim for ex in flat}
-        if len(dims) != 1:
-            raise ContractViolation(f"mixed feature dimensionalities: {sorted(dims)}")
-        self.n = len(pairs)
-        xs = np.array([ex.x for ex in flat], dtype=float)
-        ys = np.array([ex.y for ex in flat], dtype=np.int64)
+    def __init__(self, xs, ys):
+        xs = np.array(xs, dtype=float)
+        ys = np.array(ys, dtype=np.int64)
+        if xs.ndim != 2:
+            raise ContractViolation(f"inputs must be a (2n, d) array, got shape {xs.shape}")
+        if ys.shape != (len(xs),):
+            raise ContractViolation(
+                f"expected one label per input row ({len(xs)}), got shape {ys.shape}")
+        if len(xs) < 2 or len(xs) % 2:
+            raise ContractViolation(
+                f"a supersample needs an even number (>= 2) of examples, got {len(xs)}")
+        if np.any(ys < 0):
+            raise ContractViolation(f"class labels must be >= 0, got {ys.min()}")
+        self.n = len(xs) // 2
         xs.setflags(write=False)
         ys.setflags(write=False)
         self.xs = xs

@@ -7,7 +7,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import ContractViolation, LabeledExample, Supersample
+from .core import ContractViolation, Supersample
 
 GENERATOR_KINDS = ("two_gaussians", "threshold_realizable", "uniform_labels")
 
@@ -46,8 +46,10 @@ def _flip(labels: np.ndarray, noise: float, rng: np.random.Generator) -> np.ndar
     return np.where(flips, 1 - labels, labels)
 
 
-def sample_examples(gen: GeneratorSpec, count: int, seed: int) -> list[LabeledExample]:
-    """``count`` i.i.d. draws from the generator, deterministic per seed."""
+def sample_examples(gen: GeneratorSpec, count: int,
+                    seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """``count`` i.i.d. draws from the generator, deterministic per seed: inputs
+    (count, d) float64 and labels (count,) int64."""
     if count < 1:
         raise ContractViolation("count must be >= 1")
     rng = np.random.default_rng(seed)
@@ -71,13 +73,12 @@ def sample_examples(gen: GeneratorSpec, count: int, seed: int) -> list[LabeledEx
         ys = rng.integers(0, 2, count)
     else:  # pragma: no cover
         raise ContractViolation(f"unknown generator kind {gen.kind!r}")
-    return [LabeledExample(tuple(x), int(y)) for x, y in zip(xs, ys)]
+    return xs, ys
 
 
 def sample_supersample(gen: GeneratorSpec, n: int, seed: int) -> Supersample:
     """2n i.i.d. draws arranged into n pairs."""
-    examples = sample_examples(gen, 2 * n, seed)
-    return Supersample([(examples[2 * i], examples[2 * i + 1]) for i in range(n)])
+    return Supersample(*sample_examples(gen, 2 * n, seed))
 
 
 def bayes_error_two_gaussians(sep: float, noise: float = 0.0) -> float:

@@ -25,7 +25,6 @@ from .core import (
     LOSS_SPACE,
     LOSSES,
     ContractViolation,
-    LabeledExample,
     SizeError,
     Supersample,
     TrialTable,
@@ -325,8 +324,7 @@ def _draw_supersample(config: ExperimentConfig, a: int, pool=None) -> Supersampl
         return sample_supersample(GeneratorSpec.from_json_dict(config.data), config.n, seed)
     xs, ys = pool
     picks = np.random.default_rng(seed).choice(len(ys), size=2 * config.n, replace=False)
-    ex = [LabeledExample(xs[i], ys[i]) for i in picks]
-    return Supersample([(ex[2 * i], ex[2 * i + 1]) for i in range(config.n)])
+    return Supersample(xs[picks], ys[picks])
 
 
 # --- compatibility checks ----------------------------------------------------
@@ -339,6 +337,10 @@ def _check_bounds_supported(config: ExperimentConfig) -> None:
         raise UnsupportedCombinationError(
             f"loss {config.loss!r} does not match the {space.kind!r} prediction "
             f"space of learner {spec.kind!r}")
+    if config.loss == "absolute" and spec.kind == "noisy_wrapper":
+        raise UnsupportedCombinationError(
+            "loss 'absolute' needs predictions in [0, 1]; the Gaussian noise of "
+            "'noisy_wrapper' moves them outside that range")
     for b in config.bounds:
         if b in _REAL_SPACE:
             if space.kind != "real":

@@ -25,6 +25,7 @@ from .core import (
     TrialTable,
     split_slots,
 )
+from .datagen import sample_examples
 
 LEARNER_KINDS = (
     "memorizer",
@@ -113,16 +114,6 @@ def prediction_space(spec: LearnerSpec, num_classes: int = 2) -> PredictionSpace
 
 def has_weight_code(spec: LearnerSpec) -> bool:
     return spec.kind == "threshold_erm"
-
-
-def is_deterministic(spec: LearnerSpec) -> bool:
-    """Deterministic given the seed is universal; these ignore the seed entirely."""
-    if spec.kind in ("memorizer", "threshold_erm", "knn"):
-        return True
-    if spec.kind == "ensemble":
-        return all(is_deterministic(LearnerSpec.from_json_dict(m))
-                   for m in spec.params["members"])
-    return False
 
 
 def needs_binary_labels(spec: LearnerSpec) -> bool:
@@ -389,15 +380,11 @@ def estimate_stability(spec: LearnerSpec, gen, n: int, trials: int,
     coordinates to match the for-all quantifier of the definition; with
     n = 1 there is no other training point and beta2 is 0.
     """
-    from .datagen import sample_examples
-
     if trials < 1:
         raise ContractViolation("trials must be >= 1")
     acc = np.zeros((n, n + 1))
     for t in range(trials):
-        examples = sample_examples(gen, n + 2, derive_seed(seed, t, 0))
-        xs = np.array([ex.x for ex in examples], dtype=float)
-        ys = np.array([ex.y for ex in examples], dtype=np.int64)
+        xs, ys = sample_examples(gen, n + 2, derive_seed(seed, t, 0))
         base_xs, base_ys = xs[:n], ys[:n]
         queries = np.concatenate([base_xs, xs[n + 1:]])
         r = derive_seed(seed, t, 1)

@@ -16,7 +16,12 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .core import ContractViolation, TrialTable
-from .infotheory import all_subsets, mutual_information, subset_mi
+from .infotheory import (
+    all_subsets,
+    conditional_mutual_information,
+    mutual_information,
+    subset_mi,
+)
 
 MARGIN_TOL = -1e-9
 
@@ -107,19 +112,8 @@ def _mi_nd(joint: np.ndarray) -> float:
 
 def _cmi_bit_given_rest(joint: np.ndarray, i: int) -> float:
     """I(phi ; bit i | other bits) of a joint over (phi, b_1..b_n)."""
-    n_bits = joint.ndim - 1
-    rest = [ax for ax in range(1, joint.ndim) if ax != i + 1]
-    total = 0.0
-    for bits in itertools.product((0, 1), repeat=n_bits - 1):
-        idx = [slice(None)] * joint.ndim
-        for ax, s in zip(rest, bits):
-            idx[ax] = s
-        cell = joint[tuple(idx)]  # shape (phi, 2): bit i stays an axis
-        w = cell.sum()
-        if w <= 0:
-            continue
-        total += w * mutual_information(cell / w)
-    return total
+    moved = np.moveaxis(joint, i + 1, 1)
+    return conditional_mutual_information(moved.reshape(moved.shape[0], 2, -1))
 
 
 def _mi_bits_subset(joint: np.ndarray, subset: Sequence[int]) -> float:

@@ -43,6 +43,24 @@ class TestRun:
                               bounds=["cmi_weights"])
         assert main(["run", str(config)]) == 2
 
+    def test_noisy_wrapper_with_absolute_loss_is_config_error(self, tmp_path, monkeypatch):
+        """The wrapper's noise leaves [0, 1], so the absolute loss is refused
+        when the config is checked, before any fit."""
+        import fcmi.learners
+
+        fits = []
+        real = fcmi.learners.train_predict
+        monkeypatch.setattr(fcmi.learners, "train_predict",
+                            lambda *a, **kw: fits.append(1) or real(*a, **kw))
+        inner = {"kind": "logistic_gd", "params": {"output": "prob", "steps": 20}}
+        config = write_config(
+            tmp_path, data={"kind": "two_gaussians", "params": {"dim": 2, "sep": 2.0}},
+            n=5, learner={"kind": "noisy_wrapper",
+                          "params": {"inner": inner, "sigma_sq": 0.1}},
+            loss="absolute", bounds=["det_stability"])
+        assert main(["run", str(config), "-o", str(tmp_path / "out")]) == 2
+        assert fits == []
+
     def test_seed_override_echoed(self, tmp_path):
         config = write_config(tmp_path)
         out = tmp_path / "out"

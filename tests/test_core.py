@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from fcmi.core import (
     ContractViolation,
-    LabeledExample,
     PredictionSpace,
     SizeError,
     Supersample,
@@ -21,12 +20,10 @@ from fcmi.core import (
 )
 
 
-def ex(x, y=0):
-    return LabeledExample((float(x),), y)
-
-
 def make_supersample(values):
-    return Supersample([(ex(a), ex(b)) for a, b in values])
+    """One-feature supersample with pairs ``values`` and all labels 0."""
+    return Supersample(np.array(values, dtype=float).reshape(-1, 1),
+                       np.zeros(2 * len(values), dtype=int))
 
 
 def train_half(ss, bits):
@@ -168,9 +165,25 @@ class TestLosses:
 
 
 class TestTypes:
-    def test_supersample_mixed_dims_rejected(self):
-        with pytest.raises(ContractViolation):
-            Supersample([(LabeledExample((1.0,), 0), LabeledExample((1.0, 2.0), 0))])
+    def test_supersample_bad_arrays_rejected(self):
+        for xs, ys in [
+            (np.zeros((3, 1)), np.zeros(3)),  # odd example count
+            (np.zeros((0, 1)), np.zeros(0)),  # no pair
+            (np.zeros((4, 1)), np.zeros(3)),  # one label short
+            (np.zeros((4, 1)), np.zeros((4, 1))),  # labels not 1-D
+            (np.zeros(4), np.zeros(4)),  # inputs not 2-D
+            (np.zeros((2, 1)), np.array([0, -1])),  # negative label
+        ]:
+            with pytest.raises(ContractViolation):
+                Supersample(xs, ys)
+
+    def test_supersample_stores_read_only_copies(self):
+        xs, ys = np.array([[1.0], [2.0]]), np.array([0, 1])
+        ss = Supersample(xs, ys)
+        xs[0, 0], ys[0] = 9.0, 1
+        assert ss.n == 1 and ss.xs[0, 0] == 1.0 and ss.ys[0] == 0
+        assert ss.xs.dtype == np.float64 and ss.ys.dtype == np.int64
+        assert not ss.xs.flags.writeable and not ss.ys.flags.writeable
 
     def test_split_mask_bad_bits(self):
         with pytest.raises(ContractViolation):

@@ -16,49 +16,46 @@ from fcmi.learners import threshold_erm_fit
 class TestThresholdRealizable:
     def test_noise_free_labels_match_rule(self):
         gen = GeneratorSpec("threshold_realizable", {"threshold": 0.5, "noise": 0.0})
-        for ex in sample_examples(gen, 500, seed=0):
-            assert ex.y == int(ex.x[0] > 0.5)
+        xs, ys = sample_examples(gen, 500, seed=0)
+        assert np.array_equal(ys, (xs[:, 0] > 0.5).astype(int))
 
     def test_erm_realizability(self):
         gen = GeneratorSpec("threshold_realizable", {"threshold": 0.3})
         for seed in range(20):
-            sample = sample_examples(gen, 12, seed=seed)
-            w = threshold_erm_fit(np.array([ex.x for ex in sample]),
-                                  np.array([ex.y for ex in sample]))
-            assert all(int(ex.x[0] > w) == ex.y for ex in sample)
+            xs, ys = sample_examples(gen, 12, seed=seed)
+            w = threshold_erm_fit(xs, ys)
+            assert np.array_equal((xs[:, 0] > w).astype(int), ys)
 
     def test_noise_rate_respected(self):
         gen = GeneratorSpec("threshold_realizable", {"threshold": 0.5, "noise": 0.2})
-        sample = sample_examples(gen, 20000, seed=1)
-        flipped = np.mean([ex.y != int(ex.x[0] > 0.5) for ex in sample])
+        xs, ys = sample_examples(gen, 20000, seed=1)
+        flipped = np.mean(ys != (xs[:, 0] > 0.5).astype(int))
         assert flipped == pytest.approx(0.2, abs=0.02)
 
 
 class TestUniformLabels:
     def test_label_marginal_near_half(self):
         gen = GeneratorSpec("uniform_labels", {"dim": 1})
-        sample = sample_examples(gen, 10 ** 4, seed=2)
-        marginal = np.mean([ex.y for ex in sample])
+        _, ys = sample_examples(gen, 10 ** 4, seed=2)
+        marginal = np.mean(ys)
         # binomial concentration: 5 sigma at 1e4 draws is 0.025
         assert abs(marginal - 0.5) <= 0.05
 
     def test_labels_independent_of_features(self):
         gen = GeneratorSpec("uniform_labels", {"dim": 2})
-        sample = sample_examples(gen, 5000, seed=3)
-        xs = np.array([ex.x[0] for ex in sample])
-        ys = np.array([ex.y for ex in sample], dtype=float)
-        assert abs(np.corrcoef(xs, ys)[0, 1]) < 0.05
+        xs, ys = sample_examples(gen, 5000, seed=3)
+        assert abs(np.corrcoef(xs[:, 0], ys.astype(float))[0, 1]) < 0.05
 
 
 class TestTwoGaussians:
     def test_class_means_at_plus_minus_half_sep(self):
         gen = GeneratorSpec("two_gaussians", {"dim": 3, "sep": 4.0, "noise": 0.0})
-        sample = sample_examples(gen, 8000, seed=4)
-        m1 = np.mean([ex.x[0] for ex in sample if ex.y == 1])
-        m0 = np.mean([ex.x[0] for ex in sample if ex.y == 0])
+        xs, ys = sample_examples(gen, 8000, seed=4)
+        m1 = np.mean(xs[ys == 1, 0])
+        m0 = np.mean(xs[ys == 0, 0])
         assert m1 == pytest.approx(2.0, abs=0.1)
         assert m0 == pytest.approx(-2.0, abs=0.1)
-        off_axis = np.mean([ex.x[1] for ex in sample])
+        off_axis = np.mean(xs[:, 1])
         assert off_axis == pytest.approx(0.0, abs=0.1)
 
     def test_bayes_error_closed_form(self):
@@ -93,6 +90,20 @@ class TestDeterminism:
         ss = sample_supersample(gen, 5, seed=9)
         assert ss.n == 5
         assert ss.xs.shape == (10, 1)
+        # pair i is draws 2i and 2i + 1 of the same seed
+        xs, ys = sample_examples(gen, 10, seed=9)
+        assert np.array_equal(ss.xs, xs)
+        assert np.array_equal(ss.ys, ys)
+
+    @pytest.mark.parametrize("kind,params", [
+        ("two_gaussians", {"dim": 3, "sep": 1.0}),
+        ("threshold_realizable", {"threshold": 0.4}),
+        ("uniform_labels", {"dim": 2}),
+    ])
+    def test_examples_are_arrays(self, kind, params):
+        xs, ys = sample_examples(GeneratorSpec(kind, params), 7, seed=1)
+        assert xs.dtype == np.float64 and xs.shape == (7, params.get("dim", 1))
+        assert ys.dtype == np.int64 and ys.shape == (7,)
 
     def test_slot_exchangeability(self):
         # draws are i.i.d., so per-slot summary statistics agree across the

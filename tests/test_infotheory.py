@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fcmi.core import ContractViolation, LabeledExample, SizeError, Supersample, exact_rows
+from fcmi.core import ContractViolation, SizeError, Supersample, exact_rows
 from fcmi.infotheory import (
     AbsoluteContinuityError,
     all_subsets,
@@ -290,11 +290,14 @@ class TestEstimatorAgainstOracles:
 
 def threshold_instance():
     """Fixed separable supersample: pair 0 is two 0-labels, pair 1 two 1-labels."""
-    mk = lambda x, y: LabeledExample((x,), y)
-    return Supersample([
-        (mk(0.2, 0), mk(0.4, 0)),
-        (mk(0.8, 1), mk(0.6, 1)),
-    ])
+    return Supersample([[0.2], [0.4], [0.8], [0.6]], [0, 0, 1, 1])
+
+
+def random_supersample(rng, n):
+    """n pairs of one-feature points in [0, 1) with random binary labels,
+    drawn point by point: feature, then label."""
+    xs, ys = zip(*[(rng.random(), int(rng.integers(2))) for _ in range(2 * n)])
+    return Supersample(np.reshape(xs, (-1, 1)), ys)
 
 
 def threshold_oracle_tables():
@@ -342,16 +345,12 @@ class TestExactEnumeration:
 
     def test_memorizer_testslot_mi_zero(self):
         rng = np.random.default_rng(5)
-        pairs = [(LabeledExample((rng.random(),), int(rng.integers(2))),
-                  LabeledExample((rng.random(),), int(rng.integers(2))))
-                 for _ in range(5)]
-        table = exact_table(Supersample(pairs), LearnerSpec("memorizer"))
+        table = exact_table(random_supersample(rng, 5), LearnerSpec("memorizer"))
         assert mi_testslots(table) == 0.0
 
     def test_constant_learner_zero_everywhere(self):
         # one-class data makes threshold_erm constant: no information anywhere
-        mk = lambda x: LabeledExample((x,), 0)
-        ss = Supersample([(mk(0.1), mk(0.3)), (mk(0.5), mk(0.9))])
+        ss = Supersample([[0.1], [0.3], [0.5], [0.9]], [0, 0, 0, 0])
         table = exact_table(ss, LearnerSpec("threshold_erm"))
         assert subset_mi(table, [(0,), (1,)]).tolist() == [0.0, 0.0]
         assert split_cmi(table).tolist() == [0.0, 0.0]
@@ -363,8 +362,7 @@ class TestExactEnumeration:
         assert np.all(split_cmi(table) <= LOG2 + 1e-12)
 
     def test_cmi_with_n1_equals_mi(self):
-        mk = lambda x, y: LabeledExample((x,), y)
-        ss = Supersample([(mk(0.2, 0), mk(0.8, 1))])
+        ss = Supersample([[0.2], [0.8]], [0, 1])
         table = exact_table(ss, LearnerSpec("memorizer"))
         assert split_cmi(table)[0] == pytest.approx(subset_mi(table, [(0,)])[0], abs=1e-12)
 
@@ -381,8 +379,7 @@ class TestExactEnumeration:
         # a seed-dependent learner enumerated with two seeds: the split MI is
         # still bounded by the split entropy and reproducible
         rng = np.random.default_rng(9)
-        mk = lambda: LabeledExample((float(rng.random()),), int(rng.integers(2)))
-        ss = Supersample([(mk(), mk()) for _ in range(3)])
+        ss = random_supersample(rng, 3)
         spec = LearnerSpec("sgld_linear", {"steps": 20})
         a = subset_mi(exact_table(ss, spec, seeds=(1, 2)), [(0, 1, 2)])[0]
         b = subset_mi(exact_table(ss, spec, seeds=(1, 2)), [(0, 1, 2)])[0]
@@ -390,8 +387,7 @@ class TestExactEnumeration:
         assert 0.0 <= a <= 3 * LOG2 + 1e-12
 
     def test_empty_seed_policy_rejected(self):
-        mk = lambda x: LabeledExample((x,), 0)
-        ss = Supersample([(mk(0.0), mk(0.1))])
+        ss = Supersample([[0.0], [0.1]], [0, 0])
         with pytest.raises(ContractViolation):
             exact_table(ss, LearnerSpec("memorizer"), seeds=())
 

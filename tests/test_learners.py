@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from fcmi.core import ContractViolation, LabeledExample
+from fcmi.core import ContractViolation
 from fcmi.datagen import GeneratorSpec
 from fcmi.learners import (
     LearnerSpec,
@@ -12,7 +12,6 @@ from fcmi.learners import (
     ensemble_combine,
     estimate_stability,
     has_weight_code,
-    is_deterministic,
     noisy_predict,
     prediction_space,
     sgld_fit,
@@ -22,13 +21,14 @@ from fcmi.learners import (
 
 
 def mk(x, y=0):
-    return LabeledExample((float(x),), y)
+    """A one-feature training point as an (x, label) pair."""
+    return float(x), int(y)
 
 
 def arrays(train):
-    """(N, d) inputs and (N,) labels of a list of examples."""
-    return (np.array([ex.x for ex in train], dtype=float),
-            np.array([ex.y for ex in train], dtype=np.int64))
+    """(N, 1) inputs and (N,) labels of a list of (x, label) pairs."""
+    xs, ys = zip(*train)
+    return np.array(xs, dtype=float).reshape(-1, 1), np.array(ys, dtype=np.int64)
 
 
 def fit_predict(spec, train, queries, seed=0):
@@ -109,7 +109,7 @@ class TestKnn:
     def test_k1_zero_train_error_on_distinct_points(self):
         train = [mk(0.1, 0), mk(0.4, 1), mk(0.9, 0)]
         out = fit_predict(LearnerSpec("knn", {"k": 1}), train,
-                          [ex.x for ex in train], 0)
+                          [(x,) for x, _ in train], 0)
         assert out.predictions.tolist() == [0, 1, 0]
 
     def test_distance_tie_goes_to_lower_index(self):
@@ -142,8 +142,8 @@ class TestLogisticGd:
         rng = np.random.default_rng(1)
         train = self._train(rng)
         out = fit_predict(LearnerSpec("logistic_gd", {"steps": 200, "lr": 2.0}),
-                          train, [ex.x for ex in train], 0)
-        errors = sum(p != ex.y for p, ex in zip(out.predictions, train))
+                          train, [(x,) for x, _ in train], 0)
+        errors = sum(p != y for p, (_, y) in zip(out.predictions, train))
         assert errors <= 3
 
     def test_prob_output_in_unit_interval(self):
@@ -165,8 +165,8 @@ def _sigmoid_oracle(z):
 
 def _gd_oracle(train, seed, steps, lr0, lr_decay, lr_decay_every, init_scale=0.01):
     """Noise-free trajectory with the same schedule and init draw as sgld_fit."""
-    xs = np.array([ex.x for ex in train])
-    ys = np.array([ex.y for ex in train], dtype=float)
+    xs, ys = arrays(train)
+    ys = ys.astype(float)
     X = np.hstack([xs, np.ones((len(train), 1))])
     rng = np.random.default_rng(seed)
     w = rng.normal(0.0, init_scale, X.shape[1])
@@ -296,8 +296,6 @@ class TestReproducibility:
     def test_metadata_helpers(self):
         assert has_weight_code(LearnerSpec("threshold_erm"))
         assert not has_weight_code(LearnerSpec("knn", {"k": 1}))
-        assert is_deterministic(LearnerSpec("memorizer"))
-        assert not is_deterministic(LearnerSpec("sgld_linear"))
         assert prediction_space(LearnerSpec("logistic_gd",
                                             {"output": "prob"})).kind == "real"
 
@@ -322,9 +320,7 @@ def _stability_oracle(spec, gen, n, which, trials, seed=0):
 
     acc = np.zeros((n, n)) if which == "train" else np.zeros(n)
     for t in range(trials):
-        examples = sample_examples(gen, n + 2, derive_seed(seed, t, 0))
-        xs = np.array([ex.x for ex in examples], dtype=float)
-        ys = np.array([ex.y for ex in examples], dtype=np.int64)
+        xs, ys = sample_examples(gen, n + 2, derive_seed(seed, t, 0))
         base_xs, base_ys = xs[:n], ys[:n]
         queries = xs[n + 1:n + 2] if which == "test" else base_xs
         r = derive_seed(seed, t, 1)

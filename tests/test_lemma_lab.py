@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from fcmi.core import ContractViolation, LabeledExample, Supersample, exact_rows
+from fcmi.core import ContractViolation, Supersample, exact_rows
 from fcmi.learners import LearnerSpec, fill_table
 from fcmi.lemma_lab import (
     DiscreteJointInstance,
@@ -177,12 +177,12 @@ class TestKlDecomposition:
 class TestMonotonicity:
     def _supersample(self, n, seed):
         rng = np.random.default_rng(seed)
-        mk = lambda: LabeledExample((float(rng.random()),), int(rng.integers(2)))
-        return Supersample([(mk(), mk()) for _ in range(n)])
+        # point by point: feature, then label
+        xs, ys = zip(*[(rng.random(), int(rng.integers(2))) for _ in range(2 * n)])
+        return Supersample(np.reshape(xs, (-1, 1)), ys)
 
     def test_constant_learner_all_zero(self):
-        mkz = lambda x: LabeledExample((x,), 0)
-        ss = Supersample([(mkz(0.1), mkz(0.2)), (mkz(0.6), mkz(0.9))])
+        ss = Supersample([[0.1], [0.2], [0.6], [0.9]], [0, 0, 0, 0])
         table = fill_table(ss, LearnerSpec("threshold_erm"), *exact_rows(ss.n, (0,)))
         out = verify_monotonicity_in_m(table)
         assert out["non_decreasing"]
