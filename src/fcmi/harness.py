@@ -46,6 +46,7 @@ from .learners import (
     estimate_stability,
     fill_table,
     has_weight_code,
+    label_classes,
     needs_binary_labels,
     prediction_space,
 )
@@ -330,9 +331,11 @@ def _draw_supersample(config: ExperimentConfig, a: int, pool=None) -> Supersampl
 # --- compatibility checks ----------------------------------------------------
 
 
-def _check_bounds_supported(config: ExperimentConfig) -> None:
+def _check_bounds_supported(config: ExperimentConfig, num_classes: int) -> None:
+    """Refuse, before any fit, a bound the learner, mode or data cannot give;
+    ``num_classes`` sizes the prediction alphabet of class-label learners."""
     spec = config.learner
-    space = prediction_space(spec)
+    space = prediction_space(spec, num_classes)
     if LOSS_SPACE[config.loss] != space.kind:
         raise UnsupportedCombinationError(
             f"loss {config.loss!r} does not match the {space.kind!r} prediction "
@@ -562,8 +565,8 @@ def run_experiment(config: ExperimentConfig, keep_tables: bool = False) -> Exper
     by counter, and results assemble in index order regardless of scheduling.
     """
     t0 = time.perf_counter()
-    _check_bounds_supported(config)
     pool = _load_pool(config)
+    _check_bounds_supported(config, 2 if pool is None else label_classes(pool[1]))
     subsets = None
     subset_meta = None
     if "fcmi_subset_m" in config.bounds:

@@ -4,7 +4,8 @@ Every learner is a pure function of (training arrays, query array, seed):
 identical inputs and seed reproduce the output bit for bit. Class-label
 learners emit an int array of shape (Q,); probability-output learners emit a
 float array of shape (Q, d). ``fill_table`` runs a learner on every (split,
-seed) row of a trial table.
+seed) row of a trial table. The linear learners fit a stack of training sets
+at once, and each set's weights are bit for bit those of fitting it alone.
 """
 
 from __future__ import annotations
@@ -36,6 +37,12 @@ LEARNER_KINDS = (
     "noisy_wrapper",
     "ensemble",
 )
+_LINEAR = ("logistic_gd", "sgld_linear")
+
+# Doubles in the largest stacked array of one batch of linear fits: the
+# (B, N, d + 1) inputs, SGLD's (B, steps, d + 1) noise and the (B, Q)
+# predictions each stay under it, unless a single training set is larger.
+_BATCH_CELLS = 2 ** 15
 
 
 @dataclass(frozen=True)
@@ -59,7 +66,7 @@ class LearnerSpec:
 def _validate_params(kind: str, params: dict) -> None:
     if kind == "knn" and params.get("k", 1) < 1:
         raise ContractViolation("knn needs k >= 1")
-    if kind in ("logistic_gd", "sgld_linear"):
+    if kind in _LINEAR:
         if params.get("steps", 1) < 1:
             raise ContractViolation(f"{kind} needs steps >= 1")
         if params.get("output", "label") not in ("label", "prob"):
@@ -96,7 +103,7 @@ def prediction_space(spec: LearnerSpec, num_classes: int = 2) -> PredictionSpace
         return PredictionSpace("finite", size=num_classes)
     if spec.kind == "threshold_erm":
         return PredictionSpace("finite", size=2)
-    if spec.kind in ("logistic_gd", "sgld_linear"):
+    if spec.kind in _LINEAR:
         if spec.params.get("output", "label") == "prob":
             return PredictionSpace("real", dim=1)
         return PredictionSpace("finite", size=2)
@@ -112,6 +119,11 @@ def prediction_space(spec: LearnerSpec, num_classes: int = 2) -> PredictionSpace
     raise ContractViolation(f"unknown learner kind {spec.kind!r}")
 
 
+def label_classes(ys: np.ndarray) -> int:
+    """Size of the class alphabet of the labels ``ys``: at least binary."""
+    return max(2, int(ys.max()) + 1)
+
+
 def has_weight_code(spec: LearnerSpec) -> bool:
     return spec.kind == "threshold_erm"
 
@@ -123,7 +135,7 @@ def needs_binary_labels(spec: LearnerSpec) -> bool:
     if spec.kind == "ensemble":
         return any(needs_binary_labels(LearnerSpec.from_json_dict(m))
                    for m in spec.params["members"])
-    return spec.kind in ("logistic_gd", "sgld_linear")
+    return spec.kind in _LINEAR
 
 
 # --- individual learners ----------------------------------------------------
@@ -178,62 +190,112 @@ def _knn(train_xs: np.ndarray, train_ys: np.ndarray, query_xs: np.ndarray,
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
+    # exp(-|z|) never overflows, and each branch is the stable form for its
+    # sign of z, so no boolean scatter is needed
+    e = np.exp(-np.abs(z))
+    return np.where(z >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
-def logistic_fit(xs: np.ndarray, ys: np.ndarray, seed: int, steps: int = 100,
+def _design(xs: np.ndarray) -> np.ndarray:
+    """Inputs with a trailing bias column: (..., N, d) -> (..., N, d + 1)."""
+    return np.concatenate([xs, np.ones(xs.shape[:-1] + (1,))], axis=-1)
+
+
+def _logistic_grad(X: np.ndarray, w: np.ndarray, ys: np.ndarray) -> np.ndarray:
+    """Summed logistic-loss gradient X^T (sigmoid(X w) - y) of each stacked set.
+
+    Each product is one stacked matmul, which runs the same BLAS gemv per set
+    as a single (N, d + 1) fit, so a set's weights do not depend on its batch.
+    """
+    residual = _sigmoid(np.matmul(X, w[..., None])[..., 0]) - ys
+    return np.matmul(X.transpose(0, 2, 1), residual[..., None])[..., 0]
+
+
+def logistic_fit(xs: np.ndarray, ys: np.ndarray, seeds, steps: int = 100,
                  lr: float = 0.5, init_scale: float = 0.01) -> np.ndarray:
-    """Full-batch gradient descent on mean logistic loss; no early stopping."""
+    """Full-batch gradient descent on mean logistic loss; no early stopping.
+
+    Fits B training sets at once: (B, N, d) inputs, (B, N) labels and one
+    seed per set. Returns the (B, d + 1) weights, bias last.
+    """
     if np.any((ys != 0) & (ys != 1)):
         raise ContractViolation("logistic_gd needs binary labels")
-    X = np.hstack([xs, np.ones((xs.shape[0], 1))])
-    rng = np.random.default_rng(seed)
-    w = rng.normal(0.0, init_scale, X.shape[1])
+    X = _design(xs)
+    w = np.stack([np.random.default_rng(int(s)).normal(0.0, init_scale, X.shape[2])
+                  for s in seeds])
     for _ in range(steps):
-        p = _sigmoid(X @ w)
-        w = w - lr * (X.T @ (p - ys)) / X.shape[0]
+        w = w - lr * _logistic_grad(X, w, ys) / X.shape[1]
     return w
 
 
-def sgld_fit(xs: np.ndarray, ys: np.ndarray, seed: int, steps: int = 200,
+def sgld_fit(xs: np.ndarray, ys: np.ndarray, seeds, steps: int = 200,
              lr0: float = 0.05, lr_decay: float = 0.9, lr_decay_every: int = 100,
              temp_min: float = 100.0, temp_max: float = 4000.0,
              temp_scale: float = 100.0, init_scale: float = 0.01) -> np.ndarray:
     """Vanilla SGLD on the summed logistic loss of a linear model.
 
-    Per-step noise variance is lr_t / beta_t with the inverse temperature
+    Fits B training sets at once: (B, N, d) inputs, (B, N) labels and one
+    seed per set. Returns the (B, d + 1) weights, bias last. Per-step noise
+    variance is lr_t / beta_t with the inverse temperature
     beta_t = min(temp_max, max(temp_min, 10 * exp(t / temp_scale))). The
     standard-normal stream is drawn unconditionally so that runs at different
     temperatures share it.
     """
     if np.any((ys != 0) & (ys != 1)):
         raise ContractViolation("sgld_linear needs binary labels")
-    X = np.hstack([xs, np.ones((xs.shape[0], 1))])
-    rng = np.random.default_rng(seed)
-    w = rng.normal(0.0, init_scale, X.shape[1])
+    X = _design(xs)
+    rngs = [np.random.default_rng(int(s)) for s in seeds]
+    w = np.stack([rng.normal(0.0, init_scale, X.shape[2]) for rng in rngs])
+    # each seed's stream drawn a block of steps at a time is the same draws as
+    # one row per step; a block of the whole batch stays within _BATCH_CELLS
+    block = max(1, _BATCH_CELLS // (len(rngs) * X.shape[2]))
     for t in range(steps):
+        if t % block == 0:
+            eps = np.stack([rng.standard_normal((min(block, steps - t), X.shape[2]))
+                            for rng in rngs])
         lr = lr0 * lr_decay ** (t // lr_decay_every)
         beta = min(temp_max, max(temp_min, 10.0 * math.exp(t / temp_scale)))
-        grad = X.T @ (_sigmoid(X @ w) - ys)
-        eps = rng.standard_normal(X.shape[1])
-        w = w - 0.5 * lr * grad + math.sqrt(lr / beta) * eps
+        grad = _logistic_grad(X, w, ys)
+        w = w - 0.5 * lr * grad + math.sqrt(lr / beta) * eps[:, t % block]
     return w
 
 
+def _linear_weights(spec: LearnerSpec, xs: np.ndarray, ys: np.ndarray,
+                    seeds) -> np.ndarray:
+    """(B, d + 1) weights of a linear learner fitted to B stacked training sets."""
+    p = spec.params
+    if spec.kind == "logistic_gd":
+        return logistic_fit(xs, ys, seeds, steps=int(p.get("steps", 100)),
+                            lr=float(p.get("lr", 0.5)),
+                            init_scale=float(p.get("init_scale", 0.01)))
+    return sgld_fit(xs, ys, seeds, steps=int(p.get("steps", 200)),
+                    lr0=float(p.get("lr0", 0.05)),
+                    lr_decay=float(p.get("lr_decay", 0.9)),
+                    lr_decay_every=int(p.get("lr_decay_every", 100)),
+                    temp_min=float(p.get("temp_min", 100.0)),
+                    temp_max=float(p.get("temp_max", 4000.0)),
+                    temp_scale=float(p.get("temp_scale", 100.0)),
+                    init_scale=float(p.get("init_scale", 0.01)))
+
+
+def _batch_sets(spec: LearnerSpec, size: int, dim: int, queries: int) -> int:
+    """Training sets of ``size`` rows and ``dim`` features per batch of linear
+    fits predicting ``queries`` queries: as many as keep every stacked array
+    of the batch within ``_BATCH_CELLS`` doubles, and at least one."""
+    per_set = max(size * (dim + 1), queries)
+    if spec.kind == "sgld_linear":
+        per_set = max(per_set, int(spec.params.get("steps", 200)) * (dim + 1))
+    return max(1, _BATCH_CELLS // per_set)
+
+
 def _linear_predict(w: np.ndarray, query_xs: np.ndarray, output: str) -> np.ndarray:
-    # one dot product and sigmoid per query: a single matmul over all queries
-    # changes the last ulp of some probabilities
-    probs = []
-    for q in query_xs:
-        z = float(np.dot(np.append(q, 1.0), w))
-        probs.append(float(_sigmoid(np.array([z]))[0]))
-    probs = np.array(probs)
-    return probs[:, None] if output == "prob" else (probs > 0.5).astype(np.int64)
+    """Predictions of (..., d + 1) weights on (Q, d) queries: (..., Q) labels
+    or (..., Q, 1) probabilities."""
+    # vecdot (NumPy 2.0 and later) takes one BLAS ddot per (weights, query)
+    # pair, as a per-query np.dot does; a matmul over all queries sums in
+    # another order and moves the last ulp of some probabilities
+    probs = _sigmoid(np.vecdot(_design(query_xs), w[..., None, :]))
+    return probs[..., None] if output == "prob" else (probs > 0.5).astype(np.int64)
 
 
 def _digest(data: bytes) -> int:
@@ -290,20 +352,8 @@ def train_predict(spec: LearnerSpec, train_xs, train_ys, query_xs,
         return LearnerOutput((query_xs[:, 0] > w).astype(np.int64), weight_code=code)
     if spec.kind == "knn":
         return LearnerOutput(_knn(train_xs, train_ys, query_xs, int(p.get("k", 1))))
-    if spec.kind == "logistic_gd":
-        w = logistic_fit(train_xs, train_ys, seed, steps=int(p.get("steps", 100)),
-                         lr=float(p.get("lr", 0.5)),
-                         init_scale=float(p.get("init_scale", 0.01)))
-        return LearnerOutput(_linear_predict(w, query_xs, p.get("output", "label")))
-    if spec.kind == "sgld_linear":
-        w = sgld_fit(train_xs, train_ys, seed, steps=int(p.get("steps", 200)),
-                     lr0=float(p.get("lr0", 0.05)),
-                     lr_decay=float(p.get("lr_decay", 0.9)),
-                     lr_decay_every=int(p.get("lr_decay_every", 100)),
-                     temp_min=float(p.get("temp_min", 100.0)),
-                     temp_max=float(p.get("temp_max", 4000.0)),
-                     temp_scale=float(p.get("temp_scale", 100.0)),
-                     init_scale=float(p.get("init_scale", 0.01)))
+    if spec.kind in _LINEAR:
+        w = _linear_weights(spec, train_xs[None], train_ys[None], [seed])[0]
         return LearnerOutput(_linear_predict(w, query_xs, p.get("output", "label")))
     if spec.kind == "noisy_wrapper":
         inner = LearnerSpec.from_json_dict(p["inner"])
@@ -327,6 +377,36 @@ def train_predict(spec: LearnerSpec, train_xs, train_ys, query_xs,
     raise ContractViolation(f"unknown learner kind {spec.kind!r}")
 
 
+def _fit_predict_rows(spec: LearnerSpec, xs: np.ndarray, ys: np.ndarray,
+                      train_idx: np.ndarray, query_xs: np.ndarray, seeds):
+    """One fit per row of ``train_idx``, each predicting on every query.
+
+    Row t trains on ``xs[train_idx[t]]``, ``ys[train_idx[t]]`` with seed
+    ``seeds[t]``. Linear learners fit their rows in batches sized by
+    ``_batch_sets``, gathered batch by batch; every other learner fits row
+    by row. Returns the (T, ...) predictions and the (T,) weight codes, or
+    None when the learner has no weight code.
+    """
+    rows, size = train_idx.shape
+    linear = spec.kind in _LINEAR
+    step = _batch_sets(spec, size, xs.shape[1], len(query_xs)) if linear else 1
+    preds, codes = None, []
+    for lo in range(0, rows, step):
+        idx = train_idx[lo:lo + step]
+        if linear:
+            w = _linear_weights(spec, xs[idx], ys[idx], seeds[lo:lo + step])
+            chunk = _linear_predict(w, query_xs, spec.params.get("output", "label"))
+            codes.extend([None] * len(idx))
+        else:
+            out = train_predict(spec, xs[idx[0]], ys[idx[0]], query_xs, int(seeds[lo]))
+            chunk = out.predictions[None]
+            codes.append(out.weight_code)
+        if preds is None:
+            preds = np.empty((rows,) + chunk.shape[1:], dtype=chunk.dtype)
+        preds[lo:lo + step] = chunk
+    return preds, None if None in codes else np.array(codes, dtype=np.int64)
+
+
 def fill_table(supersample: Supersample, spec: LearnerSpec, masks, seeds,
                loss_name: str = "zero_one", supersample_id: str = "") -> TrialTable:
     """Run the learner once per (mask, seed) row and score both halves.
@@ -337,28 +417,25 @@ def fill_table(supersample: Supersample, spec: LearnerSpec, masks, seeds,
     masks = np.asarray(masks, dtype=np.uint8)
     if masks.ndim != 2 or masks.shape[0] < 1 or len(seeds) != masks.shape[0]:
         raise ContractViolation("need at least one (mask, seed) row, one seed per mask")
+    if masks.shape[1] != supersample.n:
+        raise ContractViolation(
+            f"masks have {masks.shape[1]} bits for a supersample of {supersample.n} pairs")
     xs, ys = supersample.xs, supersample.ys
     rows, n = masks.shape
-    preds, codes = None, []
-    for t in range(rows):
-        train, _ = split_slots(masks[t])
-        out = train_predict(spec, xs[train], ys[train], xs, int(seeds[t]))
-        if preds is None:
-            preds = np.empty((rows,) + out.predictions.shape, dtype=out.predictions.dtype)
-        preds[t] = out.predictions
-        codes.append(out.weight_code)
+    # the (T, n) training-slot index is only needed while fitting
+    preds, codes = _fit_predict_rows(spec, xs, ys, split_slots(masks)[0], xs, seeds)
     # pair-major slot losses: [..., 0] is slot 2i, [..., 1] is slot 2i + 1
     pair_loss = LOSSES[loss_name](preds, ys).reshape(rows, n, 2)
     in_train = masks.astype(bool)
     return TrialTable(
         supersample_id=supersample_id,
-        prediction_space=prediction_space(spec, max(2, int(ys.max()) + 1)),
+        prediction_space=prediction_space(spec, label_classes(ys)),
         masks=masks,
         seeds=seeds,
         preds=preds,
         train_loss=np.where(in_train, pair_loss[..., 1], pair_loss[..., 0]).mean(axis=1),
         test_loss=np.where(in_train, pair_loss[..., 0], pair_loss[..., 1]).mean(axis=1),
-        weight_code=None if None in codes else np.array(codes, dtype=np.int64),
+        weight_code=codes,
     )
 
 
@@ -382,17 +459,18 @@ def estimate_stability(spec: LearnerSpec, gen, n: int, trials: int,
     """
     if trials < 1:
         raise ContractViolation("trials must be >= 1")
+    if n < 1:
+        raise ContractViolation("stability needs n >= 1 training points")
+    # row 0 trains on the base points 0..n-1; row 1 + i swaps point i for
+    # the replacement point n
+    train = np.tile(np.arange(n), (n + 1, 1))
+    np.fill_diagonal(train[1:], n)
     acc = np.zeros((n, n + 1))
     for t in range(trials):
         xs, ys = sample_examples(gen, n + 2, derive_seed(seed, t, 0))
-        base_xs, base_ys = xs[:n], ys[:n]
-        queries = np.concatenate([base_xs, xs[n + 1:]])
-        r = derive_seed(seed, t, 1)
-        fits = [train_predict(spec, base_xs, base_ys, queries, r).predictions]
-        for i in range(n):
-            swapped_xs, swapped_ys = base_xs.copy(), base_ys.copy()
-            swapped_xs[i], swapped_ys[i] = xs[n], ys[n]
-            fits.append(train_predict(spec, swapped_xs, swapped_ys, queries, r).predictions)
+        queries = np.concatenate([xs[:n], xs[n + 1:]])
+        fits, _ = _fit_predict_rows(spec, xs, ys, train, queries,
+                                    [derive_seed(seed, t, 1)] * (n + 1))
         # class labels embed as 1-D real vectors
         preds = np.asarray(fits, dtype=float).reshape(n + 1, n + 1, -1)
         shift = preds[1:] - preds[0]

@@ -1,5 +1,6 @@
 import json
 
+import fcmi.learners
 from fcmi.cli import main, render_curves_svg
 from fcmi.harness import load_report
 
@@ -19,6 +20,19 @@ def write_config(tmp_path, name="config.json", **overrides):
     path = tmp_path / name
     path.write_text(json.dumps(config), encoding="utf-8")
     return path
+
+
+def count_fits(monkeypatch) -> list:
+    """Record the size of every training set the learners fit from now on."""
+    fits = []
+    real = fcmi.learners._fit_predict_rows
+
+    def counting(spec, xs, ys, train_idx, *args):
+        fits.extend(len(row) for row in train_idx)
+        return real(spec, xs, ys, train_idx, *args)
+
+    monkeypatch.setattr(fcmi.learners, "_fit_predict_rows", counting)
+    return fits
 
 
 class TestRun:
@@ -46,12 +60,7 @@ class TestRun:
     def test_noisy_wrapper_with_absolute_loss_is_config_error(self, tmp_path, monkeypatch):
         """The wrapper's noise leaves [0, 1], so the absolute loss is refused
         when the config is checked, before any fit."""
-        import fcmi.learners
-
-        fits = []
-        real = fcmi.learners.train_predict
-        monkeypatch.setattr(fcmi.learners, "train_predict",
-                            lambda *a, **kw: fits.append(1) or real(*a, **kw))
+        fits = count_fits(monkeypatch)
         inner = {"kind": "logistic_gd", "params": {"output": "prob", "steps": 20}}
         config = write_config(
             tmp_path, data={"kind": "two_gaussians", "params": {"dim": 2, "sep": 2.0}},
@@ -88,12 +97,12 @@ class TestRun:
 class TestCsvValidation:
     """A bad csv pool is a configuration error, found before any fit."""
 
-    def _run(self, tmp_path, rows, learner):
+    def _run(self, tmp_path, rows, learner, **overrides):
         data = tmp_path / "data.csv"
         data.write_text("x_0,y\n" + "".join(f"{x},{y}\n" for x, y in rows),
                         encoding="utf-8")
         config = write_config(tmp_path, data={"kind": "csv", "params": {"path": str(data)}},
-                              learner=learner)
+                              learner=learner, **overrides)
         return main(["run", str(config), "-o", str(tmp_path / "out")])
 
     GOOD = [(i / 10, i % 2) for i in range(10)]
@@ -118,6 +127,17 @@ class TestCsvValidation:
         sgld = {"kind": "sgld_linear", "params": {"steps": 5}}
         assert self._run(tmp_path, rows, sgld) == 2
         assert self._run(tmp_path, rows, self.KNN) == 0  # multi-class is fine here
+
+    def test_multiclass_alphabet_sized_from_pool(self, tmp_path, monkeypatch):
+        """3 classes at n=5 give a 3^10 * 2^5 = 1,889,568-cell fcmi_mn joint, over
+        the plug-in limit; at 2 classes it is 32,768 cells and runs."""
+        fits = count_fits(monkeypatch)
+        three = [(i / 30, i % 3) for i in range(30)]
+        assert self._run(tmp_path, three, self.KNN, n=5, bounds=["fcmi_mn"]) == 2
+        assert fits == []
+        two = [(i / 30, i % 2) for i in range(30)]
+        assert self._run(tmp_path, two, self.KNN, n=5, bounds=["fcmi_mn"]) == 0
+        assert fits
 
     def test_missing_file_is_config_error(self, tmp_path):
         config = write_config(tmp_path, data={"kind": "csv", "params": {

@@ -49,6 +49,23 @@ GOLDEN = {
         "8826f3eb923cda0afe782e3de065c099b9d5ce752ce4c673adf82b862a49e05a",
         "0.12099090068470245", "0.0659531386634707",
         "43bea5dab7d2e114a925c26958d110dd15f3782f5f43e1ff7419df2b68a199e1"),
+    "mc_sgld_prob_n5_det_squared": (
+        dict(data=GAUSS_DATA, n=5, k1=2, k2=20,
+             learner={"kind": "sgld_linear",
+                      "params": {"output": "prob", "steps": 40}},
+             mode="monte_carlo", loss="absolute", bounds=["det_stability_squared"],
+             stability={"trials": 3, "gamma": 1.0}, master_seed=11),
+        "f6cae7f29d29bf26f3ffa21449750e52b84ae6397bce1de3742d8845adad9d5e",
+        "0.040621370952066436", "0.06182084609102157",
+        "fcc9061062189f3f059a5c84e24008a69c93e284c520eb08fbafff0ecf0bc5d2"),
+    # 100 trials of 200 training rows span more than one batch of linear fits
+    "mc_logistic_label_n200": (
+        dict(data=GAUSS_DATA, n=200, k1=2, k2=100,
+             learner={"kind": "logistic_gd", "params": {"output": "label"}},
+             mode="monte_carlo", bounds=["fcmi_m1"], master_seed=12),
+        "bfa24d3f0b7f669a34a999bcdc85d06a9c463a362bb66a1a29435fc6be52c48b",
+        "0.002174999999999999", "0.001944543648263006",
+        "41ef1b8a7e9ab054cb497d9124b4f20361224cc87c4f9703dcac18e28a773da8"),
     "csv_knn3_n6_jobs2": (
         dict(data=CSV_DATA, n=6, k1=3, k2=30,
              learner={"kind": "knn", "params": {"k": 3}},

@@ -317,10 +317,17 @@ class TestReproducibility:
         b = run_experiment(base_config(master_seed=12))
         assert canonical_json(a.to_json_dict()) != canonical_json(b.to_json_dict())
 
-    @pytest.mark.parametrize("mode", ["monte_carlo", "exact_enumeration"])
-    def test_parallel_matches_serial(self, mode):
-        serial = run_experiment(base_config(k1=3, jobs=1, mode=mode)).to_json_dict()
-        parallel = run_experiment(base_config(k1=3, jobs=2, mode=mode)).to_json_dict()
+    @pytest.mark.parametrize("overrides", [
+        {"mode": "monte_carlo"},
+        {"mode": "exact_enumeration"},
+        {"data": {"kind": "two_gaussians", "params": {"dim": 2, "sep": 2.0}},
+         "learner": {"kind": "logistic_gd", "params": {"output": "prob", "steps": 20}},
+         "loss": "absolute", "bounds": ["det_stability"],
+         "stability": {"trials": 2, "gamma": 1.0}},
+    ], ids=["monte_carlo", "exact_enumeration", "logistic_gd_prob"])
+    def test_parallel_matches_serial(self, overrides):
+        serial = run_experiment(base_config(k1=3, jobs=1, **overrides)).to_json_dict()
+        parallel = run_experiment(base_config(k1=3, jobs=2, **overrides)).to_json_dict()
         # the pool size is echoed as provenance; everything computed must match
         serial["config"].pop("jobs")
         parallel["config"].pop("jobs")

@@ -1,17 +1,28 @@
 import itertools
 import math
+import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fcmi.core import ContractViolation
-from fcmi.datagen import GeneratorSpec
+from fcmi.datagen import GeneratorSpec, sample_supersample
+import fcmi.learners
 from fcmi.learners import (
     LearnerSpec,
+    _fit_predict_rows,
+    _linear_predict,
+    _sigmoid,
     derive_seed,
     ensemble_combine,
     estimate_stability,
+    fill_table,
     has_weight_code,
+    label_classes,
+    logistic_fit,
     noisy_predict,
     prediction_space,
     sgld_fit,
@@ -185,7 +196,9 @@ class TestSgld:
         w_gd = _gd_oracle(train, seed=9, **kwargs)
         dists = []
         for temp in (1e2, 1e6, 1e10):
-            w = sgld_fit(*arrays(train), seed=9, temp_min=temp, temp_max=temp, **kwargs)
+            xs, ys = arrays(train)
+            w = sgld_fit(xs[None], ys[None], [9], temp_min=temp, temp_max=temp,
+                         **kwargs)[0]
             dists.append(float(np.linalg.norm(w - w_gd)))
         assert dists[0] > dists[1] > dists[2]
         assert dists[2] < 1e-4
@@ -197,6 +210,198 @@ class TestSgld:
         out = fit_predict(LearnerSpec("sgld_linear", {"steps": 50}), train,
                           [(0.2,), (0.9,)], 5)
         assert all(p in (0, 1) for p in out.predictions)
+
+
+# The per-fit, per-query linear learners the batched ones replaced, kept
+# verbatim (bar the names) as oracles: batching must not move a single bit.
+
+
+def _scalar_sigmoid(z: np.ndarray) -> np.ndarray:
+    out = np.empty_like(z)
+    pos = z >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    ez = np.exp(z[~pos])
+    out[~pos] = ez / (1.0 + ez)
+    return out
+
+
+def _scalar_logistic_fit(xs: np.ndarray, ys: np.ndarray, seed: int, steps: int = 100,
+                         lr: float = 0.5, init_scale: float = 0.01) -> np.ndarray:
+    """Full-batch gradient descent on mean logistic loss; no early stopping."""
+    if np.any((ys != 0) & (ys != 1)):
+        raise ContractViolation("logistic_gd needs binary labels")
+    X = np.hstack([xs, np.ones((xs.shape[0], 1))])
+    rng = np.random.default_rng(seed)
+    w = rng.normal(0.0, init_scale, X.shape[1])
+    for _ in range(steps):
+        p = _scalar_sigmoid(X @ w)
+        w = w - lr * (X.T @ (p - ys)) / X.shape[0]
+    return w
+
+
+def _scalar_sgld_fit(xs: np.ndarray, ys: np.ndarray, seed: int, steps: int = 200,
+                     lr0: float = 0.05, lr_decay: float = 0.9, lr_decay_every: int = 100,
+                     temp_min: float = 100.0, temp_max: float = 4000.0,
+                     temp_scale: float = 100.0, init_scale: float = 0.01) -> np.ndarray:
+    """Vanilla SGLD on the summed logistic loss of a linear model.
+
+    Per-step noise variance is lr_t / beta_t with the inverse temperature
+    beta_t = min(temp_max, max(temp_min, 10 * exp(t / temp_scale))). The
+    standard-normal stream is drawn unconditionally so that runs at different
+    temperatures share it.
+    """
+    if np.any((ys != 0) & (ys != 1)):
+        raise ContractViolation("sgld_linear needs binary labels")
+    X = np.hstack([xs, np.ones((xs.shape[0], 1))])
+    rng = np.random.default_rng(seed)
+    w = rng.normal(0.0, init_scale, X.shape[1])
+    for t in range(steps):
+        lr = lr0 * lr_decay ** (t // lr_decay_every)
+        beta = min(temp_max, max(temp_min, 10.0 * math.exp(t / temp_scale)))
+        grad = X.T @ (_scalar_sigmoid(X @ w) - ys)
+        eps = rng.standard_normal(X.shape[1])
+        w = w - 0.5 * lr * grad + math.sqrt(lr / beta) * eps
+    return w
+
+
+def _scalar_linear_predict(w: np.ndarray, query_xs: np.ndarray, output: str) -> np.ndarray:
+    # one dot product and sigmoid per query: a single matmul over all queries
+    # changes the last ulp of some probabilities
+    probs = []
+    for q in query_xs:
+        z = float(np.dot(np.append(q, 1.0), w))
+        probs.append(float(_scalar_sigmoid(np.array([z]))[0]))
+    probs = np.array(probs)
+    return probs[:, None] if output == "prob" else (probs > 0.5).astype(np.int64)
+
+
+_LINEAR_FITS = {"logistic_gd": (logistic_fit, _scalar_logistic_fit),
+                "sgld_linear": (sgld_fit, _scalar_sgld_fit)}
+
+
+def _check_batch_matches_oracles(kind, output, steps, xs, ys, train_idx, queries,
+                                 seeds, cap):
+    spec = LearnerSpec(kind, {"steps": steps, "output": output})
+    batch_fit, scalar_fit = _LINEAR_FITS[kind]
+    with warnings.catch_warnings(), mock.patch.object(fcmi.learners, "_BATCH_CELLS", cap):
+        warnings.simplefilter("error")
+        weights = batch_fit(xs[train_idx], ys[train_idx], seeds, steps=steps)
+        preds, codes = _fit_predict_rows(spec, xs, ys, train_idx, queries, seeds)
+    expected = np.stack([scalar_fit(xs[idx], ys[idx], int(s), steps=steps)
+                         for idx, s in zip(train_idx, seeds)])
+    assert np.array_equal(weights, expected)
+    assert np.array_equal(preds, np.stack([_scalar_linear_predict(w, queries, output)
+                                           for w in expected]))
+    assert codes is None
+
+
+class TestBatchedLinear:
+    @given(st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_batched_fit_and_predict_match_scalar_oracles(self, data):
+        kind = data.draw(st.sampled_from(sorted(_LINEAR_FITS)))
+        output = data.draw(st.sampled_from(["label", "prob"]))
+        n_sets = data.draw(st.integers(1, 6))
+        size = data.draw(st.integers(1, 40))
+        dim = data.draw(st.integers(1, 4))
+        steps = data.draw(st.integers(1, 120))
+        scale = data.draw(st.sampled_from([0.1, 1.0, 10.0, 100.0]))
+        # the module cap, or one that splits the sets over several batches
+        # and SGLD's noise stream over several blocks of steps
+        cap = data.draw(st.sampled_from([fcmi.learners._BATCH_CELLS, 1,
+                                         (dim + 1) * size, (dim + 1) * (2 * size + 1),
+                                         (dim + 1) * n_sets * 3]))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32)))
+        pool = size + 3
+        xs = rng.normal(0.0, scale, (pool, dim))
+        ys = rng.integers(0, 2, pool)
+        train_idx = rng.integers(0, pool, (n_sets, size))
+        queries = rng.normal(0.0, scale, (int(rng.integers(1, 30)), dim))
+        seeds = rng.integers(0, 2 ** 63, n_sets, dtype=np.uint64)
+        _check_batch_matches_oracles(kind, output, steps, xs, ys, train_idx, queries,
+                                     seeds, cap)
+
+    @pytest.mark.parametrize("kind", sorted(_LINEAR_FITS))
+    def test_batch_crossing_module_cap(self, kind):
+        rng = np.random.default_rng(12)
+        size = 200
+        spec = LearnerSpec(kind, {"steps": 3, "output": "prob"})
+        n_sets = fcmi.learners._batch_sets(spec, size, 2, 7) + 2
+        xs = rng.normal(0.0, 1.0, (2 * size, 2))
+        ys = rng.integers(0, 2, 2 * size)
+        train_idx = np.stack([rng.permutation(2 * size)[:size] for _ in range(n_sets)])
+        seeds = [derive_seed(12, t) for t in range(n_sets)]
+        _check_batch_matches_oracles(kind, "prob", 3, xs, ys, train_idx, xs[:7], seeds,
+                                     fcmi.learners._BATCH_CELLS)
+
+    @pytest.mark.parametrize("kind, size, dim, steps, sets", [
+        ("sgld_linear", 5, 10, 2000, 1),      # long noise stream: 22,000 doubles a set
+        ("sgld_linear", 1, 2, 200, 54),       # tiny sets: the noise stream counts
+        ("logistic_gd", 1000, 1000, 100, 1),  # wide inputs: one set at a time
+        ("logistic_gd", 1000, 2, 100, 10),    # 3,000 input doubles a set
+        ("logistic_gd", 1, 2, 100, 10922),
+    ])
+    def test_batch_size_counts_doubles(self, kind, size, dim, steps, sets):
+        """A batch holds as many sets as keep the stacked inputs, the SGLD noise
+        and the predictions within _BATCH_CELLS doubles, and at least one."""
+        assert fcmi.learners._BATCH_CELLS == 2 ** 15
+        spec = LearnerSpec(kind, {"steps": steps})
+        assert fcmi.learners._batch_sets(spec, size, dim, 2 * size) == sets
+
+    def test_sgld_noise_blocks_stay_within_cap(self, monkeypatch):
+        """One wide set with a long run draws its noise a block of steps at a
+        time, and the blocks give the draws of one row per step."""
+        monkeypatch.setattr(fcmi.learners, "_BATCH_CELLS", 64)
+        shapes = []
+        real, make = np.random.Generator.standard_normal, np.random.default_rng
+
+        class Recording:
+            def __init__(self, seed):
+                self.rng = make(seed)
+
+            def normal(self, *args):
+                return self.rng.normal(*args)
+
+            def standard_normal(self, shape):
+                shapes.append(shape)
+                return real(self.rng, shape)
+
+        rng = np.random.default_rng(14)
+        xs, ys = rng.normal(0.0, 1.0, (6, 7)), rng.integers(0, 2, 6)
+        with mock.patch.object(fcmi.learners.np.random, "default_rng", Recording):
+            w = sgld_fit(xs[None], ys[None], [5], steps=30)[0]
+        assert all(rows * 8 <= 64 for rows, _ in shapes)
+        assert sum(rows for rows, _ in shapes) == 30
+        assert np.array_equal(w, _scalar_sgld_fit(xs, ys, 5, steps=30))
+
+    def test_saturated_scores_without_warnings(self):
+        w = np.array([1.0, 0.0])
+        queries = np.array([[800.0], [-800.0], [0.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            probs = _linear_predict(w, queries, "prob")
+            sig = _sigmoid(np.array([800.0, -800.0]))
+        assert probs[:, 0].tolist() == [1.0, 0.0, 0.5]
+        assert np.array_equal(probs, _scalar_linear_predict(w, queries, "prob"))
+        assert sig.tolist() == [1.0, 0.0]
+
+    def test_train_predict_is_a_batch_of_one(self):
+        rng = np.random.default_rng(13)
+        xs, ys = rng.normal(0.0, 1.0, (9, 2)), rng.integers(0, 2, 9)
+        for kind, (_, scalar_fit) in _LINEAR_FITS.items():
+            out = train_predict(LearnerSpec(kind, {"steps": 25, "output": "prob"}),
+                                xs, ys, xs, 77)
+            w = scalar_fit(xs, ys, 77, steps=25)
+            assert np.array_equal(out.predictions, _scalar_linear_predict(w, xs, "prob"))
+
+
+class TestFillTable:
+    @pytest.mark.parametrize("width", [0, 4])
+    @pytest.mark.parametrize("kind", ["logistic_gd", "knn"])
+    def test_rejects_masks_of_another_width(self, kind, width):
+        ss = sample_supersample(_GAUSS, 3, 0)
+        with pytest.raises(ContractViolation):
+            fill_table(ss, LearnerSpec(kind), np.zeros((2, width), dtype=np.uint8), [1, 2])
 
 
 class TestNoisyWrapper:
@@ -298,6 +503,8 @@ class TestReproducibility:
         assert not has_weight_code(LearnerSpec("knn", {"k": 1}))
         assert prediction_space(LearnerSpec("logistic_gd",
                                             {"output": "prob"})).kind == "real"
+        assert label_classes(np.array([0, 0])) == 2
+        assert label_classes(np.array([0, 2, 1])) == 3
 
 
 def _as_vector(pred) -> np.ndarray:
@@ -371,16 +578,14 @@ class TestEstimateStability:
         assert estimate_stability(spec, _GAUSS, n, trials=3, seed=seed) == expected
 
     def test_one_fit_per_training_set(self, monkeypatch):
-        import fcmi.learners
-
         calls = []
-        real = fcmi.learners.train_predict
+        real = fcmi.learners._fit_predict_rows
 
-        def counting(spec, train_xs, *args):
-            calls.append(len(train_xs))
-            return real(spec, train_xs, *args)
+        def counting(spec, xs, ys, train_idx, *args):
+            calls.extend(len(row) for row in train_idx)
+            return real(spec, xs, ys, train_idx, *args)
 
-        monkeypatch.setattr(fcmi.learners, "train_predict", counting)
+        monkeypatch.setattr(fcmi.learners, "_fit_predict_rows", counting)
         n, trials = 4, 3
         estimate_stability(_STABILITY_CASES["logistic_prob"], _GAUSS, n, trials, seed=1)
         assert calls == [n] * (trials * (n + 1))
@@ -419,3 +624,8 @@ class TestEstimateStability:
     def test_rejects_zero_trials(self):
         with pytest.raises(ContractViolation):
             estimate_stability(LearnerSpec("memorizer"), _GAUSS, 2, trials=0)
+
+    @pytest.mark.parametrize("case", ["logistic_prob", "knn3"])
+    def test_rejects_empty_training_set(self, case):
+        with pytest.raises(ContractViolation):
+            estimate_stability(_STABILITY_CASES[case], _GAUSS, 0, trials=1)
