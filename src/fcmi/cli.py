@@ -135,7 +135,11 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_verify_lemmas(args) -> int:
-    reports = run_all_verifiers(instances=args.instances, seed=args.seed or 0)
+    if args.instances < 1:
+        raise ConfigError(f"--instances must be >= 1, got {args.instances}")
+    if args.seed < 0:
+        raise ConfigError(f"--seed must be >= 0, got {args.seed}")
+    reports = run_all_verifiers(instances=args.instances, seed=args.seed)
     payload = [r.to_json_dict() for r in reports]
     text = canonical_json({"verifiers": payload})
     if args.output:

@@ -1,5 +1,8 @@
 import json
 
+import pytest
+
+import fcmi.cli
 import fcmi.learners
 from fcmi.cli import main, render_curves_svg
 from fcmi.harness import load_report
@@ -193,6 +196,18 @@ class TestVerifyLemmas:
         assert main(["verify-lemmas", "--instances", "5"]) == 0
         data = json.loads(capsys.readouterr().out)
         assert "verifiers" in data
+
+    @pytest.mark.parametrize("flags", [["--instances", "0"], ["--instances", "-3"],
+                                       ["--seed", "-1"]],
+                             ids=["zero_instances", "negative_instances", "negative_seed"])
+    def test_bad_input_is_config_error(self, tmp_path, monkeypatch, capsys, flags):
+        calls = []
+        monkeypatch.setattr(fcmi.cli, "run_all_verifiers",
+                            lambda **kwargs: calls.append(kwargs))
+        out_file = tmp_path / "lemmas.json"
+        assert main(["verify-lemmas", *flags, "-o", str(out_file)]) == 2
+        assert calls == [] and not out_file.exists()
+        assert "must be >= " in capsys.readouterr().err
 
 
 class TestReport:

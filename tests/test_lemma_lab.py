@@ -1,14 +1,25 @@
 import itertools
 import math
+from typing import Sequence
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from fcmi.bounds import stability_kl_decomposition
 from fcmi.core import ContractViolation, Supersample, exact_rows
+from fcmi.infotheory import (
+    AbsoluteContinuityError,
+    conditional_mutual_information,
+    mutual_information,
+)
 from fcmi.learners import LearnerSpec, fill_table
 from fcmi.lemma_lab import (
+    VERIFIERS,
     DiscreteJointInstance,
     MarginReport,
+    _sweep_margins,
     run_all_verifiers,
     verify_dv_inequality,
     verify_erasure_lemma,
@@ -52,10 +63,7 @@ class TestDvInequality:
         assert rhs - lhs >= 0
 
     def test_random_sweep_clean(self):
-        rng = np.random.default_rng(0)
-        from fcmi.lemma_lab import _dv_margin
-
-        margins = [_dv_margin(rng) for _ in range(300)]
+        margins = _sweep_margins("dv_inequality", 300, np.random.default_rng(0))
         assert min(margins) >= -1e-9
 
 
@@ -69,10 +77,7 @@ class TestSquaredInequality:
         assert verify_squared_inequality(inst) >= 0.0
 
     def test_random_sweep_clean(self):
-        rng = np.random.default_rng(1)
-        from fcmi.lemma_lab import _squared_margin
-
-        margins = [_squared_margin(rng) for _ in range(300)]
+        margins = _sweep_margins("squared_inequality", 300, np.random.default_rng(1))
         assert min(margins) >= -1e-9
 
 
@@ -92,10 +97,7 @@ class TestSubgaussianSquare:
             verify_subgaussian_square([0.0, 1.0], [0.5, 0.5])
 
     def test_random_sweep_clean(self):
-        rng = np.random.default_rng(2)
-        from fcmi.lemma_lab import _subgaussian_margin
-
-        margins = [_subgaussian_margin(rng) for _ in range(300)]
+        margins = _sweep_margins("subgaussian_square", 300, np.random.default_rng(2))
         assert min(margins) >= -1e-9
 
 
@@ -115,16 +117,14 @@ class TestErasure:
             joint[b1 ^ b2, b1, b2] = 0.25
         from fcmi.lemma_lab import _cmi_bit_given_rest, _mi_bits_subset, _mi_nd
 
-        assert _mi_bits_subset(joint, [0]) == pytest.approx(0.0, abs=1e-12)
-        assert _cmi_bit_given_rest(joint, 0) == pytest.approx(LOG2, abs=1e-12)
-        assert _mi_nd(joint) == pytest.approx(LOG2, abs=1e-12)
+        stack = joint[None]  # the helpers take instances stacked on axis 0
+        assert _mi_bits_subset(stack, [0])[0] == pytest.approx(0.0, abs=1e-12)
+        assert _cmi_bit_given_rest(stack, 0)[0] == pytest.approx(LOG2, abs=1e-12)
+        assert _mi_nd(stack)[0] == pytest.approx(LOG2, abs=1e-12)
         assert verify_erasure_lemma(joint) >= -1e-12
 
     def test_random_sweep_clean(self):
-        rng = np.random.default_rng(3)
-        from fcmi.lemma_lab import _erasure_margin
-
-        margins = [_erasure_margin(rng) for _ in range(200)]
+        margins = _sweep_margins("erasure", 200, np.random.default_rng(3))
         assert min(margins) >= -1e-9
 
 
@@ -145,10 +145,7 @@ class TestHansSubset:
         assert verify_hans_subset_inequality(joint) == pytest.approx(0.0, abs=1e-10)
 
     def test_random_sweep_clean(self):
-        rng = np.random.default_rng(4)
-        from fcmi.lemma_lab import _hans_margin
-
-        margins = [_hans_margin(rng) for _ in range(200)]
+        margins = _sweep_margins("hans_subset", 200, np.random.default_rng(4))
         assert min(margins) >= -1e-9
 
 
@@ -167,10 +164,7 @@ class TestKlDecomposition:
         assert margin > 0
 
     def test_random_sweep_clean(self):
-        rng = np.random.default_rng(5)
-        from fcmi.lemma_lab import _kl_margin
-
-        margins = [_kl_margin(rng) for _ in range(300)]
+        margins = _sweep_margins("kl_decomposition", 300, np.random.default_rng(5))
         assert min(margins) >= -1e-9
 
 
@@ -220,3 +214,291 @@ class TestRunners:
         reports = run_all_verifiers(instances=5, seed=1)
         d = reports[0].to_json_dict()
         assert set(d) == {"lemma", "instances", "min_margin", "violations"}
+
+
+# --- scalar oracles -------------------------------------------------------------
+# The per-instance verifier bodies as they were before the margins were
+# batched, kept verbatim (renamed) as the reference for the batched kernels.
+
+
+def _scalar_mi_nd(joint: np.ndarray) -> float:
+    """I(axis 0 ; all remaining axes) of an exact joint array."""
+    flat = joint.reshape(joint.shape[0], -1)
+    return mutual_information(flat)
+
+
+def _scalar_cmi_bit_given_rest(joint: np.ndarray, i: int) -> float:
+    """I(phi ; bit i | other bits) of a joint over (phi, b_1..b_n)."""
+    moved = np.moveaxis(joint, i + 1, 1)
+    return conditional_mutual_information(moved.reshape(moved.shape[0], 2, -1))
+
+
+def _scalar_mi_bits_subset(joint: np.ndarray, subset: Sequence[int]) -> float:
+    """I(phi ; bits in subset) after marginalizing the other bits out."""
+    drop = tuple(ax for ax in range(1, joint.ndim) if ax - 1 not in set(subset))
+    marg = joint.sum(axis=drop) if drop else joint
+    return _scalar_mi_nd(marg)
+
+
+def _scalar_dv_inequality(inst: DiscreteJointInstance,
+                          center_per_phi: bool = False) -> float:
+    joint = inst.joint
+    g = inst.g.copy()
+    pa = joint.sum(axis=1)
+    pb = joint.sum(axis=0)
+    if center_per_phi:
+        row_means = g @ pb
+        g = g - row_means[:, None]
+        ranges = g.max(axis=1) - g.min(axis=1)
+        sigma = float(ranges.max()) / 2.0
+    else:
+        sigma = inst.sigma
+    lhs = abs(float(np.sum(joint * g)) - float(pa @ g @ pb))
+    rhs = math.sqrt(2.0 * sigma ** 2 * mutual_information(joint))
+    return rhs - lhs
+
+
+def _scalar_squared_inequality(inst: DiscreteJointInstance) -> float:
+    joint = inst.joint
+    g = inst.g
+    pb = joint.sum(axis=0)
+    row_means = g @ pb
+    centered = g - row_means[:, None]
+    sigma = float((centered.max(axis=1) - centered.min(axis=1)).max()) / 2.0
+    lhs = float(np.sum(joint * centered ** 2))
+    rhs = 4.0 * sigma ** 2 * (mutual_information(joint) + math.log(3.0))
+    return rhs - lhs
+
+
+def _scalar_subgaussian_square(values: Sequence[float], probs: Sequence[float],
+                               grid_points: int = 64) -> float:
+    v = np.asarray(values, dtype=float)
+    p = np.asarray(probs, dtype=float)
+    if abs(float(v @ p)) > 1e-12:
+        raise ContractViolation("X must have zero mean")
+    sigma = (float(v.max()) - float(v.min())) / 2.0
+    if sigma == 0:
+        return 0.0  # X identically zero: both sides are 1 at every lam
+    lam_max = 1.0 / (4.0 * sigma ** 2)
+    margin = math.inf
+    for k in range(grid_points):
+        lam = lam_max * k / grid_points
+        lhs = float(np.sum(p * np.exp(lam * v ** 2)))
+        rhs = 1.0 + 8.0 * lam * sigma ** 2
+        margin = min(margin, rhs - lhs)
+    return margin
+
+
+def _scalar_erasure_lemma(joint: np.ndarray) -> float:
+    n_bits = joint.ndim - 1
+    cmis = [_scalar_cmi_bit_given_rest(joint, i) for i in range(n_bits)]
+    margin = sum(cmis) - _scalar_mi_nd(joint)
+    for i in range(n_bits):
+        margin = min(margin, cmis[i] - _scalar_mi_bits_subset(joint, [i]))
+    return margin
+
+
+def _scalar_hans_subset_inequality(joint: np.ndarray) -> float:
+    n_bits = joint.ndim - 1
+    margin = math.inf
+    for size in range(2, n_bits + 1):
+        for u in itertools.combinations(range(n_bits), size):
+            lhs = _scalar_mi_bits_subset(joint, u)
+            rhs = sum(_scalar_mi_bits_subset(joint, [j for j in u if j != k])
+                      for k in u) / (size - 1)
+            margin = min(margin, lhs - rhs)
+    return margin
+
+
+def _scalar_kl_decomposition(cells, weights=None) -> float:
+    if weights is None:
+        weights = [1.0 / len(cells)] * len(cells)
+    cmi = 0.0
+    for w, (p0, p1) in zip(weights, cells):
+        joint = 0.5 * np.stack([np.asarray(p0, float), np.asarray(p1, float)], axis=1)
+        cmi += w * mutual_information(joint)
+    cap = stability_kl_decomposition(cells, weights)
+    return cap - cmi
+
+
+def _scalar_dv_pair(joint, g):
+    inst = DiscreteJointInstance(joint, g)
+    return min(_scalar_dv_inequality(inst), _scalar_dv_inequality(inst, center_per_phi=True))
+
+
+# verifier name -> scalar margin of one drawn instance (the draw's arrays)
+ORACLES = {
+    "dv_inequality": _scalar_dv_pair,
+    "squared_inequality": lambda joint, g: _scalar_squared_inequality(
+        DiscreteJointInstance(joint, g)),
+    "subgaussian_square": _scalar_subgaussian_square,
+    "erasure": _scalar_erasure_lemma,
+    "hans_subset": _scalar_hans_subset_inequality,
+    "kl_decomposition": lambda laws, w: _scalar_kl_decomposition(
+        list(zip(laws[:, 0], laws[:, 1])), w),
+}
+
+
+def _oracle_sweep(name, count, seed):
+    """The oracle's margins of the instances ``_sweep_margins`` draws from ``seed``."""
+    draw = VERIFIERS[name][0]
+    rng = np.random.default_rng(seed)
+    return [ORACLES[name](*draw(rng)) for _ in range(count)]
+
+
+# run_all_verifiers(1000, seed=0) before the margins were batched, by repr
+PINNED_MIN_MARGINS = {
+    "dv_inequality": "0.00045631652957626106",
+    "squared_inequality": "0.0007883228173527166",
+    "subgaussian_square": "-2.220446049250313e-16",
+    "erasure": "2.342430210576854e-05",
+    "hans_subset": "1.2502799064341343e-06",
+    "kl_decomposition": "7.700868846828097e-05",
+}
+
+
+def _xor_joint():
+    joint = np.zeros((2, 2, 2))
+    for b1, b2 in itertools.product((0, 1), repeat=2):
+        joint[b1 ^ b2, b1, b2] = 0.25
+    return joint
+
+
+def _identity_joint(n):
+    joint = np.zeros((2 ** n,) + (2,) * n)
+    for bits in itertools.product((0, 1), repeat=n):
+        joint[(sum(b << i for i, b in enumerate(bits)),) + bits] = 1 / 2 ** n
+    return joint
+
+
+def _stuck_bit_joint():
+    # bit 2 is always 0: every conditioning cell with b2 = 1 is empty
+    joint = np.zeros((3, 2, 2))
+    joint[:, :, 0] = [[0.1, 0.2], [0.3, 0.05], [0.15, 0.2]]
+    return joint
+
+
+_SPARSE_JOINT = np.array([[0.2, 0.0, 0.1, 0.0],
+                          [0.0, 0.15, 0.0, 0.05],
+                          [0.1, 0.0, 0.0, 0.2],
+                          [0.0, 0.1, 0.1, 0.0]])
+_JOINT_CASES = [
+    ("diagonal", np.array([[0.5, 0.0], [0.0, 0.5]]), np.array([[0.3, -0.2], [0.9, 0.1]])),
+    ("empty_row", np.array([[0.3, 0.7], [0.0, 0.0]]), np.array([[1.0, -1.0], [0.5, 0.2]])),
+    ("sparse_4x4", _SPARSE_JOINT, np.linspace(-1.0, 1.0, 16).reshape(4, 4)),
+    ("constant_g", _SPARSE_JOINT, np.full((4, 4), 0.3)),
+]
+
+
+class TestBatchedAgainstScalarOracle:
+    @given(name=st.sampled_from(sorted(VERIFIERS)), seed=st.integers(0, 2 ** 32 - 1),
+           count=st.integers(1, 40))
+    @settings(max_examples=60, deadline=None)
+    def test_sweep_margins_match_oracle(self, name, seed, count):
+        # sampled instances have no zero cell, so the batched kernels do the
+        # oracle's operations in its order and every margin has its bits
+        np.testing.assert_array_equal(
+            _sweep_margins(name, count, np.random.default_rng(seed)),
+            _oracle_sweep(name, count, seed))
+
+    @pytest.mark.parametrize("name, seed", [("dv_inequality", 4), ("squared_inequality", 2)])
+    def test_long_sweep_bit_for_bit(self, name, seed):
+        # each of these sweeps has a sigma whose Python ``sigma ** 2`` (libm
+        # pow) differs from sigma * sigma in the last bit
+        np.testing.assert_array_equal(
+            _sweep_margins(name, 1000, np.random.default_rng(seed)),
+            _oracle_sweep(name, 1000, seed))
+
+    @pytest.mark.parametrize("name", sorted(VERIFIERS))
+    def test_one_sweep_mixes_shapes(self, name):
+        draw = VERIFIERS[name][0]
+        rng = np.random.default_rng(0)
+        shapes = {tuple(part.shape for part in draw(rng)) for _ in range(40)}
+        assert len(shapes) > 1
+
+    @pytest.mark.parametrize("case", _JOINT_CASES, ids=lambda c: c[0])
+    def test_hand_joints(self, case):
+        _, joint, g = case
+        inst = DiscreteJointInstance(joint, g)
+        for center in (False, True):
+            assert verify_dv_inequality(inst, center) == pytest.approx(
+                _scalar_dv_inequality(inst, center), rel=0, abs=1e-14)
+        assert verify_squared_inequality(inst) == pytest.approx(
+            _scalar_squared_inequality(inst), rel=0, abs=1e-14)
+
+    @pytest.mark.parametrize("values, probs", [
+        ([0.0, 0.0], [0.5, 0.5]),
+        ([0.0, 0.0, 0.0], [0.2, 0.3, 0.5]),
+        ([-1.0, 1.0], [0.5, 0.5]),
+        ([-0.5, 0.5, 3.0], [0.5, 0.5, 0.0]),
+    ])
+    def test_hand_variables(self, values, probs):
+        assert verify_subgaussian_square(values, probs) == pytest.approx(
+            _scalar_subgaussian_square(values, probs), rel=0, abs=1e-14)
+        assert verify_subgaussian_square(values, probs, grid_points=7) == pytest.approx(
+            _scalar_subgaussian_square(values, probs, grid_points=7), rel=0, abs=1e-14)
+
+    @pytest.mark.parametrize("joint", [
+        _xor_joint(), _identity_joint(3), _stuck_bit_joint(),
+        np.full((2, 2, 2, 2), 1 / 16),
+    ], ids=["xor", "identity3", "stuck_bit", "uniform"])
+    def test_hand_bit_joints(self, joint):
+        assert verify_erasure_lemma(joint) == pytest.approx(
+            _scalar_erasure_lemma(joint), rel=0, abs=1e-14)
+        assert verify_hans_subset_inequality(joint) == pytest.approx(
+            _scalar_hans_subset_inequality(joint), rel=0, abs=1e-14)
+
+    @pytest.mark.parametrize("cells, weights", [
+        # the second cell has weight 0: its laws are not absolutely continuous
+        # and are never checked, as the cap skips the cell
+        ([([0.5, 0.5], [0.25, 0.75]), ([1.0, 0.0], [0.0, 1.0])], [1.0, 0.0]),
+        ([([0.5, 0.5, 0.0], [0.25, 0.75, 0.0])], None),
+        ([([0.2, 0.8], [0.6, 0.4]), ([0.5, 0.5], [0.5, 0.5])], [0.3, 0.7]),
+    ])
+    def test_hand_cells(self, cells, weights):
+        assert verify_kl_decomposition(cells, weights) == pytest.approx(
+            _scalar_kl_decomposition(cells, weights), rel=0, abs=1e-14)
+
+    def test_kl_checks_live_cells(self):
+        cells = [([0.5, 0.5], [0.25, 0.75]), ([1.0, 0.0], [0.0, 1.0])]
+        for fn in (verify_kl_decomposition, _scalar_kl_decomposition):
+            with pytest.raises(AbsoluteContinuityError):
+                fn(cells, [0.5, 0.5])
+            with pytest.raises(ContractViolation):
+                fn(cells, [0.5, 0.6])
+            with pytest.raises(ContractViolation):
+                fn([([0.5, 0.6], [0.5, 0.5])], [1.0])
+
+
+class TestKlCellShapes:
+    @pytest.mark.parametrize("cells", [
+        [],
+        [([0.5, 0.5], [0.2, 0.3, 0.5])],
+        [([0.5, 0.5], [0.5, 0.5]), ([0.2, 0.3, 0.5], [0.2, 0.3, 0.5])],
+        [([0.5, 0.5], [0.5, 0.5], [0.5, 0.5])],
+    ], ids=["no_cell", "ragged_pair", "ragged_cells", "three_laws"])
+    def test_cells_are_pairs_over_one_alphabet(self, cells):
+        with pytest.raises(ContractViolation):
+            verify_kl_decomposition(cells)
+
+
+class TestDiscreteJointInstance:
+    def test_list_inputs_stored_as_float_arrays(self):
+        inst = DiscreteJointInstance([[0.25, 0.25], [0.25, 0.25]], [[1, 0], [0, 1]])
+        assert isinstance(inst.joint, np.ndarray) and inst.g.dtype == np.float64
+        assert inst.sigma == 0.5
+        arrays = DiscreteJointInstance(np.full((2, 2), 0.25), np.eye(2))
+        assert verify_dv_inequality(inst) == verify_dv_inequality(arrays)
+        assert verify_squared_inequality(inst) == verify_squared_inequality(arrays)
+
+
+class TestSweepPinned:
+    def test_seed0_margins_unchanged(self):
+        reports = run_all_verifiers(instances=1000, seed=0)
+        assert {r.lemma: repr(r.min_margin) for r in reports} == PINNED_MIN_MARGINS
+        assert all(r.instances == 1000 and r.violations == 0 for r in reports)
+
+    @pytest.mark.parametrize("instances, seed", [(0, 0), (-3, 0), (5, -1)])
+    def test_rejects_bad_inputs(self, instances, seed):
+        with pytest.raises(ContractViolation):
+            run_all_verifiers(instances=instances, seed=seed)
