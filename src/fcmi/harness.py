@@ -49,6 +49,7 @@ from .learners import (
     label_classes,
     needs_binary_labels,
     prediction_space,
+    uses_kind,
 )
 
 # spawn-key channels for counter-based seed derivation
@@ -137,6 +138,24 @@ class ExperimentConfig:
             raise ConfigError(f"unknown data source kind {kind!r}")
         if self.exact_seeds < 1:
             raise ConfigError("exact_seeds must be >= 1")
+        if self.stability_trials < 1:
+            raise ConfigError("stability.trials must be >= 1")
+        if not self.gamma > 0:
+            raise ConfigError("stability.gamma must be > 0")
+        if self.subset_sample_count < 1:
+            raise ConfigError("subset_policy.sample_count must be >= 1")
+        if self.jobs < 1:
+            raise ConfigError("jobs must be >= 1")
+        try:
+            prediction_space(self.learner)
+        except ContractViolation as e:
+            raise ConfigError(str(e)) from e
+        if uses_kind(self.learner, ("threshold_erm",)) and kind in GENERATOR_KINDS:
+            one_dim = self.data.get("params", {}).get("dim", 1) == 1
+            if not (kind == "threshold_realizable" or (kind == "uniform_labels" and one_dim)):
+                raise ConfigError(
+                    "threshold_erm needs 1-D features in [0, 1]: threshold_realizable, "
+                    f"uniform_labels with dim 1 or a one-column csv, not {kind!r}")
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "ExperimentConfig":
@@ -313,6 +332,9 @@ def _load_pool(config: ExperimentConfig) -> tuple[np.ndarray, np.ndarray] | None
         raise ConfigError(f"{path}: labels must be >= 0")
     if needs_binary_labels(config.learner) and np.any(ys > 1):
         raise ConfigError(f"{path}: learner {config.learner.kind!r} needs labels in {{0, 1}}")
+    if uses_kind(config.learner, ("threshold_erm",)) and (
+            dim != 1 or np.any(xs < 0) or np.any(xs > 1)):
+        raise ConfigError(f"{path}: threshold_erm needs one feature column x_0 in [0, 1]")
     if len(ys) < 2 * config.n:
         raise ConfigError(
             f"csv pool of {len(ys)} rows cannot supply 2n={2 * config.n} examples")

@@ -17,6 +17,7 @@ from .core import ContractViolation, TrialTable, split_slots
 
 _SUM_TOL = 1e-9
 _NEG_TOL = 1e-12
+_INT64_MAX = np.iinfo(np.int64).max
 
 # Largest product-alphabet size for which a plug-in joint over prediction
 # tuples and split bits is still considered estimable at desk-scale k2.
@@ -97,19 +98,65 @@ def conditional_mutual_information(joint3) -> float:
     return total
 
 
-def _group_codes(prefix: np.ndarray, key: np.ndarray) -> np.ndarray:
-    """Dense rank of each row's (prefix, key) pair; equal pairs share a code.
-
-    Codes are ordered by prefix first, so they refine the prefix's grouping.
-    """
-    order = np.lexsort((key, prefix))
-    p, k = prefix[order], key[order]
-    new = np.empty(order.size, dtype=bool)
+def _sorted_rank(x: np.ndarray) -> tuple[np.ndarray, int]:
+    """Dense rank of each integer in ``x``, in value order, and the number of
+    distinct values."""
+    # any sort gives these ranks; the stable one is the sort the lexsort fold
+    # ran, and numpy's default int64 sort loads more library code (peak RSS)
+    order = np.argsort(x, kind="stable")
+    srt = x[order]
+    new = np.empty(x.size, dtype=bool)
     new[0] = True
-    new[1:] = (p[1:] != p[:-1]) | (k[1:] != k[:-1])
-    codes = np.empty(order.size, dtype=np.int64)
-    codes[order] = np.cumsum(new) - 1
-    return codes
+    np.not_equal(srt[1:], srt[:-1], out=new[1:])
+    counts = np.cumsum(new)
+    rank = np.empty(x.size, dtype=np.int64)
+    rank[order] = counts - 1
+    return rank, int(counts[-1])
+
+
+def _dense_rank(code: np.ndarray, size: int) -> tuple[np.ndarray, int]:
+    """Dense rank of nonnegative codes below ``size``, in code order, and the
+    number of distinct codes."""
+    if size <= code.size:
+        # occupancy: a cumulative count over the code range
+        seen = np.zeros(size, dtype=bool)
+        seen[code] = True
+        rank = np.cumsum(seen)
+        rank -= 1
+        return rank[code], int(rank[-1]) + 1
+    return _sorted_rank(code)
+
+
+def _lex_codes(columns) -> np.ndarray:
+    """Dense rank of each row's tuple of integer columns, the first column
+    most significant; equal tuples share a code.
+
+    The columns fold in one at a time as digits of an int64 mixed-radix code:
+    each is offset by its minimum, with radix max - min + 1. When the next
+    digit would overflow int64, the code is re-ranked densely first, which
+    keeps its order.
+    """
+    code, size = None, 1
+    for col in columns:
+        lo, hi = int(col.min()), int(col.max())
+        radix = hi - lo + 1
+        if max(hi, radix) > _INT64_MAX:  # not an int64 after the offset
+            digit, radix = _sorted_rank(col)
+        elif lo == 0 and col.dtype == np.int64:
+            digit = col  # read only, never updated in place
+        else:
+            digit = np.subtract(col, lo, dtype=np.int64)
+        if code is None:
+            code, size = digit, radix
+            continue
+        if size * radix > _INT64_MAX:
+            code, size = _dense_rank(code, size)
+            if size * radix > _INT64_MAX:
+                digit, radix = _dense_rank(digit, radix)
+        code = code * radix
+        code += digit
+        size *= radix
+    return _dense_rank(code, size)[0]
 
 
 def _representatives(codes: np.ndarray) -> np.ndarray:
@@ -144,18 +191,16 @@ def plugin_mi(a, b, c=None, bias_correction: bool = False) -> np.ndarray:
     q = np.tile(np.arange(quantities), rows)
 
     def symbol_codes(x: np.ndarray) -> np.ndarray:
-        # fold the symbol's columns in one at a time: codes of (q, symbol)
+        # codes of (q, symbol); the columns are materialized one at a time
         x = np.broadcast_to(x, (rows, quantities, x.shape[2]))
-        codes = q
-        for j in range(x.shape[2]):
-            codes = _group_codes(codes, x[:, :, j].ravel())
-        return codes
+        columns = (x[:, :, j].ravel() for j in range(x.shape[2]))
+        return _lex_codes(itertools.chain([q], columns))
 
     a_codes, b_codes = symbol_codes(args[0]), symbol_codes(args[1])
     cond = symbol_codes(args[2]) if c is not None else q
-    ac = _group_codes(cond, a_codes)
-    bc = _group_codes(cond, b_codes)
-    abc = _group_codes(ac, b_codes)
+    ac = _lex_codes([cond, a_codes])
+    bc = _lex_codes([cond, b_codes])
+    abc = _lex_codes([ac, b_codes])
     rep = _representatives(abc)
     n_abc = np.bincount(abc)
     ratio = (n_abc * np.bincount(cond)[cond[rep]]) / (

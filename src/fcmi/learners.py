@@ -4,17 +4,16 @@ Every learner is a pure function of (training arrays, query array, seed):
 identical inputs and seed reproduce the output bit for bit. Class-label
 learners emit an int array of shape (Q,); probability-output learners emit a
 float array of shape (Q, d). ``fill_table`` runs a learner on every (split,
-seed) row of a trial table. The linear learners fit a stack of training sets
-at once, and each set's weights are bit for bit those of fitting it alone.
+seed) row of a trial table. Every learner fits a stack of training sets at
+once through one row function per kind, and each set's predictions are bit
+for bit those of fitting it alone.
 """
 
 from __future__ import annotations
 
 import hashlib
 import math
-import struct
 from dataclasses import dataclass, field
-from typing import Sequence
 
 import numpy as np
 
@@ -39,9 +38,11 @@ LEARNER_KINDS = (
 )
 _LINEAR = ("logistic_gd", "sgld_linear")
 
-# Doubles in the largest stacked array of one batch of linear fits: the
-# (B, N, d + 1) inputs, SGLD's (B, steps, d + 1) noise and the (B, Q)
-# predictions each stay under it, unless a single training set is larger.
+# Cells in the largest stacked array of one chunk of fits: the linear
+# learners' (B, N, d + 1) inputs, SGLD's (B, steps, d + 1) noise and the
+# (B, Q) predictions, and the label learners' (B, Q, N) distance or match
+# arrays and (B, N + 1, N) threshold comparisons, each stay under it, unless
+# a single training set is larger.
 _BATCH_CELLS = 2 ** 15
 
 
@@ -63,6 +64,13 @@ class LearnerSpec:
         return cls(kind=d["kind"], params=dict(d.get("params", {})))
 
 
+def _nested_spec(d) -> LearnerSpec:
+    """A wrapped learner's spec, validated like the outer one."""
+    if not isinstance(d, dict) or "kind" not in d:
+        raise ContractViolation(f"a wrapped learner needs a spec with a kind, got {d!r}")
+    return LearnerSpec.from_json_dict(d)
+
+
 def _validate_params(kind: str, params: dict) -> None:
     if kind == "knn" and params.get("k", 1) < 1:
         raise ContractViolation("knn needs k >= 1")
@@ -76,12 +84,15 @@ def _validate_params(kind: str, params: dict) -> None:
             raise ContractViolation("noisy_wrapper needs sigma_sq > 0")
         if "inner" not in params:
             raise ContractViolation("noisy_wrapper needs an inner learner spec")
+        _nested_spec(params["inner"])
     if kind == "ensemble":
         members = params.get("members", [])
         if not members:
             raise ContractViolation("ensemble needs at least one member")
         if params.get("combiner", "majority") != "majority":
             raise ContractViolation("only the majority-vote combiner is implemented")
+        for m in members:
+            _nested_spec(m)
 
 
 @dataclass(frozen=True, eq=False)
@@ -115,6 +126,8 @@ def prediction_space(spec: LearnerSpec, num_classes: int = 2) -> PredictionSpace
                 "noisy_wrapper needs an inner learner with real-vector output")
         return inner_space
     if spec.kind == "ensemble":
+        if any(prediction_space(s, num_classes).kind != "finite" for s in _wrapped(spec)):
+            raise ContractViolation("ensemble members must predict class labels")
         return PredictionSpace("finite", size=num_classes)
     raise ContractViolation(f"unknown learner kind {spec.kind!r}")
 
@@ -128,65 +141,157 @@ def has_weight_code(spec: LearnerSpec) -> bool:
     return spec.kind == "threshold_erm"
 
 
+def _wrapped(spec: LearnerSpec) -> list[LearnerSpec]:
+    """The learners a wrapper fits directly: the inner learner or the members."""
+    if spec.kind == "noisy_wrapper":
+        return [LearnerSpec.from_json_dict(spec.params["inner"])]
+    if spec.kind == "ensemble":
+        return [LearnerSpec.from_json_dict(m) for m in spec.params["members"]]
+    return []
+
+
+def uses_kind(spec: LearnerSpec, kinds) -> bool:
+    """Whether the learner, or a learner it wraps, is of one of ``kinds``."""
+    return spec.kind in kinds or any(uses_kind(s, kinds) for s in _wrapped(spec))
+
+
 def needs_binary_labels(spec: LearnerSpec) -> bool:
     """Whether the learner, or a learner it wraps, fits only labels in {0, 1}."""
-    if spec.kind == "noisy_wrapper":
-        return needs_binary_labels(LearnerSpec.from_json_dict(spec.params["inner"]))
-    if spec.kind == "ensemble":
-        return any(needs_binary_labels(LearnerSpec.from_json_dict(m))
-                   for m in spec.params["members"])
-    return spec.kind in _LINEAR
+    return uses_kind(spec, _LINEAR)
 
 
-# --- individual learners ----------------------------------------------------
+# --- row functions -------------------------------------------------------------
+#
+# A row function fits one chunk of training sets at a time: row t of
+# ``train_idx`` trains on ``xs[train_idx[t]]``, ``ys[train_idx[t]]`` with seed
+# ``seeds[t]`` and predicts on every query. It returns the (T, ...)
+# predictions and the (T,) int64 weight codes, or None when the learner has
+# none.
 
 
-def _memorize(train_xs: np.ndarray, train_ys: np.ndarray,
-              query_xs: np.ndarray) -> np.ndarray:
-    table: dict[tuple, int] = {}
-    for x, y in zip(map(tuple, train_xs.tolist()), train_ys.tolist()):
-        # first occurrence wins for duplicate inputs
-        table.setdefault(x, y)
-    return np.array([table.get(q, 0) for q in map(tuple, query_xs.tolist())],
-                    dtype=np.int64)
+def _chunk_rows(cells_per_row: int) -> int:
+    """Rows per chunk whose largest stacked array has ``cells_per_row`` cells a
+    row: as many as stay within ``_BATCH_CELLS``, and at least one."""
+    return max(1, _BATCH_CELLS // max(1, cells_per_row))
+
+
+def _in_chunks(fit, rows: int, step: int):
+    """Fill (predictions, codes) from ``fit(lo, hi)`` over chunks of ``step`` rows."""
+    preds = codes = None
+    for lo in range(0, rows, step):
+        hi = min(lo + step, rows)
+        chunk, chunk_codes = fit(lo, hi)
+        if preds is None:
+            preds = np.empty((rows,) + chunk.shape[1:], dtype=chunk.dtype)
+            codes = None if chunk_codes is None else np.empty(rows, dtype=np.int64)
+        preds[lo:hi] = chunk
+        if codes is not None:
+            codes[lo:hi] = chunk_codes
+    return preds, codes
+
+
+def _memorizer_rows(spec, xs, ys, train_idx, query_xs, seeds):
+    """The label of the first training position whose input equals the
+    query; class 0 when none does."""
+    same = np.all(query_xs[:, None, :] == xs[None, :, :], axis=2)  # (Q, P)
+
+    def fit(lo, hi):
+        idx = train_idx[lo:hi]
+        hit = same[:, idx]  # (Q, B, N)
+        first = np.take_along_axis(idx, hit.argmax(axis=2).T, axis=1)
+        return np.where(hit.any(axis=2).T, ys[first], 0), None
+
+    return _in_chunks(fit, len(train_idx), _chunk_rows(train_idx.shape[1] * len(query_xs)))
+
+
+def _threshold_weights(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Empirical-risk-minimizing thresholds of (B, N) 1-D features in [0, 1]
+    and their (B, N) labels, one per row.
+
+    Separable rows get the midpoint of the zero-error interval; one-class rows
+    snap to the domain edge (1.0 without a label 1, else 0.0 without a label
+    0). Otherwise the leftmost minimum-error cut among 0.0, the midpoints of
+    adjacent distinct values and 1.0 wins.
+    """
+    if np.any(x < 0) or np.any(x > 1):
+        raise ContractViolation("threshold_erm needs 1-D features in [0, 1]")
+    zeros, ones = y == 0, y == 1
+    m0 = np.where(zeros, x, -np.inf).max(axis=1)
+    m1 = np.where(ones, x, np.inf).min(axis=1)
+    has0, has1 = zeros.any(axis=1), ones.any(axis=1)
+    w = np.where(has1, 0.0, 1.0)
+    mixed = has0 & has1
+    separable = mixed & (m0 < m1)
+    w[separable] = (m0[separable] + m1[separable]) / 2.0
+    rest = np.flatnonzero(mixed & ~separable)
+    if rest.size:
+        xr, yr = x[rest], y[rest]
+        s = np.sort(xr, axis=1)
+        cuts = np.concatenate([np.zeros((len(rest), 1)), (s[:, :-1] + s[:, 1:]) / 2.0,
+                               np.ones((len(rest), 1))], axis=1)
+        errors = ((xr[:, None, :] > cuts[:, :, None]) != yr[:, None, :]).sum(axis=2)
+        # a midpoint of equal neighbours is not a candidate
+        errors[:, 1:-1][s[:, :-1] == s[:, 1:]] = x.shape[1] + 1
+        w[rest] = cuts[np.arange(len(rest)), errors.argmin(axis=1)]  # leftmost minimum
+    return w
 
 
 def threshold_erm_fit(xs: np.ndarray, ys: np.ndarray) -> float:
-    """Empirical-risk-minimizing threshold for 1-D features in [0, 1].
-
-    Separable samples get the midpoint of the zero-error interval; one-class
-    samples snap to the domain edge (1.0 for all-zeros, 0.0 for all-ones).
-    Otherwise the leftmost minimum-error cut wins.
-    """
+    """Empirical-risk-minimizing threshold of (N, 1) features in [0, 1] and
+    their (N,) labels; see ``_threshold_weights``."""
     xs = np.asarray(xs, dtype=float)
-    ys = np.asarray(ys)
-    x1 = xs[:, 0]
-    if xs.shape[1] != 1 or np.any(x1 < 0) or np.any(x1 > 1):
+    if xs.ndim != 2 or xs.shape[1] != 1:
         raise ContractViolation("threshold_erm needs 1-D features in [0, 1]")
-    zeros = x1[ys == 0]
-    ones = x1[ys == 1]
-    if ones.size == 0:
-        return 1.0
-    if zeros.size == 0:
-        return 0.0
-    m0, m1 = float(zeros.max()), float(ones.min())
-    if m0 < m1:
-        return (m0 + m1) / 2.0
-    values = np.unique(x1)
-    candidates = np.concatenate(([0.0], (values[:-1] + values[1:]) / 2.0, [1.0]))
-    errors = np.mean((x1 > candidates[:, None]) != ys, axis=1)
-    return float(candidates[np.argmin(errors)])  # argmin keeps the leftmost cut
+    return float(_threshold_weights(xs.T, np.asarray(ys)[None])[0])
 
 
-def _knn(train_xs: np.ndarray, train_ys: np.ndarray, query_xs: np.ndarray,
-         k: int) -> np.ndarray:
-    k_eff = min(k, len(train_ys))
-    num_classes = int(train_ys.max()) + 1
-    d2 = np.sum((train_xs[None, :, :] - query_xs[:, None, :]) ** 2, axis=2)
-    order = np.argsort(d2, axis=1, kind="stable")  # distance ties fall to lower index
-    nearest = train_ys[order[:, :k_eff]]
-    votes = (nearest[:, :, None] == np.arange(num_classes)).sum(axis=1)
-    return votes.argmax(axis=1)  # vote ties fall to lower class
+def _threshold_rows(spec, xs, ys, train_idx, query_xs, seeds):
+    """Predict 1 above the fitted threshold. The weight code is the threshold's
+    IEEE-754 bit pattern: it is injective, so predictions are a function of
+    the code and the weight-level information never undercounts the
+    prediction-level one, and any fixed example pool gives a finite code set."""
+    if xs.shape[1] != 1:
+        raise ContractViolation("threshold_erm needs 1-D features in [0, 1]")
+    size = train_idx.shape[1]
+
+    def fit(lo, hi):
+        idx = train_idx[lo:hi]
+        w = _threshold_weights(xs[idx, 0], ys[idx])
+        return (query_xs[None, :, 0] > w[:, None]).astype(np.int64), w.view(np.int64)
+
+    return _in_chunks(fit, len(train_idx),
+                      _chunk_rows(max(size * (size + 1), len(query_xs))))
+
+
+def _dense_ranks(d2: np.ndarray) -> np.ndarray:
+    """Dense rank of each value within its row; equal values, NaN included,
+    share a rank."""
+    order = np.argsort(d2, axis=1)
+    srt = np.take_along_axis(d2, order, axis=1)
+    new = (srt[:, 1:] != srt[:, :-1]) & ~(np.isnan(srt[:, 1:]) & np.isnan(srt[:, :-1]))
+    ranks = np.zeros(d2.shape, dtype=np.int64)
+    np.put_along_axis(ranks, order[:, 1:], np.cumsum(new, axis=1), axis=1)
+    return ranks
+
+
+def _knn_rows(spec, xs, ys, train_idx, query_xs, seeds):
+    """Majority label of the k nearest training points; distance ties fall to
+    the lower training position and vote ties to the lower class."""
+    size = train_idx.shape[1]
+    k = min(int(spec.params.get("k", 1)), size)
+    # (Q, P) distance ranks; rank * size + position is a distinct key per
+    # training point ordered as a stable sort by distance, so the k smallest
+    # keys are the k nearest with the tie-break above
+    ranks = _dense_ranks(np.sum((xs[None, :, :] - query_xs[:, None, :]) ** 2, axis=2))
+
+    def fit(lo, hi):
+        idx = train_idx[lo:hi]
+        keys = ranks[:, idx] * size + np.arange(size)  # (Q, B, N)
+        nearest = np.argpartition(keys, k - 1, axis=2)[:, :, :k]
+        votes = ys[np.take_along_axis(idx[None], nearest, axis=2)]
+        return ensemble_combine(votes.transpose(2, 1, 0)), None
+
+    return _in_chunks(fit, len(train_idx), _chunk_rows(size * len(query_xs)))
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
@@ -321,60 +426,60 @@ def noisy_predict(inner_predictions, sigma_sq: float, seed: int, train_digest: i
     return out
 
 
-def ensemble_combine(member_predictions: Sequence[int]) -> int:
-    """Majority vote; ties break toward the smallest class index."""
-    if len(member_predictions) < 1:
+def ensemble_combine(member_predictions) -> np.ndarray:
+    """Majority vote over the first axis of (M, ...) class labels; ties break
+    toward the smallest class index."""
+    votes = np.asarray(member_predictions, dtype=np.int64)
+    if len(votes) < 1:
         raise ContractViolation("need at least one member prediction")
-    votes = np.bincount(np.asarray(member_predictions, dtype=np.int64))
-    return int(votes.argmax())
+    counts = np.stack([np.count_nonzero(votes == c, axis=0)
+                       for c in range(int(votes.max()) + 1)], axis=-1)
+    return counts.argmax(axis=-1)
 
 
-def train_predict(spec: LearnerSpec, train_xs, train_ys, query_xs,
-                  seed: int) -> LearnerOutput:
-    """Train the specified learner on (N, d) inputs and (N,) labels, and
-    predict on (Q, d) query inputs."""
-    train_xs = np.asarray(train_xs, dtype=float)
-    train_ys = np.asarray(train_ys, dtype=np.int64)
-    query_xs = np.asarray(query_xs, dtype=float)
-    if train_xs.ndim != 2 or train_xs.shape[0] == 0 or train_ys.shape != train_xs.shape[:1]:
-        raise ContractViolation("training set must be nonempty (N, d) inputs, N labels")
-    if query_xs.ndim != 2 or query_xs.shape[1] != train_xs.shape[1]:
-        raise ContractViolation("feature dimensionality mismatch")
-    p = spec.params
-    if spec.kind == "memorizer":
-        return LearnerOutput(_memorize(train_xs, train_ys, query_xs))
-    if spec.kind == "threshold_erm":
-        w = threshold_erm_fit(train_xs, train_ys)
-        # injective encoding keeps predictions a function of the code, so the
-        # weight-level information never undercounts the prediction-level one;
-        # for any fixed example pool the achievable code set is still finite
-        code = struct.unpack("<q", struct.pack("<d", w))[0]
-        return LearnerOutput((query_xs[:, 0] > w).astype(np.int64), weight_code=code)
-    if spec.kind == "knn":
-        return LearnerOutput(_knn(train_xs, train_ys, query_xs, int(p.get("k", 1))))
-    if spec.kind in _LINEAR:
-        w = _linear_weights(spec, train_xs[None], train_ys[None], [seed])[0]
-        return LearnerOutput(_linear_predict(w, query_xs, p.get("output", "label")))
-    if spec.kind == "noisy_wrapper":
-        inner = LearnerSpec.from_json_dict(p["inner"])
-        if prediction_space(inner).kind != "real":
-            raise ContractViolation(
-                "noisy_wrapper needs an inner learner with real-vector output")
-        inner_out = train_predict(inner, train_xs, train_ys, query_xs, seed)
-        train_digest = _digest(
-            np.ascontiguousarray(train_xs).tobytes() + train_ys.tobytes())
-        noisy = noisy_predict(inner_out.predictions, float(p["sigma_sq"]), seed,
-                              train_digest, query_xs)
-        return LearnerOutput(noisy)
-    if spec.kind == "ensemble":
-        members = [LearnerSpec.from_json_dict(m) for m in p["members"]]
-        per_member = np.stack([
-            train_predict(m, train_xs, train_ys, query_xs, derive_seed(seed, j)).predictions
-            for j, m in enumerate(members)
-        ])
-        return LearnerOutput(np.array([ensemble_combine(votes) for votes in per_member.T],
-                                      dtype=np.int64))
-    raise ContractViolation(f"unknown learner kind {spec.kind!r}")
+def _linear_rows(spec, xs, ys, train_idx, query_xs, seeds):
+    output = spec.params.get("output", "label")
+
+    def fit(lo, hi):
+        idx = train_idx[lo:hi]
+        w = _linear_weights(spec, xs[idx], ys[idx], seeds[lo:hi])
+        return _linear_predict(w, query_xs, output), None
+
+    return _in_chunks(fit, len(train_idx),
+                      _batch_sets(spec, train_idx.shape[1], xs.shape[1], len(query_xs)))
+
+
+def _noisy_rows(spec, xs, ys, train_idx, query_xs, seeds):
+    """The inner learner's rows, each with its keyed noise added."""
+    prediction_space(spec)  # refuses an inner learner with class-label output
+    (inner,) = _wrapped(spec)
+    preds, _ = _fit_predict_rows(inner, xs, ys, train_idx, query_xs, seeds)
+    for t, (idx, seed) in enumerate(zip(train_idx, seeds)):
+        train_digest = _digest(xs[idx].tobytes() + ys[idx].tobytes())
+        preds[t] = noisy_predict(preds[t], float(spec.params["sigma_sq"]), int(seed),
+                                 train_digest, query_xs)
+    return preds, None
+
+
+def _ensemble_rows(spec, xs, ys, train_idx, query_xs, seeds):
+    """Majority vote of the members; member j fits row t with seed
+    ``derive_seed(seeds[t], j)``."""
+    votes = np.stack([
+        _fit_predict_rows(member, xs, ys, train_idx, query_xs,
+                          [derive_seed(s, j) for s in seeds])[0]
+        for j, member in enumerate(_wrapped(spec))])
+    return ensemble_combine(votes), None
+
+
+_ROWS = {
+    "memorizer": _memorizer_rows,
+    "threshold_erm": _threshold_rows,
+    "knn": _knn_rows,
+    "logistic_gd": _linear_rows,
+    "sgld_linear": _linear_rows,
+    "noisy_wrapper": _noisy_rows,
+    "ensemble": _ensemble_rows,
+}
 
 
 def _fit_predict_rows(spec: LearnerSpec, xs: np.ndarray, ys: np.ndarray,
@@ -382,29 +487,29 @@ def _fit_predict_rows(spec: LearnerSpec, xs: np.ndarray, ys: np.ndarray,
     """One fit per row of ``train_idx``, each predicting on every query.
 
     Row t trains on ``xs[train_idx[t]]``, ``ys[train_idx[t]]`` with seed
-    ``seeds[t]``. Linear learners fit their rows in batches sized by
-    ``_batch_sets``, gathered batch by batch; every other learner fits row
-    by row. Returns the (T, ...) predictions and the (T,) weight codes, or
-    None when the learner has no weight code.
+    ``seeds[t]``; the learner's row function fits the rows chunk by chunk.
+    Returns the (T, ...) predictions and the (T,) weight codes, or None when
+    the learner has no weight code.
     """
-    rows, size = train_idx.shape
-    linear = spec.kind in _LINEAR
-    step = _batch_sets(spec, size, xs.shape[1], len(query_xs)) if linear else 1
-    preds, codes = None, []
-    for lo in range(0, rows, step):
-        idx = train_idx[lo:lo + step]
-        if linear:
-            w = _linear_weights(spec, xs[idx], ys[idx], seeds[lo:lo + step])
-            chunk = _linear_predict(w, query_xs, spec.params.get("output", "label"))
-            codes.extend([None] * len(idx))
-        else:
-            out = train_predict(spec, xs[idx[0]], ys[idx[0]], query_xs, int(seeds[lo]))
-            chunk = out.predictions[None]
-            codes.append(out.weight_code)
-        if preds is None:
-            preds = np.empty((rows,) + chunk.shape[1:], dtype=chunk.dtype)
-        preds[lo:lo + step] = chunk
-    return preds, None if None in codes else np.array(codes, dtype=np.int64)
+    xs, ys = np.asarray(xs, dtype=float), np.asarray(ys, dtype=np.int64)
+    return _ROWS[spec.kind](spec, xs, ys, np.asarray(train_idx),
+                            np.asarray(query_xs, dtype=float), seeds)
+
+
+def train_predict(spec: LearnerSpec, train_xs, train_ys, query_xs,
+                  seed: int) -> LearnerOutput:
+    """Train the specified learner on (N, d) inputs and (N,) labels, and
+    predict on (Q, d) query inputs: one row of ``_fit_predict_rows``."""
+    train_xs = np.asarray(train_xs, dtype=float)
+    train_ys = np.asarray(train_ys, dtype=np.int64)
+    query_xs = np.asarray(query_xs, dtype=float)
+    if train_xs.ndim != 2 or train_xs.shape[0] == 0 or train_ys.shape != train_xs.shape[:1]:
+        raise ContractViolation("training set must be nonempty (N, d) inputs, N labels")
+    if query_xs.ndim != 2 or query_xs.shape[1] != train_xs.shape[1]:
+        raise ContractViolation("feature dimensionality mismatch")
+    preds, codes = _fit_predict_rows(spec, train_xs, train_ys,
+                                     np.arange(len(train_ys))[None], query_xs, [seed])
+    return LearnerOutput(preds[0], None if codes is None else int(codes[0]))
 
 
 def fill_table(supersample: Supersample, spec: LearnerSpec, masks, seeds,

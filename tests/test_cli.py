@@ -148,6 +148,72 @@ class TestCsvValidation:
         assert main(["run", str(config)]) == 2
 
 
+GAUSS = {"kind": "two_gaussians", "params": {"dim": 2, "sep": 2.0}}
+LOGISTIC_PROB = {"kind": "logistic_gd", "params": {"output": "prob", "steps": 5}}
+STABILITY_RUN = dict(data=GAUSS, n=5, learner=LOGISTIC_PROB, loss="absolute",
+                     bounds=["det_stability"])
+THRESHOLD_ERM = {"kind": "threshold_erm", "params": {}}
+
+
+class TestConfigCheck:
+    """Bad values are refused when the config is checked (exit 2), before any
+    fit, instead of failing partway through a run or passing silently."""
+
+    BAD = {
+        "stability_trials_zero": dict(STABILITY_RUN, stability={"trials": 0}),
+        "stability_gamma_negative": dict(STABILITY_RUN,
+                                         stability={"trials": 2, "gamma": -1.0}),
+        "subset_sample_count_zero": dict(
+            n=6, learner={"kind": "knn", "params": {"k": 1}}, bounds=["fcmi_subset_m"],
+            subset_policy={"m": 2, "enumerate_limit": 1, "sample_count": 0}),
+        "threshold_erm_two_gaussians": dict(data=GAUSS, learner=THRESHOLD_ERM),
+        "threshold_erm_uniform_labels_dim2": dict(
+            data={"kind": "uniform_labels", "params": {"dim": 2}}, learner=THRESHOLD_ERM),
+        "threshold_erm_ensemble_member_two_gaussians": dict(
+            data=GAUSS, learner={"kind": "ensemble", "params": {"members": [
+                {"kind": "knn", "params": {"k": 1}}, THRESHOLD_ERM]}}),
+        "ensemble_unknown_member": dict(learner={"kind": "ensemble", "params": {
+            "members": [{"kind": "knn", "params": {"k": 1}}, {"kind": "bogus"}]}}),
+        "ensemble_prob_member": dict(learner={"kind": "ensemble", "params": {
+            "members": [{"kind": "knn", "params": {"k": 1}}, LOGISTIC_PROB]}}),
+        "noisy_wrapper_label_inner": dict(learner={"kind": "noisy_wrapper", "params": {
+            "inner": {"kind": "knn", "params": {"k": 1}}, "sigma_sq": 0.1}}),
+        "jobs_zero": dict(jobs=0),
+        "jobs_negative": dict(jobs=-1),
+    }
+
+    @pytest.mark.parametrize("case", sorted(BAD))
+    def test_bad_config_is_config_error(self, tmp_path, monkeypatch, case):
+        fits = count_fits(monkeypatch)
+        config = write_config(tmp_path, **self.BAD[case])
+        assert main(["run", str(config), "-o", str(tmp_path / "out")]) == 2
+        assert fits == []
+        assert not (tmp_path / "out" / "report.json").exists()
+
+    @pytest.mark.parametrize("data", [
+        {"kind": "threshold_realizable", "params": {"threshold": 0.3}},
+        {"kind": "uniform_labels", "params": {"dim": 1}},
+    ], ids=["threshold_realizable", "uniform_labels_dim1"])
+    def test_threshold_erm_on_unit_interval_data_runs(self, tmp_path, data):
+        config = write_config(tmp_path, data=data, learner=THRESHOLD_ERM)
+        assert main(["run", str(config), "-o", str(tmp_path / "out")]) == 0
+
+    @pytest.mark.parametrize("header, rows, code", [
+        ("x_0,y", [(f"{i / 10}", i % 2) for i in range(10)], 0),
+        ("x_0,y", [(f"{i / 10 + 0.5}", i % 2) for i in range(10)], 2),
+        ("x_0,x_1,y", [(f"{i / 10},0.5", i % 2) for i in range(10)], 2),
+    ], ids=["one_column_in_range", "out_of_range", "two_columns"])
+    def test_threshold_erm_csv_pool(self, tmp_path, monkeypatch, header, rows, code):
+        fits = count_fits(monkeypatch)
+        data = tmp_path / "data.csv"
+        data.write_text(header + "\n" + "".join(f"{x},{y}\n" for x, y in rows),
+                        encoding="utf-8")
+        config = write_config(tmp_path, data={"kind": "csv", "params": {"path": str(data)}},
+                              learner=THRESHOLD_ERM)
+        assert main(["run", str(config), "-o", str(tmp_path / "out")]) == code
+        assert bool(fits) == (code == 0)
+
+
 class TestSweep:
     def test_base_vary(self, tmp_path):
         base = {

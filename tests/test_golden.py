@@ -7,8 +7,11 @@ or split enumeration shows here. The report hashes are of ``report.json`` and
 pin every estimate, bound value, bound input and stability constant. The gap
 statistics are compared by ``repr``.
 
-Each run works in ``tmp_path`` as its current directory, so the csv entry's
-relative pool path is echoed into ``report.json`` the same way every time.
+Each run works in ``tmp_path`` as its current directory, so the csv entries'
+relative pool paths are echoed into ``report.json`` the same way every time.
+
+The stability entries pin ``estimate_stability``'s three constants by ``repr``
+for wrapper learners, whose inner fits go through the batched fit entry.
 """
 
 import hashlib
@@ -18,11 +21,14 @@ import numpy as np
 import pytest
 
 from fcmi.cli import main
+from fcmi.datagen import GeneratorSpec
+from fcmi.learners import LearnerSpec, estimate_stability
 
 THRESHOLD_DATA = {"kind": "threshold_realizable",
                   "params": {"threshold": 0.5, "noise": 0.1}}
 GAUSS_DATA = {"kind": "two_gaussians", "params": {"dim": 2, "sep": 2.0}}
 CSV_DATA = {"kind": "csv", "params": {"path": "pool.csv"}}
+DUP_CSV_DATA = {"kind": "csv", "params": {"path": "dup_pool.csv"}}
 
 GOLDEN = {
     "exact_threshold_erm_n6": (
@@ -74,6 +80,51 @@ GOLDEN = {
         "ed2bba1ec1538a37c3759f13dd32d2c2e7c12b0d58f2d6af7410253f9eab0cc8",
         "0.1314814814814815", "0.04018987854483462",
         "53d0ae7090ad3ade53406f65235a3488a1efe3ac9afdde15af92b637d1718a72"),
+    "exact_knn3_n7_stability": (
+        dict(data=GAUSS_DATA, n=7, k1=2, k2=1,
+             learner={"kind": "knn", "params": {"k": 3}},
+             mode="exact_enumeration",
+             bounds=["fcmi_m1", "fcmi_stability", "fcmi_stability_squared"],
+             master_seed=13),
+        "c3dd97d9a112967a11def5935d3d6ec664d5ff97b2f4faaacf9b77e4554f659a",
+        "0.19308035714285715", "0.16572815184059708",
+        "719a994250eceda5ea8ee22dbc204c815245ba1ea3746ee3b933568c3b8d4c5d"),
+    # duplicated inputs with conflicting labels, three classes
+    "exact_memorizer_dup_csv_n6": (
+        dict(data=DUP_CSV_DATA, n=6, k1=2, k2=1,
+             learner={"kind": "memorizer", "params": {}},
+             mode="exact_enumeration",
+             bounds=["fcmi_m1", "fcmi_mn", "fcmi_stability"], master_seed=14),
+        "5ed510bb31dc4a7d86b7ac8021e140093ab70a895d55e2a03534e138328a1249",
+        "0.625", "0.05892556509887899",
+        "2adad4aa9bbe32351607cf61ffcc6d90c79ff6ccee903610be2a054feb563c9e"),
+    "exact_ensemble_n6_seeds2": (
+        dict(data=THRESHOLD_DATA, n=6, k1=2, k2=1,
+             learner={"kind": "ensemble", "params": {"members": [
+                 {"kind": "threshold_erm", "params": {}},
+                 {"kind": "knn", "params": {"k": 1}},
+                 {"kind": "knn", "params": {"k": 3}}]}},
+             mode="exact_enumeration", bounds=["fcmi_m1", "ensemble_mn"],
+             exact_seeds=2, master_seed=15),
+        "5953d77e23e5ae9f9c1398e620013b80c4a9a97cf641bae320eddb8049bbf631",
+        "0.13020833333333331", "0.05155986946151908",
+        "5f9df208e818735d61f2e851a62dea5986dddde224cf2759c171b46395dffd14"),
+}
+
+_LOGISTIC_PROB = {"kind": "logistic_gd", "params": {"output": "prob", "steps": 20}}
+
+# name: (learner, generator, n, trials, seed, (beta, beta1, beta2) reprs)
+STABILITY_GOLDEN = {
+    "noisy_wrapper_logistic_prob": (
+        {"kind": "noisy_wrapper", "params": {"inner": _LOGISTIC_PROB, "sigma_sq": 0.01}},
+        GAUSS_DATA, 6, 4, 21,
+        ("0.26149742103511825", "0.22847284478482463", "0.31732679681751813")),
+    "ensemble_linear_members": (
+        {"kind": "ensemble", "params": {"members": [
+            {"kind": "logistic_gd", "params": {"steps": 20, "lr": 5.0}},
+            {"kind": "sgld_linear", "params": {"steps": 20}},
+            {"kind": "knn", "params": {"k": 3}}]}},
+        GAUSS_DATA, 6, 4, 22, ("0.7071067811865476", "0.7071067811865476", "0.5")),
 }
 
 
@@ -86,12 +137,25 @@ def _write_pool(path) -> None:
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
+def _write_dup_pool(path) -> None:
+    """Twelve distinct rows of two features, each twice, with labels in {0, 1, 2}."""
+    rng = np.random.default_rng(2025)
+    xs = np.repeat(rng.standard_normal((12, 2)), 2, axis=0)
+    ys = rng.integers(0, 3, 24)
+    lines = ["x_0,x_1,y"] + [f"{a:.6f},{b:.6f},{y}" for (a, b), y in zip(xs, ys)]
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
+POOLS = {"pool.csv": _write_pool, "dup_pool.csv": _write_dup_pool}
+
+
 @pytest.mark.parametrize("name", sorted(GOLDEN))
 def test_dumped_table_bytes_and_gap(tmp_path, monkeypatch, name):
     config, table_sha, gap_mean, gap_std, report_sha = GOLDEN[name]
     monkeypatch.chdir(tmp_path)
     if config["data"]["kind"] == "csv":
-        _write_pool(tmp_path / "pool.csv")
+        pool = config["data"]["params"]["path"]
+        POOLS[pool](tmp_path / pool)
     path = tmp_path / "config.json"
     path.write_text(json.dumps(config), encoding="utf-8")
     out = tmp_path / "out"
@@ -103,3 +167,11 @@ def test_dumped_table_bytes_and_gap(tmp_path, monkeypatch, name):
     report = json.loads(report_bytes)
     assert repr(report["gap_mean"]) == gap_mean
     assert repr(report["gap_std"]) == gap_std
+
+
+@pytest.mark.parametrize("name", sorted(STABILITY_GOLDEN))
+def test_stability_constants(name):
+    learner, data, n, trials, seed, expected = STABILITY_GOLDEN[name]
+    got = estimate_stability(LearnerSpec.from_json_dict(learner),
+                             GeneratorSpec.from_json_dict(data), n, trials, seed)
+    assert tuple(repr(v) for v in got) == expected

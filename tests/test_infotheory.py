@@ -19,9 +19,8 @@ from fcmi.infotheory import (
     subset_mi,
     mi_testslots,
 )
+from fcmi.infotheory import _lex_codes, _representatives
 from fcmi.learners import LearnerSpec, fill_table
-
-LOG2 = math.log(2.0)
 
 LOG2 = math.log(2.0)
 
@@ -286,6 +285,145 @@ class TestEstimatorAgainstOracles:
                  int(m[i]), tuple(int(b) for j, b in enumerate(m) if j != i))
                 for p, m in zip(preds, masks)]
             assert got[i] == pytest.approx(cmi_oracle(triples), rel=1e-12, abs=1e-12)
+
+
+# The lexsort fold the packed codes replaced, kept verbatim (bar the names) as
+# an oracle: packing must give the same dense ranks, so every MI bit agrees.
+
+
+def _group_codes(prefix: np.ndarray, key: np.ndarray) -> np.ndarray:
+    """Dense rank of each row's (prefix, key) pair; equal pairs share a code.
+
+    Codes are ordered by prefix first, so they refine the prefix's grouping.
+    """
+    order = np.lexsort((key, prefix))
+    p, k = prefix[order], key[order]
+    new = np.empty(order.size, dtype=bool)
+    new[0] = True
+    new[1:] = (p[1:] != p[:-1]) | (k[1:] != k[:-1])
+    codes = np.empty(order.size, dtype=np.int64)
+    codes[order] = np.cumsum(new) - 1
+    return codes
+
+
+def _lexsort_plugin_mi(a, b, c=None, bias_correction: bool = False) -> np.ndarray:
+    args = [np.asarray(x) for x in ((a, b) if c is None else (a, b, c))]
+    if any(x.ndim not in (1, 2, 3) or not np.issubdtype(x.dtype, np.integer)
+           for x in args):
+        raise ContractViolation("symbols must be (T,), (T, Q) or (T, Q, k) integer arrays")
+    if bias_correction and c is not None:
+        raise ContractViolation("the Miller-Madow correction is for unconditional MI")
+    args = [x.reshape(x.shape + (1,) * (3 - x.ndim)) for x in args]
+    rows = args[0].shape[0]
+    if rows < 1:
+        raise ContractViolation("need at least one sample row")
+    quantities = max(x.shape[1] for x in args)
+    q = np.tile(np.arange(quantities), rows)
+
+    def symbol_codes(x: np.ndarray) -> np.ndarray:
+        # fold the symbol's columns in one at a time: codes of (q, symbol)
+        x = np.broadcast_to(x, (rows, quantities, x.shape[2]))
+        codes = q
+        for j in range(x.shape[2]):
+            codes = _group_codes(codes, x[:, :, j].ravel())
+        return codes
+
+    a_codes, b_codes = symbol_codes(args[0]), symbol_codes(args[1])
+    cond = symbol_codes(args[2]) if c is not None else q
+    ac = _group_codes(cond, a_codes)
+    bc = _group_codes(cond, b_codes)
+    abc = _group_codes(ac, b_codes)
+    rep = _representatives(abc)
+    n_abc = np.bincount(abc)
+    ratio = (n_abc * np.bincount(cond)[cond[rep]]) / (
+        np.bincount(ac)[ac[rep]] * np.bincount(bc)[bc[rep]])
+    mi = np.bincount(q[rep], weights=n_abc * np.log(ratio), minlength=quantities) / rows
+    mi = np.maximum(mi, 0.0)
+    if bias_correction:
+        occ_a, occ_b, occ_ab = (np.bincount(q[_representatives(g)], minlength=quantities)
+                                for g in (ac, bc, abc))
+        mi = np.maximum(mi + ((occ_a - 1) + (occ_b - 1) - (occ_ab - 1)) / (2 * rows), 0.0)
+    return mi
+
+
+_INT64 = np.iinfo(np.int64)
+# symbol draws: a small alphabet, negative symbols, float bit patterns, and
+# wide codes whose offset or next digit does not fit in an int64
+_SYMBOL_KINDS = {
+    "small": lambda rng, shape: rng.integers(0, 3, shape),
+    "negative": lambda rng, shape: rng.integers(-5, 2, shape),
+    "wide": lambda rng, shape: rng.choice(
+        np.array([_INT64.min, -2 ** 40, -1, 0, 7, 2 ** 52 + 3, _INT64.max]), shape),
+    "weight_codes": lambda rng, shape: rng.choice(
+        rng.random(4).view(np.int64), shape),
+    # a quarter of the int64 range: after a re-rank the next digit still overflows
+    "quarter_range": lambda rng, shape: rng.choice(np.array([-2 ** 61, 0, 2 ** 61]), shape),
+    "uint8": lambda rng, shape: rng.integers(0, 256, shape).astype(np.uint8),
+    "uint64_high": lambda rng, shape: rng.choice(
+        np.array([0, 5, 2 ** 63, 2 ** 64 - 1], dtype=np.uint64), shape),
+}
+
+
+class TestPackedCodesAgainstLexsortOracle:
+    @given(st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_plugin_mi_equals_lexsort_oracle(self, data):
+        rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+        rows = data.draw(st.integers(1, 60))
+        quantities = data.draw(st.integers(1, 4))
+
+        def symbol(name):
+            ndim = data.draw(st.sampled_from([1, 2, 3]), label=f"{name} ndim")
+            cols = data.draw(st.integers(1, 12), label=f"{name} columns")
+            shape = {1: (rows,), 2: (rows, quantities), 3: (rows, quantities, cols)}[ndim]
+            draw = _SYMBOL_KINDS[data.draw(st.sampled_from(sorted(_SYMBOL_KINDS)),
+                                           label=f"{name} kind")]
+            return draw(rng, shape)
+
+        a, b = symbol("a"), symbol("b")
+        if data.draw(st.booleans(), label="conditional"):
+            c = symbol("c")
+            got, expected = plugin_mi(a, b, c), _lexsort_plugin_mi(a, b, c)
+        else:
+            bias = data.draw(st.booleans(), label="bias_correction")
+            got = plugin_mi(a, b, bias_correction=bias)
+            expected = _lexsort_plugin_mi(a, b, bias_correction=bias)
+        assert np.array_equal(got, expected)
+
+    @given(st.integers(0, 2 ** 32 - 1), st.integers(1, 80), st.integers(1, 40),
+           st.sampled_from(sorted(_SYMBOL_KINDS)))
+    @settings(max_examples=100, deadline=None)
+    def test_lex_codes_are_the_lexsort_ranks(self, seed, rows, columns, kind):
+        """Many columns of a wide alphabet force the re-rank before a fold
+        would overflow int64; the ranks still equal the lexsort chain's."""
+        rng = np.random.default_rng(seed)
+        cols = [_SYMBOL_KINDS[kind](rng, rows) for _ in range(columns)]
+        expected = np.zeros(rows, dtype=np.int64)
+        for col in cols:
+            expected = _group_codes(expected, col)
+        assert np.array_equal(_lex_codes(cols), expected)
+
+    def test_fold_past_int64_rerank(self):
+        # 70 binary columns need 2^70 codes: at least one re-rank on the way
+        rng = np.random.default_rng(4)
+        x = rng.integers(0, 2, (50, 1, 70))
+        m = rng.integers(0, 2, 50)
+        assert np.array_equal(plugin_mi(x, m), _lexsort_plugin_mi(x, m))
+        assert np.array_equal(plugin_mi(x, m, bias_correction=True),
+                              _lexsort_plugin_mi(x, m, bias_correction=True))
+
+    def test_trial_table_quantities_equal_oracle(self):
+        rng = np.random.default_rng(5)
+        ss = random_supersample(rng, 6)
+        table = exact_table(ss, LearnerSpec("knn", {"k": 3}), seeds=(1, 2))
+        n, rows = table.n, len(table.masks)
+        rest = np.array([[j for j in range(n) if j != i] for i in range(n)])
+        for target in (table.preds.reshape(rows, n, 2), table.preds[:, None]):
+            assert np.array_equal(plugin_mi(target, table.masks, table.masks[:, rest]),
+                                  _lexsort_plugin_mi(target, table.masks,
+                                                     table.masks[:, rest]))
+        assert np.array_equal(plugin_mi(table.preds[:, None], table.masks[:, None]),
+                              _lexsort_plugin_mi(table.preds[:, None], table.masks[:, None]))
 
 
 def threshold_instance():

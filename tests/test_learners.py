@@ -1,5 +1,6 @@
 import itertools
 import math
+import struct
 import warnings
 from unittest import mock
 
@@ -8,11 +9,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fcmi.core import ContractViolation
+from fcmi.core import ContractViolation, exact_rows, split_slots
 from fcmi.datagen import GeneratorSpec, sample_supersample
 import fcmi.learners
 from fcmi.learners import (
     LearnerSpec,
+    _digest,
     _fit_predict_rows,
     _linear_predict,
     _sigmoid,
@@ -393,6 +395,178 @@ class TestBatchedLinear:
                                 xs, ys, xs, 77)
             w = scalar_fit(xs, ys, 77, steps=25)
             assert np.array_equal(out.predictions, _scalar_linear_predict(w, xs, "prob"))
+
+
+# The per-fit label learners the row functions replaced, kept verbatim (bar
+# the names) as oracles: fitting a chunk of rows must not move a single bit.
+
+
+def _scalar_memorize(train_xs: np.ndarray, train_ys: np.ndarray,
+                     query_xs: np.ndarray) -> np.ndarray:
+    table: dict[tuple, int] = {}
+    for x, y in zip(map(tuple, train_xs.tolist()), train_ys.tolist()):
+        # first occurrence wins for duplicate inputs
+        table.setdefault(x, y)
+    return np.array([table.get(q, 0) for q in map(tuple, query_xs.tolist())],
+                    dtype=np.int64)
+
+
+def _scalar_threshold_erm_fit(xs: np.ndarray, ys: np.ndarray) -> float:
+    """Empirical-risk-minimizing threshold for 1-D features in [0, 1].
+
+    Separable samples get the midpoint of the zero-error interval; one-class
+    samples snap to the domain edge (1.0 for all-zeros, 0.0 for all-ones).
+    Otherwise the leftmost minimum-error cut wins.
+    """
+    xs = np.asarray(xs, dtype=float)
+    ys = np.asarray(ys)
+    x1 = xs[:, 0]
+    if xs.shape[1] != 1 or np.any(x1 < 0) or np.any(x1 > 1):
+        raise ContractViolation("threshold_erm needs 1-D features in [0, 1]")
+    zeros = x1[ys == 0]
+    ones = x1[ys == 1]
+    if ones.size == 0:
+        return 1.0
+    if zeros.size == 0:
+        return 0.0
+    m0, m1 = float(zeros.max()), float(ones.min())
+    if m0 < m1:
+        return (m0 + m1) / 2.0
+    values = np.unique(x1)
+    candidates = np.concatenate(([0.0], (values[:-1] + values[1:]) / 2.0, [1.0]))
+    errors = np.mean((x1 > candidates[:, None]) != ys, axis=1)
+    return float(candidates[np.argmin(errors)])  # argmin keeps the leftmost cut
+
+
+def _scalar_knn(train_xs: np.ndarray, train_ys: np.ndarray, query_xs: np.ndarray,
+                k: int) -> np.ndarray:
+    k_eff = min(k, len(train_ys))
+    num_classes = int(train_ys.max()) + 1
+    d2 = np.sum((train_xs[None, :, :] - query_xs[:, None, :]) ** 2, axis=2)
+    order = np.argsort(d2, axis=1, kind="stable")  # distance ties fall to lower index
+    nearest = train_ys[order[:, :k_eff]]
+    votes = (nearest[:, :, None] == np.arange(num_classes)).sum(axis=1)
+    return votes.argmax(axis=1)  # vote ties fall to lower class
+
+
+def _scalar_fit_predict(spec, train_xs, train_ys, query_xs, seed):
+    """One fit of a label learner, an ensemble of them or a noisy_wrapper
+    over a linear learner: the scalar bodies and the per-kind chain they
+    ran under. Returns the predictions and the weight code (or None)."""
+    p = spec.params
+    if spec.kind == "memorizer":
+        return _scalar_memorize(train_xs, train_ys, query_xs), None
+    if spec.kind == "threshold_erm":
+        w = _scalar_threshold_erm_fit(train_xs, train_ys)
+        code = struct.unpack("<q", struct.pack("<d", w))[0]
+        return (query_xs[:, 0] > w).astype(np.int64), code
+    if spec.kind == "knn":
+        return _scalar_knn(train_xs, train_ys, query_xs, int(p.get("k", 1))), None
+    if spec.kind == "noisy_wrapper":
+        inner = LearnerSpec.from_json_dict(p["inner"])
+        _, scalar_fit = _LINEAR_FITS[inner.kind]
+        w = scalar_fit(train_xs, train_ys, seed, steps=inner.params["steps"])
+        inner_preds = _scalar_linear_predict(w, query_xs, "prob")
+        train_digest = _digest(
+            np.ascontiguousarray(train_xs).tobytes() + train_ys.tobytes())
+        return noisy_predict(inner_preds, float(p["sigma_sq"]), seed,
+                             train_digest, query_xs), None
+    members = [LearnerSpec.from_json_dict(m) for m in p["members"]]
+    per_member = np.stack([
+        _scalar_fit_predict(m, train_xs, train_ys, query_xs, derive_seed(seed, j))[0]
+        for j, m in enumerate(members)
+    ])
+    return np.array([np.bincount(votes).argmax() for votes in per_member.T],
+                    dtype=np.int64), None
+
+
+_LABEL_KINDS = ["memorizer", "threshold_erm", "knn", "ensemble"]
+
+
+def _label_spec(data, kind):
+    if kind == "knn":
+        return {"kind": "knn", "params": {"k": data.draw(st.integers(1, 9), label="k")}}
+    if kind == "ensemble":
+        count = data.draw(st.integers(1, 4), label="members")
+        return {"kind": "ensemble", "params": {"members": [
+            _label_spec(data, data.draw(st.sampled_from(_LABEL_KINDS[:3])))
+            for _ in range(count)]}}
+    return {"kind": kind, "params": {}}
+
+
+def _check_rows_match_oracle(spec, xs, ys, train_idx, queries, seeds, cap):
+    with mock.patch.object(fcmi.learners, "_BATCH_CELLS", cap):
+        preds, codes = _fit_predict_rows(spec, xs, ys, train_idx, queries, seeds)
+    for t, (idx, seed) in enumerate(zip(train_idx, seeds)):
+        expected, code = _scalar_fit_predict(spec, xs[idx], ys[idx], queries, int(seed))
+        assert np.array_equal(preds[t], expected), (t, idx)
+        assert (codes is None) == (code is None)
+        if code is not None:
+            assert codes[t] == code
+    assert preds.dtype == np.int64 or spec.kind == "noisy_wrapper"
+
+
+class TestRowsAgainstScalarOracles:
+    @given(st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_label_rows_split_by_split(self, data):
+        """Random supersamples with n <= 8 on a coarse grid (duplicate inputs and
+        distance ties), one or several classes, exact-mode splits or training
+        sets in any order, and a chunk cap that splits the rows."""
+        spec = LearnerSpec.from_json_dict(
+            _label_spec(data, data.draw(st.sampled_from(_LABEL_KINDS))))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+        n = data.draw(st.integers(1, 8))
+        # threshold_erm needs one feature in [0, 1]
+        dim = 1 if fcmi.learners.uses_kind(spec, ("threshold_erm",)) else \
+            data.draw(st.integers(1, 3))
+        grid = data.draw(st.sampled_from([2, 4, 8, 1000]))
+        xs = rng.integers(0, grid + 1, (2 * n, dim)) / grid
+        classes = data.draw(st.integers(1, 3))
+        ys = rng.integers(0, classes, 2 * n)
+        if data.draw(st.booleans(), label="exact splits"):
+            masks, seeds = exact_rows(n, [int(s) for s in rng.integers(0, 2 ** 32, 2)])
+            train_idx = split_slots(masks)[0]
+        else:
+            rows, size = int(rng.integers(1, 12)), int(rng.integers(1, 2 * n + 1))
+            train_idx = rng.integers(0, 2 * n, (rows, size))
+            seeds = rng.integers(0, 2 ** 63, rows, dtype=np.uint64)
+        queries = np.concatenate([xs, rng.integers(0, grid + 1, (3, dim)) / grid])
+        cap = data.draw(st.sampled_from([fcmi.learners._BATCH_CELLS, 1, 7, 64, 500]))
+        _check_rows_match_oracle(spec, xs, ys, train_idx, queries, seeds, cap)
+
+    @pytest.mark.parametrize("cap", [fcmi.learners._BATCH_CELLS, 40])
+    def test_noisy_wrapper_rows(self, cap):
+        rng = np.random.default_rng(21)
+        spec = LearnerSpec("noisy_wrapper", {
+            "inner": {"kind": "logistic_gd", "params": {"output": "prob", "steps": 15}},
+            "sigma_sq": 0.3})
+        xs, ys = rng.normal(0.0, 1.0, (10, 2)), rng.integers(0, 2, 10)
+        train_idx = np.stack([rng.permutation(10)[:6] for _ in range(7)])
+        seeds = rng.integers(0, 2 ** 63, 7, dtype=np.uint64)
+        _check_rows_match_oracle(spec, xs, ys, train_idx, xs[:4], seeds, cap)
+
+    @pytest.mark.parametrize("k", [1, 2, 4])
+    def test_knn_nan_distances_tie_by_position(self, k):
+        # NaN distances sort last in the scalar learner's stable sort, in
+        # training order; the batched ranks keep them tied
+        xs = np.array([[0.1, np.nan], [0.2, 0.0], [0.3, np.nan], [0.9, 0.5], [0.4, 0.1]])
+        ys = np.array([0, 1, 1, 0, 2])
+        train_idx = np.array([[2, 0, 1, 3], [0, 2, 4, 3], [3, 4, 2, 0]])
+        queries = np.concatenate([xs, [[0.25, np.nan]]])
+        _check_rows_match_oracle(LearnerSpec("knn", {"k": k}), xs, ys, train_idx, queries,
+                                 [0, 0, 0], fcmi.learners._BATCH_CELLS)
+
+    def test_separable_midpoint_rounding_to_upper_point(self):
+        # adjacent doubles: their midpoint rounds to one of them, so the cut
+        # is compared point by point, not by sorted position
+        lo = 0.3
+        hi = np.nextafter(lo, 1.0)
+        xs = np.array([[lo], [hi], [lo], [hi]])
+        ys = np.array([1, 0, 0, 1])
+        train_idx = np.array([[0, 1, 2, 3], [1, 0, 3, 2], [0, 1, 1, 3]])
+        _check_rows_match_oracle(LearnerSpec("threshold_erm"), xs, ys, train_idx, xs,
+                                 [0, 0, 0], fcmi.learners._BATCH_CELLS)
 
 
 class TestFillTable:
