@@ -109,6 +109,33 @@ GOLDEN = {
         "5953d77e23e5ae9f9c1398e620013b80c4a9a97cf641bae320eddb8049bbf631",
         "0.13020833333333331", "0.05155986946151908",
         "5f9df208e818735d61f2e851a62dea5986dddde224cf2759c171b46395dffd14"),
+    # a two-word run entropy (2^32 + 7), an odd n and 700 trials whose split
+    # masks span more than one block of the array PCG64 stream
+    "mc_knn1_n13_two_word_seed": (
+        dict(data=GAUSS_DATA, n=13, k1=2, k2=700,
+             learner={"kind": "knn", "params": {"k": 1}},
+             mode="monte_carlo", bounds=["fcmi_m1"], master_seed=2 ** 32 + 7),
+        "2315d21d14212726742fb63821fb7a1f0651d87b2444666fdb35624d3c3f40b1",
+        "0.34203296703296704", "0.13264079950389415",
+        "d33eab03b1b3fc157841d486aad4396af1c6323aa25a56ac47ede2dec9b8f6b0"),
+    "mc_ensemble_n6": (
+        dict(data=THRESHOLD_DATA, n=6, k1=2, k2=60,
+             learner={"kind": "ensemble", "params": {"members": [
+                 {"kind": "threshold_erm", "params": {}},
+                 {"kind": "knn", "params": {"k": 1}},
+                 {"kind": "knn", "params": {"k": 3}}]}},
+             mode="monte_carlo", bounds=["fcmi_m1"], master_seed=16),
+        "399d51268bbcbc2f6e565b59634a1ee068ebf7d8448d05b48f3b750f81adf236",
+        "0.08888888888888889", "0.01178511301977581",
+        "e7db7894978a495db5cf2828ea42b1fc0e1087af808b8529f611652be9836a37"),
+    "mc_memorizer_csv_n7": (
+        dict(data=CSV_DATA, n=7, k1=2, k2=80,
+             learner={"kind": "memorizer", "params": {}},
+             mode="monte_carlo", bounds=["fcmi_m1", "fcmi_subset_m"],
+             subset_policy={"m": 2}, master_seed=17),
+        "98f1e3bca3d963df5fb4458834ffee828861100e3d94f4c0779b83c7d884665e",
+        "0.525892857142857", "0.07197336879934503",
+        "6e78af7bd40d516c7647bb3676d276ffba6b4ea18c7cab107cda60dce7830973"),
 }
 
 _LOGISTIC_PROB = {"kind": "logistic_gd", "params": {"output": "prob", "steps": 20}}
