@@ -65,5 +65,6 @@ from .learners import (
     threshold_erm_fit,
     train_predict,
 )
+from .seeding import derive_seed, derive_seeds, split_masks
 
 __version__ = "0.1.0"

@@ -42,7 +42,6 @@ from .infotheory import (
 )
 from .learners import (
     LearnerSpec,
-    derive_seed,
     estimate_stability,
     fill_table,
     has_weight_code,
@@ -51,6 +50,7 @@ from .learners import (
     prediction_space,
     uses_kind,
 )
+from .seeding import derive_seed, derive_seeds, split_masks
 
 # spawn-key channels for counter-based seed derivation
 _DATA, _SPLIT, _TRIAL, _STABILITY, _SUBSET = 0, 1, 2, 3, 4
@@ -95,6 +95,22 @@ class SweepFailure(RuntimeError):
         self.completed = completed
 
 
+# integer fields of ExperimentConfig and their config keys; JSON floats and
+# booleans are refused, not truncated
+_INTEGER_FIELDS = {
+    "n": "n",
+    "k1": "k1",
+    "k2": "k2",
+    "master_seed": "master_seed",
+    "subset_m": "subset_policy.m",
+    "subset_enumerate_limit": "subset_policy.enumerate_limit",
+    "subset_sample_count": "subset_policy.sample_count",
+    "exact_seeds": "exact_seeds",
+    "stability_trials": "stability.trials",
+    "jobs": "jobs",
+}
+
+
 @dataclass
 class ExperimentConfig:
     data: dict
@@ -116,6 +132,13 @@ class ExperimentConfig:
     jobs: int = 1
 
     def __post_init__(self) -> None:
+        for name, key in _INTEGER_FIELDS.items():
+            value = getattr(self, name)
+            if not (value is None and name == "subset_m") and (
+                    isinstance(value, bool) or not isinstance(value, (int, np.integer))):
+                raise ConfigError(f"{key} must be an integer, got {value!r}")
+        if self.master_seed < 0:
+            raise ConfigError(f"master_seed must be >= 0, got {self.master_seed}")
         if self.k1 < 1 or self.k2 < 1 or self.n < 1:
             raise ConfigError("n, k1, and k2 must all be >= 1")
         if self.mode not in ("monte_carlo", "exact_enumeration"):
@@ -164,22 +187,22 @@ class ExperimentConfig:
             subset = d.get("subset_policy", {})
             return cls(
                 data=d["data"],
-                n=int(d["n"]),
-                k1=int(d["k1"]),
-                k2=int(d["k2"]),
+                n=d["n"],
+                k1=d["k1"],
+                k2=d["k2"],
                 learner=learner,
                 mode=d.get("mode", "monte_carlo"),
                 bounds=tuple(d.get("bounds", ("fcmi_m1",))),
-                master_seed=int(d.get("master_seed", 0)),
+                master_seed=d.get("master_seed", 0),
                 loss=d.get("loss", "zero_one"),
                 subset_m=subset.get("m"),
-                subset_enumerate_limit=int(subset.get("enumerate_limit", 1000)),
-                subset_sample_count=int(subset.get("sample_count", 200)),
-                exact_seeds=int(d.get("exact_seeds", 1)),
-                stability_trials=int(d.get("stability", {}).get("trials", 25)),
+                subset_enumerate_limit=subset.get("enumerate_limit", 1000),
+                subset_sample_count=subset.get("sample_count", 200),
+                exact_seeds=d.get("exact_seeds", 1),
+                stability_trials=d.get("stability", {}).get("trials", 25),
                 gamma=float(d.get("stability", {}).get("gamma", 1.0)),
                 clip_bounds=bool(d.get("clip_bounds", False)),
-                jobs=int(d.get("jobs", 1)),
+                jobs=d.get("jobs", 1),
             )
         except (KeyError, TypeError, ValueError) as e:
             if isinstance(e, ConfigError):
@@ -444,16 +467,12 @@ def _run_supersample(config: ExperimentConfig, a: int,
     n = config.n
     exact = config.mode == "exact_enumeration"
     if exact:
-        seeds = [derive_seed(config.master_seed, _TRIAL, a, t)
-                 for t in range(config.exact_seeds)]
+        seeds = derive_seeds(config.master_seed, _TRIAL, a, np.arange(config.exact_seeds))
         masks, row_seeds = exact_rows(n, seeds)
     else:
-        split_seeds = [derive_seed(config.master_seed, _SPLIT, a, b)
-                       for b in range(config.k2)]
-        masks = np.array([np.random.default_rng(s).integers(0, 2, n) for s in split_seeds],
-                         dtype=np.uint8)
-        row_seeds = np.array([derive_seed(config.master_seed, _TRIAL, a, b)
-                              for b in range(config.k2)], dtype=np.uint64)
+        trials = np.arange(config.k2)
+        masks = split_masks(derive_seeds(config.master_seed, _SPLIT, a, trials), n)
+        row_seeds = derive_seeds(config.master_seed, _TRIAL, a, trials)
     table = fill_table(supersample, config.learner, masks, row_seeds, config.loss,
                        supersample_id=f"ss{a:03d}")
     gap_mean, gap_std = aggregate_gap(table)
@@ -481,7 +500,7 @@ def _run_supersample(config: ExperimentConfig, a: int,
     if _needs(config, "ensemble_mn"):
         result.member_fcmi = []
         for j, member in enumerate(config.learner.params["members"]):
-            member_rows = exact_rows(n, [derive_seed(s, j) for s in seeds])
+            member_rows = exact_rows(n, derive_seeds(seeds, j))
             member_table = fill_table(supersample, LearnerSpec.from_json_dict(member),
                                       *member_rows, config.loss)
             result.member_fcmi.append(float(subset_mi(member_table, every_pair)[0]))

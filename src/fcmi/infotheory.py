@@ -166,6 +166,65 @@ def _representatives(codes: np.ndarray) -> np.ndarray:
     return rep
 
 
+def _one_pass_cells(symbols, rows: int, quantities: int):
+    """Occupied cells of the joint over (quantity, c, a, b), counted over one
+    mixed-radix code of all their columns.
+
+    Each column is offset by its minimum, with radix max - min + 1. Returns
+    None when the code's range exceeds the samples (the test ``_dense_rank``
+    applies) or a column is not an int64 after its offset; the radices are
+    read before any code is built.
+    """
+    parts, radices, size = [], [], 1
+    for x in symbols:
+        bounds, radix = [], 1
+        for j in range(0 if x is None else x.shape[2]):
+            # one column at a time, so a wide joint stops at its first overflow
+            lo, hi = int(x[:, :, j].min()), int(x[:, :, j].max())
+            radix *= hi - lo + 1
+            if hi > _INT64_MAX or size * radix > rows:  # > rows * quantities codes
+                return None
+            bounds.append((lo, hi))
+        parts.append((x, bounds))
+        radices.append(radix)
+        size *= radix
+    code = np.empty((rows, quantities), dtype=np.int64)
+    code[:] = np.arange(quantities)
+    for x, bounds in parts:
+        for j, (lo, hi) in enumerate(bounds):
+            code *= hi - lo + 1
+            col = x[:, :, j]
+            code += (col if lo == 0 and np.can_cast(col.dtype, np.int64)
+                     else np.subtract(col, lo, dtype=np.int64))
+    rc, ra, rb = radices
+    counts = np.bincount(code.ravel())
+    cells = np.flatnonzero(counts)
+    ac = cells // rb
+    qc = ac // ra
+    return qc // rc, counts[cells], (qc, ac, qc * rb + cells % rb)
+
+
+def _folded_cells(symbols, rows: int, quantities: int):
+    """Occupied cells of the joint over (quantity, c, a, b), from dense ranks
+    of each symbol folded pairwise."""
+    q = np.tile(np.arange(quantities), rows)
+
+    def symbol_codes(x: np.ndarray) -> np.ndarray:
+        # codes of (q, symbol); the columns are materialized one at a time
+        x = np.broadcast_to(x, (rows, quantities, x.shape[2]))
+        columns = (x[:, :, j].ravel() for j in range(x.shape[2]))
+        return _lex_codes(itertools.chain([q], columns))
+
+    c, a, b = symbols
+    a_codes, b_codes = symbol_codes(a), symbol_codes(b)
+    cond = q if c is None else symbol_codes(c)
+    ac = _lex_codes([cond, a_codes])
+    bc = _lex_codes([cond, b_codes])
+    abc = _lex_codes([ac, b_codes])
+    rep = _representatives(abc)
+    return q[rep], np.bincount(abc), (cond[rep], ac[rep], bc[rep])
+
+
 def plugin_mi(a, b, c=None, bias_correction: bool = False) -> np.ndarray:
     """Plug-in I(A; B), or I(A; B | C) when ``c`` is given, for Q quantities.
 
@@ -176,6 +235,10 @@ def plugin_mi(a, b, c=None, bias_correction: bool = False) -> np.ndarray:
     so alphabet sizes never matter. ``bias_correction`` adds the Miller-Madow
     correction, which is defined for the unconditional form only. Returns the
     Q values in nats.
+
+    The occupied (quantity, c, a, b) cells come in lexicographic order from
+    either counting path, so every sum runs in one order and gives the same
+    bits.
     """
     args = [np.asarray(x) for x in ((a, b) if c is None else (a, b, c))]
     if any(x.ndim not in (1, 2, 3) or not np.issubdtype(x.dtype, np.integer)
@@ -188,28 +251,18 @@ def plugin_mi(a, b, c=None, bias_correction: bool = False) -> np.ndarray:
     if rows < 1:
         raise ContractViolation("need at least one sample row")
     quantities = max(x.shape[1] for x in args)
-    q = np.tile(np.arange(quantities), rows)
-
-    def symbol_codes(x: np.ndarray) -> np.ndarray:
-        # codes of (q, symbol); the columns are materialized one at a time
-        x = np.broadcast_to(x, (rows, quantities, x.shape[2]))
-        columns = (x[:, :, j].ravel() for j in range(x.shape[2]))
-        return _lex_codes(itertools.chain([q], columns))
-
-    a_codes, b_codes = symbol_codes(args[0]), symbol_codes(args[1])
-    cond = symbol_codes(args[2]) if c is not None else q
-    ac = _lex_codes([cond, a_codes])
-    bc = _lex_codes([cond, b_codes])
-    abc = _lex_codes([ac, b_codes])
-    rep = _representatives(abc)
-    n_abc = np.bincount(abc)
-    ratio = (n_abc * np.bincount(cond)[cond[rep]]) / (
-        np.bincount(ac)[ac[rep]] * np.bincount(bc)[bc[rep]])
-    mi = np.bincount(q[rep], weights=n_abc * np.log(ratio), minlength=quantities) / rows
+    symbols = (args[2] if c is not None else None, args[0], args[1])
+    cells = _one_pass_cells(symbols, rows, quantities)
+    q, n_abc, margins = cells or _folded_cells(symbols, rows, quantities)
+    # each cell's (c), (c, a) and (c, b) margin counts
+    n_c, n_ac, n_bc = (np.bincount(m, weights=n_abc).astype(np.int64)[m] for m in margins)
+    ratio = (n_abc * n_c) / (n_ac * n_bc)
+    mi = np.bincount(q, weights=n_abc * np.log(ratio), minlength=quantities) / rows
     mi = np.maximum(mi, 0.0)
     if bias_correction:
-        occ_a, occ_b, occ_ab = (np.bincount(q[_representatives(g)], minlength=quantities)
-                                for g in (ac, bc, abc))
+        occ_a, occ_b = (np.bincount(q[np.unique(m, return_index=True)[1]],
+                                    minlength=quantities) for m in margins[1:])
+        occ_ab = np.bincount(q, minlength=quantities)
         mi = np.maximum(mi + ((occ_a - 1) + (occ_b - 1) - (occ_ab - 1)) / (2 * rows), 0.0)
     return mi
 

@@ -26,6 +26,7 @@ from .core import (
     split_slots,
 )
 from .datagen import sample_examples
+from .seeding import derive_seed, derive_seeds  # noqa: F401  (derive_seed stays importable here)
 
 LEARNER_KINDS = (
     "memorizer",
@@ -99,13 +100,6 @@ def _validate_params(kind: str, params: dict) -> None:
 class LearnerOutput:
     predictions: np.ndarray
     weight_code: int | None = None
-
-
-def derive_seed(seed: int, *path: int) -> int:
-    """Counter-style child seed; stable across platforms and schedules."""
-    ss = np.random.SeedSequence(entropy=int(seed),
-                                spawn_key=tuple(int(p) for p in path))
-    return int(ss.generate_state(1, np.uint64)[0])
 
 
 def prediction_space(spec: LearnerSpec, num_classes: int = 2) -> PredictionSpace:
@@ -464,9 +458,9 @@ def _noisy_rows(spec, xs, ys, train_idx, query_xs, seeds):
 def _ensemble_rows(spec, xs, ys, train_idx, query_xs, seeds):
     """Majority vote of the members; member j fits row t with seed
     ``derive_seed(seeds[t], j)``."""
+    seeds = np.asarray(seeds, dtype=np.uint64)
     votes = np.stack([
-        _fit_predict_rows(member, xs, ys, train_idx, query_xs,
-                          [derive_seed(s, j) for s in seeds])[0]
+        _fit_predict_rows(member, xs, ys, train_idx, query_xs, derive_seeds(seeds, j))[0]
         for j, member in enumerate(_wrapped(spec))])
     return ensemble_combine(votes), None
 
@@ -571,11 +565,13 @@ def estimate_stability(spec: LearnerSpec, gen, n: int, trials: int,
     train = np.tile(np.arange(n), (n + 1, 1))
     np.fill_diagonal(train[1:], n)
     acc = np.zeros((n, n + 1))
+    # trial t draws with seed derive_seed(seed, t, 0) and fits with derive_seed(seed, t, 1)
+    draw_seeds, fit_seeds = derive_seeds(seed, np.arange(trials), np.arange(2)[:, None])
     for t in range(trials):
-        xs, ys = sample_examples(gen, n + 2, derive_seed(seed, t, 0))
+        xs, ys = sample_examples(gen, n + 2, int(draw_seeds[t]))
         queries = np.concatenate([xs[:n], xs[n + 1:]])
         fits, _ = _fit_predict_rows(spec, xs, ys, train, queries,
-                                    [derive_seed(seed, t, 1)] * (n + 1))
+                                    [int(fit_seeds[t])] * (n + 1))
         # class labels embed as 1-D real vectors
         preds = np.asarray(fits, dtype=float).reshape(n + 1, n + 1, -1)
         shift = preds[1:] - preds[0]

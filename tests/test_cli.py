@@ -80,6 +80,13 @@ class TestRun:
         report = load_report(out / "report.json")
         assert report.config["master_seed"] == 99
 
+    def test_negative_seed_override_is_config_error(self, tmp_path, monkeypatch):
+        fits = count_fits(monkeypatch)
+        config = write_config(tmp_path)
+        out = tmp_path / "out"
+        assert main(["run", str(config), "-o", str(out), "--seed", "-1"]) == 2
+        assert fits == [] and not (out / "report.json").exists()
+
     def test_dotted_override_echoed(self, tmp_path):
         config = write_config(tmp_path)
         out = tmp_path / "out"
@@ -180,6 +187,22 @@ class TestConfigCheck:
             "inner": {"kind": "knn", "params": {"k": 1}}, "sigma_sq": 0.1}}),
         "jobs_zero": dict(jobs=0),
         "jobs_negative": dict(jobs=-1),
+        # integer fields are JSON integers: no float truncation, no booleans
+        "n_float": dict(n=5.5),
+        "k1_bool": dict(k1=True),
+        "k2_float": dict(k2=50.9),
+        "master_seed_negative": dict(master_seed=-1),
+        "master_seed_bool": dict(master_seed=True),
+        "master_seed_float": dict(master_seed=3.0),
+        "exact_seeds_float": dict(mode="exact_enumeration", exact_seeds=2.5),
+        "stability_trials_float": dict(STABILITY_RUN, stability={"trials": 2.5}),
+        "jobs_float": dict(jobs=1.5),
+        "subset_m_float": dict(n=6, bounds=["fcmi_subset_m"], subset_policy={"m": 2.0}),
+        "subset_enumerate_limit_bool": dict(
+            n=6, bounds=["fcmi_subset_m"], subset_policy={"m": 2, "enumerate_limit": True}),
+        "subset_sample_count_float": dict(
+            n=6, bounds=["fcmi_subset_m"],
+            subset_policy={"m": 2, "enumerate_limit": 1, "sample_count": 3.5}),
     }
 
     @pytest.mark.parametrize("case", sorted(BAD))

@@ -1,4 +1,6 @@
+import itertools
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -19,7 +21,8 @@ from fcmi.infotheory import (
     subset_mi,
     mi_testslots,
 )
-from fcmi.infotheory import _lex_codes, _representatives
+import fcmi.infotheory
+from fcmi.infotheory import _lex_codes, _one_pass_cells, _representatives
 from fcmi.learners import LearnerSpec, fill_table
 
 LOG2 = math.log(2.0)
@@ -424,6 +427,112 @@ class TestPackedCodesAgainstLexsortOracle:
                                                      table.masks[:, rest]))
         assert np.array_equal(plugin_mi(table.preds[:, None], table.masks[:, None]),
                               _lexsort_plugin_mi(table.preds[:, None], table.masks[:, None]))
+
+
+# The packed-code fold the one-pass joint code replaced, kept verbatim (bar
+# the name) as an oracle: both count the same occupied cells in the same
+# order, so every MI bit agrees.
+
+
+def _packed_fold_plugin_mi(a, b, c=None, bias_correction: bool = False) -> np.ndarray:
+    args = [np.asarray(x) for x in ((a, b) if c is None else (a, b, c))]
+    if any(x.ndim not in (1, 2, 3) or not np.issubdtype(x.dtype, np.integer)
+           for x in args):
+        raise ContractViolation("symbols must be (T,), (T, Q) or (T, Q, k) integer arrays")
+    if bias_correction and c is not None:
+        raise ContractViolation("the Miller-Madow correction is for unconditional MI")
+    args = [x.reshape(x.shape + (1,) * (3 - x.ndim)) for x in args]
+    rows = args[0].shape[0]
+    if rows < 1:
+        raise ContractViolation("need at least one sample row")
+    quantities = max(x.shape[1] for x in args)
+    q = np.tile(np.arange(quantities), rows)
+
+    def symbol_codes(x: np.ndarray) -> np.ndarray:
+        # codes of (q, symbol); the columns are materialized one at a time
+        x = np.broadcast_to(x, (rows, quantities, x.shape[2]))
+        columns = (x[:, :, j].ravel() for j in range(x.shape[2]))
+        return _lex_codes(itertools.chain([q], columns))
+
+    a_codes, b_codes = symbol_codes(args[0]), symbol_codes(args[1])
+    cond = symbol_codes(args[2]) if c is not None else q
+    ac = _lex_codes([cond, a_codes])
+    bc = _lex_codes([cond, b_codes])
+    abc = _lex_codes([ac, b_codes])
+    rep = _representatives(abc)
+    n_abc = np.bincount(abc)
+    ratio = (n_abc * np.bincount(cond)[cond[rep]]) / (
+        np.bincount(ac)[ac[rep]] * np.bincount(bc)[bc[rep]])
+    mi = np.bincount(q[rep], weights=n_abc * np.log(ratio), minlength=quantities) / rows
+    mi = np.maximum(mi, 0.0)
+    if bias_correction:
+        occ_a, occ_b, occ_ab = (np.bincount(q[_representatives(g)], minlength=quantities)
+                                for g in (ac, bc, abc))
+        mi = np.maximum(mi + ((occ_a - 1) + (occ_b - 1) - (occ_ab - 1)) / (2 * rows), 0.0)
+    return mi
+
+
+def _symbols_path(a, b, c=None) -> bool:
+    """Whether plugin_mi counts these symbols in one pass (else it re-ranks)."""
+    args = [np.asarray(x) for x in ((a, b) if c is None else (a, b, c))]
+    args = [x.reshape(x.shape + (1,) * (3 - x.ndim)) for x in args]
+    quantities = max(x.shape[1] for x in args)
+    symbols = (args[2] if c is not None else None, args[0], args[1])
+    return _one_pass_cells(symbols, args[0].shape[0], quantities) is not None
+
+
+class TestOnePassAgainstPackedFold:
+    @given(st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_plugin_mi_equals_packed_fold(self, data):
+        """Small alphabets take the one-pass code and wide ones the re-rank;
+        both must give the fold's bits, conditional or not."""
+        rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+        rows = data.draw(st.integers(1, 80))
+        quantities = data.draw(st.integers(1, 5))
+
+        def symbol(name):
+            ndim = data.draw(st.sampled_from([1, 2, 3]), label=f"{name} ndim")
+            cols = data.draw(st.integers(1, 4), label=f"{name} columns")
+            shape = {1: (rows,), 2: (rows, quantities), 3: (rows, quantities, cols)}[ndim]
+            kind = data.draw(st.sampled_from(["binary", "binary", "offset"]
+                                             + sorted(_SYMBOL_KINDS)), label=f"{name} kind")
+            if kind == "binary":
+                return rng.integers(0, 2, shape).astype(
+                    data.draw(st.sampled_from([np.uint8, np.int64]), label=f"{name} dtype"))
+            if kind == "offset":
+                return rng.integers(2 ** 40, 2 ** 40 + 3, shape)
+            return _SYMBOL_KINDS[kind](rng, shape)
+
+        a, b = symbol("a"), symbol("b")
+        c = symbol("c") if data.draw(st.booleans(), label="conditional") else None
+        bias = c is None and data.draw(st.booleans(), label="bias_correction")
+        got = plugin_mi(a, b, c, bias_correction=bias)
+        assert np.array_equal(got, _packed_fold_plugin_mi(a, b, c, bias_correction=bias))
+
+    def test_both_paths_taken(self):
+        rng = np.random.default_rng(6)
+        masks = rng.integers(0, 2, (40, 5)).astype(np.uint8)
+        preds = rng.integers(0, 2, (40, 5, 2))
+        rest = np.array([[j for j in range(5) if j != i] for i in range(5)])
+        cases = [(preds, masks, None), (preds, masks, masks[:, rest]),
+                 (preds.reshape(40, 1, 10), masks[:, None], None)]
+        assert [_symbols_path(*case) for case in cases] == [True, False, False]
+        assert _symbols_path(preds[:, :2], masks[:, :2], masks[:, 2:3])
+        for a, b, c in cases + [(preds[:, :2], masks[:, :2], masks[:, 2:3])]:
+            assert np.array_equal(plugin_mi(a, b, c), _packed_fold_plugin_mi(a, b, c))
+
+    def test_wide_codes_keep_the_rerank(self):
+        """int64 weight codes whose max - min overflows an int64 are re-ranked,
+        never folded into one code."""
+        codes = np.array([np.iinfo(np.int64).min, -1, 0, np.iinfo(np.int64).max] * 5)
+        masks = np.random.default_rng(7).integers(0, 2, (20, 3)).astype(np.uint8)
+        assert not _symbols_path(codes, masks)
+        with mock.patch.object(fcmi.infotheory, "_folded_cells",
+                               wraps=fcmi.infotheory._folded_cells) as folded:
+            got = plugin_mi(codes, masks)
+        assert folded.called
+        assert np.array_equal(got, _packed_fold_plugin_mi(codes, masks))
 
 
 def threshold_instance():
