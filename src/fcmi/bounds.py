@@ -14,12 +14,12 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import ContractViolation
+from .core import ContractViolation, JsonFields, or_none
 from .infotheory import kl_divergence
 
 
 @dataclass(frozen=True)
-class BoundReport:
+class BoundReport(JsonFields):
     """A named bound value with its Monte Carlo spread across supersamples."""
 
     name: str
@@ -28,24 +28,11 @@ class BoundReport:
     inputs_digest: dict
     tag: str
 
+    PARSE = {"value": float, "spread": or_none(float)}
+
     def __post_init__(self) -> None:
         if self.value < 0 or math.isnan(self.value):
             raise ContractViolation(f"bound value must be >= 0, got {self.value}")
-
-    def to_json_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "value": self.value,
-            "spread": self.spread,
-            "inputs_digest": self.inputs_digest,
-            "tag": self.tag,
-        }
-
-    @classmethod
-    def from_json_dict(cls, d: dict) -> "BoundReport":
-        return cls(name=d["name"], value=float(d["value"]),
-                   spread=None if d["spread"] is None else float(d["spread"]),
-                   inputs_digest=d["inputs_digest"], tag=d["tag"])
 
 
 @dataclass(frozen=True)

@@ -60,7 +60,9 @@ def _load_config_dict(path: str) -> dict:
         raise ConfigError(f"{path}: {e}") from e
 
 
-def _config_from_args(raw: dict, args) -> ExperimentConfig:
+def _config_from_args(raw, args) -> ExperimentConfig:
+    if not isinstance(raw, dict):
+        raise ConfigError(f"an experiment config must be a JSON object, got {raw!r}")
     for assignment in args.set or []:
         _apply_override(raw, assignment)
     if args.seed is not None:
@@ -97,18 +99,16 @@ def _cmd_run(args) -> int:
     return EXIT_OK
 
 
-def _sweep_configs(raw: dict, args) -> list[ExperimentConfig]:
-    if "configs" in raw:
-        members = [dict(c) for c in raw["configs"]]
-    elif "base" in raw and "vary" in raw:
-        members = []
-        for patch in raw["vary"]:
-            merged = json.loads(json.dumps(raw["base"]))
-            for key, value in patch.items():
-                merged[key] = value
-            members.append(merged)
+def _sweep_configs(raw, args) -> list[ExperimentConfig]:
+    shape = set(raw) if isinstance(raw, dict) else None
+    if shape == {"configs"} and isinstance(raw["configs"], list):
+        members = raw["configs"]
+    elif (shape == {"base", "vary"} and isinstance(raw["base"], dict)
+          and isinstance(raw["vary"], list) and all(isinstance(p, dict) for p in raw["vary"])):
+        members = [{**json.loads(json.dumps(raw["base"])), **patch} for patch in raw["vary"]]
     else:
-        raise ConfigError("sweep config needs either 'configs' or 'base' + 'vary'")
+        raise ConfigError('a sweep config is {"configs": [...]} or '
+                          '{"base": {...}, "vary": [{...}, ...]}')
     if not members:
         raise ConfigError("sweep config lists no members")
     return [_config_from_args(m, args) for m in members]

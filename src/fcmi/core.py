@@ -2,8 +2,8 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable
+from dataclasses import MISSING, dataclass, field, fields
+from typing import Callable, ClassVar
 
 import numpy as np
 
@@ -17,6 +17,101 @@ class ContractViolation(ValueError):
 
 class SizeError(ValueError):
     """A requested enumeration exceeds the configured size limit."""
+
+
+def json_data(obj):
+    """Plain JSON data of ``obj``: numpy scalars and arrays become Python
+    values, tuples lists, and an object with ``to_json_dict`` the JSON data
+    that method returns."""
+    if hasattr(obj, "to_json_dict"):
+        return obj.to_json_dict()
+    if isinstance(obj, dict):
+        return {str(k): json_data(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [json_data(v) for v in obj]
+    if isinstance(obj, (np.floating, np.integer)):
+        return obj.item()
+    if isinstance(obj, np.ndarray):
+        return [json_data(v) for v in obj.tolist()]
+    return obj
+
+
+def or_none(convert):
+    """``convert`` for a JSON value that may be null."""
+    return lambda v: None if v is None else convert(v)
+
+
+class JsonFields:
+    """A dataclass serialized from its fields, each under its own name. A
+    ``compare=False`` field is a volatile or bulky companion (a wall clock,
+    trial tables) and stays out. ``PARSE`` maps a field to the conversion of
+    its JSON value, for the fields that need one."""
+
+    PARSE: ClassVar[dict[str, Callable]] = {}
+
+    def to_json_dict(self) -> dict:
+        return {f.name: json_data(getattr(self, f.name)) for f in fields(self) if f.compare}
+
+    @classmethod
+    def from_json_dict(cls, d: dict):
+        return cls(**{f.name: cls.PARSE.get(f.name, lambda v: v)(d[f.name])
+                      for f in fields(cls) if f.compare})
+
+
+# the value types a declared default admits: integers for an integer, any
+# number for a float; a boolean is neither
+_ADMITS = {int: ((int, np.integer), "an integer"),
+           float: ((int, float, np.integer, np.floating), "a number"),
+           str: ((str,), "a string")}
+
+
+@dataclass(frozen=True)
+class KindSpec(JsonFields):
+    """A ``{"kind": ..., "params": {...}}`` object of a config.
+
+    ``KINDS`` maps each kind to its parameters and their defaults (MISSING
+    for a required one) and is the only statement of either. A parameter the
+    kind does not declare is refused, and a value must be of its default's
+    type. ``params`` keeps exactly what was given; ``param`` fills in the
+    default. A subclass sets ``NOUN`` and ``KINDS`` and adds no field.
+    """
+
+    kind: str
+    params: dict = field(default_factory=dict)
+
+    NOUN: ClassVar[str]
+    KINDS: ClassVar[dict[str, dict]]
+
+    def __post_init__(self) -> None:
+        declared = self.KINDS.get(self.kind)
+        if declared is None:
+            raise ContractViolation(
+                f"unknown {self.NOUN} kind {self.kind!r} (known: {', '.join(self.KINDS)})")
+        if not isinstance(self.params, dict):
+            raise ContractViolation(f"{self.NOUN} params must be an object, got {self.params!r}")
+        for name, value in self.params.items():
+            if name not in declared:
+                raise ContractViolation(
+                    f"{self.kind} has no parameter {name!r} "
+                    f"(declared: {', '.join(declared) or 'none'})")
+            types, noun = _ADMITS.get(type(declared[name]), (object, None))
+            if isinstance(value, bool) and noun or not isinstance(value, types):
+                raise ContractViolation(
+                    f"{self.kind} parameter {name!r} must be {noun}, got {value!r}")
+        for name, default in declared.items():
+            if default is MISSING and name not in self.params:
+                raise ContractViolation(f"{self.kind} needs params.{name}")
+
+    def param(self, name: str):
+        """The value given for ``name``, else its declared default."""
+        return self.params.get(name, self.KINDS[self.kind][name])
+
+    @classmethod
+    def from_json_dict(cls, d) -> "KindSpec":
+        if not isinstance(d, dict) or "kind" not in d or set(d) - {"kind", "params"}:
+            raise ContractViolation(
+                f"{cls.NOUN} must be an object with a kind and optional params, got {d!r}")
+        return cls(d["kind"], d.get("params", {}))
 
 
 class Supersample:

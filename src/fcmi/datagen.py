@@ -3,40 +3,29 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import ContractViolation, Supersample
+from .core import ContractViolation, KindSpec, Supersample
 
-GENERATOR_KINDS = ("two_gaussians", "threshold_realizable", "uniform_labels")
+# the closed range of each bounded generator parameter
+_RANGES = {"noise": (0.0, 0.5), "dim": (1, math.inf), "threshold": (0.0, 1.0)}
 
 
-@dataclass(frozen=True)
-class GeneratorSpec:
-    kind: str
-    params: dict = field(default_factory=dict)
+class GeneratorSpec(KindSpec):
+    NOUN = "data"
+    KINDS = {
+        "two_gaussians": {"dim": 2, "sep": 2.0, "noise": 0.0},
+        "threshold_realizable": {"threshold": 0.5, "noise": 0.0},
+        "uniform_labels": {"dim": 1},
+    }
 
     def __post_init__(self) -> None:
-        if self.kind not in GENERATOR_KINDS:
-            raise ContractViolation(f"unknown generator kind {self.kind!r}")
-        p = self.params
-        noise = p.get("noise", 0.0)
-        if not 0.0 <= noise <= 0.5:
-            raise ContractViolation("label noise rate must be in [0, 0.5]")
-        if p.get("dim", 1) < 1:
-            raise ContractViolation("dim must be >= 1")
-        if self.kind == "threshold_realizable":
-            w = p.get("threshold", 0.5)
-            if not 0.0 <= w <= 1.0:
-                raise ContractViolation("true threshold must be in [0, 1]")
-
-    def to_json_dict(self) -> dict:
-        return {"kind": self.kind, "params": self.params}
-
-    @classmethod
-    def from_json_dict(cls, d: dict) -> "GeneratorSpec":
-        return cls(kind=d["kind"], params=dict(d.get("params", {})))
+        super().__post_init__()
+        for name, value in self.params.items():
+            lo, hi = _RANGES.get(name, (-math.inf, math.inf))
+            if not lo <= value <= hi:
+                raise ContractViolation(f"{name} must be in [{lo}, {hi}], got {value!r}")
 
 
 def _flip(labels: np.ndarray, noise: float, rng: np.random.Generator) -> np.ndarray:
@@ -53,23 +42,19 @@ def sample_examples(gen: GeneratorSpec, count: int,
     if count < 1:
         raise ContractViolation("count must be >= 1")
     rng = np.random.default_rng(seed)
-    p = gen.params
     if gen.kind == "two_gaussians":
-        dim = int(p.get("dim", 2))
-        sep = float(p.get("sep", 2.0))
+        dim, sep = gen.param("dim"), gen.param("sep")
         labels = rng.integers(0, 2, count)
         means = np.zeros((count, dim))
         means[:, 0] = (2 * labels - 1) * (sep / 2.0)  # class means at +/-(sep/2) e1
         xs = means + rng.standard_normal((count, dim))
-        ys = _flip(labels, float(p.get("noise", 0.0)), rng)
+        ys = _flip(labels, gen.param("noise"), rng)
     elif gen.kind == "threshold_realizable":
-        w = float(p.get("threshold", 0.5))
         xs = rng.random((count, 1))
-        labels = (xs[:, 0] > w).astype(np.int64)
-        ys = _flip(labels, float(p.get("noise", 0.0)), rng)
+        labels = (xs[:, 0] > gen.param("threshold")).astype(np.int64)
+        ys = _flip(labels, gen.param("noise"), rng)
     elif gen.kind == "uniform_labels":
-        dim = int(p.get("dim", 1))
-        xs = rng.random((count, dim))
+        xs = rng.random((count, gen.param("dim")))
         ys = rng.integers(0, 2, count)
     else:  # pragma: no cover
         raise ContractViolation(f"unknown generator kind {gen.kind!r}")

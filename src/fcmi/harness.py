@@ -14,7 +14,7 @@ import json
 import math
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import MISSING, asdict, dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -25,13 +25,17 @@ from .core import (
     LOSS_SPACE,
     LOSSES,
     ContractViolation,
+    JsonFields,
+    KindSpec,
     SizeError,
     Supersample,
     TrialTable,
     aggregate_gap,
     exact_rows,
+    json_data,
+    or_none,
 )
-from .datagen import GENERATOR_KINDS, GeneratorSpec, sample_supersample
+from .datagen import GeneratorSpec, sample_supersample
 from .infotheory import (
     PLUGIN_ALPHABET_LIMIT,
     all_subsets,
@@ -95,52 +99,64 @@ class SweepFailure(RuntimeError):
         self.completed = completed
 
 
-# integer fields of ExperimentConfig and their config keys; JSON floats and
-# booleans are refused, not truncated
-_INTEGER_FIELDS = {
-    "n": "n",
-    "k1": "k1",
-    "k2": "k2",
-    "master_seed": "master_seed",
-    "subset_m": "subset_policy.m",
-    "subset_enumerate_limit": "subset_policy.enumerate_limit",
-    "subset_sample_count": "subset_policy.sample_count",
-    "exact_seeds": "exact_seeds",
-    "stability_trials": "stability.trials",
-    "jobs": "jobs",
-}
+class _DataSource(KindSpec):
+    """The config's data object: a generator, or a csv pool of examples."""
+
+    NOUN = "data"
+    KINDS = {**GeneratorSpec.KINDS, "csv": {"path": MISSING}}
+
+
+def _field(default=MISSING, key=None, least=None, **kwargs):
+    """A config field: its default, its JSON key when that is not its name
+    (a dotted path for a nested key) and, for an integer, its least value."""
+    return field(default=default, metadata={"key": key, "least": least}, **kwargs)
+
+
+def _key(f) -> str:
+    return f.metadata.get("key") or f.name
 
 
 @dataclass
 class ExperimentConfig:
+    """One experiment. Each field states its JSON key, default, type and
+    bounds once; parsing, the checks and the report echo read them from
+    here, and a key no field states is refused.
+    """
+
     data: dict
-    n: int
-    k1: int
-    k2: int
+    n: int = _field(least=1)
+    k1: int = _field(least=1)
+    k2: int = _field(least=1)
     learner: LearnerSpec
     mode: str = "monte_carlo"
     bounds: tuple[str, ...] = ("fcmi_m1",)
-    master_seed: int = 0
+    master_seed: int = _field(0, least=0)
     loss: str = "zero_one"
-    subset_m: int | None = None
-    subset_enumerate_limit: int = 1000
-    subset_sample_count: int = 200
-    exact_seeds: int = 1
-    stability_trials: int = 25
-    gamma: float = 1.0
+    subset_m: int | None = _field(None, "subset_policy.m")
+    subset_enumerate_limit: int = _field(1000, "subset_policy.enumerate_limit")
+    subset_sample_count: int = _field(200, "subset_policy.sample_count", least=1)
+    exact_seeds: int = _field(1, least=1)
+    stability_trials: int = _field(25, "stability.trials", least=1)
+    gamma: float = _field(1.0, "stability.gamma")
     clip_bounds: bool = False
-    jobs: int = 1
+    # schedules supersamples but changes no result, so equality and the
+    # report echo leave it out
+    jobs: int = _field(1, least=1, compare=False)
 
     def __post_init__(self) -> None:
-        for name, key in _INTEGER_FIELDS.items():
-            value = getattr(self, name)
-            if not (value is None and name == "subset_m") and (
-                    isinstance(value, bool) or not isinstance(value, (int, np.integer))):
-                raise ConfigError(f"{key} must be an integer, got {value!r}")
-        if self.master_seed < 0:
-            raise ConfigError(f"master_seed must be >= 0, got {self.master_seed}")
-        if self.k1 < 1 or self.k2 < 1 or self.n < 1:
-            raise ConfigError("n, k1, and k2 must all be >= 1")
+        for f in fields(self):  # f.type is the annotation's text
+            value = getattr(self, f.name)
+            if f.type == "float":
+                setattr(self, f.name, float(value))
+            elif f.type == "bool":
+                setattr(self, f.name, bool(value))
+            elif f.type == "int" or f.type == "int | None" and value is not None:
+                # JSON floats and booleans are refused, not truncated
+                if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                    raise ConfigError(f"{_key(f)} must be an integer, got {value!r}")
+                least = f.metadata.get("least")
+                if least is not None and value < least:
+                    raise ConfigError(f"{_key(f)} must be >= {least}, got {value}")
         if self.mode not in ("monte_carlo", "exact_enumeration"):
             raise ConfigError(f"unknown mode {self.mode!r}")
         if self.loss not in LOSSES:
@@ -151,89 +167,65 @@ class ExperimentConfig:
                 raise ConfigError(f"unknown bound {b!r} (known: {', '.join(BOUND_NAMES)})")
         if len(set(self.bounds)) != len(self.bounds):
             raise ConfigError("duplicate bound requested")
-        kind = self.data.get("kind")
-        if kind in GENERATOR_KINDS:
-            GeneratorSpec.from_json_dict(self.data)  # validates parameters
-        elif kind == "csv":
-            if "path" not in self.data.get("params", {}):
-                raise ConfigError("csv data source needs params.path")
-        else:
-            raise ConfigError(f"unknown data source kind {kind!r}")
-        if self.exact_seeds < 1:
-            raise ConfigError("exact_seeds must be >= 1")
-        if self.stability_trials < 1:
-            raise ConfigError("stability.trials must be >= 1")
         if not self.gamma > 0:
             raise ConfigError("stability.gamma must be > 0")
-        if self.subset_sample_count < 1:
-            raise ConfigError("subset_policy.sample_count must be >= 1")
-        if self.jobs < 1:
-            raise ConfigError("jobs must be >= 1")
         try:
+            source = _DataSource.from_json_dict(self.data)
+            gen = None if source.kind == "csv" else GeneratorSpec(source.kind, source.params)
             prediction_space(self.learner)
         except ContractViolation as e:
             raise ConfigError(str(e)) from e
-        if uses_kind(self.learner, ("threshold_erm",)) and kind in GENERATOR_KINDS:
-            one_dim = self.data.get("params", {}).get("dim", 1) == 1
-            if not (kind == "threshold_realizable" or (kind == "uniform_labels" and one_dim)):
-                raise ConfigError(
-                    "threshold_erm needs 1-D features in [0, 1]: threshold_realizable, "
-                    f"uniform_labels with dim 1 or a one-column csv, not {kind!r}")
+        if gen is None and not isinstance(source.params["path"], str):
+            # open() would take an integer as a file descriptor
+            raise ConfigError(f"csv params.path must be a string, got {source.params['path']!r}")
+        if uses_kind(self.learner, ("threshold_erm",)) and gen is not None and not (
+                gen.kind == "threshold_realizable"
+                or (gen.kind == "uniform_labels" and gen.param("dim") == 1)):
+            raise ConfigError(
+                "threshold_erm needs 1-D features in [0, 1]: threshold_realizable, "
+                f"uniform_labels with dim 1 or a one-column csv, not {gen.kind!r}")
 
     @classmethod
-    def from_json_dict(cls, d: dict) -> "ExperimentConfig":
+    def from_json_dict(cls, d) -> "ExperimentConfig":
+        if not isinstance(d, dict):
+            raise ConfigError(f"an experiment config must be a JSON object, got {d!r}")
+        declared = {_key(f): f for f in fields(cls)}
+        groups = {key.split(".")[0] for key in declared if "." in key}
+        flat = {}
+        for key, value in d.items():
+            if key not in groups:
+                flat[key] = value
+            elif isinstance(value, dict):
+                flat.update((f"{key}.{sub}", v) for sub, v in value.items())
+            else:
+                raise ConfigError(f"{key} must be an object, got {value!r}")
+        unknown = sorted(set(flat) - set(declared))
+        if unknown:
+            raise ConfigError(f"unknown config key(s) {', '.join(unknown)}")
+        kwargs = {declared[key].name: value for key, value in flat.items()}
         try:
-            learner = LearnerSpec.from_json_dict(d["learner"])
-            subset = d.get("subset_policy", {})
-            return cls(
-                data=d["data"],
-                n=d["n"],
-                k1=d["k1"],
-                k2=d["k2"],
-                learner=learner,
-                mode=d.get("mode", "monte_carlo"),
-                bounds=tuple(d.get("bounds", ("fcmi_m1",))),
-                master_seed=d.get("master_seed", 0),
-                loss=d.get("loss", "zero_one"),
-                subset_m=subset.get("m"),
-                subset_enumerate_limit=subset.get("enumerate_limit", 1000),
-                subset_sample_count=subset.get("sample_count", 200),
-                exact_seeds=d.get("exact_seeds", 1),
-                stability_trials=d.get("stability", {}).get("trials", 25),
-                gamma=float(d.get("stability", {}).get("gamma", 1.0)),
-                clip_bounds=bool(d.get("clip_bounds", False)),
-                jobs=d.get("jobs", 1),
-            )
-        except (KeyError, TypeError, ValueError) as e:
+            if "learner" in kwargs:
+                kwargs["learner"] = LearnerSpec.from_json_dict(kwargs["learner"])
+            return cls(**kwargs)
+        except (TypeError, ValueError) as e:
             if isinstance(e, ConfigError):
                 raise
             raise ConfigError(f"bad experiment config: {e}") from e
 
     def to_json_dict(self) -> dict:
-        return {
-            "data": self.data,
-            "n": self.n,
-            "k1": self.k1,
-            "k2": self.k2,
-            "learner": self.learner.to_json_dict(),
-            "mode": self.mode,
-            "bounds": list(self.bounds),
-            "master_seed": self.master_seed,
-            "loss": self.loss,
-            "subset_policy": {
-                "m": self.subset_m,
-                "enumerate_limit": self.subset_enumerate_limit,
-                "sample_count": self.subset_sample_count,
-            },
-            "exact_seeds": self.exact_seeds,
-            "stability": {"trials": self.stability_trials, "gamma": self.gamma},
-            "clip_bounds": self.clip_bounds,
-            "jobs": self.jobs,
-        }
+        out: dict = {}
+        for f in fields(self):
+            if f.compare:
+                *groups, key = _key(f).split(".")
+                node = out
+                for group in groups:
+                    node = node.setdefault(group, {})
+                node[key] = json_data(getattr(self, f.name))
+        return out
 
 
 @dataclass
-class SupersampleResult:
+class SupersampleResult(JsonFields):
     """Per-supersample gap statistics and information estimates."""
 
     supersample_id: str
@@ -249,16 +241,9 @@ class SupersampleResult:
     subset_mi: list[float] | None = None
     member_fcmi: list[float] | None = None
 
-    def to_json_dict(self) -> dict:
-        return dict(self.__dict__)
-
-    @classmethod
-    def from_json_dict(cls, d: dict) -> "SupersampleResult":
-        return cls(**d)
-
 
 @dataclass
-class ExperimentReport:
+class ExperimentReport(JsonFields):
     config: dict
     gap_mean: float
     gap_std: float | None
@@ -269,50 +254,24 @@ class ExperimentReport:
     wall_clock_sec: float | None = field(default=None, compare=False)
     tables: list[TrialTable] | None = field(default=None, compare=False)
 
-    def to_json_dict(self) -> dict:
-        return {
-            "config": self.config,
-            "gap_mean": self.gap_mean,
-            "gap_std": self.gap_std,
-            "supersamples": [s.to_json_dict() for s in self.supersamples],
-            "bounds": [b.to_json_dict() for b in self.bounds],
-            "estimator_meta": self.estimator_meta,
-        }
-
-    @classmethod
-    def from_json_dict(cls, d: dict) -> "ExperimentReport":
-        return cls(
-            config=d["config"],
-            gap_mean=float(d["gap_mean"]),
-            gap_std=None if d["gap_std"] is None else float(d["gap_std"]),
-            supersamples=[SupersampleResult.from_json_dict(s) for s in d["supersamples"]],
-            bounds=[bnd.BoundReport.from_json_dict(b) for b in d["bounds"]],
-            estimator_meta=d["estimator_meta"],
-        )
+    PARSE = {
+        "gap_mean": float,
+        "gap_std": or_none(float),
+        "supersamples": lambda ss: [SupersampleResult.from_json_dict(s) for s in ss],
+        "bounds": lambda bs: [bnd.BoundReport.from_json_dict(b) for b in bs],
+    }
 
 
-def _jsonable(obj):
-    if isinstance(obj, dict):
-        return {str(k): _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
-    if isinstance(obj, np.ndarray):
-        return [_jsonable(v) for v in obj.tolist()]
-    return obj
-
-
-def canonical_json(payload: dict) -> str:
-    """Stable bytes for a JSON payload: sorted keys, two-space indent."""
-    return json.dumps(_jsonable(payload), sort_keys=True, indent=2,
+def canonical_json(payload) -> str:
+    """Stable bytes for a JSON payload, or an object with ``to_json_dict``:
+    sorted keys, two-space indent."""
+    return json.dumps(json_data(payload), sort_keys=True, indent=2,
                       ensure_ascii=False) + "\n"
 
 
 def persist(report, path) -> None:
     """Write a report, table, or plain payload as canonical JSON."""
-    payload = report.to_json_dict() if hasattr(report, "to_json_dict") else report
-    Path(path).write_text(canonical_json(payload), encoding="utf-8")
+    Path(path).write_text(canonical_json(report), encoding="utf-8")
 
 
 def load_report(path) -> ExperimentReport:
@@ -394,7 +353,7 @@ def _check_bounds_supported(config: ExperimentConfig, num_classes: int) -> None:
             if space.kind != "real":
                 raise UnsupportedCombinationError(
                     f"bound {b!r} needs a real-vector learner; {spec.kind!r} is not")
-            if config.data.get("kind") == "csv":
+            if config.data["kind"] == "csv":
                 raise UnsupportedCombinationError(
                     f"bound {b!r} estimates stability by resampling a synthetic "
                     f"generator; csv data sources are not resamplable")
@@ -524,7 +483,8 @@ def _assemble_bounds(config: ExperimentConfig, results: list[SupersampleResult],
     digest = {"mode": config.mode, "k2": config.k2, "loss": config.loss}
     if _needs(config, *_REAL_SPACE):
         stab = _stability_constants(config)
-        meta["stability"] = _stability_meta(stab, config)
+        meta["stability"] = {**asdict(stab), "sigma_sq": bnd.optimal_noise_variance(stab),
+                             "trials": config.stability_trials}
     for name in config.bounds:
         if name == "fcmi_m1":
             reports.append(bnd.fcmi_bound_m1(_collect(results, "mi_per_index"), digest))
@@ -584,19 +544,15 @@ def _stability_constants(config: ExperimentConfig) -> bnd.StabilityConstants:
                                   d_out=prediction_space(config.learner).dim or 1)
 
 
-def _stability_meta(stab: bnd.StabilityConstants, config: ExperimentConfig) -> dict:
-    return {
-        "beta": stab.beta,
-        "beta1": stab.beta1,
-        "beta2": stab.beta2,
-        "gamma": stab.gamma,
-        "d_out": stab.d_out,
-        "sigma_sq": bnd.optimal_noise_variance(stab),
-        "trials": config.stability_trials,
-    }
-
-
 # --- top-level runs ----------------------------------------------------------
+
+
+def _checked_pool(config: ExperimentConfig):
+    """Read a csv source's pool (None for a generator) and refuse, before any
+    fit, a bound the learner, mode or data cannot give."""
+    pool = _load_pool(config)
+    _check_bounds_supported(config, 2 if pool is None else label_classes(pool[1]))
+    return pool
 
 
 def run_experiment(config: ExperimentConfig, keep_tables: bool = False) -> ExperimentReport:
@@ -606,8 +562,7 @@ def run_experiment(config: ExperimentConfig, keep_tables: bool = False) -> Exper
     by counter, and results assemble in index order regardless of scheduling.
     """
     t0 = time.perf_counter()
-    pool = _load_pool(config)
-    _check_bounds_supported(config, 2 if pool is None else label_classes(pool[1]))
+    pool = _checked_pool(config)
     subsets = None
     subset_meta = None
     if "fcmi_subset_m" in config.bounds:
@@ -653,14 +608,22 @@ def run_experiment(config: ExperimentConfig, keep_tables: bool = False) -> Exper
 
 
 def sweep(configs) -> tuple[list[ExperimentReport], list[dict]]:
-    """Run several configurations in order; abort on the first failure.
+    """Check every configuration, then run them in order; abort on the first
+    failure.
 
-    Raises SweepFailure carrying the completed reports so callers can persist
-    partial results and the index of the failing member.
+    A member the check refuses raises its error, naming the member, before
+    any member runs. A run that fails raises SweepFailure carrying the
+    completed reports so callers can persist partial results and the index of
+    the failing member.
     """
     configs = list(configs)
     if not configs:
         raise ContractViolation("sweep needs at least one configuration")
+    for idx, config in enumerate(configs):
+        try:
+            _checked_pool(config)
+        except (ConfigError, SizeError) as e:
+            raise type(e)(f"sweep member {idx}: {e}") from e
     reports = []
     for idx, config in enumerate(configs):
         try:
@@ -678,7 +641,7 @@ CURVE_HEADER = ("n", "learner", "bound_name", "gap_mean", "gap_std",
 def curve_rows(report: ExperimentReport) -> list[dict]:
     """One curve-table row per bound in the report."""
     cfg = report.config
-    clip = bool(cfg.get("clip_bounds", False))
+    clip = cfg["clip_bounds"]
     rows = []
     for b in report.bounds:
         rows.append({

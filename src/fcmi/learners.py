@@ -12,14 +12,16 @@ for bit those of fitting it alone.
 from __future__ import annotations
 
 import hashlib
+import inspect
 import math
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass
 
 import numpy as np
 
 from .core import (
     LOSSES,
     ContractViolation,
+    KindSpec,
     PredictionSpace,
     Supersample,
     TrialTable,
@@ -28,72 +30,12 @@ from .core import (
 from .datagen import sample_examples
 from .seeding import derive_seed, derive_seeds  # noqa: F401  (derive_seed stays importable here)
 
-LEARNER_KINDS = (
-    "memorizer",
-    "threshold_erm",
-    "knn",
-    "logistic_gd",
-    "sgld_linear",
-    "noisy_wrapper",
-    "ensemble",
-)
-_LINEAR = ("logistic_gd", "sgld_linear")
-
 # Cells in the largest stacked array of one chunk of fits: the linear
 # learners' (B, N, d + 1) inputs, SGLD's (B, steps, d + 1) noise and the
 # (B, Q) predictions, and the label learners' (B, Q, N) distance or match
 # arrays and (B, N + 1, N) threshold comparisons, each stay under it, unless
 # a single training set is larger.
 _BATCH_CELLS = 2 ** 15
-
-
-@dataclass(frozen=True)
-class LearnerSpec:
-    kind: str
-    params: dict = field(default_factory=dict)
-
-    def __post_init__(self) -> None:
-        if self.kind not in LEARNER_KINDS:
-            raise ContractViolation(f"unknown learner kind {self.kind!r}")
-        _validate_params(self.kind, self.params)
-
-    def to_json_dict(self) -> dict:
-        return {"kind": self.kind, "params": self.params}
-
-    @classmethod
-    def from_json_dict(cls, d: dict) -> "LearnerSpec":
-        return cls(kind=d["kind"], params=dict(d.get("params", {})))
-
-
-def _nested_spec(d) -> LearnerSpec:
-    """A wrapped learner's spec, validated like the outer one."""
-    if not isinstance(d, dict) or "kind" not in d:
-        raise ContractViolation(f"a wrapped learner needs a spec with a kind, got {d!r}")
-    return LearnerSpec.from_json_dict(d)
-
-
-def _validate_params(kind: str, params: dict) -> None:
-    if kind == "knn" and params.get("k", 1) < 1:
-        raise ContractViolation("knn needs k >= 1")
-    if kind in _LINEAR:
-        if params.get("steps", 1) < 1:
-            raise ContractViolation(f"{kind} needs steps >= 1")
-        if params.get("output", "label") not in ("label", "prob"):
-            raise ContractViolation("output must be 'label' or 'prob'")
-    if kind == "noisy_wrapper":
-        if params.get("sigma_sq", 1.0) <= 0:
-            raise ContractViolation("noisy_wrapper needs sigma_sq > 0")
-        if "inner" not in params:
-            raise ContractViolation("noisy_wrapper needs an inner learner spec")
-        _nested_spec(params["inner"])
-    if kind == "ensemble":
-        members = params.get("members", [])
-        if not members:
-            raise ContractViolation("ensemble needs at least one member")
-        if params.get("combiner", "majority") != "majority":
-            raise ContractViolation("only the majority-vote combiner is implemented")
-        for m in members:
-            _nested_spec(m)
 
 
 @dataclass(frozen=True, eq=False)
@@ -109,11 +51,11 @@ def prediction_space(spec: LearnerSpec, num_classes: int = 2) -> PredictionSpace
     if spec.kind == "threshold_erm":
         return PredictionSpace("finite", size=2)
     if spec.kind in _LINEAR:
-        if spec.params.get("output", "label") == "prob":
+        if spec.param("output") == "prob":
             return PredictionSpace("real", dim=1)
         return PredictionSpace("finite", size=2)
     if spec.kind == "noisy_wrapper":
-        inner = LearnerSpec.from_json_dict(spec.params["inner"])
+        (inner,) = _wrapped(spec)
         inner_space = prediction_space(inner, num_classes)
         if inner_space.kind != "real":
             raise ContractViolation(
@@ -272,7 +214,7 @@ def _knn_rows(spec, xs, ys, train_idx, query_xs, seeds):
     """Majority label of the k nearest training points; distance ties fall to
     the lower training position and vote ties to the lower class."""
     size = train_idx.shape[1]
-    k = min(int(spec.params.get("k", 1)), size)
+    k = min(spec.param("k"), size)
     # (Q, P) distance ranks; rank * size + position is a distinct key per
     # training point ordered as a stable sort by distance, so the k smallest
     # keys are the k nearest with the tie-break above
@@ -359,22 +301,48 @@ def sgld_fit(xs: np.ndarray, ys: np.ndarray, seeds, steps: int = 200,
     return w
 
 
-def _linear_weights(spec: LearnerSpec, xs: np.ndarray, ys: np.ndarray,
-                    seeds) -> np.ndarray:
-    """(B, d + 1) weights of a linear learner fitted to B stacked training sets."""
-    p = spec.params
-    if spec.kind == "logistic_gd":
-        return logistic_fit(xs, ys, seeds, steps=int(p.get("steps", 100)),
-                            lr=float(p.get("lr", 0.5)),
-                            init_scale=float(p.get("init_scale", 0.01)))
-    return sgld_fit(xs, ys, seeds, steps=int(p.get("steps", 200)),
-                    lr0=float(p.get("lr0", 0.05)),
-                    lr_decay=float(p.get("lr_decay", 0.9)),
-                    lr_decay_every=int(p.get("lr_decay_every", 100)),
-                    temp_min=float(p.get("temp_min", 100.0)),
-                    temp_max=float(p.get("temp_max", 4000.0)),
-                    temp_scale=float(p.get("temp_scale", 100.0)),
-                    init_scale=float(p.get("init_scale", 0.01)))
+# --- learner specs -------------------------------------------------------------
+
+
+_LINEAR = {"logistic_gd": logistic_fit, "sgld_linear": sgld_fit}
+
+
+def _tuning(fit) -> dict:
+    """A linear learner's tuning parameters: its fit function's keyword defaults."""
+    return {name: p.default for name, p in inspect.signature(fit).parameters.items()
+            if p.default is not p.empty}
+
+
+class LearnerSpec(KindSpec):
+    """A learner kind and its parameters. A linear learner's tuning defaults
+    are stated once, in its fit function's signature."""
+
+    NOUN = "learner"
+    KINDS = {
+        "memorizer": {},
+        "threshold_erm": {},
+        "knn": {"k": 1},
+        **{kind: {"output": "label", **_tuning(fit)} for kind, fit in _LINEAR.items()},
+        "noisy_wrapper": {"inner": MISSING, "sigma_sq": 1.0},
+        "ensemble": {"members": MISSING, "combiner": "majority"},
+    }
+
+    def __post_init__(self) -> None:
+        super().__post_init__()
+        # a given value is checked; every default passes
+        p = self.params
+        for name in ("k", "steps", "lr_decay_every"):
+            if name in p and p[name] < 1:
+                raise ContractViolation(f"{self.kind} needs {name} >= 1")
+        if "output" in p and p["output"] not in ("label", "prob"):
+            raise ContractViolation("output must be 'label' or 'prob'")
+        if "sigma_sq" in p and p["sigma_sq"] <= 0:
+            raise ContractViolation("noisy_wrapper needs sigma_sq > 0")
+        if "members" in p and not (isinstance(p["members"], list) and p["members"]):
+            raise ContractViolation("ensemble needs a nonempty list of members")
+        if "combiner" in p and p["combiner"] != "majority":
+            raise ContractViolation("only the majority-vote combiner is implemented")
+        _wrapped(self)  # a wrapped learner's spec is checked like this one
 
 
 def _batch_sets(spec: LearnerSpec, size: int, dim: int, queries: int) -> int:
@@ -383,7 +351,7 @@ def _batch_sets(spec: LearnerSpec, size: int, dim: int, queries: int) -> int:
     of the batch within ``_BATCH_CELLS`` doubles, and at least one."""
     per_set = max(size * (dim + 1), queries)
     if spec.kind == "sgld_linear":
-        per_set = max(per_set, int(spec.params.get("steps", 200)) * (dim + 1))
+        per_set = max(per_set, spec.param("steps") * (dim + 1))
     return max(1, _BATCH_CELLS // per_set)
 
 
@@ -432,12 +400,13 @@ def ensemble_combine(member_predictions) -> np.ndarray:
 
 
 def _linear_rows(spec, xs, ys, train_idx, query_xs, seeds):
-    output = spec.params.get("output", "label")
+    # the tuning values go to the fit function as given
+    tuning = {name: v for name, v in spec.params.items() if name != "output"}
 
     def fit(lo, hi):
         idx = train_idx[lo:hi]
-        w = _linear_weights(spec, xs[idx], ys[idx], seeds[lo:hi])
-        return _linear_predict(w, query_xs, output), None
+        w = _LINEAR[spec.kind](xs[idx], ys[idx], seeds[lo:hi], **tuning)
+        return _linear_predict(w, query_xs, spec.param("output")), None
 
     return _in_chunks(fit, len(train_idx),
                       _batch_sets(spec, train_idx.shape[1], xs.shape[1], len(query_xs)))
@@ -450,7 +419,7 @@ def _noisy_rows(spec, xs, ys, train_idx, query_xs, seeds):
     preds, _ = _fit_predict_rows(inner, xs, ys, train_idx, query_xs, seeds)
     for t, (idx, seed) in enumerate(zip(train_idx, seeds)):
         train_digest = _digest(xs[idx].tobytes() + ys[idx].tobytes())
-        preds[t] = noisy_predict(preds[t], float(spec.params["sigma_sq"]), int(seed),
+        preds[t] = noisy_predict(preds[t], spec.param("sigma_sq"), int(seed),
                                  train_digest, query_xs)
     return preds, None
 

@@ -24,28 +24,20 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .core import ContractViolation, TrialTable
+from .core import ContractViolation, JsonFields, TrialTable
 from .infotheory import AbsoluteContinuityError, all_subsets, subset_mi
 
 MARGIN_TOL = -1e-9
 
 
 @dataclass(frozen=True)
-class MarginReport:
+class MarginReport(JsonFields):
     """Aggregate outcome of one verifier over many random instances."""
 
     lemma: str
     instances: int
     min_margin: float
     violations: int
-
-    def to_json_dict(self) -> dict:
-        return {
-            "lemma": self.lemma,
-            "instances": self.instances,
-            "min_margin": self.min_margin,
-            "violations": self.violations,
-        }
 
 
 @dataclass(frozen=True)

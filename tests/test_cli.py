@@ -3,6 +3,7 @@ import json
 import pytest
 
 import fcmi.cli
+import fcmi.harness
 import fcmi.learners
 from fcmi.cli import main, render_curves_svg
 from fcmi.harness import load_report
@@ -203,15 +204,47 @@ class TestConfigCheck:
         "subset_sample_count_float": dict(
             n=6, bounds=["fcmi_subset_m"],
             subset_policy={"m": 2, "enumerate_limit": 1, "sample_count": 3.5}),
+        # a key no field or parameter declares is refused, not ignored
+        "top_level_misspelled": dict(bound=["fcmi_m1"]),
+        "stability_misspelled": dict(STABILITY_RUN, stabilty={"trials": 2}),
+        "stability_trails": dict(STABILITY_RUN, stability={"trails": 4}),
+        "subset_policy_capital_m": dict(n=6, subset_policy={"M": 2}),
+        "learner_param": dict(learner={"kind": "knn", "param": {"k": 3}}),
+        "knn_capital_k": dict(learner={"kind": "knn", "params": {"K": 3}}),
+        "two_gaussians_sepp": dict(data={"kind": "two_gaussians", "params": {"sepp": 4}},
+                                   learner={"kind": "knn", "params": {"k": 1}}),
+        "csv_delimiter": dict(data={"kind": "csv", "params": {"path": "pool.csv",
+                                                              "delimiter": ";"}}),
+        "csv_path_file_descriptor": dict(data={"kind": "csv", "params": {"path": 0}}),
+        # a group, data or learner value that is not an object
+        "stability_not_object": dict(STABILITY_RUN, stability=5),
+        "data_not_object": dict(data=5),
+        # linear tuning values have their fit defaults' types
+        "steps_float": dict(learner={"kind": "logistic_gd", "params": {"steps": 30.0}}),
+        "lr_string": dict(learner={"kind": "logistic_gd",
+                                   "params": {"steps": 5, "lr": "0.5"}}),
     }
 
     @pytest.mark.parametrize("case", sorted(BAD))
     def test_bad_config_is_config_error(self, tmp_path, monkeypatch, case):
         fits = count_fits(monkeypatch)
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "pool.csv").write_text(
+            "x_0,y\n" + "".join(f"{i / 10},{i % 2}\n" for i in range(10)), encoding="utf-8")
         config = write_config(tmp_path, **self.BAD[case])
         assert main(["run", str(config), "-o", str(tmp_path / "out")]) == 2
         assert fits == []
         assert not (tmp_path / "out" / "report.json").exists()
+
+    @pytest.mark.parametrize("flags", [[], ["--seed", "3"], ["--jobs", "2"], ["--set", "n=4"],
+                                       ["--clip-bounds"]],
+                             ids=["none", "seed", "jobs", "set", "clip_bounds"])
+    def test_top_level_not_object_is_config_error(self, tmp_path, monkeypatch, capsys, flags):
+        fits = count_fits(monkeypatch)
+        path = tmp_path / "config.json"
+        path.write_text("[1, 2]", encoding="utf-8")
+        assert main(["run", str(path), "-o", str(tmp_path / "out"), *flags]) == 2
+        assert fits == [] and "JSON object" in capsys.readouterr().err
 
     @pytest.mark.parametrize("data", [
         {"kind": "threshold_realizable", "params": {"threshold": 0.3}},
@@ -255,22 +288,58 @@ class TestSweep:
         csv_lines = (out / "curves.csv").read_text().strip().split("\n")
         assert len(csv_lines) == 3
 
-    def test_member_failure_persists_partial(self, tmp_path):
-        base = {
-            "data": {"kind": "uniform_labels", "params": {"dim": 1}},
-            "n": 4, "k1": 1, "k2": 10,
-            "learner": {"kind": "memorizer", "params": {}},
-            "bounds": ["fcmi_m1"], "master_seed": 1,
-        }
-        sweep_config = {"base": base,
-                        "vary": [{"n": 4}, {"n": 22, "mode": "exact_enumeration"}]}
+    BASE = {
+        "data": {"kind": "uniform_labels", "params": {"dim": 1}},
+        "n": 4, "k1": 1, "k2": 10,
+        "learner": {"kind": "memorizer", "params": {}},
+        "bounds": ["fcmi_m1"], "master_seed": 1,
+    }
+
+    def test_member_failure_persists_partial(self, tmp_path, monkeypatch):
+        """A member that passes the check but fails while running leaves the
+        reports before it and errors.json, exit 3."""
+        real = fcmi.harness._run_supersample
+
+        def failing(config, *args):
+            if config.n == 6:
+                raise RuntimeError("fit failed")
+            return real(config, *args)
+
+        monkeypatch.setattr(fcmi.harness, "_run_supersample", failing)
         path = tmp_path / "sweep.json"
-        path.write_text(json.dumps(sweep_config), encoding="utf-8")
+        path.write_text(json.dumps({"base": self.BASE, "vary": [{"n": 4}, {"n": 6}]}),
+                        encoding="utf-8")
         out = tmp_path / "out"
         assert main(["sweep", str(path), "-o", str(out)]) == 3
         assert (out / "report_000.json").is_file()
         errors = json.loads((out / "errors.json").read_text())
         assert errors["failed_index"] == 1
+
+    @pytest.mark.parametrize("sweep_config", [
+        {"configs": 5}, {"base": {"n": 4}, "vary": [5]}, {"base": [], "vary": [{}]},
+        {"configs": [], "vary": [{}]}, [1, 2],
+    ], ids=["configs_number", "vary_number", "base_list", "extra_key", "top_level_list"])
+    def test_malformed_sweep_file_is_config_error(self, tmp_path, sweep_config):
+        path = tmp_path / "sweep.json"
+        path.write_text(json.dumps(sweep_config), encoding="utf-8")
+        assert main(["sweep", str(path), "-o", str(tmp_path / "out")]) == 2
+
+    @pytest.mark.parametrize("bad", [
+        {"n": 22, "mode": "exact_enumeration"},
+        {"bounds": ["fcmi_stability"]},
+        {"stability": {"trails": 3}},
+    ], ids=["size", "monte_carlo_stability", "undeclared_key"])
+    def test_bad_member_refused_before_any_fit(self, tmp_path, monkeypatch, bad):
+        """Every member is checked before the first runs: a bad second member
+        exits 2 with no fit and no file written."""
+        fits = count_fits(monkeypatch)
+        path = tmp_path / "sweep.json"
+        path.write_text(json.dumps({"base": self.BASE, "vary": [{"n": 4}, bad]}),
+                        encoding="utf-8")
+        out = tmp_path / "out"
+        assert main(["sweep", str(path), "-o", str(out)]) == 2
+        assert fits == []
+        assert not (out / "report_000.json").exists() and not (out / "errors.json").exists()
 
 
 class TestVerifyLemmas:

@@ -126,8 +126,26 @@ class TestDeterminism:
 
 class TestValidation:
     def test_noise_range(self):
+        for kind in ("two_gaussians", "threshold_realizable"):
+            GeneratorSpec(kind, {"noise": 0.5})
+            with pytest.raises(ContractViolation, match="noise"):
+                GeneratorSpec(kind, {"noise": 0.7})
+
+    @pytest.mark.parametrize("kind, params", [
+        ("uniform_labels", {"noise": 0.1}),
+        ("two_gaussians", {"sepp": 4}),
+        ("two_gaussians", {"dim": 2.0}),
+        ("threshold_realizable", {"dim": 1}),
+        ("threshold_realizable", {"threshold": "0.5"}),
+    ])
+    def test_refuses_undeclared_or_mistyped_params(self, kind, params):
         with pytest.raises(ContractViolation):
-            GeneratorSpec("uniform_labels", {"noise": 0.7})
+            GeneratorSpec(kind, params)
+
+    def test_defaults_fill_in_but_stay_out_of_the_echo(self):
+        gen = GeneratorSpec("two_gaussians", {"sep": 3})
+        assert (gen.param("dim"), gen.param("sep")) == (2, 3)
+        assert gen.to_json_dict() == {"kind": "two_gaussians", "params": {"sep": 3}}
 
     def test_threshold_range(self):
         with pytest.raises(ContractViolation):

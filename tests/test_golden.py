@@ -5,7 +5,8 @@ The table hashes are of ``tables/ss000.json`` written by ``fcmi run
 of the first supersample, so any change to learner arithmetic, seed derivation
 or split enumeration shows here. The report hashes are of ``report.json`` and
 pin every estimate, bound value, bound input and stability constant. The gap
-statistics are compared by ``repr``.
+statistics are compared by ``repr``. The config echo leaves out ``jobs``, which
+schedules work but changes no result, so a report's bytes do not depend on it.
 
 Each run works in ``tmp_path`` as its current directory, so the csv entries'
 relative pool paths are echoed into ``report.json`` the same way every time.
@@ -38,14 +39,14 @@ GOLDEN = {
              bounds=["fcmi_m1", "fcmi_mn", "cmi_weights"], master_seed=7),
         "abc2d3be9a7ec9d5f188696d6a638aaf8e3297b1cbafa9a020292da3dc46a897",
         "0.09895833333333331", "0.13994821710983749",
-        "8ce842c4cf0deb514d32a12ef2082433d733d22e1741828336cf7239f3c2d8fe"),
+        "f285c593919c2ad81d6630272fd68f70485250f8005f954edadf0da4f8af885b"),
     "mc_knn3_n8": (
         dict(data=GAUSS_DATA, n=8, k1=2, k2=50,
              learner={"kind": "knn", "params": {"k": 3}},
              mode="monte_carlo", bounds=["fcmi_m1"], master_seed=8),
         "119d9755266a8ce67eb8fb399fb1356ccad2f5e498841ef973e5a26fda08cf56",
         "0.06375", "0.07601397897755385",
-        "727f45f2f2197db18fb69035641877fedba8153bd2711f335a13fbfac003e0e6"),
+        "ef8ba8d3239c05cb8df3fb7f731d474dd47777f5dceb78d47fe4c23465327266"),
     "mc_logistic_prob_n5": (
         dict(data=GAUSS_DATA, n=5, k1=2, k2=20,
              learner={"kind": "logistic_gd",
@@ -54,7 +55,7 @@ GOLDEN = {
              stability={"trials": 3, "gamma": 1.0}, master_seed=9),
         "8826f3eb923cda0afe782e3de065c099b9d5ce752ce4c673adf82b862a49e05a",
         "0.12099090068470245", "0.0659531386634707",
-        "43bea5dab7d2e114a925c26958d110dd15f3782f5f43e1ff7419df2b68a199e1"),
+        "66b459de189fa0793b12eac8243528d137153bd7f612c68a5be13fba6ba53ef3"),
     "mc_sgld_prob_n5_det_squared": (
         dict(data=GAUSS_DATA, n=5, k1=2, k2=20,
              learner={"kind": "sgld_linear",
@@ -63,7 +64,7 @@ GOLDEN = {
              stability={"trials": 3, "gamma": 1.0}, master_seed=11),
         "f6cae7f29d29bf26f3ffa21449750e52b84ae6397bce1de3742d8845adad9d5e",
         "0.040621370952066436", "0.06182084609102157",
-        "fcc9061062189f3f059a5c84e24008a69c93e284c520eb08fbafff0ecf0bc5d2"),
+        "d6ba21a01fff9602fc4d8641b635cc6760d7dd78ada32bc4ec4db34cadd49817"),
     # 100 trials of 200 training rows span more than one batch of linear fits
     "mc_logistic_label_n200": (
         dict(data=GAUSS_DATA, n=200, k1=2, k2=100,
@@ -71,7 +72,7 @@ GOLDEN = {
              mode="monte_carlo", bounds=["fcmi_m1"], master_seed=12),
         "bfa24d3f0b7f669a34a999bcdc85d06a9c463a362bb66a1a29435fc6be52c48b",
         "0.002174999999999999", "0.001944543648263006",
-        "41ef1b8a7e9ab054cb497d9124b4f20361224cc87c4f9703dcac18e28a773da8"),
+        "2b39c8685d270ccefc90444bda1084fb32bb4bfc1af035175f2ae4b46a04a843"),
     "csv_knn3_n6_jobs2": (
         dict(data=CSV_DATA, n=6, k1=3, k2=30,
              learner={"kind": "knn", "params": {"k": 3}},
@@ -79,7 +80,7 @@ GOLDEN = {
              subset_policy={"m": 2}, master_seed=10, jobs=2),
         "ed2bba1ec1538a37c3759f13dd32d2c2e7c12b0d58f2d6af7410253f9eab0cc8",
         "0.1314814814814815", "0.04018987854483462",
-        "53d0ae7090ad3ade53406f65235a3488a1efe3ac9afdde15af92b637d1718a72"),
+        "3ba8cbf7a33f773af82c2311a4482bd98a321633c34f73a0bc79262748bca7ff"),
     "exact_knn3_n7_stability": (
         dict(data=GAUSS_DATA, n=7, k1=2, k2=1,
              learner={"kind": "knn", "params": {"k": 3}},
@@ -88,7 +89,7 @@ GOLDEN = {
              master_seed=13),
         "c3dd97d9a112967a11def5935d3d6ec664d5ff97b2f4faaacf9b77e4554f659a",
         "0.19308035714285715", "0.16572815184059708",
-        "719a994250eceda5ea8ee22dbc204c815245ba1ea3746ee3b933568c3b8d4c5d"),
+        "2bca733344e666a27021674d1c465799ecc09f939eee914f87366d7e9515698a"),
     # duplicated inputs with conflicting labels, three classes
     "exact_memorizer_dup_csv_n6": (
         dict(data=DUP_CSV_DATA, n=6, k1=2, k2=1,
@@ -97,7 +98,7 @@ GOLDEN = {
              bounds=["fcmi_m1", "fcmi_mn", "fcmi_stability"], master_seed=14),
         "5ed510bb31dc4a7d86b7ac8021e140093ab70a895d55e2a03534e138328a1249",
         "0.625", "0.05892556509887899",
-        "2adad4aa9bbe32351607cf61ffcc6d90c79ff6ccee903610be2a054feb563c9e"),
+        "510ec4e1304e188955288a95e043c50aa023aaaaab785f8652f060d879388069"),
     "exact_ensemble_n6_seeds2": (
         dict(data=THRESHOLD_DATA, n=6, k1=2, k2=1,
              learner={"kind": "ensemble", "params": {"members": [
@@ -108,7 +109,7 @@ GOLDEN = {
              exact_seeds=2, master_seed=15),
         "5953d77e23e5ae9f9c1398e620013b80c4a9a97cf641bae320eddb8049bbf631",
         "0.13020833333333331", "0.05155986946151908",
-        "5f9df208e818735d61f2e851a62dea5986dddde224cf2759c171b46395dffd14"),
+        "3887953398fe4f94f147f3463d55c409525525a8a10c58f1c4c2de1cf16568cd"),
     # a two-word run entropy (2^32 + 7), an odd n and 700 trials whose split
     # masks span more than one block of the array PCG64 stream
     "mc_knn1_n13_two_word_seed": (
@@ -117,7 +118,7 @@ GOLDEN = {
              mode="monte_carlo", bounds=["fcmi_m1"], master_seed=2 ** 32 + 7),
         "2315d21d14212726742fb63821fb7a1f0651d87b2444666fdb35624d3c3f40b1",
         "0.34203296703296704", "0.13264079950389415",
-        "d33eab03b1b3fc157841d486aad4396af1c6323aa25a56ac47ede2dec9b8f6b0"),
+        "2b7172c3361b7b850e72ea2b121490d4e1985b0399960e6662e8778f81121b96"),
     "mc_ensemble_n6": (
         dict(data=THRESHOLD_DATA, n=6, k1=2, k2=60,
              learner={"kind": "ensemble", "params": {"members": [
@@ -127,7 +128,7 @@ GOLDEN = {
              mode="monte_carlo", bounds=["fcmi_m1"], master_seed=16),
         "399d51268bbcbc2f6e565b59634a1ee068ebf7d8448d05b48f3b750f81adf236",
         "0.08888888888888889", "0.01178511301977581",
-        "e7db7894978a495db5cf2828ea42b1fc0e1087af808b8529f611652be9836a37"),
+        "26926360b018b056c3f972c454290c62168989665a7d78fe904ebdb3827ad75d"),
     "mc_memorizer_csv_n7": (
         dict(data=CSV_DATA, n=7, k1=2, k2=80,
              learner={"kind": "memorizer", "params": {}},
@@ -135,7 +136,7 @@ GOLDEN = {
              subset_policy={"m": 2}, master_seed=17),
         "98f1e3bca3d963df5fb4458834ffee828861100e3d94f4c0779b83c7d884665e",
         "0.525892857142857", "0.07197336879934503",
-        "6e78af7bd40d516c7647bb3676d276ffba6b4ea18c7cab107cda60dce7830973"),
+        "628b9aec90417bb97756992153bb1d6bfd99ecaea8e5b2a00ae7d33920efc176"),
 }
 
 _LOGISTIC_PROB = {"kind": "logistic_gd", "params": {"output": "prob", "steps": 20}}

@@ -1,10 +1,15 @@
 import math
+import re
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+from fcmi import harness
 from fcmi.core import ContractViolation, SizeError, exact_rows
 from fcmi.harness import (
+    BOUND_NAMES,
     ConfigError,
     ExperimentConfig,
     ParseError,
@@ -38,11 +43,87 @@ def base_config(**overrides):
     return ExperimentConfig.from_json_dict(d)
 
 
+def _optional(**keys):
+    return st.fixed_dictionaries({}, optional=keys)
+
+
+_DATA = st.one_of(
+    st.fixed_dictionaries({"kind": st.just("two_gaussians")}, optional={"params": _optional(
+        dim=st.integers(1, 4), sep=st.floats(0, 5) | st.integers(0, 5),
+        noise=st.floats(0, 0.5))}),
+    st.fixed_dictionaries({"kind": st.just("threshold_realizable")}, optional={
+        "params": _optional(threshold=st.floats(0, 1), noise=st.floats(0, 0.5))}),
+    st.fixed_dictionaries({"kind": st.just("uniform_labels")},
+                          optional={"params": _optional(dim=st.integers(1, 3))}),
+    st.fixed_dictionaries({"kind": st.just("csv"),
+                           "params": st.fixed_dictionaries({"path": st.text(min_size=1)})}),
+)
+_LEARNERS = st.one_of(
+    st.sampled_from([{"kind": "memorizer"}, {"kind": "threshold_erm", "params": {}}]),
+    st.fixed_dictionaries({"kind": st.just("knn"), "params": _optional(k=st.integers(1, 9))}),
+    st.fixed_dictionaries({
+        "kind": st.sampled_from(["logistic_gd", "sgld_linear"]),
+        "params": _optional(output=st.sampled_from(["label", "prob"]),
+                            steps=st.integers(1, 300), init_scale=st.floats(0, 1))}),
+    st.just({"kind": "noisy_wrapper", "params": {
+        "inner": {"kind": "logistic_gd", "params": {"output": "prob"}}}}),
+    st.just({"kind": "ensemble", "params": {"members": [
+        {"kind": "knn", "params": {"k": 3}}, {"kind": "memorizer"}]}}),
+)
+# every key a config may hold, with values the config check accepts
+_CONFIGS = st.fixed_dictionaries(
+    {"data": _DATA, "n": st.integers(1, 30), "k1": st.integers(1, 9),
+     "k2": st.integers(1, 500), "learner": _LEARNERS},
+    optional={
+        "mode": st.sampled_from(["monte_carlo", "exact_enumeration"]),
+        "bounds": st.lists(st.sampled_from(BOUND_NAMES), unique=True),
+        "master_seed": st.integers(0, 2 ** 70),
+        "loss": st.sampled_from(["zero_one", "absolute"]),
+        "subset_policy": _optional(m=st.none() | st.integers(1, 30),
+                                   enumerate_limit=st.integers(0, 5000),
+                                   sample_count=st.integers(1, 500)),
+        "exact_seeds": st.integers(1, 4),
+        "stability": _optional(trials=st.integers(1, 50),
+                               gamma=st.floats(1e-6, 1e6) | st.integers(1, 9)),
+        "clip_bounds": st.booleans() | st.integers(0, 1),
+        "jobs": st.integers(1, 4),
+    })
+
+
 class TestConfig:
     def test_round_trip(self):
         config = base_config()
         again = ExperimentConfig.from_json_dict(config.to_json_dict())
         assert again.to_json_dict() == config.to_json_dict()
+
+    @settings(max_examples=200, deadline=None)
+    @given(_CONFIGS)
+    def test_declared_keys_round_trip(self, d):
+        """Any config built from declared keys parses, round-trips, and echoes
+        its data and learner as given, ``gamma`` as a float, ``clip_bounds``
+        as a boolean and no ``jobs``."""
+        assume(d["learner"]["kind"] != "threshold_erm"
+               or d["data"]["kind"] == "threshold_realizable")
+        config = ExperimentConfig.from_json_dict(d)
+        echo = config.to_json_dict()
+        again = ExperimentConfig.from_json_dict(echo)
+        assert again == config
+        assert canonical_json(again.to_json_dict()) == canonical_json(echo)
+        assert echo["data"] == d["data"]
+        assert echo["learner"] == {"params": {}, **d["learner"]}
+        assert "jobs" not in echo
+        assert type(echo["stability"]["gamma"]) is float and type(echo["clip_bounds"]) is bool
+
+    @pytest.mark.parametrize("d, named", [
+        ({"bound": ["fcmi_m1"]}, "bound"),
+        ({"stability": {"trails": 3}}, "stability.trails"),
+        ({"subset_policy": {"M": 2}}, "subset_policy.M"),
+        ({"stability": 5}, "stability"),
+        ({"subset_policy": [2]}, "subset_policy"),
+    ], ids=["top_level", "stability", "subset_policy", "stability_number", "subset_list"])
+    def test_refuses_undeclared_keys_naming_them(self, d, named):
+        with pytest.raises(ConfigError, match=re.escape(named)):
+            base_config(**d)
 
     def test_rejects_unknown_bound(self):
         with pytest.raises(ConfigError):
@@ -306,10 +387,8 @@ class TestReproducibility:
         path = tmp_path / "data.csv"
         path.write_text("\n".join(rows), encoding="utf-8")
         data = {"kind": "csv", "params": {"path": str(path)}}
-        serial = run_experiment(base_config(data=data, n=5, k1=2, jobs=1)).to_json_dict()
-        parallel = run_experiment(base_config(data=data, n=5, k1=2, jobs=2)).to_json_dict()
-        serial["config"].pop("jobs")
-        parallel["config"].pop("jobs")
+        serial = run_experiment(base_config(data=data, n=5, k1=2, jobs=1))
+        parallel = run_experiment(base_config(data=data, n=5, k1=2, jobs=2))
         assert canonical_json(serial) == canonical_json(parallel)
 
     def test_different_seed_differs(self):
@@ -326,11 +405,9 @@ class TestReproducibility:
          "stability": {"trials": 2, "gamma": 1.0}},
     ], ids=["monte_carlo", "exact_enumeration", "logistic_gd_prob"])
     def test_parallel_matches_serial(self, overrides):
-        serial = run_experiment(base_config(k1=3, jobs=1, **overrides)).to_json_dict()
-        parallel = run_experiment(base_config(k1=3, jobs=2, **overrides)).to_json_dict()
-        # the pool size is echoed as provenance; everything computed must match
-        serial["config"].pop("jobs")
-        parallel["config"].pop("jobs")
+        serial = run_experiment(base_config(k1=3, jobs=1, **overrides))
+        parallel = run_experiment(base_config(k1=3, jobs=2, **overrides))
+        # the pool size is not echoed, so the whole report matches byte for byte
         assert canonical_json(serial) == canonical_json(parallel)
 
     def test_persist_round_trip_and_bytes(self, tmp_path):
@@ -364,13 +441,31 @@ class TestSweep:
         with pytest.raises(ContractViolation):
             sweep([])
 
-    def test_failure_carries_completed(self):
-        good = base_config()
-        bad = base_config(n=24, mode="exact_enumeration")
+    def test_failure_carries_completed(self, monkeypatch):
+        real = harness._run_supersample
+
+        def failing(config, *args):
+            if config.n == 6:
+                raise RuntimeError("fit failed")
+            return real(config, *args)
+
+        monkeypatch.setattr(harness, "_run_supersample", failing)
         with pytest.raises(SweepFailure) as err:
-            sweep([good, bad])
+            sweep([base_config(), base_config(n=6)])
         assert err.value.index == 1
         assert len(err.value.completed) == 1
+
+    @pytest.mark.parametrize("bad, error", [
+        (dict(n=24, mode="exact_enumeration"), SizeError),
+        (dict(bounds=["fcmi_stability"]), UnsupportedCombinationError),
+        (dict(data={"kind": "csv", "params": {"path": "absent.csv"}}), ConfigError),
+    ], ids=["size", "unsupported_bound", "missing_pool"])
+    def test_every_member_checked_before_any_runs(self, monkeypatch, bad, error):
+        runs = []
+        monkeypatch.setattr(harness, "run_experiment", lambda *a: runs.append(a))
+        with pytest.raises(error, match="sweep member 1"):
+            sweep([base_config(), base_config(**bad)])
+        assert runs == []
 
     def test_curve_table_csv(self):
         _, rows = sweep([base_config(), base_config(n=6)])

@@ -620,6 +620,21 @@ class TestNoisyWrapper:
         with pytest.raises(ContractViolation):
             fit_predict(spec, [mk(0.1, 0)], [(0.1,)], 0)
 
+    def test_sigma_sq_defaults_to_one(self):
+        """Without ``sigma_sq`` the wrapper fits, and estimates stability, with
+        the declared 1.0; the echo keeps the params as given."""
+        bare = LearnerSpec("noisy_wrapper", {"inner": self._inner()})
+        explicit = LearnerSpec("noisy_wrapper", {"inner": self._inner(), "sigma_sq": 1.0})
+        rng = np.random.default_rng(6)
+        train = [mk(x, int(x > 0.5)) for x in rng.random(10)]
+        assert np.array_equal(fit_predict(bare, train, [(0.3,), (0.7,)], 11).predictions,
+                              fit_predict(explicit, train, [(0.3,), (0.7,)], 11).predictions)
+        gen = GeneratorSpec("two_gaussians", {"dim": 1})
+        assert (estimate_stability(bare, gen, 4, 2, 3)
+                == estimate_stability(explicit, gen, 4, 2, 3))
+        assert bare.to_json_dict() == {"kind": "noisy_wrapper",
+                                       "params": {"inner": self._inner()}}
+
 
 class TestEnsemble:
     def test_majority(self):
@@ -671,6 +686,37 @@ class TestReproducibility:
     def test_derive_seed_is_stable(self):
         assert derive_seed(1, 2, 3) == derive_seed(1, 2, 3)
         assert derive_seed(1, 2, 3) != derive_seed(1, 3, 2)
+
+    def test_integer_tuning_values_fit_like_floats(self):
+        """Tuning values reach the fit function as given; an integer gives
+        the bits of the equal float."""
+        rng = np.random.default_rng(9)
+        train = [mk(x, int(x > 0.5)) for x in rng.random(12)]
+        for kind, params in (("logistic_gd", {"lr": 1, "init_scale": 0}),
+                             ("sgld_linear", {"lr0": 1, "lr_decay": 1, "temp_max": 4000})):
+            as_float = {k: float(v) for k, v in params.items()}
+            a = fit_predict(LearnerSpec(kind, {"steps": 20, "output": "prob", **params}),
+                            train, [(0.2,), (0.6,)], 5)
+            b = fit_predict(LearnerSpec(kind, {"steps": 20, "output": "prob", **as_float}),
+                            train, [(0.2,), (0.6,)], 5)
+            assert np.array_equal(a.predictions, b.predictions)
+
+    @pytest.mark.parametrize("kind, params", [
+        ("knn", {"K": 3}),
+        ("knn", {"k": 3.0}),
+        ("memorizer", {"k": 1}),
+        ("logistic_gd", {"steps": 30.0}),
+        ("logistic_gd", {"lr": "0.5"}),
+        ("logistic_gd", {"lr": True}),
+        ("logistic_gd", {"output": "logit"}),
+        ("sgld_linear", {"lr_decay_every": 0}),
+        ("noisy_wrapper", {"sigma_sq": 0.1}),
+        ("ensemble", {"members": []}),
+        ("ensemble", {"members": [{"kind": "knn", "param": {"k": 1}}]}),
+    ])
+    def test_refuses_undeclared_or_mistyped_params(self, kind, params):
+        with pytest.raises(ContractViolation):
+            LearnerSpec(kind, params)
 
     def test_metadata_helpers(self):
         assert has_weight_code(LearnerSpec("threshold_erm"))
