@@ -111,7 +111,13 @@ def _sweep_configs(raw, args) -> list[ExperimentConfig]:
                           '{"base": {...}, "vary": [{...}, ...]}')
     if not members:
         raise ConfigError("sweep config lists no members")
-    return [_config_from_args(m, args) for m in members]
+    configs = []
+    for idx, member in enumerate(members):
+        try:
+            configs.append(_config_from_args(member, args))
+        except ConfigError as e:
+            raise type(e)(f"sweep member {idx}: {e}") from e
+    return configs
 
 
 def _cmd_sweep(args) -> int:

@@ -227,10 +227,6 @@ class PredictionSpace:
             return {"kind": "finite", "size": self.size}
         return {"kind": "real", "dim": self.dim}
 
-    @classmethod
-    def from_json_dict(cls, d: dict) -> "PredictionSpace":
-        return cls(kind=d["kind"], size=d.get("size"), dim=d.get("dim"))
-
 
 @dataclass(frozen=True, eq=False)
 class TrialTable:

@@ -16,6 +16,7 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import MISSING, asdict, dataclass, field, fields, replace
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -48,7 +49,6 @@ from .learners import (
     LearnerSpec,
     estimate_stability,
     fill_table,
-    has_weight_code,
     label_classes,
     needs_binary_labels,
     prediction_space,
@@ -58,24 +58,6 @@ from .seeding import derive_seed, derive_seeds, split_masks
 
 # spawn-key channels for counter-based seed derivation
 _DATA, _SPLIT, _TRIAL, _STABILITY, _SUBSET = 0, 1, 2, 3, 4
-
-BOUND_NAMES = (
-    "fcmi_m1",
-    "fcmi_mn",
-    "fcmi_subset_m",
-    "fcmi_squared",
-    "cmi_weights",
-    "fcmi_stability",
-    "fcmi_stability_squared",
-    "vc",
-    "ensemble_mn",
-    "det_stability",
-    "det_stability_squared",
-)
-
-_EXACT_ONLY = {"fcmi_stability", "fcmi_stability_squared", "ensemble_mn"}
-_REAL_SPACE = {"det_stability", "det_stability_squared"}
-
 
 class ConfigError(ValueError):
     """The experiment configuration is malformed."""
@@ -163,8 +145,8 @@ class ExperimentConfig:
             raise ConfigError(f"unknown loss {self.loss!r}")
         self.bounds = tuple(self.bounds)
         for b in self.bounds:
-            if b not in BOUND_NAMES:
-                raise ConfigError(f"unknown bound {b!r} (known: {', '.join(BOUND_NAMES)})")
+            if b not in BOUNDS:
+                raise ConfigError(f"unknown bound {b!r} (known: {', '.join(BOUNDS)})")
         if len(set(self.bounds)) != len(self.bounds):
             raise ConfigError("duplicate bound requested")
         if not self.gamma > 0:
@@ -275,11 +257,17 @@ def persist(report, path) -> None:
 
 
 def load_report(path) -> ExperimentReport:
+    """A persisted report; ParseError unless it holds every field and every
+    config key its curve rows read."""
     try:
-        payload = json.loads(Path(path).read_text(encoding="utf-8"))
-        return ExperimentReport.from_json_dict(payload)
-    except (json.JSONDecodeError, KeyError, TypeError, ValueError) as e:
+        report = ExperimentReport.from_json_dict(
+            json.loads(Path(path).read_text(encoding="utf-8")))
+        curve_rows(report)
+    except KeyError as e:
+        raise ParseError(f"{path}: missing key {e}") from e
+    except (json.JSONDecodeError, TypeError, ValueError) as e:
         raise ParseError(f"{path}: {e}") from e
+    return report
 
 
 # --- data plumbing -----------------------------------------------------------
@@ -332,7 +320,79 @@ def _draw_supersample(config: ExperimentConfig, a: int, pool=None) -> Supersampl
     return Supersample(xs[picks], ys[picks])
 
 
+# --- bound declarations ------------------------------------------------------
+
+
+class Bound(NamedTuple):
+    """One bound: what it needs, the estimate it reads and how its report is
+    formed. ``make(config, values, digest, run)`` gets the ``reads`` field of
+    every supersample result (None without one), the digest every bound
+    shares, and the run's subset meta and stability constants.
+    ``cells(config, k)`` is its monte_carlo joint alphabet over ``k``
+    prediction symbols."""
+
+    space: str  # the prediction space it needs: "finite" or "real"
+    make: Callable
+    reads: str | None = None  # the SupersampleResult field it reads
+    learner: str | None = None  # the one learner kind it is implemented for
+    exact_only: bool = False
+    needs_m: bool = False  # needs subset_policy.m
+    cells: Callable | None = None
+
+
+def _vc_report(config, values, digest, run) -> bnd.BoundReport:
+    # growth-function cap on f-CMI (nats), turned into a gap bound by the
+    # fcmi_mn form
+    cap = bnd.vc_fcmi_bound(1, config.n)
+    return bnd.BoundReport(
+        name="vc", value=math.sqrt(2.0 * cap / config.n), spread=None,
+        inputs_digest={**digest, "d_vc": 1, "n": config.n, "fcmi_cap": cap},
+        tag="vc-sauer-shelah")
+
+
+BOUNDS: dict[str, Bound] = {
+    "fcmi_m1": Bound(
+        "finite", lambda c, v, d, run: bnd.fcmi_bound_m1(v, d), reads="mi_per_index"),
+    "fcmi_mn": Bound(
+        "finite", lambda c, v, d, run: bnd.fcmi_bound_mn(v, c.n, d), reads="fcmi_full",
+        cells=lambda c, k: product_alphabet_size(k, c.n)),
+    "fcmi_subset_m": Bound(
+        "finite", lambda c, v, d, run: bnd.fcmi_bound_general_m(
+            v, c.subset_m, {**d, **run["subsets"]}),
+        reads="subset_mi", needs_m=True,
+        cells=lambda c, k: product_alphabet_size(k, c.subset_m)),
+    "fcmi_squared": Bound(
+        "finite", lambda c, v, d, run: bnd.fcmi_squared_bound(float(np.mean(v)), c.n, d),
+        reads="fcmi_full", cells=lambda c, k: product_alphabet_size(k, c.n)),
+    "cmi_weights": Bound(
+        "finite", lambda c, v, d, run: bnd.cmi_weight_bound(v, c.n, d),
+        reads="weight_mi_full", learner="threshold_erm",
+        # achievable thresholds: midpoints of any two pool values + edges
+        cells=lambda c, k: (2 * c.n * c.n + c.n + 2) * 2 ** c.n),
+    "fcmi_stability": Bound(
+        "finite", lambda c, v, d, run: bnd.stability_fcmi_bound(v, d),
+        reads="cmi_per_index", exact_only=True),
+    "fcmi_stability_squared": Bound(
+        "finite", lambda c, v, d, run: bnd.stability_fcmi_squared_bound(v, c.n, d),
+        reads="cmi_allpairs_per_index", exact_only=True),
+    "vc": Bound("finite", _vc_report, learner="threshold_erm"),
+    "ensemble_mn": Bound("finite", lambda c, v, d, run: replace(
+        bnd.fcmi_bound_mn([bnd.ensemble_fcmi_bound(r) for r in v], c.n), name="ensemble_mn",
+        tag="ensemble-sum", inputs_digest={**d, "members": len(v[0]), "n": c.n}),
+        reads="member_fcmi", learner="ensemble", exact_only=True),
+    "det_stability": Bound("real", lambda c, v, d, run: bnd.BoundReport(
+        name="det_stability", value=bnd.deterministic_stability_bound(run["constants"]),
+        spread=None, inputs_digest={**d, **run["stability"]}, tag="det-stability")),
+    "det_stability_squared": Bound("real", lambda c, v, d, run: bnd.BoundReport(
+        name="det_stability_squared", spread=None, inputs_digest={**d, **run["stability"]},
+        value=bnd.deterministic_stability_squared_bound(run["constants"], c.n),
+        tag="det-stability-squared")),
+}
+
+
 # --- compatibility checks ----------------------------------------------------
+
+_SPACE_NOUN = {"finite": "a finite prediction alphabet", "real": "real-vector predictions"}
 
 
 def _check_bounds_supported(config: ExperimentConfig, num_classes: int) -> None:
@@ -349,57 +409,38 @@ def _check_bounds_supported(config: ExperimentConfig, num_classes: int) -> None:
             "loss 'absolute' needs predictions in [0, 1]; the Gaussian noise of "
             "'noisy_wrapper' moves them outside that range")
     for b in config.bounds:
-        if b in _REAL_SPACE:
-            if space.kind != "real":
-                raise UnsupportedCombinationError(
-                    f"bound {b!r} needs a real-vector learner; {spec.kind!r} is not")
-            if config.data["kind"] == "csv":
-                raise UnsupportedCombinationError(
-                    f"bound {b!r} estimates stability by resampling a synthetic "
-                    f"generator; csv data sources are not resamplable")
-            continue
-        if space.kind != "finite":
+        bound = BOUNDS[b]
+        if bound.space != space.kind:
             raise UnsupportedCombinationError(
-                f"bound {b!r} needs a finite prediction alphabet; learner "
-                f"{spec.kind!r} emits real vectors")
-        if b == "cmi_weights" and not has_weight_code(spec):
+                f"bound {b!r} needs {_SPACE_NOUN[bound.space]}; learner "
+                f"{spec.kind!r} has {_SPACE_NOUN[space.kind]}")
+        if bound.space == "real" and config.data["kind"] == "csv":
             raise UnsupportedCombinationError(
-                f"bound 'cmi_weights' needs a discrete weight code; learner "
-                f"{spec.kind!r} exposes none")
-        if b == "vc" and spec.kind != "threshold_erm":
+                f"bound {b!r} estimates stability by resampling a synthetic "
+                f"generator; csv data sources are not resamplable")
+        if bound.learner not in (None, spec.kind):
             raise UnsupportedCombinationError(
-                f"bound 'vc' is implemented for the threshold family only, "
+                f"bound {b!r} is implemented for learner {bound.learner!r} only, "
                 f"not {spec.kind!r}")
-        if b == "ensemble_mn" and spec.kind != "ensemble":
-            raise UnsupportedCombinationError(
-                f"bound 'ensemble_mn' needs an ensemble learner, not {spec.kind!r}")
-        if b in _EXACT_ONLY and config.mode != "exact_enumeration":
+        if bound.exact_only and config.mode != "exact_enumeration":
             raise UnsupportedCombinationError(
                 f"bound {b!r} is computed in exact_enumeration mode only")
     if config.mode == "exact_enumeration" and config.n > ENUMERATION_LIMIT:
         raise SizeError(
             f"exact_enumeration refuses n={config.n} (limit {ENUMERATION_LIMIT})")
-    if "fcmi_subset_m" in config.bounds:
-        m = config.subset_m
-        if m is None or not 1 <= m <= config.n:
-            raise ConfigError("fcmi_subset_m needs subset_policy.m in [1, n]")
-    if config.mode == "monte_carlo":
-        space_size = space.size or 2
-        for b in config.bounds:
-            if b in ("fcmi_mn", "fcmi_squared"):
-                cells = product_alphabet_size(space_size, config.n)
-            elif b == "fcmi_subset_m":
-                cells = product_alphabet_size(space_size, config.subset_m)
-            elif b == "cmi_weights":
-                # achievable thresholds: midpoints of any two pool values + edges
-                cells = (2 * config.n * config.n + config.n + 2) * 2 ** config.n
-            else:
-                continue
-            if cells > PLUGIN_ALPHABET_LIMIT:
-                raise UnsupportedCombinationError(
-                    f"bound {b!r} in monte_carlo mode needs a joint alphabet of "
-                    f"{cells} cells (> {PLUGIN_ALPHABET_LIMIT}); use exact mode "
-                    f"or a smaller m/n")
+    m = config.subset_m
+    for b in config.bounds:
+        if BOUNDS[b].needs_m and (m is None or not 1 <= m <= config.n):
+            raise ConfigError(f"{b} needs subset_policy.m in [1, n]")
+    if config.mode != "monte_carlo":
+        return
+    for b in config.bounds:
+        cells = BOUNDS[b].cells(config, space.size) if BOUNDS[b].cells else 0
+        if cells > PLUGIN_ALPHABET_LIMIT:
+            raise UnsupportedCombinationError(
+                f"bound {b!r} in monte_carlo mode needs a joint alphabet of "
+                f"{cells} cells (> {PLUGIN_ALPHABET_LIMIT}); use exact mode "
+                f"or a smaller m/n")
 
 
 def _subset_family(config: ExperimentConfig) -> tuple[list[tuple[int, ...]], str]:
@@ -415,13 +456,9 @@ def _subset_family(config: ExperimentConfig) -> tuple[list[tuple[int, ...]], str
 # --- per-supersample execution -----------------------------------------------
 
 
-def _needs(config: ExperimentConfig, *names: str) -> bool:
-    return any(b in config.bounds for b in names)
-
-
 def _run_supersample(config: ExperimentConfig, a: int,
                      subsets: list[tuple[int, ...]] | None, pool=None):
-    """One supersample's trial table plus every estimate the requested bounds need."""
+    """One supersample's trial table plus every estimate the requested bounds read."""
     supersample = _draw_supersample(config, a, pool)
     n = config.n
     exact = config.mode == "exact_enumeration"
@@ -440,23 +477,24 @@ def _run_supersample(config: ExperimentConfig, a: int,
     if table.prediction_space.kind != "finite":
         return result, table
 
+    reads = {BOUNDS[b].reads for b in config.bounds}
     every_pair = [tuple(range(n))]
     result.mi_per_index = subset_mi(table, [(i,) for i in range(n)]).tolist()
     result.mi_testslots = mi_testslots(table)
-    if exact or _needs(config, "fcmi_mn", "fcmi_squared"):
+    if exact or "fcmi_full" in reads:
         result.fcmi_full = float(subset_mi(table, every_pair)[0])
-    if _needs(config, "cmi_weights"):
+    if "weight_mi_full" in reads:
         result.weight_mi_full = float(subset_mi(table, every_pair, use_weights=True)[0])
         if exact:
             result.weight_mi_per_index = subset_mi(
                 table, [(i,) for i in range(n)], use_weights=True).tolist()
-    if _needs(config, "fcmi_stability"):
+    if "cmi_per_index" in reads:
         result.cmi_per_index = split_cmi(table).tolist()
-    if _needs(config, "fcmi_stability_squared"):
+    if "cmi_allpairs_per_index" in reads:
         result.cmi_allpairs_per_index = split_cmi(table, all_pairs=True).tolist()
-    if subsets is not None:
+    if "subset_mi" in reads:
         result.subset_mi = subset_mi(table, subsets).tolist()
-    if _needs(config, "ensemble_mn"):
+    if "member_fcmi" in reads:
         result.member_fcmi = []
         for j, member in enumerate(config.learner.params["members"]):
             member_rows = exact_rows(n, derive_seeds(seeds, j))
@@ -478,60 +516,21 @@ def _collect(results: list[SupersampleResult], attr: str) -> list:
 
 def _assemble_bounds(config: ExperimentConfig, results: list[SupersampleResult],
                      subset_meta: dict | None) -> tuple[list[bnd.BoundReport], dict]:
-    reports: list[bnd.BoundReport] = []
-    meta: dict = {}
+    """Each requested bound's report, formed by its declaration, and the
+    stability meta when a real-space bound is requested."""
     digest = {"mode": config.mode, "k2": config.k2, "loss": config.loss}
-    if _needs(config, *_REAL_SPACE):
-        stab = _stability_constants(config)
-        meta["stability"] = {**asdict(stab), "sigma_sq": bnd.optimal_noise_variance(stab),
-                             "trials": config.stability_trials}
+    run: dict = {"subsets": subset_meta}
+    meta: dict = {}
+    if any(BOUNDS[b].space == "real" for b in config.bounds):
+        run["constants"] = stab = _stability_constants(config)
+        meta["stability"] = run["stability"] = {
+            **asdict(stab), "sigma_sq": bnd.optimal_noise_variance(stab),
+            "trials": config.stability_trials}
+    reports = []
     for name in config.bounds:
-        if name == "fcmi_m1":
-            reports.append(bnd.fcmi_bound_m1(_collect(results, "mi_per_index"), digest))
-        elif name == "fcmi_mn":
-            reports.append(bnd.fcmi_bound_mn(
-                _collect(results, "fcmi_full"), config.n, digest))
-        elif name == "fcmi_subset_m":
-            reports.append(bnd.fcmi_bound_general_m(
-                _collect(results, "subset_mi"), config.subset_m,
-                {**digest, **(subset_meta or {})}))
-        elif name == "fcmi_squared":
-            mean_fcmi = float(np.mean(_collect(results, "fcmi_full")))
-            reports.append(bnd.fcmi_squared_bound(mean_fcmi, config.n, digest))
-        elif name == "cmi_weights":
-            reports.append(bnd.cmi_weight_bound(
-                _collect(results, "weight_mi_full"), config.n, digest))
-        elif name == "fcmi_stability":
-            reports.append(bnd.stability_fcmi_bound(
-                _collect(results, "cmi_per_index"), digest))
-        elif name == "fcmi_stability_squared":
-            reports.append(bnd.stability_fcmi_squared_bound(
-                _collect(results, "cmi_allpairs_per_index"), config.n, digest))
-        elif name == "vc":
-            # growth-function cap on f-CMI (nats), turned into a gap bound
-            # by the fcmi_mn form
-            cap = bnd.vc_fcmi_bound(1, config.n)
-            reports.append(bnd.BoundReport(
-                name="vc", value=math.sqrt(2.0 * cap / config.n), spread=None,
-                inputs_digest={**digest, "d_vc": 1, "n": config.n, "fcmi_cap": cap},
-                tag="vc-sauer-shelah"))
-        elif name == "ensemble_mn":
-            sums = [bnd.ensemble_fcmi_bound(r) for r in _collect(results, "member_fcmi")]
-            reports.append(replace(
-                bnd.fcmi_bound_mn(sums, config.n), name="ensemble_mn", tag="ensemble-sum",
-                inputs_digest={**digest, "members": len(results[0].member_fcmi),
-                               "n": config.n}))
-        elif name == "det_stability":
-            reports.append(bnd.BoundReport(
-                name=name, value=bnd.deterministic_stability_bound(stab), spread=None,
-                inputs_digest={**digest, **meta["stability"]}, tag="det-stability"))
-        elif name == "det_stability_squared":
-            reports.append(bnd.BoundReport(
-                name=name, value=bnd.deterministic_stability_squared_bound(stab, config.n),
-                spread=None, inputs_digest={**digest, **meta["stability"]},
-                tag="det-stability-squared"))
-        else:  # pragma: no cover
-            raise ConfigError(f"unknown bound {name!r}")
+        bound = BOUNDS[name]
+        values = None if bound.reads is None else _collect(results, bound.reads)
+        reports.append(bound.make(config, values, digest, run))
     return reports, meta
 
 
@@ -565,7 +564,7 @@ def run_experiment(config: ExperimentConfig, keep_tables: bool = False) -> Exper
     pool = _checked_pool(config)
     subsets = None
     subset_meta = None
-    if "fcmi_subset_m" in config.bounds:
+    if any(BOUNDS[b].needs_m for b in config.bounds):
         subsets, policy = _subset_family(config)
         subset_meta = {"subset_policy": policy, "subset_count": len(subsets)}
 

@@ -73,10 +73,6 @@ def label_classes(ys: np.ndarray) -> int:
     return max(2, int(ys.max()) + 1)
 
 
-def has_weight_code(spec: LearnerSpec) -> bool:
-    return spec.kind == "threshold_erm"
-
-
 def _wrapped(spec: LearnerSpec) -> list[LearnerSpec]:
     """The learners a wrapper fits directly: the inner learner or the members."""
     if spec.kind == "noisy_wrapper":

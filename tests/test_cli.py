@@ -328,16 +328,18 @@ class TestSweep:
         {"n": 22, "mode": "exact_enumeration"},
         {"bounds": ["fcmi_stability"]},
         {"stability": {"trails": 3}},
-    ], ids=["size", "monte_carlo_stability", "undeclared_key"])
-    def test_bad_member_refused_before_any_fit(self, tmp_path, monkeypatch, bad):
+        {"n": 0},
+    ], ids=["size", "monte_carlo_stability", "undeclared_key", "bad_count"])
+    def test_bad_member_refused_before_any_fit(self, tmp_path, monkeypatch, capsys, bad):
         """Every member is checked before the first runs: a bad second member
-        exits 2 with no fit and no file written."""
+        exits 2, named by its index, with no fit and no file written."""
         fits = count_fits(monkeypatch)
         path = tmp_path / "sweep.json"
         path.write_text(json.dumps({"base": self.BASE, "vary": [{"n": 4}, bad]}),
                         encoding="utf-8")
         out = tmp_path / "out"
         assert main(["sweep", str(path), "-o", str(out)]) == 2
+        assert "error: sweep member 1: " in capsys.readouterr().err
         assert fits == []
         assert not (out / "report_000.json").exists() and not (out / "errors.json").exists()
 
@@ -390,6 +392,22 @@ class TestReport:
         bad.write_text("{", encoding="utf-8")
         assert main(["report", str(bad)]) == 2
         assert "broken.json" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("path", [("config", "n"), ("config", "clip_bounds"),
+                                      ("config", "learner", "kind"), ("gap_mean",)],
+                             ids=["n", "clip_bounds", "learner_kind", "gap_mean"])
+    def test_missing_key_is_parse_error(self, tmp_path, capsys, path):
+        """A report lacking a key that its curve rows or fields read exits 2
+        and names the key."""
+        report = self._make_reports(tmp_path)[0]
+        payload = json.loads(report.read_text())
+        node = payload
+        for key in path[:-1]:
+            node = node[key]
+        del node[path[-1]]
+        report.write_text(json.dumps(payload), encoding="utf-8")
+        assert main(["report", str(report)]) == 2
+        assert f"missing key '{path[-1]}'" in capsys.readouterr().err
 
     def test_svg_rendering_deterministic(self, tmp_path):
         paths = self._make_reports(tmp_path)

@@ -137,6 +137,24 @@ GOLDEN = {
         "98f1e3bca3d963df5fb4458834ffee828861100e3d94f4c0779b83c7d884665e",
         "0.525892857142857", "0.07197336879934503",
         "628b9aec90417bb97756992153bb1d6bfd99ecaea8e5b2a00ae7d33920efc176"),
+    # C(4, 2) = 6 subsets over an enumerate_limit of 5: a sampled family of 4
+    "mc_threshold_erm_n4_squared_vc_sampled_subsets": (
+        dict(data=THRESHOLD_DATA, n=4, k1=2, k2=50,
+             learner={"kind": "threshold_erm", "params": {}},
+             mode="monte_carlo", bounds=["fcmi_squared", "vc", "fcmi_subset_m"],
+             subset_policy={"m": 2, "enumerate_limit": 5, "sample_count": 4},
+             master_seed=21),
+        "20ae8403ccd82bd51ca45e80bec73359124b374caad6857c664887acbaeeb328",
+        "0.1125", "0.1025304832720494",
+        "0d0d9850d315b80fff098de8143a7a478cd51a7fc273477a6dc43933f01b7b5d"),
+    "exact_threshold_erm_n6_vc_squared_subsets": (
+        dict(data=THRESHOLD_DATA, n=6, k1=2, k2=1,
+             learner={"kind": "threshold_erm", "params": {}},
+             mode="exact_enumeration", bounds=["vc", "fcmi_squared", "fcmi_subset_m"],
+             subset_policy={"m": 3}, master_seed=22),
+        "5842b456577d14587febe896d7e46f03a82e32526730668c9ae525d2d37d7eb7",
+        "0.08854166666666667", "0.04419417382415922",
+        "1372022d70dc60da94e2e2f669b43d8d0b4a35a72825906a7d86891726f1c923"),
 }
 
 _LOGISTIC_PROB = {"kind": "logistic_gd", "params": {"output": "prob", "steps": 20}}

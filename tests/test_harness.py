@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import re
 
@@ -7,12 +8,13 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from fcmi import harness
-from fcmi.core import ContractViolation, SizeError, exact_rows
+from fcmi.core import ENUMERATION_LIMIT, LOSS_SPACE, ContractViolation, SizeError, exact_rows
 from fcmi.harness import (
-    BOUND_NAMES,
+    BOUNDS,
     ConfigError,
     ExperimentConfig,
     ParseError,
+    SupersampleResult,
     SweepFailure,
     UnsupportedCombinationError,
     _draw_supersample,
@@ -24,8 +26,8 @@ from fcmi.harness import (
     run_experiment,
     sweep,
 )
-from fcmi.infotheory import subset_mi
-from fcmi.learners import LearnerSpec, fill_table
+from fcmi.infotheory import PLUGIN_ALPHABET_LIMIT, product_alphabet_size, subset_mi
+from fcmi.learners import LearnerSpec, fill_table, prediction_space
 
 
 def base_config(**overrides):
@@ -76,7 +78,7 @@ _CONFIGS = st.fixed_dictionaries(
      "k2": st.integers(1, 500), "learner": _LEARNERS},
     optional={
         "mode": st.sampled_from(["monte_carlo", "exact_enumeration"]),
-        "bounds": st.lists(st.sampled_from(BOUND_NAMES), unique=True),
+        "bounds": st.lists(st.sampled_from(tuple(BOUNDS)), unique=True),
         "master_seed": st.integers(0, 2 ** 70),
         "loss": st.sampled_from(["zero_one", "absolute"]),
         "subset_policy": _optional(m=st.none() | st.integers(1, 30),
@@ -88,6 +90,85 @@ _CONFIGS = st.fixed_dictionaries(
         "clip_bounds": st.booleans() | st.integers(0, 1),
         "jobs": st.integers(1, 4),
     })
+
+
+# --- the support check before bounds were declared in one table, kept as a
+# test oracle: the table-driven check must raise the same exception class on
+# every config, checking in the same order
+
+_EXACT_ONLY = {"fcmi_stability", "fcmi_stability_squared", "ensemble_mn"}
+_REAL_SPACE = {"det_stability", "det_stability_squared"}
+
+
+def has_weight_code(spec: LearnerSpec) -> bool:
+    return spec.kind == "threshold_erm"
+
+
+def _parent_check(config: ExperimentConfig, num_classes: int) -> None:
+    """Refuse, before any fit, a bound the learner, mode or data cannot give;
+    ``num_classes`` sizes the prediction alphabet of class-label learners."""
+    spec = config.learner
+    space = prediction_space(spec, num_classes)
+    if LOSS_SPACE[config.loss] != space.kind:
+        raise UnsupportedCombinationError(
+            f"loss {config.loss!r} does not match the {space.kind!r} prediction "
+            f"space of learner {spec.kind!r}")
+    if config.loss == "absolute" and spec.kind == "noisy_wrapper":
+        raise UnsupportedCombinationError(
+            "loss 'absolute' needs predictions in [0, 1]; the Gaussian noise of "
+            "'noisy_wrapper' moves them outside that range")
+    for b in config.bounds:
+        if b in _REAL_SPACE:
+            if space.kind != "real":
+                raise UnsupportedCombinationError(
+                    f"bound {b!r} needs a real-vector learner; {spec.kind!r} is not")
+            if config.data["kind"] == "csv":
+                raise UnsupportedCombinationError(
+                    f"bound {b!r} estimates stability by resampling a synthetic "
+                    f"generator; csv data sources are not resamplable")
+            continue
+        if space.kind != "finite":
+            raise UnsupportedCombinationError(
+                f"bound {b!r} needs a finite prediction alphabet; learner "
+                f"{spec.kind!r} emits real vectors")
+        if b == "cmi_weights" and not has_weight_code(spec):
+            raise UnsupportedCombinationError(
+                f"bound 'cmi_weights' needs a discrete weight code; learner "
+                f"{spec.kind!r} exposes none")
+        if b == "vc" and spec.kind != "threshold_erm":
+            raise UnsupportedCombinationError(
+                f"bound 'vc' is implemented for the threshold family only, "
+                f"not {spec.kind!r}")
+        if b == "ensemble_mn" and spec.kind != "ensemble":
+            raise UnsupportedCombinationError(
+                f"bound 'ensemble_mn' needs an ensemble learner, not {spec.kind!r}")
+        if b in _EXACT_ONLY and config.mode != "exact_enumeration":
+            raise UnsupportedCombinationError(
+                f"bound {b!r} is computed in exact_enumeration mode only")
+    if config.mode == "exact_enumeration" and config.n > ENUMERATION_LIMIT:
+        raise SizeError(
+            f"exact_enumeration refuses n={config.n} (limit {ENUMERATION_LIMIT})")
+    if "fcmi_subset_m" in config.bounds:
+        m = config.subset_m
+        if m is None or not 1 <= m <= config.n:
+            raise ConfigError("fcmi_subset_m needs subset_policy.m in [1, n]")
+    if config.mode == "monte_carlo":
+        space_size = space.size or 2
+        for b in config.bounds:
+            if b in ("fcmi_mn", "fcmi_squared"):
+                cells = product_alphabet_size(space_size, config.n)
+            elif b == "fcmi_subset_m":
+                cells = product_alphabet_size(space_size, config.subset_m)
+            elif b == "cmi_weights":
+                # achievable thresholds: midpoints of any two pool values + edges
+                cells = (2 * config.n * config.n + config.n + 2) * 2 ** config.n
+            else:
+                continue
+            if cells > PLUGIN_ALPHABET_LIMIT:
+                raise UnsupportedCombinationError(
+                    f"bound {b!r} in monte_carlo mode needs a joint alphabet of "
+                    f"{cells} cells (> {PLUGIN_ALPHABET_LIMIT}); use exact mode "
+                    f"or a smaller m/n")
 
 
 class TestConfig:
@@ -149,6 +230,36 @@ class TestConfig:
         config = base_config(bounds=["fcmi_subset_m"])
         with pytest.raises(ConfigError):
             run_experiment(config)
+
+
+class TestBoundDeclarations:
+    def test_every_read_is_a_supersample_field(self):
+        names = {f.name for f in dataclasses.fields(SupersampleResult)}
+        for name, bound in BOUNDS.items():
+            assert bound.reads is None or bound.reads in names, name
+            assert bound.space in ("finite", "real"), name
+
+    @settings(max_examples=400, deadline=None)
+    @given(_CONFIGS, st.lists(st.sampled_from(tuple(BOUNDS)), min_size=1, max_size=3,
+                              unique=True), st.sampled_from([2, 3]))
+    def test_check_matches_parent_oracle(self, d, bounds, csv_classes):
+        """Whatever a config asks, the declared check raises the exception
+        class the name-by-name check raised, or none when it raised none. A
+        few bounds are always requested; a csv pool may hold 2 or 3 label
+        classes."""
+        try:
+            config = ExperimentConfig.from_json_dict({**d, "bounds": bounds})
+        except ConfigError:
+            assume(False)
+        num_classes = csv_classes if d["data"]["kind"] == "csv" else 2
+        outcomes = []
+        for check in (_parent_check, harness._check_bounds_supported):
+            try:
+                check(config, num_classes)
+                outcomes.append(None)
+            except (ConfigError, SizeError) as e:
+                outcomes.append(type(e))
+        assert outcomes[0] is outcomes[1], (config.bounds, outcomes)
 
 
 class TestUnsupportedCombinations:

@@ -22,7 +22,6 @@ from fcmi.learners import (
     ensemble_combine,
     estimate_stability,
     fill_table,
-    has_weight_code,
     label_classes,
     logistic_fit,
     noisy_predict,
@@ -719,8 +718,6 @@ class TestReproducibility:
             LearnerSpec(kind, params)
 
     def test_metadata_helpers(self):
-        assert has_weight_code(LearnerSpec("threshold_erm"))
-        assert not has_weight_code(LearnerSpec("knn", {"k": 1}))
         assert prediction_space(LearnerSpec("logistic_gd",
                                             {"output": "prob"})).kind == "real"
         assert label_classes(np.array([0, 0])) == 2
