@@ -15,7 +15,6 @@ from typing import Sequence
 import numpy as np
 
 from .core import ContractViolation, JsonFields, or_none
-from .infotheory import kl_divergence
 
 
 @dataclass(frozen=True)
@@ -172,45 +171,6 @@ def ensemble_fcmi_bound(per_learner_fcmi: Sequence[float]) -> float:
     if any(v < 0 for v in vals):
         raise ContractViolation("member MI estimates must be >= 0")
     return float(sum(vals))
-
-
-def stability_kl_decomposition(
-    cells: Sequence[tuple[Sequence[float], Sequence[float]]],
-    weights: Sequence[float] | None = None,
-) -> float:
-    """Symmetrized-KL cap on I(predictions ; S_i | S_-i).
-
-    ``cells`` holds, per value of the conditioning bits, the prediction
-    distributions under bit 0 and bit 1. Returns
-    (1/4) E[KL(P1 || P0)] + (1/4) E[KL(P0 || P1)]; mutual absolute continuity
-    is required (deterministic prediction laws make the cap infinite).
-    """
-    if not cells:
-        raise ContractViolation("need at least one conditioning cell")
-    if weights is None:
-        w = np.full(len(cells), 1.0 / len(cells))
-    else:
-        w = np.asarray(weights, dtype=float)
-        if w.shape != (len(cells),) or np.any(w < 0) or not math.isclose(w.sum(), 1.0,
-                                                                         abs_tol=1e-9):
-            raise ContractViolation("cell weights must be a distribution over cells")
-    total = 0.0
-    for wc, (p0, p1) in zip(w, cells):
-        if wc == 0:
-            continue
-        total += wc * 0.25 * (kl_divergence(p1, p0) + kl_divergence(p0, p1))
-    return total
-
-
-def gaussian_shift_kl(sq_norm_mean_diff: float, sigma_sq: float) -> float:
-    """KL between equal-variance Gaussians: E||mu1 - mu0||^2 / (2 sigma^2)."""
-    if sq_norm_mean_diff < 0:
-        raise ContractViolation("squared mean shift must be >= 0")
-    if sigma_sq <= 0:
-        raise ZeroDivisionError(
-            "sigma_sq must be > 0: the noiseless KL between deterministic "
-            "prediction laws diverges")
-    return sq_norm_mean_diff / (2.0 * sigma_sq)
 
 
 def deterministic_stability_bound(c: StabilityConstants) -> float:

@@ -180,67 +180,79 @@ def _cmd_report(args) -> int:
     return EXIT_OK
 
 
+# one colour per (learner, mode) series, reused in order past the eighth
+_PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b",
+            "#e377c2", "#17becf")
+# (curve, its value and spread columns, its stroke pattern)
+_CURVES = (("gap", "gap_mean", "gap_std", ' stroke-dasharray="6,4"'),
+           ("bound", "bound_value", "bound_spread", ""))
+
+
 def render_curves_svg(bound_name: str, rows: list[dict]) -> str:
-    """Deterministic line chart: gap and bound curves against n, with error bars."""
-    rows = sorted(rows, key=lambda r: (r["n"], r["learner"]))
-    width, height, pad = 640, 440, 60.0
+    """Deterministic line chart of one bound against n, with error bars: one
+    series per (learner, mode) in its own colour, its gap dashed and its
+    bound solid, each series sorted by n and named in the legend."""
+    series: dict[tuple[str, str], list[dict]] = {}
+    for r in sorted(rows, key=lambda r: (r["learner"], r["mode"], r["n"])):
+        series.setdefault((r["learner"], r["mode"]), []).append(r)
+    plot_w, height, pad = 640, 440, 60.0
+    width = plot_w + 240  # the legend's column
     xs = [r["n"] for r in rows]
-    series = {
-        "gap": [(r["gap_mean"], r["gap_std"] or 0.0) for r in rows],
-        "bound": [(r["bound_value"], r["bound_spread"] or 0.0) for r in rows],
-    }
-    ymax = max(v + e for pts in series.values() for v, e in pts)
-    ymax = max(ymax, 1e-9)
-    ymin = min(0.0, min(v - e for pts in series.values() for v, e in pts))
+    ends = [(r[value], r[spread] or 0.0) for r in rows for _, value, spread, _ in _CURVES]
+    ymax = max(max(v + e for v, e in ends), 1e-9)
+    ymin = min(0.0, min(v - e for v, e in ends))
     xmin, xmax = min(xs), max(xs)
     xspan = max(xmax - xmin, 1)
 
     def px(x):
-        return pad + (x - xmin) / xspan * (width - 2 * pad)
+        return pad + (x - xmin) / xspan * (plot_w - 2 * pad)
 
     def py(y):
         return height - pad - (y - ymin) / (ymax - ymin) * (height - 2 * pad)
 
-    colors = {"gap": "#1f77b4", "bound": "#d62728"}
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
         f'viewBox="0 0 {width} {height}">',
         f'<rect width="{width}" height="{height}" fill="white"/>',
-        f'<line x1="{pad:.2f}" y1="{height - pad:.2f}" x2="{width - pad:.2f}" '
+        f'<line x1="{pad:.2f}" y1="{height - pad:.2f}" x2="{plot_w - pad:.2f}" '
         f'y2="{height - pad:.2f}" stroke="black"/>',
         f'<line x1="{pad:.2f}" y1="{pad:.2f}" x2="{pad:.2f}" '
         f'y2="{height - pad:.2f}" stroke="black"/>',
-        f'<text x="{width / 2:.2f}" y="{height - 20:.2f}" font-size="14" '
+        f'<text x="{plot_w / 2:.2f}" y="{height - 20:.2f}" font-size="14" '
         f'text-anchor="middle">n</text>',
-        f'<text x="{width / 2:.2f}" y="30" font-size="14" '
+        f'<text x="{plot_w / 2:.2f}" y="30" font-size="14" '
         f'text-anchor="middle">{bound_name}: gap vs bound</text>',
         f'<text x="{pad:.2f}" y="{height - pad + 18:.2f}" font-size="12" '
         f'text-anchor="middle">{xmin}</text>',
-        f'<text x="{width - pad:.2f}" y="{height - pad + 18:.2f}" font-size="12" '
+        f'<text x="{plot_w - pad:.2f}" y="{height - pad + 18:.2f}" font-size="12" '
         f'text-anchor="middle">{xmax}</text>',
         f'<text x="{pad - 8:.2f}" y="{py(ymax):.2f}" font-size="12" '
         f'text-anchor="end">{ymax:.3g}</text>',
         f'<text x="{pad - 8:.2f}" y="{py(0.0):.2f}" font-size="12" '
         f'text-anchor="end">0</text>',
     ]
-    for label, pts in series.items():
-        color = colors[label]
-        coords = " ".join(f"{px(x):.2f},{py(v):.2f}" for x, (v, _) in zip(xs, pts))
-        parts.append(f'<polyline points="{coords}" fill="none" stroke="{color}" '
-                     f'stroke-width="2"/>')
-        for x, (v, e) in zip(xs, pts):
-            parts.append(f'<circle cx="{px(x):.2f}" cy="{py(v):.2f}" r="3" '
-                         f'fill="{color}"/>')
-            if e > 0:
-                parts.append(f'<line x1="{px(x):.2f}" y1="{py(v - e):.2f}" '
-                             f'x2="{px(x):.2f}" y2="{py(v + e):.2f}" '
-                             f'stroke="{color}" stroke-width="1"/>')
-    for idx, label in enumerate(series):
+    colors = [_PALETTE[idx % len(_PALETTE)] for idx in range(len(series))]
+    for color, members in zip(colors, series.values()):
+        for curve, value, spread, dash in _CURVES:
+            pts = [(px(r["n"]), r[value], r[spread] or 0.0) for r in members]
+            coords = " ".join(f"{x:.2f},{py(v):.2f}" for x, v, _ in pts)
+            parts.append(f'<polyline class="{curve}" points="{coords}" fill="none" '
+                         f'stroke="{color}" stroke-width="2"{dash}/>')
+            for x, v, e in pts:
+                parts.append(f'<circle cx="{x:.2f}" cy="{py(v):.2f}" r="3" '
+                             f'fill="{color}"/>')
+                if e > 0:
+                    parts.append(f'<line x1="{x:.2f}" y1="{py(v - e):.2f}" '
+                                 f'x2="{x:.2f}" y2="{py(v + e):.2f}" '
+                                 f'stroke="{color}" stroke-width="1"/>')
+    legend = [(f"{learner} ({mode})", color, "")
+              for (learner, mode), color in zip(series, colors)]
+    legend += [(curve, "black", dash) for curve, _, _, dash in _CURVES]
+    for idx, (label, color, dash) in enumerate(legend):
         y = pad + 16 * idx
-        parts.append(f'<line x1="{width - pad - 120:.2f}" y1="{y:.2f}" '
-                     f'x2="{width - pad - 96:.2f}" y2="{y:.2f}" '
-                     f'stroke="{colors[label]}" stroke-width="2"/>')
-        parts.append(f'<text x="{width - pad - 90:.2f}" y="{y + 4:.2f}" '
+        parts.append(f'<line x1="{plot_w:.2f}" y1="{y:.2f}" x2="{plot_w + 24:.2f}" '
+                     f'y2="{y:.2f}" stroke="{color}" stroke-width="2"{dash}/>')
+        parts.append(f'<text x="{plot_w + 30:.2f}" y="{y + 4:.2f}" '
                      f'font-size="12">{label}</text>')
     parts.append("</svg>")
     return "\n".join(parts) + "\n"

@@ -58,11 +58,15 @@ class JsonFields:
                       for f in fields(cls) if f.compare})
 
 
-# the value types a declared default admits: integers for an integer, any
-# number for a float; a boolean is neither
-_ADMITS = {int: ((int, np.integer), "an integer"),
-           float: ((int, float, np.integer, np.floating), "a number"),
-           str: ((str,), "a string")}
+# the values a declared type admits, for kind parameters and config fields
+# alike: a boolean, 0 or 1 for a boolean, an integer for an integer, any
+# number for a float and a string for a string; a boolean is no number
+_ADMITS = {bool: (lambda v: isinstance(v, (int, np.integer)) and v in (0, 1), "a boolean"),
+           int: (lambda v: isinstance(v, (int, np.integer)) and not isinstance(v, bool),
+                 "an integer"),
+           float: (lambda v: isinstance(v, (int, float, np.integer, np.floating))
+                   and not isinstance(v, bool), "a number"),
+           str: (lambda v: isinstance(v, str), "a string")}
 
 
 @dataclass(frozen=True)
@@ -94,8 +98,9 @@ class KindSpec(JsonFields):
                 raise ContractViolation(
                     f"{self.kind} has no parameter {name!r} "
                     f"(declared: {', '.join(declared) or 'none'})")
-            types, noun = _ADMITS.get(type(declared[name]), (object, None))
-            if isinstance(value, bool) and noun or not isinstance(value, types):
+            # a default of another type (a required one, say) admits any value
+            ok, noun = _ADMITS.get(type(declared[name]), (lambda v: True, None))
+            if not ok(value):
                 raise ContractViolation(
                     f"{self.kind} parameter {name!r} must be {noun}, got {value!r}")
         for name, default in declared.items():
@@ -138,13 +143,6 @@ class Supersample:
         self.xs = xs
         self.ys = ys
 
-    @property
-    def feature_dim(self) -> int:
-        return self.xs.shape[1]
-
-    def __repr__(self) -> str:  # pragma: no cover
-        return f"Supersample(n={self.n}, dim={self.feature_dim})"
-
 
 def split_slots(masks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Flat slot indices of the training and test halves, in pair order.
@@ -157,21 +155,21 @@ def split_slots(masks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return base + masks, base + 1 - masks
 
 
-def enumerate_splits(n: int, limit: int = ENUMERATION_LIMIT) -> np.ndarray:
+def enumerate_splits(n: int) -> np.ndarray:
     """All 2**n split masks as a (2**n, n) uint8 array, pair 0 most significant."""
     if n < 1:
         raise ContractViolation("n must be >= 1")
-    if n > limit:
-        raise SizeError(f"refusing to enumerate 2**{n} splits (limit n <= {limit})")
+    if n > ENUMERATION_LIMIT:
+        raise SizeError(
+            f"refusing to enumerate 2**{n} splits (limit n <= {ENUMERATION_LIMIT})")
     codes = np.arange(2 ** n)[:, None]
     return ((codes >> np.arange(n - 1, -1, -1)) & 1).astype(np.uint8)
 
 
-def exact_rows(n: int, seeds,
-               limit: int = ENUMERATION_LIMIT) -> tuple[np.ndarray, np.ndarray]:
+def exact_rows(n: int, seeds) -> tuple[np.ndarray, np.ndarray]:
     """Exact mode's (mask, seed) rows: every split crossed with every seed,
     mask-major and seed-minor."""
-    masks = enumerate_splits(n, limit)
+    masks = enumerate_splits(n)
     seeds = np.asarray(seeds, dtype=np.uint64)
     return np.repeat(masks, len(seeds), axis=0), np.tile(seeds, len(masks))
 

@@ -64,9 +64,3 @@ def sample_examples(gen: GeneratorSpec, count: int,
 def sample_supersample(gen: GeneratorSpec, n: int, seed: int) -> Supersample:
     """2n i.i.d. draws arranged into n pairs."""
     return Supersample(*sample_examples(gen, 2 * n, seed))
-
-
-def bayes_error_two_gaussians(sep: float, noise: float = 0.0) -> float:
-    """Closed-form optimal error for the two-Gaussians source."""
-    base = 0.5 * math.erfc(sep / (2.0 * math.sqrt(2.0)))
-    return (1 - noise) * base + noise * (1 - base)

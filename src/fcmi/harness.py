@@ -31,6 +31,7 @@ from .core import (
     SizeError,
     Supersample,
     TrialTable,
+    _ADMITS,
     aggregate_gap,
     exact_rows,
     json_data,
@@ -98,6 +99,10 @@ def _key(f) -> str:
     return f.metadata.get("key") or f.name
 
 
+# the config field annotations whose values are checked and converted
+_SCALARS = {"bool": bool, "int": int, "int | None": int, "float": float}
+
+
 @dataclass
 class ExperimentConfig:
     """One experiment. Each field states its JSON key, default, type and
@@ -128,17 +133,18 @@ class ExperimentConfig:
     def __post_init__(self) -> None:
         for f in fields(self):  # f.type is the annotation's text
             value = getattr(self, f.name)
-            if f.type == "float":
-                setattr(self, f.name, float(value))
-            elif f.type == "bool":
-                setattr(self, f.name, bool(value))
-            elif f.type == "int" or f.type == "int | None" and value is not None:
-                # JSON floats and booleans are refused, not truncated
-                if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-                    raise ConfigError(f"{_key(f)} must be an integer, got {value!r}")
-                least = f.metadata.get("least")
-                if least is not None and value < least:
-                    raise ConfigError(f"{_key(f)} must be >= {least}, got {value}")
+            kind = _SCALARS.get(f.type)
+            if kind is None or value is None and f.type == "int | None":
+                continue
+            # the type rule of kind parameters: a JSON float is refused for an
+            # integer, not truncated, and a boolean or a string for a number
+            ok, noun = _ADMITS[kind]
+            if not ok(value):
+                raise ConfigError(f"{_key(f)} must be {noun}, got {value!r}")
+            least = f.metadata.get("least")
+            if least is not None and value < least:
+                raise ConfigError(f"{_key(f)} must be >= {least}, got {value}")
+            setattr(self, f.name, kind(value))
         if self.mode not in ("monte_carlo", "exact_enumeration"):
             raise ConfigError(f"unknown mode {self.mode!r}")
         if self.loss not in LOSSES:

@@ -1,22 +1,22 @@
-"""Exact and plug-in discrete information measures, all in nats.
+"""The plug-in estimator of discrete mutual information, and the quantities
+of a trial table it estimates, all in nats.
 
 Conventions: 0 * log 0 = 0, empty conditioning cells contribute zero, and the
 plain plug-in estimator is the default (Miller-Madow correction behind a flag).
-Only finite prediction alphabets reach these estimators; the stability pipeline
-handles real-valued outputs through closed-form Gaussian KL instead.
+Exact mode's quantities are the plug-in over every equally weighted split.
+Only finite prediction alphabets reach this estimator; real-valued outputs
+reach their bounds through the stability constants of
+``learners.estimate_stability`` instead.
 """
 
 from __future__ import annotations
 
 import itertools
-import math
 
 import numpy as np
 
 from .core import ContractViolation, TrialTable, split_slots
 
-_SUM_TOL = 1e-9
-_NEG_TOL = 1e-12
 _INT64_MAX = np.iinfo(np.int64).max
 
 # Largest product-alphabet size for which a plug-in joint over prediction
@@ -26,76 +26,6 @@ PLUGIN_ALPHABET_LIMIT = 2 ** 16
 
 class AbsoluteContinuityError(ValueError):
     """KL divergence is +inf: p puts mass where q has none."""
-
-
-def _as_distribution(p) -> np.ndarray:
-    arr = np.asarray(p, dtype=float).ravel()
-    if arr.size == 0:
-        raise ContractViolation("empty distribution")
-    if np.any(arr < -_NEG_TOL):
-        raise ContractViolation("negative probability entry")
-    arr = np.clip(arr, 0.0, None)
-    total = arr.sum()
-    if not math.isclose(total, 1.0, abs_tol=1e-12, rel_tol=1e-9):
-        raise ContractViolation(f"probabilities sum to {total}, not 1")
-    return arr
-
-
-def entropy(p) -> float:
-    """Shannon entropy -sum p log p of a probability vector."""
-    arr = _as_distribution(p)
-    nz = arr[arr > 0]
-    return float(-np.sum(nz * np.log(nz)))
-
-
-def kl_divergence(p, q) -> float:
-    """KL(p || q); raises AbsoluteContinuityError when the support check fails."""
-    pa = _as_distribution(p)
-    qa = _as_distribution(q)
-    if pa.shape != qa.shape:
-        raise ContractViolation("p and q must share one alphabet")
-    if np.any((pa > 0) & (qa == 0)):
-        raise AbsoluteContinuityError("p has mass outside the support of q (KL = +inf)")
-    mask = pa > 0
-    return float(np.sum(pa[mask] * np.log(pa[mask] / qa[mask])))
-
-
-def _joint_probs(joint) -> np.ndarray:
-    """Accept a count grid or a probability grid; normalize."""
-    arr = np.asarray(joint, dtype=float)
-    if np.any(arr < 0):
-        raise ContractViolation("joint entries must be nonnegative")
-    total = arr.sum()
-    if total <= 0:
-        raise ContractViolation("joint must have positive total mass")
-    return arr / total
-
-
-def mutual_information(joint) -> float:
-    """I(A; B) from a 2-D joint (histogram counts or probabilities)."""
-    p = _joint_probs(joint)
-    if p.ndim != 2:
-        raise ContractViolation(f"expected a 2-D joint, got ndim={p.ndim}")
-    pa = p.sum(axis=1)
-    pb = p.sum(axis=0)
-    mask = p > 0
-    outer = np.outer(pa, pb)
-    val = float(np.sum(p[mask] * np.log(p[mask] / outer[mask])))
-    return max(val, 0.0)
-
-
-def conditional_mutual_information(joint3) -> float:
-    """I(A; B | C) from a 3-D joint over (A, B, C); empty C-cells contribute zero."""
-    p = _joint_probs(joint3)
-    if p.ndim != 3:
-        raise ContractViolation(f"expected a 3-D joint, got ndim={p.ndim}")
-    total = 0.0
-    for c in range(p.shape[2]):
-        w = p[:, :, c].sum()
-        if w <= 0:
-            continue
-        total += w * mutual_information(p[:, :, c] / w)
-    return total
 
 
 def _sorted_rank(x: np.ndarray) -> tuple[np.ndarray, int]:

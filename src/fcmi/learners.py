@@ -14,7 +14,7 @@ from __future__ import annotations
 import hashlib
 import inspect
 import math
-from dataclasses import MISSING, dataclass
+from dataclasses import MISSING
 
 import numpy as np
 
@@ -28,7 +28,7 @@ from .core import (
     split_slots,
 )
 from .datagen import sample_examples
-from .seeding import derive_seed, derive_seeds  # noqa: F401  (derive_seed stays importable here)
+from .seeding import derive_seeds
 
 # Cells in the largest stacked array of one chunk of fits: the linear
 # learners' (B, N, d + 1) inputs, SGLD's (B, steps, d + 1) noise and the
@@ -36,12 +36,6 @@ from .seeding import derive_seed, derive_seeds  # noqa: F401  (derive_seed stays
 # arrays and (B, N + 1, N) threshold comparisons, each stay under it, unless
 # a single training set is larger.
 _BATCH_CELLS = 2 ** 15
-
-
-@dataclass(frozen=True, eq=False)
-class LearnerOutput:
-    predictions: np.ndarray
-    weight_code: int | None = None
 
 
 def prediction_space(spec: LearnerSpec, num_classes: int = 2) -> PredictionSpace:
@@ -166,15 +160,6 @@ def _threshold_weights(x: np.ndarray, y: np.ndarray) -> np.ndarray:
         errors[:, 1:-1][s[:, :-1] == s[:, 1:]] = x.shape[1] + 1
         w[rest] = cuts[np.arange(len(rest)), errors.argmin(axis=1)]  # leftmost minimum
     return w
-
-
-def threshold_erm_fit(xs: np.ndarray, ys: np.ndarray) -> float:
-    """Empirical-risk-minimizing threshold of (N, 1) features in [0, 1] and
-    their (N,) labels; see ``_threshold_weights``."""
-    xs = np.asarray(xs, dtype=float)
-    if xs.ndim != 2 or xs.shape[1] != 1:
-        raise ContractViolation("threshold_erm needs 1-D features in [0, 1]")
-    return float(_threshold_weights(xs.T, np.asarray(ys)[None])[0])
 
 
 def _threshold_rows(spec, xs, ys, train_idx, query_xs, seeds):
@@ -453,22 +438,6 @@ def _fit_predict_rows(spec: LearnerSpec, xs: np.ndarray, ys: np.ndarray,
     xs, ys = np.asarray(xs, dtype=float), np.asarray(ys, dtype=np.int64)
     return _ROWS[spec.kind](spec, xs, ys, np.asarray(train_idx),
                             np.asarray(query_xs, dtype=float), seeds)
-
-
-def train_predict(spec: LearnerSpec, train_xs, train_ys, query_xs,
-                  seed: int) -> LearnerOutput:
-    """Train the specified learner on (N, d) inputs and (N,) labels, and
-    predict on (Q, d) query inputs: one row of ``_fit_predict_rows``."""
-    train_xs = np.asarray(train_xs, dtype=float)
-    train_ys = np.asarray(train_ys, dtype=np.int64)
-    query_xs = np.asarray(query_xs, dtype=float)
-    if train_xs.ndim != 2 or train_xs.shape[0] == 0 or train_ys.shape != train_xs.shape[:1]:
-        raise ContractViolation("training set must be nonempty (N, d) inputs, N labels")
-    if query_xs.ndim != 2 or query_xs.shape[1] != train_xs.shape[1]:
-        raise ContractViolation("feature dimensionality mismatch")
-    preds, codes = _fit_predict_rows(spec, train_xs, train_ys,
-                                     np.arange(len(train_ys))[None], query_xs, [seed])
-    return LearnerOutput(preds[0], None if codes is None else int(codes[0]))
 
 
 def fill_table(supersample: Supersample, spec: LearnerSpec, masks, seeds,

@@ -9,9 +9,8 @@ A verifier is a draw step and a margins step. The draw makes one random
 instance, a tuple of arrays; the margins step takes instances of one shape
 stacked on a leading axis and returns one margin per instance. A sweep draws
 all of its instances from one random stream first, then evaluates each group
-of equal shapes at once, and the public ``verify_*`` functions are the same
-margins steps on a stack of one. The margins steps repeat the operations of
-``infotheory``'s reference estimators in their order, so an instance without
+of equal shapes at once. The margins steps repeat the operations of the
+scalar references kept with the tests in their order, so an instance without
 zero cells gets the margin a scalar evaluation gives, to the bit.
 """
 
@@ -24,10 +23,12 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .core import ContractViolation, JsonFields, TrialTable
-from .infotheory import AbsoluteContinuityError, all_subsets, subset_mi
+from .core import ContractViolation, JsonFields
+from .infotheory import AbsoluteContinuityError
 
 MARGIN_TOL = -1e-9
+# lam values at which the subgaussian-square margin is evaluated
+_LAM_GRID = 64
 
 
 @dataclass(frozen=True)
@@ -38,34 +39,6 @@ class MarginReport(JsonFields):
     instances: int
     min_margin: float
     violations: int
-
-
-@dataclass(frozen=True)
-class DiscreteJointInstance:
-    """A finite joint over (phi, psi) with a bounded payoff table g.
-
-    Both tables are stored as the float arrays they were validated as.
-    """
-
-    joint: np.ndarray  # (A, B) probabilities
-    g: np.ndarray  # same shape, finite reals
-
-    def __post_init__(self) -> None:
-        joint = np.asarray(self.joint, dtype=float)
-        g = np.asarray(self.g, dtype=float)
-        if joint.shape != g.shape or joint.ndim != 2:
-            raise ContractViolation("joint and g must be matching 2-D tables")
-        if np.any(joint < 0) or not math.isclose(joint.sum(), 1.0, abs_tol=1e-12):
-            raise ContractViolation("joint must be a probability table")
-        if not np.all(np.isfinite(g)):
-            raise ContractViolation("g must be finite")
-        object.__setattr__(self, "joint", joint)
-        object.__setattr__(self, "g", g)
-
-    @property
-    def sigma(self) -> float:
-        """Half the range of g: the subgaussian constant of a bounded variable."""
-        return (float(self.g.max()) - float(self.g.min())) / 2.0
 
 
 # --- instance samplers --------------------------------------------------------
@@ -137,7 +110,7 @@ def _draw_kl_cells(rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
 # --- exact measures over stacks of joints ----------------------------------------
 #
 # Each function takes instances stacked on axis 0 and repeats, per instance,
-# the operations of its scalar reference in ``infotheory`` in the same order.
+# the operations of its scalar reference in the tests in the same order.
 # Only the 0 * log 0 terms differ: they are added as zeros instead of being
 # left out, which can move a sum over eight or more cells in its last bit.
 
@@ -258,15 +231,15 @@ def _squared_margins(joint: np.ndarray, g: np.ndarray) -> np.ndarray:
     return rhs - lhs
 
 
-def _subgaussian_margins(v: np.ndarray, p: np.ndarray,
-                         grid_points: int = 64) -> np.ndarray:
-    """Margins of E exp(lam X^2) <= 1 + 8 lam sigma^2 for (N, size) values and probs."""
+def _subgaussian_margins(v: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """Margins of E exp(lam X^2) <= 1 + 8 lam sigma^2 for (N, size) values and
+    probs, over ``_LAM_GRID`` points of lam in [0, 1/(4 sigma^2))."""
     if np.any(np.abs(np.vecdot(v, p)) > 1e-12):
         raise ContractViolation("X must have zero mean")
     sigma = (v.max(axis=1) - v.min(axis=1)) / 2.0
     zero = sigma == 0  # X identically zero: both sides are 1 at every lam
     sigma_sq = _py_square(np.where(zero, 1.0, sigma))
-    lam = (1.0 / (4.0 * sigma_sq))[:, None] * np.arange(grid_points) / grid_points
+    lam = (1.0 / (4.0 * sigma_sq))[:, None] * np.arange(_LAM_GRID) / _LAM_GRID
     lhs = np.sum(p[:, None, :] * np.exp(lam[:, :, None] * (v ** 2)[:, None, :]), axis=2)
     rhs = 1.0 + 8.0 * lam * sigma_sq[:, None]
     return np.where(zero, 0.0, (rhs - lhs).min(axis=1))
@@ -302,7 +275,7 @@ def _kl_margins(laws: np.ndarray, weights: np.ndarray) -> np.ndarray:
 
     ``laws`` is (N, cells, 2, size): per cell, the prediction laws under bit 0
     and bit 1; ``weights`` is (N, cells). A cell of weight 0 adds nothing to
-    the cap and is not checked, as in ``bounds.stability_kl_decomposition``.
+    the cap and is not checked.
     """
     n, n_cells, _, size = laws.shape
     p0, p1 = laws[:, :, 0], laws[:, :, 1]
@@ -325,101 +298,6 @@ def _kl_margins(laws: np.ndarray, weights: np.ndarray) -> np.ndarray:
         cmi = cmi + w * mi[:, c]
         cap = cap + w * 0.25 * kl_sum[:, c]
     return cap - cmi
-
-
-# --- verifiers: one instance each --------------------------------------------------
-
-
-def verify_dv_inequality(inst: DiscreteJointInstance,
-                         center_per_phi: bool = False) -> float:
-    """Margin of |E g - E_indep g| <= sqrt(2 sigma^2 I(phi; psi)).
-
-    With ``center_per_phi`` the payoff is centered per phi-row first and the
-    subgaussian constant tightens to the largest per-row half-range.
-    """
-    return float(_dv_margins(inst.joint[None], inst.g[None], center_per_phi)[0])
-
-
-def verify_squared_inequality(inst: DiscreteJointInstance) -> float:
-    """Margin of E[(g - E_psi g)^2] <= 4 sigma^2 (I(phi; psi) + log 3).
-
-    sigma is the smallest constant valid uniformly over phi: the largest
-    per-row half-range of g.
-    """
-    return float(_squared_margins(inst.joint[None], inst.g[None])[0])
-
-
-def verify_subgaussian_square(values: Sequence[float], probs: Sequence[float],
-                              grid_points: int = 64) -> float:
-    """Margin of E exp(lam X^2) <= 1 + 8 lam sigma^2 over a lam grid.
-
-    X must be a zero-mean bounded discrete variable; sigma is its half-range
-    and lam sweeps [0, 1/(4 sigma^2)).
-    """
-    v = np.asarray(values, dtype=float)
-    p = np.asarray(probs, dtype=float)
-    return float(_subgaussian_margins(v[None], p[None], grid_points)[0])
-
-
-def verify_erasure_lemma(joint: np.ndarray) -> float:
-    """Margins of the erasure-information inequalities, for independent bits.
-
-    Checks I(phi; psi) <= sum_i I(phi; psi_i | psi_-i) and, per index,
-    I(phi; psi_i) <= I(phi; psi_i | psi_-i). Returns the worst margin.
-    """
-    return float(_erasure_margins(np.asarray(joint, dtype=float)[None])[0])
-
-
-def verify_hans_subset_inequality(joint: np.ndarray) -> float:
-    """Margin of I(phi; S_u') >= (1/m) sum_k I(phi; S_u'\\{k}) over all subsets."""
-    return float(_hans_margins(np.asarray(joint, dtype=float)[None])[0])
-
-
-def verify_kl_decomposition(
-    cells: Sequence[tuple[Sequence[float], Sequence[float]]],
-    weights: Sequence[float] | None = None,
-) -> float:
-    """Margin of the symmetrized-KL cap over the exact conditional MI.
-
-    ``cells`` lists, per conditioning value, the prediction laws under bit 0
-    and bit 1 (mutually absolutely continuous), all over one alphabet.
-    """
-    if not cells:
-        raise ContractViolation("need at least one conditioning cell")
-    try:
-        laws = np.array(cells, dtype=float)  # (cells, 2, alphabet)
-    except ValueError as e:  # laws of different lengths
-        raise ContractViolation("each cell must hold two laws over one alphabet") from e
-    if laws.ndim != 3 or laws.shape[1] != 2:
-        raise ContractViolation("each cell must hold two laws over one alphabet")
-    if weights is None:
-        w = np.full(len(cells), 1.0 / len(cells))
-    else:
-        w = np.asarray(weights, dtype=float)
-        if w.shape != (len(cells),):
-            raise ContractViolation("cell weights must be a distribution over cells")
-    return float(_kl_margins(laws[None], w[None])[0])
-
-
-def verify_monotonicity_in_m(table: TrialTable, use_weights: bool = False,
-                             tol: float = 1e-9) -> dict:
-    """Subset-size monotonicity of the exact bound sequences.
-
-    For phi(x) = sqrt(x) and phi(x) = x, computes m -> mean over all size-m
-    subsets of phi(I(target; S_u) / m) and asserts each sequence is
-    non-decreasing. The target is the subset's predictions, or the weight
-    code when ``use_weights`` is set. ``table`` holds every split of one
-    supersample (see ``fcmi.learners.fill_table``).
-    """
-    n = table.n
-    sqrt_seq, id_seq = [], []
-    for m in range(1, n + 1):
-        vals = subset_mi(table, all_subsets(n, m), use_weights) / m
-        sqrt_seq.append(float(np.mean(np.sqrt(vals))))
-        id_seq.append(float(np.mean(vals)))
-    ok = all(b - a >= -tol for a, b in zip(sqrt_seq, sqrt_seq[1:])) and \
-        all(b - a >= -tol for a, b in zip(id_seq, id_seq[1:]))
-    return {"sqrt": sqrt_seq, "identity": id_seq, "non_decreasing": ok}
 
 
 # --- sweeps ------------------------------------------------------------------------

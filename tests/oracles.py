@@ -1,0 +1,188 @@
+"""Scalar, one-instance references for the package's batched paths.
+
+The package computes each of these quantities only in batched form: the
+exact information measures of one joint, the symmetrized-KL cap of one set
+of cells, the subset-size monotonicity check of one exact trial table and
+one fit of a learner. The tests compare the batched paths against these
+references, bit for bit where both do the same arithmetic in the same order,
+and use them to build expected values.
+"""
+
+from __future__ import annotations
+
+import math
+from dataclasses import dataclass
+from typing import Sequence
+
+import numpy as np
+
+from fcmi.core import ContractViolation, TrialTable
+from fcmi.infotheory import AbsoluteContinuityError, all_subsets, subset_mi
+from fcmi.learners import LearnerSpec, _fit_predict_rows, _threshold_weights
+
+_NEG_TOL = 1e-12
+
+
+# --- exact information measures of one joint --------------------------------------
+#
+# The reference for the plug-in estimator and for the stacked measures of
+# ``fcmi.lemma_lab``.
+
+
+def _as_distribution(p) -> np.ndarray:
+    arr = np.asarray(p, dtype=float).ravel()
+    if arr.size == 0:
+        raise ContractViolation("empty distribution")
+    if np.any(arr < -_NEG_TOL):
+        raise ContractViolation("negative probability entry")
+    arr = np.clip(arr, 0.0, None)
+    total = arr.sum()
+    if not math.isclose(total, 1.0, abs_tol=1e-12, rel_tol=1e-9):
+        raise ContractViolation(f"probabilities sum to {total}, not 1")
+    return arr
+
+
+def entropy(p) -> float:
+    """Shannon entropy -sum p log p of a probability vector."""
+    arr = _as_distribution(p)
+    nz = arr[arr > 0]
+    return float(-np.sum(nz * np.log(nz)))
+
+
+def kl_divergence(p, q) -> float:
+    """KL(p || q); raises AbsoluteContinuityError when the support check fails."""
+    pa = _as_distribution(p)
+    qa = _as_distribution(q)
+    if pa.shape != qa.shape:
+        raise ContractViolation("p and q must share one alphabet")
+    if np.any((pa > 0) & (qa == 0)):
+        raise AbsoluteContinuityError("p has mass outside the support of q (KL = +inf)")
+    mask = pa > 0
+    return float(np.sum(pa[mask] * np.log(pa[mask] / qa[mask])))
+
+
+def _joint_probs(joint) -> np.ndarray:
+    """Accept a count grid or a probability grid; normalize."""
+    arr = np.asarray(joint, dtype=float)
+    if np.any(arr < 0):
+        raise ContractViolation("joint entries must be nonnegative")
+    total = arr.sum()
+    if total <= 0:
+        raise ContractViolation("joint must have positive total mass")
+    return arr / total
+
+
+def mutual_information(joint) -> float:
+    """I(A; B) from a 2-D joint (histogram counts or probabilities)."""
+    p = _joint_probs(joint)
+    if p.ndim != 2:
+        raise ContractViolation(f"expected a 2-D joint, got ndim={p.ndim}")
+    pa = p.sum(axis=1)
+    pb = p.sum(axis=0)
+    mask = p > 0
+    outer = np.outer(pa, pb)
+    val = float(np.sum(p[mask] * np.log(p[mask] / outer[mask])))
+    return max(val, 0.0)
+
+
+def conditional_mutual_information(joint3) -> float:
+    """I(A; B | C) from a 3-D joint over (A, B, C); empty C-cells contribute zero."""
+    p = _joint_probs(joint3)
+    if p.ndim != 3:
+        raise ContractViolation(f"expected a 3-D joint, got ndim={p.ndim}")
+    total = 0.0
+    for c in range(p.shape[2]):
+        w = p[:, :, c].sum()
+        if w <= 0:
+            continue
+        total += w * mutual_information(p[:, :, c] / w)
+    return total
+
+
+# --- the symmetrized-KL cap, the reference for ``lemma_lab._kl_margins`` ----------
+
+
+def stability_kl_decomposition(
+    cells: Sequence[tuple[Sequence[float], Sequence[float]]],
+    weights: Sequence[float] | None = None,
+) -> float:
+    """Symmetrized-KL cap on I(predictions ; S_i | S_-i).
+
+    ``cells`` holds, per value of the conditioning bits, the prediction
+    distributions under bit 0 and bit 1. Returns
+    (1/4) E[KL(P1 || P0)] + (1/4) E[KL(P0 || P1)]; mutual absolute continuity
+    is required (deterministic prediction laws make the cap infinite).
+    """
+    if not cells:
+        raise ContractViolation("need at least one conditioning cell")
+    if weights is None:
+        w = np.full(len(cells), 1.0 / len(cells))
+    else:
+        w = np.asarray(weights, dtype=float)
+        if w.shape != (len(cells),) or np.any(w < 0) or not math.isclose(w.sum(), 1.0,
+                                                                         abs_tol=1e-9):
+            raise ContractViolation("cell weights must be a distribution over cells")
+    total = 0.0
+    for wc, (p0, p1) in zip(w, cells):
+        if wc == 0:
+            continue
+        total += wc * 0.25 * (kl_divergence(p1, p0) + kl_divergence(p0, p1))
+    return total
+
+
+# --- subset-size monotonicity of the exact subset bounds --------------------------
+
+
+def verify_monotonicity_in_m(table: TrialTable, use_weights: bool = False,
+                             tol: float = 1e-9) -> dict:
+    """Subset-size monotonicity of the exact bound sequences.
+
+    For phi(x) = sqrt(x) and phi(x) = x, computes m -> mean over all size-m
+    subsets of phi(I(target; S_u) / m) and asserts each sequence is
+    non-decreasing. The target is the subset's predictions, or the weight
+    code when ``use_weights`` is set. ``table`` holds every split of one
+    supersample (see ``fcmi.learners.fill_table``).
+    """
+    n = table.n
+    sqrt_seq, id_seq = [], []
+    for m in range(1, n + 1):
+        vals = subset_mi(table, all_subsets(n, m), use_weights) / m
+        sqrt_seq.append(float(np.mean(np.sqrt(vals))))
+        id_seq.append(float(np.mean(vals)))
+    ok = all(b - a >= -tol for a, b in zip(sqrt_seq, sqrt_seq[1:])) and \
+        all(b - a >= -tol for a, b in zip(id_seq, id_seq[1:]))
+    return {"sqrt": sqrt_seq, "identity": id_seq, "non_decreasing": ok}
+
+
+# --- one fit of a learner: one row of ``learners._fit_predict_rows`` --------------
+
+
+@dataclass(frozen=True, eq=False)
+class LearnerOutput:
+    predictions: np.ndarray
+    weight_code: int | None = None
+
+
+def threshold_erm_fit(xs: np.ndarray, ys: np.ndarray) -> float:
+    """Empirical-risk-minimizing threshold of (N, 1) features in [0, 1] and
+    their (N,) labels; see ``_threshold_weights``."""
+    xs = np.asarray(xs, dtype=float)
+    if xs.ndim != 2 or xs.shape[1] != 1:
+        raise ContractViolation("threshold_erm needs 1-D features in [0, 1]")
+    return float(_threshold_weights(xs.T, np.asarray(ys)[None])[0])
+
+
+def train_predict(spec: LearnerSpec, train_xs, train_ys, query_xs,
+                  seed: int) -> LearnerOutput:
+    """Train the specified learner on (N, d) inputs and (N,) labels, and
+    predict on (Q, d) query inputs: one row of ``_fit_predict_rows``."""
+    train_xs = np.asarray(train_xs, dtype=float)
+    train_ys = np.asarray(train_ys, dtype=np.int64)
+    query_xs = np.asarray(query_xs, dtype=float)
+    if train_xs.ndim != 2 or train_xs.shape[0] == 0 or train_ys.shape != train_xs.shape[:1]:
+        raise ContractViolation("training set must be nonempty (N, d) inputs, N labels")
+    if query_xs.ndim != 2 or query_xs.shape[1] != train_xs.shape[1]:
+        raise ContractViolation("feature dimensionality mismatch")
+    preds, codes = _fit_predict_rows(spec, train_xs, train_ys,
+                                     np.arange(len(train_ys))[None], query_xs, [seed])
+    return LearnerOutput(preds[0], None if codes is None else int(codes[0]))

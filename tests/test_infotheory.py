@@ -7,14 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fcmi.core import ContractViolation, SizeError, Supersample, exact_rows
+from fcmi.core import ENUMERATION_LIMIT, ContractViolation, SizeError, Supersample, exact_rows
 from fcmi.infotheory import (
     AbsoluteContinuityError,
     all_subsets,
-    conditional_mutual_information,
-    entropy,
-    kl_divergence,
-    mutual_information,
     plugin_mi,
     product_alphabet_size,
     split_cmi,
@@ -24,6 +20,7 @@ from fcmi.infotheory import (
 import fcmi.infotheory
 from fcmi.infotheory import _lex_codes, _one_pass_cells, _representatives
 from fcmi.learners import LearnerSpec, fill_table
+from oracles import conditional_mutual_information, entropy, kl_divergence, mutual_information
 
 LOG2 = math.log(2.0)
 
@@ -619,8 +616,9 @@ class TestExactEnumeration:
             plugin_mi(table.preds[:, None], table.masks[:, None])[0], abs=1e-12)
 
     def test_size_limit(self):
+        # refused before any array is allocated
         with pytest.raises(SizeError):
-            exact_rows(3, (0,), limit=2)
+            exact_rows(ENUMERATION_LIMIT + 1, (0,))
 
     def test_finite_seed_mixture(self):
         # a seed-dependent learner enumerated with two seeds: the split MI is

@@ -18,7 +18,6 @@ from fcmi.learners import (
     _fit_predict_rows,
     _linear_predict,
     _sigmoid,
-    derive_seed,
     ensemble_combine,
     estimate_stability,
     fill_table,
@@ -27,9 +26,9 @@ from fcmi.learners import (
     noisy_predict,
     prediction_space,
     sgld_fit,
-    threshold_erm_fit,
-    train_predict,
 )
+from fcmi.seeding import derive_seed
+from oracles import threshold_erm_fit, train_predict
 
 
 def mk(x, y=0):

@@ -7,49 +7,59 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fcmi.bounds import stability_kl_decomposition
 from fcmi.core import ContractViolation, Supersample, exact_rows
-from fcmi.infotheory import (
-    AbsoluteContinuityError,
-    conditional_mutual_information,
-    mutual_information,
-)
+from fcmi.infotheory import AbsoluteContinuityError
 from fcmi.learners import LearnerSpec, fill_table
 from fcmi.lemma_lab import (
     VERIFIERS,
-    DiscreteJointInstance,
     MarginReport,
+    _dv_margins,
     _sweep_margins,
     run_all_verifiers,
-    verify_dv_inequality,
-    verify_erasure_lemma,
-    verify_hans_subset_inequality,
-    verify_kl_decomposition,
+)
+from oracles import (
+    conditional_mutual_information,
+    mutual_information,
+    stability_kl_decomposition,
     verify_monotonicity_in_m,
-    verify_squared_inequality,
-    verify_subgaussian_square,
 )
 
 LOG2 = math.log(2.0)
 
 
+def margin(name, *parts):
+    """The margin of one instance: verifier ``name``'s margins step on a stack
+    of one."""
+    return float(VERIFIERS[name][1](*(np.asarray(p, dtype=float)[None] for p in parts))[0])
+
+
+def dv_margin(joint, g, center_per_phi=False):
+    """The plain or the per-phi-centered DV margin of one instance."""
+    return float(_dv_margins(joint[None], g[None], center_per_phi)[0])
+
+
+def kl_margin(cells, weights=None):
+    """The KL-cap margin of one list of (law under bit 0, law under bit 1)
+    cells, equally weighted unless ``weights`` is given."""
+    if weights is None:
+        weights = [1.0 / len(cells)] * len(cells)
+    return margin("kl_decomposition", cells, weights)
+
+
 def product_instance():
     joint = np.outer([0.3, 0.7], [0.25, 0.75])
     g = np.array([[0.2, -0.4], [0.9, 0.1]])
-    return DiscreteJointInstance(joint, g)
+    return joint, g
 
 
 class TestDvInequality:
     def test_independent_variables(self):
-        inst = product_instance()
         # lhs is exactly zero for a product joint
-        margin = verify_dv_inequality(inst)
-        assert margin >= 0.0
+        assert dv_margin(*product_instance()) >= 0.0
 
     def test_constant_g(self):
         joint = np.array([[0.5, 0.0], [0.0, 0.5]])
-        inst = DiscreteJointInstance(joint, np.full((2, 2), 0.3))
-        assert verify_dv_inequality(inst) >= 0.0
+        assert dv_margin(joint, np.full((2, 2), 0.3)) >= 0.0
 
     def test_correlated_hand_instance(self):
         # oracle: both sides computed longhand for the [[3,1],[1,3]]/8 joint
@@ -58,8 +68,7 @@ class TestDvInequality:
         lhs = abs(np.sum(joint * g) - 0.0)  # independent mean is 0 by symmetry
         mi = sum(p * math.log(p / 0.25) for p in (0.375, 0.125, 0.125, 0.375))
         rhs = math.sqrt(2 * 1.0 * mi)
-        inst = DiscreteJointInstance(joint, g)
-        assert verify_dv_inequality(inst) == pytest.approx(rhs - lhs, abs=1e-12)
+        assert dv_margin(joint, g) == pytest.approx(rhs - lhs, abs=1e-12)
         assert rhs - lhs >= 0
 
     def test_random_sweep_clean(self):
@@ -69,12 +78,10 @@ class TestDvInequality:
 
 class TestSquaredInequality:
     def test_independent_bounded_by_log3_term(self):
-        inst = product_instance()
-        assert verify_squared_inequality(inst) >= 0.0
+        assert margin("squared_inequality", *product_instance()) >= 0.0
 
     def test_constant_g(self):
-        inst = DiscreteJointInstance(np.full((2, 2), 0.25), np.zeros((2, 2)))
-        assert verify_squared_inequality(inst) >= 0.0
+        assert margin("squared_inequality", np.full((2, 2), 0.25), np.zeros((2, 2))) >= 0.0
 
     def test_random_sweep_clean(self):
         margins = _sweep_margins("squared_inequality", 300, np.random.default_rng(1))
@@ -83,18 +90,18 @@ class TestSquaredInequality:
 
 class TestSubgaussianSquare:
     def test_identically_zero(self):
-        assert verify_subgaussian_square([0.0, 0.0], [0.5, 0.5]) == 0.0
+        assert margin("subgaussian_square", [0.0, 0.0], [0.5, 0.5]) == 0.0
 
     def test_rademacher_hand_value(self):
         # oracle at lam = 0.2, sigma = 1: e^0.2 <= 1 + 1.6
         lhs = math.exp(0.2)
         rhs = 1 + 8 * 0.2 * 1.0
         assert lhs <= rhs
-        assert verify_subgaussian_square([-1.0, 1.0], [0.5, 0.5]) >= 0.0
+        assert margin("subgaussian_square", [-1.0, 1.0], [0.5, 0.5]) >= 0.0
 
     def test_rejects_nonzero_mean(self):
         with pytest.raises(ContractViolation):
-            verify_subgaussian_square([0.0, 1.0], [0.5, 0.5])
+            margin("subgaussian_square", [0.0, 1.0], [0.5, 0.5])
 
     def test_random_sweep_clean(self):
         margins = _sweep_margins("subgaussian_square", 300, np.random.default_rng(2))
@@ -107,7 +114,7 @@ class TestErasure:
         joint = np.zeros((2, 2, 2))
         for b1, b2 in itertools.product((0, 1), repeat=2):
             joint[:, b1, b2] = 0.25 * np.array([0.4, 0.6])
-        assert verify_erasure_lemma(joint) == pytest.approx(0.0, abs=1e-12)
+        assert margin("erasure", joint) == pytest.approx(0.0, abs=1e-12)
 
     def test_xor_hand_values(self):
         # oracle: phi = b1 XOR b2 on uniform bits. I(phi; b_i) = 0 while
@@ -121,7 +128,7 @@ class TestErasure:
         assert _mi_bits_subset(stack, [0])[0] == pytest.approx(0.0, abs=1e-12)
         assert _cmi_bit_given_rest(stack, 0)[0] == pytest.approx(LOG2, abs=1e-12)
         assert _mi_nd(stack)[0] == pytest.approx(LOG2, abs=1e-12)
-        assert verify_erasure_lemma(joint) >= -1e-12
+        assert margin("erasure", joint) >= -1e-12
 
     def test_random_sweep_clean(self):
         margins = _sweep_margins("erasure", 200, np.random.default_rng(3))
@@ -133,7 +140,7 @@ class TestHansSubset:
         joint = np.zeros((2, 2, 2))
         for b1, b2 in itertools.product((0, 1), repeat=2):
             joint[:, b1, b2] = 0.25 * np.array([0.5, 0.5])
-        assert verify_hans_subset_inequality(joint) == pytest.approx(0.0, abs=1e-12)
+        assert margin("hans_subset", joint) == pytest.approx(0.0, abs=1e-12)
 
     def test_identity_equality_case(self):
         # phi = (b1, b2, b3): lhs (m+1) log 2 equals rhs for every subset
@@ -142,7 +149,7 @@ class TestHansSubset:
         for bits in itertools.product((0, 1), repeat=n):
             code = sum(b << i for i, b in enumerate(bits))
             joint[(code,) + bits] = 1 / 2 ** n
-        assert verify_hans_subset_inequality(joint) == pytest.approx(0.0, abs=1e-10)
+        assert margin("hans_subset", joint) == pytest.approx(0.0, abs=1e-10)
 
     def test_random_sweep_clean(self):
         margins = _sweep_margins("hans_subset", 200, np.random.default_rng(4))
@@ -151,7 +158,7 @@ class TestHansSubset:
 
 class TestKlDecomposition:
     def test_identical_laws(self):
-        assert verify_kl_decomposition([([0.5, 0.5], [0.5, 0.5])]) == pytest.approx(
+        assert kl_margin([([0.5, 0.5], [0.5, 0.5])]) == pytest.approx(
             0.0, abs=1e-12)
 
     def test_hand_instance(self):
@@ -159,9 +166,9 @@ class TestKlDecomposition:
         # the two laws are mirror images so both KL directions are equal
         cmi = sum(p * math.log(p / 0.25) for p in (0.375, 0.125, 0.125, 0.375))
         kl01 = 0.75 * math.log(3.0) + 0.25 * math.log(1 / 3.0)
-        margin = verify_kl_decomposition([([0.75, 0.25], [0.25, 0.75])])
-        assert margin == pytest.approx(2 * kl01 / 4 - cmi, abs=1e-12)
-        assert margin > 0
+        got = kl_margin([([0.75, 0.25], [0.25, 0.75])])
+        assert got == pytest.approx(2 * kl01 / 4 - cmi, abs=1e-12)
+        assert got > 0
 
     def test_random_sweep_clean(self):
         margins = _sweep_margins("kl_decomposition", 300, np.random.default_rng(5))
@@ -218,7 +225,8 @@ class TestRunners:
 
 # --- scalar oracles -------------------------------------------------------------
 # The per-instance verifier bodies as they were before the margins were
-# batched, kept verbatim (renamed) as the reference for the batched kernels.
+# batched, kept verbatim (renamed, and given a joint and payoff table where
+# they took an instance) as the reference for the batched kernels.
 
 
 def _scalar_mi_nd(joint: np.ndarray) -> float:
@@ -240,10 +248,9 @@ def _scalar_mi_bits_subset(joint: np.ndarray, subset: Sequence[int]) -> float:
     return _scalar_mi_nd(marg)
 
 
-def _scalar_dv_inequality(inst: DiscreteJointInstance,
+def _scalar_dv_inequality(joint: np.ndarray, g: np.ndarray,
                           center_per_phi: bool = False) -> float:
-    joint = inst.joint
-    g = inst.g.copy()
+    g = g.copy()
     pa = joint.sum(axis=1)
     pb = joint.sum(axis=0)
     if center_per_phi:
@@ -252,15 +259,13 @@ def _scalar_dv_inequality(inst: DiscreteJointInstance,
         ranges = g.max(axis=1) - g.min(axis=1)
         sigma = float(ranges.max()) / 2.0
     else:
-        sigma = inst.sigma
+        sigma = (float(g.max()) - float(g.min())) / 2.0  # half the range of g
     lhs = abs(float(np.sum(joint * g)) - float(pa @ g @ pb))
     rhs = math.sqrt(2.0 * sigma ** 2 * mutual_information(joint))
     return rhs - lhs
 
 
-def _scalar_squared_inequality(inst: DiscreteJointInstance) -> float:
-    joint = inst.joint
-    g = inst.g
+def _scalar_squared_inequality(joint: np.ndarray, g: np.ndarray) -> float:
     pb = joint.sum(axis=0)
     row_means = g @ pb
     centered = g - row_means[:, None]
@@ -270,8 +275,7 @@ def _scalar_squared_inequality(inst: DiscreteJointInstance) -> float:
     return rhs - lhs
 
 
-def _scalar_subgaussian_square(values: Sequence[float], probs: Sequence[float],
-                               grid_points: int = 64) -> float:
+def _scalar_subgaussian_square(values: Sequence[float], probs: Sequence[float]) -> float:
     v = np.asarray(values, dtype=float)
     p = np.asarray(probs, dtype=float)
     if abs(float(v @ p)) > 1e-12:
@@ -281,8 +285,8 @@ def _scalar_subgaussian_square(values: Sequence[float], probs: Sequence[float],
         return 0.0  # X identically zero: both sides are 1 at every lam
     lam_max = 1.0 / (4.0 * sigma ** 2)
     margin = math.inf
-    for k in range(grid_points):
-        lam = lam_max * k / grid_points
+    for k in range(64):
+        lam = lam_max * k / 64
         lhs = float(np.sum(p * np.exp(lam * v ** 2)))
         rhs = 1.0 + 8.0 * lam * sigma ** 2
         margin = min(margin, rhs - lhs)
@@ -322,15 +326,14 @@ def _scalar_kl_decomposition(cells, weights=None) -> float:
 
 
 def _scalar_dv_pair(joint, g):
-    inst = DiscreteJointInstance(joint, g)
-    return min(_scalar_dv_inequality(inst), _scalar_dv_inequality(inst, center_per_phi=True))
+    return min(_scalar_dv_inequality(joint, g),
+               _scalar_dv_inequality(joint, g, center_per_phi=True))
 
 
 # verifier name -> scalar margin of one drawn instance (the draw's arrays)
 ORACLES = {
     "dv_inequality": _scalar_dv_pair,
-    "squared_inequality": lambda joint, g: _scalar_squared_inequality(
-        DiscreteJointInstance(joint, g)),
+    "squared_inequality": _scalar_squared_inequality,
     "subgaussian_square": _scalar_subgaussian_square,
     "erasure": _scalar_erasure_lemma,
     "hans_subset": _scalar_hans_subset_inequality,
@@ -419,12 +422,11 @@ class TestBatchedAgainstScalarOracle:
     @pytest.mark.parametrize("case", _JOINT_CASES, ids=lambda c: c[0])
     def test_hand_joints(self, case):
         _, joint, g = case
-        inst = DiscreteJointInstance(joint, g)
         for center in (False, True):
-            assert verify_dv_inequality(inst, center) == pytest.approx(
-                _scalar_dv_inequality(inst, center), rel=0, abs=1e-14)
-        assert verify_squared_inequality(inst) == pytest.approx(
-            _scalar_squared_inequality(inst), rel=0, abs=1e-14)
+            assert dv_margin(joint, g, center) == pytest.approx(
+                _scalar_dv_inequality(joint, g, center), rel=0, abs=1e-14)
+        assert margin("squared_inequality", joint, g) == pytest.approx(
+            _scalar_squared_inequality(joint, g), rel=0, abs=1e-14)
 
     @pytest.mark.parametrize("values, probs", [
         ([0.0, 0.0], [0.5, 0.5]),
@@ -433,19 +435,17 @@ class TestBatchedAgainstScalarOracle:
         ([-0.5, 0.5, 3.0], [0.5, 0.5, 0.0]),
     ])
     def test_hand_variables(self, values, probs):
-        assert verify_subgaussian_square(values, probs) == pytest.approx(
+        assert margin("subgaussian_square", values, probs) == pytest.approx(
             _scalar_subgaussian_square(values, probs), rel=0, abs=1e-14)
-        assert verify_subgaussian_square(values, probs, grid_points=7) == pytest.approx(
-            _scalar_subgaussian_square(values, probs, grid_points=7), rel=0, abs=1e-14)
 
     @pytest.mark.parametrize("joint", [
         _xor_joint(), _identity_joint(3), _stuck_bit_joint(),
         np.full((2, 2, 2, 2), 1 / 16),
     ], ids=["xor", "identity3", "stuck_bit", "uniform"])
     def test_hand_bit_joints(self, joint):
-        assert verify_erasure_lemma(joint) == pytest.approx(
+        assert margin("erasure", joint) == pytest.approx(
             _scalar_erasure_lemma(joint), rel=0, abs=1e-14)
-        assert verify_hans_subset_inequality(joint) == pytest.approx(
+        assert margin("hans_subset", joint) == pytest.approx(
             _scalar_hans_subset_inequality(joint), rel=0, abs=1e-14)
 
     @pytest.mark.parametrize("cells, weights", [
@@ -456,40 +456,18 @@ class TestBatchedAgainstScalarOracle:
         ([([0.2, 0.8], [0.6, 0.4]), ([0.5, 0.5], [0.5, 0.5])], [0.3, 0.7]),
     ])
     def test_hand_cells(self, cells, weights):
-        assert verify_kl_decomposition(cells, weights) == pytest.approx(
+        assert kl_margin(cells, weights) == pytest.approx(
             _scalar_kl_decomposition(cells, weights), rel=0, abs=1e-14)
 
     def test_kl_checks_live_cells(self):
         cells = [([0.5, 0.5], [0.25, 0.75]), ([1.0, 0.0], [0.0, 1.0])]
-        for fn in (verify_kl_decomposition, _scalar_kl_decomposition):
+        for fn in (kl_margin, _scalar_kl_decomposition):
             with pytest.raises(AbsoluteContinuityError):
                 fn(cells, [0.5, 0.5])
             with pytest.raises(ContractViolation):
                 fn(cells, [0.5, 0.6])
             with pytest.raises(ContractViolation):
                 fn([([0.5, 0.6], [0.5, 0.5])], [1.0])
-
-
-class TestKlCellShapes:
-    @pytest.mark.parametrize("cells", [
-        [],
-        [([0.5, 0.5], [0.2, 0.3, 0.5])],
-        [([0.5, 0.5], [0.5, 0.5]), ([0.2, 0.3, 0.5], [0.2, 0.3, 0.5])],
-        [([0.5, 0.5], [0.5, 0.5], [0.5, 0.5])],
-    ], ids=["no_cell", "ragged_pair", "ragged_cells", "three_laws"])
-    def test_cells_are_pairs_over_one_alphabet(self, cells):
-        with pytest.raises(ContractViolation):
-            verify_kl_decomposition(cells)
-
-
-class TestDiscreteJointInstance:
-    def test_list_inputs_stored_as_float_arrays(self):
-        inst = DiscreteJointInstance([[0.25, 0.25], [0.25, 0.25]], [[1, 0], [0, 1]])
-        assert isinstance(inst.joint, np.ndarray) and inst.g.dtype == np.float64
-        assert inst.sigma == 0.5
-        arrays = DiscreteJointInstance(np.full((2, 2), 0.25), np.eye(2))
-        assert verify_dv_inequality(inst) == verify_dv_inequality(arrays)
-        assert verify_squared_inequality(inst) == verify_squared_inequality(arrays)
 
 
 class TestSweepPinned:

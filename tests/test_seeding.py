@@ -15,8 +15,7 @@ from hypothesis import strategies as st
 
 import fcmi.seeding
 from fcmi.core import ContractViolation
-from fcmi.learners import derive_seed
-from fcmi.seeding import derive_seeds, split_masks
+from fcmi.seeding import derive_seed, derive_seeds, split_masks
 
 
 def _seed_sequence_seed(seed: int, *path: int) -> int:
