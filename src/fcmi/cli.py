@@ -140,6 +140,13 @@ def _cmd_sweep(args) -> int:
     return EXIT_OK
 
 
+def _write_text(path: str, text: str) -> None:
+    """Write ``text`` to the file ``path``, creating its directory first."""
+    out = Path(path)
+    out.parent.mkdir(parents=True, exist_ok=True)
+    out.write_text(text, encoding="utf-8")
+
+
 def _cmd_verify_lemmas(args) -> int:
     if args.instances < 1:
         raise ConfigError(f"--instances must be >= 1, got {args.instances}")
@@ -149,7 +156,7 @@ def _cmd_verify_lemmas(args) -> int:
     payload = [r.to_json_dict() for r in reports]
     text = canonical_json({"verifiers": payload})
     if args.output:
-        Path(args.output).write_text(text, encoding="utf-8")
+        _write_text(args.output, text)
     else:
         sys.stdout.write(text)
     bad = [r for r in reports if r.violations > 0]
@@ -167,7 +174,7 @@ def _cmd_report(args) -> int:
         rows.extend(curve_rows(report))
     csv_text = curve_table_csv(rows)
     if args.csv:
-        Path(args.csv).write_text(csv_text, encoding="utf-8")
+        _write_text(args.csv, csv_text)
     else:
         sys.stdout.write(csv_text)
     if args.svg:

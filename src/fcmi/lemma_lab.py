@@ -5,13 +5,13 @@ over small discrete instances (alphabets <= 4, at most 5 independent binary
 components), so each reported margin is exact up to float rounding. Instance
 samplers mix in boundary mass so near-deterministic corners are covered.
 
-A verifier is a draw step and a margins step. The draw makes one random
-instance, a tuple of arrays; the margins step takes instances of one shape
-stacked on a leading axis and returns one margin per instance. A sweep draws
-all of its instances from one random stream first, then evaluates each group
-of equal shapes at once. The margins steps repeat the operations of the
-scalar references kept with the tests in their order, so an instance without
-zero cells gets the margin a scalar evaluation gives, to the bit.
+A verifier is a draw step and a margins step. The draw step makes a whole
+sweep of instances from one random stream and returns them grouped by shape,
+each group's parts stacked on a leading axis; the margins step takes one such
+group and returns one margin per instance. Both repeat the operations of the
+one-instance references kept with the tests in their order: the draws read
+the same random stream, so the instances are the same to the bit, and an
+instance without zero cells gets the margin a scalar evaluation gives.
 """
 
 from __future__ import annotations
@@ -41,70 +41,131 @@ class MarginReport(JsonFields):
     violations: int
 
 
-# --- instance samplers --------------------------------------------------------
+# --- instance draws ------------------------------------------------------------
+#
+# A draw step makes a whole sweep: ``draw(rng, count)`` returns the instances
+# grouped by shape, each group as the draw-order rows it holds and its parts
+# stacked on axis 0. It runs in two phases. The stream pass makes the
+# generator calls of the one-instance samplers kept with the tests, in their
+# order, and records the raw draws only. Its one change is that a
+# Dirichlet-uniform vector is drawn as ``standard_exponential(size)``: numpy's
+# ``dirichlet(np.ones(size))`` draws one gamma(1) variate, which is a standard
+# exponential, per cell from the same stream, then scales them by one over
+# their sum taken in order. The arithmetic then repeats the samplers'
+# operations in their order once per group, so each instance has their bits.
+
+# instances grouped by shape: (draw-order rows, parts stacked on axis 0)
+Draw = list[tuple[list[int], tuple[np.ndarray, ...]]]
+
+# the patterns of 2..5 bits, in ``itertools.product`` order
+_BIT_PATTERNS = {n: np.array(list(itertools.product((False, True), repeat=n)))
+                 for n in range(2, 6)}
 
 
-def _random_probs(rng: np.random.Generator, size: int) -> np.ndarray:
-    """Dirichlet-uniform probabilities, occasionally pushed toward the boundary."""
-    p = rng.dirichlet(np.ones(size))
-    if rng.random() < 0.25:
-        # concentrate most mass on one cell to cover near-deterministic corners
-        k = rng.integers(size)
-        p = 0.05 * p
-        p[k] += 0.95
-    return p / p.sum()
+def _raw_probs(rng: np.random.Generator, size: int) -> tuple[np.ndarray, int]:
+    """The generator calls of one boundary-mixed Dirichlet vector: its
+    exponentials, then the cell that gets most of the mass, or -1 for none."""
+    e = rng.standard_exponential(size)
+    return e, (rng.integers(size) if rng.random() < 0.25 else -1)
 
 
-def _random_instance(rng: np.random.Generator,
-                     max_alphabet: int = 4) -> tuple[np.ndarray, np.ndarray]:
-    """A joint table and a payoff table g over the same (a, b) grid."""
-    a = int(rng.integers(2, max_alphabet + 1))
-    b = int(rng.integers(2, max_alphabet + 1))
-    joint = _random_probs(rng, a * b).reshape(a, b)
-    g = rng.uniform(-1.0, 1.0, (a, b))
-    return joint, g
+def _grouped(count: int, draw_one: Callable[[], tuple]) -> list[tuple]:
+    """Make ``count`` raw draws ``draw_one() -> (shape, record)``; per shape,
+    its draw-order rows and each field of its records stacked on axis 0."""
+    groups: dict[tuple, tuple[list[int], list]] = {}
+    for i in range(count):
+        shape, record = draw_one()
+        rows, records = groups.setdefault(shape, ([], []))
+        rows.append(i)
+        records.append(record)
+    return [(shape, rows, [np.array(field) for field in zip(*records)])
+            for shape, (rows, records) in groups.items()]
 
 
-def _independent_bits_joint(rng: np.random.Generator, phi_size: int,
-                            n_bits: int) -> np.ndarray:
-    """Joint over (phi, b_1..b_n) whose bit marginal factorizes by construction."""
-    bit_probs = rng.uniform(0.1, 0.9, n_bits)
-    joint = np.zeros((phi_size,) + (2,) * n_bits)
-    for bits in itertools.product((0, 1), repeat=n_bits):
-        w = math.prod(p if s else 1.0 - p for p, s in zip(bit_probs, bits))
-        joint[(slice(None),) + bits] = w * _random_probs(rng, phi_size)
-    return joint / joint.sum()
+def _dirichlet(e: np.ndarray) -> np.ndarray:
+    """Dirichlet-uniform vectors over the last axis from their exponentials."""
+    return e * (1.0 / np.cumsum(e, axis=-1)[..., -1:])
 
 
-def _draw_variable(rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
-    """Values and probabilities of a zero-mean discrete variable on 2..5 points."""
-    size = int(rng.integers(2, 6))
-    v = rng.uniform(-1.0, 1.0, size)
-    p = _random_probs(rng, size)
-    return v - float(v @ p), p  # center exactly
+def _mixed_probs(e: np.ndarray, boost: np.ndarray) -> np.ndarray:
+    """Dirichlet-uniform probabilities over the last axis of ``e``; a vector
+    whose ``boost`` cell is not -1 keeps 0.05 of its mass and puts 0.95 on
+    that cell, to cover near-deterministic corners."""
+    p = _dirichlet(e).reshape(-1, e.shape[-1])
+    boost = boost.reshape(-1)
+    rows = np.flatnonzero(boost >= 0)
+    p[rows] = 0.05 * p[rows]
+    p[rows, boost[rows]] += 0.95
+    return (p / p.sum(axis=1, keepdims=True)).reshape(e.shape)
 
 
-def _draw_bits_joint(max_bits: int) -> Callable[[np.random.Generator], tuple[np.ndarray]]:
-    """Sampler of a joint over phi (2..4 values) and 2..max_bits independent bits."""
-    def draw(rng: np.random.Generator) -> tuple[np.ndarray]:
-        n_bits = int(rng.integers(2, max_bits + 1))
-        phi = int(rng.integers(2, 5))
-        return (_independent_bits_joint(rng, phi, n_bits),)
+def _draw_grids(rng: np.random.Generator, count: int) -> Draw:
+    """Joint tables and payoff tables g over random (a, b) grids, 2 <= a, b <= 4."""
+    def one():
+        a = int(rng.integers(2, 5))
+        b = int(rng.integers(2, 5))
+        e, boost = _raw_probs(rng, a * b)
+        return (a, b), (e, boost, rng.uniform(-1.0, 1.0, (a, b)))
+    return [(rows, (_mixed_probs(e, boost).reshape(-1, a, b), g))
+            for (a, b), rows, (e, boost, g) in _grouped(count, one)]
+
+
+def _draw_variables(rng: np.random.Generator, count: int) -> Draw:
+    """Values and probabilities of zero-mean discrete variables on 2..5 points."""
+    def one():
+        size = int(rng.integers(2, 6))
+        v = rng.uniform(-1.0, 1.0, size)
+        return size, (v, *_raw_probs(rng, size))
+    out = []
+    for _, rows, (v, e, boost) in _grouped(count, one):
+        p = _mixed_probs(e, boost)
+        # center exactly; vecdot takes each row's dot product as ``v @ p`` does
+        out.append((rows, (v - np.vecdot(v, p)[:, None], p)))
+    return out
+
+
+def _draw_bits_joints(max_bits: int) -> Callable[[np.random.Generator, int], Draw]:
+    """Draw step of joints over phi (2..4 values) and 2..max_bits independent
+    bits, whose bit marginal factorizes by construction."""
+    def draw(rng: np.random.Generator, count: int) -> Draw:
+        def one():
+            n_bits = int(rng.integers(2, max_bits + 1))
+            phi = int(rng.integers(2, 5))
+            bit_probs = rng.uniform(0.1, 0.9, n_bits)
+            # one phi law per bit pattern, in product order, kept as one array
+            # per instance: 15,000 small arrays held until a sweep's groups are
+            # stacked would raise its peak memory by about 2.5 MiB
+            e, boost = zip(*[_raw_probs(rng, phi) for _ in range(2 ** n_bits)])
+            return (phi, n_bits), (bit_probs, np.concatenate(e), boost)
+        out = []
+        for (phi, n_bits), rows, (bit_probs, e, boost) in _grouped(count, one):
+            bp = bit_probs[:, None, :]
+            # each pattern's weight, multiplied out bit by bit in order
+            w = np.where(_BIT_PATTERNS[n_bits], bp, 1.0 - bp).prod(axis=2)
+            laws = _mixed_probs(e.reshape(-1, 2 ** n_bits, phi), boost)
+            cells = w[:, :, None] * laws  # (N, patterns, phi)
+            # C order over (phi, b_1..b_n), the layout ``_probs`` sums in
+            joint = np.ascontiguousarray(cells.transpose(0, 2, 1))
+            out.append((rows, (_probs(joint.reshape((-1, phi) + (2,) * n_bits)),)))
+        return out
     return draw
 
 
-def _draw_kl_cells(rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+def _draw_kl_cells(rng: np.random.Generator, count: int) -> Draw:
     """(cells, 2, size) prediction laws under bit 0 and bit 1, and cell weights."""
-    n_cells = int(rng.integers(1, 5))
-    size = int(rng.integers(2, 5))
-    cells = []
-    for _ in range(n_cells):
+    def one():
+        n_cells = int(rng.integers(1, 5))
+        size = int(rng.integers(2, 5))
+        # the law under bit 0, then under bit 1, of each cell in turn
+        laws = [rng.standard_exponential(size) for _ in range(2 * n_cells)]
+        return (n_cells, size), (np.concatenate(laws), *_raw_probs(rng, n_cells))
+    out = []
+    for (n_cells, size), rows, (e, w_e, w_boost) in _grouped(count, one):
         # strictly positive laws keep both KL directions finite
-        p0 = rng.dirichlet(np.ones(size)) * 0.9 + 0.1 / size
-        p1 = rng.dirichlet(np.ones(size)) * 0.9 + 0.1 / size
-        cells.append((p0 / p0.sum(), p1 / p1.sum()))
-    w = _random_probs(rng, n_cells)
-    return np.array(cells), w
+        laws = _dirichlet(e.reshape(-1, n_cells, 2, size)) * 0.9 + 0.1 / size
+        laws = laws / laws.sum(axis=-1, keepdims=True)
+        out.append((rows, (laws, _mixed_probs(w_e, w_boost))))
+    return out
 
 
 # --- exact measures over stacks of joints ----------------------------------------
@@ -303,13 +364,13 @@ def _kl_margins(laws: np.ndarray, weights: np.ndarray) -> np.ndarray:
 # --- sweeps ------------------------------------------------------------------------
 
 
-# name -> (draw one instance, margins of a stack of equally shaped instances)
-VERIFIERS: dict[str, tuple[Callable[[np.random.Generator], tuple], Callable]] = {
-    "dv_inequality": (_random_instance, _dv_both_margins),
-    "squared_inequality": (_random_instance, _squared_margins),
-    "subgaussian_square": (_draw_variable, _subgaussian_margins),
-    "erasure": (_draw_bits_joint(3), _erasure_margins),
-    "hans_subset": (_draw_bits_joint(5), _hans_margins),
+# name -> (draw a sweep of instances, margins of a stack of equally shaped instances)
+VERIFIERS: dict[str, tuple[Callable[[np.random.Generator, int], Draw], Callable]] = {
+    "dv_inequality": (_draw_grids, _dv_both_margins),
+    "squared_inequality": (_draw_grids, _squared_margins),
+    "subgaussian_square": (_draw_variables, _subgaussian_margins),
+    "erasure": (_draw_bits_joints(3), _erasure_margins),
+    "hans_subset": (_draw_bits_joints(5), _hans_margins),
     "kl_decomposition": (_draw_kl_cells, _kl_margins),
 }
 
@@ -317,18 +378,13 @@ VERIFIERS: dict[str, tuple[Callable[[np.random.Generator], tuple], Callable]] = 
 def _sweep_margins(name: str, count: int, rng: np.random.Generator) -> np.ndarray:
     """Margins of ``count`` instances of one verifier, in the order they were drawn.
 
-    Every instance is drawn first, then each group of equal shapes is stacked
-    and evaluated in one call of the margins step.
+    The draw step returns the instances grouped by shape; each group is
+    evaluated in one call of the margins step.
     """
     draw, margins = VERIFIERS[name]
-    instances = [draw(rng) for _ in range(count)]
-    groups: dict[tuple, list[int]] = {}
-    for i, inst in enumerate(instances):
-        groups.setdefault(tuple(part.shape for part in inst), []).append(i)
     out = np.empty(count)
-    for rows in groups.values():
-        out[rows] = margins(*(np.stack(parts) for parts in
-                              zip(*(instances[i] for i in rows))))
+    for rows, parts in draw(rng, count):
+        out[rows] = margins(*parts)
     return out
 
 

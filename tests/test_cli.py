@@ -353,6 +353,11 @@ class TestVerifyLemmas:
         assert len(payload["verifiers"]) == 6
         assert all(v["violations"] == 0 for v in payload["verifiers"])
 
+    def test_output_into_missing_directory(self, tmp_path, capsys):
+        out_file = tmp_path / "missing" / "deep" / "lemmas.json"
+        assert main(["verify-lemmas", "--instances", "5", "-o", str(out_file)]) == 0
+        assert len(json.loads(out_file.read_text())["verifiers"]) == 6
+
     def test_stdout_json(self, capsys):
         assert main(["verify-lemmas", "--instances", "5"]) == 0
         data = json.loads(capsys.readouterr().out)
@@ -387,6 +392,14 @@ class TestReport:
         lines = capsys.readouterr().out.strip().split("\n")
         assert lines[0].startswith("n,learner,bound_name")
         assert len(lines) == 3
+
+    def test_csv_into_missing_directory(self, tmp_path, capsys):
+        paths = self._make_reports(tmp_path)
+        assert main(["report"] + [str(p) for p in paths]) == 0
+        on_stdout = capsys.readouterr().out
+        out_file = tmp_path / "missing" / "deep" / "curves.csv"
+        assert main(["report"] + [str(p) for p in paths] + ["--csv", str(out_file)]) == 0
+        assert out_file.read_text() == on_stdout
 
     def test_corrupt_report_named(self, tmp_path, capsys):
         bad = tmp_path / "broken.json"

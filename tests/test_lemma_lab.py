@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import math
 from typing import Sequence
@@ -7,17 +8,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fcmi.cli import main
 from fcmi.core import ContractViolation, Supersample, exact_rows
 from fcmi.infotheory import AbsoluteContinuityError
 from fcmi.learners import LearnerSpec, fill_table
 from fcmi.lemma_lab import (
     VERIFIERS,
     MarginReport,
+    _dirichlet,
     _dv_margins,
     _sweep_margins,
     run_all_verifiers,
 )
 from oracles import (
+    SAMPLERS,
     conditional_mutual_information,
     mutual_information,
     stability_kl_decomposition,
@@ -344,7 +348,7 @@ ORACLES = {
 
 def _oracle_sweep(name, count, seed):
     """The oracle's margins of the instances ``_sweep_margins`` draws from ``seed``."""
-    draw = VERIFIERS[name][0]
+    draw = SAMPLERS[name]
     rng = np.random.default_rng(seed)
     return [ORACLES[name](*draw(rng)) for _ in range(count)]
 
@@ -357,6 +361,24 @@ PINNED_MIN_MARGINS = {
     "erasure": "2.342430210576854e-05",
     "hans_subset": "1.2502799064341343e-06",
     "kl_decomposition": "7.700868846828097e-05",
+}
+
+# sha256 of ``_sweep_margins(name, 1000, default_rng(0)).tobytes()``, recorded
+# while each instance was drawn by the one-instance samplers
+SWEEP_SHA256 = {
+    "dv_inequality": "b85d798e463d6d1349aff33eb9453dd162e968b1a8e245e21c7d387d0f8dafc3",
+    "squared_inequality": "e743af0b461467c224e6d751786e7fd7f889c465916abfbc57ff74e3dfa35dda",
+    "subgaussian_square": "a7e30866a8867165499c3856099af1a3c40346ecf9d25fc510153b97e3ac17e8",
+    "erasure": "bbe56b7974acb884f87500759ad7be8eecccf42322f08c0d8948c15a303c5e4f",
+    "hans_subset": "63aca051cfd3131096431a7b0831ba6c3a5ca551e7cc8a8653ff862f244be658",
+    "kl_decomposition": "5dbc477c8e9d2d2eba13f71c4b910f3d4e47eb80497ba3a9399bf60b74880074",
+}
+
+# sha256 of the file ``fcmi verify-lemmas --instances 1000 --seed S -o FILE``
+# writes, recorded at the same time
+VERIFY_LEMMAS_SHA256 = {
+    0: "8b350f0d42108841ccaaaec7a7e6fb8161f359782d47da9e4fb719947bc9b887",
+    123: "20d240e0aa216e010f4780d1cff9deb5d4dfea438bfcb402e19e1becc9f0bbf4",
 }
 
 
@@ -414,10 +436,9 @@ class TestBatchedAgainstScalarOracle:
 
     @pytest.mark.parametrize("name", sorted(VERIFIERS))
     def test_one_sweep_mixes_shapes(self, name):
-        draw = VERIFIERS[name][0]
-        rng = np.random.default_rng(0)
-        shapes = {tuple(part.shape for part in draw(rng)) for _ in range(40)}
-        assert len(shapes) > 1
+        groups = VERIFIERS[name][0](np.random.default_rng(0), 40)
+        shapes = {tuple(part.shape[1:] for part in parts) for _, parts in groups}
+        assert len(shapes) == len(groups) > 1
 
     @pytest.mark.parametrize("case", _JOINT_CASES, ids=lambda c: c[0])
     def test_hand_joints(self, case):
@@ -470,11 +491,58 @@ class TestBatchedAgainstScalarOracle:
                 fn([([0.5, 0.6], [0.5, 0.5])], [1.0])
 
 
+class TestDrawAgainstScalarSamplers:
+    @given(name=st.sampled_from(sorted(VERIFIERS)), seed=st.integers(0, 2 ** 32 - 1),
+           count=st.integers(1, 80))
+    @settings(max_examples=100, deadline=None)
+    def test_draw_matches_samplers(self, name, seed, count):
+        # the batched draw reads the samplers' stream and repeats their
+        # arithmetic, so every instance has their bits, a lone one in its
+        # group included, and the stream ends where theirs does
+        rng = np.random.default_rng(seed)
+        expected = [SAMPLERS[name](rng) for _ in range(count)]
+        batched_rng = np.random.default_rng(seed)
+        groups = VERIFIERS[name][0](batched_rng, count)
+        assert batched_rng.random() == rng.random()
+        assert sorted(i for rows, _ in groups for i in rows) == list(range(count))
+        for rows, parts in groups:
+            assert rows == sorted(rows)
+            for j, i in enumerate(rows):
+                assert len(parts) == len(expected[i])
+                for part, want in zip(parts, expected[i]):
+                    np.testing.assert_array_equal(part[j], want, strict=True)
+
+    @pytest.mark.parametrize("size", range(1, 17))
+    def test_dirichlet_is_normalized_exponentials(self, size):
+        # the draw steps read numpy's all-ones Dirichlet as its gamma(1), that
+        # is standard exponential, variates scaled by one over their sum in
+        # order; a numpy release that changes either fails here
+        for seed in range(100):
+            rng, exp_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+            for _ in range(3):
+                np.testing.assert_array_equal(
+                    rng.dirichlet(np.ones(size)),
+                    _dirichlet(exp_rng.standard_exponential(size)), strict=True)
+            assert rng.random() == exp_rng.random()
+
+
 class TestSweepPinned:
     def test_seed0_margins_unchanged(self):
         reports = run_all_verifiers(instances=1000, seed=0)
         assert {r.lemma: repr(r.min_margin) for r in reports} == PINNED_MIN_MARGINS
         assert all(r.instances == 1000 and r.violations == 0 for r in reports)
+
+    @pytest.mark.parametrize("name", sorted(VERIFIERS))
+    def test_seed0_margin_bytes(self, name):
+        margins = _sweep_margins(name, 1000, np.random.default_rng(0))
+        assert hashlib.sha256(margins.tobytes()).hexdigest() == SWEEP_SHA256[name]
+
+    @pytest.mark.parametrize("seed", sorted(VERIFY_LEMMAS_SHA256))
+    def test_cli_output_bytes(self, tmp_path, seed):
+        out = tmp_path / "lemmas.json"
+        assert main(["verify-lemmas", "--instances", "1000", "--seed", str(seed),
+                     "-o", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == VERIFY_LEMMAS_SHA256[seed]
 
     @pytest.mark.parametrize("instances, seed", [(0, 0), (-3, 0), (5, -1)])
     def test_rejects_bad_inputs(self, instances, seed):
