@@ -120,7 +120,7 @@ class ExperimentConfig:
     master_seed: int = _field(0, least=0)
     loss: str = "zero_one"
     subset_m: int | None = _field(None, "subset_policy.m")
-    subset_enumerate_limit: int = _field(1000, "subset_policy.enumerate_limit")
+    subset_enumerate_limit: int = _field(1000, "subset_policy.enumerate_limit", least=0)
     subset_sample_count: int = _field(200, "subset_policy.sample_count", least=1)
     exact_seeds: int = _field(1, least=1)
     stability_trials: int = _field(25, "stability.trials", least=1)

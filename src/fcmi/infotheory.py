@@ -7,6 +7,12 @@ Exact mode's quantities are the plug-in over every equally weighted split.
 Only finite prediction alphabets reach this estimator; real-valued outputs
 reach their bounds through the stability constants of
 ``learners.estimate_stability`` instead.
+
+Every joint is counted from integer codes. A symbol's code is a number in the
+lexicographic order of its columns, and a joint's code appends the quantity
+index, the condition's code, the target's and the split's, so the occupied
+cells come out in one lexicographic order however they are counted, and the
+plug-in's sums run in that order.
 """
 
 from __future__ import annotations
@@ -15,7 +21,7 @@ import itertools
 
 import numpy as np
 
-from .core import ContractViolation, TrialTable, split_slots
+from .core import ContractViolation, TrialTable
 
 _INT64_MAX = np.iinfo(np.int64).max
 
@@ -96,9 +102,111 @@ def _representatives(codes: np.ndarray) -> np.ndarray:
     return rep
 
 
+# --- counting a joint and summing the plug-in --------------------------------
+
+
+def _occupied(code: np.ndarray, size: int) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct values of nonnegative int64 codes below ``size``,
+    ascending, and how often each occurs: one ``bincount`` when the range is
+    at most four times the codes, one sort otherwise."""
+    if size > 4 * code.size:
+        return _sorted_cells(code)
+    counts = np.bincount(code)
+    cells = np.flatnonzero(counts != 0)  # a bool scan is several times faster
+    return cells, counts[cells]
+
+
+def _sorted_cells(code: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct values of int64 codes, ascending, and how often each
+    occurs, from one sort."""
+    rank, distinct = _sorted_rank(code)
+    cells = np.empty(distinct, dtype=np.int64)
+    cells[rank] = code
+    return cells, np.bincount(rank)
+
+
+def _plugin_sums(q, n_abc, margins, quantities: int, rows: int,
+                 bias_correction: bool = False) -> np.ndarray:
+    """Plug-in MI of each quantity from its occupied cells, in lexicographic
+    order: each cell's quantity, count and the codes of its (c), (c, a) and
+    (c, b) margins."""
+    n_c, n_ac, n_bc = (np.bincount(m, weights=n_abc).astype(np.int64)[m] for m in margins)
+    ratio = (n_abc * n_c) / (n_ac * n_bc)
+    mi = np.bincount(q, weights=n_abc * np.log(ratio), minlength=quantities) / rows
+    mi = np.maximum(mi, 0.0)
+    if bias_correction:
+        occ_a, occ_b = (np.bincount(q[np.unique(m, return_index=True)[1]],
+                                    minlength=quantities) for m in margins[1:])
+        occ_ab = np.bincount(q, minlength=quantities)
+        mi = np.maximum(mi + ((occ_a - 1) + (occ_b - 1) - (occ_ab - 1)) / (2 * rows), 0.0)
+    return mi
+
+
+def _packed_mi(cells, n_abc, radices, quantities: int, rows: int,
+               bias_correction: bool = False) -> np.ndarray:
+    """Plug-in MI of each quantity from the occupied cells of the packed
+    joint code ((q * rc + c) * ra + a) * rb + b, ascending, and their counts.
+
+    The margins are read back by division; a margin whose code range exceeds
+    the samples is re-ranked densely, so its counts take no more memory. The
+    (c) and (c, a) margins ascend with the cells and are ranked by their runs.
+    """
+    rc, ra, rb = radices
+    ac = cells // rb
+    qc = ac // ra
+    margins = [qc, ac, qc * rb + (cells - ac * rb)]
+    for j, size in enumerate((rc, rc * ra, rc * rb)):
+        if size <= rows:
+            continue
+        if j < 2:
+            step = np.empty(cells.size, dtype=np.int64)
+            step[0] = 0
+            np.not_equal(margins[j][1:], margins[j][:-1], out=step[1:])
+            margins[j] = np.cumsum(step, out=step)
+        else:
+            margins[j] = _sorted_rank(margins[j])[0]
+    return _plugin_sums(qc // rc, n_abc, margins, quantities, rows, bias_correction)
+
+
+# int64 entries per code array in a batched count; bounds the scratch memory
+# of one estimate when there are many quantities
+_CELLS_PER_CALL = 2 ** 14
+
+
+def _blocked_mi(quantities: int, rows: int, radices, joint) -> np.ndarray:
+    """Plug-in MI of each quantity from its packed joint codes over ``rows``
+    samples; ``joint(lo, hi)`` returns the int64 codes of quantities lo..hi-1
+    with the quantity index counted from lo.
+
+    Codes are built a few quantities at a time and the sums run per block of
+    quantities, so neither holds more than about ``_CELLS_PER_CALL`` entries.
+    Each quantity's sum reads only its own cells, so blocking moves no bit.
+    """
+    rc, ra, rb = radices
+    size = rc * ra * rb
+    step = max(1, _CELLS_PER_CALL // rows)
+    per_block = max(step, _CELLS_PER_CALL // min(size, rows))
+    out = []
+    for b0 in range(0, quantities, per_block):
+        b1 = min(b0 + per_block, quantities)
+        cells, counts = [], []
+        for lo in range(b0, b1, step):
+            hi = min(lo + step, b1)
+            c, k = _occupied(joint(lo, hi), (hi - lo) * size)
+            cells.append(c + (lo - b0) * size)
+            counts.append(k)
+        out.append(_packed_mi(np.concatenate(cells), np.concatenate(counts),
+                              radices, b1 - b0, rows))
+    return np.concatenate(out)
+
+
+# --- the general estimator -------------------------------------------------------
+
+
 def _one_pass_cells(symbols, rows: int, quantities: int):
     """Occupied cells of the joint over (quantity, c, a, b), counted over one
-    mixed-radix code of all their columns.
+    mixed-radix code of all their columns: the cells, their counts and the
+    symbols' radices.
 
     Each column is offset by its minimum, with radix max - min + 1. Returns
     None when the code's range exceeds the samples (the test ``_dense_rank``
@@ -126,12 +234,7 @@ def _one_pass_cells(symbols, rows: int, quantities: int):
             col = x[:, :, j]
             code += (col if lo == 0 and np.can_cast(col.dtype, np.int64)
                      else np.subtract(col, lo, dtype=np.int64))
-    rc, ra, rb = radices
-    counts = np.bincount(code.ravel())
-    cells = np.flatnonzero(counts)
-    ac = cells // rb
-    qc = ac // ra
-    return qc // rc, counts[cells], (qc, ac, qc * rb + cells % rb)
+    return (*_occupied(code.ravel(), quantities * size), radices)
 
 
 def _folded_cells(symbols, rows: int, quantities: int):
@@ -182,19 +285,11 @@ def plugin_mi(a, b, c=None, bias_correction: bool = False) -> np.ndarray:
         raise ContractViolation("need at least one sample row")
     quantities = max(x.shape[1] for x in args)
     symbols = (args[2] if c is not None else None, args[0], args[1])
-    cells = _one_pass_cells(symbols, rows, quantities)
-    q, n_abc, margins = cells or _folded_cells(symbols, rows, quantities)
-    # each cell's (c), (c, a) and (c, b) margin counts
-    n_c, n_ac, n_bc = (np.bincount(m, weights=n_abc).astype(np.int64)[m] for m in margins)
-    ratio = (n_abc * n_c) / (n_ac * n_bc)
-    mi = np.bincount(q, weights=n_abc * np.log(ratio), minlength=quantities) / rows
-    mi = np.maximum(mi, 0.0)
-    if bias_correction:
-        occ_a, occ_b = (np.bincount(q[np.unique(m, return_index=True)[1]],
-                                    minlength=quantities) for m in margins[1:])
-        occ_ab = np.bincount(q, minlength=quantities)
-        mi = np.maximum(mi + ((occ_a - 1) + (occ_b - 1) - (occ_ab - 1)) / (2 * rows), 0.0)
-    return mi
+    packed = _one_pass_cells(symbols, rows, quantities)
+    if packed is not None:
+        return _packed_mi(*packed, quantities, rows, bias_correction)
+    return _plugin_sums(*_folded_cells(symbols, rows, quantities), quantities, rows,
+                        bias_correction)
 
 
 def product_alphabet_size(alphabet_size: int, m: int) -> int:
@@ -213,43 +308,202 @@ def all_subsets(n: int, m: int) -> list[tuple[int, ...]]:
 #
 # Both modes read one table with the same estimator: exact mode's uniform law
 # over every split (and seed) is the plug-in over its equally weighted rows.
+# Each quantity's joint code is built arithmetically from codes of the whole
+# table: a pair's prediction code (slot 0, slot 1), the split bits, the
+# split-mask code and row codes of prediction tuples. The lexicographic order
+# of the cells does not depend on which radices the codes use, so these give
+# the bits of ``plugin_mi`` over the same symbols.
 
-# (row, subset) cells per estimator call in ``subset_mi``; bounds the scratch
-# memory of one call when there are many subsets.
-_CELLS_PER_CALL = 2 ** 14
+
+def _unsigned(size: int):
+    """The narrowest integer dtype that holds every code below ``size``."""
+    for dtype in (np.uint8, np.uint16, np.uint32):
+        if size <= np.iinfo(dtype).max + 1:
+            return dtype
+    return np.int64
+
+
+# predictions spanning more values than this are replaced by their dense rank
+# over the table; a rank keeps their order, and with it every cell's place in
+# the lexicographic order and its count
+_RANKED_SPAN = 2 ** 16
+
+
+def _pred_digits(table: TrialTable) -> tuple[np.ndarray, int, int]:
+    """The predictions as digits: a (T, 2n) array, the offset its digits
+    count from and their radix. Digits count from 0, or from the smallest
+    prediction when one is negative; predictions spanning more than
+    ``_RANKED_SPAN`` values become their dense rank, from one sort over the
+    table, so the radix is at most their number of distinct values."""
+    preds = table.preds
+    lo = min(int(preds.min()), 0)
+    radix = int(preds.max()) - lo + 1
+    if radix <= _RANKED_SPAN:
+        return preds, lo, radix
+    rank, radix = _sorted_rank(preds.ravel())
+    return rank.reshape(preds.shape), 0, radix
+
+
+def _pair_codes(preds: np.ndarray, lo: int, radix: int, dtype) -> np.ndarray:
+    """Each pair's prediction code (slot 0 - lo) * radix + (slot 1 - lo), as
+    an (n, T) array of ``dtype``."""
+    slot0, slot1 = preds[:, 0::2].T, preds[:, 1::2].T
+    if lo:
+        slot0, slot1 = slot0 - lo, slot1 - lo
+    code = np.multiply(slot0, radix, dtype=dtype, casting="unsafe", order="C")
+    np.add(code, slot1, out=code, casting="unsafe")
+    return code
+
+
+def _row_codes(columns, k: int, lo: int, radix: int) -> tuple[np.ndarray, int]:
+    """A code of each row of k integer columns in [lo, lo + radix), in the
+    rows' lexicographic order, and the code's range; ``columns(j0, j1)``
+    gives columns j0..j1-1 as a (T, j1 - j0) array, so a derived row need
+    not exist whole.
+
+    As many columns as fit one int64 (at least two, radix^2 <= int64) make
+    one mixed-radix digit; a row of several digits is ranked densely over them.
+    """
+    width = 2
+    while width < k and radix ** (width + 1) <= _INT64_MAX:
+        width += 1
+    digits = []
+    for j in range(0, k, width):
+        x = columns(j, min(j + width, k))
+        digits.append((x - lo if lo else x) @ (radix ** np.arange(x.shape[1] - 1, -1, -1)))
+    if len(digits) == 1:
+        return digits[0], radix ** k
+    rank = _lex_codes(digits)
+    return rank, int(rank.max()) + 1
+
+
+def _tuple_mi(a: tuple[np.ndarray, int], b: tuple[np.ndarray, int], rows: int) -> float:
+    """Plug-in I(A; B) of two row codes with their ranges; a code whose
+    range exceeds the rows is ranked densely when the joint would not fit an
+    int64."""
+    (a, ra), (b, rb) = a, b
+    if ra * rb > _INT64_MAX:
+        (a, ra), (b, rb) = (_sorted_rank(x) if r > rows else (x, r) for x, r in ((a, ra), (b, rb)))
+    code = a * rb
+    code += b
+    return float(_packed_mi(*_occupied(code, ra * rb), (1, ra, rb), 1, rows)[0])
 
 
 def subset_mi(table: TrialTable, subsets, use_weights: bool = False) -> np.ndarray:
     """I(target ; S_u) for each pair subset u, batched over subsets.
 
     The target is the predictions on u's pairs, or the learner's weight code
-    when ``use_weights`` is set.
+    when ``use_weights`` is set. A subset's joint code is its target code
+    followed by its split bits, a sum of one term per position in the subset:
+    the pair's code and split bit, each weighted by its digit's place. The
+    terms are tabled once per position for the pairs that occur there, and a
+    block of subsets gathers and adds them. The weight code, shared by every
+    subset, is ranked once over the rows. Subsets whose joint code would not
+    fit an int64 are counted one at a time from row codes.
     """
     if use_weights and table.weight_code is None:
         raise ContractViolation("learner exposes no discrete weight code")
     subsets = np.asarray(subsets, dtype=np.int64)
-    rows = table.masks.shape[0]
-    pair_preds = table.preds.reshape(rows, table.n, 2)
-    step = max(1, _CELLS_PER_CALL // rows)
-    out = []
-    for idx in np.split(subsets, range(step, len(subsets), step)):
-        target = (table.weight_code if use_weights
-                  else pair_preds[:, idx].reshape(rows, len(idx), -1))
-        out.append(plugin_mi(target, table.masks[:, idx]))
-    return np.concatenate(out)
+    quantities, m = subsets.shape
+    masks = table.masks
+    rows = masks.shape[0]
+    if use_weights:
+        target, ra = _sorted_rank(table.weight_code)
+    else:
+        preds, offset, radix = _pred_digits(table)
+        ra = radix ** (2 * m)
+    size = ra * 2 ** m
+    if quantities * size > _INT64_MAX:
+        out = []
+        for u in subsets:
+            if not use_weights:
+                columns = np.stack([2 * u, 2 * u + 1], axis=1).ravel()  # u's slots
+                target, ra = _row_codes(lambda j0, j1: preds[:, columns[j0:j1]], 2 * m,
+                                        offset, radix)
+            split = _row_codes(lambda j0, j1: masks[:, u[j0:j1]], m, 0, 2)
+            out.append(_tuple_mi((target, ra), split, rows))
+        return np.array(out)
+    dtype = _unsigned(size)
+    codes = None if use_weights else _pair_codes(preds, offset, radix, dtype)
+    tables, index = [], subsets.copy()
+    for j in range(m):
+        place = 2 ** (m - 1 - j)  # of the pair's split bit
+        pairs = slice(None)
+        if m > 1:  # table only the pairs that occur at this position
+            seen = np.bincount(subsets[:, j], minlength=table.n) > 0
+            index[:, j] = (np.cumsum(seen) - 1)[subsets[:, j]]
+            pairs = np.flatnonzero(seen)
+        if use_weights:
+            terms = np.multiply(masks.T[pairs], place, dtype=dtype, casting="unsafe", order="C")
+        else:
+            # (code * radix^(2(m-1-j)) 2^(j+1) + bit) * place, in place; the
+            # factor reaches the size only when every code is 0
+            terms = codes if m == 1 else codes[pairs]
+            terms *= radix ** (2 * (m - 1 - j)) * 2 ** (j + 1) % size
+            np.add(terms, masks.T[pairs], out=terms, casting="unsafe")
+            terms *= place
+        tables.append(terms)
+    if use_weights:
+        np.add(tables[0], target * 2 ** m, out=tables[0], casting="unsafe")
+
+    def joint(lo, hi):
+        code = tables[0][index[lo:hi, 0]]
+        for j in range(1, m):
+            code += tables[j][index[lo:hi, j]]
+        return np.add(code, (np.arange(hi - lo) * size)[:, None], dtype=np.int64).ravel()
+
+    return _blocked_mi(quantities, rows, (1, ra, 2 ** m), joint)
 
 
 def split_cmi(table: TrialTable, all_pairs: bool = False) -> np.ndarray:
-    """I(predictions ; S_i | S_-i) for every pair i, with pair-i or all-pair predictions."""
+    """I(predictions ; S_i | S_-i) for every pair i, with pair-i or all-pair predictions.
+
+    The condition S_-i is one code per row: the split-mask code (pair 0 most
+    significant) with bit i taken out, which orders the rows as the tuple
+    S_-i does. The all-pair predictions are ranked once over the rows.
+    Needs n * 2^n * (target alphabet) cells to fit an int64. The all-pair
+    target's alphabet is at most the rows; the pair target's is d^2, where d
+    is the predictions' span when that is at most 2^16 and their number of
+    distinct values otherwise. At exact mode's n <= 20 this holds for d up
+    to about 6.6e5; a finite learner predicts labels of the 2n points or 0.
+    """
     n, rows = table.n, table.masks.shape[0]
-    rest = np.array([[j for j in range(n) if j != i] for i in range(n)],
-                    dtype=np.int64).reshape(n, n - 1)
-    target = table.preds[:, None] if all_pairs else table.preds.reshape(rows, n, 2)
-    return plugin_mi(target, table.masks, table.masks[:, rest])
+    preds, offset, radix = _pred_digits(table)
+    if all_pairs:
+        target, ra = _row_codes(lambda a, b: preds[:, a:b], 2 * n, offset, radix)
+        if ra > rows:
+            target, ra = _sorted_rank(target)
+    else:
+        ra = radix ** 2
+    if n * 2 ** n * ra > _INT64_MAX:
+        raise ContractViolation(f"split_cmi needs n * 2^n * {ra} codes within int64 (n={n})")
+    if not all_pairs:
+        pairs = _pair_codes(preds, offset, radix, _unsigned(ra))
+    mask_code = table.masks @ (1 << np.arange(n - 1, -1, -1))
+
+    def joint(lo, hi):
+        # pair i's shift puts its bit last; the bits above it move down one
+        shift = n - 1 - np.arange(lo, hi)[:, None]
+        code = (np.arange(hi - lo)[:, None] << (n - 1)) + ((mask_code >> (shift + 1)) << shift)
+        code += mask_code & ((1 << shift) - 1)
+        code *= ra
+        code += target if all_pairs else pairs[lo:hi]
+        code *= 2
+        code += (mask_code >> shift) & 1
+        return code.ravel()
+
+    return _blocked_mi(n, rows, (2 ** (n - 1), ra, 2), joint)
 
 
 def mi_testslots(table: TrialTable) -> float:
     """I(predictions on the test slots only ; S)."""
-    _, test_slots = split_slots(table.masks)
-    test_preds = np.take_along_axis(table.preds, test_slots, axis=1)
-    return float(plugin_mi(test_preds[:, None], table.masks[:, None])[0])
+    masks = table.masks
+    preds, offset, radix = _pred_digits(table)
+
+    def test_slots(a, b):
+        # pair i's test slot is slot 1 - S_i
+        return np.where(masks[:, a:b].astype(bool), preds[:, 2 * a:2 * b:2],
+                        preds[:, 2 * a + 1:2 * b:2])
+
+    return _tuple_mi(_row_codes(test_slots, table.n, offset, radix),
+                     _row_codes(lambda a, b: masks[:, a:b], table.n, 0, 2), len(masks))

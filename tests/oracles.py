@@ -2,11 +2,11 @@
 
 The package computes each of these quantities only in batched form: the
 exact information measures of one joint, the symmetrized-KL cap of one set
-of cells, the subset-size monotonicity check of one exact trial table, one
-fit of a learner and one random instance of an inequality verifier. The
-tests compare the batched paths against these references, bit for bit where
-both do the same arithmetic in the same order, and use them to build
-expected values.
+of cells, the trial-table quantities from gathered symbols, the subset-size
+monotonicity check of one exact trial table, one fit of a learner and one
+random instance of an inequality verifier. The tests compare the batched
+paths against these references, bit for bit where both do the same
+arithmetic in the same order, and use them to build expected values.
 """
 
 from __future__ import annotations
@@ -18,8 +18,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from fcmi.core import ContractViolation, TrialTable
-from fcmi.infotheory import AbsoluteContinuityError, all_subsets, subset_mi
+from fcmi.core import ContractViolation, TrialTable, split_slots
+from fcmi.infotheory import AbsoluteContinuityError, all_subsets, plugin_mi, subset_mi
 from fcmi.learners import LearnerSpec, _fit_predict_rows, _threshold_weights
 
 _NEG_TOL = 1e-12
@@ -130,6 +130,53 @@ def stability_kl_decomposition(
             continue
         total += wc * 0.25 * (kl_divergence(p1, p0) + kl_divergence(p0, p1))
     return total
+
+
+# --- trial-table quantities from gathered symbols ----------------------------------
+#
+# The reference for ``fcmi.infotheory``'s ``subset_mi``, ``split_cmi`` and
+# ``mi_testslots``, which build their joint codes from table-wide pair and
+# mask codes: these gather each quantity's symbol columns from the table and
+# hand them to ``plugin_mi``, which folds them column by column.
+
+# (row, subset) cells per estimator call in ``gathered_subset_mi``
+_CELLS_PER_CALL = 2 ** 14
+
+
+def gathered_subset_mi(table: TrialTable, subsets, use_weights: bool = False) -> np.ndarray:
+    """I(target ; S_u) for each pair subset u, batched over subsets.
+
+    The target is the predictions on u's pairs, or the learner's weight code
+    when ``use_weights`` is set.
+    """
+    if use_weights and table.weight_code is None:
+        raise ContractViolation("learner exposes no discrete weight code")
+    subsets = np.asarray(subsets, dtype=np.int64)
+    rows = table.masks.shape[0]
+    pair_preds = table.preds.reshape(rows, table.n, 2)
+    step = max(1, _CELLS_PER_CALL // rows)
+    out = []
+    for idx in np.split(subsets, range(step, len(subsets), step)):
+        target = (table.weight_code if use_weights
+                  else pair_preds[:, idx].reshape(rows, len(idx), -1))
+        out.append(plugin_mi(target, table.masks[:, idx]))
+    return np.concatenate(out)
+
+
+def gathered_split_cmi(table: TrialTable, all_pairs: bool = False) -> np.ndarray:
+    """I(predictions ; S_i | S_-i) for every pair i, with pair-i or all-pair predictions."""
+    n, rows = table.n, table.masks.shape[0]
+    rest = np.array([[j for j in range(n) if j != i] for i in range(n)],
+                    dtype=np.int64).reshape(n, n - 1)
+    target = table.preds[:, None] if all_pairs else table.preds.reshape(rows, n, 2)
+    return plugin_mi(target, table.masks, table.masks[:, rest])
+
+
+def gathered_mi_testslots(table: TrialTable) -> float:
+    """I(predictions on the test slots only ; S)."""
+    _, test_slots = split_slots(table.masks)
+    test_preds = np.take_along_axis(table.preds, test_slots, axis=1)
+    return float(plugin_mi(test_preds[:, None], table.masks[:, None])[0])
 
 
 # --- subset-size monotonicity of the exact subset bounds --------------------------

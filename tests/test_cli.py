@@ -89,6 +89,41 @@ class TestRun:
         assert main(["run", str(config), "-o", str(out), "--seed", "-1"]) == 2
         assert fits == [] and not (out / "report.json").exists()
 
+    def test_negative_enumerate_limit_is_config_error(self, tmp_path, monkeypatch, capsys):
+        """A negative limit would silently mean "always sample"; 0 still does."""
+        fits = count_fits(monkeypatch)
+        config = write_config(tmp_path)
+        out = tmp_path / "out"
+        assert main(["run", str(config), "-o", str(out),
+                     "--set", "subset_policy.enumerate_limit=-1"]) == 2
+        assert fits == [] and not (out / "report.json").exists()
+        assert "enumerate_limit" in capsys.readouterr().err
+        assert main(["run", str(config), "-o", str(out),
+                     "--set", "subset_policy.enumerate_limit=0"]) == 0
+
+    @pytest.mark.parametrize("mode, bounds", [
+        ("exact_enumeration", ["fcmi_m1", "fcmi_mn", "fcmi_stability",
+                               "fcmi_stability_squared", "fcmi_subset_m"]),
+        ("monte_carlo", ["fcmi_m1"]),
+    ])
+    def test_labels_near_2_40(self, tmp_path, monkeypatch, mode, bounds):
+        """Labels 2^40 + c give the report of labels c + 1: the memorizer's
+        predictions (a label, or 0 when the query is unseen) keep their
+        order, and the estimates rank wide predictions."""
+        reports = []
+        for offset in (1, 2 ** 40):
+            run_dir = tmp_path / str(offset)
+            run_dir.mkdir()
+            monkeypatch.chdir(run_dir)
+            (run_dir / "pool.csv").write_text("x_0,y\n" + "".join(
+                f"{i / 20},{offset + i * 7 % 3}\n" for i in range(20)), encoding="utf-8")
+            config = write_config(run_dir, data={"kind": "csv", "params": {"path": "pool.csv"}},
+                                  n=5, k1=1, mode=mode, bounds=bounds,
+                                  subset_policy={"m": 2})
+            assert main(["run", str(config), "-o", "out"]) == 0
+            reports.append((run_dir / "out" / "report.json").read_bytes())
+        assert reports[0] == reports[1]
+
     def test_dotted_override_echoed(self, tmp_path):
         config = write_config(tmp_path)
         out = tmp_path / "out"

@@ -155,6 +155,26 @@ GOLDEN = {
         "5842b456577d14587febe896d7e46f03a82e32526730668c9ae525d2d37d7eb7",
         "0.08854166666666667", "0.04419417382415922",
         "1372022d70dc60da94e2e2f669b43d8d0b4a35a72825906a7d86891726f1c923"),
+    # 8,192 rows of 12 pairs: split CMI with both targets, 66 m=2 subsets
+    "exact_knn3_n12_seeds2_subsets": (
+        dict(data=GAUSS_DATA, n=12, k1=1, k2=1,
+             learner={"kind": "knn", "params": {"k": 3}},
+             mode="exact_enumeration",
+             bounds=["fcmi_m1", "fcmi_mn", "fcmi_stability", "fcmi_stability_squared",
+                     "fcmi_subset_m"],
+             subset_policy={"m": 2}, exact_seeds=2, master_seed=23),
+        "ac5af40d425208ced1a6f349ad58f4dce2c909aaa7ccfcf443ca06cb56770a5c",
+        "0.11580403645833334", "None",
+        "bf07aac4ce3ef0c11559faff9c7dbe3df0bc36354de8db27c8e1ea734da1bbb0"),
+    # three classes, 20 subsets of m=3
+    "mc_knn3_dup_csv_n6_subsets_m3": (
+        dict(data=DUP_CSV_DATA, n=6, k1=2, k2=40,
+             learner={"kind": "knn", "params": {"k": 3}},
+             mode="monte_carlo", bounds=["fcmi_m1", "fcmi_subset_m"],
+             subset_policy={"m": 3}, master_seed=24),
+        "96e28d6069b6a9ac24555a00fc339b3fd5e7b43361976ceeec3f829d94ea5258",
+        "0.10833333333333334", "0.06481812160876686",
+        "0c88a2e3bf2ca7148b3971a8d9b7f45d6afe4dd0fcfd01dd8184d638bdfb2f60"),
 }
 
 _LOGISTIC_PROB = {"kind": "logistic_gd", "params": {"output": "prob", "steps": 20}}

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 from unittest import mock
@@ -7,7 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fcmi.core import ENUMERATION_LIMIT, ContractViolation, SizeError, Supersample, exact_rows
+from fcmi.core import (ENUMERATION_LIMIT, ContractViolation, PredictionSpace, SizeError,
+                       Supersample, TrialTable, exact_rows)
 from fcmi.infotheory import (
     AbsoluteContinuityError,
     all_subsets,
@@ -20,7 +22,15 @@ from fcmi.infotheory import (
 import fcmi.infotheory
 from fcmi.infotheory import _lex_codes, _one_pass_cells, _representatives
 from fcmi.learners import LearnerSpec, fill_table
-from oracles import conditional_mutual_information, entropy, kl_divergence, mutual_information
+from oracles import (
+    conditional_mutual_information,
+    entropy,
+    gathered_mi_testslots,
+    gathered_split_cmi,
+    gathered_subset_mi,
+    kl_divergence,
+    mutual_information,
+)
 
 LOG2 = math.log(2.0)
 
@@ -530,6 +540,123 @@ class TestOnePassAgainstPackedFold:
             got = plugin_mi(codes, masks)
         assert folded.called
         assert np.array_equal(got, _packed_fold_plugin_mi(codes, masks))
+
+
+_KNN = [{"kind": "knn", "params": {"k": k}} for k in (1, 3)]
+# every learner with a finite prediction space, by the label counts it takes
+FINITE_LEARNERS = {
+    "memorizer": ({"kind": "memorizer", "params": {}}, (2, 3)),
+    "threshold_erm": ({"kind": "threshold_erm", "params": {}}, (2,)),
+    "knn1": (_KNN[0], (2, 3)),
+    "knn3": (_KNN[1], (2, 3)),
+    "logistic_gd": ({"kind": "logistic_gd", "params": {"steps": 5}}, (2,)),
+    "sgld_linear": ({"kind": "sgld_linear", "params": {"steps": 5}}, (2,)),
+    "ensemble": ({"kind": "ensemble", "params": {"members": [
+        {"kind": "threshold_erm", "params": {}}, *_KNN]}}, (2,)),
+    "ensemble_knn_memorizer": ({"kind": "ensemble", "params": {"members": [
+        {"kind": "memorizer", "params": {}}, *_KNN]}}, (2, 3)),
+}
+_WIDE_CODES = np.array([_INT64.min, _INT64.min + 1, -1, 0, 1, _INT64.max - 1, _INT64.max])
+
+
+def _draw_table(data, rng) -> TrialTable:
+    """An exact or monte_carlo table of a finite learner, or of random
+    predictions with a negative offset, spread over more than 2^16 values
+    (which the estimates rank) or not."""
+    n = data.draw(st.integers(1, 8), label="n")
+    learner = data.draw(st.sampled_from(sorted(FINITE_LEARNERS) + ["random"]), label="learner")
+    if data.draw(st.booleans(), label="exact"):
+        masks, seeds = exact_rows(n, np.arange(data.draw(st.integers(1, 3), label="exact_seeds")))
+    else:
+        # few pairs and many trials repeat masks
+        k2 = data.draw(st.integers(1, 60), label="k2")
+        masks, seeds = rng.integers(0, 2, (k2, n)).astype(np.uint8), np.arange(k2)
+    rows = len(masks)
+    if learner == "random":
+        values = (data.draw(st.integers(-5, 0), label="lo")
+                  + np.arange(data.draw(st.integers(1, 20), label="alphabet")))
+        if data.draw(st.booleans(), label="wide"):
+            values = values * 2 ** 40
+        return TrialTable("ss000", PredictionSpace("finite", 2), masks, seeds,
+                          rng.choice(values, (rows, 2 * n)), np.zeros(rows), np.zeros(rows))
+    spec, label_counts = FINITE_LEARNERS[learner]
+    classes = data.draw(st.sampled_from(label_counts), label="classes")
+    xs = rng.random((2 * n, 1))
+    return fill_table(Supersample(xs, rng.integers(0, classes, 2 * n)),
+                      LearnerSpec.from_json_dict(spec), masks, seeds)
+
+
+class TestTableCodesAgainstGatheredOracle:
+    """The table-code estimates against the gather-and-fold code they
+    replaced (``oracles.gathered_*``), bit for bit."""
+
+    @given(st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_estimates_equal_gathered_oracle(self, data):
+        rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1), label="seed"))
+        table = _draw_table(data, rng)
+        n, rows = table.n, len(table.masks)
+        codes = data.draw(st.sampled_from(["learner", "wide", "float_bits"]),
+                          label="weight_code")
+        if codes == "wide" or table.weight_code is None:
+            table = dataclasses.replace(table, weight_code=rng.choice(_WIDE_CODES, rows))
+        elif codes == "float_bits":
+            table = dataclasses.replace(table, weight_code=rng.random(rows).view(np.int64))
+        m = data.draw(st.integers(1, n), label="m")
+        if data.draw(st.booleans(), label="enumerated"):
+            family = all_subsets(n, m)
+        else:
+            # sampled with repeats, as a sampled subset policy draws them
+            family = [tuple(sorted(rng.choice(n, m, replace=False).tolist()))
+                      for _ in range(data.draw(st.integers(1, 20), label="count"))]
+        for subsets in (family, [(i,) for i in range(n)], [tuple(range(n))]):
+            for use_weights in (False, True):
+                assert np.array_equal(subset_mi(table, subsets, use_weights),
+                                      gathered_subset_mi(table, subsets, use_weights))
+        for all_pairs in (False, True):
+            assert np.array_equal(split_cmi(table, all_pairs),
+                                  gathered_split_cmi(table, all_pairs))
+        assert np.array_equal(mi_testslots(table), gathered_mi_testslots(table))
+
+    def test_wide_predictions_count_as_their_ranks(self):
+        """Predictions spanning more than 2^16 values, up to the int64
+        extremes, give the bits of their dense ranks and of the oracle; at
+        m = 7 the family's joint code passes int64 and its subsets are
+        counted one at a time."""
+        rng = np.random.default_rng(13)
+        n, rows = 7, 200
+        values = np.concatenate([[_INT64.min, -1], 2 ** 40 + np.arange(17) * 2 ** 20,
+                                 [_INT64.max]])
+        ranks = rng.integers(0, len(values), (rows, 2 * n))
+        masks = rng.integers(0, 2, (rows, n)).astype(np.uint8)
+        wide, ranked = (TrialTable("ss000", PredictionSpace("finite", 2), masks,
+                                   np.arange(rows), preds, np.zeros(rows), np.zeros(rows))
+                        for preds in (values[ranks], ranks))
+        assert len(values) ** (2 * n) * 2 ** n > _INT64.max
+        for m in (1, 2, n):
+            family = all_subsets(n, m)
+            got = subset_mi(wide, family)
+            assert np.array_equal(got, subset_mi(ranked, family))
+            assert np.array_equal(got, gathered_subset_mi(wide, family))
+        for all_pairs in (False, True):
+            got = split_cmi(wide, all_pairs)
+            assert np.array_equal(got, split_cmi(ranked, all_pairs))
+            assert np.array_equal(got, gathered_split_cmi(wide, all_pairs))
+        assert mi_testslots(wide) == mi_testslots(ranked) == gathered_mi_testslots(wide)
+
+    def test_chunks_and_blocks(self):
+        """A table of many rows and a family of many subsets spans several
+        code chunks and sum blocks, which move no bit."""
+        rng = np.random.default_rng(12)
+        masks = rng.integers(0, 2, (3000, 9)).astype(np.uint8)
+        table = TrialTable("ss000", PredictionSpace("finite", 3), masks, np.arange(3000),
+                           rng.integers(0, 3, (3000, 18)), np.zeros(3000), np.zeros(3000))
+        for m in (1, 2, 3, 9):
+            family = all_subsets(9, m)
+            assert np.array_equal(subset_mi(table, family), gathered_subset_mi(table, family))
+        for all_pairs in (False, True):
+            assert np.array_equal(split_cmi(table, all_pairs), gathered_split_cmi(table, all_pairs))
+        assert np.array_equal(mi_testslots(table), gathered_mi_testslots(table))
 
 
 def threshold_instance():
