@@ -32,9 +32,9 @@ from .seeding import derive_seeds
 
 # Cells in the largest stacked array of one chunk of fits: the linear
 # learners' (B, N, d + 1) inputs, SGLD's (B, steps, d + 1) noise and the
-# (B, Q) predictions, and the label learners' (B, Q, N) distance or match
-# arrays and (B, N + 1, N) threshold comparisons, each stay under it, unless
-# a single training set is larger.
+# (B, Q) predictions, and the label learners' (B, Q, N) match arrays,
+# (Q, classes, B) vote counts and (B, N + 1, N) threshold comparisons, each
+# stay under it, unless a single training set is larger.
 _BATCH_CELLS = 2 ** 15
 
 
@@ -193,29 +193,47 @@ def _dense_ranks(d2: np.ndarray) -> np.ndarray:
 
 def _knn_rows(spec, xs, ys, train_idx, query_xs, seeds):
     """Majority label of the k nearest training points; distance ties fall to
-    the lower training position and vote ties to the lower class."""
+    the lower training position and vote ties to the lower class.
+
+    A row holds each training position once, so it is a set of (point,
+    position) entries, and its k nearest are its first k entries in the order
+    (distance rank, position). Each query sorts the entries of all rows once;
+    a walk along that order with a running member count per row then gives
+    every row's k nearest at once.
+    """
     size = train_idx.shape[1]
     k = min(spec.param("k"), size)
-    # (Q, P) distance ranks; rank * size + position is a distinct key per
-    # training point ordered as a stable sort by distance, so the k smallest
-    # keys are the k nearest with the tie-break above
+    labels, classes = np.unique(ys, return_inverse=True)
+    held = np.zeros((size, len(xs)), dtype=bool)
+    held[np.arange(size), train_idx] = True
+    pos, point = np.nonzero(held)  # every entry some row holds
     ranks = _dense_ranks(np.sum((xs[None, :, :] - query_xs[:, None, :]) ** 2, axis=2))
+    # (Q, E) entries by distance rank, then position; equal keys are entries
+    # at one position, which no row holds together
+    order = np.argsort(ranks[:, point] * size + pos, axis=1)
+    queries = np.arange(len(query_xs))
 
     def fit(lo, hi):
-        idx = train_idx[lo:hi]
-        keys = ranks[:, idx] * size + np.arange(size)  # (Q, B, N)
-        nearest = np.argpartition(keys, k - 1, axis=2)[:, :, :k]
-        votes = ys[np.take_along_axis(idx[None], nearest, axis=2)]
-        return ensemble_combine(votes.transpose(2, 1, 0)), None
+        member = (train_idx[lo:hi, pos] == point).T  # (E, B)
+        found = np.zeros((len(query_xs), hi - lo), dtype=np.int32)
+        counts = np.zeros((len(query_xs), len(labels), hi - lo), dtype=np.int32)
+        for entry in order.T:  # each query's next entry
+            take = member[entry] & (found < k)
+            found += take
+            counts[queries, classes[point[entry]]] += take
+            if found.min() == k:
+                break
+        return labels[counts.argmax(axis=1)].T, None
 
-    return _in_chunks(fit, len(train_idx), _chunk_rows(size * len(query_xs)))
+    return _in_chunks(fit, len(train_idx),
+                      _chunk_rows(max(len(point), len(query_xs) * len(labels))))
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
-    # exp(-|z|) never overflows, and each branch is the stable form for its
-    # sign of z, so no boolean scatter is needed
+    # exp(-|z|) never overflows; the numerator is 1 for z >= 0 and e below,
+    # the stable form for each sign of z, in one division
     e = np.exp(-np.abs(z))
-    return np.where(z >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+    return np.maximum(e, z >= 0) / (1.0 + e)
 
 
 def _design(xs: np.ndarray) -> np.ndarray:
@@ -371,13 +389,18 @@ def noisy_predict(inner_predictions, sigma_sq: float, seed: int, train_digest: i
 
 def ensemble_combine(member_predictions) -> np.ndarray:
     """Majority vote over the first axis of (M, ...) class labels; ties break
-    toward the smallest class index."""
+    toward the smallest class."""
     votes = np.asarray(member_predictions, dtype=np.int64)
     if len(votes) < 1:
         raise ContractViolation("need at least one member prediction")
-    counts = np.stack([np.count_nonzero(votes == c, axis=0)
-                       for c in range(int(votes.max()) + 1)], axis=-1)
-    return counts.argmax(axis=-1)
+    # counts over the dense ranks of the labels grow with the number of
+    # distinct labels, not with their values
+    labels, dense = np.unique(votes, return_inverse=True)
+    cells = votes[0].size
+    codes = dense.reshape(len(votes), cells) + np.arange(cells) * len(labels)
+    counts = np.bincount(codes.ravel(), minlength=cells * len(labels))
+    winners = labels[counts.reshape(cells, len(labels)).argmax(axis=1)]
+    return winners.reshape(votes.shape[1:])[()]  # a scalar for a 1-D input
 
 
 def _linear_rows(spec, xs, ys, train_idx, query_xs, seeds):

@@ -221,6 +221,13 @@ def threshold_erm_fit(xs: np.ndarray, ys: np.ndarray) -> float:
     return float(_threshold_weights(xs.T, np.asarray(ys)[None])[0])
 
 
+def where_sigmoid(z: np.ndarray) -> np.ndarray:
+    """The logistic function in its two-division form: the stable quotient for
+    each sign of z, chosen by a select. ``learners._sigmoid`` divides once."""
+    e = np.exp(-np.abs(z))
+    return np.where(z >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+
+
 def train_predict(spec: LearnerSpec, train_xs, train_ys, query_xs,
                   seed: int) -> LearnerOutput:
     """Train the specified learner on (N, d) inputs and (N,) labels, and

@@ -30,6 +30,7 @@ THRESHOLD_DATA = {"kind": "threshold_realizable",
 GAUSS_DATA = {"kind": "two_gaussians", "params": {"dim": 2, "sep": 2.0}}
 CSV_DATA = {"kind": "csv", "params": {"path": "pool.csv"}}
 DUP_CSV_DATA = {"kind": "csv", "params": {"path": "dup_pool.csv"}}
+GAP_CSV_DATA = {"kind": "csv", "params": {"path": "gap_pool.csv"}}
 
 GOLDEN = {
     "exact_threshold_erm_n6": (
@@ -175,6 +176,18 @@ GOLDEN = {
         "96e28d6069b6a9ac24555a00fc339b3fd5e7b43361976ceeec3f829d94ea5258",
         "0.10833333333333334", "0.06481812160876686",
         "0c88a2e3bf2ca7148b3971a8d9b7f45d6afe4dd0fcfd01dd8184d638bdfb2f60"),
+    # even k over duplicated inputs and labels {0, 2, 5}: the position tie
+    # rule among equal distances and the vote tie rule toward the lower label
+    "exact_knn4_gap_labels_dup_csv_n8": (
+        dict(data=GAP_CSV_DATA, n=8, k1=2, k2=1,
+             learner={"kind": "knn", "params": {"k": 4}},
+             mode="exact_enumeration",
+             bounds=["fcmi_m1", "fcmi_mn", "fcmi_stability", "fcmi_stability_squared",
+                     "fcmi_subset_m"],
+             subset_policy={"m": 2}, master_seed=25),
+        "309a048786dfcd9b254abc0726ffdfee9e832d002184742f53e24167e653f30f",
+        "0.2724609375", "0.03866990209613932",
+        "598ba072e93e1ef77f0cc83d3fbf85a55b24fbf64d75af7364f478805fa0d112"),
 }
 
 _LOGISTIC_PROB = {"kind": "logistic_gd", "params": {"output": "prob", "steps": 20}}
@@ -212,7 +225,17 @@ def _write_dup_pool(path) -> None:
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-POOLS = {"pool.csv": _write_pool, "dup_pool.csv": _write_dup_pool}
+def _write_gap_pool(path) -> None:
+    """Ten distinct rows of two features, each twice, with labels in {0, 2, 5}."""
+    rng = np.random.default_rng(2026)
+    xs = np.repeat(rng.standard_normal((10, 2)), 2, axis=0)
+    ys = rng.choice([0, 2, 5], 20)
+    lines = ["x_0,x_1,y"] + [f"{a:.6f},{b:.6f},{y}" for (a, b), y in zip(xs, ys)]
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
+POOLS = {"pool.csv": _write_pool, "dup_pool.csv": _write_dup_pool,
+         "gap_pool.csv": _write_gap_pool}
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN))

@@ -1,5 +1,6 @@
 import itertools
 import math
+import signal
 import struct
 import warnings
 from unittest import mock
@@ -28,7 +29,7 @@ from fcmi.learners import (
     sgld_fit,
 )
 from fcmi.seeding import derive_seed
-from oracles import threshold_erm_fit, train_predict
+from oracles import threshold_erm_fit, train_predict, where_sigmoid
 
 
 def mk(x, y=0):
@@ -385,6 +386,19 @@ class TestBatchedLinear:
         assert np.array_equal(probs, _scalar_linear_predict(w, queries, "prob"))
         assert sig.tolist() == [1.0, 0.0]
 
+    def test_sigmoid_bits_match_two_division_form(self):
+        edges = [0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -5e-324, 709.8, -709.8,
+                 745.2, -745.2, 36.8, -36.8]
+        rng = np.random.default_rng(17)
+        for scale in (1e-300, 1e-10, 1e-3, 1.0, 30.0, 1e3):
+            for _ in range(4):
+                z = rng.normal(0.0, scale, (10, 1000))
+                z.flat[rng.choice(z.size, len(edges), replace=False)] = edges
+                with np.errstate(invalid="ignore"):
+                    got, want = _sigmoid(z), where_sigmoid(z)
+                assert got.dtype == want.dtype
+                assert np.array_equal(got.view(np.int64), want.view(np.int64)), scale
+
     def test_train_predict_is_a_batch_of_one(self):
         rng = np.random.default_rng(13)
         xs, ys = rng.normal(0.0, 1.0, (9, 2)), rng.integers(0, 2, 9)
@@ -555,6 +569,34 @@ class TestRowsAgainstScalarOracles:
         _check_rows_match_oracle(LearnerSpec("knn", {"k": k}), xs, ys, train_idx, queries,
                                  [0, 0, 0], fcmi.learners._BATCH_CELLS)
 
+    @pytest.mark.parametrize("cap", [fcmi.learners._BATCH_CELLS, 1, 7, 64])
+    @pytest.mark.parametrize("k", [1, 2, 4, 5, 6, 9])
+    @pytest.mark.parametrize("layout", ["stability", "any_order"])
+    def test_knn_rows_share_one_order(self, layout, k, cap):
+        """Labels with gaps, duplicated inputs, a NaN distance, even k (vote
+        ties) and k at or past the training-set size of 5. Point 6 is the NaN
+        point: with k >= 5 a row holding it at the last position needs the
+        last entry of every query's order."""
+        n = 5
+        xs = np.array([[0.1, 0.2], [0.4, 0.0], [0.1, 0.2], [0.7, 0.3],
+                       [0.4, 0.0], [0.2, 0.9], [0.5, np.nan], [0.3, 0.3]])
+        ys = np.array([3, 0, 7, 7, 3, 0, 3, 7])
+        if layout == "stability":
+            # estimate_stability's rows: the base set, then point n swapped in
+            # at position i, so position order is not slot order
+            train_idx = np.tile(np.arange(n), (n + 1, 1))
+            np.fill_diagonal(train_idx[1:], n)
+            train_idx = np.concatenate([train_idx, [[0, 1, 2, 3, 6]]])
+        else:
+            rng = np.random.default_rng(k)
+            train_idx = np.concatenate([
+                np.stack([rng.permutation(len(xs))[:n] for _ in range(7)]),
+                rng.integers(0, len(xs), (3, n)), [[0, 1, 2, 3, 6]]])
+        queries = np.concatenate([xs, [[0.25, 0.1], [0.5, np.nan]]])
+        # exact equality row by row, and int64 predictions like the oracle's
+        _check_rows_match_oracle(LearnerSpec("knn", {"k": k}), xs, ys, train_idx, queries,
+                                 [0] * len(train_idx), cap)
+
     def test_separable_midpoint_rounding_to_upper_point(self):
         # adjacent doubles: their midpoint rounds to one of them, so the cut
         # is compared point by point, not by sorted position
@@ -643,6 +685,25 @@ class TestEnsemble:
 
     def test_unanimous(self):
         assert ensemble_combine([2, 2, 2]) == 2
+
+    def test_cost_does_not_grow_with_label_value(self):
+        # one count per distinct label: counting every class index up to
+        # 2^40 would not finish, so a second is ample
+        def too_slow(signum, frame):
+            raise TimeoutError("the vote did not finish within 1 s")
+
+        previous = signal.signal(signal.SIGALRM, too_slow)
+        signal.setitimer(signal.ITIMER_REAL, 1.0)
+        try:
+            got = ensemble_combine([[0, 2 ** 40, 5], [2 ** 40, 2 ** 40, 2 ** 40], [0, 0, 9]])
+        finally:
+            signal.setitimer(signal.ITIMER_REAL, 0.0)
+            signal.signal(signal.SIGALRM, previous)
+        assert got.tolist() == [0, 2 ** 40, 5] and got.dtype == np.int64
+
+    def test_one_dimensional_vote_is_an_int64_scalar(self):
+        got = ensemble_combine([7, 3, 7, 3])
+        assert type(got) is np.int64 and got == 3
 
     def test_train_predict_combines_members(self):
         members = [{"kind": "knn", "params": {"k": k}} for k in (1, 3, 5)]
