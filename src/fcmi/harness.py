@@ -300,7 +300,7 @@ def _load_pool(config: ExperimentConfig) -> tuple[np.ndarray, np.ndarray] | None
     try:
         xs = np.array([[float(r[f"x_{j}"]) for j in range(dim)] for r in rows])
         ys = np.array([int(r["y"]) for r in rows], dtype=np.int64)
-    except (TypeError, ValueError) as e:
+    except (OverflowError, TypeError, ValueError) as e:
         raise ConfigError(f"{path}: {e}") from e
     if not np.all(np.isfinite(xs)):
         raise ConfigError(f"{path}: features must be finite")

@@ -2,7 +2,7 @@
 of a trial table it estimates, all in nats.
 
 Conventions: 0 * log 0 = 0, empty conditioning cells contribute zero, and the
-plain plug-in estimator is the default (Miller-Madow correction behind a flag).
+estimate is the plain plug-in: no bias correction is applied.
 Exact mode's quantities are the plug-in over every equally weighted split.
 Only finite prediction alphabets reach this estimator; real-valued outputs
 reach their bounds through the stability constants of
@@ -95,13 +95,6 @@ def _lex_codes(columns) -> np.ndarray:
     return _dense_rank(code, size)[0]
 
 
-def _representatives(codes: np.ndarray) -> np.ndarray:
-    """One row index per code."""
-    rep = np.empty(int(codes.max()) + 1, dtype=np.int64)
-    rep[codes] = np.arange(codes.size)
-    return rep
-
-
 # --- counting a joint and summing the plug-in --------------------------------
 
 
@@ -125,25 +118,7 @@ def _sorted_cells(code: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return cells, np.bincount(rank)
 
 
-def _plugin_sums(q, n_abc, margins, quantities: int, rows: int,
-                 bias_correction: bool = False) -> np.ndarray:
-    """Plug-in MI of each quantity from its occupied cells, in lexicographic
-    order: each cell's quantity, count and the codes of its (c), (c, a) and
-    (c, b) margins."""
-    n_c, n_ac, n_bc = (np.bincount(m, weights=n_abc).astype(np.int64)[m] for m in margins)
-    ratio = (n_abc * n_c) / (n_ac * n_bc)
-    mi = np.bincount(q, weights=n_abc * np.log(ratio), minlength=quantities) / rows
-    mi = np.maximum(mi, 0.0)
-    if bias_correction:
-        occ_a, occ_b = (np.bincount(q[np.unique(m, return_index=True)[1]],
-                                    minlength=quantities) for m in margins[1:])
-        occ_ab = np.bincount(q, minlength=quantities)
-        mi = np.maximum(mi + ((occ_a - 1) + (occ_b - 1) - (occ_ab - 1)) / (2 * rows), 0.0)
-    return mi
-
-
-def _packed_mi(cells, n_abc, radices, quantities: int, rows: int,
-               bias_correction: bool = False) -> np.ndarray:
+def _packed_mi(cells, n_abc, radices, quantities: int, rows: int) -> np.ndarray:
     """Plug-in MI of each quantity from the occupied cells of the packed
     joint code ((q * rc + c) * ra + a) * rb + b, ascending, and their counts.
 
@@ -165,7 +140,10 @@ def _packed_mi(cells, n_abc, radices, quantities: int, rows: int,
             margins[j] = np.cumsum(step, out=step)
         else:
             margins[j] = _sorted_rank(margins[j])[0]
-    return _plugin_sums(qc // rc, n_abc, margins, quantities, rows, bias_correction)
+    n_c, n_ac, n_bc = (np.bincount(m, weights=n_abc).astype(np.int64)[m] for m in margins)
+    ratio = (n_abc * n_c) / (n_ac * n_bc)
+    mi = np.bincount(qc // rc, weights=n_abc * np.log(ratio), minlength=quantities) / rows
+    return np.maximum(mi, 0.0)
 
 
 # int64 entries per code array in a batched count; bounds the scratch memory
@@ -200,98 +178,6 @@ def _blocked_mi(quantities: int, rows: int, radices, joint) -> np.ndarray:
     return np.concatenate(out)
 
 
-# --- the general estimator -------------------------------------------------------
-
-
-def _one_pass_cells(symbols, rows: int, quantities: int):
-    """Occupied cells of the joint over (quantity, c, a, b), counted over one
-    mixed-radix code of all their columns: the cells, their counts and the
-    symbols' radices.
-
-    Each column is offset by its minimum, with radix max - min + 1. Returns
-    None when the code's range exceeds the samples (the test ``_dense_rank``
-    applies) or a column is not an int64 after its offset; the radices are
-    read before any code is built.
-    """
-    parts, radices, size = [], [], 1
-    for x in symbols:
-        bounds, radix = [], 1
-        for j in range(0 if x is None else x.shape[2]):
-            # one column at a time, so a wide joint stops at its first overflow
-            lo, hi = int(x[:, :, j].min()), int(x[:, :, j].max())
-            radix *= hi - lo + 1
-            if hi > _INT64_MAX or size * radix > rows:  # > rows * quantities codes
-                return None
-            bounds.append((lo, hi))
-        parts.append((x, bounds))
-        radices.append(radix)
-        size *= radix
-    code = np.empty((rows, quantities), dtype=np.int64)
-    code[:] = np.arange(quantities)
-    for x, bounds in parts:
-        for j, (lo, hi) in enumerate(bounds):
-            code *= hi - lo + 1
-            col = x[:, :, j]
-            code += (col if lo == 0 and np.can_cast(col.dtype, np.int64)
-                     else np.subtract(col, lo, dtype=np.int64))
-    return (*_occupied(code.ravel(), quantities * size), radices)
-
-
-def _folded_cells(symbols, rows: int, quantities: int):
-    """Occupied cells of the joint over (quantity, c, a, b), from dense ranks
-    of each symbol folded pairwise."""
-    q = np.tile(np.arange(quantities), rows)
-
-    def symbol_codes(x: np.ndarray) -> np.ndarray:
-        # codes of (q, symbol); the columns are materialized one at a time
-        x = np.broadcast_to(x, (rows, quantities, x.shape[2]))
-        columns = (x[:, :, j].ravel() for j in range(x.shape[2]))
-        return _lex_codes(itertools.chain([q], columns))
-
-    c, a, b = symbols
-    a_codes, b_codes = symbol_codes(a), symbol_codes(b)
-    cond = q if c is None else symbol_codes(c)
-    ac = _lex_codes([cond, a_codes])
-    bc = _lex_codes([cond, b_codes])
-    abc = _lex_codes([ac, b_codes])
-    rep = _representatives(abc)
-    return q[rep], np.bincount(abc), (cond[rep], ac[rep], bc[rep])
-
-
-def plugin_mi(a, b, c=None, bias_correction: bool = False) -> np.ndarray:
-    """Plug-in I(A; B), or I(A; B | C) when ``c`` is given, for Q quantities.
-
-    Each argument is a (T,), (T, Q) or (T, Q, k) integer array: entry [t, q]
-    is sample t of quantity q's symbol, which spans k integer columns. A (T,)
-    array is one symbol shared by every quantity, and the arguments broadcast
-    over Q. The T rows are equally weighted. Only occupied cells are counted,
-    so alphabet sizes never matter. ``bias_correction`` adds the Miller-Madow
-    correction, which is defined for the unconditional form only. Returns the
-    Q values in nats.
-
-    The occupied (quantity, c, a, b) cells come in lexicographic order from
-    either counting path, so every sum runs in one order and gives the same
-    bits.
-    """
-    args = [np.asarray(x) for x in ((a, b) if c is None else (a, b, c))]
-    if any(x.ndim not in (1, 2, 3) or not np.issubdtype(x.dtype, np.integer)
-           for x in args):
-        raise ContractViolation("symbols must be (T,), (T, Q) or (T, Q, k) integer arrays")
-    if bias_correction and c is not None:
-        raise ContractViolation("the Miller-Madow correction is for unconditional MI")
-    args = [x.reshape(x.shape + (1,) * (3 - x.ndim)) for x in args]
-    rows = args[0].shape[0]
-    if rows < 1:
-        raise ContractViolation("need at least one sample row")
-    quantities = max(x.shape[1] for x in args)
-    symbols = (args[2] if c is not None else None, args[0], args[1])
-    packed = _one_pass_cells(symbols, rows, quantities)
-    if packed is not None:
-        return _packed_mi(*packed, quantities, rows, bias_correction)
-    return _plugin_sums(*_folded_cells(symbols, rows, quantities), quantities, rows,
-                        bias_correction)
-
-
 def product_alphabet_size(alphabet_size: int, m: int) -> int:
     """Cells of the (prediction tuple, split bits) joint for an m-pair subset."""
     return alphabet_size ** (2 * m) * 2 ** m
@@ -312,7 +198,8 @@ def all_subsets(n: int, m: int) -> list[tuple[int, ...]]:
 # table: a pair's prediction code (slot 0, slot 1), the split bits, the
 # split-mask code and row codes of prediction tuples. The lexicographic order
 # of the cells does not depend on which radices the codes use, so these give
-# the bits of ``plugin_mi`` over the same symbols.
+# the bits of a plug-in that gathers the same symbols and folds them column by
+# column.
 
 
 def _unsigned(size: int):

@@ -344,16 +344,6 @@ class LearnerSpec(KindSpec):
         _wrapped(self)  # a wrapped learner's spec is checked like this one
 
 
-def _batch_sets(spec: LearnerSpec, size: int, dim: int, queries: int) -> int:
-    """Training sets of ``size`` rows and ``dim`` features per batch of linear
-    fits predicting ``queries`` queries: as many as keep every stacked array
-    of the batch within ``_BATCH_CELLS`` doubles, and at least one."""
-    per_set = max(size * (dim + 1), queries)
-    if spec.kind == "sgld_linear":
-        per_set = max(per_set, spec.param("steps") * (dim + 1))
-    return max(1, _BATCH_CELLS // per_set)
-
-
 def _linear_predict(w: np.ndarray, query_xs: np.ndarray, output: str) -> np.ndarray:
     """Predictions of (..., d + 1) weights on (Q, d) queries: (..., Q) labels
     or (..., Q, 1) probabilities."""
@@ -412,8 +402,11 @@ def _linear_rows(spec, xs, ys, train_idx, query_xs, seeds):
         w = _LINEAR[spec.kind](xs[idx], ys[idx], seeds[lo:hi], **tuning)
         return _linear_predict(w, query_xs, spec.param("output")), None
 
-    return _in_chunks(fit, len(train_idx),
-                      _batch_sets(spec, train_idx.shape[1], xs.shape[1], len(query_xs)))
+    # the stacked inputs, the predictions and SGLD's noise stream, a training set each
+    per_set = [train_idx.shape[1] * (xs.shape[1] + 1), len(query_xs)]
+    if spec.kind == "sgld_linear":
+        per_set.append(spec.param("steps") * (xs.shape[1] + 1))
+    return _in_chunks(fit, len(train_idx), _chunk_rows(max(per_set)))
 
 
 def _noisy_rows(spec, xs, ys, train_idx, query_xs, seeds):

@@ -2,7 +2,8 @@
 
 The package computes each of these quantities only in batched form: the
 exact information measures of one joint, the symmetrized-KL cap of one set
-of cells, the trial-table quantities from gathered symbols, the subset-size
+of cells, the plug-in estimate of gathered symbols and the trial-table
+quantities it gives, the subset-size
 monotonicity check of one exact trial table, one fit of a learner and one
 random instance of an inequality verifier. The tests compare the batched
 paths against these references, bit for bit where both do the same
@@ -19,7 +20,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from fcmi.core import ContractViolation, TrialTable, split_slots
-from fcmi.infotheory import AbsoluteContinuityError, all_subsets, plugin_mi, subset_mi
+from fcmi.infotheory import AbsoluteContinuityError, all_subsets, subset_mi
 from fcmi.learners import LearnerSpec, _fit_predict_rows, _threshold_weights
 
 _NEG_TOL = 1e-12
@@ -132,12 +133,64 @@ def stability_kl_decomposition(
     return total
 
 
-# --- trial-table quantities from gathered symbols ----------------------------------
+# --- the plug-in estimate of gathered symbols, and the trial-table quantities --
 #
 # The reference for ``fcmi.infotheory``'s ``subset_mi``, ``split_cmi`` and
-# ``mi_testslots``, which build their joint codes from table-wide pair and
-# mask codes: these gather each quantity's symbol columns from the table and
-# hand them to ``plugin_mi``, which folds them column by column.
+# ``mi_testslots``, which build their joint codes arithmetically from
+# table-wide pair and mask codes: these gather each quantity's symbol columns
+# from the table and fold them one column at a time by lexsort. Both count the
+# same occupied cells in the same order, so every MI bit agrees.
+
+
+def _group_codes(prefix: np.ndarray, key: np.ndarray) -> np.ndarray:
+    """Dense rank of each row's (prefix, key) pair; equal pairs share a code.
+
+    Codes are ordered by prefix first, so they refine the prefix's grouping.
+    """
+    order = np.lexsort((key, prefix))
+    p, k = prefix[order], key[order]
+    new = np.empty(order.size, dtype=bool)
+    new[0] = True
+    new[1:] = (p[1:] != p[:-1]) | (k[1:] != k[:-1])
+    codes = np.empty(order.size, dtype=np.int64)
+    codes[order] = np.cumsum(new) - 1
+    return codes
+
+
+def lexsort_plugin_mi(a, b, c=None) -> np.ndarray:
+    """Plug-in I(A; B), or I(A; B | C) when ``c`` is given, for Q quantities.
+
+    Each argument is a (T,), (T, Q) or (T, Q, k) integer array: entry [t, q]
+    is sample t of quantity q's symbol, which spans k integer columns. A (T,)
+    array is one symbol shared by every quantity, and the arguments broadcast
+    over Q. The T rows are equally weighted. Returns the Q values in nats.
+    """
+    args = [np.asarray(x) for x in ((a, b) if c is None else (a, b, c))]
+    args = [x.reshape(x.shape + (1,) * (3 - x.ndim)) for x in args]
+    rows = args[0].shape[0]
+    quantities = max(x.shape[1] for x in args)
+    q = np.tile(np.arange(quantities), rows)
+
+    def symbol_codes(x: np.ndarray) -> np.ndarray:
+        # fold the symbol's columns in one at a time: codes of (q, symbol)
+        x = np.broadcast_to(x, (rows, quantities, x.shape[2]))
+        codes = q
+        for j in range(x.shape[2]):
+            codes = _group_codes(codes, x[:, :, j].ravel())
+        return codes
+
+    a_codes, b_codes = symbol_codes(args[0]), symbol_codes(args[1])
+    cond = symbol_codes(args[2]) if c is not None else q
+    ac = _group_codes(cond, a_codes)
+    bc = _group_codes(cond, b_codes)
+    abc = _group_codes(ac, b_codes)
+    rep = np.unique(abc, return_index=True)[1]  # one row of each cell
+    n_abc = np.bincount(abc)
+    ratio = (n_abc * np.bincount(cond)[cond[rep]]) / (
+        np.bincount(ac)[ac[rep]] * np.bincount(bc)[bc[rep]])
+    mi = np.bincount(q[rep], weights=n_abc * np.log(ratio), minlength=quantities) / rows
+    return np.maximum(mi, 0.0)
+
 
 # (row, subset) cells per estimator call in ``gathered_subset_mi``
 _CELLS_PER_CALL = 2 ** 14
@@ -159,7 +212,7 @@ def gathered_subset_mi(table: TrialTable, subsets, use_weights: bool = False) ->
     for idx in np.split(subsets, range(step, len(subsets), step)):
         target = (table.weight_code if use_weights
                   else pair_preds[:, idx].reshape(rows, len(idx), -1))
-        out.append(plugin_mi(target, table.masks[:, idx]))
+        out.append(lexsort_plugin_mi(target, table.masks[:, idx]))
     return np.concatenate(out)
 
 
@@ -169,14 +222,14 @@ def gathered_split_cmi(table: TrialTable, all_pairs: bool = False) -> np.ndarray
     rest = np.array([[j for j in range(n) if j != i] for i in range(n)],
                     dtype=np.int64).reshape(n, n - 1)
     target = table.preds[:, None] if all_pairs else table.preds.reshape(rows, n, 2)
-    return plugin_mi(target, table.masks, table.masks[:, rest])
+    return lexsort_plugin_mi(target, table.masks, table.masks[:, rest])
 
 
 def gathered_mi_testslots(table: TrialTable) -> float:
     """I(predictions on the test slots only ; S)."""
     _, test_slots = split_slots(table.masks)
     test_preds = np.take_along_axis(table.preds, test_slots, axis=1)
-    return float(plugin_mi(test_preds[:, None], table.masks[:, None])[0])
+    return float(lexsort_plugin_mi(test_preds[:, None], table.masks[:, None])[0])
 
 
 # --- subset-size monotonicity of the exact subset bounds --------------------------

@@ -13,10 +13,10 @@ import numpy as np
 import pytest
 
 from fcmi.bounds import ensemble_fcmi_bound, vc_fcmi_bound
-from fcmi.core import exact_rows
+from fcmi.core import PredictionSpace, TrialTable, exact_rows
 from fcmi.datagen import GeneratorSpec, sample_supersample
 from fcmi.harness import ExperimentConfig, canonical_json, run_experiment
-from fcmi.infotheory import plugin_mi, subset_mi
+from fcmi.infotheory import subset_mi
 from fcmi.learners import LearnerSpec, fill_table
 from fcmi.lemma_lab import run_all_verifiers
 from fcmi.seeding import derive_seed
@@ -160,7 +160,13 @@ def test_c07_plugin_estimator_convergence():
 
     rng = np.random.default_rng(2024)
     draws = rng.choice(4, size=10 ** 5, p=probs)
-    err = abs(plugin_mi(draws // 2, draws % 2)[0] - exact)
+    # a one-pair table with pair code (a, 0) and split bit b: its subset MI
+    # is the plug-in I(A; B)
+    a, b = draws // 2, draws % 2
+    table = TrialTable("ss000", PredictionSpace("finite", 2), b[:, None].astype(np.uint8),
+                       np.arange(len(draws)), np.stack([a, np.zeros_like(a)], axis=1),
+                       np.zeros(len(draws)), np.zeros(len(draws)))
+    err = abs(subset_mi(table, [(0,)])[0] - exact)
 
     # bias trend: mean plug-in MI over many multinomial resamples, vectorized
     def mean_plugin_mi(k, reps):

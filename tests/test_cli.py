@@ -272,6 +272,26 @@ class TestConfigCheck:
         assert fits == []
         assert not (tmp_path / "out" / "report.json").exists()
 
+    @pytest.mark.parametrize("command", ["run", "sweep"])
+    def test_csv_label_past_int64_is_config_error(self, tmp_path, monkeypatch, capsys, command):
+        """A csv label of 2^63 or more fits no int64 label: the pool is
+        refused at config check, for a run and for a sweep's second member."""
+        fits = count_fits(monkeypatch)
+        pool = tmp_path / "pool.csv"
+        pool.write_text("x_0,y\n" + "".join(f"{i / 10},{2 ** 70 if i == 3 else i % 2}\n"
+                                            for i in range(6)), encoding="utf-8")
+        bad = json.loads(write_config(tmp_path, n=3, learner={"kind": "knn", "params": {"k": 1}},
+                                      data={"kind": "csv", "params": {"path": str(pool)}},
+                                      ).read_text())
+        path = tmp_path / "config.json"
+        if command == "sweep":
+            good = json.loads(write_config(tmp_path, name="good.json").read_text())
+            path.write_text(json.dumps({"configs": [good, bad]}), encoding="utf-8")
+        assert main([command, str(path), "-o", str(tmp_path / "out")]) == 2
+        assert "pool.csv" in capsys.readouterr().err
+        assert fits == []
+        assert not list(tmp_path.glob("out/report*.json"))
+
     @pytest.mark.parametrize("flags", [[], ["--seed", "3"], ["--jobs", "2"], ["--set", "n=4"],
                                        ["--clip-bounds"]],
                              ids=["none", "seed", "jobs", "set", "clip_bounds"])

@@ -1,7 +1,6 @@
 import dataclasses
-import itertools
 import math
-from unittest import mock
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,22 +12,22 @@ from fcmi.core import (ENUMERATION_LIMIT, ContractViolation, PredictionSpace, Si
 from fcmi.infotheory import (
     AbsoluteContinuityError,
     all_subsets,
-    plugin_mi,
     product_alphabet_size,
     split_cmi,
     subset_mi,
     mi_testslots,
 )
-import fcmi.infotheory
-from fcmi.infotheory import _lex_codes, _one_pass_cells, _representatives
+from fcmi.infotheory import _lex_codes, _occupied, _packed_mi
 from fcmi.learners import LearnerSpec, fill_table
 from oracles import (
+    _group_codes,
     conditional_mutual_information,
     entropy,
     gathered_mi_testslots,
     gathered_split_cmi,
     gathered_subset_mi,
     kl_divergence,
+    lexsort_plugin_mi,
     mutual_information,
 )
 
@@ -165,19 +164,13 @@ def _sparse_mi(weights):
     return max(val, 0.0)
 
 
-def plugin_mi_oracle(pairs, bias_correction=False):
+def plugin_mi_oracle(pairs):
     """Oracle: dict-counting plug-in MI of (hashable, hashable) samples."""
     n = len(pairs)
     counts = {}
     for key in pairs:
         counts[key] = counts.get(key, 0) + 1
-    mi = _sparse_mi({k: c / n for k, c in counts.items()})
-    if bias_correction:
-        occ_a = len({a for a, _ in counts})
-        occ_b = len({b for _, b in counts})
-        mi += ((occ_a - 1) + (occ_b - 1) - (len(counts) - 1)) / (2 * n)
-        mi = max(mi, 0.0)
-    return mi
+    return _sparse_mi({k: c / n for k, c in counts.items()})
 
 
 def cmi_oracle(triples):
@@ -194,9 +187,23 @@ def cmi_oracle(triples):
     return total
 
 
-def pairs_mi(pairs, **kwargs):
-    a, b = np.array(pairs).T
-    return float(plugin_mi(a, b, **kwargs)[0])
+def table_of(masks, preds) -> TrialTable:
+    """A finite trial table of (T, n) split bits and (T, 2n) predictions."""
+    rows = len(masks)
+    return TrialTable("ss000", PredictionSpace("finite", 2), np.asarray(masks, dtype=np.uint8),
+                      np.arange(rows), preds, np.zeros(rows), np.zeros(rows))
+
+
+def pair_mi(a, b) -> float:
+    """The plug-in I(A; B) of symbols a and split bits b, read through
+    ``subset_mi`` from a one-pair table whose pair code is (a, 0)."""
+    a = np.asarray(a)
+    return float(subset_mi(table_of(np.reshape(b, (-1, 1)),
+                                    np.stack([a, np.zeros_like(a)], axis=1)), [(0,)])[0])
+
+
+def pairs_mi(pairs):
+    return pair_mi(*np.array(pairs).T)
 
 
 class TestPluginEstimator:
@@ -211,34 +218,23 @@ class TestPluginEstimator:
         exact = mi_oracle({(0, 0): 3 / 8, (0, 1): 1 / 8, (1, 0): 1 / 8, (1, 1): 3 / 8})
         rng = np.random.default_rng(7)
         draws = rng.choice(4, size=10 ** 5, p=[3 / 8, 1 / 8, 1 / 8, 3 / 8])
-        assert abs(plugin_mi(draws // 2, draws % 2)[0] - exact) <= 0.01
+        assert abs(pair_mi(draws // 2, draws % 2) - exact) <= 0.01
+
+    def test_rounding_below_zero_reads_zero(self):
+        # counts (10000, 9999; 10001, 10000): I(A; B) is about 1e-18 nats, and
+        # the rounded plug-in sum lands below zero
+        a, b = np.repeat([[0, 0, 1, 1], [0, 1, 0, 1]], [10000, 9999, 10001, 10000], axis=1)
+        assert pair_mi(a, b) == 0.0
 
     def test_order_independence(self):
         rng = np.random.default_rng(3)
-        pairs = rng.integers(0, 3, (500, 2))
+        pairs = rng.integers(0, 3, (500, 2)) % [3, 2]  # the split bit is binary
         shuffled = rng.permutation(pairs)
         assert pairs_mi(pairs) == pairs_mi(shuffled)
-
-    def test_miller_madow_shrinks_bias(self):
-        # plug-in MI of an independent joint is biased up; the correction helps
-        rng = np.random.default_rng(11)
-        plain, corrected = [], []
-        for _ in range(300):
-            pairs = rng.integers(0, 2, (200, 2))
-            plain.append(pairs_mi(pairs))
-            corrected.append(pairs_mi(pairs, bias_correction=True))
-        assert abs(np.mean(corrected)) < abs(np.mean(plain))
 
     def test_product_alphabet_size(self):
         assert product_alphabet_size(2, 1) == 8
         assert product_alphabet_size(2, 3) == 2 ** 6 * 2 ** 3
-
-    def test_rejects_float_symbols_and_conditional_correction(self):
-        with pytest.raises(ContractViolation):
-            plugin_mi(np.array([0.5, 1.0]), np.array([0, 1]))
-        with pytest.raises(ContractViolation):
-            plugin_mi(np.array([0, 1]), np.array([0, 1]), np.array([0, 0]),
-                      bias_correction=True)
 
 
 # random trial tables: n pairs, k prediction classes, T rows, a data seed
@@ -255,29 +251,29 @@ def random_rows(n, k, rows, seed):
 
 
 class TestEstimatorAgainstOracles:
-    """The batched estimator against the dict-based plug-in, on random tables."""
+    """The table estimators against the dict-based plug-in, on random tables."""
 
-    @given(tables, st.booleans())
+    @given(tables)
     @settings(max_examples=150, deadline=None)
-    def test_per_pair_mi_batched(self, shape, bias_correction):
+    def test_per_pair_mi_batched(self, shape):
         n, k, rows, seed = shape
         masks, preds = random_rows(n, k, rows, seed)
-        got = plugin_mi(preds.reshape(rows, n, 2), masks, bias_correction=bias_correction)
+        got = subset_mi(table_of(masks, preds), [(i,) for i in range(n)])
         assert got.shape == (n,)
         for i in range(n):
             samples = [((int(p[2 * i]), int(p[2 * i + 1])), int(m[i]))
                        for p, m in zip(preds, masks)]
-            expected = plugin_mi_oracle(samples, bias_correction=bias_correction)
+            expected = plugin_mi_oracle(samples)
             assert got[i] == pytest.approx(expected, rel=1e-12, abs=1e-12)
 
-    @given(tables, st.booleans())
+    @given(tables)
     @settings(max_examples=150, deadline=None)
-    def test_full_tuple_mi(self, shape, bias_correction):
+    def test_full_tuple_mi(self, shape):
         n, k, rows, seed = shape
         masks, preds = random_rows(n, k, rows, seed)
-        got = plugin_mi(preds[:, None], masks[:, None], bias_correction=bias_correction)
+        got = subset_mi(table_of(masks, preds), [tuple(range(n))])
         samples = [(tuple(p.tolist()), tuple(m.tolist())) for p, m in zip(preds, masks)]
-        expected = plugin_mi_oracle(samples, bias_correction=bias_correction)
+        expected = plugin_mi_oracle(samples)
         assert got[0] == pytest.approx(expected, rel=1e-12, abs=1e-12)
 
     @given(tables, st.booleans())
@@ -285,75 +281,13 @@ class TestEstimatorAgainstOracles:
     def test_per_bit_cmi_given_other_bits(self, shape, all_pairs):
         n, k, rows, seed = shape
         masks, preds = random_rows(n, k, rows, seed)
-        rest = np.array([[j for j in range(n) if j != i] for i in range(n)],
-                        dtype=np.int64).reshape(n, n - 1)
-        target = preds[:, None] if all_pairs else preds.reshape(rows, n, 2)
-        got = plugin_mi(target, masks, masks[:, rest])
+        got = split_cmi(table_of(masks, preds), all_pairs)
         for i in range(n):
             triples = [
                 (tuple(p.tolist()) if all_pairs else (int(p[2 * i]), int(p[2 * i + 1])),
                  int(m[i]), tuple(int(b) for j, b in enumerate(m) if j != i))
                 for p, m in zip(preds, masks)]
             assert got[i] == pytest.approx(cmi_oracle(triples), rel=1e-12, abs=1e-12)
-
-
-# The lexsort fold the packed codes replaced, kept verbatim (bar the names) as
-# an oracle: packing must give the same dense ranks, so every MI bit agrees.
-
-
-def _group_codes(prefix: np.ndarray, key: np.ndarray) -> np.ndarray:
-    """Dense rank of each row's (prefix, key) pair; equal pairs share a code.
-
-    Codes are ordered by prefix first, so they refine the prefix's grouping.
-    """
-    order = np.lexsort((key, prefix))
-    p, k = prefix[order], key[order]
-    new = np.empty(order.size, dtype=bool)
-    new[0] = True
-    new[1:] = (p[1:] != p[:-1]) | (k[1:] != k[:-1])
-    codes = np.empty(order.size, dtype=np.int64)
-    codes[order] = np.cumsum(new) - 1
-    return codes
-
-
-def _lexsort_plugin_mi(a, b, c=None, bias_correction: bool = False) -> np.ndarray:
-    args = [np.asarray(x) for x in ((a, b) if c is None else (a, b, c))]
-    if any(x.ndim not in (1, 2, 3) or not np.issubdtype(x.dtype, np.integer)
-           for x in args):
-        raise ContractViolation("symbols must be (T,), (T, Q) or (T, Q, k) integer arrays")
-    if bias_correction and c is not None:
-        raise ContractViolation("the Miller-Madow correction is for unconditional MI")
-    args = [x.reshape(x.shape + (1,) * (3 - x.ndim)) for x in args]
-    rows = args[0].shape[0]
-    if rows < 1:
-        raise ContractViolation("need at least one sample row")
-    quantities = max(x.shape[1] for x in args)
-    q = np.tile(np.arange(quantities), rows)
-
-    def symbol_codes(x: np.ndarray) -> np.ndarray:
-        # fold the symbol's columns in one at a time: codes of (q, symbol)
-        x = np.broadcast_to(x, (rows, quantities, x.shape[2]))
-        codes = q
-        for j in range(x.shape[2]):
-            codes = _group_codes(codes, x[:, :, j].ravel())
-        return codes
-
-    a_codes, b_codes = symbol_codes(args[0]), symbol_codes(args[1])
-    cond = symbol_codes(args[2]) if c is not None else q
-    ac = _group_codes(cond, a_codes)
-    bc = _group_codes(cond, b_codes)
-    abc = _group_codes(ac, b_codes)
-    rep = _representatives(abc)
-    n_abc = np.bincount(abc)
-    ratio = (n_abc * np.bincount(cond)[cond[rep]]) / (
-        np.bincount(ac)[ac[rep]] * np.bincount(bc)[bc[rep]])
-    mi = np.bincount(q[rep], weights=n_abc * np.log(ratio), minlength=quantities) / rows
-    mi = np.maximum(mi, 0.0)
-    if bias_correction:
-        occ_a, occ_b, occ_ab = (np.bincount(q[_representatives(g)], minlength=quantities)
-                                for g in (ac, bc, abc))
-        mi = np.maximum(mi + ((occ_a - 1) + (occ_b - 1) - (occ_ab - 1)) / (2 * rows), 0.0)
-    return mi
 
 
 _INT64 = np.iinfo(np.int64)
@@ -374,32 +308,7 @@ _SYMBOL_KINDS = {
 }
 
 
-class TestPackedCodesAgainstLexsortOracle:
-    @given(st.data())
-    @settings(max_examples=200, deadline=None)
-    def test_plugin_mi_equals_lexsort_oracle(self, data):
-        rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
-        rows = data.draw(st.integers(1, 60))
-        quantities = data.draw(st.integers(1, 4))
-
-        def symbol(name):
-            ndim = data.draw(st.sampled_from([1, 2, 3]), label=f"{name} ndim")
-            cols = data.draw(st.integers(1, 12), label=f"{name} columns")
-            shape = {1: (rows,), 2: (rows, quantities), 3: (rows, quantities, cols)}[ndim]
-            draw = _SYMBOL_KINDS[data.draw(st.sampled_from(sorted(_SYMBOL_KINDS)),
-                                           label=f"{name} kind")]
-            return draw(rng, shape)
-
-        a, b = symbol("a"), symbol("b")
-        if data.draw(st.booleans(), label="conditional"):
-            c = symbol("c")
-            got, expected = plugin_mi(a, b, c), _lexsort_plugin_mi(a, b, c)
-        else:
-            bias = data.draw(st.booleans(), label="bias_correction")
-            got = plugin_mi(a, b, bias_correction=bias)
-            expected = _lexsort_plugin_mi(a, b, bias_correction=bias)
-        assert np.array_equal(got, expected)
-
+class TestLexCodesAgainstLexsortOracle:
     @given(st.integers(0, 2 ** 32 - 1), st.integers(1, 80), st.integers(1, 40),
            st.sampled_from(sorted(_SYMBOL_KINDS)))
     @settings(max_examples=100, deadline=None)
@@ -412,134 +321,6 @@ class TestPackedCodesAgainstLexsortOracle:
         for col in cols:
             expected = _group_codes(expected, col)
         assert np.array_equal(_lex_codes(cols), expected)
-
-    def test_fold_past_int64_rerank(self):
-        # 70 binary columns need 2^70 codes: at least one re-rank on the way
-        rng = np.random.default_rng(4)
-        x = rng.integers(0, 2, (50, 1, 70))
-        m = rng.integers(0, 2, 50)
-        assert np.array_equal(plugin_mi(x, m), _lexsort_plugin_mi(x, m))
-        assert np.array_equal(plugin_mi(x, m, bias_correction=True),
-                              _lexsort_plugin_mi(x, m, bias_correction=True))
-
-    def test_trial_table_quantities_equal_oracle(self):
-        rng = np.random.default_rng(5)
-        ss = random_supersample(rng, 6)
-        table = exact_table(ss, LearnerSpec("knn", {"k": 3}), seeds=(1, 2))
-        n, rows = table.n, len(table.masks)
-        rest = np.array([[j for j in range(n) if j != i] for i in range(n)])
-        for target in (table.preds.reshape(rows, n, 2), table.preds[:, None]):
-            assert np.array_equal(plugin_mi(target, table.masks, table.masks[:, rest]),
-                                  _lexsort_plugin_mi(target, table.masks,
-                                                     table.masks[:, rest]))
-        assert np.array_equal(plugin_mi(table.preds[:, None], table.masks[:, None]),
-                              _lexsort_plugin_mi(table.preds[:, None], table.masks[:, None]))
-
-
-# The packed-code fold the one-pass joint code replaced, kept verbatim (bar
-# the name) as an oracle: both count the same occupied cells in the same
-# order, so every MI bit agrees.
-
-
-def _packed_fold_plugin_mi(a, b, c=None, bias_correction: bool = False) -> np.ndarray:
-    args = [np.asarray(x) for x in ((a, b) if c is None else (a, b, c))]
-    if any(x.ndim not in (1, 2, 3) or not np.issubdtype(x.dtype, np.integer)
-           for x in args):
-        raise ContractViolation("symbols must be (T,), (T, Q) or (T, Q, k) integer arrays")
-    if bias_correction and c is not None:
-        raise ContractViolation("the Miller-Madow correction is for unconditional MI")
-    args = [x.reshape(x.shape + (1,) * (3 - x.ndim)) for x in args]
-    rows = args[0].shape[0]
-    if rows < 1:
-        raise ContractViolation("need at least one sample row")
-    quantities = max(x.shape[1] for x in args)
-    q = np.tile(np.arange(quantities), rows)
-
-    def symbol_codes(x: np.ndarray) -> np.ndarray:
-        # codes of (q, symbol); the columns are materialized one at a time
-        x = np.broadcast_to(x, (rows, quantities, x.shape[2]))
-        columns = (x[:, :, j].ravel() for j in range(x.shape[2]))
-        return _lex_codes(itertools.chain([q], columns))
-
-    a_codes, b_codes = symbol_codes(args[0]), symbol_codes(args[1])
-    cond = symbol_codes(args[2]) if c is not None else q
-    ac = _lex_codes([cond, a_codes])
-    bc = _lex_codes([cond, b_codes])
-    abc = _lex_codes([ac, b_codes])
-    rep = _representatives(abc)
-    n_abc = np.bincount(abc)
-    ratio = (n_abc * np.bincount(cond)[cond[rep]]) / (
-        np.bincount(ac)[ac[rep]] * np.bincount(bc)[bc[rep]])
-    mi = np.bincount(q[rep], weights=n_abc * np.log(ratio), minlength=quantities) / rows
-    mi = np.maximum(mi, 0.0)
-    if bias_correction:
-        occ_a, occ_b, occ_ab = (np.bincount(q[_representatives(g)], minlength=quantities)
-                                for g in (ac, bc, abc))
-        mi = np.maximum(mi + ((occ_a - 1) + (occ_b - 1) - (occ_ab - 1)) / (2 * rows), 0.0)
-    return mi
-
-
-def _symbols_path(a, b, c=None) -> bool:
-    """Whether plugin_mi counts these symbols in one pass (else it re-ranks)."""
-    args = [np.asarray(x) for x in ((a, b) if c is None else (a, b, c))]
-    args = [x.reshape(x.shape + (1,) * (3 - x.ndim)) for x in args]
-    quantities = max(x.shape[1] for x in args)
-    symbols = (args[2] if c is not None else None, args[0], args[1])
-    return _one_pass_cells(symbols, args[0].shape[0], quantities) is not None
-
-
-class TestOnePassAgainstPackedFold:
-    @given(st.data())
-    @settings(max_examples=300, deadline=None)
-    def test_plugin_mi_equals_packed_fold(self, data):
-        """Small alphabets take the one-pass code and wide ones the re-rank;
-        both must give the fold's bits, conditional or not."""
-        rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
-        rows = data.draw(st.integers(1, 80))
-        quantities = data.draw(st.integers(1, 5))
-
-        def symbol(name):
-            ndim = data.draw(st.sampled_from([1, 2, 3]), label=f"{name} ndim")
-            cols = data.draw(st.integers(1, 4), label=f"{name} columns")
-            shape = {1: (rows,), 2: (rows, quantities), 3: (rows, quantities, cols)}[ndim]
-            kind = data.draw(st.sampled_from(["binary", "binary", "offset"]
-                                             + sorted(_SYMBOL_KINDS)), label=f"{name} kind")
-            if kind == "binary":
-                return rng.integers(0, 2, shape).astype(
-                    data.draw(st.sampled_from([np.uint8, np.int64]), label=f"{name} dtype"))
-            if kind == "offset":
-                return rng.integers(2 ** 40, 2 ** 40 + 3, shape)
-            return _SYMBOL_KINDS[kind](rng, shape)
-
-        a, b = symbol("a"), symbol("b")
-        c = symbol("c") if data.draw(st.booleans(), label="conditional") else None
-        bias = c is None and data.draw(st.booleans(), label="bias_correction")
-        got = plugin_mi(a, b, c, bias_correction=bias)
-        assert np.array_equal(got, _packed_fold_plugin_mi(a, b, c, bias_correction=bias))
-
-    def test_both_paths_taken(self):
-        rng = np.random.default_rng(6)
-        masks = rng.integers(0, 2, (40, 5)).astype(np.uint8)
-        preds = rng.integers(0, 2, (40, 5, 2))
-        rest = np.array([[j for j in range(5) if j != i] for i in range(5)])
-        cases = [(preds, masks, None), (preds, masks, masks[:, rest]),
-                 (preds.reshape(40, 1, 10), masks[:, None], None)]
-        assert [_symbols_path(*case) for case in cases] == [True, False, False]
-        assert _symbols_path(preds[:, :2], masks[:, :2], masks[:, 2:3])
-        for a, b, c in cases + [(preds[:, :2], masks[:, :2], masks[:, 2:3])]:
-            assert np.array_equal(plugin_mi(a, b, c), _packed_fold_plugin_mi(a, b, c))
-
-    def test_wide_codes_keep_the_rerank(self):
-        """int64 weight codes whose max - min overflows an int64 are re-ranked,
-        never folded into one code."""
-        codes = np.array([np.iinfo(np.int64).min, -1, 0, np.iinfo(np.int64).max] * 5)
-        masks = np.random.default_rng(7).integers(0, 2, (20, 3)).astype(np.uint8)
-        assert not _symbols_path(codes, masks)
-        with mock.patch.object(fcmi.infotheory, "_folded_cells",
-                               wraps=fcmi.infotheory._folded_cells) as folded:
-            got = plugin_mi(codes, masks)
-        assert folded.called
-        assert np.array_equal(got, _packed_fold_plugin_mi(codes, masks))
 
 
 _KNN = [{"kind": "knn", "params": {"k": k}} for k in (1, 3)]
@@ -644,6 +425,23 @@ class TestTableCodesAgainstGatheredOracle:
             assert np.array_equal(got, gathered_split_cmi(wide, all_pairs))
         assert mi_testslots(wide) == mi_testslots(ranked) == gathered_mi_testslots(wide)
 
+    def test_wide_margins_are_counted_by_rank(self):
+        """Margins whose code range exceeds the rows are ranked before they
+        are counted, so a few cells of a wide joint take memory by the cells,
+        not by the range, and give the oracle's bits."""
+        rows, radix = 40, 2 ** 11
+        a, b, c = np.random.default_rng(14).choice([0, 7, radix - 1], (3, rows))
+        b[:30] = a[:30]  # B leans on A
+        cells, counts = _occupied((c * radix + a) * radix + b, radix ** 3)
+        tracemalloc.start()
+        try:
+            got = _packed_mi(cells, counts, (radix, radix, radix), 1, rows)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 ** 16  # an unranked (c, a) or (c, b) margin counts 2^22 codes
+        assert np.array_equal(got, lexsort_plugin_mi(a, b, c))
+
     def test_chunks_and_blocks(self):
         """A table of many rows and a family of many subsets spans several
         code chunks and sum blocks, which move no bit."""
@@ -740,7 +538,7 @@ class TestExactEnumeration:
     def test_subset_mi_full_matches_mi_all(self):
         table = exact_table(threshold_instance(), LearnerSpec("threshold_erm"))
         assert subset_mi(table, [(0, 1)])[0] == pytest.approx(
-            plugin_mi(table.preds[:, None], table.masks[:, None])[0], abs=1e-12)
+            lexsort_plugin_mi(table.preds[:, None], table.masks[:, None])[0], abs=1e-12)
 
     def test_size_limit(self):
         # refused before any array is allocated

@@ -327,7 +327,7 @@ class TestBatchedLinear:
         rng = np.random.default_rng(12)
         size = 200
         spec = LearnerSpec(kind, {"steps": 3, "output": "prob"})
-        n_sets = fcmi.learners._batch_sets(spec, size, 2, 7) + 2
+        n_sets = fcmi.learners._chunk_rows(size * 3) + 2  # size·(dim + 1) doubles a set
         xs = rng.normal(0.0, 1.0, (2 * size, 2))
         ys = rng.integers(0, 2, 2 * size)
         train_idx = np.stack([rng.permutation(2 * size)[:size] for _ in range(n_sets)])
@@ -347,7 +347,10 @@ class TestBatchedLinear:
         and the predictions within _BATCH_CELLS doubles, and at least one."""
         assert fcmi.learners._BATCH_CELLS == 2 ** 15
         spec = LearnerSpec(kind, {"steps": steps})
-        assert fcmi.learners._batch_sets(spec, size, dim, 2 * size) == sets
+        with mock.patch.object(fcmi.learners, "_in_chunks") as chunks:
+            _fit_predict_rows(spec, np.zeros((size, dim)), np.zeros(size),
+                              np.arange(size)[None], np.broadcast_to(0.0, (2 * size, dim)), [0])
+        assert chunks.call_args.args[1:] == (1, sets)
 
     def test_sgld_noise_blocks_stay_within_cap(self, monkeypatch):
         """One wide set with a long run draws its noise a block of steps at a
