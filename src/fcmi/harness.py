@@ -14,7 +14,7 @@ import json
 import math
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import MISSING, asdict, dataclass, field, fields, replace
+from dataclasses import MISSING, asdict, dataclass, field, fields
 from pathlib import Path
 from typing import Callable, NamedTuple
 
@@ -330,69 +330,74 @@ def _draw_supersample(config: ExperimentConfig, a: int, pool=None) -> Supersampl
 
 
 class Bound(NamedTuple):
-    """One bound: what it needs, the estimate it reads and how its report is
-    formed. ``make(config, values, digest, run)`` gets the ``reads`` field of
-    every supersample result (None without one), the digest every bound
-    shares, and the run's subset meta and stability constants.
+    """One bound, declared whole. ``form(config, values, run)`` is each
+    supersample's bound as a (k1,) array, or the run's one value; ``values``
+    is the ``reads`` field of every supersample result as a float array
+    (None without one), ``run`` the run's subset meta and stability
+    constants. ``inputs`` gives its digest keys past mode, k2 and loss.
     ``cells(config, k)`` is its monte_carlo joint alphabet over ``k``
     prediction symbols."""
 
     space: str  # the prediction space it needs: "finite" or "real"
-    make: Callable
+    form: Callable
     reads: str | None = None  # the SupersampleResult field it reads
+    inputs: Callable = lambda c, v, run: {"k1": len(v), "n": c.n}
+    tag: str | None = None  # default: the name with "-" for "_"
     learner: str | None = None  # the one learner kind it is implemented for
     exact_only: bool = False
     needs_m: bool = False  # needs subset_policy.m
     cells: Callable | None = None
 
 
-def _vc_report(config, values, digest, run) -> bnd.BoundReport:
-    # growth-function cap on f-CMI (nats), turned into a gap bound by the
-    # fcmi_mn form
-    cap = bnd.vc_fcmi_bound(1, config.n)
-    return bnd.BoundReport(
-        name="vc", value=math.sqrt(2.0 * cap / config.n), spread=None,
-        inputs_digest={**digest, "d_vc": 1, "n": config.n, "fcmi_cap": cap},
-        tag="vc-sauer-shelah")
+def _per_pair_roots(c, v, run):
+    return np.mean(np.sqrt(2.0 * v), axis=1)
+
+
+def _full_tuple_roots(c, v, run):
+    return np.sqrt(2.0 * v / c.n)
 
 
 BOUNDS: dict[str, Bound] = {
-    "fcmi_m1": Bound(
-        "finite", lambda c, v, d, run: bnd.fcmi_bound_m1(v, d), reads="mi_per_index"),
-    "fcmi_mn": Bound(
-        "finite", lambda c, v, d, run: bnd.fcmi_bound_mn(v, c.n, d), reads="fcmi_full",
-        cells=lambda c, k: product_alphabet_size(k, c.n)),
+    "fcmi_m1": Bound("finite", _per_pair_roots, reads="mi_per_index"),
+    "fcmi_mn": Bound("finite", _full_tuple_roots, reads="fcmi_full",
+                     cells=lambda c, k: product_alphabet_size(k, c.n)),
     "fcmi_subset_m": Bound(
-        "finite", lambda c, v, d, run: bnd.fcmi_bound_general_m(
-            v, c.subset_m, {**d, **run["subsets"]}),
+        "finite", lambda c, v, run: np.mean(np.sqrt(2.0 * v / c.subset_m), axis=1),
         reads="subset_mi", needs_m=True,
+        inputs=lambda c, v, run: {"k1": len(v), "m": c.subset_m, "subsets": v.shape[1],
+                                  **run["subsets"]},
         cells=lambda c, k: product_alphabet_size(k, c.subset_m)),
     "fcmi_squared": Bound(
-        "finite", lambda c, v, d, run: bnd.fcmi_squared_bound(float(np.mean(v)), c.n, d),
-        reads="fcmi_full", cells=lambda c, k: product_alphabet_size(k, c.n)),
+        "finite", lambda c, v, run: (8.0 / c.n) * (float(np.mean(v)) + 2.0),
+        reads="fcmi_full", cells=lambda c, k: product_alphabet_size(k, c.n),
+        inputs=lambda c, v, run: {"n": c.n, "fcmi_mean": float(np.mean(v))}),
     "cmi_weights": Bound(
-        "finite", lambda c, v, d, run: bnd.cmi_weight_bound(v, c.n, d),
-        reads="weight_mi_full", learner="threshold_erm",
+        "finite", _full_tuple_roots, reads="weight_mi_full", learner="threshold_erm",
         # achievable thresholds: midpoints of any two pool values + edges
         cells=lambda c, k: (2 * c.n * c.n + c.n + 2) * 2 ** c.n),
-    "fcmi_stability": Bound(
-        "finite", lambda c, v, d, run: bnd.stability_fcmi_bound(v, d),
-        reads="cmi_per_index", exact_only=True),
+    "fcmi_stability": Bound("finite", _per_pair_roots, reads="cmi_per_index",
+                            exact_only=True),
     "fcmi_stability_squared": Bound(
-        "finite", lambda c, v, d, run: bnd.stability_fcmi_squared_bound(v, c.n, d),
+        "finite", lambda c, v, run: (8.0 / c.n) * (np.sum(v, axis=1) + 2.0),
         reads="cmi_allpairs_per_index", exact_only=True),
-    "vc": Bound("finite", _vc_report, learner="threshold_erm"),
-    "ensemble_mn": Bound("finite", lambda c, v, d, run: replace(
-        bnd.fcmi_bound_mn([bnd.ensemble_fcmi_bound(r) for r in v], c.n), name="ensemble_mn",
-        tag="ensemble-sum", inputs_digest={**d, "members": len(v[0]), "n": c.n}),
-        reads="member_fcmi", learner="ensemble", exact_only=True),
-    "det_stability": Bound("real", lambda c, v, d, run: bnd.BoundReport(
-        name="det_stability", value=bnd.deterministic_stability_bound(run["constants"]),
-        spread=None, inputs_digest={**d, **run["stability"]}, tag="det-stability")),
-    "det_stability_squared": Bound("real", lambda c, v, d, run: bnd.BoundReport(
-        name="det_stability_squared", spread=None, inputs_digest={**d, **run["stability"]},
-        value=bnd.deterministic_stability_squared_bound(run["constants"], c.n),
-        tag="det-stability-squared")),
+    # the growth-function cap on f-CMI (nats) in the fcmi_mn form
+    "vc": Bound(
+        "finite", lambda c, v, run: math.sqrt(2.0 * bnd.vc_fcmi_bound(1, c.n) / c.n),
+        inputs=lambda c, v, run: {"d_vc": 1, "n": c.n, "fcmi_cap": bnd.vc_fcmi_bound(1, c.n)},
+        tag="vc-sauer-shelah", learner="threshold_erm"),
+    # the members draw independent seeds, so the sum of their MIs caps the
+    # combined predictor's; a left-to-right sum per supersample
+    "ensemble_mn": Bound(
+        "finite", lambda c, v, run: np.sqrt(2.0 * np.array([sum(r) for r in v]) / c.n),
+        reads="member_fcmi", inputs=lambda c, v, run: {"members": v.shape[1], "n": c.n},
+        tag="ensemble-sum", learner="ensemble", exact_only=True),
+    "det_stability": Bound(
+        "real", lambda c, v, run: bnd.deterministic_stability_bound(run["constants"]),
+        inputs=lambda c, v, run: run["stability"]),
+    "det_stability_squared": Bound(
+        "real", lambda c, v, run: bnd.deterministic_stability_squared_bound(
+            run["constants"], c.n),
+        inputs=lambda c, v, run: run["stability"]),
 }
 
 
@@ -463,8 +468,11 @@ def _subset_family(config: ExperimentConfig) -> tuple[list[tuple[int, ...]], str
 
 
 def _run_supersample(config: ExperimentConfig, a: int,
-                     subsets: list[tuple[int, ...]] | None, pool=None):
-    """One supersample's trial table plus every estimate the requested bounds read."""
+                     subsets: list[tuple[int, ...]] | None, pool=None,
+                     keep_table: bool = False):
+    """Every estimate the requested bounds read from one supersample's trial
+    table, and the table itself when it is kept (None otherwise, so it is
+    freed, or never sent back from a worker, once its estimates are made)."""
     supersample = _draw_supersample(config, a, pool)
     n = config.n
     exact = config.mode == "exact_enumeration"
@@ -477,11 +485,12 @@ def _run_supersample(config: ExperimentConfig, a: int,
         row_seeds = derive_seeds(config.master_seed, _TRIAL, a, trials)
     table = fill_table(supersample, config.learner, masks, row_seeds, config.loss,
                        supersample_id=f"ss{a:03d}")
+    kept = table if keep_table else None
     gap_mean, gap_std = aggregate_gap(table)
     result = SupersampleResult(supersample_id=table.supersample_id,
                                gap_mean=gap_mean, gap_std=gap_std)
     if table.prediction_space.kind != "finite":
-        return result, table
+        return result, kept
 
     reads = {BOUNDS[b].reads for b in config.bounds}
     every_pair = [tuple(range(n))]
@@ -507,23 +516,31 @@ def _run_supersample(config: ExperimentConfig, a: int,
             member_table = fill_table(supersample, LearnerSpec.from_json_dict(member),
                                       *member_rows, config.loss)
             result.member_fcmi.append(float(subset_mi(member_table, every_pair)[0]))
-    return result, table
+    return result, kept
 
 
 # --- bound assembly ----------------------------------------------------------
 
 
-def _collect(results: list[SupersampleResult], attr: str) -> list:
+def _collect(results: list[SupersampleResult], attr: str) -> np.ndarray:
+    """The ``attr`` estimate of every supersample, one row each; refused when
+    one is missing, when there is none, or when one is negative or NaN."""
     vals = [getattr(r, attr) for r in results]
     if any(v is None for v in vals):
         raise ContractViolation(f"missing estimate {attr!r} in a supersample result")
-    return vals
+    arr = np.asarray(vals, dtype=float)
+    if arr.size == 0:
+        raise ContractViolation("empty estimate collection")
+    if np.any(arr < 0) or np.any(np.isnan(arr)):
+        raise ContractViolation("information estimates must be finite and >= 0")
+    return arr
 
 
 def _assemble_bounds(config: ExperimentConfig, results: list[SupersampleResult],
                      subset_meta: dict | None) -> tuple[list[bnd.BoundReport], dict]:
-    """Each requested bound's report, formed by its declaration, and the
-    stability meta when a real-space bound is requested."""
+    """Each requested bound's report, and the stability meta when a
+    real-space bound is requested: the mean of the bound's form over
+    supersamples, and their standard deviation when there are two or more."""
     digest = {"mode": config.mode, "k2": config.k2, "loss": config.loss}
     run: dict = {"subsets": subset_meta}
     meta: dict = {}
@@ -536,7 +553,12 @@ def _assemble_bounds(config: ExperimentConfig, results: list[SupersampleResult],
     for name in config.bounds:
         bound = BOUNDS[name]
         values = None if bound.reads is None else _collect(results, bound.reads)
-        reports.append(bound.make(config, values, digest, run))
+        per_ss = np.atleast_1d(bound.form(config, values, run))
+        reports.append(bnd.BoundReport(
+            name=name, value=float(np.mean(per_ss)),
+            spread=float(np.std(per_ss, ddof=1)) if per_ss.size >= 2 else None,
+            inputs_digest={**digest, **bound.inputs(config, values, run)},
+            tag=bound.tag or name.replace("_", "-")))
     return reports, meta
 
 
@@ -578,11 +600,12 @@ def run_experiment(config: ExperimentConfig, keep_tables: bool = False) -> Exper
         with ProcessPoolExecutor(max_workers=config.jobs) as workers:
             runs = list(workers.map(_run_supersample, [config] * config.k1,
                                     range(config.k1), [subsets] * config.k1,
-                                    [pool] * config.k1))
+                                    [pool] * config.k1, [keep_tables] * config.k1))
     else:
-        runs = [_run_supersample(config, a, subsets, pool) for a in range(config.k1)]
+        runs = [_run_supersample(config, a, subsets, pool, keep_tables)
+                for a in range(config.k1)]
     results = [r for r, _ in runs]
-    tables = [t for _, t in runs]
+    exact = config.mode == "exact_enumeration"
 
     bound_reports, extra_meta = _assemble_bounds(config, results, subset_meta)
 
@@ -593,8 +616,8 @@ def run_experiment(config: ExperimentConfig, keep_tables: bool = False) -> Exper
         "mode": config.mode,
         "loss": config.loss,
         "bias_correction": False,
-        "exact_seeds": config.exact_seeds if config.mode == "exact_enumeration" else None,
-        "trials_per_supersample": len(tables[0].masks),
+        "exact_seeds": config.exact_seeds if exact else None,
+        "trials_per_supersample": 2 ** config.n * config.exact_seeds if exact else config.k2,
         "plugin_alphabet_limit": PLUGIN_ALPHABET_LIMIT,
         **(subset_meta or {}),
         **extra_meta,
@@ -607,7 +630,7 @@ def run_experiment(config: ExperimentConfig, keep_tables: bool = False) -> Exper
         bounds=bound_reports,
         estimator_meta=meta,
         wall_clock_sec=time.perf_counter() - t0,
-        tables=tables if keep_tables else None,
+        tables=[t for _, t in runs] if keep_tables else None,
     )
     return report
 

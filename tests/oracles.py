@@ -4,8 +4,9 @@ The package computes each of these quantities only in batched form: the
 exact information measures of one joint, the symmetrized-KL cap of one set
 of cells, the plug-in estimate of gathered symbols and the trial-table
 quantities it gives, the subset-size
-monotonicity check of one exact trial table, one fit of a learner and one
-random instance of an inequality verifier. The tests compare the batched
+monotonicity check of one exact trial table, the bound reports the retired
+per-bound wrappers formed, one fit of a learner and one random instance of
+an inequality verifier. The tests compare the batched
 paths against these references, bit for bit where both do the same
 arithmetic in the same order, and use them to build expected values.
 """
@@ -19,6 +20,12 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from fcmi.bounds import (
+    BoundReport,
+    deterministic_stability_bound,
+    deterministic_stability_squared_bound,
+    vc_fcmi_bound,
+)
 from fcmi.core import ContractViolation, TrialTable, split_slots
 from fcmi.infotheory import AbsoluteContinuityError, all_subsets, subset_mi
 from fcmi.learners import LearnerSpec, _fit_predict_rows, _threshold_weights
@@ -254,6 +261,60 @@ def verify_monotonicity_in_m(table: TrialTable, use_weights: bool = False,
     ok = all(b - a >= -tol for a, b in zip(sqrt_seq, sqrt_seq[1:])) and \
         all(b - a >= -tol for a, b in zip(id_seq, id_seq[1:]))
     return {"sqrt": sqrt_seq, "identity": id_seq, "non_decreasing": ok}
+
+
+# --- the reports of the retired per-bound wrappers -------------------------------
+#
+# Before each bound was declared whole in ``fcmi.harness.BOUNDS``, one wrapper
+# per bound in ``fcmi.bounds`` formed its report. This is their arithmetic, in
+# their order: estimates to a float array, one form per supersample, then the
+# mean and, over two or more supersamples, the standard deviation.
+
+PARENT_TAGS = {"fcmi_m1": "fcmi-m1", "fcmi_mn": "fcmi-mn", "fcmi_subset_m": "fcmi-subset-m",
+               "fcmi_squared": "fcmi-squared", "cmi_weights": "cmi-weights",
+               "fcmi_stability": "fcmi-stability",
+               "fcmi_stability_squared": "fcmi-stability-squared", "vc": "vc-sauer-shelah",
+               "ensemble_mn": "ensemble-sum", "det_stability": "det-stability",
+               "det_stability_squared": "det-stability-squared"}
+
+
+def wrapper_bound_report(name: str, config, values, run: dict) -> BoundReport:
+    """The report the wrapper of bound ``name`` formed from ``values``, the
+    per-supersample estimates it reads (lists of floats, or None), and
+    ``run``: the run's subset meta and stability constants and meta."""
+    n, digest = config.n, {"mode": config.mode, "k2": config.k2, "loss": config.loss}
+    rows = None if values is None else np.asarray(values, dtype=float)
+    if name in ("fcmi_m1", "fcmi_stability"):
+        per_ss = np.mean(np.sqrt(2.0 * rows), axis=1)
+        inputs = {"k1": rows.shape[0], "n": rows.shape[1]}
+    elif name in ("fcmi_mn", "cmi_weights"):
+        rows = rows.reshape(1, -1).ravel()
+        per_ss, inputs = np.sqrt(2.0 * rows / n), {"k1": rows.size, "n": n}
+    elif name == "fcmi_subset_m":
+        per_ss = np.mean(np.sqrt(2.0 * rows / config.subset_m), axis=1)
+        inputs = {"k1": rows.shape[0], "m": config.subset_m, "subsets": rows.shape[1],
+                  **run["subsets"]}
+    elif name == "fcmi_stability_squared":
+        per_ss, inputs = (8.0 / n) * (np.sum(rows, axis=1) + 2.0), {"k1": rows.shape[0], "n": n}
+    elif name == "ensemble_mn":
+        sums = np.asarray([float(sum(float(v) for v in r)) for r in values])
+        per_ss, inputs = np.sqrt(2.0 * sums / n), {"members": len(values[0]), "n": n}
+    else:  # one value per run
+        if name == "fcmi_squared":
+            mean = float(np.mean(values))
+            value, inputs = (8.0 / n) * (mean + 2.0), {"n": n, "fcmi_mean": mean}
+        elif name == "vc":
+            cap = vc_fcmi_bound(1, n)
+            value, inputs = math.sqrt(2.0 * cap / n), {"d_vc": 1, "n": n, "fcmi_cap": cap}
+        elif name == "det_stability":
+            value, inputs = deterministic_stability_bound(run["constants"]), run["stability"]
+        else:
+            value = deterministic_stability_squared_bound(run["constants"], n)
+            inputs = run["stability"]
+        return BoundReport(name, value, None, {**inputs, **digest}, PARENT_TAGS[name])
+    spread = float(np.std(per_ss, ddof=1)) if per_ss.size >= 2 else None
+    return BoundReport(name, float(np.mean(per_ss)), spread, {**inputs, **digest},
+                       PARENT_TAGS[name])
 
 
 # --- one fit of a learner: one row of ``learners._fit_predict_rows`` --------------

@@ -1,118 +1,147 @@
+import dataclasses
 import math
+import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from fcmi import harness
 from fcmi.bounds import (
     BoundReport,
     StabilityConstants,
-    cmi_weight_bound,
     deterministic_stability_bound,
     deterministic_stability_squared_bound,
-    ensemble_fcmi_bound,
-    fcmi_bound_general_m,
-    fcmi_bound_m1,
-    fcmi_bound_mn,
-    fcmi_squared_bound,
     optimal_noise_variance,
-    stability_fcmi_bound,
     vc_fcmi_bound,
 )
 from fcmi.core import ContractViolation
+from fcmi.harness import BOUNDS, ExperimentConfig, SupersampleResult, canonical_json
 from fcmi.infotheory import AbsoluteContinuityError
-from oracles import stability_kl_decomposition
+from oracles import PARENT_TAGS, stability_kl_decomposition, wrapper_bound_report
 
 LOG2 = math.log(2.0)
 
 
+def _config(bounds, n, subset_m=None) -> ExperimentConfig:
+    return ExperimentConfig.from_json_dict({
+        "data": {"kind": "uniform_labels", "params": {"dim": 1}},
+        "n": n, "k1": 1, "k2": 10, "learner": {"kind": "memorizer", "params": {}},
+        "bounds": list(bounds), "subset_policy": {"m": subset_m}})
+
+
+def _results(estimates: dict, k1: int) -> list[SupersampleResult]:
+    """``k1`` supersample results holding row ``a`` of each estimate."""
+    return [SupersampleResult(f"ss{a:03d}", 0.0, None,
+                              **{attr: rows[a] for attr, rows in estimates.items()})
+            for a in range(k1)]
+
+
+def bound_report(name: str, per_ss, n: int, subset_m=None) -> BoundReport:
+    """The report of bound ``name`` over one supersample per entry of
+    ``per_ss``, each that supersample's estimate the bound reads."""
+    reads = BOUNDS[name].reads
+    subset_meta = None
+    if BOUNDS[name].needs_m:
+        subset_meta = {"subset_policy": "enumerated",
+                       "subset_count": len(per_ss[0]) if per_ss else 0}
+    results = _results({reads: per_ss} if reads else {}, len(per_ss))
+    (report,), _ = harness._assemble_bounds(_config([name], n, subset_m), results,
+                                            subset_meta)
+    return report
+
+
 class TestFcmiM1:
     def test_zero_information(self):
-        assert fcmi_bound_m1([0.0, 0.0, 0.0]).value == 0.0
+        assert bound_report("fcmi_m1", [[0.0, 0.0, 0.0]], 3).value == 0.0
 
     def test_single_pair_log2(self):
-        assert fcmi_bound_m1([LOG2]).value == pytest.approx(
+        assert bound_report("fcmi_m1", [[LOG2]], 1).value == pytest.approx(
             math.sqrt(2 * LOG2), abs=1e-12)
-        assert fcmi_bound_m1([LOG2]).value == pytest.approx(1.17741, abs=1e-5)
+        assert bound_report("fcmi_m1", [[LOG2]], 1).value == pytest.approx(1.17741, abs=1e-5)
 
     def test_two_pairs_hand_value(self):
         # (sqrt(2*0.5) + sqrt(2*0.125)) / 2 = (1 + 0.5) / 2
-        assert fcmi_bound_m1([0.5, 0.125]).value == pytest.approx(0.75, abs=1e-12)
+        assert bound_report("fcmi_m1", [[0.5, 0.125]], 2).value == pytest.approx(
+            0.75, abs=1e-12)
 
     def test_sqrt_applied_per_supersample_then_averaged(self):
         rows = [[0.5, 0.125], [0.0, 0.0]]
         expected = (0.75 + 0.0) / 2
-        report = fcmi_bound_m1(rows)
+        report = bound_report("fcmi_m1", rows, 2)
         assert report.value == pytest.approx(expected, abs=1e-12)
         assert report.spread == pytest.approx(np.std([0.75, 0.0], ddof=1), abs=1e-12)
 
     def test_spread_requires_two_supersamples(self):
-        assert fcmi_bound_m1([0.5, 0.125]).spread is None
+        assert bound_report("fcmi_m1", [[0.5, 0.125]], 2).spread is None
 
     def test_negative_input_rejected(self):
         with pytest.raises(ContractViolation):
-            fcmi_bound_m1([-0.1])
+            bound_report("fcmi_m1", [[-0.1]], 1)
 
 
 class TestFcmiMn:
     def test_zero(self):
-        assert fcmi_bound_mn([0.0], 4).value == 0.0
+        assert bound_report("fcmi_mn", [0.0], 4).value == 0.0
 
     def test_hand_value(self):
-        assert fcmi_bound_mn([0.5], 4).value == pytest.approx(0.5, abs=1e-12)
+        assert bound_report("fcmi_mn", [0.5], 4).value == pytest.approx(0.5, abs=1e-12)
 
     def test_mean_of_per_supersample_roots(self):
-        report = fcmi_bound_mn([0.5, 0.0], 4)
+        report = bound_report("fcmi_mn", [0.5, 0.0], 4)
         assert report.value == pytest.approx(0.25, abs=1e-12)
 
 
 class TestFcmiGeneralM:
     def test_zero(self):
-        assert fcmi_bound_general_m([0.0, 0.0], 2).value == 0.0
+        assert bound_report("fcmi_subset_m", [[0.0, 0.0]], 2, subset_m=2).value == 0.0
 
     def test_single_subset(self):
-        assert fcmi_bound_general_m([0.5], 2).value == pytest.approx(
+        assert bound_report("fcmi_subset_m", [[0.5]], 2, subset_m=2).value == pytest.approx(
             math.sqrt(0.5), abs=1e-12)
 
     def test_m1_specializes_to_fcmi_m1(self):
-        vals = [0.3, 0.01, 0.2]
-        assert fcmi_bound_general_m(vals, 1).value == pytest.approx(
-            fcmi_bound_m1(vals).value, abs=1e-12)
+        vals = [[0.3, 0.01, 0.2]]
+        assert bound_report("fcmi_subset_m", vals, 3, subset_m=1).value == pytest.approx(
+            bound_report("fcmi_m1", vals, 3).value, abs=1e-12)
 
     def test_empty_family_rejected(self):
         with pytest.raises(ContractViolation):
-            fcmi_bound_general_m([], 2)
+            bound_report("fcmi_subset_m", [[]], 2, subset_m=2)
 
 
 class TestFcmiSquared:
     def test_zero_fcmi(self):
-        assert fcmi_squared_bound(0.0, 16).value == pytest.approx(1.0, abs=1e-12)
+        assert bound_report("fcmi_squared", [0.0], 16).value == pytest.approx(1.0, abs=1e-12)
 
     def test_hand_value(self):
-        assert fcmi_squared_bound(0.5, 10).value == pytest.approx(2.0, abs=1e-12)
+        assert bound_report("fcmi_squared", [0.5], 10).value == pytest.approx(2.0, abs=1e-12)
 
     def test_vanishes_with_n(self):
-        assert fcmi_squared_bound(0.0, 10 ** 9).value < 1e-6
+        assert bound_report("fcmi_squared", [0.0], 10 ** 9).value < 1e-6
 
 
 class TestCmiWeightBound:
     def test_zero(self):
-        assert cmi_weight_bound(0.0, 8).value == 0.0
+        assert bound_report("cmi_weights", [0.0], 8).value == 0.0
 
     def test_vacuous_deterministic_case(self):
         n = 6
-        assert cmi_weight_bound(n * LOG2, n).value == pytest.approx(
+        assert bound_report("cmi_weights", [n * LOG2], n).value == pytest.approx(
             math.sqrt(2 * LOG2), abs=1e-12)
 
     def test_hand_value(self):
-        assert cmi_weight_bound(1.0, 8).value == pytest.approx(0.5, abs=1e-12)
+        assert bound_report("cmi_weights", [1.0], 8).value == pytest.approx(0.5, abs=1e-12)
 
     def test_mean_of_per_supersample_roots(self):
         # roots first, then the mean, so value and spread describe the same
         # per-supersample numbers; the root of the mean would give 0.79
-        got = cmi_weight_bound([0.25, 1.0], 2)
+        got = bound_report("cmi_weights", [0.25, 1.0], 2)
         assert got.value == pytest.approx((0.5 + 1.0) / 2, abs=1e-12)
         assert got.spread == pytest.approx(np.std([0.5, 1.0], ddof=1), abs=1e-12)
-        mn = fcmi_bound_mn([0.25, 1.0], 2)
+        mn = bound_report("fcmi_mn", [0.25, 1.0], 2)
         assert (got.value, got.spread, got.inputs_digest) == (
             mn.value, mn.spread, mn.inputs_digest)
         assert (got.name, got.tag) == ("cmi_weights", "cmi-weights")
@@ -120,15 +149,15 @@ class TestCmiWeightBound:
 
 class TestStabilityFcmi:
     def test_zero(self):
-        assert stability_fcmi_bound([0.0, 0.0]).value == 0.0
+        assert bound_report("fcmi_stability", [[0.0, 0.0]], 2).value == 0.0
 
     def test_n1_matches_m1(self):
-        assert stability_fcmi_bound([0.37]).value == pytest.approx(
-            fcmi_bound_m1([0.37]).value, abs=1e-12)
+        assert bound_report("fcmi_stability", [[0.37]], 1).value == pytest.approx(
+            bound_report("fcmi_m1", [[0.37]], 1).value, abs=1e-12)
 
     def test_hand_value(self):
         expected = (math.sqrt(2 * LOG2) + 0.0) / 2
-        assert stability_fcmi_bound([LOG2, 0.0]).value == pytest.approx(
+        assert bound_report("fcmi_stability", [[LOG2, 0.0]], 2).value == pytest.approx(
             expected, abs=1e-12)
         assert expected == pytest.approx(0.58871, abs=1e-5)
 
@@ -150,16 +179,27 @@ class TestVcBound:
         with pytest.raises(ContractViolation):
             vc_fcmi_bound(0, 5)
 
+    def test_report_is_the_cap_in_the_fcmi_mn_form(self):
+        cap = vc_fcmi_bound(1, 4)
+        report = bound_report("vc", [], 4)
+        assert report.value == math.sqrt(2.0 * cap / 4)
+        assert (report.spread, report.tag) == (None, "vc-sauer-shelah")
+        assert report.inputs_digest == {"mode": "monte_carlo", "k2": 10, "loss": "zero_one",
+                                        "d_vc": 1, "n": 4, "fcmi_cap": cap}
 
-class TestEnsembleBound:
-    def test_zeros(self):
-        assert ensemble_fcmi_bound([0.0, 0.0, 0.0]) == 0.0
 
-    def test_sum(self):
-        assert ensemble_fcmi_bound([0.1, 0.2, 0.3]) == pytest.approx(0.6, abs=1e-12)
+class TestEnsembleMn:
+    def test_member_sum_in_the_fcmi_mn_form(self):
+        # sqrt(2 * (0.1 + 0.2 + 0.3) / 3), the member MIs summed left to right
+        report = bound_report("ensemble_mn", [[0.1, 0.2, 0.3]], 3)
+        assert report.value == math.sqrt(2.0 * (0.1 + 0.2 + 0.3) / 3)
+        assert report.value == pytest.approx(math.sqrt(0.4), abs=1e-12)
+        assert report.inputs_digest["members"] == 3 and "k1" not in report.inputs_digest
+        assert report.tag == "ensemble-sum"
 
-    def test_single_member_identity(self):
-        assert ensemble_fcmi_bound([0.4]) == pytest.approx(0.4, abs=1e-12)
+    def test_single_member_is_fcmi_mn(self):
+        assert bound_report("ensemble_mn", [[0.4], [0.1]], 5).value == bound_report(
+            "fcmi_mn", [0.4, 0.1], 5).value
 
 
 class TestKlDecomposition:
@@ -232,6 +272,79 @@ class TestBoundReport:
             BoundReport("x", -0.1, None, {}, "t")
 
     def test_json_round_trip(self):
-        report = fcmi_bound_m1([[0.5, 0.125], [0.0, 0.0]], digest={"k2": 10})
+        report = bound_report("fcmi_m1", [[0.5, 0.125], [0.0, 0.0]], 2)
         again = BoundReport.from_json_dict(report.to_json_dict())
         assert again == report
+
+
+class TestAssembly:
+    """The one site that forms a BoundReport: the mean of each bound's
+    per-supersample form, and their spread over two or more."""
+
+    @pytest.mark.parametrize("name", ["fcmi_squared", "vc"])
+    def test_one_value_per_run_has_no_spread(self, name):
+        assert bound_report(name, [0.5, 0.1, 0.3], 4).spread is None
+
+    @pytest.mark.parametrize("name, per_ss", [
+        ("fcmi_m1", [[], []]), ("fcmi_m1", []), ("ensemble_mn", [[]])],
+        ids=["empty_rows", "no_supersample", "no_member"])
+    def test_empty_collection_refused_without_warning(self, name, per_ss):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ContractViolation, match="empty"):
+                bound_report(name, per_ss, 2)
+
+    @pytest.mark.parametrize("bad", [-1e-300, float("nan")], ids=["negative", "nan"])
+    @pytest.mark.parametrize("name", ["fcmi_m1", "fcmi_mn", "fcmi_squared", "ensemble_mn"])
+    def test_negative_or_nan_estimate_refused_without_warning(self, name, bad):
+        reads = BOUNDS[name].reads
+        per_ss = ([[0.1, bad]] if reads in ("mi_per_index", "member_fcmi") else [0.2, bad])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ContractViolation, match="finite and >= 0"):
+                bound_report(name, per_ss, 2)
+
+    def test_missing_estimate_refused(self):
+        with pytest.raises(ContractViolation, match="missing estimate"):
+            harness._assemble_bounds(_config(["fcmi_mn"], 2), _results({}, 2), None)
+
+    def test_tags_follow_the_name_unless_declared(self):
+        declared = {name: b.tag for name, b in BOUNDS.items() if b.tag is not None}
+        assert declared == {"vc": "vc-sauer-shelah", "ensemble_mn": "ensemble-sum"}
+        for name, bound in BOUNDS.items():
+            assert (bound.tag or name.replace("_", "-")) == PARENT_TAGS[name], name
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data(), st.integers(1, 5), st.integers(1, 12), st.integers(1, 12),
+           st.integers(1, 12))
+    def test_every_report_equals_the_wrapper_arithmetic(self, data, k1, n, subsets, members):
+        """For k1 1-5, n and subset-family widths 1-12 and 1-12 ensemble
+        members, every declared bound's report has the bytes its retired
+        wrapper gave."""
+        m = data.draw(st.integers(1, n), label="m")
+        est = st.floats(0.0, 20.0, allow_nan=False, allow_subnormal=True)
+
+        def rows(width):
+            return data.draw(st.lists(st.lists(est, min_size=width, max_size=width),
+                                      min_size=k1, max_size=k1))
+
+        estimates = {"mi_per_index": rows(n), "cmi_per_index": rows(n),
+                     "cmi_allpairs_per_index": rows(n), "subset_mi": rows(subsets),
+                     "member_fcmi": rows(members),
+                     "fcmi_full": [r[0] for r in rows(1)],
+                     "weight_mi_full": [r[0] for r in rows(1)]}
+        stab = StabilityConstants(
+            beta=data.draw(est), beta1=data.draw(est), beta2=data.draw(est),
+            gamma=data.draw(st.floats(0.1, 4.0)), d_out=data.draw(st.integers(1, 16)))
+        config = _config(BOUNDS, n, m)
+        subset_meta = {"subset_policy": "sampled", "subset_count": subsets}
+        with mock.patch.object(harness, "_stability_constants", lambda c: stab):
+            got, meta = harness._assemble_bounds(config, _results(estimates, k1), subset_meta)
+        run = {"subsets": subset_meta, "constants": stab, "stability": meta["stability"]}
+        assert meta["stability"] == {**dataclasses.asdict(stab), "trials": 25,
+                                     "sigma_sq": optimal_noise_variance(stab)}
+        for report in got:
+            reads = BOUNDS[report.name].reads
+            want = wrapper_bound_report(report.name, config,
+                                        estimates[reads] if reads else None, run)
+            assert canonical_json(report) == canonical_json(want), report.name

@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import re
+import weakref
 
 import numpy as np
 import pytest
@@ -527,6 +528,16 @@ class TestReproducibility:
         # the pool size is not echoed, so the whole report matches byte for byte
         assert canonical_json(serial) == canonical_json(parallel)
 
+    @pytest.mark.parametrize("mode", ["monte_carlo", "exact_enumeration"])
+    def test_parallel_keeps_the_serial_tables(self, mode):
+        serial = run_experiment(base_config(k1=3, jobs=1, mode=mode), keep_tables=True)
+        parallel = run_experiment(base_config(k1=3, jobs=2, mode=mode), keep_tables=True)
+        assert [canonical_json(t) for t in serial.tables] == [
+            canonical_json(t) for t in parallel.tables]
+        assert run_experiment(base_config(k1=3, jobs=2, mode=mode)).tables is None
+        trials = serial.estimator_meta["trials_per_supersample"]
+        assert [len(t.masks) for t in serial.tables] == [trials] * 3
+
     def test_persist_round_trip_and_bytes(self, tmp_path):
         report = run_experiment(base_config())
         p1, p2 = tmp_path / "r1.json", tmp_path / "r2.json"
@@ -543,6 +554,33 @@ class TestReproducibility:
         path.write_text(path.read_text()[:50], encoding="utf-8")
         with pytest.raises(ParseError):
             load_report(path)
+
+
+class TestTableLifetime:
+    @pytest.mark.parametrize("mode", ["monte_carlo", "exact_enumeration"])
+    def test_unkept_table_freed_before_the_next_supersample_ends(self, monkeypatch, mode):
+        """Without keep_tables, no supersample's trial table outlives it: the
+        tables filled for supersample a are collected before a + 1 returns."""
+        filled: dict[int, list] = {}
+        real_fill, real_run = harness.fill_table, harness._run_supersample
+
+        def fill(*args, **kwargs):
+            table = real_fill(*args, **kwargs)
+            filled[max(filled)].append(weakref.ref(table))
+            return table
+
+        def run(config, a, *args):
+            filled[a] = []
+            out = real_run(config, a, *args)
+            if a > 0:
+                assert all(ref() is None for ref in filled[a - 1]), a - 1
+            return out
+
+        monkeypatch.setattr(harness, "fill_table", fill)
+        monkeypatch.setattr(harness, "_run_supersample", run)
+        report = run_experiment(base_config(k1=3, mode=mode))
+        assert report.tables is None and sorted(filled) == [0, 1, 2]
+        assert all(filled[a] for a in filled)
 
 
 class TestSweep:
