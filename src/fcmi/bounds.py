@@ -69,7 +69,8 @@ def deterministic_stability_squared_bound(c: StabilityConstants, n: int) -> floa
 
 
 def optimal_noise_variance(c: StabilityConstants) -> float:
-    """Noise level beta / (2 sqrt(d) gamma) used by the noisy-wrapper analysis."""
+    """Noise level beta / (2 sqrt(d) gamma) of the Gaussian smoothing that
+    the analysis of stable deterministic algorithms adds in its proof."""
     if c.gamma <= 0:
         raise ContractViolation("gamma must be > 0 to pick a noise level")
     return c.beta / (2.0 * math.sqrt(c.d_out) * c.gamma)

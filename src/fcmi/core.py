@@ -232,8 +232,8 @@ class TrialTable:
 
     ``masks`` is (T, n) uint8 and ``seeds`` (T,) uint64. ``preds`` holds the
     predictions on all 2n slots, pair-major (slot (i, j) at column 2i + j):
-    (T, 2n) ints for a finite prediction space, (T, 2n, d) floats for a real
-    one. ``weight_code`` is (T,) when the learner exposes one.
+    (T, 2n) nonnegative ints for a finite prediction space, (T, 2n, d) floats
+    for a real one. ``weight_code`` is (T,) when the learner exposes one.
     """
 
     supersample_id: str
@@ -258,6 +258,8 @@ class TrialTable:
             raise ContractViolation(
                 f"expected {rows} seeds and ({rows}, {2 * n}) predictions, got "
                 f"{seeds.shape} and {preds.shape}")
+        if self.prediction_space.kind == "finite" and preds.min() < 0:
+            raise ContractViolation(f"finite predictions must be >= 0, got {preds.min()}")
         for name in ("train_loss", "test_loss"):
             v = np.asarray(getattr(self, name), dtype=float)
             if v.shape != (rows,) or not np.all((v >= 0.0) & (v <= 1.0)):

@@ -415,10 +415,6 @@ def _check_bounds_supported(config: ExperimentConfig, num_classes: int) -> None:
         raise UnsupportedCombinationError(
             f"loss {config.loss!r} does not match the {space.kind!r} prediction "
             f"space of learner {spec.kind!r}")
-    if config.loss == "absolute" and spec.kind == "noisy_wrapper":
-        raise UnsupportedCombinationError(
-            "loss 'absolute' needs predictions in [0, 1]; the Gaussian noise of "
-            "'noisy_wrapper' moves them outside that range")
     for b in config.bounds:
         bound = BOUNDS[b]
         if bound.space != space.kind:

@@ -50,51 +50,6 @@ def _sorted_rank(x: np.ndarray) -> tuple[np.ndarray, int]:
     return rank, int(counts[-1])
 
 
-def _dense_rank(code: np.ndarray, size: int) -> tuple[np.ndarray, int]:
-    """Dense rank of nonnegative codes below ``size``, in code order, and the
-    number of distinct codes."""
-    if size <= code.size:
-        # occupancy: a cumulative count over the code range
-        seen = np.zeros(size, dtype=bool)
-        seen[code] = True
-        rank = np.cumsum(seen)
-        rank -= 1
-        return rank[code], int(rank[-1]) + 1
-    return _sorted_rank(code)
-
-
-def _lex_codes(columns) -> np.ndarray:
-    """Dense rank of each row's tuple of integer columns, the first column
-    most significant; equal tuples share a code.
-
-    The columns fold in one at a time as digits of an int64 mixed-radix code:
-    each is offset by its minimum, with radix max - min + 1. When the next
-    digit would overflow int64, the code is re-ranked densely first, which
-    keeps its order.
-    """
-    code, size = None, 1
-    for col in columns:
-        lo, hi = int(col.min()), int(col.max())
-        radix = hi - lo + 1
-        if max(hi, radix) > _INT64_MAX:  # not an int64 after the offset
-            digit, radix = _sorted_rank(col)
-        elif lo == 0 and col.dtype == np.int64:
-            digit = col  # read only, never updated in place
-        else:
-            digit = np.subtract(col, lo, dtype=np.int64)
-        if code is None:
-            code, size = digit, radix
-            continue
-        if size * radix > _INT64_MAX:
-            code, size = _dense_rank(code, size)
-            if size * radix > _INT64_MAX:
-                digit, radix = _dense_rank(digit, radix)
-        code = code * radix
-        code += digit
-        size *= radix
-    return _dense_rank(code, size)[0]
-
-
 # --- counting a joint and summing the plug-in --------------------------------
 
 
@@ -216,40 +171,39 @@ def _unsigned(size: int):
 _RANKED_SPAN = 2 ** 16
 
 
-def _pred_digits(table: TrialTable) -> tuple[np.ndarray, int, int]:
-    """The predictions as digits: a (T, 2n) array, the offset its digits
-    count from and their radix. Digits count from 0, or from the smallest
-    prediction when one is negative; predictions spanning more than
-    ``_RANKED_SPAN`` values become their dense rank, from one sort over the
-    table, so the radix is at most their number of distinct values."""
+def _pred_digits(table: TrialTable) -> tuple[np.ndarray, int]:
+    """The predictions as digits: a (T, 2n) array and their radix. Finite
+    predictions are nonnegative (``TrialTable`` checks it) and are their own
+    digits; predictions spanning more than ``_RANKED_SPAN`` values become
+    their dense rank, from one sort over the table, so the radix is at most
+    their number of distinct values."""
     preds = table.preds
-    lo = min(int(preds.min()), 0)
-    radix = int(preds.max()) - lo + 1
+    radix = int(preds.max()) + 1
     if radix <= _RANKED_SPAN:
-        return preds, lo, radix
+        return preds, radix
     rank, radix = _sorted_rank(preds.ravel())
-    return rank.reshape(preds.shape), 0, radix
+    return rank.reshape(preds.shape), radix
 
 
-def _pair_codes(preds: np.ndarray, lo: int, radix: int, dtype) -> np.ndarray:
-    """Each pair's prediction code (slot 0 - lo) * radix + (slot 1 - lo), as
-    an (n, T) array of ``dtype``."""
-    slot0, slot1 = preds[:, 0::2].T, preds[:, 1::2].T
-    if lo:
-        slot0, slot1 = slot0 - lo, slot1 - lo
-    code = np.multiply(slot0, radix, dtype=dtype, casting="unsafe", order="C")
-    np.add(code, slot1, out=code, casting="unsafe")
+def _pair_codes(preds: np.ndarray, radix: int, dtype) -> np.ndarray:
+    """Each pair's prediction code slot 0 * radix + slot 1, as an (n, T)
+    array of ``dtype``."""
+    code = np.multiply(preds[:, 0::2].T, radix, dtype=dtype, casting="unsafe", order="C")
+    np.add(code, preds[:, 1::2].T, out=code, casting="unsafe")
     return code
 
 
-def _row_codes(columns, k: int, lo: int, radix: int) -> tuple[np.ndarray, int]:
-    """A code of each row of k integer columns in [lo, lo + radix), in the
-    rows' lexicographic order, and the code's range; ``columns(j0, j1)``
-    gives columns j0..j1-1 as a (T, j1 - j0) array, so a derived row need
-    not exist whole.
+def _row_codes(columns, k: int, radix: int) -> tuple[np.ndarray, int]:
+    """A code of each row of k integer columns in [0, radix), in the rows'
+    lexicographic order, and the code's range; ``columns(j0, j1)`` gives
+    columns j0..j1-1 as a (T, j1 - j0) array, so a derived row need not
+    exist whole.
 
     As many columns as fit one int64 (at least two, radix^2 <= int64) make
-    one mixed-radix digit; a row of several digits is ranked densely over them.
+    one mixed-radix digit. A row of several digits is ranked one digit at a
+    time: the dense rank of the digits so far, times the distinct count of
+    the next digit, plus its rank, ranked again. That code stays below
+    rows^2, so it fits an int64.
     """
     width = 2
     while width < k and radix ** (width + 1) <= _INT64_MAX:
@@ -257,11 +211,14 @@ def _row_codes(columns, k: int, lo: int, radix: int) -> tuple[np.ndarray, int]:
     digits = []
     for j in range(0, k, width):
         x = columns(j, min(j + width, k))
-        digits.append((x - lo if lo else x) @ (radix ** np.arange(x.shape[1] - 1, -1, -1)))
+        digits.append(x @ (radix ** np.arange(x.shape[1] - 1, -1, -1)))
     if len(digits) == 1:
         return digits[0], radix ** k
-    rank = _lex_codes(digits)
-    return rank, int(rank.max()) + 1
+    code, size = _sorted_rank(digits[0])
+    for digit in digits[1:]:
+        digit, distinct = _sorted_rank(digit)
+        code, size = _sorted_rank(code * distinct + digit)
+    return code, size
 
 
 def _tuple_mi(a: tuple[np.ndarray, int], b: tuple[np.ndarray, int], rows: int) -> float:
@@ -297,7 +254,7 @@ def subset_mi(table: TrialTable, subsets, use_weights: bool = False) -> np.ndarr
     if use_weights:
         target, ra = _sorted_rank(table.weight_code)
     else:
-        preds, offset, radix = _pred_digits(table)
+        preds, radix = _pred_digits(table)
         ra = radix ** (2 * m)
     size = ra * 2 ** m
     if quantities * size > _INT64_MAX:
@@ -305,13 +262,12 @@ def subset_mi(table: TrialTable, subsets, use_weights: bool = False) -> np.ndarr
         for u in subsets:
             if not use_weights:
                 columns = np.stack([2 * u, 2 * u + 1], axis=1).ravel()  # u's slots
-                target, ra = _row_codes(lambda j0, j1: preds[:, columns[j0:j1]], 2 * m,
-                                        offset, radix)
-            split = _row_codes(lambda j0, j1: masks[:, u[j0:j1]], m, 0, 2)
+                target, ra = _row_codes(lambda j0, j1: preds[:, columns[j0:j1]], 2 * m, radix)
+            split = _row_codes(lambda j0, j1: masks[:, u[j0:j1]], m, 2)
             out.append(_tuple_mi((target, ra), split, rows))
         return np.array(out)
     dtype = _unsigned(size)
-    codes = None if use_weights else _pair_codes(preds, offset, radix, dtype)
+    codes = None if use_weights else _pair_codes(preds, radix, dtype)
     tables, index = [], subsets.copy()
     for j in range(m):
         place = 2 ** (m - 1 - j)  # of the pair's split bit
@@ -355,9 +311,9 @@ def split_cmi(table: TrialTable, all_pairs: bool = False) -> np.ndarray:
     to about 6.6e5; a finite learner predicts labels of the 2n points or 0.
     """
     n, rows = table.n, table.masks.shape[0]
-    preds, offset, radix = _pred_digits(table)
+    preds, radix = _pred_digits(table)
     if all_pairs:
-        target, ra = _row_codes(lambda a, b: preds[:, a:b], 2 * n, offset, radix)
+        target, ra = _row_codes(lambda a, b: preds[:, a:b], 2 * n, radix)
         if ra > rows:
             target, ra = _sorted_rank(target)
     else:
@@ -365,7 +321,7 @@ def split_cmi(table: TrialTable, all_pairs: bool = False) -> np.ndarray:
     if n * 2 ** n * ra > _INT64_MAX:
         raise ContractViolation(f"split_cmi needs n * 2^n * {ra} codes within int64 (n={n})")
     if not all_pairs:
-        pairs = _pair_codes(preds, offset, radix, _unsigned(ra))
+        pairs = _pair_codes(preds, radix, _unsigned(ra))
     mask_code = table.masks @ (1 << np.arange(n - 1, -1, -1))
 
     def joint(lo, hi):
@@ -385,12 +341,12 @@ def split_cmi(table: TrialTable, all_pairs: bool = False) -> np.ndarray:
 def mi_testslots(table: TrialTable) -> float:
     """I(predictions on the test slots only ; S)."""
     masks = table.masks
-    preds, offset, radix = _pred_digits(table)
+    preds, radix = _pred_digits(table)
 
     def test_slots(a, b):
         # pair i's test slot is slot 1 - S_i
         return np.where(masks[:, a:b].astype(bool), preds[:, 2 * a:2 * b:2],
                         preds[:, 2 * a + 1:2 * b:2])
 
-    return _tuple_mi(_row_codes(test_slots, table.n, offset, radix),
-                     _row_codes(lambda a, b: masks[:, a:b], table.n, 0, 2), len(masks))
+    return _tuple_mi(_row_codes(test_slots, table.n, radix),
+                     _row_codes(lambda a, b: masks[:, a:b], table.n, 2), len(masks))

@@ -11,7 +11,6 @@ for bit those of fitting it alone.
 
 from __future__ import annotations
 
-import hashlib
 import inspect
 import math
 from dataclasses import MISSING
@@ -48,13 +47,6 @@ def prediction_space(spec: LearnerSpec, num_classes: int = 2) -> PredictionSpace
         if spec.param("output") == "prob":
             return PredictionSpace("real", dim=1)
         return PredictionSpace("finite", size=2)
-    if spec.kind == "noisy_wrapper":
-        (inner,) = _wrapped(spec)
-        inner_space = prediction_space(inner, num_classes)
-        if inner_space.kind != "real":
-            raise ContractViolation(
-                "noisy_wrapper needs an inner learner with real-vector output")
-        return inner_space
     if spec.kind == "ensemble":
         if any(prediction_space(s, num_classes).kind != "finite" for s in _wrapped(spec)):
             raise ContractViolation("ensemble members must predict class labels")
@@ -63,14 +55,14 @@ def prediction_space(spec: LearnerSpec, num_classes: int = 2) -> PredictionSpace
 
 
 def label_classes(ys: np.ndarray) -> int:
-    """Size of the class alphabet of the labels ``ys``: at least binary."""
-    return max(2, int(ys.max()) + 1)
+    """Size of the class alphabet of the labels ``ys``: their distinct values
+    and the memorizer's default 0, at least two."""
+    # a set: np.unique's default int64 sort loads more numpy code (peak RSS)
+    return max(2, len({0, *ys.tolist()}))
 
 
 def _wrapped(spec: LearnerSpec) -> list[LearnerSpec]:
-    """The learners a wrapper fits directly: the inner learner or the members."""
-    if spec.kind == "noisy_wrapper":
-        return [LearnerSpec.from_json_dict(spec.params["inner"])]
+    """The members an ensemble fits directly; none for another learner."""
     if spec.kind == "ensemble":
         return [LearnerSpec.from_json_dict(m) for m in spec.params["members"]]
     return []
@@ -82,8 +74,9 @@ def uses_kind(spec: LearnerSpec, kinds) -> bool:
 
 
 def needs_binary_labels(spec: LearnerSpec) -> bool:
-    """Whether the learner, or a learner it wraps, fits only labels in {0, 1}."""
-    return uses_kind(spec, _LINEAR)
+    """Whether the learner, or a learner it wraps, fits and predicts only
+    labels in {0, 1}."""
+    return uses_kind(spec, {*_LINEAR, "threshold_erm"})
 
 
 # --- row functions -------------------------------------------------------------
@@ -322,7 +315,6 @@ class LearnerSpec(KindSpec):
         "threshold_erm": {},
         "knn": {"k": 1},
         **{kind: {"output": "label", **_tuning(fit)} for kind, fit in _LINEAR.items()},
-        "noisy_wrapper": {"inner": MISSING, "sigma_sq": 1.0},
         "ensemble": {"members": MISSING, "combiner": "majority"},
     }
 
@@ -335,8 +327,6 @@ class LearnerSpec(KindSpec):
                 raise ContractViolation(f"{self.kind} needs {name} >= 1")
         if "output" in p and p["output"] not in ("label", "prob"):
             raise ContractViolation("output must be 'label' or 'prob'")
-        if "sigma_sq" in p and p["sigma_sq"] <= 0:
-            raise ContractViolation("noisy_wrapper needs sigma_sq > 0")
         if "members" in p and not (isinstance(p["members"], list) and p["members"]):
             raise ContractViolation("ensemble needs a nonempty list of members")
         if "combiner" in p and p["combiner"] != "majority":
@@ -352,29 +342,6 @@ def _linear_predict(w: np.ndarray, query_xs: np.ndarray, output: str) -> np.ndar
     # another order and moves the last ulp of some probabilities
     probs = _sigmoid(np.vecdot(_design(query_xs), w[..., None, :]))
     return probs[..., None] if output == "prob" else (probs > 0.5).astype(np.int64)
-
-
-def _digest(data: bytes) -> int:
-    return int.from_bytes(hashlib.blake2b(data, digest_size=8).digest(), "big")
-
-
-def noisy_predict(inner_predictions, sigma_sq: float, seed: int, train_digest: int,
-                  queries) -> np.ndarray:
-    """Add per-(train set, query) Gaussian noise to real-vector predictions.
-
-    The noise stream is keyed on (seed, train digest, query digest): asking
-    the same query twice in one trial repeats the noise, while distinct
-    queries and distinct trials get independent draws.
-    """
-    if sigma_sq <= 0:
-        raise ContractViolation("sigma_sq must be > 0")
-    sigma = math.sqrt(sigma_sq)
-    out = np.array(inner_predictions, dtype=float)
-    for row, q in zip(out, queries):
-        qdig = _digest(np.asarray(q, dtype=float).tobytes())
-        rng = np.random.default_rng([seed, train_digest, qdig])
-        row += rng.normal(0.0, sigma, len(row))
-    return out
 
 
 def ensemble_combine(member_predictions) -> np.ndarray:
@@ -409,18 +376,6 @@ def _linear_rows(spec, xs, ys, train_idx, query_xs, seeds):
     return _in_chunks(fit, len(train_idx), _chunk_rows(max(per_set)))
 
 
-def _noisy_rows(spec, xs, ys, train_idx, query_xs, seeds):
-    """The inner learner's rows, each with its keyed noise added."""
-    prediction_space(spec)  # refuses an inner learner with class-label output
-    (inner,) = _wrapped(spec)
-    preds, _ = _fit_predict_rows(inner, xs, ys, train_idx, query_xs, seeds)
-    for t, (idx, seed) in enumerate(zip(train_idx, seeds)):
-        train_digest = _digest(xs[idx].tobytes() + ys[idx].tobytes())
-        preds[t] = noisy_predict(preds[t], spec.param("sigma_sq"), int(seed),
-                                 train_digest, query_xs)
-    return preds, None
-
-
 def _ensemble_rows(spec, xs, ys, train_idx, query_xs, seeds):
     """Majority vote of the members; member j fits row t with seed
     ``derive_seed(seeds[t], j)``."""
@@ -437,7 +392,6 @@ _ROWS = {
     "knn": _knn_rows,
     "logistic_gd": _linear_rows,
     "sgld_linear": _linear_rows,
-    "noisy_wrapper": _noisy_rows,
     "ensemble": _ensemble_rows,
 }
 

@@ -62,8 +62,10 @@ class TestRun:
                               bounds=["cmi_weights"])
         assert main(["run", str(config)]) == 2
 
-    def test_noisy_wrapper_with_absolute_loss_is_config_error(self, tmp_path, monkeypatch):
-        """The wrapper's noise leaves [0, 1], so the absolute loss is refused
+    def test_noisy_wrapper_with_absolute_loss_is_config_error(self, tmp_path, monkeypatch,
+                                                               capsys):
+        """``noisy_wrapper`` is no learner kind: its noise left [0, 1], so no
+        loss could score it. Its config is refused as an unknown learner
         when the config is checked, before any fit."""
         fits = count_fits(monkeypatch)
         inner = {"kind": "logistic_gd", "params": {"output": "prob", "steps": 20}}
@@ -73,6 +75,7 @@ class TestRun:
                           "params": {"inner": inner, "sigma_sq": 0.1}},
             loss="absolute", bounds=["det_stability"])
         assert main(["run", str(config), "-o", str(tmp_path / "out")]) == 2
+        assert "unknown learner kind 'noisy_wrapper'" in capsys.readouterr().err
         assert fits == []
 
     def test_seed_override_echoed(self, tmp_path):
@@ -101,24 +104,31 @@ class TestRun:
         assert main(["run", str(config), "-o", str(out),
                      "--set", "subset_policy.enumerate_limit=0"]) == 0
 
-    @pytest.mark.parametrize("mode, bounds", [
+    @pytest.mark.parametrize("mode, bounds, learner, labels", [
         ("exact_enumeration", ["fcmi_m1", "fcmi_mn", "fcmi_stability",
-                               "fcmi_stability_squared", "fcmi_subset_m"]),
-        ("monte_carlo", ["fcmi_m1"]),
-    ])
-    def test_labels_near_2_40(self, tmp_path, monkeypatch, mode, bounds):
-        """Labels 2^40 + c give the report of labels c + 1: the memorizer's
-        predictions (a label, or 0 when the query is unseen) keep their
-        order, and the estimates rank wide predictions."""
+                               "fcmi_stability_squared", "fcmi_subset_m"],
+         {"kind": "memorizer"}, ((1, 1, 3), (2 ** 40, 1, 3))),
+        ("monte_carlo", ["fcmi_m1"], {"kind": "memorizer"}, ((1, 1, 3), (2 ** 40, 1, 3))),
+        # two labels make a 2^10 * 2^5-cell fcmi_mn joint, whatever their values
+        ("monte_carlo", ["fcmi_mn"], {"kind": "knn", "params": {"k": 3}},
+         ((0, 1, 2), (0, 2 ** 40, 2))),
+    ], ids=["exact_enumeration-bounds0", "monte_carlo-bounds1", "monte_carlo_knn_two_labels"])
+    def test_labels_near_2_40(self, tmp_path, monkeypatch, mode, bounds, learner, labels):
+        """Labels 2^40 + c give the report of labels c + 1, and labels
+        {0, 2^40} that of {0, 1}: the predictions (a label, or the
+        memorizer's 0 when the query is unseen) keep their order, the
+        estimates rank wide predictions, and the alphabet counts distinct
+        labels. Label i of the pool is base + step * (7i mod classes)."""
         reports = []
-        for offset in (1, 2 ** 40):
-            run_dir = tmp_path / str(offset)
+        for base, step, classes in labels:
+            run_dir = tmp_path / f"{base}_{step}"
             run_dir.mkdir()
             monkeypatch.chdir(run_dir)
             (run_dir / "pool.csv").write_text("x_0,y\n" + "".join(
-                f"{i / 20},{offset + i * 7 % 3}\n" for i in range(20)), encoding="utf-8")
+                f"{i / 20},{base + step * (i * 7 % classes)}\n" for i in range(20)),
+                encoding="utf-8")
             config = write_config(run_dir, data={"kind": "csv", "params": {"path": "pool.csv"}},
-                                  n=5, k1=1, mode=mode, bounds=bounds,
+                                  n=5, k1=1, mode=mode, bounds=bounds, learner=learner,
                                   subset_policy={"m": 2})
             assert main(["run", str(config), "-o", "out"]) == 0
             reports.append((run_dir / "out" / "report.json").read_bytes())
@@ -174,6 +184,21 @@ class TestCsvValidation:
         sgld = {"kind": "sgld_linear", "params": {"steps": 5}}
         assert self._run(tmp_path, rows, sgld) == 2
         assert self._run(tmp_path, rows, self.KNN) == 0  # multi-class is fine here
+
+    @pytest.mark.parametrize("learner", [
+        {"kind": "threshold_erm", "params": {}},
+        {"kind": "ensemble", "params": {"members": [
+            {"kind": "knn", "params": {"k": 1}}, {"kind": "threshold_erm", "params": {}}]}},
+    ], ids=["alone", "ensemble_member"])
+    def test_nonbinary_label_for_threshold_erm_is_config_error(self, tmp_path, monkeypatch,
+                                                               capsys, learner):
+        """threshold_erm fits and predicts labels 0 and 1 only: on labels
+        {0, 2} it would predict 0 everywhere, so the pool is refused."""
+        fits = count_fits(monkeypatch)
+        rows = [(i / 12, 2 * (i % 2)) for i in range(12)]
+        assert self._run(tmp_path, rows, learner, n=6) == 2
+        assert "needs labels in {0, 1}" in capsys.readouterr().err
+        assert fits == []
 
     def test_multiclass_alphabet_sized_from_pool(self, tmp_path, monkeypatch):
         """3 classes at n=5 give a 3^10 * 2^5 = 1,889,568-cell fcmi_mn joint, over

@@ -203,6 +203,14 @@ class TestTypes:
         with pytest.raises(ContractViolation):
             table(np.zeros((0, 1)), np.zeros((0, 2)), [], [])
 
+    def test_negative_finite_prediction_rejected(self):
+        """The estimators read finite predictions as nonnegative digits; a
+        real-vector prediction may be negative."""
+        with pytest.raises(ContractViolation, match=">= 0"):
+            table([[0, 1]], [[0, 1, -1, 0]], [0.0], [0.0])
+        TrialTable("ss", PredictionSpace("real", dim=1), np.array([[0]]), np.array([1]),
+                   np.array([[[-0.5], [0.5]]]), np.array([0.0]), np.array([0.0]))
+
 
 class TestPredictionTableJson:
     EXPECTED = {

@@ -185,19 +185,13 @@ GOLDEN = {
              bounds=["fcmi_m1", "fcmi_mn", "fcmi_stability", "fcmi_stability_squared",
                      "fcmi_subset_m"],
              subset_policy={"m": 2}, master_seed=25),
-        "309a048786dfcd9b254abc0726ffdfee9e832d002184742f53e24167e653f30f",
+        "290b51f15740075ceda8fd62576bd09ae9f4ae6969bb3baf246ab4cf4e655b6a",
         "0.2724609375", "0.03866990209613932",
         "598ba072e93e1ef77f0cc83d3fbf85a55b24fbf64d75af7364f478805fa0d112"),
 }
 
-_LOGISTIC_PROB = {"kind": "logistic_gd", "params": {"output": "prob", "steps": 20}}
-
 # name: (learner, generator, n, trials, seed, (beta, beta1, beta2) reprs)
 STABILITY_GOLDEN = {
-    "noisy_wrapper_logistic_prob": (
-        {"kind": "noisy_wrapper", "params": {"inner": _LOGISTIC_PROB, "sigma_sq": 0.01}},
-        GAUSS_DATA, 6, 4, 21,
-        ("0.26149742103511825", "0.22847284478482463", "0.31732679681751813")),
     "ensemble_linear_members": (
         {"kind": "ensemble", "params": {"members": [
             {"kind": "logistic_gd", "params": {"steps": 20, "lr": 5.0}},

@@ -68,8 +68,6 @@ _LEARNERS = st.one_of(
         "kind": st.sampled_from(["logistic_gd", "sgld_linear"]),
         "params": _optional(output=st.sampled_from(["label", "prob"]),
                             steps=st.integers(1, 300), init_scale=st.floats(0, 1))}),
-    st.just({"kind": "noisy_wrapper", "params": {
-        "inner": {"kind": "logistic_gd", "params": {"output": "prob"}}}}),
     st.just({"kind": "ensemble", "params": {"members": [
         {"kind": "knn", "params": {"k": 3}}, {"kind": "memorizer"}]}}),
 )
@@ -114,10 +112,6 @@ def _parent_check(config: ExperimentConfig, num_classes: int) -> None:
         raise UnsupportedCombinationError(
             f"loss {config.loss!r} does not match the {space.kind!r} prediction "
             f"space of learner {spec.kind!r}")
-    if config.loss == "absolute" and spec.kind == "noisy_wrapper":
-        raise UnsupportedCombinationError(
-            "loss 'absolute' needs predictions in [0, 1]; the Gaussian noise of "
-            "'noisy_wrapper' moves them outside that range")
     for b in config.bounds:
         if b in _REAL_SPACE:
             if space.kind != "real":

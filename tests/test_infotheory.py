@@ -17,7 +17,7 @@ from fcmi.infotheory import (
     subset_mi,
     mi_testslots,
 )
-from fcmi.infotheory import _lex_codes, _occupied, _packed_mi
+from fcmi.infotheory import _occupied, _packed_mi, _row_codes
 from fcmi.learners import LearnerSpec, fill_table
 from oracles import (
     _group_codes,
@@ -291,36 +291,27 @@ class TestEstimatorAgainstOracles:
 
 
 _INT64 = np.iinfo(np.int64)
-# symbol draws: a small alphabet, negative symbols, float bit patterns, and
-# wide codes whose offset or next digit does not fit in an int64
-_SYMBOL_KINDS = {
-    "small": lambda rng, shape: rng.integers(0, 3, shape),
-    "negative": lambda rng, shape: rng.integers(-5, 2, shape),
-    "wide": lambda rng, shape: rng.choice(
-        np.array([_INT64.min, -2 ** 40, -1, 0, 7, 2 ** 52 + 3, _INT64.max]), shape),
-    "weight_codes": lambda rng, shape: rng.choice(
-        rng.random(4).view(np.int64), shape),
-    # a quarter of the int64 range: after a re-rank the next digit still overflows
-    "quarter_range": lambda rng, shape: rng.choice(np.array([-2 ** 61, 0, 2 ** 61]), shape),
-    "uint8": lambda rng, shape: rng.integers(0, 256, shape).astype(np.uint8),
-    "uint64_high": lambda rng, shape: rng.choice(
-        np.array([0, 5, 2 ** 63, 2 ** 64 - 1], dtype=np.uint64), shape),
-}
 
 
-class TestLexCodesAgainstLexsortOracle:
+class TestRowCodesAgainstLexsortOracle:
     @given(st.integers(0, 2 ** 32 - 1), st.integers(1, 80), st.integers(1, 40),
-           st.sampled_from(sorted(_SYMBOL_KINDS)))
+           st.sampled_from([2, 3, 17, 2 ** 16, 2 ** 31]))
     @settings(max_examples=100, deadline=None)
-    def test_lex_codes_are_the_lexsort_ranks(self, seed, rows, columns, kind):
-        """Many columns of a wide alphabet force the re-rank before a fold
-        would overflow int64; the ranks still equal the lexsort chain's."""
+    def test_row_codes_are_the_lexsort_order(self, seed, rows, columns, radix):
+        """Up to 40 columns of a radix of 3 or more fold several mixed-radix
+        digits by rank; the codes order the rows as the lexsort chain does,
+        and a row of several digits gets the chain's dense rank."""
         rng = np.random.default_rng(seed)
-        cols = [_SYMBOL_KINDS[kind](rng, rows) for _ in range(columns)]
+        symbols = np.unique(np.concatenate([[0, radix - 1], rng.integers(0, radix, 3)]))
+        x = rng.choice(symbols, (rows, columns))
         expected = np.zeros(rows, dtype=np.int64)
-        for col in cols:
-            expected = _group_codes(expected, col)
-        assert np.array_equal(_lex_codes(cols), expected)
+        for j in range(columns):
+            expected = _group_codes(expected, x[:, j])
+        code, size = _row_codes(lambda j0, j1: x[:, j0:j1], columns, radix)
+        assert 0 <= code.min() and code.max() < size
+        assert np.array_equal(np.unique(code, return_inverse=True)[1], expected)
+        if radix ** columns > _INT64.max:  # several digits
+            assert np.array_equal(code, expected) and size == expected.max() + 1
 
 
 _KNN = [{"kind": "knn", "params": {"k": k}} for k in (1, 3)]
@@ -342,8 +333,8 @@ _WIDE_CODES = np.array([_INT64.min, _INT64.min + 1, -1, 0, 1, _INT64.max - 1, _I
 
 def _draw_table(data, rng) -> TrialTable:
     """An exact or monte_carlo table of a finite learner, or of random
-    predictions with a negative offset, spread over more than 2^16 values
-    (which the estimates rank) or not."""
+    nonnegative predictions, spread over more than 2^16 values (which the
+    estimates rank) or not."""
     n = data.draw(st.integers(1, 8), label="n")
     learner = data.draw(st.sampled_from(sorted(FINITE_LEARNERS) + ["random"]), label="learner")
     if data.draw(st.booleans(), label="exact"):
@@ -354,7 +345,7 @@ def _draw_table(data, rng) -> TrialTable:
         masks, seeds = rng.integers(0, 2, (k2, n)).astype(np.uint8), np.arange(k2)
     rows = len(masks)
     if learner == "random":
-        values = (data.draw(st.integers(-5, 0), label="lo")
+        values = (data.draw(st.integers(0, 5), label="lo")
                   + np.arange(data.draw(st.integers(1, 20), label="alphabet")))
         if data.draw(st.booleans(), label="wide"):
             values = values * 2 ** 40
@@ -401,13 +392,12 @@ class TestTableCodesAgainstGatheredOracle:
 
     def test_wide_predictions_count_as_their_ranks(self):
         """Predictions spanning more than 2^16 values, up to the int64
-        extremes, give the bits of their dense ranks and of the oracle; at
+        maximum, give the bits of their dense ranks and of the oracle; at
         m = 7 the family's joint code passes int64 and its subsets are
         counted one at a time."""
         rng = np.random.default_rng(13)
         n, rows = 7, 200
-        values = np.concatenate([[_INT64.min, -1], 2 ** 40 + np.arange(17) * 2 ** 20,
-                                 [_INT64.max]])
+        values = np.concatenate([[0, 1], 2 ** 40 + np.arange(17) * 2 ** 20, [_INT64.max]])
         ranks = rng.integers(0, len(values), (rows, 2 * n))
         masks = rng.integers(0, 2, (rows, n)).astype(np.uint8)
         wide, ranked = (TrialTable("ss000", PredictionSpace("finite", 2), masks,
@@ -424,6 +414,22 @@ class TestTableCodesAgainstGatheredOracle:
             assert np.array_equal(got, split_cmi(ranked, all_pairs))
             assert np.array_equal(got, gathered_split_cmi(wide, all_pairs))
         assert mi_testslots(wide) == mi_testslots(ranked) == gathered_mi_testslots(wide)
+
+    def test_three_class_rows_of_several_digits(self):
+        """Three labels over n = 40 pairs: the test-slot row is two digits,
+        the full tuple three (counted per subset, its joint code past int64)
+        and the all-pair target three; each estimate has the oracle's bits."""
+        rng = np.random.default_rng(15)
+        n, rows = 40, 300
+        ss = Supersample(rng.random((2 * n, 1)), rng.integers(0, 3, 2 * n))
+        masks = rng.integers(0, 2, (rows, n)).astype(np.uint8)
+        table = fill_table(ss, LearnerSpec("knn", {"k": 1}), masks, np.arange(rows))
+        assert table.preds.max() == 2 and 3 ** 39 <= _INT64.max < 3 ** 40
+        assert mi_testslots(table) == gathered_mi_testslots(table)
+        full = [tuple(range(n))]
+        assert np.array_equal(subset_mi(table, full), gathered_subset_mi(table, full))
+        assert np.array_equal(split_cmi(table, all_pairs=True),
+                              gathered_split_cmi(table, all_pairs=True))
 
     def test_wide_margins_are_counted_by_rank(self):
         """Margins whose code range exceeds the rows are ranked before they

@@ -15,7 +15,6 @@ from fcmi.datagen import GeneratorSpec, sample_supersample
 import fcmi.learners
 from fcmi.learners import (
     LearnerSpec,
-    _digest,
     _fit_predict_rows,
     _linear_predict,
     _sigmoid,
@@ -24,7 +23,6 @@ from fcmi.learners import (
     fill_table,
     label_classes,
     logistic_fit,
-    noisy_predict,
     prediction_space,
     sgld_fit,
 )
@@ -465,9 +463,9 @@ def _scalar_knn(train_xs: np.ndarray, train_ys: np.ndarray, query_xs: np.ndarray
 
 
 def _scalar_fit_predict(spec, train_xs, train_ys, query_xs, seed):
-    """One fit of a label learner, an ensemble of them or a noisy_wrapper
-    over a linear learner: the scalar bodies and the per-kind chain they
-    ran under. Returns the predictions and the weight code (or None)."""
+    """One fit of a label learner or an ensemble of them: the scalar bodies
+    and the per-kind chain they ran under. Returns the predictions and the
+    weight code (or None)."""
     p = spec.params
     if spec.kind == "memorizer":
         return _scalar_memorize(train_xs, train_ys, query_xs), None
@@ -477,15 +475,6 @@ def _scalar_fit_predict(spec, train_xs, train_ys, query_xs, seed):
         return (query_xs[:, 0] > w).astype(np.int64), code
     if spec.kind == "knn":
         return _scalar_knn(train_xs, train_ys, query_xs, int(p.get("k", 1))), None
-    if spec.kind == "noisy_wrapper":
-        inner = LearnerSpec.from_json_dict(p["inner"])
-        _, scalar_fit = _LINEAR_FITS[inner.kind]
-        w = scalar_fit(train_xs, train_ys, seed, steps=inner.params["steps"])
-        inner_preds = _scalar_linear_predict(w, query_xs, "prob")
-        train_digest = _digest(
-            np.ascontiguousarray(train_xs).tobytes() + train_ys.tobytes())
-        return noisy_predict(inner_preds, float(p["sigma_sq"]), seed,
-                             train_digest, query_xs), None
     members = [LearnerSpec.from_json_dict(m) for m in p["members"]]
     per_member = np.stack([
         _scalar_fit_predict(m, train_xs, train_ys, query_xs, derive_seed(seed, j))[0]
@@ -518,7 +507,7 @@ def _check_rows_match_oracle(spec, xs, ys, train_idx, queries, seeds, cap):
         assert (codes is None) == (code is None)
         if code is not None:
             assert codes[t] == code
-    assert preds.dtype == np.int64 or spec.kind == "noisy_wrapper"
+    assert preds.dtype == np.int64
 
 
 class TestRowsAgainstScalarOracles:
@@ -549,17 +538,6 @@ class TestRowsAgainstScalarOracles:
         queries = np.concatenate([xs, rng.integers(0, grid + 1, (3, dim)) / grid])
         cap = data.draw(st.sampled_from([fcmi.learners._BATCH_CELLS, 1, 7, 64, 500]))
         _check_rows_match_oracle(spec, xs, ys, train_idx, queries, seeds, cap)
-
-    @pytest.mark.parametrize("cap", [fcmi.learners._BATCH_CELLS, 40])
-    def test_noisy_wrapper_rows(self, cap):
-        rng = np.random.default_rng(21)
-        spec = LearnerSpec("noisy_wrapper", {
-            "inner": {"kind": "logistic_gd", "params": {"output": "prob", "steps": 15}},
-            "sigma_sq": 0.3})
-        xs, ys = rng.normal(0.0, 1.0, (10, 2)), rng.integers(0, 2, 10)
-        train_idx = np.stack([rng.permutation(10)[:6] for _ in range(7)])
-        seeds = rng.integers(0, 2 ** 63, 7, dtype=np.uint64)
-        _check_rows_match_oracle(spec, xs, ys, train_idx, xs[:4], seeds, cap)
 
     @pytest.mark.parametrize("k", [1, 2, 4])
     def test_knn_nan_distances_tie_by_position(self, k):
@@ -621,64 +599,6 @@ class TestFillTable:
             fill_table(ss, LearnerSpec(kind), np.zeros((2, width), dtype=np.uint8), [1, 2])
 
 
-class TestNoisyWrapper:
-    def _inner(self):
-        return {"kind": "logistic_gd", "params": {"output": "prob", "steps": 20}}
-
-    def test_same_query_same_trial_identical(self):
-        preds = [(0.5,), (0.5,)]
-        out1 = noisy_predict(preds, 0.25, seed=7, train_digest=123,
-                             queries=[(0.1,), (0.1,)])
-        assert out1[0] == out1[1]
-
-    def test_distinct_queries_independent(self):
-        rng_draws = ([], [])
-        for t in range(10 ** 4):
-            out = noisy_predict([(0.0,), (0.0,)], 1.0, seed=t, train_digest=99,
-                                queries=[(0.1,), (0.2,)])
-            rng_draws[0].append(out[0][0])
-            rng_draws[1].append(out[1][0])
-        corr = np.corrcoef(rng_draws[0], rng_draws[1])[0, 1]
-        assert abs(corr) <= 0.05
-
-    def test_small_sigma_tracks_inner(self):
-        spec = LearnerSpec("noisy_wrapper",
-                           {"inner": self._inner(), "sigma_sq": 1e-18})
-        rng = np.random.default_rng(5)
-        train = [mk(x, int(x > 0.5)) for x in rng.random(10)]
-        inner_out = fit_predict(LearnerSpec.from_json_dict(self._inner()),
-                                train, [(0.3,)], 11)
-        noisy_out = fit_predict(spec, train, [(0.3,)], 11)
-        assert noisy_out.predictions[0][0] == pytest.approx(
-            inner_out.predictions[0][0], abs=1e-8)
-
-    def test_rejects_nonpositive_sigma(self):
-        with pytest.raises(ContractViolation):
-            LearnerSpec("noisy_wrapper", {"inner": self._inner(), "sigma_sq": 0.0})
-
-    def test_rejects_label_inner(self):
-        spec = LearnerSpec("noisy_wrapper",
-                           {"inner": {"kind": "knn", "params": {"k": 1}},
-                            "sigma_sq": 0.1})
-        with pytest.raises(ContractViolation):
-            fit_predict(spec, [mk(0.1, 0)], [(0.1,)], 0)
-
-    def test_sigma_sq_defaults_to_one(self):
-        """Without ``sigma_sq`` the wrapper fits, and estimates stability, with
-        the declared 1.0; the echo keeps the params as given."""
-        bare = LearnerSpec("noisy_wrapper", {"inner": self._inner()})
-        explicit = LearnerSpec("noisy_wrapper", {"inner": self._inner(), "sigma_sq": 1.0})
-        rng = np.random.default_rng(6)
-        train = [mk(x, int(x > 0.5)) for x in rng.random(10)]
-        assert np.array_equal(fit_predict(bare, train, [(0.3,), (0.7,)], 11).predictions,
-                              fit_predict(explicit, train, [(0.3,), (0.7,)], 11).predictions)
-        gen = GeneratorSpec("two_gaussians", {"dim": 1})
-        assert (estimate_stability(bare, gen, 4, 2, 3)
-                == estimate_stability(explicit, gen, 4, 2, 3))
-        assert bare.to_json_dict() == {"kind": "noisy_wrapper",
-                                       "params": {"inner": self._inner()}}
-
-
 class TestEnsemble:
     def test_majority(self):
         assert ensemble_combine([1, 1, 0]) == 1
@@ -725,10 +645,6 @@ class TestReproducibility:
         LearnerSpec("logistic_gd", {"steps": 30}),
         LearnerSpec("logistic_gd", {"steps": 30, "output": "prob"}),
         LearnerSpec("sgld_linear", {"steps": 30}),
-        LearnerSpec("noisy_wrapper", {
-            "inner": {"kind": "logistic_gd",
-                      "params": {"output": "prob", "steps": 30}},
-            "sigma_sq": 0.5}),
         LearnerSpec("ensemble", {"members": [
             {"kind": "knn", "params": {"k": 1}},
             {"kind": "knn", "params": {"k": 3}}]}),
@@ -772,7 +688,7 @@ class TestReproducibility:
         ("logistic_gd", {"lr": True}),
         ("logistic_gd", {"output": "logit"}),
         ("sgld_linear", {"lr_decay_every": 0}),
-        ("noisy_wrapper", {"sigma_sq": 0.1}),
+        ("ensemble", {"members": [{"kind": "knn"}], "combiner": "mean"}),
         ("ensemble", {"members": []}),
         ("ensemble", {"members": [{"kind": "knn", "param": {"k": 1}}]}),
     ])
@@ -785,6 +701,9 @@ class TestReproducibility:
                                             {"output": "prob"})).kind == "real"
         assert label_classes(np.array([0, 0])) == 2
         assert label_classes(np.array([0, 2, 1])) == 3
+        # the distinct labels and the memorizer's default 0 count, not their values
+        assert label_classes(np.array([2, 5, 2])) == 3
+        assert label_classes(np.array([0, 2 ** 40])) == 2
 
 
 def _as_vector(pred) -> np.ndarray:
@@ -838,9 +757,6 @@ _STABILITY_CASES = {
     "sgld_prob": LearnerSpec("sgld_linear", {"output": "prob", "steps": 20}),
     "knn3": LearnerSpec("knn", {"k": 3}),
     "memorizer": LearnerSpec("memorizer"),
-    "noisy_wrapper": LearnerSpec("noisy_wrapper", {
-        "inner": {"kind": "logistic_gd", "params": {"output": "prob", "steps": 20}},
-        "sigma_sq": 0.01}),
     "ensemble": LearnerSpec("ensemble", {"members": [
         {"kind": "knn", "params": {"k": 1}}, {"kind": "knn", "params": {"k": 3}},
         {"kind": "memorizer", "params": {}}]}),
