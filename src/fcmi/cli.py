@@ -17,14 +17,12 @@ from .harness import (
     ConfigError,
     ExperimentConfig,
     ParseError,
-    SweepFailure,
     canonical_json,
     curve_rows,
     curve_table_csv,
     load_report,
     persist,
     run_experiment,
-    sweep,
 )
 from .lemma_lab import run_all_verifiers
 
@@ -115,28 +113,29 @@ def _sweep_configs(raw, args) -> list[ExperimentConfig]:
     for idx, member in enumerate(members):
         try:
             configs.append(_config_from_args(member, args))
-        except ConfigError as e:
+        except (ConfigError, SizeError) as e:
             raise type(e)(f"sweep member {idx}: {e}") from e
     return configs
 
 
 def _cmd_sweep(args) -> int:
+    """Run the members in order, each already checked when it was built, and
+    write each report as it completes; the first failing run stops the sweep."""
     configs = _sweep_configs(_load_config_dict(args.config), args)
     out = Path(args.output_dir)
     out.mkdir(parents=True, exist_ok=True)
-    try:
-        reports, rows = sweep(configs)
-    except SweepFailure as e:
-        for idx, report in enumerate(e.completed):
-            persist(report, out / f"report_{idx:03d}.json")
-        persist({"failed_index": e.index, "error": str(e.cause)},
-                out / "errors.json")
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_RUNTIME
-    for idx, report in enumerate(reports):
+    rows = []
+    for idx, config in enumerate(configs):
+        try:
+            report = run_experiment(config)
+        except Exception as e:
+            persist({"failed_index": idx, "error": str(e)}, out / "errors.json")
+            print(f"error: sweep member {idx} failed: {e}", file=sys.stderr)
+            return EXIT_RUNTIME
         persist(report, out / f"report_{idx:03d}.json")
+        rows.extend(curve_rows(report))
     (out / "curves.csv").write_text(curve_table_csv(rows), encoding="utf-8")
-    print(f"swept {len(reports)} configs -> {out}/curves.csv", file=sys.stderr)
+    print(f"swept {len(configs)} configs -> {out}/curves.csv", file=sys.stderr)
     return EXIT_OK
 
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import sys
 from dataclasses import MISSING, dataclass, field, fields
 from typing import Callable, ClassVar
 
@@ -59,13 +60,15 @@ class JsonFields:
 
 
 # the values a declared type admits, for kind parameters and config fields
-# alike: a boolean, 0 or 1 for a boolean, an integer for an integer, any
-# number for a float and a string for a string; a boolean is no number
+# alike: a boolean, 0 or 1 for a boolean, an integer for an integer, a finite
+# float's value for a float (not JSON's Infinity or NaN) and a string for a
+# string; a boolean is no number
 _ADMITS = {bool: (lambda v: isinstance(v, (int, np.integer)) and v in (0, 1), "a boolean"),
            int: (lambda v: isinstance(v, (int, np.integer)) and not isinstance(v, bool),
                  "an integer"),
            float: (lambda v: isinstance(v, (int, float, np.integer, np.floating))
-                   and not isinstance(v, bool), "a number"),
+                   and not isinstance(v, bool) and abs(v) <= sys.float_info.max,
+                   "a finite number"),
            str: (lambda v: isinstance(v, str), "a string")}
 
 

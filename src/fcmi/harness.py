@@ -72,16 +72,6 @@ class ParseError(ValueError):
     """A persisted report or table failed to parse."""
 
 
-class SweepFailure(RuntimeError):
-    """A sweep member failed; carries the completed reports and the bad index."""
-
-    def __init__(self, index: int, cause: Exception, completed):
-        super().__init__(f"sweep member {index} failed: {cause}")
-        self.index = index
-        self.cause = cause
-        self.completed = completed
-
-
 class _DataSource(KindSpec):
     """The config's data object: a generator, or a csv pool of examples."""
 
@@ -105,9 +95,10 @@ _SCALARS = {"bool": bool, "int": int, "int | None": int, "float": float}
 
 @dataclass
 class ExperimentConfig:
-    """One experiment. Each field states its JSON key, default, type and
-    bounds once; parsing, the checks and the report echo read them from
-    here, and a key no field states is refused.
+    """One experiment, checked whole when it is built: a config that exists
+    can run. Each field states its JSON key, default, type and bounds once;
+    parsing, the checks and the report echo read them from here, and a key
+    no field states is refused.
     """
 
     data: dict
@@ -129,6 +120,10 @@ class ExperimentConfig:
     # schedules supersamples but changes no result, so equality and the
     # report echo leave it out
     jobs: int = _field(1, least=1, compare=False)
+    # a csv source's (N, d) inputs and (N,) labels, read when the config is
+    # built (None for a generator); no JSON key, not echoed, not compared
+    pool: tuple[np.ndarray, np.ndarray] | None = field(
+        default=None, init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         for f in fields(self):  # f.type is the annotation's text
@@ -149,6 +144,8 @@ class ExperimentConfig:
             raise ConfigError(f"unknown mode {self.mode!r}")
         if self.loss not in LOSSES:
             raise ConfigError(f"unknown loss {self.loss!r}")
+        if not isinstance(self.bounds, (list, tuple)):
+            raise ConfigError(f"bounds must be a list, got {self.bounds!r}")
         self.bounds = tuple(self.bounds)
         for b in self.bounds:
             if b not in BOUNDS:
@@ -172,12 +169,14 @@ class ExperimentConfig:
             raise ConfigError(
                 "threshold_erm needs 1-D features in [0, 1]: threshold_realizable, "
                 f"uniform_labels with dim 1 or a one-column csv, not {gen.kind!r}")
+        self.pool = _load_pool(self)
+        _check_bounds_supported(self, 2 if self.pool is None else label_classes(self.pool[1]))
 
     @classmethod
     def from_json_dict(cls, d) -> "ExperimentConfig":
         if not isinstance(d, dict):
             raise ConfigError(f"an experiment config must be a JSON object, got {d!r}")
-        declared = {_key(f): f for f in fields(cls)}
+        declared = {_key(f): f for f in fields(cls) if f.init}
         groups = {key.split(".")[0] for key in declared if "." in key}
         flat = {}
         for key, value in d.items():
@@ -196,7 +195,7 @@ class ExperimentConfig:
                 kwargs["learner"] = LearnerSpec.from_json_dict(kwargs["learner"])
             return cls(**kwargs)
         except (TypeError, ValueError) as e:
-            if isinstance(e, ConfigError):
+            if isinstance(e, (ConfigError, SizeError)):
                 raise
             raise ConfigError(f"bad experiment config: {e}") from e
 
@@ -254,7 +253,7 @@ def canonical_json(payload) -> str:
     """Stable bytes for a JSON payload, or an object with ``to_json_dict``:
     sorted keys, two-space indent."""
     return json.dumps(json_data(payload), sort_keys=True, indent=2,
-                      ensure_ascii=False) + "\n"
+                      ensure_ascii=False, allow_nan=False) + "\n"
 
 
 def persist(report, path) -> None:
@@ -280,13 +279,14 @@ def load_report(path) -> ExperimentReport:
 
 
 def _load_pool(config: ExperimentConfig) -> tuple[np.ndarray, np.ndarray] | None:
-    """A csv source's (N, d) inputs and (N,) labels, read and validated once per
-    run; None for synthetic generators."""
+    """A csv source's (N, d) inputs and (N,) labels, read and validated when
+    the config is built; None for synthetic generators."""
     if config.data["kind"] != "csv":
         return None
     path = config.data["params"]["path"]
     try:
-        with open(path, newline="", encoding="utf-8") as fh:
+        # utf-8-sig drops the byte-order mark a spreadsheet may write
+        with open(path, newline="", encoding="utf-8-sig") as fh:
             rows = list(csv.DictReader(fh))
     except OSError as e:
         raise ConfigError(f"{path}: {e}") from e
@@ -317,11 +317,11 @@ def _load_pool(config: ExperimentConfig) -> tuple[np.ndarray, np.ndarray] | None
     return xs, ys
 
 
-def _draw_supersample(config: ExperimentConfig, a: int, pool=None) -> Supersample:
+def _draw_supersample(config: ExperimentConfig, a: int) -> Supersample:
     seed = derive_seed(config.master_seed, _DATA, a)
-    if pool is None:
+    if config.pool is None:
         return sample_supersample(GeneratorSpec.from_json_dict(config.data), config.n, seed)
-    xs, ys = pool
+    xs, ys = config.pool
     picks = np.random.default_rng(seed).choice(len(ys), size=2 * config.n, replace=False)
     return Supersample(xs[picks], ys[picks])
 
@@ -407,8 +407,8 @@ _SPACE_NOUN = {"finite": "a finite prediction alphabet", "real": "real-vector pr
 
 
 def _check_bounds_supported(config: ExperimentConfig, num_classes: int) -> None:
-    """Refuse, before any fit, a bound the learner, mode or data cannot give;
-    ``num_classes`` sizes the prediction alphabet of class-label learners."""
+    """Refuse a bound the learner, mode or data cannot give; ``num_classes``
+    sizes the prediction alphabet of class-label learners."""
     spec = config.learner
     space = prediction_space(spec, num_classes)
     if LOSS_SPACE[config.loss] != space.kind:
@@ -464,12 +464,11 @@ def _subset_family(config: ExperimentConfig) -> tuple[list[tuple[int, ...]], str
 
 
 def _run_supersample(config: ExperimentConfig, a: int,
-                     subsets: list[tuple[int, ...]] | None, pool=None,
-                     keep_table: bool = False):
+                     subsets: list[tuple[int, ...]] | None, keep_table: bool = False):
     """Every estimate the requested bounds read from one supersample's trial
     table, and the table itself when it is kept (None otherwise, so it is
     freed, or never sent back from a worker, once its estimates are made)."""
-    supersample = _draw_supersample(config, a, pool)
+    supersample = _draw_supersample(config, a)
     n = config.n
     exact = config.mode == "exact_enumeration"
     if exact:
@@ -570,14 +569,6 @@ def _stability_constants(config: ExperimentConfig) -> bnd.StabilityConstants:
 # --- top-level runs ----------------------------------------------------------
 
 
-def _checked_pool(config: ExperimentConfig):
-    """Read a csv source's pool (None for a generator) and refuse, before any
-    fit, a bound the learner, mode or data cannot give."""
-    pool = _load_pool(config)
-    _check_bounds_supported(config, 2 if pool is None else label_classes(pool[1]))
-    return pool
-
-
 def run_experiment(config: ExperimentConfig, keep_tables: bool = False) -> ExperimentReport:
     """Run the full protocol for one configuration.
 
@@ -585,7 +576,6 @@ def run_experiment(config: ExperimentConfig, keep_tables: bool = False) -> Exper
     by counter, and results assemble in index order regardless of scheduling.
     """
     t0 = time.perf_counter()
-    pool = _checked_pool(config)
     subsets = None
     subset_meta = None
     if any(BOUNDS[b].needs_m for b in config.bounds):
@@ -596,9 +586,9 @@ def run_experiment(config: ExperimentConfig, keep_tables: bool = False) -> Exper
         with ProcessPoolExecutor(max_workers=config.jobs) as workers:
             runs = list(workers.map(_run_supersample, [config] * config.k1,
                                     range(config.k1), [subsets] * config.k1,
-                                    [pool] * config.k1, [keep_tables] * config.k1))
+                                    [keep_tables] * config.k1))
     else:
-        runs = [_run_supersample(config, a, subsets, pool, keep_tables)
+        runs = [_run_supersample(config, a, subsets, keep_tables)
                 for a in range(config.k1)]
     results = [r for r, _ in runs]
     exact = config.mode == "exact_enumeration"
@@ -629,33 +619,6 @@ def run_experiment(config: ExperimentConfig, keep_tables: bool = False) -> Exper
         tables=[t for _, t in runs] if keep_tables else None,
     )
     return report
-
-
-def sweep(configs) -> tuple[list[ExperimentReport], list[dict]]:
-    """Check every configuration, then run them in order; abort on the first
-    failure.
-
-    A member the check refuses raises its error, naming the member, before
-    any member runs. A run that fails raises SweepFailure carrying the
-    completed reports so callers can persist partial results and the index of
-    the failing member.
-    """
-    configs = list(configs)
-    if not configs:
-        raise ContractViolation("sweep needs at least one configuration")
-    for idx, config in enumerate(configs):
-        try:
-            _checked_pool(config)
-        except (ConfigError, SizeError) as e:
-            raise type(e)(f"sweep member {idx}: {e}") from e
-    reports = []
-    for idx, config in enumerate(configs):
-        try:
-            reports.append(run_experiment(config))
-        except Exception as e:
-            raise SweepFailure(idx, e, reports) from e
-    rows = [row for rep in reports for row in curve_rows(rep)]
-    return reports, rows
 
 
 CURVE_HEADER = ("n", "learner", "bound_name", "gap_mean", "gap_std",

@@ -299,6 +299,11 @@ def sgld_fit(xs: np.ndarray, ys: np.ndarray, seeds, steps: int = 200,
 _LINEAR = {"logistic_gd": logistic_fit, "sgld_linear": sgld_fit}
 
 
+# the numeric parameters' ranges: the least admitted value, or > 0
+_AT_LEAST = {"k": 1, "steps": 1, "lr_decay_every": 1, "init_scale": 0, "lr_decay": 0}
+_POSITIVE = ("lr", "lr0", "temp_min", "temp_max", "temp_scale")
+
+
 def _tuning(fit) -> dict:
     """A linear learner's tuning parameters: its fit function's keyword defaults."""
     return {name: p.default for name, p in inspect.signature(fit).parameters.items()
@@ -315,22 +320,22 @@ class LearnerSpec(KindSpec):
         "threshold_erm": {},
         "knn": {"k": 1},
         **{kind: {"output": "label", **_tuning(fit)} for kind, fit in _LINEAR.items()},
-        "ensemble": {"members": MISSING, "combiner": "majority"},
+        "ensemble": {"members": MISSING},
     }
 
     def __post_init__(self) -> None:
         super().__post_init__()
         # a given value is checked; every default passes
         p = self.params
-        for name in ("k", "steps", "lr_decay_every"):
-            if name in p and p[name] < 1:
-                raise ContractViolation(f"{self.kind} needs {name} >= 1")
+        for name, value in p.items():
+            if name in _AT_LEAST and value < _AT_LEAST[name]:
+                raise ContractViolation(f"{self.kind} needs {name} >= {_AT_LEAST[name]}")
+            if name in _POSITIVE and value <= 0:
+                raise ContractViolation(f"{self.kind} needs {name} > 0")
         if "output" in p and p["output"] not in ("label", "prob"):
             raise ContractViolation("output must be 'label' or 'prob'")
         if "members" in p and not (isinstance(p["members"], list) and p["members"]):
             raise ContractViolation("ensemble needs a nonempty list of members")
-        if "combiner" in p and p["combiner"] != "majority":
-            raise ContractViolation("only the majority-vote combiner is implemented")
         _wrapped(self)  # a wrapped learner's spec is checked like this one
 
 

@@ -26,10 +26,15 @@ LOG2 = math.log(2.0)
 
 
 def _config(bounds, n, subset_m=None) -> ExperimentConfig:
-    return ExperimentConfig.from_json_dict({
+    """A config built, and so checked, with no bound, then given ``bounds``:
+    no one learner and mode admits them all, and assembly reads only the
+    config's n, m and digest fields."""
+    config = ExperimentConfig.from_json_dict({
         "data": {"kind": "uniform_labels", "params": {"dim": 1}},
         "n": n, "k1": 1, "k2": 10, "learner": {"kind": "memorizer", "params": {}},
-        "bounds": list(bounds), "subset_policy": {"m": subset_m}})
+        "bounds": [], "subset_policy": {"m": subset_m}})
+    config.bounds = tuple(bounds)
+    return config
 
 
 def _results(estimates: dict, k1: int) -> list[SupersampleResult]:

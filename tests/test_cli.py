@@ -1,3 +1,4 @@
+import csv
 import json
 from xml.etree import ElementTree
 
@@ -216,6 +217,59 @@ class TestCsvValidation:
             "path": str(tmp_path / "absent.csv")}})
         assert main(["run", str(config)]) == 2
 
+    @pytest.mark.parametrize("text, overrides, message", [
+        ("", {}, "empty dataset"),
+        ("x_0,y\n", {}, "empty dataset"),
+        ("x_0,label\n" + "".join(f"{i / 10},{i % 2}\n" for i in range(10)), {},
+         "expected columns x_0..x_{p-1} and y"),
+        ("x_0,y\n" + "".join(f"{i / 10},{i % 2 - (i == 2)}\n" for i in range(10)), {},
+         "labels must be >= 0"),
+        ("x_0,y\n" + "".join(f"{i / 10},{i % 2}\n" for i in range(10)),
+         dict(learner={"kind": "logistic_gd", "params": {"output": "prob", "steps": 5}},
+              loss="absolute", bounds=["det_stability"]), "not resamplable"),
+    ], ids=["empty_file", "header_only", "no_y_column", "negative_label", "det_stability"])
+    def test_refused_pool_names_the_fault(self, tmp_path, monkeypatch, capsys, text,
+                                          overrides, message):
+        fits = count_fits(monkeypatch)
+        data = tmp_path / "data.csv"
+        data.write_text(text, encoding="utf-8")
+        config = write_config(tmp_path, data={"kind": "csv", "params": {"path": str(data)}},
+                              **overrides)
+        assert main(["run", str(config), "-o", str(tmp_path / "out")]) == 2
+        assert message in capsys.readouterr().err
+        assert fits == [] and not (tmp_path / "out").exists()
+
+    def test_byte_order_mark_is_read_past(self, tmp_path):
+        """A pool saved with a byte-order mark (a spreadsheet's "CSV UTF-8")
+        gives the report of the same pool without one."""
+        data = tmp_path / "data.csv"
+        config = write_config(tmp_path, data={"kind": "csv", "params": {"path": str(data)}})
+        reports = []
+        for encoding in ("utf-8", "utf-8-sig"):
+            data.write_text("x_0,y\n" + "".join(f"{i / 10},{i % 2}\n" for i in range(10)),
+                            encoding=encoding)
+            assert main(["run", str(config), "-o", str(tmp_path / encoding)]) == 0
+            reports.append((tmp_path / encoding / "report.json").read_bytes())
+        assert data.read_bytes().startswith(b"\xef\xbb\xbf")
+        assert reports[0] == reports[1]
+
+    def test_pool_read_once_per_sweep_member(self, tmp_path, monkeypatch):
+        """Building a member's config reads its pool, and running the member
+        reads it no more."""
+        reads = []
+        real = csv.DictReader
+        monkeypatch.setattr(csv, "DictReader", lambda fh: reads.append(1) or real(fh))
+        data = tmp_path / "data.csv"
+        data.write_text("x_0,y\n" + "".join(f"{i / 20},{i % 2}\n" for i in range(20)),
+                        encoding="utf-8")
+        member = json.loads(write_config(tmp_path, data={
+            "kind": "csv", "params": {"path": str(data)}}).read_text())
+        path = tmp_path / "sweep.json"
+        path.write_text(json.dumps({"base": member, "vary": [{"n": 4}, {"n": 6}]}),
+                        encoding="utf-8")
+        assert main(["sweep", str(path), "-o", str(tmp_path / "out")]) == 0
+        assert len(reads) == 2
+
 
 GAUSS = {"kind": "two_gaussians", "params": {"dim": 2, "sep": 2.0}}
 LOGISTIC_PROB = {"kind": "logistic_gd", "params": {"output": "prob", "steps": 5}}
@@ -284,6 +338,35 @@ class TestConfigCheck:
         "steps_float": dict(learner={"kind": "logistic_gd", "params": {"steps": 30.0}}),
         "lr_string": dict(learner={"kind": "logistic_gd",
                                    "params": {"steps": 5, "lr": "0.5"}}),
+        # the linear learners' float tuning values: rates and temperatures
+        # > 0, scales and decays >= 0
+        "sgld_temp_scale_zero": dict(learner={"kind": "sgld_linear",
+                                              "params": {"steps": 5, "temp_scale": 0}}),
+        "sgld_temp_max_zero": dict(learner={"kind": "sgld_linear",
+                                            "params": {"steps": 5, "temp_max": 0}}),
+        "sgld_temp_min_zero": dict(learner={"kind": "sgld_linear",
+                                            "params": {"steps": 5, "temp_min": 0.0}}),
+        "sgld_init_scale_negative": dict(learner={"kind": "sgld_linear",
+                                                  "params": {"steps": 5, "init_scale": -1}}),
+        "sgld_lr0_negative": dict(learner={"kind": "sgld_linear",
+                                           "params": {"steps": 5, "lr0": -1}}),
+        "sgld_lr_decay_negative": dict(learner={"kind": "sgld_linear",
+                                                "params": {"steps": 5, "lr_decay": -0.5}}),
+        "logistic_lr_zero": dict(learner={"kind": "logistic_gd",
+                                          "params": {"steps": 5, "lr": 0}}),
+        "logistic_init_scale_negative": dict(learner={
+            "kind": "logistic_gd", "params": {"steps": 5, "init_scale": -0.01}}),
+        # numbers are finite: json writes these as Infinity and NaN
+        "stability_gamma_infinite": dict(STABILITY_RUN,
+                                         stability={"trials": 2, "gamma": float("inf")}),
+        "lr_infinite": dict(learner={"kind": "logistic_gd",
+                                     "params": {"steps": 5, "lr": float("inf")}}),
+        "sep_nan": dict(data={"kind": "two_gaussians", "params": {"sep": float("nan")}},
+                        learner={"kind": "knn", "params": {"k": 1}}),
+        "loss_unknown": dict(loss="hinge"),
+        # an option with one value is no option: ensemble takes no combiner
+        "ensemble_combiner": dict(learner={"kind": "ensemble", "params": {
+            "members": [{"kind": "knn", "params": {"k": 1}}], "combiner": "majority"}}),
     }
 
     @pytest.mark.parametrize("case", sorted(BAD))
@@ -296,6 +379,25 @@ class TestConfigCheck:
         assert main(["run", str(config), "-o", str(tmp_path / "out")]) == 2
         assert fits == []
         assert not (tmp_path / "out" / "report.json").exists()
+
+    @pytest.mark.parametrize("assignment, message", [
+        ("stability.gamma=Infinity", "stability.gamma must be a finite number, got inf"),
+        ("stability.gamma=NaN", "stability.gamma must be a finite number, got nan"),
+        ("stability.gamma=1e400", "stability.gamma must be a finite number, got inf"),
+        ("learner.params.lr=-Infinity", "'lr' must be a finite number, got -inf"),
+        ("data.params.sep=Infinity", "'sep' must be a finite number, got inf"),
+    ], ids=["gamma_infinity", "gamma_nan", "gamma_overflow", "lr_minus_infinity",
+            "sep_infinity"])
+    def test_non_finite_override_is_config_error(self, tmp_path, monkeypatch, capsys,
+                                                  assignment, message):
+        """JSON's Infinity and NaN parse, but no number field takes them: a
+        report holds only JSON numbers."""
+        fits = count_fits(monkeypatch)
+        config = write_config(tmp_path, **STABILITY_RUN)
+        out = tmp_path / "out"
+        assert main(["run", str(config), "-o", str(out), "--set", assignment]) == 2
+        assert message in capsys.readouterr().err
+        assert fits == [] and not (out / "report.json").exists()
 
     @pytest.mark.parametrize("command", ["run", "sweep"])
     def test_csv_label_past_int64_is_config_error(self, tmp_path, monkeypatch, capsys, command):

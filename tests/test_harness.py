@@ -1,22 +1,25 @@
+import csv
 import dataclasses
+import json
 import math
 import re
 import weakref
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from fcmi import harness
-from fcmi.core import ENUMERATION_LIMIT, LOSS_SPACE, ContractViolation, SizeError, exact_rows
+from fcmi import cli, harness
+from fcmi.cli import main
+from fcmi.core import ENUMERATION_LIMIT, LOSS_SPACE, SizeError, exact_rows
 from fcmi.harness import (
     BOUNDS,
     ConfigError,
     ExperimentConfig,
     ParseError,
     SupersampleResult,
-    SweepFailure,
     UnsupportedCombinationError,
     _draw_supersample,
     canonical_json,
@@ -25,14 +28,13 @@ from fcmi.harness import (
     load_report,
     persist,
     run_experiment,
-    sweep,
 )
 from fcmi.infotheory import PLUGIN_ALPHABET_LIMIT, product_alphabet_size, subset_mi
-from fcmi.learners import LearnerSpec, fill_table, prediction_space
+from fcmi.learners import LearnerSpec, fill_table, needs_binary_labels, prediction_space
 
 
-def base_config(**overrides):
-    d = {
+def base_dict(**overrides) -> dict:
+    return {
         "data": {"kind": "uniform_labels", "params": {"dim": 1}},
         "n": 4,
         "k1": 2,
@@ -41,9 +43,31 @@ def base_config(**overrides):
         "mode": "monte_carlo",
         "bounds": ["fcmi_m1"],
         "master_seed": 11,
+        **overrides,
     }
-    d.update(overrides)
-    return ExperimentConfig.from_json_dict(d)
+
+
+def base_config(**overrides):
+    return ExperimentConfig.from_json_dict(base_dict(**overrides))
+
+
+@pytest.fixture(scope="module")
+def pools(tmp_path_factory):
+    """A directory of two csv pools, pool2.csv and pool3.csv, of 2 and 3 label
+    classes: 60 rows of one feature in [0, 1], enough for every n up to 30."""
+    root = tmp_path_factory.mktemp("pools")
+    for classes in (2, 3):
+        (root / f"pool{classes}.csv").write_text("x_0,y\n" + "".join(
+            f"{i / 59},{i % classes}\n" for i in range(60)), encoding="utf-8")
+    return root
+
+
+def _placed(d: dict, pools) -> dict:
+    """``d`` with a csv source's pool name made a path into ``pools``."""
+    if d["data"]["kind"] != "csv":
+        return d
+    path = str(pools / d["data"]["params"]["path"])
+    return {**d, "data": {"kind": "csv", "params": {"path": path}}}
 
 
 def _optional(**keys):
@@ -58,8 +82,9 @@ _DATA = st.one_of(
         "params": _optional(threshold=st.floats(0, 1), noise=st.floats(0, 0.5))}),
     st.fixed_dictionaries({"kind": st.just("uniform_labels")},
                           optional={"params": _optional(dim=st.integers(1, 3))}),
-    st.fixed_dictionaries({"kind": st.just("csv"),
-                           "params": st.fixed_dictionaries({"path": st.text(min_size=1)})}),
+    # a pool name that _placed turns into a path into the pools fixture
+    st.fixed_dictionaries({"kind": st.just("csv"), "params": st.fixed_dictionaries(
+        {"path": st.sampled_from(["pool2.csv", "pool3.csv"])})}),
 )
 _LEARNERS = st.one_of(
     st.sampled_from([{"kind": "memorizer"}, {"kind": "threshold_erm", "params": {}}]),
@@ -71,7 +96,8 @@ _LEARNERS = st.one_of(
     st.just({"kind": "ensemble", "params": {"members": [
         {"kind": "knn", "params": {"k": 3}}, {"kind": "memorizer"}]}}),
 )
-# every key a config may hold, with values the config check accepts
+# every key a config may hold, with values its field and parameter checks
+# accept; the bound support check refuses some of them
 _CONFIGS = st.fixed_dictionaries(
     {"data": _DATA, "n": st.integers(1, 30), "k1": st.integers(1, 9),
      "k2": st.integers(1, 500), "learner": _LEARNERS},
@@ -103,7 +129,7 @@ def has_weight_code(spec: LearnerSpec) -> bool:
     return spec.kind == "threshold_erm"
 
 
-def _parent_check(config: ExperimentConfig, num_classes: int) -> None:
+def _parent_check(config, num_classes: int) -> None:
     """Refuse, before any fit, a bound the learner, mode or data cannot give;
     ``num_classes`` sizes the prediction alphabet of class-label learners."""
     spec = config.learner
@@ -174,20 +200,25 @@ class TestConfig:
 
     @settings(max_examples=200, deadline=None)
     @given(_CONFIGS)
-    def test_declared_keys_round_trip(self, d):
-        """Any config built from declared keys parses, round-trips, and echoes
-        its data and learner as given, ``gamma`` as a float, ``clip_bounds``
-        as a boolean and no ``jobs``."""
+    def test_declared_keys_round_trip(self, pools, d):
+        """Any config built from declared keys that the bound support check
+        admits parses, round-trips, and echoes its data and learner as given,
+        ``gamma`` as a float, ``clip_bounds`` as a boolean and no ``jobs``
+        and no pool."""
         assume(d["learner"]["kind"] != "threshold_erm"
-               or d["data"]["kind"] == "threshold_realizable")
-        config = ExperimentConfig.from_json_dict(d)
+               or d["data"]["kind"] in ("threshold_realizable", "csv"))
+        d = _placed(d, pools)
+        try:
+            config = ExperimentConfig.from_json_dict(d)
+        except (ConfigError, SizeError):
+            assume(False)
         echo = config.to_json_dict()
         again = ExperimentConfig.from_json_dict(echo)
         assert again == config
         assert canonical_json(again.to_json_dict()) == canonical_json(echo)
         assert echo["data"] == d["data"]
         assert echo["learner"] == {"params": {}, **d["learner"]}
-        assert "jobs" not in echo
+        assert "jobs" not in echo and "pool" not in echo
         assert type(echo["stability"]["gamma"]) is float and type(echo["clip_bounds"]) is bool
 
     @pytest.mark.parametrize("d, named", [
@@ -228,9 +259,23 @@ class TestConfig:
             base_config(data={"kind": "imagenet", "params": {}})
 
     def test_subset_bound_needs_m(self):
-        config = base_config(bounds=["fcmi_subset_m"])
         with pytest.raises(ConfigError):
-            run_experiment(config)
+            base_config(bounds=["fcmi_subset_m"])
+
+    @pytest.mark.parametrize("d, named", [
+        ({"pool": [[0.5], [1]]}, "pool"),
+        ({"stability": {"gamma": float("inf")}}, "stability.gamma"),
+        ({"stability": {"gamma": float("nan")}}, "stability.gamma"),
+        ({"stability": {"gamma": 10 ** 400}}, "stability.gamma"),
+        ({"data": {"kind": "two_gaussians", "params": {"sep": float("inf")}}}, "sep"),
+        ({"bounds": "fcmi_m1"}, "bounds must be a list"),
+    ], ids=["pool_key", "gamma_infinite", "gamma_nan", "gamma_past_float", "sep_infinite",
+            "bounds_string"])
+    def test_refuses_at_build(self, d, named):
+        """A pool is no JSON key, a number must be one a float holds finitely,
+        and ``bounds`` is a list, not a string of names."""
+        with pytest.raises(ConfigError, match=re.escape(named)):
+            base_config(**d)
 
 
 class TestBoundDeclarations:
@@ -242,72 +287,72 @@ class TestBoundDeclarations:
 
     @settings(max_examples=400, deadline=None)
     @given(_CONFIGS, st.lists(st.sampled_from(tuple(BOUNDS)), min_size=1, max_size=3,
-                              unique=True), st.sampled_from([2, 3]))
-    def test_check_matches_parent_oracle(self, d, bounds, csv_classes):
-        """Whatever a config asks, the declared check raises the exception
-        class the name-by-name check raised, or none when it raised none. A
-        few bounds are always requested; a csv pool may hold 2 or 3 label
-        classes."""
-        try:
-            config = ExperimentConfig.from_json_dict({**d, "bounds": bounds})
-        except ConfigError:
-            assume(False)
-        num_classes = csv_classes if d["data"]["kind"] == "csv" else 2
+                              unique=True))
+    def test_check_matches_parent_oracle(self, pools, d, bounds):
+        """Whatever a config asks, building it raises the exception class the
+        name-by-name check raised, or none when it raised none. A few bounds
+        are always requested; a csv pool holds 2 or 3 label classes, and a
+        binary-label learner refuses the 3-class pool before any bound is
+        checked."""
+        assume(d["learner"]["kind"] != "threshold_erm"
+               or d["data"]["kind"] in ("threshold_realizable", "csv"))
+        classes = 3 if d["data"] == {"kind": "csv", "params": {"path": "pool3.csv"}} else 2
+        d = _placed({**d, "bounds": bounds}, pools)
+        learner = LearnerSpec.from_json_dict(d["learner"])
+        # the fields the parent check read, at their config defaults
+        config = SimpleNamespace(
+            learner=learner, loss=d.get("loss", "zero_one"), bounds=bounds, data=d["data"],
+            mode=d.get("mode", "monte_carlo"), n=d["n"],
+            subset_m=d.get("subset_policy", {}).get("m"))
         outcomes = []
-        for check in (_parent_check, harness._check_bounds_supported):
-            try:
-                check(config, num_classes)
-                outcomes.append(None)
-            except (ConfigError, SizeError) as e:
-                outcomes.append(type(e))
-        assert outcomes[0] is outcomes[1], (config.bounds, outcomes)
+        try:
+            if classes == 3 and needs_binary_labels(learner):
+                raise ConfigError("needs labels in {0, 1}")
+            _parent_check(config, classes)
+            outcomes.append(None)
+        except (ConfigError, SizeError) as e:
+            outcomes.append(type(e))
+        try:
+            ExperimentConfig.from_json_dict(d)
+            outcomes.append(None)
+        except (ConfigError, SizeError) as e:
+            outcomes.append(type(e))
+        assert outcomes[0] is outcomes[1], (bounds, outcomes)
 
 
 class TestUnsupportedCombinations:
     def test_weight_bound_needs_weight_code(self):
-        config = base_config(learner={"kind": "knn", "params": {"k": 3}},
-                             bounds=["cmi_weights"])
         with pytest.raises(UnsupportedCombinationError, match="knn"):
-            run_experiment(config)
+            base_config(learner={"kind": "knn", "params": {"k": 3}}, bounds=["cmi_weights"])
 
     def test_vc_needs_threshold_family(self):
-        config = base_config(learner={"kind": "knn", "params": {"k": 3}},
-                             bounds=["vc"])
         with pytest.raises(UnsupportedCombinationError, match="vc"):
-            run_experiment(config)
+            base_config(learner={"kind": "knn", "params": {"k": 3}}, bounds=["vc"])
 
     def test_fcmi_needs_finite_alphabet(self):
-        config = base_config(
-            learner={"kind": "logistic_gd", "params": {"output": "prob"}},
-            loss="absolute")
         with pytest.raises(UnsupportedCombinationError, match="finite"):
-            run_experiment(config)
+            base_config(learner={"kind": "logistic_gd", "params": {"output": "prob"}},
+                        loss="absolute")
 
     def test_loss_space_mismatch(self):
-        config = base_config(
-            learner={"kind": "logistic_gd", "params": {"output": "prob"}})
         with pytest.raises(UnsupportedCombinationError, match="loss"):
-            run_experiment(config)
+            base_config(learner={"kind": "logistic_gd", "params": {"output": "prob"}})
 
     def test_stability_bound_needs_real_output(self):
-        config = base_config(bounds=["det_stability"])
         with pytest.raises(UnsupportedCombinationError, match="real-vector"):
-            run_experiment(config)
+            base_config(bounds=["det_stability"])
 
     def test_mc_alphabet_guard(self):
-        config = base_config(n=12, bounds=["fcmi_mn"])
         with pytest.raises(UnsupportedCombinationError, match="alphabet"):
-            run_experiment(config)
+            base_config(n=12, bounds=["fcmi_mn"])
 
     def test_exact_mode_size_limit(self):
-        config = base_config(n=24, mode="exact_enumeration")
         with pytest.raises(SizeError):
-            run_experiment(config)
+            base_config(n=24, mode="exact_enumeration")
 
     def test_conditional_bound_is_exact_only(self):
-        config = base_config(bounds=["fcmi_stability"])
         with pytest.raises(UnsupportedCombinationError, match="exact"):
-            run_experiment(config)
+            base_config(bounds=["fcmi_stability"])
 
 
 class TestRunExperiment:
@@ -482,10 +527,8 @@ class TestRunExperiment:
     def test_csv_pool_too_small(self, tmp_path):
         path = tmp_path / "data.csv"
         path.write_text("x_0,y\n0.1,0\n0.2,1\n", encoding="utf-8")
-        config = base_config(data={"kind": "csv", "params": {"path": str(path)}},
-                             n=5)
         with pytest.raises(ConfigError):
-            run_experiment(config)
+            base_config(data={"kind": "csv", "params": {"path": str(path)}}, n=5)
 
 
 class TestReproducibility:
@@ -578,19 +621,26 @@ class TestTableLifetime:
 
 
 class TestSweep:
-    def test_single_config_matches_run(self):
-        reports, rows = sweep([base_config()])
+    """``fcmi sweep`` over members written as a {"configs": [...]} file."""
+
+    @staticmethod
+    def _sweep(tmp_path, members) -> int:
+        path = tmp_path / "sweep.json"
+        path.write_text(json.dumps({"configs": members}), encoding="utf-8")
+        return main(["sweep", str(path), "-o", str(tmp_path / "out")])
+
+    def test_single_config_matches_run(self, tmp_path):
+        assert self._sweep(tmp_path, [base_dict()]) == 0
         solo = run_experiment(base_config())
-        assert canonical_json(reports[0].to_json_dict()) == canonical_json(
-            solo.to_json_dict())
-        assert len(rows) == 1
-        assert rows[0]["bound_name"] == "fcmi_m1"
+        assert (tmp_path / "out" / "report_000.json").read_text() == canonical_json(solo)
+        rows = list(csv.DictReader(open(tmp_path / "out" / "curves.csv")))
+        assert [r["bound_name"] for r in rows] == ["fcmi_m1"]
 
-    def test_empty_sweep_rejected(self):
-        with pytest.raises(ContractViolation):
-            sweep([])
+    def test_empty_sweep_rejected(self, tmp_path, capsys):
+        assert self._sweep(tmp_path, []) == 2
+        assert "lists no members" in capsys.readouterr().err
 
-    def test_failure_carries_completed(self, monkeypatch):
+    def test_failure_carries_completed(self, tmp_path, monkeypatch, capsys):
         real = harness._run_supersample
 
         def failing(config, *args):
@@ -599,30 +649,35 @@ class TestSweep:
             return real(config, *args)
 
         monkeypatch.setattr(harness, "_run_supersample", failing)
-        with pytest.raises(SweepFailure) as err:
-            sweep([base_config(), base_config(n=6)])
-        assert err.value.index == 1
-        assert len(err.value.completed) == 1
+        assert self._sweep(tmp_path, [base_dict(), base_dict(n=6)]) == 3
+        assert "error: sweep member 1 failed: fit failed" in capsys.readouterr().err
+        out = tmp_path / "out"
+        assert sorted(p.name for p in out.iterdir()) == ["errors.json", "report_000.json"]
+        assert json.loads((out / "errors.json").read_text()) == {
+            "error": "fit failed", "failed_index": 1}
 
-    @pytest.mark.parametrize("bad, error", [
-        (dict(n=24, mode="exact_enumeration"), SizeError),
-        (dict(bounds=["fcmi_stability"]), UnsupportedCombinationError),
-        (dict(data={"kind": "csv", "params": {"path": "absent.csv"}}), ConfigError),
+    @pytest.mark.parametrize("bad, message", [
+        (dict(n=24, mode="exact_enumeration"), "exact_enumeration refuses n=24"),
+        (dict(bounds=["fcmi_stability"]), "bound 'fcmi_stability' is computed in exact"),
+        (dict(data={"kind": "csv", "params": {"path": "absent.csv"}}), "absent.csv"),
     ], ids=["size", "unsupported_bound", "missing_pool"])
-    def test_every_member_checked_before_any_runs(self, monkeypatch, bad, error):
+    def test_every_member_checked_before_any_runs(self, tmp_path, monkeypatch, capsys,
+                                                  bad, message):
         runs = []
-        monkeypatch.setattr(harness, "run_experiment", lambda *a: runs.append(a))
-        with pytest.raises(error, match="sweep member 1"):
-            sweep([base_config(), base_config(**bad)])
-        assert runs == []
+        monkeypatch.setattr(cli, "run_experiment", lambda *a: runs.append(a))
+        assert self._sweep(tmp_path, [base_dict(), base_dict(**bad)]) == 2
+        assert f"error: sweep member 1: {message}" in capsys.readouterr().err
+        assert runs == [] and not (tmp_path / "out").exists()
 
-    def test_curve_table_csv(self):
-        _, rows = sweep([base_config(), base_config(n=6)])
-        text = curve_table_csv(rows)
+    def test_curve_table_csv(self, tmp_path):
+        assert self._sweep(tmp_path, [base_dict(), base_dict(n=6)]) == 0
+        text = (tmp_path / "out" / "curves.csv").read_text()
         lines = text.strip().split("\n")
         assert lines[0] == ("n,learner,bound_name,gap_mean,gap_std,bound_value,"
                             "bound_spread,k1,k2,mode")
         assert len(lines) == 3
+        rows = [row for idx in range(2) for row in curve_rows(
+            load_report(tmp_path / "out" / f"report_{idx:03d}.json"))]
         assert curve_table_csv(rows) == text  # deterministic bytes
 
     def test_clip_bounds_applies_to_curves_only(self):

@@ -693,8 +693,12 @@ class TestReproducibility:
         ("ensemble", {"members": [{"kind": "knn", "param": {"k": 1}}]}),
     ])
     def test_refuses_undeclared_or_mistyped_params(self, kind, params):
-        with pytest.raises(ContractViolation):
+        with pytest.raises(ContractViolation) as refused:
             LearnerSpec(kind, params)
+        # a parameter the kind does not declare, ensemble's combiner among
+        # them, is refused by name
+        for name in set(params) - set(LearnerSpec.KINDS[kind]):
+            assert f"{kind} has no parameter {name!r}" in str(refused.value)
 
     def test_metadata_helpers(self):
         assert prediction_space(LearnerSpec("logistic_gd",
