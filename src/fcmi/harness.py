@@ -194,6 +194,8 @@ class ExperimentConfig:
             if "learner" in kwargs:
                 kwargs["learner"] = LearnerSpec.from_json_dict(kwargs["learner"])
             return cls(**kwargs)
+        except ContractViolation as e:  # a kind spec's refusal, worded as the data's
+            raise ConfigError(str(e)) from e
         except (TypeError, ValueError) as e:
             if isinstance(e, (ConfigError, SizeError)):
                 raise

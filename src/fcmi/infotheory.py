@@ -111,25 +111,17 @@ def _blocked_mi(quantities: int, rows: int, radices, joint) -> np.ndarray:
     samples; ``joint(lo, hi)`` returns the int64 codes of quantities lo..hi-1
     with the quantity index counted from lo.
 
-    Codes are built a few quantities at a time and the sums run per block of
-    quantities, so neither holds more than about ``_CELLS_PER_CALL`` entries.
-    Each quantity's sum reads only its own cells, so blocking moves no bit.
+    Codes are built, counted and summed a few quantities at a time, about
+    ``_CELLS_PER_CALL`` entries or one quantity's rows; each quantity's sum
+    reads only its own cells, so the steps move no bit.
     """
     rc, ra, rb = radices
-    size = rc * ra * rb
     step = max(1, _CELLS_PER_CALL // rows)
-    per_block = max(step, _CELLS_PER_CALL // min(size, rows))
     out = []
-    for b0 in range(0, quantities, per_block):
-        b1 = min(b0 + per_block, quantities)
-        cells, counts = [], []
-        for lo in range(b0, b1, step):
-            hi = min(lo + step, b1)
-            c, k = _occupied(joint(lo, hi), (hi - lo) * size)
-            cells.append(c + (lo - b0) * size)
-            counts.append(k)
-        out.append(_packed_mi(np.concatenate(cells), np.concatenate(counts),
-                              radices, b1 - b0, rows))
+    for lo in range(0, quantities, step):
+        hi = min(lo + step, quantities)
+        cells, counts = _occupied(joint(lo, hi), (hi - lo) * rc * ra * rb)
+        out.append(_packed_mi(cells, counts, radices, hi - lo, rows))
     return np.concatenate(out)
 
 
@@ -230,7 +222,7 @@ def _tuple_mi(a: tuple[np.ndarray, int], b: tuple[np.ndarray, int], rows: int) -
         (a, ra), (b, rb) = (_sorted_rank(x) if r > rows else (x, r) for x, r in ((a, ra), (b, rb)))
     code = a * rb
     code += b
-    return float(_packed_mi(*_occupied(code, ra * rb), (1, ra, rb), 1, rows)[0])
+    return float(_blocked_mi(1, rows, (1, ra, rb), lambda lo, hi: code)[0])
 
 
 def subset_mi(table: TrialTable, subsets, use_weights: bool = False) -> np.ndarray:

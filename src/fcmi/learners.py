@@ -39,19 +39,16 @@ _BATCH_CELLS = 2 ** 15
 
 def prediction_space(spec: LearnerSpec, num_classes: int = 2) -> PredictionSpace:
     """Output-space descriptor for a learner on data with the given label count."""
-    if spec.kind in ("memorizer", "knn"):
-        return PredictionSpace("finite", size=num_classes)
     if spec.kind == "threshold_erm":
         return PredictionSpace("finite", size=2)
     if spec.kind in _LINEAR:
         if spec.param("output") == "prob":
             return PredictionSpace("real", dim=1)
         return PredictionSpace("finite", size=2)
-    if spec.kind == "ensemble":
-        if any(prediction_space(s, num_classes).kind != "finite" for s in _wrapped(spec)):
-            raise ContractViolation("ensemble members must predict class labels")
-        return PredictionSpace("finite", size=num_classes)
-    raise ContractViolation(f"unknown learner kind {spec.kind!r}")
+    # memorizer, knn or ensemble: LearnerSpec admits no other kind
+    if any(prediction_space(s, num_classes).kind != "finite" for s in _wrapped(spec)):
+        raise ContractViolation("ensemble members must predict class labels")
+    return PredictionSpace("finite", size=num_classes)
 
 
 def label_classes(ys: np.ndarray) -> int:

@@ -14,7 +14,6 @@ these streams against the installed numpy.
 from __future__ import annotations
 
 import functools
-import math
 
 import numpy as np
 
@@ -92,10 +91,10 @@ def _generate_state(entropy: np.ndarray, count: int) -> np.ndarray:
     return _hashmixer(_INIT_B, _MULT_B)(pool[np.arange(count) % _POOL_SIZE], count)
 
 
-def _words(x) -> list:
+def _words(x, width: int) -> list:
     """Little-endian 32-bit words of the nonnegative integers ``x``: every
-    word of a scalar of any size (0 is one word), or the low and the high
-    word of each value of an integer array below 2^64."""
+    word of a scalar of any size (0 is one word), or the low ``width`` (1 or
+    2) words of each value of an integer array, whose values must fit them."""
     if np.ndim(x) == 0:
         value = int(x)
         if value < 0:
@@ -110,7 +109,9 @@ def _words(x) -> list:
     if x.dtype.kind == "i" and x.size and x.min() < 0:
         raise ContractViolation("seeds must be nonnegative integers")
     x = x.astype(np.uint64)
-    return [x & _MASK32, x >> 32]
+    if width == 1 and x.size and x.max() > _MASK32:
+        raise ContractViolation(f"counter arrays must hold values below 2^32, got {x.max()}")
+    return [x & _MASK32, x >> 32][:width]
 
 
 def _seed_state(args, count: int) -> np.ndarray:
@@ -118,37 +119,22 @@ def _seed_state(args, count: int) -> np.ndarray:
     np.uint32)`` for each element of the broadcast ``args``: a (count, *shape)
     uint64 array of 32-bit words.
 
-    An array value below 2^32 is one entropy word and a larger one two, so
-    elements are grouped by which array arguments hold two-word values; each
-    group's assembled entropy is then one (L, N) array.
+    Every element's entropy has one layout: an array seed is two words, an
+    array counter one and a scalar its own words. A seed below 2^32 keeps
+    numpy's bits as two words, because SeedSequence hashes a zero word into
+    each pool slot the entropy leaves empty and a spawn key pads the run
+    entropy with zero words to the pool size.
     """
     shape = np.broadcast_shapes(*(np.shape(x) for x in args))
-
-    def flat(x) -> np.ndarray:
-        out = np.empty(shape, dtype=np.uint64)
-        out[...] = x
-        return out.ravel()
-
-    words = [[flat(w) for w in _words(x)] for x in args]
-    arrays = [np.ndim(x) > 0 for x in args]
-    # bit p of an element's key is set when array argument p holds a two-word value
-    key = np.zeros(math.prod(shape), dtype=np.int64)
-    for p, ws in enumerate(words):
-        if arrays[p]:
-            key |= (ws[1] != 0).astype(np.int64) << p
-    out = np.empty((count, len(key)), dtype=np.uint64)
-    groups = np.flatnonzero(np.bincount(key))
-    for k in groups:
-        rows = slice(None) if len(groups) == 1 else np.flatnonzero(key == k)
-        entropy = []
-        for p, ws in enumerate(words):
-            used = 1 + (k >> p & 1) if arrays[p] else len(ws)
-            entropy += [w[rows] for w in ws[:used]]
-            if p == 0 and len(args) > 1 and used < _POOL_SIZE:
-                # a spawn key pads the run entropy to the pool size
-                entropy += [np.zeros_like(entropy[0])] * (_POOL_SIZE - used)
-        out[:, rows] = _generate_state(np.stack(entropy), count)
-    return out.reshape((count,) + shape)
+    entropy = _words(args[0], 2)
+    if len(args) > 1:  # a spawn key pads the run entropy to the pool size
+        entropy += [0] * (_POOL_SIZE - len(entropy))
+    for x in args[1:]:
+        entropy += _words(x, 1)
+    stacked = np.empty((len(entropy), 1) + shape, dtype=np.uint64)
+    for row, words in zip(stacked, entropy):
+        row[...] = words
+    return _generate_state(stacked.reshape(len(entropy), -1), count).reshape((count,) + shape)
 
 
 def derive_seeds(seed, *path) -> np.ndarray:
@@ -156,9 +142,10 @@ def derive_seeds(seed, *path) -> np.ndarray:
 
     Element-wise ``SeedSequence(entropy=seed, spawn_key=path)
     .generate_state(1, np.uint64)[0]`` over the broadcast arguments. Each
-    argument is a nonnegative integer of any size or an integer array below
-    2^64. Returns uint64 values of the broadcast shape (a numpy scalar when
-    every argument is a scalar).
+    argument is a nonnegative integer of any size or an integer array: an
+    array of seeds below 2^64, an array of counters in ``path`` below 2^32.
+    Returns uint64 values of the broadcast shape (a numpy scalar when every
+    argument is a scalar).
     """
     low, high = _seed_state((seed, *path), 2)
     return low | (high << 32)

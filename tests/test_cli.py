@@ -144,6 +144,27 @@ class TestRun:
         assert report.config["data"]["params"]["dim"] == 3
         assert report.config["k2"] == 5
 
+    @pytest.mark.parametrize("learner, extra, mean_mi", [
+        ({"kind": "knn", "params": {"k": 3}}, {}, True),
+        ({"kind": "logistic_gd", "params": {"output": "prob", "steps": 5}},
+         dict(loss="absolute", bounds=["det_stability"], stability={"trials": 2}), False),
+    ], ids=["label", "prob"])
+    def test_verbose_line_per_supersample(self, tmp_path, capsys, learner, extra, mean_mi):
+        """``-v`` prints each supersample's gap, and its mean per-index
+        information when the learner's predictions have one."""
+        config = write_config(tmp_path, data=GAUSS, n=5, k1=3, learner=learner, **extra)
+        out = tmp_path / "out"
+        assert main(["run", str(config), "-o", str(out), "-v"]) == 0
+        report = json.loads((out / "report.json").read_text(encoding="utf-8"))
+        expected = []
+        for res in report["supersamples"]:
+            mi = res["mi_per_index"]
+            expected.append(f"{res['supersample_id']}: gap={res['gap_mean']:+.4f}"
+                            + (f" mean_mi={sum(mi) / len(mi):.5f}" if mean_mi else ""))
+        *lines, summary = capsys.readouterr().err.splitlines()
+        assert lines == expected and summary.startswith("gap_mean=")
+        assert [line.split(":")[0] for line in lines] == ["ss000", "ss001", "ss002"]
+
     def test_dump_tables(self, tmp_path):
         config = write_config(tmp_path)
         out = tmp_path / "out"
@@ -397,6 +418,24 @@ class TestConfigCheck:
         out = tmp_path / "out"
         assert main(["run", str(config), "-o", str(out), "--set", assignment]) == 2
         assert message in capsys.readouterr().err
+        assert fits == [] and not (out / "report.json").exists()
+
+    @pytest.mark.parametrize("assignment, message", [
+        ("learner.params.k=0", "knn needs k >= 1"),
+        ("learner.params.kk=3", "knn has no parameter 'kk'"),
+        ('learner={"kind": "bogus"}', "unknown learner kind 'bogus'"),
+        ("data.params.sep=Infinity",
+         "two_gaussians parameter 'sep' must be a finite number, got inf"),
+    ], ids=["knn_k_zero", "undeclared_param", "unknown_kind", "sep_infinity"])
+    def test_kind_refusal_is_the_whole_message(self, tmp_path, monkeypatch, capsys,
+                                               assignment, message):
+        """A learner's refusal is worded as a data source's: the error line is
+        the kind spec's own message, with no prefix."""
+        fits = count_fits(monkeypatch)
+        config = write_config(tmp_path, data=GAUSS, learner={"kind": "knn", "params": {"k": 3}})
+        out = tmp_path / "out"
+        assert main(["run", str(config), "-o", str(out), "--set", assignment]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {message}")
         assert fits == [] and not (out / "report.json").exists()
 
     @pytest.mark.parametrize("command", ["run", "sweep"])

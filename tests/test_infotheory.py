@@ -1,12 +1,14 @@
 import dataclasses
 import math
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import fcmi.infotheory
 from fcmi.core import (ENUMERATION_LIMIT, ContractViolation, PredictionSpace, SizeError,
                        Supersample, TrialTable, exact_rows)
 from fcmi.infotheory import (
@@ -450,17 +452,22 @@ class TestTableCodesAgainstGatheredOracle:
 
     def test_chunks_and_blocks(self):
         """A table of many rows and a family of many subsets spans several
-        code chunks and sum blocks, which move no bit."""
+        steps of quantities, each built, counted and summed on its own, which
+        move no bit: at the default step, and at steps of one quantity."""
         rng = np.random.default_rng(12)
         masks = rng.integers(0, 2, (3000, 9)).astype(np.uint8)
         table = TrialTable("ss000", PredictionSpace("finite", 3), masks, np.arange(3000),
                            rng.integers(0, 3, (3000, 18)), np.zeros(3000), np.zeros(3000))
-        for m in (1, 2, 3, 9):
-            family = all_subsets(9, m)
-            assert np.array_equal(subset_mi(table, family), gathered_subset_mi(table, family))
-        for all_pairs in (False, True):
-            assert np.array_equal(split_cmi(table, all_pairs), gathered_split_cmi(table, all_pairs))
-        assert np.array_equal(mi_testslots(table), gathered_mi_testslots(table))
+        for cells in (fcmi.infotheory._CELLS_PER_CALL, 1, 7):
+            with mock.patch.object(fcmi.infotheory, "_CELLS_PER_CALL", cells):
+                for m in (1, 2, 3, 9):
+                    family = all_subsets(9, m)
+                    assert np.array_equal(subset_mi(table, family),
+                                          gathered_subset_mi(table, family))
+                for all_pairs in (False, True):
+                    assert np.array_equal(split_cmi(table, all_pairs),
+                                          gathered_split_cmi(table, all_pairs))
+                assert np.array_equal(mi_testslots(table), gathered_mi_testslots(table))
 
 
 def threshold_instance():

@@ -35,6 +35,7 @@ def _rng_masks(seeds, n: int) -> np.ndarray:
 EDGE_VALUES = [0, 1, 2 ** 32 - 1, 2 ** 32, 2 ** 63, 2 ** 64 - 1]
 BIG_VALUES = EDGE_VALUES + [2 ** 64, 2 ** 64 + 5, 2 ** 96 + 3, 2 ** 200 + 1]
 uint64s = st.one_of(st.sampled_from(EDGE_VALUES), st.integers(0, 2 ** 64 - 1))
+uint32s = st.one_of(st.sampled_from([0, 1, 2 ** 32 - 1]), st.integers(0, 2 ** 32 - 1))
 any_ints = st.one_of(st.sampled_from(BIG_VALUES), st.integers(0, 2 ** 32),
                      st.integers(0, 2 ** 80))
 
@@ -53,13 +54,23 @@ class TestDeriveSeeds:
         assert got.dtype == np.uint64
         assert got.tolist() == [_seed_sequence_seed(s, *path) for s in seeds]
 
-    @given(any_ints, st.lists(any_ints, max_size=3), st.lists(uint64s, min_size=1, max_size=30),
+    @given(any_ints, st.lists(any_ints, max_size=3), st.lists(uint32s, min_size=1, max_size=30),
            st.lists(any_ints, max_size=2))
     @settings(max_examples=200, deadline=None)
     def test_array_in_counter_position(self, seed, head, counters, tail):
         got = derive_seeds(seed, *head, np.array(counters, dtype=np.uint64), *tail)
         assert got.tolist() == [_seed_sequence_seed(seed, *head, c, *tail)
                                 for c in counters]
+
+    @pytest.mark.parametrize("counters", [[2 ** 32], [0, 2 ** 63 - 1]])
+    @pytest.mark.parametrize("dtype", [np.uint64, np.int64])
+    def test_refuses_counter_array_past_one_word(self, counters, dtype):
+        """An array of counters is one spawn-key word per element, so a
+        counter of 2^32 or more is refused; a scalar counter may be any size."""
+        counters = np.array(counters, dtype=dtype)
+        with pytest.raises(ContractViolation, match="below 2\\^32"):
+            derive_seeds(3, 1, counters)
+        assert derive_seed(3, 1, 2 ** 32) == _seed_sequence_seed(3, 1, 2 ** 32)
 
     def test_broadcast_and_int64_counters(self):
         got = derive_seeds(7, np.arange(3), np.arange(2)[:, None])
