@@ -90,7 +90,7 @@ class KindSpec(JsonFields):
     KINDS: ClassVar[dict[str, dict]]
 
     def __post_init__(self) -> None:
-        declared = self.KINDS.get(self.kind)
+        declared = self.KINDS.get(self.kind) if isinstance(self.kind, str) else None
         if declared is None:
             raise ContractViolation(
                 f"unknown {self.NOUN} kind {self.kind!r} (known: {', '.join(self.KINDS)})")

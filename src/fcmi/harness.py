@@ -90,7 +90,7 @@ def _key(f) -> str:
 
 
 # the config field annotations whose values are checked and converted
-_SCALARS = {"bool": bool, "int": int, "int | None": int, "float": float}
+_SCALARS = {"bool": bool, "int": int, "int | None": int, "float": float, "str": str}
 
 
 @dataclass
@@ -144,8 +144,9 @@ class ExperimentConfig:
             raise ConfigError(f"unknown mode {self.mode!r}")
         if self.loss not in LOSSES:
             raise ConfigError(f"unknown loss {self.loss!r}")
-        if not isinstance(self.bounds, (list, tuple)):
-            raise ConfigError(f"bounds must be a list, got {self.bounds!r}")
+        if not isinstance(self.bounds, (list, tuple)) or not all(
+                isinstance(b, str) for b in self.bounds):
+            raise ConfigError(f"bounds must be a list of bound names, got {self.bounds!r}")
         self.bounds = tuple(self.bounds)
         for b in self.bounds:
             if b not in BOUNDS:
@@ -189,6 +190,10 @@ class ExperimentConfig:
         unknown = sorted(set(flat) - set(declared))
         if unknown:
             raise ConfigError(f"unknown config key(s) {', '.join(unknown)}")
+        missing = sorted(key for key, f in declared.items()
+                         if f.default is MISSING and key not in flat)
+        if missing:
+            raise ConfigError(f"missing config key(s) {', '.join(missing)}")
         kwargs = {declared[key].name: value for key, value in flat.items()}
         try:
             if "learner" in kwargs:
@@ -270,6 +275,8 @@ def load_report(path) -> ExperimentReport:
         report = ExperimentReport.from_json_dict(
             json.loads(Path(path).read_text(encoding="utf-8")))
         curve_rows(report)
+    except OSError as e:
+        raise ParseError(f"{path}: {e.strerror}") from e
     except KeyError as e:
         raise ParseError(f"{path}: missing key {e}") from e
     except (json.JSONDecodeError, TypeError, ValueError) as e:
@@ -290,7 +297,7 @@ def _load_pool(config: ExperimentConfig) -> tuple[np.ndarray, np.ndarray] | None
         # utf-8-sig drops the byte-order mark a spreadsheet may write
         with open(path, newline="", encoding="utf-8-sig") as fh:
             rows = list(csv.DictReader(fh))
-    except OSError as e:
+    except (OSError, UnicodeDecodeError) as e:
         raise ConfigError(f"{path}: {e}") from e
     if not rows:
         raise ConfigError(f"{path}: empty dataset")

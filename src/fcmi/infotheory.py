@@ -34,20 +34,11 @@ class AbsoluteContinuityError(ValueError):
     """KL divergence is +inf: p puts mass where q has none."""
 
 
-def _sorted_rank(x: np.ndarray) -> tuple[np.ndarray, int]:
+def _rank(x: np.ndarray) -> tuple[np.ndarray, int]:
     """Dense rank of each integer in ``x``, in value order, and the number of
     distinct values."""
-    # any sort gives these ranks; the stable one is the sort the lexsort fold
-    # ran, and numpy's default int64 sort loads more library code (peak RSS)
-    order = np.argsort(x, kind="stable")
-    srt = x[order]
-    new = np.empty(x.size, dtype=bool)
-    new[0] = True
-    np.not_equal(srt[1:], srt[:-1], out=new[1:])
-    counts = np.cumsum(new)
-    rank = np.empty(x.size, dtype=np.int64)
-    rank[order] = counts - 1
-    return rank, int(counts[-1])
+    values, rank = np.unique(x, return_inverse=True)
+    return rank, values.size
 
 
 # --- counting a joint and summing the plug-in --------------------------------
@@ -58,19 +49,10 @@ def _occupied(code: np.ndarray, size: int) -> tuple[np.ndarray, np.ndarray]:
     ascending, and how often each occurs: one ``bincount`` when the range is
     at most four times the codes, one sort otherwise."""
     if size > 4 * code.size:
-        return _sorted_cells(code)
+        return np.unique(code, return_counts=True)
     counts = np.bincount(code)
     cells = np.flatnonzero(counts != 0)  # a bool scan is several times faster
     return cells, counts[cells]
-
-
-def _sorted_cells(code: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The distinct values of int64 codes, ascending, and how often each
-    occurs, from one sort."""
-    rank, distinct = _sorted_rank(code)
-    cells = np.empty(distinct, dtype=np.int64)
-    cells[rank] = code
-    return cells, np.bincount(rank)
 
 
 def _packed_mi(cells, n_abc, radices, quantities: int, rows: int) -> np.ndarray:
@@ -94,7 +76,7 @@ def _packed_mi(cells, n_abc, radices, quantities: int, rows: int) -> np.ndarray:
             np.not_equal(margins[j][1:], margins[j][:-1], out=step[1:])
             margins[j] = np.cumsum(step, out=step)
         else:
-            margins[j] = _sorted_rank(margins[j])[0]
+            margins[j] = _rank(margins[j])[0]
     n_c, n_ac, n_bc = (np.bincount(m, weights=n_abc).astype(np.int64)[m] for m in margins)
     ratio = (n_abc * n_c) / (n_ac * n_bc)
     mi = np.bincount(qc // rc, weights=n_abc * np.log(ratio), minlength=quantities) / rows
@@ -173,7 +155,7 @@ def _pred_digits(table: TrialTable) -> tuple[np.ndarray, int]:
     radix = int(preds.max()) + 1
     if radix <= _RANKED_SPAN:
         return preds, radix
-    rank, radix = _sorted_rank(preds.ravel())
+    rank, radix = _rank(preds.ravel())
     return rank.reshape(preds.shape), radix
 
 
@@ -185,44 +167,38 @@ def _pair_codes(preds: np.ndarray, radix: int, dtype) -> np.ndarray:
     return code
 
 
-def _row_codes(columns, k: int, radix: int) -> tuple[np.ndarray, int]:
-    """A code of each row of k integer columns in [0, radix), in the rows'
-    lexicographic order, and the code's range; ``columns(j0, j1)`` gives
-    columns j0..j1-1 as a (T, j1 - j0) array, so a derived row need not
-    exist whole.
+def _row_codes(columns, k: int, radix: int, rows: int) -> tuple[np.ndarray, int]:
+    """A code of each of ``rows`` rows of k integer columns in [0, radix), in
+    the rows' lexicographic order, and the code's range: the mixed-radix code
+    and radix^k when that is at most the rows, else their dense rank and
+    their number of distinct values. ``columns(j0, j1)`` gives columns
+    j0..j1-1 as a (T, j1 - j0) array, so a derived row need not exist whole.
 
-    As many columns as fit one int64 (at least two, radix^2 <= int64) make
-    one mixed-radix digit. A row of several digits is ranked one digit at a
-    time: the dense rank of the digits so far, times the distinct count of
-    the next digit, plus its rank, ranked again. That code stays below
-    rows^2, so it fits an int64.
+    The columns are appended a digit at a time, as many columns as keep
+    rows * radix^width within an int64 (at least one): the code so far times
+    the digit's range, plus the digit. Once the columns so far span more
+    values than the rows, each new code is replaced by its dense rank, so it
+    stays below the rows and the next digit fits.
     """
-    width = 2
-    while width < k and radix ** (width + 1) <= _INT64_MAX:
+    width = 1
+    while width < k and rows * radix ** (width + 1) <= _INT64_MAX:
         width += 1
-    digits = []
-    for j in range(0, k, width):
-        x = columns(j, min(j + width, k))
-        digits.append(x @ (radix ** np.arange(x.shape[1] - 1, -1, -1)))
-    if len(digits) == 1:
-        return digits[0], radix ** k
-    code, size = _sorted_rank(digits[0])
-    for digit in digits[1:]:
-        digit, distinct = _sorted_rank(digit)
-        code, size = _sorted_rank(code * distinct + digit)
+    code, size = 0, 1
+    for j0 in range(0, k, width):
+        j1 = min(j0 + width, k)
+        span = radix ** (j1 - j0)
+        code = code * span + columns(j0, j1) @ (radix ** np.arange(j1 - j0 - 1, -1, -1))
+        size *= span
+        if radix ** j1 > rows:  # the columns so far span more values than the rows
+            code, size = _rank(code)
     return code, size
 
 
 def _tuple_mi(a: tuple[np.ndarray, int], b: tuple[np.ndarray, int], rows: int) -> float:
-    """Plug-in I(A; B) of two row codes with their ranges; a code whose
-    range exceeds the rows is ranked densely when the joint would not fit an
-    int64."""
-    (a, ra), (b, rb) = a, b
-    if ra * rb > _INT64_MAX:
-        (a, ra), (b, rb) = (_sorted_rank(x) if r > rows else (x, r) for x, r in ((a, ra), (b, rb)))
-    code = a * rb
-    code += b
-    return float(_blocked_mi(1, rows, (1, ra, rb), lambda lo, hi: code)[0])
+    """Plug-in I(A; B) of two row codes with their ranges, each at most the
+    rows."""
+    code = a[0] * b[1] + b[0]
+    return float(_blocked_mi(1, rows, (1, a[1], b[1]), lambda lo, hi: code)[0])
 
 
 def subset_mi(table: TrialTable, subsets, use_weights: bool = False) -> np.ndarray:
@@ -244,7 +220,7 @@ def subset_mi(table: TrialTable, subsets, use_weights: bool = False) -> np.ndarr
     masks = table.masks
     rows = masks.shape[0]
     if use_weights:
-        target, ra = _sorted_rank(table.weight_code)
+        target, ra = _rank(table.weight_code)
     else:
         preds, radix = _pred_digits(table)
         ra = radix ** (2 * m)
@@ -254,8 +230,8 @@ def subset_mi(table: TrialTable, subsets, use_weights: bool = False) -> np.ndarr
         for u in subsets:
             if not use_weights:
                 columns = np.stack([2 * u, 2 * u + 1], axis=1).ravel()  # u's slots
-                target, ra = _row_codes(lambda j0, j1: preds[:, columns[j0:j1]], 2 * m, radix)
-            split = _row_codes(lambda j0, j1: masks[:, u[j0:j1]], m, 2)
+                target, ra = _row_codes(lambda j0, j1: preds[:, columns[j0:j1]], 2 * m, radix, rows)
+            split = _row_codes(lambda j0, j1: masks[:, u[j0:j1]], m, 2, rows)
             out.append(_tuple_mi((target, ra), split, rows))
         return np.array(out)
     dtype = _unsigned(size)
@@ -305,9 +281,7 @@ def split_cmi(table: TrialTable, all_pairs: bool = False) -> np.ndarray:
     n, rows = table.n, table.masks.shape[0]
     preds, radix = _pred_digits(table)
     if all_pairs:
-        target, ra = _row_codes(lambda a, b: preds[:, a:b], 2 * n, radix)
-        if ra > rows:
-            target, ra = _sorted_rank(target)
+        target, ra = _row_codes(lambda a, b: preds[:, a:b], 2 * n, radix, rows)
     else:
         ra = radix ** 2
     if n * 2 ** n * ra > _INT64_MAX:
@@ -340,5 +314,6 @@ def mi_testslots(table: TrialTable) -> float:
         return np.where(masks[:, a:b].astype(bool), preds[:, 2 * a:2 * b:2],
                         preds[:, 2 * a + 1:2 * b:2])
 
-    return _tuple_mi(_row_codes(test_slots, table.n, radix),
-                     _row_codes(lambda a, b: masks[:, a:b], table.n, 2), len(masks))
+    rows = len(masks)
+    return _tuple_mi(_row_codes(test_slots, table.n, radix, rows),
+                     _row_codes(lambda a, b: masks[:, a:b], table.n, 2, rows), rows)

@@ -172,6 +172,58 @@ class TestRun:
         tables = sorted((out / "tables").glob("*.json"))
         assert [t.name for t in tables] == ["ss000.json", "ss001.json"]
 
+    def test_jobs_two_writes_the_bytes_of_jobs_one(self, tmp_path):
+        """Scheduling supersamples on two workers changes no report byte."""
+        config = write_config(tmp_path)
+        reports = []
+        for jobs in ("1", "2"):
+            out = tmp_path / f"out_jobs{jobs}"
+            assert main(["run", str(config), "-o", str(out), "--jobs", jobs]) == 0
+            reports.append((out / "report.json").read_bytes())
+        assert reports[0] == reports[1]
+
+    def test_clip_bounds_echoed_and_applied(self, tmp_path):
+        """The memorizer's fcmi_m1 bound here is above 1: ``--clip-bounds``
+        echoes the flag and writes 1 as its curve value, and the report keeps
+        the bound itself."""
+        config = write_config(tmp_path)
+        values = []
+        for flags in ([], ["--clip-bounds"]):
+            out = tmp_path / f"out{len(flags)}"
+            assert main(["run", str(config), "-o", str(out), *flags]) == 0
+            report = load_report(out / "report.json")
+            assert report.config["clip_bounds"] is bool(flags)
+            with open(out / "curves.csv", newline="", encoding="utf-8") as fh:
+                values.append([float(r["bound_value"]) for r in csv.DictReader(fh)])
+            assert report.bounds[0].value == values[0][0] > 1
+        assert values[1] == [1.0]
+
+    def test_override_value_not_json_is_a_string(self, tmp_path):
+        config = write_config(tmp_path)
+        out = tmp_path / "out"
+        assert main(["run", str(config), "-o", str(out), "--set", "mode=exact_enumeration"]) == 0
+        assert load_report(out / "report.json").config["mode"] == "exact_enumeration"
+
+    @pytest.mark.parametrize("assignment, message", [
+        ("n", "override 'n' is not of the form key=value"),
+        ("n.x=1", "override path 'n.x' crosses a non-object value"),
+    ], ids=["no_equals", "crosses_number"])
+    def test_bad_override_is_config_error(self, tmp_path, monkeypatch, capsys,
+                                          assignment, message):
+        fits = count_fits(monkeypatch)
+        config = write_config(tmp_path)
+        out = tmp_path / "out"
+        assert main(["run", str(config), "-o", str(out), "--set", assignment]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert fits == [] and not out.exists()
+
+    def test_output_under_a_file_is_runtime_error(self, tmp_path, capsys):
+        """An output directory that cannot be made is a runtime failure, exit 3."""
+        config = write_config(tmp_path)
+        (tmp_path / "file").write_text("", encoding="utf-8")
+        assert main(["run", str(config), "-o", str(tmp_path / "file" / "out")]) == 3
+        assert "Not a directory" in capsys.readouterr().err
+
 
 class TestCsvValidation:
     """A bad csv pool is a configuration error, found before any fit."""
@@ -248,12 +300,14 @@ class TestCsvValidation:
         ("x_0,y\n" + "".join(f"{i / 10},{i % 2}\n" for i in range(10)),
          dict(learner={"kind": "logistic_gd", "params": {"output": "prob", "steps": 5}},
               loss="absolute", bounds=["det_stability"]), "not resamplable"),
-    ], ids=["empty_file", "header_only", "no_y_column", "negative_label", "det_stability"])
+        (b"x_0,y\n0.1,\xff\n", {}, "data.csv: 'utf-8' codec can't decode byte 0xff"),
+    ], ids=["empty_file", "header_only", "no_y_column", "negative_label", "det_stability",
+            "not_utf8"])
     def test_refused_pool_names_the_fault(self, tmp_path, monkeypatch, capsys, text,
                                           overrides, message):
         fits = count_fits(monkeypatch)
         data = tmp_path / "data.csv"
-        data.write_text(text, encoding="utf-8")
+        data.write_bytes(text if isinstance(text, bytes) else text.encode("utf-8"))
         config = write_config(tmp_path, data={"kind": "csv", "params": {"path": str(data)}},
                               **overrides)
         assert main(["run", str(config), "-o", str(tmp_path / "out")]) == 2
@@ -426,7 +480,10 @@ class TestConfigCheck:
         ('learner={"kind": "bogus"}', "unknown learner kind 'bogus'"),
         ("data.params.sep=Infinity",
          "two_gaussians parameter 'sep' must be a finite number, got inf"),
-    ], ids=["knn_k_zero", "undeclared_param", "unknown_kind", "sep_infinity"])
+        ('data={"kind": [1]}', "unknown data kind [1]"),
+        ('learner={"kind": {}}', "unknown learner kind {}"),
+    ], ids=["knn_k_zero", "undeclared_param", "unknown_kind", "sep_infinity",
+            "data_kind_list", "learner_kind_object"])
     def test_kind_refusal_is_the_whole_message(self, tmp_path, monkeypatch, capsys,
                                                assignment, message):
         """A learner's refusal is worded as a data source's: the error line is
@@ -437,6 +494,18 @@ class TestConfigCheck:
         assert main(["run", str(config), "-o", str(out), "--set", assignment]) == 2
         assert capsys.readouterr().err.startswith(f"error: {message}")
         assert fits == [] and not (out / "report.json").exists()
+
+    @pytest.mark.parametrize("keys", [("n",), ("k1", "learner")], ids=["n", "k1_learner"])
+    def test_missing_key_named(self, tmp_path, monkeypatch, capsys, keys):
+        fits = count_fits(monkeypatch)
+        config = json.loads(write_config(tmp_path).read_text())
+        for key in keys:
+            del config[key]
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config), encoding="utf-8")
+        assert main(["run", str(path), "-o", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == f"error: missing config key(s) {', '.join(keys)}\n"
+        assert fits == []
 
     @pytest.mark.parametrize("command", ["run", "sweep"])
     def test_csv_label_past_int64_is_config_error(self, tmp_path, monkeypatch, capsys, command):
@@ -621,6 +690,16 @@ class TestReport:
         out_file = tmp_path / "missing" / "deep" / "curves.csv"
         assert main(["report"] + [str(p) for p in paths] + ["--csv", str(out_file)]) == 0
         assert out_file.read_text() == on_stdout
+
+    @pytest.mark.parametrize("name, reason", [("missing.json", "No such file or directory"),
+                                              ("a_directory", "Is a directory")],
+                             ids=["missing", "directory"])
+    def test_unreadable_path_is_parse_error(self, tmp_path, capsys, name, reason):
+        """A path that cannot be read is a usage error, exit 2, as for ``run``."""
+        (tmp_path / "a_directory").mkdir()
+        path = tmp_path / name
+        assert main(["report", str(path)]) == 2
+        assert capsys.readouterr().err == f"error: {path}: {reason}\n"
 
     def test_corrupt_report_named(self, tmp_path, capsys):
         bad = tmp_path / "broken.json"

@@ -232,8 +232,12 @@ class TestConfig:
         ({"clip_bounds": 2}, "clip_bounds"),
         ({"stability": {"gamma": True}}, "stability.gamma"),
         ({"stability": {"gamma": "2"}}, "stability.gamma"),
+        ({"loss": []}, "loss must be a string"),
+        ({"mode": []}, "mode must be a string"),
+        ({"bounds": [["fcmi_m1"]]}, "bounds must be a list of bound names"),
     ], ids=["top_level", "stability", "subset_policy", "stability_number", "subset_list",
-            "clip_bounds_string", "clip_bounds_two", "gamma_boolean", "gamma_string"])
+            "clip_bounds_string", "clip_bounds_two", "gamma_boolean", "gamma_string",
+            "loss_list", "mode_list", "bound_list"])
     def test_refuses_undeclared_keys_naming_them(self, d, named):
         with pytest.raises(ConfigError, match=re.escape(named)):
             base_config(**d)

@@ -5,7 +5,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import fcmi.infotheory
@@ -298,22 +298,27 @@ _INT64 = np.iinfo(np.int64)
 class TestRowCodesAgainstLexsortOracle:
     @given(st.integers(0, 2 ** 32 - 1), st.integers(1, 80), st.integers(1, 40),
            st.sampled_from([2, 3, 17, 2 ** 16, 2 ** 31]))
+    @example(seed=3, rows=12, columns=38, radix=3)  # 3 distinct rows; a one-column second digit
     @settings(max_examples=100, deadline=None)
     def test_row_codes_are_the_lexsort_order(self, seed, rows, columns, radix):
-        """Up to 40 columns of a radix of 3 or more fold several mixed-radix
-        digits by rank; the codes order the rows as the lexsort chain does,
-        and a row of several digits gets the chain's dense rank."""
+        """Up to 40 columns, appended as several digits when the radix is
+        wide, of rows that may repeat: the codes order the rows as the lexsort
+        chain does, and whenever radix^columns exceeds the rows the code is
+        the chain's dense rank, so its range is at most the rows."""
         rng = np.random.default_rng(seed)
         symbols = np.unique(np.concatenate([[0, radix - 1], rng.integers(0, radix, 3)]))
-        x = rng.choice(symbols, (rows, columns))
+        distinct = rng.integers(1, rows + 1)
+        x = rng.choice(symbols, (distinct, columns))[rng.integers(0, distinct, rows)]
         expected = np.zeros(rows, dtype=np.int64)
         for j in range(columns):
             expected = _group_codes(expected, x[:, j])
-        code, size = _row_codes(lambda j0, j1: x[:, j0:j1], columns, radix)
+        code, size = _row_codes(lambda j0, j1: x[:, j0:j1], columns, radix, rows)
         assert 0 <= code.min() and code.max() < size
         assert np.array_equal(np.unique(code, return_inverse=True)[1], expected)
-        if radix ** columns > _INT64.max:  # several digits
-            assert np.array_equal(code, expected) and size == expected.max() + 1
+        if radix ** columns > rows:
+            assert np.array_equal(code, expected) and size == expected.max() + 1 <= rows
+        else:
+            assert size == radix ** columns
 
 
 _KNN = [{"kind": "knn", "params": {"k": k}} for k in (1, 3)]
