@@ -165,8 +165,11 @@ def enumerate_splits(n: int) -> np.ndarray:
     if n > ENUMERATION_LIMIT:
         raise SizeError(
             f"refusing to enumerate 2**{n} splits (limit n <= {ENUMERATION_LIMIT})")
-    codes = np.arange(2 ** n)[:, None]
-    return ((codes >> np.arange(n - 1, -1, -1)) & 1).astype(np.uint8)
+    codes = np.arange(2 ** n)
+    masks = np.empty((2 ** n, n), dtype=np.uint8)
+    for i in range(n):  # a column at a time: no (2**n, n) int64 array
+        np.bitwise_and(codes >> (n - 1 - i), 1, out=masks[:, i], casting="unsafe")
+    return masks
 
 
 def exact_rows(n: int, seeds) -> tuple[np.ndarray, np.ndarray]:
@@ -180,12 +183,13 @@ def exact_rows(n: int, seeds) -> tuple[np.ndarray, np.ndarray]:
 # --- losses ----------------------------------------------------------------
 #
 # Every implemented bound assumes a [0, 1]-bounded loss. ``zero_one`` consumes
-# class-label predictions; ``absolute`` consumes one-dimensional probability
-# vectors for binary labels and is 1-Lipschitz in the prediction. Both score
-# arrays of predictions against broadcastable label arrays, slot by slot.
+# class-label predictions and gives booleans (a mistake is 1), so a half's
+# loss is a count; ``absolute`` consumes one-dimensional probability vectors
+# for binary labels and is 1-Lipschitz in the prediction. Both score arrays
+# of predictions against broadcastable label arrays, slot by slot.
 
 def zero_one_loss(predictions, labels) -> np.ndarray:
-    return (np.asarray(predictions) != np.asarray(labels)).astype(float)
+    return np.asarray(predictions) != np.asarray(labels)
 
 
 def absolute_loss(predictions, labels) -> np.ndarray:
@@ -237,6 +241,7 @@ class TrialTable:
     predictions on all 2n slots, pair-major (slot (i, j) at column 2i + j):
     (T, 2n) nonnegative ints for a finite prediction space, (T, 2n, d) floats
     for a real one. ``weight_code`` is (T,) when the learner exposes one.
+    ``members`` holds an ensemble's member tables when they are kept.
     """
 
     supersample_id: str
@@ -247,6 +252,7 @@ class TrialTable:
     train_loss: np.ndarray
     test_loss: np.ndarray
     weight_code: np.ndarray | None = None
+    members: tuple[TrialTable, ...] | None = None
 
     def __post_init__(self) -> None:
         masks = np.asarray(self.masks)
@@ -273,7 +279,7 @@ class TrialTable:
             if codes.shape != (rows,):
                 raise ContractViolation(f"expected {rows} weight codes, got {codes.shape}")
             object.__setattr__(self, "weight_code", codes)
-        object.__setattr__(self, "masks", masks.astype(np.uint8))
+        object.__setattr__(self, "masks", masks.astype(np.uint8, copy=False))
         object.__setattr__(self, "seeds", seeds)
         object.__setattr__(self, "preds", preds)
 

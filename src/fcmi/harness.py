@@ -13,7 +13,6 @@ import io
 import json
 import math
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import MISSING, asdict, dataclass, field, fields
 from pathlib import Path
 from typing import Callable, NamedTuple
@@ -272,8 +271,10 @@ def load_report(path) -> ExperimentReport:
     """A persisted report; ParseError unless it holds every field and every
     config key its curve rows read."""
     try:
-        report = ExperimentReport.from_json_dict(
-            json.loads(Path(path).read_text(encoding="utf-8")))
+        data = json.loads(Path(path).read_text(encoding="utf-8"))
+        if not isinstance(data, dict):
+            raise TypeError("a report must be a JSON object")
+        report = ExperimentReport.from_json_dict(data)
         curve_rows(report)
     except OSError as e:
         raise ParseError(f"{path}: {e.strerror}") from e
@@ -487,8 +488,9 @@ def _run_supersample(config: ExperimentConfig, a: int,
         trials = np.arange(config.k2)
         masks = split_masks(derive_seeds(config.master_seed, _SPLIT, a, trials), n)
         row_seeds = derive_seeds(config.master_seed, _TRIAL, a, trials)
+    reads = {BOUNDS[b].reads for b in config.bounds}
     table = fill_table(supersample, config.learner, masks, row_seeds, config.loss,
-                       supersample_id=f"ss{a:03d}")
+                       supersample_id=f"ss{a:03d}", members="member_fcmi" in reads)
     kept = table if keep_table else None
     gap_mean, gap_std = aggregate_gap(table)
     result = SupersampleResult(supersample_id=table.supersample_id,
@@ -496,7 +498,6 @@ def _run_supersample(config: ExperimentConfig, a: int,
     if table.prediction_space.kind != "finite":
         return result, kept
 
-    reads = {BOUNDS[b].reads for b in config.bounds}
     every_pair = [tuple(range(n))]
     result.mi_per_index = subset_mi(table, [(i,) for i in range(n)]).tolist()
     result.mi_testslots = mi_testslots(table)
@@ -514,12 +515,7 @@ def _run_supersample(config: ExperimentConfig, a: int,
     if "subset_mi" in reads:
         result.subset_mi = subset_mi(table, subsets).tolist()
     if "member_fcmi" in reads:
-        result.member_fcmi = []
-        for j, member in enumerate(config.learner.params["members"]):
-            member_rows = exact_rows(n, derive_seeds(seeds, j))
-            member_table = fill_table(supersample, LearnerSpec.from_json_dict(member),
-                                      *member_rows, config.loss)
-            result.member_fcmi.append(float(subset_mi(member_table, every_pair)[0]))
+        result.member_fcmi = [float(subset_mi(m, every_pair)[0]) for m in table.members]
     return result, kept
 
 
@@ -592,6 +588,9 @@ def run_experiment(config: ExperimentConfig, keep_tables: bool = False) -> Exper
         subset_meta = {"subset_policy": policy, "subset_count": len(subsets)}
 
     if config.jobs > 1 and config.k1 > 1:
+        # loaded here, so a run without a pool holds none of its code
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=config.jobs) as workers:
             runs = list(workers.map(_run_supersample, [config] * config.k1,
                                     range(config.k1), [subsets] * config.k1,

@@ -167,6 +167,16 @@ def _pair_codes(preds: np.ndarray, radix: int, dtype) -> np.ndarray:
     return code
 
 
+def _append_digits(code: np.ndarray, digits: np.ndarray, radix: int) -> np.ndarray:
+    """The int64 ``code`` with the columns of ``digits`` appended as
+    base-``radix`` digits, in place: a column at a time, so the digits stay
+    in their own dtype (a matmul would cast the whole block to int64)."""
+    for j in range(digits.shape[1]):
+        code *= radix
+        code += digits[:, j]
+    return code
+
+
 def _row_codes(columns, k: int, radix: int, rows: int) -> tuple[np.ndarray, int]:
     """A code of each of ``rows`` rows of k integer columns in [0, radix), in
     the rows' lexicographic order, and the code's range: the mixed-radix code
@@ -174,21 +184,21 @@ def _row_codes(columns, k: int, radix: int, rows: int) -> tuple[np.ndarray, int]
     their number of distinct values. ``columns(j0, j1)`` gives columns
     j0..j1-1 as a (T, j1 - j0) array, so a derived row need not exist whole.
 
-    The columns are appended a digit at a time, as many columns as keep
-    rows * radix^width within an int64 (at least one): the code so far times
-    the digit's range, plus the digit. Once the columns so far span more
-    values than the rows, each new code is replaced by its dense rank, so it
-    stays below the rows and the next digit fits.
+    The columns are read a block at a time, as many columns as keep
+    rows * radix^width within an int64 (at least one), and appended a digit
+    at a time: the code so far times the radix, plus the digit, so a block
+    stays in its own dtype. Once the columns so far span more values than
+    the rows, the code is replaced by its dense rank, so it stays below the
+    rows and the next block fits.
     """
     width = 1
     while width < k and rows * radix ** (width + 1) <= _INT64_MAX:
         width += 1
-    code, size = 0, 1
+    code, size = np.zeros(rows, dtype=np.int64), 1
     for j0 in range(0, k, width):
         j1 = min(j0 + width, k)
-        span = radix ** (j1 - j0)
-        code = code * span + columns(j0, j1) @ (radix ** np.arange(j1 - j0 - 1, -1, -1))
-        size *= span
+        code = _append_digits(code, columns(j0, j1), radix)
+        size *= radix ** (j1 - j0)
         if radix ** j1 > rows:  # the columns so far span more values than the rows
             code, size = _rank(code)
     return code, size
@@ -210,8 +220,9 @@ def subset_mi(table: TrialTable, subsets, use_weights: bool = False) -> np.ndarr
     the pair's code and split bit, each weighted by its digit's place. The
     terms are tabled once per position for the pairs that occur there, and a
     block of subsets gathers and adds them. The weight code, shared by every
-    subset, is ranked once over the rows. Subsets whose joint code would not
-    fit an int64 are counted one at a time from row codes.
+    subset, is ranked once over the rows. A lone subset, whose position
+    tables no other subset would share, and subsets whose joint code would
+    not fit an int64 are counted one at a time from row codes.
     """
     if use_weights and table.weight_code is None:
         raise ContractViolation("learner exposes no discrete weight code")
@@ -225,7 +236,7 @@ def subset_mi(table: TrialTable, subsets, use_weights: bool = False) -> np.ndarr
         preds, radix = _pred_digits(table)
         ra = radix ** (2 * m)
     size = ra * 2 ** m
-    if quantities * size > _INT64_MAX:
+    if quantities == 1 or quantities * size > _INT64_MAX:
         out = []
         for u in subsets:
             if not use_weights:
@@ -288,7 +299,7 @@ def split_cmi(table: TrialTable, all_pairs: bool = False) -> np.ndarray:
         raise ContractViolation(f"split_cmi needs n * 2^n * {ra} codes within int64 (n={n})")
     if not all_pairs:
         pairs = _pair_codes(preds, radix, _unsigned(ra))
-    mask_code = table.masks @ (1 << np.arange(n - 1, -1, -1))
+    mask_code = _append_digits(np.zeros(rows, dtype=np.int64), table.masks, 2)
 
     def joint(lo, hi):
         # pair i's shift puts its bit last; the bits above it move down one

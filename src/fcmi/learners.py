@@ -2,11 +2,12 @@
 
 Every learner is a pure function of (training arrays, query array, seed):
 identical inputs and seed reproduce the output bit for bit. Class-label
-learners emit an int array of shape (Q,); probability-output learners emit a
-float array of shape (Q, d). ``fill_table`` runs a learner on every (split,
-seed) row of a trial table. Every learner fits a stack of training sets at
-once through one row function per kind, and each set's predictions are bit
-for bit those of fitting it alone.
+learners emit an array of shape (Q,) in the narrowest unsigned dtype that
+holds the label alphabet (int64 for labels past 2^32); probability-output
+learners emit a float array of shape (Q, d). ``fill_table`` runs a learner
+on every (split, seed) row of a trial table. Every learner fits a stack of
+training sets at once through one row function per kind, and each set's
+predictions are bit for bit those of fitting it alone.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ from .core import (
     split_slots,
 )
 from .datagen import sample_examples
+from .infotheory import _unsigned
 from .seeding import derive_seeds
 
 # Cells in the largest stacked array of one chunk of fits: the linear
@@ -82,7 +84,39 @@ def needs_binary_labels(spec: LearnerSpec) -> bool:
 # ``train_idx`` trains on ``xs[train_idx[t]]``, ``ys[train_idx[t]]`` with seed
 # ``seeds[t]`` and predicts on every query. It returns the (T, ...)
 # predictions and the (T,) int64 weight codes, or None when the learner has
-# none.
+# none. ``train_idx`` is a (T, N) index array or the ``_TrainingSlots`` of
+# split masks; a row function reads it a chunk of rows at a time.
+
+
+class _TrainingSlots:
+    """The (T, n) training-slot index of split masks, row t holding slot
+    2i + masks[t, i] at position i, built for the rows asked for: the whole
+    index never exists."""
+
+    def __init__(self, masks: np.ndarray):
+        self.masks = masks
+        self.shape = masks.shape
+
+    def __len__(self) -> int:
+        return len(self.masks)
+
+    def __getitem__(self, rows) -> np.ndarray:
+        return split_slots(self.masks[rows])[0]
+
+
+def _held(train_idx, points: int) -> np.ndarray:
+    """(N, points) bool: whether some row holds each point at each position.
+    Split masks hold slot 2i + b at position i wherever column i takes the
+    bit b."""
+    size = train_idx.shape[1]
+    held = np.zeros((size, points), dtype=bool)
+    pos = np.arange(size)
+    if isinstance(train_idx, _TrainingSlots):
+        held[pos, 2 * pos] = train_idx.masks.min(axis=0) == 0
+        held[pos, 2 * pos + 1] = train_idx.masks.max(axis=0) == 1
+    else:
+        held[pos, train_idx] = True
+    return held
 
 
 def _chunk_rows(cells_per_row: int) -> int:
@@ -164,7 +198,7 @@ def _threshold_rows(spec, xs, ys, train_idx, query_xs, seeds):
     def fit(lo, hi):
         idx = train_idx[lo:hi]
         w = _threshold_weights(xs[idx, 0], ys[idx])
-        return (query_xs[None, :, 0] > w[:, None]).astype(np.int64), w.view(np.int64)
+        return (query_xs[None, :, 0] > w[:, None]).astype(np.uint8), w.view(np.int64)
 
     return _in_chunks(fit, len(train_idx),
                       _chunk_rows(max(size * (size + 1), len(query_xs))))
@@ -194,9 +228,7 @@ def _knn_rows(spec, xs, ys, train_idx, query_xs, seeds):
     size = train_idx.shape[1]
     k = min(spec.param("k"), size)
     labels, classes = np.unique(ys, return_inverse=True)
-    held = np.zeros((size, len(xs)), dtype=bool)
-    held[np.arange(size), train_idx] = True
-    pos, point = np.nonzero(held)  # every entry some row holds
+    pos, point = np.nonzero(_held(train_idx, len(xs)))  # every entry some row holds
     ranks = _dense_ranks(np.sum((xs[None, :, :] - query_xs[:, None, :]) ** 2, axis=2))
     # (Q, E) entries by distance rank, then position; equal keys are entries
     # at one position, which no row holds together
@@ -204,7 +236,7 @@ def _knn_rows(spec, xs, ys, train_idx, query_xs, seeds):
     queries = np.arange(len(query_xs))
 
     def fit(lo, hi):
-        member = (train_idx[lo:hi, pos] == point).T  # (E, B)
+        member = (train_idx[lo:hi][:, pos] == point).T  # (E, B)
         found = np.zeros((len(query_xs), hi - lo), dtype=np.int32)
         counts = np.zeros((len(query_xs), len(labels), hi - lo), dtype=np.int32)
         for entry in order.T:  # each query's next entry
@@ -241,6 +273,13 @@ def _logistic_grad(X: np.ndarray, w: np.ndarray, ys: np.ndarray) -> np.ndarray:
     return np.matmul(X.transpose(0, 2, 1), residual[..., None])[..., 0]
 
 
+def _seed_streams(seeds) -> tuple[list[np.random.Generator], np.ndarray]:
+    """One generator per distinct seed, and each set's index into them: sets
+    that share a seed draw that seed's stream, as a generator each would."""
+    distinct, row = np.unique(np.asarray(seeds, dtype=np.uint64), return_inverse=True)
+    return [np.random.default_rng(int(s)) for s in distinct], row
+
+
 def logistic_fit(xs: np.ndarray, ys: np.ndarray, seeds, steps: int = 100,
                  lr: float = 0.5, init_scale: float = 0.01) -> np.ndarray:
     """Full-batch gradient descent on mean logistic loss; no early stopping.
@@ -250,9 +289,9 @@ def logistic_fit(xs: np.ndarray, ys: np.ndarray, seeds, steps: int = 100,
     """
     if np.any((ys != 0) & (ys != 1)):
         raise ContractViolation("logistic_gd needs binary labels")
-    X = _design(xs)
-    w = np.stack([np.random.default_rng(int(s)).normal(0.0, init_scale, X.shape[2])
-                  for s in seeds])
+    X, ys = _design(xs), ys.astype(float)
+    rngs, row = _seed_streams(seeds)
+    w = np.stack([rng.normal(0.0, init_scale, X.shape[2]) for rng in rngs])[row]
     for _ in range(steps):
         w = w - lr * _logistic_grad(X, w, ys) / X.shape[1]
     return w
@@ -273,12 +312,12 @@ def sgld_fit(xs: np.ndarray, ys: np.ndarray, seeds, steps: int = 200,
     """
     if np.any((ys != 0) & (ys != 1)):
         raise ContractViolation("sgld_linear needs binary labels")
-    X = _design(xs)
-    rngs = [np.random.default_rng(int(s)) for s in seeds]
-    w = np.stack([rng.normal(0.0, init_scale, X.shape[2]) for rng in rngs])
+    X, ys = _design(xs), ys.astype(float)
+    rngs, row = _seed_streams(seeds)
+    w = np.stack([rng.normal(0.0, init_scale, X.shape[2]) for rng in rngs])[row]
     # each seed's stream drawn a block of steps at a time is the same draws as
     # one row per step; a block of the whole batch stays within _BATCH_CELLS
-    block = max(1, _BATCH_CELLS // (len(rngs) * X.shape[2]))
+    block = max(1, _BATCH_CELLS // (len(row) * X.shape[2]))
     for t in range(steps):
         if t % block == 0:
             eps = np.stack([rng.standard_normal((min(block, steps - t), X.shape[2]))
@@ -286,7 +325,7 @@ def sgld_fit(xs: np.ndarray, ys: np.ndarray, seeds, steps: int = 200,
         lr = lr0 * lr_decay ** (t // lr_decay_every)
         beta = min(temp_max, max(temp_min, 10.0 * math.exp(t / temp_scale)))
         grad = _logistic_grad(X, w, ys)
-        w = w - 0.5 * lr * grad + math.sqrt(lr / beta) * eps[:, t % block]
+        w = w - 0.5 * lr * grad + math.sqrt(lr / beta) * eps[row, t % block]
     return w
 
 
@@ -343,23 +382,27 @@ def _linear_predict(w: np.ndarray, query_xs: np.ndarray, output: str) -> np.ndar
     # pair, as a per-query np.dot does; a matmul over all queries sums in
     # another order and moves the last ulp of some probabilities
     probs = _sigmoid(np.vecdot(_design(query_xs), w[..., None, :]))
-    return probs[..., None] if output == "prob" else (probs > 0.5).astype(np.int64)
+    return probs[..., None] if output == "prob" else (probs > 0.5).astype(np.uint8)
 
 
 def ensemble_combine(member_predictions) -> np.ndarray:
-    """Majority vote over the first axis of (M, ...) class labels; ties break
-    toward the smallest class."""
-    votes = np.asarray(member_predictions, dtype=np.int64)
+    """Majority vote over the first axis of (M, ...) class labels, in their
+    dtype (int64 for Python ints); ties break toward the smallest class."""
+    votes = np.asarray(member_predictions)
     if len(votes) < 1:
         raise ContractViolation("need at least one member prediction")
-    # counts over the dense ranks of the labels grow with the number of
-    # distinct labels, not with their values
-    labels, dense = np.unique(votes, return_inverse=True)
-    cells = votes[0].size
-    codes = dense.reshape(len(votes), cells) + np.arange(cells) * len(labels)
-    counts = np.bincount(codes.ravel(), minlength=cells * len(labels))
-    winners = labels[counts.reshape(cells, len(labels)).argmax(axis=1)]
-    return winners.reshape(votes.shape[1:])[()]  # a scalar for a 1-D input
+    # one count per distinct label, in ascending order, so the work grows
+    # with the number of labels, not with their values; a later label takes
+    # a cell only with more votes, and the counts take the narrowest dtype
+    labels = np.unique(votes)
+    tally = _unsigned(len(votes) + 1)
+    winners = np.full(votes.shape[1:], labels[0])
+    most = (votes == labels[0]).sum(axis=0, dtype=tally)
+    for label in labels[1:]:
+        count = (votes == label).sum(axis=0, dtype=tally)
+        winners = np.where(count > most, label, winners)
+        most = np.maximum(most, count)
+    return winners[()]  # a scalar for a 1-D input
 
 
 def _linear_rows(spec, xs, ys, train_idx, query_xs, seeds):
@@ -378,14 +421,17 @@ def _linear_rows(spec, xs, ys, train_idx, query_xs, seeds):
     return _in_chunks(fit, len(train_idx), _chunk_rows(max(per_set)))
 
 
-def _ensemble_rows(spec, xs, ys, train_idx, query_xs, seeds):
-    """Majority vote of the members; member j fits row t with seed
-    ``derive_seed(seeds[t], j)``."""
+def _members(spec: LearnerSpec, seeds) -> list[tuple[LearnerSpec, np.ndarray]]:
+    """Each member of an ensemble with its row seeds: member j fits row t
+    with seed ``derive_seed(seeds[t], j)``."""
     seeds = np.asarray(seeds, dtype=np.uint64)
-    votes = np.stack([
-        _fit_predict_rows(member, xs, ys, train_idx, query_xs, derive_seeds(seeds, j))[0]
-        for j, member in enumerate(_wrapped(spec))])
-    return ensemble_combine(votes), None
+    return [(member, derive_seeds(seeds, j)) for j, member in enumerate(_wrapped(spec))]
+
+
+def _ensemble_rows(spec, xs, ys, train_idx, query_xs, seeds):
+    """Majority vote of the members."""
+    return ensemble_combine([_fit_predict_rows(member, xs, ys, train_idx, query_xs, s)[0]
+                             for member, s in _members(spec, seeds)]), None
 
 
 _ROWS = {
@@ -405,19 +451,25 @@ def _fit_predict_rows(spec: LearnerSpec, xs: np.ndarray, ys: np.ndarray,
     Row t trains on ``xs[train_idx[t]]``, ``ys[train_idx[t]]`` with seed
     ``seeds[t]``; the learner's row function fits the rows chunk by chunk.
     Returns the (T, ...) predictions and the (T,) weight codes, or None when
-    the learner has no weight code.
+    the learner has no weight code. The labels are cast to the narrowest
+    unsigned dtype of their alphabet, so label predictions take it on.
     """
     xs, ys = np.asarray(xs, dtype=float), np.asarray(ys, dtype=np.int64)
-    return _ROWS[spec.kind](spec, xs, ys, np.asarray(train_idx),
-                            np.asarray(query_xs, dtype=float), seeds)
+    if not isinstance(train_idx, _TrainingSlots):
+        train_idx = np.asarray(train_idx)
+    return _ROWS[spec.kind](spec, xs, ys.astype(_unsigned(int(ys.max(initial=0)) + 1)),
+                            train_idx, np.asarray(query_xs, dtype=float), seeds)
 
 
 def fill_table(supersample: Supersample, spec: LearnerSpec, masks, seeds,
-               loss_name: str = "zero_one", supersample_id: str = "") -> TrialTable:
+               loss_name: str = "zero_one", supersample_id: str = "",
+               members: bool = False) -> TrialTable:
     """Run the learner once per (mask, seed) row and score both halves.
 
     Row t trains on slots 2i + masks[t, i] with seed ``seeds[t]`` and predicts
     on all 2n supersample inputs; losses are scored on the arrays afterwards.
+    With ``members``, an ensemble's table also holds each member's table,
+    from the fits its vote is taken over.
     """
     masks = np.asarray(masks, dtype=np.uint8)
     if masks.ndim != 2 or masks.shape[0] < 1 or len(seeds) != masks.shape[0]:
@@ -426,22 +478,32 @@ def fill_table(supersample: Supersample, spec: LearnerSpec, masks, seeds,
         raise ContractViolation(
             f"masks have {masks.shape[1]} bits for a supersample of {supersample.n} pairs")
     xs, ys = supersample.xs, supersample.ys
-    rows, n = masks.shape
-    # the (T, n) training-slot index is only needed while fitting
-    preds, codes = _fit_predict_rows(spec, xs, ys, split_slots(masks)[0], xs, seeds)
-    # pair-major slot losses: [..., 0] is slot 2i, [..., 1] is slot 2i + 1
-    pair_loss = LOSSES[loss_name](preds, ys).reshape(rows, n, 2)
-    in_train = masks.astype(bool)
-    return TrialTable(
-        supersample_id=supersample_id,
-        prediction_space=prediction_space(spec, label_classes(ys)),
-        masks=masks,
-        seeds=seeds,
-        preds=preds,
-        train_loss=np.where(in_train, pair_loss[..., 1], pair_loss[..., 0]).mean(axis=1),
-        test_loss=np.where(in_train, pair_loss[..., 0], pair_loss[..., 1]).mean(axis=1),
-        weight_code=codes,
-    )
+    slots, in_train = _TrainingSlots(masks), masks.astype(bool)
+
+    def table(learner, seeds, preds, codes=None, members=None):
+        # pair-major slot losses: [..., 0] is slot 2i, [..., 1] is slot 2i + 1
+        pair_loss = LOSSES[loss_name](preds, ys).reshape(masks.shape + (2,))
+        train = np.where(in_train, pair_loss[..., 1], pair_loss[..., 0])
+        if train.dtype == bool:
+            # a count of 0/1 losses over n has the bits of their float mean
+            wrong = np.count_nonzero(train, axis=1)
+            train_loss = wrong / masks.shape[1]
+            test_loss = (np.count_nonzero(pair_loss, axis=(1, 2)) - wrong) / masks.shape[1]
+        else:
+            train_loss = train.mean(axis=1)
+            test_loss = np.where(in_train, pair_loss[..., 0], pair_loss[..., 1]).mean(axis=1)
+        return TrialTable(
+            supersample_id=supersample_id,
+            prediction_space=prediction_space(learner, label_classes(ys)),
+            masks=masks, seeds=seeds, preds=preds, train_loss=train_loss,
+            test_loss=test_loss, weight_code=codes, members=members)
+
+    if members:
+        fits = [(member, s, _fit_predict_rows(member, xs, ys, slots, xs, s)[0])
+                for member, s in _members(spec, seeds)]
+        return table(spec, seeds, ensemble_combine([preds for _, _, preds in fits]),
+                     members=tuple(table(*fit) for fit in fits))
+    return table(spec, seeds, *_fit_predict_rows(spec, xs, ys, slots, xs, seeds))
 
 
 # --- functional stability ----------------------------------------------------

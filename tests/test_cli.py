@@ -1,5 +1,9 @@
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 from xml.etree import ElementTree
 
 import pytest
@@ -701,6 +705,13 @@ class TestReport:
         assert main(["report", str(path)]) == 2
         assert capsys.readouterr().err == f"error: {path}: {reason}\n"
 
+    @pytest.mark.parametrize("text", ["[1]", '"x"', "3", "null"])
+    def test_report_that_is_no_object(self, tmp_path, capsys, text):
+        path = tmp_path / "l.json"
+        path.write_text(text, encoding="utf-8")
+        assert main(["report", str(path)]) == 2
+        assert capsys.readouterr().err == f"error: {path}: a report must be a JSON object\n"
+
     def test_corrupt_report_named(self, tmp_path, capsys):
         bad = tmp_path / "broken.json"
         bad.write_text("{", encoding="utf-8")
@@ -776,6 +787,13 @@ class TestReport:
 
 
 class TestUsage:
+    def test_import_loads_no_process_pool(self):
+        """Only a run with jobs > 1 loads concurrent.futures."""
+        code = "import sys, fcmi.cli; assert 'concurrent.futures' not in sys.modules"
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            [str(Path(fcmi.cli.__file__).parents[1]), os.environ.get("PYTHONPATH", "")])}
+        subprocess.run([sys.executable, "-c", code], check=True, env=env)
+
     def test_no_command_is_usage_error(self):
         assert main([]) == 2
 

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import fcmi.learners
 from fcmi import cli, harness
 from fcmi.cli import main
 from fcmi.core import ENUMERATION_LIMIT, LOSS_SPACE, SizeError, exact_rows
@@ -31,6 +32,7 @@ from fcmi.harness import (
 )
 from fcmi.infotheory import PLUGIN_ALPHABET_LIMIT, product_alphabet_size, subset_mi
 from fcmi.learners import LearnerSpec, fill_table, needs_binary_labels, prediction_space
+from fcmi.seeding import derive_seeds
 
 
 def base_dict(**overrides) -> dict:
@@ -622,6 +624,39 @@ class TestTableLifetime:
         report = run_experiment(base_config(k1=3, mode=mode))
         assert report.tables is None and sorted(filled) == [0, 1, 2]
         assert all(filled[a] for a in filled)
+
+
+class TestEnsembleMembers:
+    @pytest.mark.parametrize("bounds", [["fcmi_m1"], ["fcmi_m1", "ensemble_mn"]])
+    def test_member_estimates_reuse_the_vote_fits(self, monkeypatch, bounds):
+        """ensemble_mn reads the member predictions the vote is taken over:
+        exact n=8 with three knn members fits 3 * 2^8 member rows whether or
+        not it is requested, and each member estimate is that of the
+        member's own table."""
+        rows = []
+        real = fcmi.learners._fit_predict_rows
+
+        def counting(spec, xs, ys, train_idx, *args):
+            if spec.kind == "knn":
+                rows.append(len(train_idx))
+            return real(spec, xs, ys, train_idx, *args)
+
+        monkeypatch.setattr(fcmi.learners, "_fit_predict_rows", counting)
+        members = [{"kind": "knn", "params": {"k": k}} for k in (1, 3, 5)]
+        config = base_config(n=8, k1=1, k2=1, mode="exact_enumeration", bounds=bounds,
+                             learner={"kind": "ensemble", "params": {"members": members}})
+        report = run_experiment(config)
+        assert sum(rows) == 768
+        if "ensemble_mn" not in bounds:
+            return
+        monkeypatch.undo()
+        ss = _draw_supersample(config, 0)
+        seeds = derive_seeds(config.master_seed, harness._TRIAL, 0, np.arange(1))
+        want = [float(subset_mi(fill_table(ss, LearnerSpec.from_json_dict(m),
+                                           *exact_rows(8, derive_seeds(seeds, j))),
+                                [tuple(range(8))])[0])
+                for j, m in enumerate(members)]
+        assert report.supersamples[0].member_fcmi == want
 
 
 class TestSweep:

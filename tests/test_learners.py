@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fcmi.core import ContractViolation, exact_rows, split_slots
+from fcmi.core import ContractViolation, Supersample, exact_rows, split_slots
 from fcmi.datagen import GeneratorSpec, sample_supersample
 import fcmi.learners
 from fcmi.learners import (
@@ -409,6 +409,36 @@ class TestBatchedLinear:
             w = scalar_fit(xs, ys, 77, steps=25)
             assert np.array_equal(out.predictions, _scalar_linear_predict(w, xs, "prob"))
 
+    @pytest.mark.parametrize("kind", sorted(_LINEAR_FITS))
+    def test_one_generator_per_distinct_seed(self, kind, monkeypatch):
+        """Sets that share a seed share one generator, and each set's weights
+        stay those of fitting it alone; the labels reach the gradient as floats."""
+        made, grads = [], []
+        real_rng, real_grad = np.random.default_rng, fcmi.learners._logistic_grad
+
+        def rng(seed):
+            made.append(seed)
+            return real_rng(seed)
+
+        def grad(X, w, ys):
+            grads.append(ys.dtype)
+            return real_grad(X, w, ys)
+
+        gen = np.random.default_rng(15)
+        xs, ys = gen.normal(0.0, 1.0, (10, 2)), gen.integers(0, 2, 10)
+        train_idx = np.stack([gen.permutation(10)[:6] for _ in range(6)])
+        monkeypatch.setattr(fcmi.learners.np.random, "default_rng", rng)
+        monkeypatch.setattr(fcmi.learners, "_logistic_grad", grad)
+        seeds = [5, 2 ** 63 + 9, 5, 5, 2 ** 63 + 9, 1]
+        batch_fit, scalar_fit = _LINEAR_FITS[kind]
+        weights = batch_fit(xs[train_idx], ys[train_idx], seeds, steps=30)
+        assert sorted(made) == [1, 5, 2 ** 63 + 9]
+        assert set(grads) == {np.dtype(float)}
+        monkeypatch.setattr(fcmi.learners.np.random, "default_rng", real_rng)
+        expected = np.stack([scalar_fit(xs[idx], ys[idx], s, steps=30)
+                             for idx, s in zip(train_idx, seeds)])
+        assert np.array_equal(weights, expected)
+
 
 # The per-fit label learners the row functions replaced, kept verbatim (bar
 # the names) as oracles: fitting a chunk of rows must not move a single bit.
@@ -498,6 +528,17 @@ def _label_spec(data, kind):
     return {"kind": kind, "params": {}}
 
 
+def _label_dtype(spec, ys) -> np.dtype:
+    """The narrowest unsigned dtype of a learner's label alphabet: {0, 1} for
+    the binary learners, every label up to the largest for the others, and
+    int64 past 2^32; an ensemble's is the widest of its members'."""
+    if spec.kind == "ensemble":
+        return np.result_type(*(_label_dtype(m, ys) for m in fcmi.learners._wrapped(spec)))
+    top = 1 if fcmi.learners.needs_binary_labels(spec) else int(np.max(ys))
+    return np.dtype(next(t for t in (np.uint8, np.uint16, np.uint32, np.int64)
+                         if top <= np.iinfo(t).max))
+
+
 def _check_rows_match_oracle(spec, xs, ys, train_idx, queries, seeds, cap):
     with mock.patch.object(fcmi.learners, "_BATCH_CELLS", cap):
         preds, codes = _fit_predict_rows(spec, xs, ys, train_idx, queries, seeds)
@@ -507,7 +548,7 @@ def _check_rows_match_oracle(spec, xs, ys, train_idx, queries, seeds, cap):
         assert (codes is None) == (code is None)
         if code is not None:
             assert codes[t] == code
-    assert preds.dtype == np.int64
+    assert preds.dtype == _label_dtype(spec, ys)
 
 
 class TestRowsAgainstScalarOracles:
@@ -530,7 +571,8 @@ class TestRowsAgainstScalarOracles:
         ys = rng.integers(0, classes, 2 * n)
         if data.draw(st.booleans(), label="exact splits"):
             masks, seeds = exact_rows(n, [int(s) for s in rng.integers(0, 2 ** 32, 2)])
-            train_idx = split_slots(masks)[0]
+            # the index fill_table passes: built a chunk of rows at a time
+            train_idx = fcmi.learners._TrainingSlots(masks)
         else:
             rows, size = int(rng.integers(1, 12)), int(rng.integers(1, 2 * n + 1))
             train_idx = rng.integers(0, 2 * n, (rows, size))
@@ -574,7 +616,7 @@ class TestRowsAgainstScalarOracles:
                 np.stack([rng.permutation(len(xs))[:n] for _ in range(7)]),
                 rng.integers(0, len(xs), (3, n)), [[0, 1, 2, 3, 6]]])
         queries = np.concatenate([xs, [[0.25, 0.1], [0.5, np.nan]]])
-        # exact equality row by row, and int64 predictions like the oracle's
+        # exact equality row by row, in the labels' narrowest dtype
         _check_rows_match_oracle(LearnerSpec("knn", {"k": k}), xs, ys, train_idx, queries,
                                  [0] * len(train_idx), cap)
 
@@ -597,6 +639,107 @@ class TestFillTable:
         ss = sample_supersample(_GAUSS, 3, 0)
         with pytest.raises(ContractViolation):
             fill_table(ss, LearnerSpec(kind), np.zeros((2, width), dtype=np.uint8), [1, 2])
+
+    @given(st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_zero_one_halves_match_float_means(self, data):
+        """The counted half-losses have the bits of the mean over a float 0/1
+        loss array, the form they replaced, for n <= 20."""
+        n = data.draw(st.integers(1, 20))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+        ss = Supersample(rng.integers(0, 4, (2 * n, 1)) / 4, rng.integers(0, 3, 2 * n))
+        masks = rng.integers(0, 2, (int(rng.integers(1, 40)), n))
+        table = fill_table(ss, LearnerSpec("knn", {"k": data.draw(st.integers(1, 3))}),
+                           masks, np.arange(len(masks)))
+        pair_loss = (table.preds != ss.ys).astype(float).reshape(len(masks), n, 2)
+        in_train = masks.astype(bool)
+        train = np.where(in_train, pair_loss[..., 1], pair_loss[..., 0]).mean(axis=1)
+        test = np.where(in_train, pair_loss[..., 0], pair_loss[..., 1]).mean(axis=1)
+        assert table.train_loss.tobytes() == train.tobytes()
+        assert table.test_loss.tobytes() == test.tobytes()
+
+    def test_training_index_built_a_chunk_at_a_time(self, monkeypatch):
+        """fill_table never forms the whole (T, n) training-slot index: each
+        slot index it builds covers one chunk of rows."""
+        built = []
+        real = fcmi.learners.split_slots
+
+        def recording(masks):
+            built.append(np.shape(masks))
+            return real(masks)
+
+        monkeypatch.setattr(fcmi.learners, "split_slots", recording)
+        monkeypatch.setattr(fcmi.learners, "_BATCH_CELLS", 256)
+        ss = sample_supersample(_GAUSS, 8, 3)
+        for spec in (LearnerSpec("knn", {"k": 3}), LearnerSpec("memorizer")):
+            built.clear()
+            fill_table(ss, spec, *exact_rows(8, [0]))
+            assert built and max(shape[0] for shape in built) < 2 ** 8
+            assert sum(shape[0] for shape in built) == 2 ** 8
+
+    @given(st.data())
+    @settings(max_examples=50, deadline=None)
+    def test_held_entries_from_masks_match_the_index(self, data):
+        n = data.draw(st.integers(1, 8))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+        masks = rng.integers(0, 2, (int(rng.integers(1, 6)), n)).astype(np.uint8)
+        got = fcmi.learners._held(fcmi.learners._TrainingSlots(masks), 2 * n + 1)
+        want = fcmi.learners._held(split_slots(masks)[0], 2 * n + 1)
+        assert np.array_equal(got, want)
+
+
+# the narrowest dtype of a label alphabet whose largest label is the key
+_NARROW = {1: np.uint8, 255: np.uint8, 256: np.uint16, 2 ** 16 - 1: np.uint16,
+           2 ** 16: np.uint32, 2 ** 32 - 1: np.uint32, 2 ** 32: np.int64, 2 ** 40: np.int64}
+
+
+class TestNarrowPredictions:
+    """Every label row function emits the narrowest unsigned dtype of the
+    label alphabet, equal in value to the int64 oracle."""
+
+    @staticmethod
+    def _data(top):
+        rng = np.random.default_rng(top % 1000)
+        xs = rng.integers(0, 9, (12, 1)) / 8
+        ys = np.array([0, top, 1, top, 0, 0, top, 1, 1, top, 0, 1]) % (top + 1)
+        train_idx = np.stack([rng.permutation(12)[:7] for _ in range(5)])
+        return xs, ys.astype(np.int64), train_idx, np.concatenate([xs, [[0.3], [0.95]]])
+
+    @pytest.mark.parametrize("top", sorted(_NARROW))
+    @pytest.mark.parametrize("spec", [
+        LearnerSpec("memorizer"), LearnerSpec("knn", {"k": 3}),
+        LearnerSpec("ensemble", {"members": [{"kind": "knn", "params": {"k": 1}},
+                                             {"kind": "memorizer"}]})],
+        ids=lambda s: s.kind)
+    def test_label_alphabet_learners(self, spec, top):
+        xs, ys, train_idx, queries = self._data(top)
+        preds, _ = _fit_predict_rows(spec, xs, ys, train_idx, queries, [4] * 5)
+        assert preds.dtype == _NARROW[top] == _label_dtype(spec, ys)
+        # the scalar oracle counts every class up to the largest label, so it
+        # fits the labels' ranks (order and the default 0 kept) in int64
+        labels, rank = np.unique(ys, return_inverse=True)
+        for row, idx in zip(preds, train_idx):
+            expected, _ = _scalar_fit_predict(spec, xs[idx], rank[idx], queries, 4)
+            assert np.array_equal(row, labels[expected])
+
+    @pytest.mark.parametrize("kind", ["threshold_erm", "logistic_gd", "sgld_linear"])
+    def test_binary_learners(self, kind):
+        xs, ys, train_idx, queries = self._data(1)
+        spec = LearnerSpec(kind, {} if kind == "threshold_erm" else {"steps": 20})
+        preds, _ = _fit_predict_rows(spec, xs, ys, train_idx, queries, [4] * 5)
+        assert preds.dtype == np.uint8
+        for row, idx in zip(preds, train_idx):
+            if kind == "threshold_erm":
+                expected, _ = _scalar_fit_predict(spec, xs[idx], ys[idx], queries, 4)
+            else:
+                w = _LINEAR_FITS[kind][1](xs[idx], ys[idx], 4, steps=20)
+                expected = _scalar_linear_predict(w, queries, "label")
+            assert np.array_equal(row, expected)
+
+    def test_fill_table_keeps_wide_labels(self):
+        ss = Supersample(np.arange(8)[:, None] / 8, [0, 2 ** 40, 5, 2 ** 40, 0, 5, 2 ** 40, 0])
+        table = fill_table(ss, LearnerSpec("knn", {"k": 1}), *exact_rows(4, [0]))
+        assert table.preds.dtype == np.int64 and table.preds.max() == 2 ** 40
 
 
 class TestEnsemble:
