@@ -258,7 +258,11 @@ class TrialTable:
         masks = np.asarray(self.masks)
         if masks.ndim != 2 or masks.shape[0] < 1 or masks.shape[1] < 1:
             raise ContractViolation("a trial table needs a (T, n) mask array, T, n >= 1")
-        if np.any((masks != 0) & (masks != 1)):
+        if masks.dtype.kind in "biu":  # integers: two reductions, no (T, n) temporaries
+            bad_bits = masks.min() < 0 or masks.max() > 1
+        else:
+            bad_bits = np.any((masks != 0) & (masks != 1))
+        if bad_bits:
             raise ContractViolation("split bits must be 0/1")
         rows, n = masks.shape
         seeds = np.asarray(self.seeds, dtype=np.uint64)

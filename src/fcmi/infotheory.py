@@ -30,10 +30,6 @@ _INT64_MAX = np.iinfo(np.int64).max
 PLUGIN_ALPHABET_LIMIT = 2 ** 16
 
 
-class AbsoluteContinuityError(ValueError):
-    """KL divergence is +inf: p puts mass where q has none."""
-
-
 def _rank(x: np.ndarray) -> tuple[np.ndarray, int]:
     """Dense rank of each integer in ``x``, in value order, and the number of
     distinct values."""

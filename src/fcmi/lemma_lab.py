@@ -3,15 +3,15 @@
 Every verifier evaluates both sides of its inequality exactly, by enumeration
 over small discrete instances (alphabets <= 4, at most 5 independent binary
 components), so each reported margin is exact up to float rounding. Instance
-samplers mix in boundary mass so near-deterministic corners are covered.
+draws mix in boundary mass so near-deterministic corners are covered.
 
 A verifier is a draw step and a margins step. The draw step makes a whole
-sweep of instances from one random stream and returns them grouped by shape,
-each group's parts stacked on a leading axis; the margins step takes one such
-group and returns one margin per instance. Both repeat the operations of the
-one-instance references kept with the tests in their order: the draws read
-the same random stream, so the instances are the same to the bit, and an
-instance without zero cells gets the margin a scalar evaluation gives.
+sweep of instances with array calls, first every instance's shape, then each
+part of all instances of one shape, and returns them grouped by shape, each
+group's parts stacked on a leading axis. The margins step takes one such group
+and returns one margin per instance. It repeats the operations of the
+one-instance references kept with the tests in their order, so an instance
+without zero cells gets the margin a scalar evaluation gives, to the bit.
 """
 
 from __future__ import annotations
@@ -24,11 +24,14 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .core import ContractViolation, JsonFields
-from .infotheory import AbsoluteContinuityError
 
 MARGIN_TOL = -1e-9
 # lam values at which the subgaussian-square margin is evaluated
 _LAM_GRID = 64
+
+
+class AbsoluteContinuityError(ValueError):
+    """KL divergence is +inf: p puts mass where q has none."""
 
 
 @dataclass(frozen=True)
@@ -43,82 +46,53 @@ class MarginReport(JsonFields):
 
 # --- instance draws ------------------------------------------------------------
 #
-# A draw step makes a whole sweep: ``draw(rng, count)`` returns the instances
-# grouped by shape, each group as the draw-order rows it holds and its parts
-# stacked on axis 0. It runs in two phases. The stream pass makes the
-# generator calls of the one-instance samplers kept with the tests, in their
-# order, and records the raw draws only. Its one change is that a
-# Dirichlet-uniform vector is drawn as ``standard_exponential(size)``: numpy's
-# ``dirichlet(np.ones(size))`` draws one gamma(1) variate, which is a standard
-# exponential, per cell from the same stream, then scales them by one over
-# their sum taken in order. The arithmetic then repeats the samplers'
-# operations in their order once per group, so each instance has their bits.
+# A draw step makes a whole sweep: ``draw(rng, count)`` draws every instance's
+# shape in one call, then, per distinct shape, each part of all its instances
+# in one call. It returns the instances grouped by shape, each group as the
+# rows of the sweep it holds and its parts stacked on axis 0.
 
-# instances grouped by shape: (draw-order rows, parts stacked on axis 0)
-Draw = list[tuple[list[int], tuple[np.ndarray, ...]]]
+# instances grouped by shape: (rows of the sweep, parts stacked on axis 0)
+Draw = list[tuple[np.ndarray, tuple[np.ndarray, ...]]]
 
 # the patterns of 2..5 bits, in ``itertools.product`` order
 _BIT_PATTERNS = {n: np.array(list(itertools.product((False, True), repeat=n)))
                  for n in range(2, 6)}
 
 
-def _raw_probs(rng: np.random.Generator, size: int) -> tuple[np.ndarray, int]:
-    """The generator calls of one boundary-mixed Dirichlet vector: its
-    exponentials, then the cell that gets most of the mass, or -1 for none."""
-    e = rng.standard_exponential(size)
-    return e, (rng.integers(size) if rng.random() < 0.25 else -1)
+def _shapes(rng: np.random.Generator, count: int,
+            *ranges: tuple[int, int]) -> list[tuple[tuple[int, ...], np.ndarray]]:
+    """The shapes of ``count`` instances, dimension d uniform on
+    ``range(*ranges[d])``; per shape drawn, the rows that have it."""
+    low, high = np.array(ranges).T
+    dims = rng.integers(low, high, (count, len(ranges)))
+    return [(shape, rows) for shape in itertools.product(*(range(*r) for r in ranges))
+            if (rows := np.flatnonzero((dims == shape).all(axis=1))).size]
 
 
-def _grouped(count: int, draw_one: Callable[[], tuple]) -> list[tuple]:
-    """Make ``count`` raw draws ``draw_one() -> (shape, record)``; per shape,
-    its draw-order rows and each field of its records stacked on axis 0."""
-    groups: dict[tuple, tuple[list[int], list]] = {}
-    for i in range(count):
-        shape, record = draw_one()
-        rows, records = groups.setdefault(shape, ([], []))
-        rows.append(i)
-        records.append(record)
-    return [(shape, rows, [np.array(field) for field in zip(*records)])
-            for shape, (rows, records) in groups.items()]
-
-
-def _dirichlet(e: np.ndarray) -> np.ndarray:
-    """Dirichlet-uniform vectors over the last axis from their exponentials."""
-    return e * (1.0 / np.cumsum(e, axis=-1)[..., -1:])
-
-
-def _mixed_probs(e: np.ndarray, boost: np.ndarray) -> np.ndarray:
-    """Dirichlet-uniform probabilities over the last axis of ``e``; a vector
-    whose ``boost`` cell is not -1 keeps 0.05 of its mass and puts 0.95 on
-    that cell, to cover near-deterministic corners."""
-    p = _dirichlet(e).reshape(-1, e.shape[-1])
-    boost = boost.reshape(-1)
-    rows = np.flatnonzero(boost >= 0)
-    p[rows] = 0.05 * p[rows]
-    p[rows, boost[rows]] += 0.95
-    return (p / p.sum(axis=1, keepdims=True)).reshape(e.shape)
+def _mixed_probs(rng: np.random.Generator, lead: tuple[int, ...], size: int) -> np.ndarray:
+    """A ``lead`` array of Dirichlet-uniform laws over ``size`` cells. With
+    chance 1/4 a law keeps 0.05 of its mass and puts 0.95 on one uniformly
+    drawn cell, to cover near-deterministic corners."""
+    p = rng.dirichlet(np.ones(size), lead)
+    boost = (rng.random(lead) < 0.25)[..., None]
+    cell = np.arange(size) == rng.integers(size, size=lead)[..., None]
+    p = np.where(boost, 0.05 * p + 0.95 * cell, p)
+    return p / p.sum(axis=-1, keepdims=True)
 
 
 def _draw_grids(rng: np.random.Generator, count: int) -> Draw:
     """Joint tables and payoff tables g over random (a, b) grids, 2 <= a, b <= 4."""
-    def one():
-        a = int(rng.integers(2, 5))
-        b = int(rng.integers(2, 5))
-        e, boost = _raw_probs(rng, a * b)
-        return (a, b), (e, boost, rng.uniform(-1.0, 1.0, (a, b)))
-    return [(rows, (_mixed_probs(e, boost).reshape(-1, a, b), g))
-            for (a, b), rows, (e, boost, g) in _grouped(count, one)]
+    return [(rows, (_mixed_probs(rng, (rows.size,), a * b).reshape(-1, a, b),
+                    rng.uniform(-1.0, 1.0, (rows.size, a, b))))
+            for (a, b), rows in _shapes(rng, count, (2, 5), (2, 5))]
 
 
 def _draw_variables(rng: np.random.Generator, count: int) -> Draw:
     """Values and probabilities of zero-mean discrete variables on 2..5 points."""
-    def one():
-        size = int(rng.integers(2, 6))
-        v = rng.uniform(-1.0, 1.0, size)
-        return size, (v, *_raw_probs(rng, size))
     out = []
-    for _, rows, (v, e, boost) in _grouped(count, one):
-        p = _mixed_probs(e, boost)
+    for (size,), rows in _shapes(rng, count, (2, 6)):
+        v = rng.uniform(-1.0, 1.0, (rows.size, size))
+        p = _mixed_probs(rng, (rows.size,), size)
         # center exactly; vecdot takes each row's dot product as ``v @ p`` does
         out.append((rows, (v - np.vecdot(v, p)[:, None], p)))
     return out
@@ -126,24 +100,16 @@ def _draw_variables(rng: np.random.Generator, count: int) -> Draw:
 
 def _draw_bits_joints(max_bits: int) -> Callable[[np.random.Generator, int], Draw]:
     """Draw step of joints over phi (2..4 values) and 2..max_bits independent
-    bits, whose bit marginal factorizes by construction."""
+    bits, each 1 with probability in [0.1, 0.9]; the bit marginal factorizes
+    by construction."""
     def draw(rng: np.random.Generator, count: int) -> Draw:
-        def one():
-            n_bits = int(rng.integers(2, max_bits + 1))
-            phi = int(rng.integers(2, 5))
-            bit_probs = rng.uniform(0.1, 0.9, n_bits)
-            # one phi law per bit pattern, in product order, kept as one array
-            # per instance: 15,000 small arrays held until a sweep's groups are
-            # stacked would raise its peak memory by about 2.5 MiB
-            e, boost = zip(*[_raw_probs(rng, phi) for _ in range(2 ** n_bits)])
-            return (phi, n_bits), (bit_probs, np.concatenate(e), boost)
         out = []
-        for (phi, n_bits), rows, (bit_probs, e, boost) in _grouped(count, one):
-            bp = bit_probs[:, None, :]
+        for (phi, n_bits), rows in _shapes(rng, count, (2, 5), (2, max_bits + 1)):
+            bp = rng.uniform(0.1, 0.9, (rows.size, 1, n_bits))
             # each pattern's weight, multiplied out bit by bit in order
             w = np.where(_BIT_PATTERNS[n_bits], bp, 1.0 - bp).prod(axis=2)
-            laws = _mixed_probs(e.reshape(-1, 2 ** n_bits, phi), boost)
-            cells = w[:, :, None] * laws  # (N, patterns, phi)
+            # one phi law per bit pattern, in product order
+            cells = w[:, :, None] * _mixed_probs(rng, (rows.size, 2 ** n_bits), phi)
             # C order over (phi, b_1..b_n), the layout ``_probs`` sums in
             joint = np.ascontiguousarray(cells.transpose(0, 2, 1))
             out.append((rows, (_probs(joint.reshape((-1, phi) + (2,) * n_bits)),)))
@@ -153,18 +119,12 @@ def _draw_bits_joints(max_bits: int) -> Callable[[np.random.Generator, int], Dra
 
 def _draw_kl_cells(rng: np.random.Generator, count: int) -> Draw:
     """(cells, 2, size) prediction laws under bit 0 and bit 1, and cell weights."""
-    def one():
-        n_cells = int(rng.integers(1, 5))
-        size = int(rng.integers(2, 5))
-        # the law under bit 0, then under bit 1, of each cell in turn
-        laws = [rng.standard_exponential(size) for _ in range(2 * n_cells)]
-        return (n_cells, size), (np.concatenate(laws), *_raw_probs(rng, n_cells))
     out = []
-    for (n_cells, size), rows, (e, w_e, w_boost) in _grouped(count, one):
+    for (n_cells, size), rows in _shapes(rng, count, (1, 5), (2, 5)):
         # strictly positive laws keep both KL directions finite
-        laws = _dirichlet(e.reshape(-1, n_cells, 2, size)) * 0.9 + 0.1 / size
+        laws = rng.dirichlet(np.ones(size), (rows.size, n_cells, 2)) * 0.9 + 0.1 / size
         laws = laws / laws.sum(axis=-1, keepdims=True)
-        out.append((rows, (laws, _mixed_probs(w_e, w_boost))))
+        out.append((rows, (laws, _mixed_probs(rng, (rows.size,), n_cells))))
     return out
 
 

@@ -5,18 +5,16 @@ exact information measures of one joint, the symmetrized-KL cap of one set
 of cells, the plug-in estimate of gathered symbols and the trial-table
 quantities it gives, the subset-size
 monotonicity check of one exact trial table, the bound reports the retired
-per-bound wrappers formed, one fit of a learner and one random instance of
-an inequality verifier. The tests compare the batched
-paths against these references, bit for bit where both do the same
+per-bound wrappers formed and one fit of a learner. The tests compare the
+batched paths against these references, bit for bit where both do the same
 arithmetic in the same order, and use them to build expected values.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -27,8 +25,9 @@ from fcmi.bounds import (
     vc_fcmi_bound,
 )
 from fcmi.core import ContractViolation, TrialTable, split_slots
-from fcmi.infotheory import AbsoluteContinuityError, all_subsets, subset_mi
+from fcmi.infotheory import all_subsets, subset_mi
 from fcmi.learners import LearnerSpec, _fit_predict_rows, _threshold_weights
+from fcmi.lemma_lab import AbsoluteContinuityError
 
 _NEG_TOL = 1e-12
 
@@ -357,83 +356,3 @@ def train_predict(spec: LearnerSpec, train_xs, train_ys, query_xs,
                                      np.arange(len(train_ys))[None], query_xs, [seed])
     return LearnerOutput(preds[0], None if codes is None else int(codes[0]))
 
-
-# --- one random instance: the reference for ``lemma_lab``'s draw steps ------------
-#
-# A draw step makes these samplers' generator calls in their order, except
-# that it draws ``dirichlet(np.ones(size))`` as ``standard_exponential(size)``,
-# and repeats their arithmetic over a whole sweep.
-
-
-def _random_probs(rng: np.random.Generator, size: int) -> np.ndarray:
-    """Dirichlet-uniform probabilities, occasionally pushed toward the boundary."""
-    p = rng.dirichlet(np.ones(size))
-    if rng.random() < 0.25:
-        # concentrate most mass on one cell to cover near-deterministic corners
-        k = rng.integers(size)
-        p = 0.05 * p
-        p[k] += 0.95
-    return p / p.sum()
-
-
-def _random_instance(rng: np.random.Generator,
-                     max_alphabet: int = 4) -> tuple[np.ndarray, np.ndarray]:
-    """A joint table and a payoff table g over the same (a, b) grid."""
-    a = int(rng.integers(2, max_alphabet + 1))
-    b = int(rng.integers(2, max_alphabet + 1))
-    joint = _random_probs(rng, a * b).reshape(a, b)
-    g = rng.uniform(-1.0, 1.0, (a, b))
-    return joint, g
-
-
-def _independent_bits_joint(rng: np.random.Generator, phi_size: int,
-                            n_bits: int) -> np.ndarray:
-    """Joint over (phi, b_1..b_n) whose bit marginal factorizes by construction."""
-    bit_probs = rng.uniform(0.1, 0.9, n_bits)
-    joint = np.zeros((phi_size,) + (2,) * n_bits)
-    for bits in itertools.product((0, 1), repeat=n_bits):
-        w = math.prod(p if s else 1.0 - p for p, s in zip(bit_probs, bits))
-        joint[(slice(None),) + bits] = w * _random_probs(rng, phi_size)
-    return joint / joint.sum()
-
-
-def _draw_variable(rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
-    """Values and probabilities of a zero-mean discrete variable on 2..5 points."""
-    size = int(rng.integers(2, 6))
-    v = rng.uniform(-1.0, 1.0, size)
-    p = _random_probs(rng, size)
-    return v - float(v @ p), p  # center exactly
-
-
-def _draw_bits_joint(max_bits: int) -> Callable[[np.random.Generator], tuple[np.ndarray]]:
-    """Sampler of a joint over phi (2..4 values) and 2..max_bits independent bits."""
-    def draw(rng: np.random.Generator) -> tuple[np.ndarray]:
-        n_bits = int(rng.integers(2, max_bits + 1))
-        phi = int(rng.integers(2, 5))
-        return (_independent_bits_joint(rng, phi, n_bits),)
-    return draw
-
-
-def _draw_kl_cells(rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
-    """(cells, 2, size) prediction laws under bit 0 and bit 1, and cell weights."""
-    n_cells = int(rng.integers(1, 5))
-    size = int(rng.integers(2, 5))
-    cells = []
-    for _ in range(n_cells):
-        # strictly positive laws keep both KL directions finite
-        p0 = rng.dirichlet(np.ones(size)) * 0.9 + 0.1 / size
-        p1 = rng.dirichlet(np.ones(size)) * 0.9 + 0.1 / size
-        cells.append((p0 / p0.sum(), p1 / p1.sum()))
-    w = _random_probs(rng, n_cells)
-    return np.array(cells), w
-
-
-# verifier name -> one-instance sampler of its draw step
-SAMPLERS = {
-    "dv_inequality": _random_instance,
-    "squared_inequality": _random_instance,
-    "subgaussian_square": _draw_variable,
-    "erasure": _draw_bits_joint(3),
-    "hans_subset": _draw_bits_joint(5),
-    "kl_decomposition": _draw_kl_cells,
-}

@@ -19,7 +19,7 @@ from fcmi.bounds import (
 )
 from fcmi.core import ContractViolation
 from fcmi.harness import BOUNDS, ExperimentConfig, SupersampleResult, canonical_json
-from fcmi.infotheory import AbsoluteContinuityError
+from fcmi.lemma_lab import AbsoluteContinuityError
 from oracles import PARENT_TAGS, stability_kl_decomposition, wrapper_bound_report
 
 LOG2 = math.log(2.0)

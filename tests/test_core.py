@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -186,8 +187,25 @@ class TestTypes:
         assert not ss.xs.flags.writeable and not ss.ys.flags.writeable
 
     def test_split_mask_bad_bits(self):
-        with pytest.raises(ContractViolation):
-            table([[0, 2]], [[0, 0, 0, 0]], [0.0], [0.0])
+        for bad in (2, -1, 0.5):
+            with pytest.raises(ContractViolation):
+                table([[0, bad]], [[0, 0, 0, 0]], [0.0], [0.0])
+
+    def test_split_bit_check_builds_no_mask_sized_array(self):
+        """Integer masks are checked by their min and max, so building a table
+        allocates less than one byte per split bit."""
+        rows, n = 2 ** 16, 16
+        masks = np.random.default_rng(0).integers(0, 2, (rows, n), dtype=np.uint8)
+        preds = np.zeros((rows, 2 * n), dtype=np.uint8)
+        seeds, loss = np.zeros(rows, dtype=np.uint64), np.zeros(rows)
+        tracemalloc.start()
+        try:
+            TrialTable("ss000", PredictionSpace("finite", size=2), masks, seeds, preds,
+                       loss, loss)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < rows * n
 
     def test_trial_prediction_length_checked(self):
         with pytest.raises(ContractViolation):

@@ -12,7 +12,6 @@ import fcmi.infotheory
 from fcmi.core import (ENUMERATION_LIMIT, ContractViolation, PredictionSpace, SizeError,
                        Supersample, TrialTable, exact_rows)
 from fcmi.infotheory import (
-    AbsoluteContinuityError,
     all_subsets,
     product_alphabet_size,
     split_cmi,
@@ -21,6 +20,7 @@ from fcmi.infotheory import (
 )
 from fcmi.infotheory import _occupied, _packed_mi, _row_codes
 from fcmi.learners import LearnerSpec, fill_table
+from fcmi.lemma_lab import AbsoluteContinuityError
 from oracles import (
     _group_codes,
     conditional_mutual_information,

@@ -10,18 +10,18 @@ from hypothesis import strategies as st
 
 from fcmi.cli import main
 from fcmi.core import ContractViolation, Supersample, exact_rows
-from fcmi.infotheory import AbsoluteContinuityError
 from fcmi.learners import LearnerSpec, fill_table
 from fcmi.lemma_lab import (
     VERIFIERS,
+    AbsoluteContinuityError,
     MarginReport,
-    _dirichlet,
+    _center_rows,
+    _draw_grids,
     _dv_margins,
     _sweep_margins,
     run_all_verifiers,
 )
 from oracles import (
-    SAMPLERS,
     conditional_mutual_information,
     mutual_information,
     stability_kl_decomposition,
@@ -347,38 +347,57 @@ ORACLES = {
 
 
 def _oracle_sweep(name, count, seed):
-    """The oracle's margins of the instances ``_sweep_margins`` draws from ``seed``."""
-    draw = SAMPLERS[name]
-    rng = np.random.default_rng(seed)
-    return [ORACLES[name](*draw(rng)) for _ in range(count)]
+    """The oracle's margins of the instances ``_sweep_margins`` draws from ``seed``,
+    evaluated one instance at a time."""
+    out = np.empty(count)
+    for rows, parts in VERIFIERS[name][0](np.random.default_rng(seed), count):
+        for j, i in enumerate(rows):
+            out[i] = ORACLES[name](*(part[j] for part in parts))
+    return out
 
 
-# run_all_verifiers(1000, seed=0) before the margins were batched, by repr
+def _squared_sigmas(name, count, seed):
+    """The sigmas a sweep squares: the half-ranges of g, plain (dv only) and
+    centered per phi, or of the values."""
+    out = []
+    for _, parts in VERIFIERS[name][0](np.random.default_rng(seed), count):
+        if name == "subgaussian_square":
+            v = parts[0]
+            out.extend((v.max(axis=1) - v.min(axis=1)) / 2.0)
+            continue
+        joint, g = parts
+        out.extend(_center_rows(g, joint.sum(axis=1))[1])
+        if name == "dv_inequality":
+            out.extend((g.max(axis=(1, 2)) - g.min(axis=(1, 2))) / 2.0)
+    return [float(s) for s in out]
+
+
+# run_all_verifiers(1000, seed=0), by repr
 PINNED_MIN_MARGINS = {
-    "dv_inequality": "0.00045631652957626106",
-    "squared_inequality": "0.0007883228173527166",
+    "dv_inequality": "0.00037676404018491825",
+    "squared_inequality": "0.0013886646970323047",
     "subgaussian_square": "-2.220446049250313e-16",
-    "erasure": "2.342430210576854e-05",
-    "hans_subset": "1.2502799064341343e-06",
-    "kl_decomposition": "7.700868846828097e-05",
+    "erasure": "3.786057151722311e-05",
+    "hans_subset": "3.8812287279921254e-07",
+    "kl_decomposition": "2.9264976162426916e-08",
 }
 
 # sha256 of ``_sweep_margins(name, 1000, default_rng(0)).tobytes()``, recorded
-# while each instance was drawn by the one-instance samplers
+# when each shape group was first drawn with array calls
 SWEEP_SHA256 = {
-    "dv_inequality": "b85d798e463d6d1349aff33eb9453dd162e968b1a8e245e21c7d387d0f8dafc3",
-    "squared_inequality": "e743af0b461467c224e6d751786e7fd7f889c465916abfbc57ff74e3dfa35dda",
-    "subgaussian_square": "a7e30866a8867165499c3856099af1a3c40346ecf9d25fc510153b97e3ac17e8",
-    "erasure": "bbe56b7974acb884f87500759ad7be8eecccf42322f08c0d8948c15a303c5e4f",
-    "hans_subset": "63aca051cfd3131096431a7b0831ba6c3a5ca551e7cc8a8653ff862f244be658",
-    "kl_decomposition": "5dbc477c8e9d2d2eba13f71c4b910f3d4e47eb80497ba3a9399bf60b74880074",
+    "dv_inequality": "c859a43c1fcc8084f884865359c6f5d5e9aadc39e6d2d26217f782abe3ffc951",
+    "squared_inequality": "c7b93ee7f2c6a5b4d627bc5721c430dd07e7a748021770711a2172dae9f6d895",
+    "subgaussian_square": "8586b1056ea040d10db15787b1fd0ae432d47f696c90517d62a372805ab76590",
+    "erasure": "611cedfe9eba57ef0f40cd9da17d24599ea4a97e24bf9a10df4a0a91d2754d20",
+    "hans_subset": "350388a3ff04730456d84ed374ba82fd0550d3224c2a522863feac3cfc38fb5c",
+    "kl_decomposition": "0a914f80f755ca08348f4dbb000fa3a4cb89afc64302d6029cf2e2b5613e4eb6",
 }
 
 # sha256 of the file ``fcmi verify-lemmas --instances 1000 --seed S -o FILE``
 # writes, recorded at the same time
 VERIFY_LEMMAS_SHA256 = {
-    0: "8b350f0d42108841ccaaaec7a7e6fb8161f359782d47da9e4fb719947bc9b887",
-    123: "20d240e0aa216e010f4780d1cff9deb5d4dfea438bfcb402e19e1becc9f0bbf4",
+    0: "93a6a2df2cf01fa580924a4d753a6b6240d37d8ab5050718e1107a99c0562b9e",
+    123: "346c8ead84613986128fa6bc195a101257a14b2835479d33b0372d7400393d99",
 }
 
 
@@ -420,16 +439,18 @@ class TestBatchedAgainstScalarOracle:
            count=st.integers(1, 40))
     @settings(max_examples=60, deadline=None)
     def test_sweep_margins_match_oracle(self, name, seed, count):
-        # sampled instances have no zero cell, so the batched kernels do the
+        # drawn instances have no zero cell, so the batched kernels do the
         # oracle's operations in its order and every margin has its bits
         np.testing.assert_array_equal(
             _sweep_margins(name, count, np.random.default_rng(seed)),
             _oracle_sweep(name, count, seed))
 
-    @pytest.mark.parametrize("name, seed", [("dv_inequality", 4), ("squared_inequality", 2)])
+    @pytest.mark.parametrize("name, seed", [("dv_inequality", 4), ("squared_inequality", 1),
+                                            ("subgaussian_square", 2)])
     def test_long_sweep_bit_for_bit(self, name, seed):
-        # each of these sweeps has a sigma whose Python ``sigma ** 2`` (libm
-        # pow) differs from sigma * sigma in the last bit
+        # the sweep has a sigma whose Python ``sigma ** 2`` (libm pow) differs
+        # from sigma * sigma in the last bit, which ``_py_square`` must keep
+        assert any(s ** 2 != s * s for s in _squared_sigmas(name, 1000, seed))
         np.testing.assert_array_equal(
             _sweep_margins(name, 1000, np.random.default_rng(seed)),
             _oracle_sweep(name, 1000, seed))
@@ -491,39 +512,71 @@ class TestBatchedAgainstScalarOracle:
                 fn([([0.5, 0.6], [0.5, 0.5])], [1.0])
 
 
-class TestDrawAgainstScalarSamplers:
-    @given(name=st.sampled_from(sorted(VERIFIERS)), seed=st.integers(0, 2 ** 32 - 1),
-           count=st.integers(1, 80))
-    @settings(max_examples=100, deadline=None)
-    def test_draw_matches_samplers(self, name, seed, count):
-        # the batched draw reads the samplers' stream and repeats their
-        # arithmetic, so every instance has their bits, a lone one in its
-        # group included, and the stream ends where theirs does
-        rng = np.random.default_rng(seed)
-        expected = [SAMPLERS[name](rng) for _ in range(count)]
-        batched_rng = np.random.default_rng(seed)
-        groups = VERIFIERS[name][0](batched_rng, count)
-        assert batched_rng.random() == rng.random()
-        assert sorted(i for rows, _ in groups for i in rows) == list(range(count))
-        for rows, parts in groups:
-            assert rows == sorted(rows)
-            for j, i in enumerate(rows):
-                assert len(parts) == len(expected[i])
-                for part, want in zip(parts, expected[i]):
-                    np.testing.assert_array_equal(part[j], want, strict=True)
+# verifier name -> the shape of one drawn instance, and the range of each dimension
+_SHAPE_RANGES = {
+    "dv_inequality": (lambda joint, g: joint.shape, [(2, 4), (2, 4)]),
+    "squared_inequality": (lambda joint, g: joint.shape, [(2, 4), (2, 4)]),
+    "subgaussian_square": (lambda v, p: v.shape, [(2, 5)]),
+    "erasure": (lambda joint: (joint.shape[0], joint.ndim - 1), [(2, 4), (2, 3)]),
+    "hans_subset": (lambda joint: (joint.shape[0], joint.ndim - 1), [(2, 4), (2, 5)]),
+    "kl_decomposition": (lambda laws, w: (laws.shape[0], laws.shape[2]), [(1, 4), (2, 4)]),
+}
 
-    @pytest.mark.parametrize("size", range(1, 17))
-    def test_dirichlet_is_normalized_exponentials(self, size):
-        # the draw steps read numpy's all-ones Dirichlet as its gamma(1), that
-        # is standard exponential, variates scaled by one over their sum in
-        # order; a numpy release that changes either fails here
-        for seed in range(100):
-            rng, exp_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-            for _ in range(3):
-                np.testing.assert_array_equal(
-                    rng.dirichlet(np.ones(size)),
-                    _dirichlet(exp_rng.standard_exponential(size)), strict=True)
-            assert rng.random() == exp_rng.random()
+
+def _laws(name, parts):
+    """The distributions among one group's parts, each flattened to (instances, cells)."""
+    if name in ("dv_inequality", "squared_inequality", "erasure", "hans_subset"):
+        return [parts[0].reshape(parts[0].shape[0], -1)]
+    if name == "subgaussian_square":
+        return [parts[1]]
+    laws, weights = parts
+    return [laws.reshape(-1, laws.shape[-1]), weights]
+
+
+class TestDraw:
+    @pytest.mark.parametrize("name", sorted(VERIFIERS))
+    def test_groups_partition_sweep_in_declared_shapes(self, name):
+        shape_of, ranges = _SHAPE_RANGES[name]
+        groups = VERIFIERS[name][0](np.random.default_rng(0), 500)
+        assert sorted(i for rows, _ in groups for i in rows) == list(range(500))
+        for rows, parts in groups:
+            assert all(part.shape[0] == len(rows) for part in parts)
+            shape = shape_of(*(part[0] for part in parts))
+            assert all(lo <= d <= hi for d, (lo, hi) in zip(shape, ranges, strict=True))
+            for law in _laws(name, parts):
+                assert np.all(law > 0)
+                np.testing.assert_allclose(law.sum(axis=1), 1.0, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("name", ["erasure", "hans_subset"])
+    def test_bits_independent_in_declared_range(self, name):
+        for _, (joint,) in VERIFIERS[name][0](np.random.default_rng(1), 300):
+            bits = joint.sum(axis=1)  # (N, 2, ..., 2)
+            n, n_bits = bits.shape[0], bits.ndim - 1
+            # P(bit i = 1) of each instance
+            ones = [np.moveaxis(bits, i + 1, 1).reshape(n, 2, -1).sum(axis=2)[:, 1]
+                    for i in range(n_bits)]
+            assert all(np.all((p >= 0.1 - 1e-12) & (p <= 0.9 + 1e-12)) for p in ones)
+            product = np.ones_like(bits)
+            for i, p in enumerate(ones):
+                shape = [-1] + [1] * n_bits
+                shape[i + 1] = 2
+                product = product * np.stack([1.0 - p, p], axis=1).reshape(shape)
+            np.testing.assert_allclose(bits, product, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("name", sorted(VERIFIERS))
+    def test_same_seed_same_arrays(self, name):
+        first, second = (VERIFIERS[name][0](np.random.default_rng(9), 300) for _ in range(2))
+        for (rows, parts), (rows2, parts2) in zip(first, second, strict=True):
+            np.testing.assert_array_equal(rows, rows2)
+            for part, part2 in zip(parts, parts2, strict=True):
+                np.testing.assert_array_equal(part, part2, strict=True)
+
+    def test_boundary_mix_share(self):
+        # a boosted joint has a cell of at least 0.95; a Dirichlet-uniform
+        # joint over 4 or more cells has one with chance at most 4 * 0.05^3
+        joints = [parts[0] for _, parts in _draw_grids(np.random.default_rng(0), 4000)]
+        boosted = sum(int(np.count_nonzero(j.max(axis=(1, 2)) >= 0.95)) for j in joints)
+        assert abs(boosted / 4000 - 0.25) <= 0.03
 
 
 class TestSweepPinned:
