@@ -233,6 +233,14 @@ class PredictionSpace:
         return {"kind": "real", "dim": self.dim}
 
 
+def _unsigned(size: int):
+    """The narrowest integer dtype that holds every code below ``size``."""
+    for dtype in (np.uint8, np.uint16, np.uint32):
+        if size <= np.iinfo(dtype).max + 1:
+            return dtype
+    return np.int64
+
+
 @dataclass(frozen=True, eq=False)
 class TrialTable:
     """All (split, seed) trials of one learner on one supersample, one row each.

@@ -44,6 +44,7 @@ from .infotheory import (
     split_cmi,
     subset_mi,
     mi_testslots,
+    weight_mi,
 )
 from .learners import (
     LearnerSpec,
@@ -504,10 +505,9 @@ def _run_supersample(config: ExperimentConfig, a: int,
     if exact or "fcmi_full" in reads:
         result.fcmi_full = float(subset_mi(table, every_pair)[0])
     if "weight_mi_full" in reads:
-        result.weight_mi_full = float(subset_mi(table, every_pair, use_weights=True)[0])
+        result.weight_mi_full = float(weight_mi(table, every_pair)[0])
         if exact:
-            result.weight_mi_per_index = subset_mi(
-                table, [(i,) for i in range(n)], use_weights=True).tolist()
+            result.weight_mi_per_index = weight_mi(table, [(i,) for i in range(n)]).tolist()
     if "cmi_per_index" in reads:
         result.cmi_per_index = split_cmi(table).tolist()
     if "cmi_allpairs_per_index" in reads:

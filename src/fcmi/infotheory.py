@@ -21,7 +21,7 @@ import itertools
 
 import numpy as np
 
-from .core import ContractViolation, TrialTable
+from .core import ContractViolation, TrialTable, _unsigned
 
 _INT64_MAX = np.iinfo(np.int64).max
 
@@ -127,14 +127,6 @@ def all_subsets(n: int, m: int) -> list[tuple[int, ...]]:
 # column.
 
 
-def _unsigned(size: int):
-    """The narrowest integer dtype that holds every code below ``size``."""
-    for dtype in (np.uint8, np.uint16, np.uint32):
-        if size <= np.iinfo(dtype).max + 1:
-            return dtype
-    return np.int64
-
-
 # predictions spanning more values than this are replaced by their dense rank
 # over the table; a rank keeps their order, and with it every cell's place in
 # the lexicographic order and its count
@@ -207,62 +199,53 @@ def _tuple_mi(a: tuple[np.ndarray, int], b: tuple[np.ndarray, int], rows: int) -
     return float(_blocked_mi(1, rows, (1, a[1], b[1]), lambda lo, hi: code)[0])
 
 
-def subset_mi(table: TrialTable, subsets, use_weights: bool = False) -> np.ndarray:
-    """I(target ; S_u) for each pair subset u, batched over subsets.
+def _split_code(masks: np.ndarray, u: np.ndarray) -> tuple[np.ndarray, int]:
+    """The row code of the split bits of u's pairs, with its range."""
+    return _row_codes(lambda j0, j1: masks[:, u[j0:j1]], len(u), 2, len(masks))
 
-    The target is the predictions on u's pairs, or the learner's weight code
-    when ``use_weights`` is set. A subset's joint code is its target code
-    followed by its split bits, a sum of one term per position in the subset:
-    the pair's code and split bit, each weighted by its digit's place. The
-    terms are tabled once per position for the pairs that occur there, and a
-    block of subsets gathers and adds them. The weight code, shared by every
-    subset, is ranked once over the rows. A lone subset, whose position
-    tables no other subset would share, and subsets whose joint code would
-    not fit an int64 are counted one at a time from row codes.
+
+def subset_mi(table: TrialTable, subsets) -> np.ndarray:
+    """I(predictions on u's pairs ; S_u) for each pair subset u, batched over subsets.
+
+    A subset's joint code is its prediction code followed by its split bits,
+    a sum of one term per position in the subset: the pair's code and split
+    bit, each weighted by its digit's place. The terms are tabled once per
+    position for the pairs that occur there, and a block of subsets gathers
+    and adds them. A lone subset, whose position tables no other subset
+    would share, and subsets whose joint code would not fit an int64 are
+    counted one at a time from row codes.
     """
-    if use_weights and table.weight_code is None:
-        raise ContractViolation("learner exposes no discrete weight code")
     subsets = np.asarray(subsets, dtype=np.int64)
     quantities, m = subsets.shape
     masks = table.masks
     rows = masks.shape[0]
-    if use_weights:
-        target, ra = _rank(table.weight_code)
-    else:
-        preds, radix = _pred_digits(table)
-        ra = radix ** (2 * m)
+    preds, radix = _pred_digits(table)
+    ra = radix ** (2 * m)
     size = ra * 2 ** m
     if quantities == 1 or quantities * size > _INT64_MAX:
         out = []
         for u in subsets:
-            if not use_weights:
-                columns = np.stack([2 * u, 2 * u + 1], axis=1).ravel()  # u's slots
-                target, ra = _row_codes(lambda j0, j1: preds[:, columns[j0:j1]], 2 * m, radix, rows)
-            split = _row_codes(lambda j0, j1: masks[:, u[j0:j1]], m, 2, rows)
-            out.append(_tuple_mi((target, ra), split, rows))
+            columns = np.stack([2 * u, 2 * u + 1], axis=1).ravel()  # u's slots
+            target = _row_codes(lambda j0, j1: preds[:, columns[j0:j1]], 2 * m, radix, rows)
+            out.append(_tuple_mi(target, _split_code(masks, u), rows))
         return np.array(out)
     dtype = _unsigned(size)
-    codes = None if use_weights else _pair_codes(preds, radix, dtype)
+    codes = _pair_codes(preds, radix, dtype)
     tables, index = [], subsets.copy()
     for j in range(m):
-        place = 2 ** (m - 1 - j)  # of the pair's split bit
         pairs = slice(None)
         if m > 1:  # table only the pairs that occur at this position
             seen = np.bincount(subsets[:, j], minlength=table.n) > 0
             index[:, j] = (np.cumsum(seen) - 1)[subsets[:, j]]
             pairs = np.flatnonzero(seen)
-        if use_weights:
-            terms = np.multiply(masks.T[pairs], place, dtype=dtype, casting="unsafe", order="C")
-        else:
-            # (code * radix^(2(m-1-j)) 2^(j+1) + bit) * place, in place; the
-            # factor reaches the size only when every code is 0
-            terms = codes if m == 1 else codes[pairs]
-            terms *= radix ** (2 * (m - 1 - j)) * 2 ** (j + 1) % size
-            np.add(terms, masks.T[pairs], out=terms, casting="unsafe")
-            terms *= place
+        # (code * radix^(2(m-1-j)) 2^(j+1) + bit) * 2^(m-1-j), the place of
+        # the pair's split bit, in place; the factor reaches the size only
+        # when every code is 0
+        terms = codes[pairs]
+        terms *= radix ** (2 * (m - 1 - j)) * 2 ** (j + 1) % size
+        np.add(terms, masks.T[pairs], out=terms, casting="unsafe")
+        terms *= 2 ** (m - 1 - j)
         tables.append(terms)
-    if use_weights:
-        np.add(tables[0], target * 2 ** m, out=tables[0], casting="unsafe")
 
     def joint(lo, hi):
         code = tables[0][index[lo:hi, 0]]
@@ -271,6 +254,17 @@ def subset_mi(table: TrialTable, subsets, use_weights: bool = False) -> np.ndarr
         return np.add(code, (np.arange(hi - lo) * size)[:, None], dtype=np.int64).ravel()
 
     return _blocked_mi(quantities, rows, (1, ra, 2 ** m), joint)
+
+
+def weight_mi(table: TrialTable, subsets) -> np.ndarray:
+    """I(W ; S_u) for each pair subset u, W the learner's weight code: the
+    weight code's dense rank over the rows against the row code of u's split
+    bits."""
+    if table.weight_code is None:
+        raise ContractViolation("learner exposes no discrete weight code")
+    weights = _rank(table.weight_code)
+    return np.array([_tuple_mi(weights, _split_code(table.masks, u), len(table.masks))
+                     for u in np.asarray(subsets, dtype=np.int64)])
 
 
 def split_cmi(table: TrialTable, all_pairs: bool = False) -> np.ndarray:

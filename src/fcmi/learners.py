@@ -25,10 +25,10 @@ from .core import (
     PredictionSpace,
     Supersample,
     TrialTable,
+    _unsigned,
     split_slots,
 )
 from .datagen import sample_examples
-from .infotheory import _unsigned
 from .seeding import derive_seeds
 
 # Cells in the largest stacked array of one chunk of fits: the linear
@@ -204,24 +204,13 @@ def _threshold_rows(spec, xs, ys, train_idx, query_xs, seeds):
                       _chunk_rows(max(size * (size + 1), len(query_xs))))
 
 
-def _dense_ranks(d2: np.ndarray) -> np.ndarray:
-    """Dense rank of each value within its row; equal values, NaN included,
-    share a rank."""
-    order = np.argsort(d2, axis=1)
-    srt = np.take_along_axis(d2, order, axis=1)
-    new = (srt[:, 1:] != srt[:, :-1]) & ~(np.isnan(srt[:, 1:]) & np.isnan(srt[:, :-1]))
-    ranks = np.zeros(d2.shape, dtype=np.int64)
-    np.put_along_axis(ranks, order[:, 1:], np.cumsum(new, axis=1), axis=1)
-    return ranks
-
-
 def _knn_rows(spec, xs, ys, train_idx, query_xs, seeds):
     """Majority label of the k nearest training points; distance ties fall to
     the lower training position and vote ties to the lower class.
 
     A row holds each training position once, so it is a set of (point,
     position) entries, and its k nearest are its first k entries in the order
-    (distance rank, position). Each query sorts the entries of all rows once;
+    (distance, position). Each query sorts the entries of all rows once;
     a walk along that order with a running member count per row then gives
     every row's k nearest at once.
     """
@@ -229,10 +218,10 @@ def _knn_rows(spec, xs, ys, train_idx, query_xs, seeds):
     k = min(spec.param("k"), size)
     labels, classes = np.unique(ys, return_inverse=True)
     pos, point = np.nonzero(_held(train_idx, len(xs)))  # every entry some row holds
-    ranks = _dense_ranks(np.sum((xs[None, :, :] - query_xs[:, None, :]) ** 2, axis=2))
-    # (Q, E) entries by distance rank, then position; equal keys are entries
-    # at one position, which no row holds together
-    order = np.argsort(ranks[:, point] * size + pos, axis=1)
+    d2 = np.sum((xs[None, :, :] - query_xs[:, None, :]) ** 2, axis=2)[:, point]
+    # (Q, E) entries by distance, then position; equal keys are entries at
+    # one position, which no row holds together
+    order = np.lexsort((np.broadcast_to(pos, d2.shape), d2), axis=-1)
     queries = np.arange(len(query_xs))
 
     def fit(lo, hi):

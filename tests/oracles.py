@@ -25,7 +25,7 @@ from fcmi.bounds import (
     vc_fcmi_bound,
 )
 from fcmi.core import ContractViolation, TrialTable, split_slots
-from fcmi.infotheory import all_subsets, subset_mi
+from fcmi.infotheory import all_subsets, subset_mi, weight_mi
 from fcmi.learners import LearnerSpec, _fit_predict_rows, _threshold_weights
 from fcmi.lemma_lab import AbsoluteContinuityError
 
@@ -252,9 +252,10 @@ def verify_monotonicity_in_m(table: TrialTable, use_weights: bool = False,
     supersample (see ``fcmi.learners.fill_table``).
     """
     n = table.n
+    estimate = weight_mi if use_weights else subset_mi
     sqrt_seq, id_seq = [], []
     for m in range(1, n + 1):
-        vals = subset_mi(table, all_subsets(n, m), use_weights) / m
+        vals = estimate(table, all_subsets(n, m)) / m
         sqrt_seq.append(float(np.mean(np.sqrt(vals))))
         id_seq.append(float(np.mean(vals)))
     ok = all(b - a >= -tol for a, b in zip(sqrt_seq, sqrt_seq[1:])) and \

@@ -6,6 +6,7 @@ import sys
 from pathlib import Path
 from xml.etree import ElementTree
 
+import numpy as np
 import pytest
 
 import fcmi.cli
@@ -177,14 +178,17 @@ class TestRun:
         assert [t.name for t in tables] == ["ss000.json", "ss001.json"]
 
     def test_jobs_two_writes_the_bytes_of_jobs_one(self, tmp_path):
-        """Scheduling supersamples on two workers changes no report byte."""
-        config = write_config(tmp_path)
-        reports = []
-        for jobs in ("1", "2"):
-            out = tmp_path / f"out_jobs{jobs}"
-            assert main(["run", str(config), "-o", str(out), "--jobs", jobs]) == 0
-            reports.append((out / "report.json").read_bytes())
-        assert reports[0] == reports[1]
+        """Scheduling supersamples on two workers changes no report byte, in
+        either mode."""
+        examples = [write_config(tmp_path, name=f"{name}.json", **EXAMPLE_RUNS[name][0])
+                    for name in ("readme_quickstart", "exact_knn3_n14")]
+        for config in (write_config(tmp_path), *examples):
+            reports = []
+            for jobs in ("1", "2"):
+                out = tmp_path / f"{config.stem}_jobs{jobs}"
+                assert main(["run", str(config), "-o", str(out), "--jobs", jobs]) == 0
+                reports.append((out / "report.json").read_bytes())
+            assert reports[0] == reports[1]
 
     def test_clip_bounds_echoed_and_applied(self, tmp_path):
         """The memorizer's fcmi_m1 bound here is above 1: ``--clip-bounds``
@@ -443,6 +447,8 @@ class TestConfigCheck:
         "sep_nan": dict(data={"kind": "two_gaussians", "params": {"sep": float("nan")}},
                         learner={"kind": "knn", "params": {"k": 1}}),
         "loss_unknown": dict(loss="hinge"),
+        # a declared key of the wrong type is refused, not coerced
+        "clip_bounds_string": dict(clip_bounds="false"),
         # an option with one value is no option: ensemble takes no combiner
         "ensemble_combiner": dict(learner={"kind": "ensemble", "params": {
             "members": [{"kind": "knn", "params": {"k": 1}}], "combiner": "majority"}}),
@@ -641,11 +647,14 @@ class TestSweep:
 
 class TestVerifyLemmas:
     def test_small_run(self, tmp_path, capsys):
-        out_file = tmp_path / "lemmas.json"
-        assert main(["verify-lemmas", "--instances", "20", "-o", str(out_file)]) == 0
-        payload = json.loads(out_file.read_text())
-        assert len(payload["verifiers"]) == 6
-        assert all(v["violations"] == 0 for v in payload["verifiers"])
+        for instances in (20, 50):
+            out_file = tmp_path / f"lemmas_{instances}.json"
+            assert main(["verify-lemmas", "--instances", str(instances),
+                         "-o", str(out_file)]) == 0
+            payload = json.loads(out_file.read_text())
+            assert len(payload["verifiers"]) == 6
+            assert all(v["instances"] == instances and v["violations"] == 0
+                       for v in payload["verifiers"])
 
     def test_output_into_missing_directory(self, tmp_path, capsys):
         out_file = tmp_path / "missing" / "deep" / "lemmas.json"
@@ -799,3 +808,98 @@ class TestUsage:
 
     def test_unknown_command_is_usage_error(self):
         assert main(["frobnicate"]) == 2
+
+
+THRESHOLD_DATA = {"kind": "threshold_realizable", "params": {"threshold": 0.5, "noise": 0.1}}
+KNN3 = {"kind": "knn", "params": {"k": 3}}
+
+# name: (config, extra ``fcmi run`` flags). One config per learner family and
+# mode; together they request every bound. The csv pool is written by
+# ``example_runs``.
+EXAMPLE_RUNS = {
+    "readme_quickstart": (
+        dict(data=GAUSS, n=25, k1=5, k2=200, learner=KNN3, mode="monte_carlo",
+             bounds=["fcmi_m1"], master_seed=1), []),
+    "exact_knn3_n14": (
+        dict(data=GAUSS, n=14, k1=2, k2=1, learner=KNN3, mode="exact_enumeration",
+             bounds=["fcmi_m1", "fcmi_mn", "fcmi_stability"], master_seed=9), []),
+    "csv_knn3_n8_jobs2": (
+        dict(data={"kind": "csv", "params": {"path": "pool.csv"}}, n=8, k1=3, k2=30,
+             learner=KNN3, bounds=["fcmi_m1"], master_seed=2, jobs=2), []),
+    "logistic_prob_det_stability": (
+        dict(data=GAUSS, n=10, k1=2, k2=20,
+             learner={"kind": "logistic_gd", "params": {"output": "prob", "steps": 30}},
+             loss="absolute", bounds=["det_stability"], stability={"trials": 3, "gamma": 1.0},
+             master_seed=3), []),
+    "sgld_prob_det_stability_squared": (
+        dict(data=GAUSS, n=10, k1=2, k2=20,
+             learner={"kind": "sgld_linear", "params": {"output": "prob", "steps": 50}},
+             loss="absolute", bounds=["det_stability_squared"],
+             stability={"trials": 3, "gamma": 1.0}, master_seed=4), []),
+    # 100 trials of 200 training rows: more than one batch of linear fits
+    "logistic_label_n200": (
+        dict(data=GAUSS, n=200, k1=2, k2=100,
+             learner={"kind": "logistic_gd", "params": {"output": "label"}},
+             mode="monte_carlo", bounds=["fcmi_m1"], master_seed=5), []),
+    "exact_threshold_erm_n10": (
+        dict(data=THRESHOLD_DATA, n=10, k1=2, k2=1, learner=THRESHOLD_ERM,
+             mode="exact_enumeration",
+             bounds=["fcmi_m1", "fcmi_mn", "cmi_weights", "fcmi_stability"], master_seed=6),
+        ["--dump-tables"]),
+    "exact_knn3_n10": (
+        dict(data=GAUSS, n=10, k1=2, k2=1, learner=KNN3, mode="exact_enumeration",
+             bounds=["fcmi_m1", "fcmi_stability_squared"], master_seed=7), []),
+    "exact_ensemble_n8_seeds2": (
+        dict(data=THRESHOLD_DATA, n=8, k1=2, k2=1,
+             learner={"kind": "ensemble", "params": {"members": [
+                 THRESHOLD_ERM, {"kind": "knn", "params": {"k": 1}}, KNN3]}},
+             mode="exact_enumeration", bounds=["fcmi_m1", "ensemble_mn"], exact_seeds=2,
+             master_seed=8), []),
+    # C(4, 2) = 6 subsets over an enumerate_limit of 5: a sampled family of 4
+    "mc_threshold_erm_n4_squared_vc_sampled_subsets": (
+        dict(data=THRESHOLD_DATA, n=4, k1=2, k2=50, learner=THRESHOLD_ERM,
+             mode="monte_carlo", bounds=["fcmi_squared", "vc", "fcmi_subset_m"],
+             subset_policy={"m": 2, "enumerate_limit": 5, "sample_count": 4},
+             master_seed=21), []),
+}
+
+
+@pytest.fixture(scope="module")
+def example_runs(tmp_path_factory):
+    """Each ``EXAMPLE_RUNS`` config run once through ``main``: its exit code
+    and output directory."""
+    root = tmp_path_factory.mktemp("examples")
+    pool = root / "pool.csv"
+    xs = np.random.default_rng(0).standard_normal((40, 2))
+    pool.write_text("x_0,x_1,y\n" + "".join(f"{a:.6f},{b:.6f},{int(a > 0)}\n" for a, b in xs),
+                    encoding="utf-8")
+    runs = {}
+    for name, (config, flags) in EXAMPLE_RUNS.items():
+        if config["data"]["kind"] == "csv":
+            config = dict(config, data={"kind": "csv", "params": {"path": str(pool)}})
+        path = root / f"{name}.json"
+        path.write_text(json.dumps(config), encoding="utf-8")
+        runs[name] = main(["run", str(path), "-o", str(root / name), *flags]), root / name
+    return runs
+
+
+class TestExampleRuns:
+    @pytest.mark.parametrize("name", sorted(EXAMPLE_RUNS))
+    def test_runs(self, example_runs, name):
+        code, out = example_runs[name]
+        assert code == 0
+        assert (out / "report.json").is_file() and (out / "curves.csv").is_file()
+
+    def test_one_svg_per_bound(self, example_runs, tmp_path):
+        """The example reports together request every bound: ``fcmi report
+        --svg`` draws one SVG for each."""
+        reports = [str(out / "report.json") for _, out in example_runs.values()]
+        svg = tmp_path / "svg"
+        assert main(["report", *reports, "--csv", str(tmp_path / "curves.csv"),
+                     "--svg", str(svg)]) == 0
+        assert sorted(p.stem for p in svg.glob("*.svg")) == sorted(fcmi.harness.BOUNDS)
+
+    def test_sampled_subset_family(self, example_runs):
+        _, out = example_runs["mc_threshold_erm_n4_squared_vc_sampled_subsets"]
+        meta = json.loads((out / "report.json").read_text(encoding="utf-8"))["estimator_meta"]
+        assert (meta["subset_policy"], meta["subset_count"]) == ("sampled", 4)

@@ -592,10 +592,15 @@ class TestSweepPinned:
 
     @pytest.mark.parametrize("seed", sorted(VERIFY_LEMMAS_SHA256))
     def test_cli_output_bytes(self, tmp_path, seed):
-        out = tmp_path / "lemmas.json"
+        out = tmp_path / "lemmas" / "deep" / "out.json"  # directories made by the CLI
         assert main(["verify-lemmas", "--instances", "1000", "--seed", str(seed),
                      "-o", str(out)]) == 0
         assert hashlib.sha256(out.read_bytes()).hexdigest() == VERIFY_LEMMAS_SHA256[seed]
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_full_size_sweep_clean(self, seed):
+        reports = run_all_verifiers(instances=1000, seed=seed)
+        assert all(r.instances == 1000 and r.violations == 0 for r in reports)
 
     @pytest.mark.parametrize("instances, seed", [(0, 0), (-3, 0), (5, -1)])
     def test_rejects_bad_inputs(self, instances, seed):
