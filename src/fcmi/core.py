@@ -23,17 +23,19 @@ class SizeError(ValueError):
 def json_data(obj):
     """Plain JSON data of ``obj``: numpy scalars and arrays become Python
     values, tuples lists, and an object with ``to_json_dict`` the JSON data
-    that method returns."""
+    that method returns. A list of plain floats is returned as it is."""
     if hasattr(obj, "to_json_dict"):
         return obj.to_json_dict()
     if isinstance(obj, dict):
         return {str(k): json_data(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
+        if isinstance(obj, list) and set(map(type, obj)) == {float}:
+            return obj  # plain floats, most of a report's bytes
         return [json_data(v) for v in obj]
     if isinstance(obj, (np.floating, np.integer)):
         return obj.item()
     if isinstance(obj, np.ndarray):
-        return [json_data(v) for v in obj.tolist()]
+        return json_data(obj.tolist())
     return obj
 
 
@@ -250,6 +252,9 @@ class TrialTable:
     (T, 2n) nonnegative ints for a finite prediction space, (T, 2n, d) floats
     for a real one. ``weight_code`` is (T,) when the learner exposes one.
     ``members`` holds an ensemble's member tables when they are kept.
+    ``split_code`` is the row code of each row's whole split and its range,
+    made by ``infotheory`` on first use and kept for the table's other
+    estimates.
     """
 
     supersample_id: str
@@ -261,6 +266,7 @@ class TrialTable:
     test_loss: np.ndarray
     weight_code: np.ndarray | None = None
     members: tuple[TrialTable, ...] | None = None
+    split_code: tuple[np.ndarray, int] | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self) -> None:
         masks = np.asarray(self.masks)

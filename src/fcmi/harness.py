@@ -14,6 +14,7 @@ import json
 import math
 import time
 from dataclasses import MISSING, asdict, dataclass, field, fields
+from json.encoder import encode_basestring
 from pathlib import Path
 from typing import Callable, NamedTuple
 
@@ -59,6 +60,11 @@ from .seeding import derive_seed, derive_seeds, split_masks
 
 # spawn-key channels for counter-based seed derivation
 _DATA, _SPLIT, _TRIAL, _STABILITY, _SUBSET = 0, 1, 2, 3, 4
+
+# split-mask cells (k2 * n a supersample) of one block of supersamples, whose
+# seeds are derived and masks drawn together; bounds the masks and seed
+# scratch held at once, whatever k1
+_BLOCK_CELLS = 2 ** 16
 
 class ConfigError(ValueError):
     """The experiment configuration is malformed."""
@@ -256,11 +262,69 @@ class ExperimentReport(JsonFields):
     }
 
 
+def _json_scalar(value) -> str:
+    """The JSON text of a string, number, boolean or null, as ``json.dumps``
+    writes it with ``ensure_ascii=False`` and ``allow_nan=False``."""
+    if isinstance(value, str):
+        return encode_basestring(value)
+    if value is None:
+        return "null"
+    if value is True or value is False:
+        return "true" if value else "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, float):
+        if not math.isfinite(value):
+            raise ValueError(f"Out of range float values are not JSON compliant: {value!r}")
+        return float.__repr__(value)
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
+def _write_json(value, indent: str, out: list) -> None:
+    """Append the text of plain JSON data to ``out``: sorted keys, two-space
+    indent, a list of floats joined in one pass."""
+    if isinstance(value, dict):  # string keys, as ``json_data`` makes them
+        items, opener, closer = sorted(value.items()), "{", "}"
+    elif isinstance(value, (list, tuple)):
+        items, opener, closer = value, "[", "]"
+    else:
+        out.append(_json_scalar(value))
+        return
+    if not items:
+        out.append(opener + closer)
+        return
+    inner = indent + "  "
+    sep = ",\n" + inner
+    out.append(opener + "\n" + inner)
+    if opener == "[":
+        try:
+            texts = list(map(float.__repr__, items))
+        except TypeError:  # an item that is not a float
+            pass
+        else:
+            for bad in ("nan", "inf", "-inf"):
+                if bad in texts:
+                    raise ValueError(f"Out of range float values are not JSON compliant: {bad}")
+            out.append(sep.join(texts) + "\n" + indent + closer)
+            return
+    for j, item in enumerate(items):
+        if j:
+            out.append(sep)
+        if opener == "{":
+            key, item = item
+            out.append(encode_basestring(key) + ": ")
+        _write_json(item, inner, out)
+    out.append("\n" + indent + closer)
+
+
 def canonical_json(payload) -> str:
     """Stable bytes for a JSON payload, or an object with ``to_json_dict``:
-    sorted keys, two-space indent."""
-    return json.dumps(json_data(payload), sort_keys=True, indent=2,
-                      ensure_ascii=False, allow_nan=False) + "\n"
+    sorted keys, two-space indent; the bytes of ``json.dumps(...,
+    sort_keys=True, indent=2, ensure_ascii=False, allow_nan=False)``."""
+    out: list = []
+    _write_json(json_data(payload), "", out)
+    out.append("\n")
+    return "".join(out)
 
 
 def persist(report, path) -> None:
@@ -328,8 +392,10 @@ def _load_pool(config: ExperimentConfig) -> tuple[np.ndarray, np.ndarray] | None
     return xs, ys
 
 
-def _draw_supersample(config: ExperimentConfig, a: int) -> Supersample:
-    seed = derive_seed(config.master_seed, _DATA, a)
+def _draw_supersample(config: ExperimentConfig, a: int, seed: int | None = None) -> Supersample:
+    """Supersample ``a``, drawn with its data seed (derived here when not given)."""
+    if seed is None:
+        seed = derive_seed(config.master_seed, _DATA, a)
     if config.pool is None:
         return sample_supersample(GeneratorSpec.from_json_dict(config.data), config.n, seed)
     xs, ys = config.pool
@@ -474,21 +540,39 @@ def _subset_family(config: ExperimentConfig) -> tuple[list[tuple[int, ...]], str
 # --- per-supersample execution -----------------------------------------------
 
 
-def _run_supersample(config: ExperimentConfig, a: int,
-                     subsets: list[tuple[int, ...]] | None, keep_table: bool = False):
+def _run_block(config: ExperimentConfig, lo: int, hi: int,
+               subsets: list[tuple[int, ...]] | None, keep_tables: bool = False) -> list:
+    """The runs of supersamples lo..hi-1. Their data, split and trial seeds
+    come from one ``derive_seeds`` call per channel, and their monte_carlo
+    split masks from one ``split_masks`` call; each seed is the one a
+    supersample's own call would give."""
+    n, index = config.n, np.arange(lo, hi)
+    exact = config.mode == "exact_enumeration"
+    data = derive_seeds(config.master_seed, _DATA, index)
+    if exact:
+        trial = derive_seeds(config.master_seed, _TRIAL, index[:, None],
+                             np.arange(config.exact_seeds))
+    else:
+        trials = np.arange(config.k2)
+        split = derive_seeds(config.master_seed, _SPLIT, index[:, None], trials)
+        trial = derive_seeds(config.master_seed, _TRIAL, index[:, None], trials)
+        masks = split_masks(split.ravel(), n).reshape(len(index), config.k2, n)
+    runs = []
+    for j, a in enumerate(index.tolist()):
+        rows = exact_rows(n, trial[j]) if exact else (masks[j], trial[j])
+        runs.append(_run_supersample(config, a, int(data[j]), *rows, subsets, keep_tables))
+    return runs
+
+
+def _run_supersample(config: ExperimentConfig, a: int, data_seed: int, masks: np.ndarray,
+                     row_seeds: np.ndarray, subsets: list[tuple[int, ...]] | None,
+                     keep_table: bool = False):
     """Every estimate the requested bounds read from one supersample's trial
     table, and the table itself when it is kept (None otherwise, so it is
     freed, or never sent back from a worker, once its estimates are made)."""
-    supersample = _draw_supersample(config, a)
+    supersample = _draw_supersample(config, a, data_seed)
     n = config.n
     exact = config.mode == "exact_enumeration"
-    if exact:
-        seeds = derive_seeds(config.master_seed, _TRIAL, a, np.arange(config.exact_seeds))
-        masks, row_seeds = exact_rows(n, seeds)
-    else:
-        trials = np.arange(config.k2)
-        masks = split_masks(derive_seeds(config.master_seed, _SPLIT, a, trials), n)
-        row_seeds = derive_seeds(config.master_seed, _TRIAL, a, trials)
     reads = {BOUNDS[b].reads for b in config.bounds}
     table = fill_table(supersample, config.learner, masks, row_seeds, config.loss,
                        supersample_id=f"ss{a:03d}", members="member_fcmi" in reads)
@@ -587,17 +671,20 @@ def run_experiment(config: ExperimentConfig, keep_tables: bool = False) -> Exper
         subsets, policy = _subset_family(config)
         subset_meta = {"subset_policy": policy, "subset_count": len(subsets)}
 
-    if config.jobs > 1 and config.k1 > 1:
+    k1 = config.k1
+    if config.jobs > 1 and k1 > 1:
         # loaded here, so a run without a pool holds none of its code
         from concurrent.futures import ProcessPoolExecutor
 
+        # a block of one supersample per task
         with ProcessPoolExecutor(max_workers=config.jobs) as workers:
-            runs = list(workers.map(_run_supersample, [config] * config.k1,
-                                    range(config.k1), [subsets] * config.k1,
-                                    [keep_tables] * config.k1))
+            blocks = list(workers.map(_run_block, [config] * k1, range(k1), range(1, k1 + 1),
+                                      [subsets] * k1, [keep_tables] * k1))
     else:
-        runs = [_run_supersample(config, a, subsets, keep_tables)
-                for a in range(config.k1)]
+        step = max(1, _BLOCK_CELLS // (config.k2 * config.n))
+        blocks = [_run_block(config, lo, min(lo + step, k1), subsets, keep_tables)
+                  for lo in range(0, k1, step)]
+    runs = [run for block in blocks for run in block]
     results = [r for r, _ in runs]
     exact = config.mode == "exact_enumeration"
 

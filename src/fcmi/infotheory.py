@@ -81,7 +81,7 @@ def _packed_mi(cells, n_abc, radices, quantities: int, rows: int) -> np.ndarray:
 
 # int64 entries per code array in a batched count; bounds the scratch memory
 # of one estimate when there are many quantities
-_CELLS_PER_CALL = 2 ** 14
+_CELLS_PER_CALL = 2 ** 16
 
 
 def _blocked_mi(quantities: int, rows: int, radices, joint) -> np.ndarray:
@@ -204,6 +204,29 @@ def _split_code(masks: np.ndarray, u: np.ndarray) -> tuple[np.ndarray, int]:
     return _row_codes(lambda j0, j1: masks[:, u[j0:j1]], len(u), 2, len(masks))
 
 
+def _full_split_code(table: TrialTable) -> tuple[np.ndarray, int]:
+    """The row code of every pair's split bit, pair 0 most significant, with
+    its range: made once per table and kept on it."""
+    if table.split_code is None:
+        object.__setattr__(table, "split_code", _split_code(table.masks, np.arange(table.n)))
+    return table.split_code
+
+
+def _subset_split_code(table: TrialTable, u: np.ndarray) -> tuple[np.ndarray, int]:
+    """The row code of u's split bits: the table's full split code when u is
+    every pair in order."""
+    if len(u) == table.n and np.array_equal(u, np.arange(table.n)):
+        return _full_split_code(table)
+    return _split_code(table.masks, u)
+
+
+def _enumerated(table: TrialTable) -> bool:
+    """Whether the rows are every split once, in mask-code order: exact mode
+    with one seed. Every row's split code is then its row index."""
+    rows = len(table.masks)
+    return rows == 2 ** table.n and np.array_equal(_full_split_code(table)[0], np.arange(rows))
+
+
 def subset_mi(table: TrialTable, subsets) -> np.ndarray:
     """I(predictions on u's pairs ; S_u) for each pair subset u, batched over subsets.
 
@@ -227,7 +250,7 @@ def subset_mi(table: TrialTable, subsets) -> np.ndarray:
         for u in subsets:
             columns = np.stack([2 * u, 2 * u + 1], axis=1).ravel()  # u's slots
             target = _row_codes(lambda j0, j1: preds[:, columns[j0:j1]], 2 * m, radix, rows)
-            out.append(_tuple_mi(target, _split_code(masks, u), rows))
+            out.append(_tuple_mi(target, _subset_split_code(table, u), rows))
         return np.array(out)
     dtype = _unsigned(size)
     codes = _pair_codes(preds, radix, dtype)
@@ -263,8 +286,29 @@ def weight_mi(table: TrialTable, subsets) -> np.ndarray:
     if table.weight_code is None:
         raise ContractViolation("learner exposes no discrete weight code")
     weights = _rank(table.weight_code)
-    return np.array([_tuple_mi(weights, _split_code(table.masks, u), len(table.masks))
+    return np.array([_tuple_mi(weights, _subset_split_code(table, u), len(table.masks))
                      for u in np.asarray(subsets, dtype=np.int64)])
+
+
+def _neighbour_cmi(target: np.ndarray, n: int) -> np.ndarray:
+    """``split_cmi`` of an enumerated table from the (T,) or (n, T) codes of
+    its target: row r's split code is r, so pair i's condition cells are the
+    rows r and r XOR 2^(n-1-i). A cell whose two targets differ adds log 2
+    for each of its two cells to the plug-in's sum, and one whose targets
+    agree adds 0. So pair i's estimate is its k_i differing cells' 2 k_i
+    copies of log 2, added one after another as the plug-in adds them, over
+    the 2^n rows: the same bits.
+    """
+    rows = 2 ** n
+    differing = np.empty(n, dtype=np.int64)
+    for i in range(n):
+        # the rows with pair i's bit 0 and 1 are the middle axis' two halves
+        halves = (target if target.ndim == 1 else target[i]).reshape(2 ** i, 2, -1)
+        differing[i] = np.count_nonzero(halves[:, 0] != halves[:, 1])
+    # sums[m] is 0.0 plus m copies of log 2, added in turn
+    logs = np.log(np.full(2 * differing.max() + 1, 2.0))
+    logs[0] = 0.0
+    return np.cumsum(logs)[2 * differing] / rows
 
 
 def split_cmi(table: TrialTable, all_pairs: bool = False) -> np.ndarray:
@@ -278,6 +322,8 @@ def split_cmi(table: TrialTable, all_pairs: bool = False) -> np.ndarray:
     is the predictions' span when that is at most 2^16 and their number of
     distinct values otherwise. At exact mode's n <= 20 this holds for d up
     to about 6.6e5; a finite learner predicts labels of the 2n points or 0.
+    A table of every split once in mask-code order counts its pairs of
+    neighbouring splits instead (``_neighbour_cmi``), with the same bits.
     """
     n, rows = table.n, table.masks.shape[0]
     preds, radix = _pred_digits(table)
@@ -288,7 +334,9 @@ def split_cmi(table: TrialTable, all_pairs: bool = False) -> np.ndarray:
     if n * 2 ** n * ra > _INT64_MAX:
         raise ContractViolation(f"split_cmi needs n * 2^n * {ra} codes within int64 (n={n})")
     if not all_pairs:
-        pairs = _pair_codes(preds, radix, _unsigned(ra))
+        target = _pair_codes(preds, radix, _unsigned(ra))
+    if _enumerated(table):
+        return _neighbour_cmi(target, n)
     mask_code = _append_digits(np.zeros(rows, dtype=np.int64), table.masks, 2)
 
     def joint(lo, hi):
@@ -297,7 +345,7 @@ def split_cmi(table: TrialTable, all_pairs: bool = False) -> np.ndarray:
         code = (np.arange(hi - lo)[:, None] << (n - 1)) + ((mask_code >> (shift + 1)) << shift)
         code += mask_code & ((1 << shift) - 1)
         code *= ra
-        code += target if all_pairs else pairs[lo:hi]
+        code += target if all_pairs else target[lo:hi]
         code *= 2
         code += (mask_code >> shift) & 1
         return code.ravel()
@@ -316,5 +364,4 @@ def mi_testslots(table: TrialTable) -> float:
                         preds[:, 2 * a + 1:2 * b:2])
 
     rows = len(masks)
-    return _tuple_mi(_row_codes(test_slots, table.n, radix, rows),
-                     _row_codes(lambda a, b: masks[:, a:b], table.n, 2, rows), rows)
+    return _tuple_mi(_row_codes(test_slots, table.n, radix, rows), _full_split_code(table), rows)

@@ -34,7 +34,7 @@ from .seeding import derive_seeds
 # Cells in the largest stacked array of one chunk of fits: the linear
 # learners' (B, N, d + 1) inputs, SGLD's (B, steps, d + 1) noise and the
 # (B, Q) predictions, and the label learners' (B, Q, N) match arrays,
-# (Q, classes, B) vote counts and (B, N + 1, N) threshold comparisons, each
+# (Q, classes, B) vote counts and (B, N + 1) threshold error counts, each
 # stay under it, unless a single training set is larger.
 _BATCH_CELLS = 2 ** 15
 
@@ -161,28 +161,52 @@ def _threshold_weights(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     Separable rows get the midpoint of the zero-error interval; one-class rows
     snap to the domain edge (1.0 without a label 1, else 0.0 without a label
     0). Otherwise the leftmost minimum-error cut among 0.0, the midpoints of
-    adjacent distinct values and 1.0 wins.
+    adjacent distinct values and 1.0 wins; each cut's errors come from
+    prefix counts over the row's sorted points, O(N log N) a row.
     """
     if np.any(x < 0) or np.any(x > 1):
         raise ContractViolation("threshold_erm needs 1-D features in [0, 1]")
-    zeros, ones = y == 0, y == 1
-    m0 = np.where(zeros, x, -np.inf).max(axis=1)
-    m1 = np.where(ones, x, np.inf).min(axis=1)
-    has0, has1 = zeros.any(axis=1), ones.any(axis=1)
+    # (N, B) copies, so that each reduction over a row's points runs along
+    # axis 0, element by element over the rows, not N at a time per row
+    xt, yt = x.T.copy(), y.T.copy()
+    zeros, ones = yt == 0, yt == 1
+    m0 = np.where(zeros, xt, -np.inf).max(axis=0)
+    m1 = np.where(ones, xt, np.inf).min(axis=0)
+    has0, has1 = zeros.any(axis=0), ones.any(axis=0)
     w = np.where(has1, 0.0, 1.0)
     mixed = has0 & has1
     separable = mixed & (m0 < m1)
     w[separable] = (m0[separable] + m1[separable]) / 2.0
     rest = np.flatnonzero(mixed & ~separable)
     if rest.size:
-        xr, yr = x[rest], y[rest]
-        s = np.sort(xr, axis=1)
-        cuts = np.concatenate([np.zeros((len(rest), 1)), (s[:, :-1] + s[:, 1:]) / 2.0,
-                               np.ones((len(rest), 1))], axis=1)
-        errors = ((xr[:, None, :] > cuts[:, :, None]) != yr[:, None, :]).sum(axis=2)
+        rows, size = len(rest), x.shape[1]
+        order = np.argsort(x[rest], axis=1)
+        s = np.take_along_axis(x[rest], order, axis=1)
+        ys = np.take_along_axis(y[rest], order, axis=1)
+        cuts = np.concatenate([np.zeros((rows, 1)), (s[:, :-1] + s[:, 1:]) / 2.0,
+                               np.ones((rows, 1))], axis=1)
+        # a point at or below a cut is wrong unless its label is 0, one
+        # above it unless its label is 1: prefix counts over the sorted row,
+        # column k holding the errors with the first k points at or below.
+        # Cut j has j points at or below it, unless it (0.0, or a midpoint
+        # rounded onto its upper value) equals point j: then it has every
+        # point up to the end k of point j's run of equal values
+        not0 = np.zeros((rows, size + 1), dtype=np.int64)
+        not1 = np.zeros((rows, size + 1), dtype=np.int64)
+        np.cumsum(ys != 0, axis=1, out=not0[:, 1:])
+        np.cumsum(ys != 1, axis=1, out=not1[:, 1:])
+        errors = not0 + (not1[:, -1:] - not1)
+        onto = cuts[:, :-1] == s
+        if onto.any():
+            last = np.ones((rows, size), dtype=bool)
+            np.not_equal(s[:, 1:], s[:, :-1], out=last[:, :-1])
+            run_end = np.where(last, np.arange(1, size + 1), size)
+            run_end = np.minimum.accumulate(run_end[:, ::-1], axis=1)[:, ::-1]
+            r, j = np.nonzero(onto)
+            errors[r, j] = errors[r, run_end[r, j]]
         # a midpoint of equal neighbours is not a candidate
-        errors[:, 1:-1][s[:, :-1] == s[:, 1:]] = x.shape[1] + 1
-        w[rest] = cuts[np.arange(len(rest)), errors.argmin(axis=1)]  # leftmost minimum
+        errors[:, 1:-1][s[:, :-1] == s[:, 1:]] = size + 1
+        w[rest] = cuts[np.arange(rows), errors.argmin(axis=1)]  # leftmost minimum
     return w
 
 
@@ -200,8 +224,7 @@ def _threshold_rows(spec, xs, ys, train_idx, query_xs, seeds):
         w = _threshold_weights(xs[idx, 0], ys[idx])
         return (query_xs[None, :, 0] > w[:, None]).astype(np.uint8), w.view(np.int64)
 
-    return _in_chunks(fit, len(train_idx),
-                      _chunk_rows(max(size * (size + 1), len(query_xs))))
+    return _in_chunks(fit, len(train_idx), _chunk_rows(max(size + 1, len(query_xs))))
 
 
 def _knn_rows(spec, xs, ys, train_idx, query_xs, seeds):
@@ -234,7 +257,14 @@ def _knn_rows(spec, xs, ys, train_idx, query_xs, seeds):
             counts[queries, classes[point[entry]]] += take
             if found.min() == k:
                 break
-        return labels[counts.argmax(axis=1)].T, None
+        # a running maximum over the classes: a class takes a cell only with
+        # more votes, so ties stay with the lower class, as an argmax gives
+        winner = np.zeros((len(query_xs), hi - lo), dtype=np.intp)
+        most = counts[:, 0]
+        for c in range(1, len(labels)):
+            np.copyto(winner, c, where=counts[:, c] > most)
+            most = np.maximum(most, counts[:, c])
+        return labels[winner].T, None
 
     return _in_chunks(fit, len(train_idx),
                       _chunk_rows(max(len(point), len(query_xs) * len(labels))))

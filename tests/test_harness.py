@@ -32,7 +32,7 @@ from fcmi.harness import (
 )
 from fcmi.infotheory import PLUGIN_ALPHABET_LIMIT, product_alphabet_size, subset_mi
 from fcmi.learners import LearnerSpec, fill_table, needs_binary_labels, prediction_space
-from fcmi.seeding import derive_seeds
+from fcmi.seeding import derive_seed, derive_seeds, split_masks
 
 
 def base_dict(**overrides) -> dict:
@@ -597,6 +597,75 @@ class TestReproducibility:
         path.write_text(path.read_text()[:50], encoding="utf-8")
         with pytest.raises(ParseError):
             load_report(path)
+
+
+_FLOATS = st.one_of(st.floats(allow_nan=False, allow_infinity=False),
+                    st.sampled_from([0.0, -0.0, 5e-324, 1e-310, 1e16, -1e16, 1e300]))
+_TEXT = st.text(st.one_of(st.characters(), st.sampled_from('"\\/\x00\x1f\x7f\n\t\u2028é漢')),
+                max_size=8)
+_JSON = st.recursive(
+    st.one_of(st.none(), st.booleans(), st.integers(), _FLOATS, _TEXT,
+              st.lists(_FLOATS, max_size=6)),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(_TEXT, inner, max_size=4),
+    max_leaves=25)
+
+
+class TestCanonicalJson:
+    @given(_JSON)
+    @settings(max_examples=300, deadline=None)
+    def test_bytes_of_json_dumps(self, value):
+        """Nested dicts and lists of strings (non-ASCII and control
+        characters), integers, booleans, null, finite floats and empty
+        containers, floats-only lists among them."""
+        assert canonical_json(value) == json.dumps(
+            value, sort_keys=True, indent=2, ensure_ascii=False, allow_nan=False) + "\n"
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("where", ["float_list", "mixed_list", "dict"])
+    def test_non_finite_float_refused(self, bad, where):
+        value = {"float_list": [0.5, bad], "mixed_list": [1, bad], "dict": {"a": bad}}[where]
+        with pytest.raises(ValueError, match="not JSON compliant"):
+            canonical_json(value)
+
+
+class TestSeedBlocks:
+    @pytest.mark.parametrize("k1", [1, 2, 7])
+    @pytest.mark.parametrize("mode", ["monte_carlo", "exact_enumeration"])
+    def test_batched_streams_equal_per_supersample_derivation(self, monkeypatch, k1, mode):
+        """Blocks of three supersamples (k2 * n = 80 cells each) derive their
+        seeds and draw their masks together; every supersample still gets
+        the data seed, split masks and trial seeds of its own derivation,
+        and the report its bytes at the default block size."""
+        config = base_config(k1=k1, mode=mode, exact_seeds=2)
+        seen, mask_calls = [], []
+        real_run, real_masks = harness._run_supersample, harness.split_masks
+
+        def run(config, a, data_seed, masks, row_seeds, *args):
+            seen.append((a, data_seed, masks.copy(), row_seeds.copy()))
+            return real_run(config, a, data_seed, masks, row_seeds, *args)
+
+        def draw(seeds, n):
+            mask_calls.append(len(seeds))
+            return real_masks(seeds, n)
+
+        default = canonical_json(run_experiment(config))
+        monkeypatch.setattr(harness, "_BLOCK_CELLS", 240)
+        monkeypatch.setattr(harness, "_run_supersample", run)
+        monkeypatch.setattr(harness, "split_masks", draw)
+        assert canonical_json(run_experiment(config)) == default
+        assert [a for a, *_ in seen] == list(range(k1))
+        ms, n = config.master_seed, config.n
+        for a, data_seed, masks, row_seeds in seen:
+            assert data_seed == derive_seed(ms, harness._DATA, a)
+            if mode == "exact_enumeration":
+                want = exact_rows(n, derive_seeds(ms, harness._TRIAL, a, np.arange(2)))
+            else:
+                trials = np.arange(config.k2)
+                want = (split_masks(derive_seeds(ms, harness._SPLIT, a, trials), n),
+                        derive_seeds(ms, harness._TRIAL, a, trials))
+            assert np.array_equal(masks, want[0]) and np.array_equal(row_seeds, want[1])
+        if mode == "monte_carlo":
+            assert mask_calls == [config.k2 * min(3, k1 - lo) for lo in range(0, k1, 3)]
 
 
 class TestTableLifetime:

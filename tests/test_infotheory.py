@@ -19,7 +19,7 @@ from fcmi.infotheory import (
     mi_testslots,
     weight_mi,
 )
-from fcmi.infotheory import _occupied, _packed_mi, _row_codes
+from fcmi.infotheory import _enumerated, _occupied, _packed_mi, _row_codes
 from fcmi.learners import LearnerSpec, fill_table
 from fcmi.lemma_lab import AbsoluteContinuityError
 from oracles import (
@@ -474,6 +474,85 @@ class TestTableCodesAgainstGatheredOracle:
                     assert np.array_equal(split_cmi(table, all_pairs),
                                           gathered_split_cmi(table, all_pairs))
                 assert np.array_equal(mi_testslots(table), gathered_mi_testslots(table))
+
+
+def _enumerated_learner(data) -> tuple[LearnerSpec, int]:
+    """A finite learner whose split CMI the neighbour count gives, and the
+    step between its labels: 1, or 2^20 so the predictions span more than
+    2^16 values and are ranked."""
+    kind = data.draw(st.sampled_from(["memorizer", "threshold_erm", "knn", "ensemble"]),
+                     label="learner")
+    knn = lambda: {"kind": "knn", "params": {"k": data.draw(st.integers(1, 5), label="k")}}
+    if kind == "knn":
+        spec = knn()
+    elif kind == "ensemble":
+        spec = {"kind": "ensemble", "params": {"members": [
+            knn(), {"kind": "memorizer", "params": {}}, knn()]}}
+    else:
+        spec = {"kind": kind, "params": {}}
+    step = 1 if kind == "threshold_erm" else data.draw(st.sampled_from([1, 2 ** 20]),
+                                                        label="label step")
+    return LearnerSpec.from_json_dict(spec), step
+
+
+def _assert_oracle_bits(table):
+    for all_pairs in (False, True):
+        got = split_cmi(table, all_pairs)
+        assert np.array_equal(got.view(np.int64),
+                              gathered_split_cmi(table, all_pairs).view(np.int64))
+
+
+class TestNeighbourSplitCmi:
+    """A table of every split once in mask-code order counts its neighbouring
+    splits for ``split_cmi``; every other table takes the plug-in. Both give
+    the gathered plug-in's bits."""
+
+    @given(st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_enumerated_tables_equal_gathered_oracle(self, data):
+        rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1), label="seed"))
+        n = data.draw(st.integers(1, 10), label="n")
+        spec, step = _enumerated_learner(data)
+        classes = data.draw(st.integers(2, 4), label="classes") if step > 1 else 2
+        ss = Supersample(rng.random((2 * n, 1)), rng.integers(0, classes, 2 * n) * step)
+        table = fill_table(ss, spec, *exact_rows(n, [int(rng.integers(2 ** 32))]))
+        assert _enumerated(table)
+        with mock.patch.object(fcmi.infotheory, "_blocked_mi",
+                               side_effect=AssertionError("plug-in path taken")):
+            _assert_oracle_bits(table)
+
+    @pytest.mark.parametrize("layout", ["permuted", "two_seeds"])
+    @pytest.mark.parametrize("kind", ["knn", "threshold_erm"])
+    def test_other_layouts_take_the_plugin(self, layout, kind):
+        rng = np.random.default_rng(4)
+        n = 6
+        ss = Supersample(rng.random((2 * n, 1)), rng.integers(0, 2, 2 * n))
+        spec = LearnerSpec(kind, {"k": 3} if kind == "knn" else {})
+        if layout == "permuted":
+            masks, seeds = exact_rows(n, [0])
+            order = rng.permutation(len(masks))
+            masks, seeds = masks[order], seeds[order]
+        else:
+            masks, seeds = exact_rows(n, [0, 1])
+        table = fill_table(ss, spec, masks, seeds)
+        assert not _enumerated(table)
+        with mock.patch.object(fcmi.infotheory, "_neighbour_cmi",
+                               side_effect=AssertionError("neighbour path taken")):
+            _assert_oracle_bits(table)
+
+    def test_full_split_code_made_once(self):
+        """The layout check and the full-tuple, weight and test-slot
+        estimates share one split code per table."""
+        rng = np.random.default_rng(6)
+        ss = Supersample(rng.random((10, 1)), rng.integers(0, 2, 10))
+        table = fill_table(ss, LearnerSpec("threshold_erm"), *exact_rows(5, [0]))
+        real = fcmi.infotheory._split_code
+        with mock.patch.object(fcmi.infotheory, "_split_code", wraps=real) as made:
+            split_cmi(table)
+            subset_mi(table, [tuple(range(5))])
+            weight_mi(table, [tuple(range(5))])
+            mi_testslots(table)
+        assert made.call_count == 1
 
 
 def threshold_instance():

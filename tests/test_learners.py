@@ -632,6 +632,25 @@ class TestRowsAgainstScalarOracles:
                                  [0, 0, 0], fcmi.learners._BATCH_CELLS)
 
 
+class TestThresholdPrefixCounts:
+    @given(st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_weights_equal_scalar_oracle(self, data):
+        """Rows of points drawn from a few values and their adjacent doubles
+        (midpoints that round onto a point), 0.0 and 1.0, with labels 0, 1
+        and 2: each row's threshold has the bits of the scalar fit's."""
+        rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+        rows, size = data.draw(st.integers(1, 6)), data.draw(st.integers(1, 14))
+        base = rng.choice([0.0, 0.1, 0.3, 0.5, 1.0, 5e-324], 3)
+        values = np.unique(np.concatenate(
+            [base, np.nextafter(base, 1.0), np.nextafter(base, 0.0), [0.0, 1.0]]))
+        x = rng.choice(values, (rows, size))
+        y = rng.integers(0, data.draw(st.sampled_from([2, 3])), (rows, size))
+        got = fcmi.learners._threshold_weights(x, y)
+        want = [_scalar_threshold_erm_fit(x[r, :, None], y[r]) for r in range(rows)]
+        assert np.array_equal(got.view(np.int64), np.array(want).view(np.int64))
+
+
 class TestFillTable:
     @pytest.mark.parametrize("width", [0, 4])
     @pytest.mark.parametrize("kind", ["logistic_gd", "knn"])

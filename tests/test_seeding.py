@@ -2,8 +2,10 @@
 
 The scalar forms the array arithmetic replaced are kept here as oracles: one
 ``SeedSequence`` per derived seed and one ``default_rng(s).integers(0, 2, n)``
-per mask. ``Generator.integers`` is not frozen across numpy versions, so
-these tests pin the streams of the installed numpy.
+per mask. The scalar ``derive_seed`` is that SeedSequence itself, so it is
+checked against the one-element ``derive_seeds``. ``Generator.integers`` is
+not frozen across numpy versions, so these tests pin the streams of the
+installed numpy.
 """
 
 from unittest import mock
@@ -45,7 +47,17 @@ class TestDeriveSeeds:
     @pytest.mark.parametrize("path", [(), (0,), (1, 2), (2 ** 32, 7), (0, 0, 0, 0, 0),
                                       (2 ** 70, 1, 2), (3, 2 ** 64 - 1)])
     def test_scalar_edge_values(self, seed, path):
-        assert derive_seed(seed, *path) == _seed_sequence_seed(seed, *path)
+        """``derive_seed`` is numpy's own SeedSequence, so it is checked
+        against the one-element ``derive_seeds``, and that against the
+        oracle."""
+        want = derive_seeds(seed, *path)
+        assert want.shape == () and int(want) == _seed_sequence_seed(seed, *path)
+        assert derive_seed(seed, *path) == int(want)
+
+    @pytest.mark.parametrize("args", [(-1,), (3, -2), (0, 1, -(2 ** 70))])
+    def test_scalar_refuses_negative(self, args):
+        with pytest.raises(ContractViolation, match="nonnegative"):
+            derive_seed(*args)
 
     @given(st.lists(uint64s, min_size=1, max_size=30), st.lists(any_ints, max_size=4))
     @settings(max_examples=200, deadline=None)
@@ -70,7 +82,7 @@ class TestDeriveSeeds:
         counters = np.array(counters, dtype=dtype)
         with pytest.raises(ContractViolation, match="below 2\\^32"):
             derive_seeds(3, 1, counters)
-        assert derive_seed(3, 1, 2 ** 32) == _seed_sequence_seed(3, 1, 2 ** 32)
+        assert int(derive_seeds(3, 1, 2 ** 32)) == _seed_sequence_seed(3, 1, 2 ** 32)
 
     def test_broadcast_and_int64_counters(self):
         got = derive_seeds(7, np.arange(3), np.arange(2)[:, None])
