@@ -13,7 +13,7 @@ import io
 import json
 import math
 import time
-from dataclasses import MISSING, asdict, dataclass, field, fields
+from dataclasses import MISSING, dataclass, field, fields
 from json.encoder import encode_basestring
 from pathlib import Path
 from typing import Callable, NamedTuple
@@ -56,7 +56,7 @@ from .learners import (
     prediction_space,
     uses_kind,
 )
-from .seeding import derive_seed, derive_seeds, split_masks
+from .seeding import derive_seeds, split_masks
 
 # spawn-key channels for counter-based seed derivation
 _DATA, _SPLIT, _TRIAL, _STABILITY, _SUBSET = 0, 1, 2, 3, 4
@@ -392,10 +392,8 @@ def _load_pool(config: ExperimentConfig) -> tuple[np.ndarray, np.ndarray] | None
     return xs, ys
 
 
-def _draw_supersample(config: ExperimentConfig, a: int, seed: int | None = None) -> Supersample:
-    """Supersample ``a``, drawn with its data seed (derived here when not given)."""
-    if seed is None:
-        seed = derive_seed(config.master_seed, _DATA, a)
+def _draw_supersample(config: ExperimentConfig, seed: int) -> Supersample:
+    """The supersample drawn with data seed ``seed``."""
     if config.pool is None:
         return sample_supersample(GeneratorSpec.from_json_dict(config.data), config.n, seed)
     xs, ys = config.pool
@@ -407,18 +405,18 @@ def _draw_supersample(config: ExperimentConfig, a: int, seed: int | None = None)
 
 
 class Bound(NamedTuple):
-    """One bound, declared whole. ``form(config, values, run)`` is each
+    """One bound, declared whole. ``form(config, values, meta)`` is each
     supersample's bound as a (k1,) array, or the run's one value; ``values``
     is the ``reads`` field of every supersample result as a float array
-    (None without one), ``run`` the run's subset meta and stability
-    constants. ``inputs`` gives its digest keys past mode, k2 and loss.
-    ``cells(config, k)`` is its monte_carlo joint alphabet over ``k``
-    prediction symbols."""
+    (None without one), ``meta`` the run's ``estimator_meta``, whose subset
+    policy and count and stability record a form may read. ``inputs`` gives
+    its digest keys past mode, k2 and loss. ``cells(config, k)`` is its
+    monte_carlo joint alphabet over ``k`` prediction symbols."""
 
     space: str  # the prediction space it needs: "finite" or "real"
     form: Callable
     reads: str | None = None  # the SupersampleResult field it reads
-    inputs: Callable = lambda c, v, run: {"k1": len(v), "n": c.n}
+    inputs: Callable = lambda c, v, meta: {"k1": len(v), "n": c.n}
     tag: str | None = None  # default: the name with "-" for "_"
     learner: str | None = None  # the one learner kind it is implemented for
     exact_only: bool = False
@@ -426,11 +424,11 @@ class Bound(NamedTuple):
     cells: Callable | None = None
 
 
-def _per_pair_roots(c, v, run):
+def _per_pair_roots(c, v, meta):
     return np.mean(np.sqrt(2.0 * v), axis=1)
 
 
-def _full_tuple_roots(c, v, run):
+def _full_tuple_roots(c, v, meta):
     return np.sqrt(2.0 * v / c.n)
 
 
@@ -439,15 +437,16 @@ BOUNDS: dict[str, Bound] = {
     "fcmi_mn": Bound("finite", _full_tuple_roots, reads="fcmi_full",
                      cells=lambda c, k: product_alphabet_size(k, c.n)),
     "fcmi_subset_m": Bound(
-        "finite", lambda c, v, run: np.mean(np.sqrt(2.0 * v / c.subset_m), axis=1),
+        "finite", lambda c, v, meta: np.mean(np.sqrt(2.0 * v / c.subset_m), axis=1),
         reads="subset_mi", needs_m=True,
-        inputs=lambda c, v, run: {"k1": len(v), "m": c.subset_m, "subsets": v.shape[1],
-                                  **run["subsets"]},
+        inputs=lambda c, v, meta: {"k1": len(v), "m": c.subset_m, "subsets": v.shape[1],
+                                   "subset_policy": meta["subset_policy"],
+                                   "subset_count": meta["subset_count"]},
         cells=lambda c, k: product_alphabet_size(k, c.subset_m)),
     "fcmi_squared": Bound(
-        "finite", lambda c, v, run: (8.0 / c.n) * (float(np.mean(v)) + 2.0),
+        "finite", lambda c, v, meta: (8.0 / c.n) * (float(np.mean(v)) + 2.0),
         reads="fcmi_full", cells=lambda c, k: product_alphabet_size(k, c.n),
-        inputs=lambda c, v, run: {"n": c.n, "fcmi_mean": float(np.mean(v))}),
+        inputs=lambda c, v, meta: {"n": c.n, "fcmi_mean": float(np.mean(v))}),
     "cmi_weights": Bound(
         "finite", _full_tuple_roots, reads="weight_mi_full", learner="threshold_erm",
         # achievable thresholds: midpoints of any two pool values + edges
@@ -455,26 +454,26 @@ BOUNDS: dict[str, Bound] = {
     "fcmi_stability": Bound("finite", _per_pair_roots, reads="cmi_per_index",
                             exact_only=True),
     "fcmi_stability_squared": Bound(
-        "finite", lambda c, v, run: (8.0 / c.n) * (np.sum(v, axis=1) + 2.0),
+        "finite", lambda c, v, meta: (8.0 / c.n) * (np.sum(v, axis=1) + 2.0),
         reads="cmi_allpairs_per_index", exact_only=True),
     # the growth-function cap on f-CMI (nats) in the fcmi_mn form
     "vc": Bound(
-        "finite", lambda c, v, run: math.sqrt(2.0 * bnd.vc_fcmi_bound(1, c.n) / c.n),
-        inputs=lambda c, v, run: {"d_vc": 1, "n": c.n, "fcmi_cap": bnd.vc_fcmi_bound(1, c.n)},
+        "finite", lambda c, v, meta: math.sqrt(2.0 * bnd.vc_fcmi_bound(1, c.n) / c.n),
+        inputs=lambda c, v, meta: {"d_vc": 1, "n": c.n, "fcmi_cap": bnd.vc_fcmi_bound(1, c.n)},
         tag="vc-sauer-shelah", learner="threshold_erm"),
     # the members draw independent seeds, so the sum of their MIs caps the
     # combined predictor's; a left-to-right sum per supersample
     "ensemble_mn": Bound(
-        "finite", lambda c, v, run: np.sqrt(2.0 * np.array([sum(r) for r in v]) / c.n),
-        reads="member_fcmi", inputs=lambda c, v, run: {"members": v.shape[1], "n": c.n},
+        "finite", lambda c, v, meta: np.sqrt(2.0 * np.array([sum(r) for r in v]) / c.n),
+        reads="member_fcmi", inputs=lambda c, v, meta: {"members": v.shape[1], "n": c.n},
         tag="ensemble-sum", learner="ensemble", exact_only=True),
     "det_stability": Bound(
-        "real", lambda c, v, run: bnd.deterministic_stability_bound(run["constants"]),
-        inputs=lambda c, v, run: run["stability"]),
+        "real", lambda c, v, meta: bnd.deterministic_stability_bound(meta["stability"]),
+        inputs=lambda c, v, meta: meta["stability"]),
     "det_stability_squared": Bound(
-        "real", lambda c, v, run: bnd.deterministic_stability_squared_bound(
-            run["constants"], c.n),
-        inputs=lambda c, v, run: run["stability"]),
+        "real", lambda c, v, meta: bnd.deterministic_stability_squared_bound(
+            meta["stability"], c.n),
+        inputs=lambda c, v, meta: meta["stability"]),
 }
 
 
@@ -531,7 +530,7 @@ def _subset_family(config: ExperimentConfig) -> tuple[list[tuple[int, ...]], str
     n, m = config.n, config.subset_m
     if math.comb(n, m) <= config.subset_enumerate_limit:
         return all_subsets(n, m), "enumerated"
-    rng = np.random.default_rng(derive_seed(config.master_seed, _SUBSET, m))
+    rng = np.random.default_rng(int(derive_seeds(config.master_seed, _SUBSET, m)))
     fam = [tuple(sorted(rng.choice(n, size=m, replace=False).tolist()))
            for _ in range(config.subset_sample_count)]
     return fam, "sampled"
@@ -570,7 +569,7 @@ def _run_supersample(config: ExperimentConfig, a: int, data_seed: int, masks: np
     """Every estimate the requested bounds read from one supersample's trial
     table, and the table itself when it is kept (None otherwise, so it is
     freed, or never sent back from a worker, once its estimates are made)."""
-    supersample = _draw_supersample(config, a, data_seed)
+    supersample = _draw_supersample(config, data_seed)
     n = config.n
     exact = config.mode == "exact_enumeration"
     reads = {BOUNDS[b].reads for b in config.bounds}
@@ -621,38 +620,22 @@ def _collect(results: list[SupersampleResult], attr: str) -> np.ndarray:
 
 
 def _assemble_bounds(config: ExperimentConfig, results: list[SupersampleResult],
-                     subset_meta: dict | None) -> tuple[list[bnd.BoundReport], dict]:
-    """Each requested bound's report, and the stability meta when a
-    real-space bound is requested: the mean of the bound's form over
-    supersamples, and their standard deviation when there are two or more."""
+                     meta: dict) -> list[bnd.BoundReport]:
+    """Each requested bound's report, formed from what a report records: the
+    mean of the bound's form over supersamples, and their standard deviation
+    when there are two or more."""
     digest = {"mode": config.mode, "k2": config.k2, "loss": config.loss}
-    run: dict = {"subsets": subset_meta}
-    meta: dict = {}
-    if any(BOUNDS[b].space == "real" for b in config.bounds):
-        run["constants"] = stab = _stability_constants(config)
-        meta["stability"] = run["stability"] = {
-            **asdict(stab), "sigma_sq": bnd.optimal_noise_variance(stab),
-            "trials": config.stability_trials}
     reports = []
     for name in config.bounds:
         bound = BOUNDS[name]
         values = None if bound.reads is None else _collect(results, bound.reads)
-        per_ss = np.atleast_1d(bound.form(config, values, run))
+        per_ss = np.atleast_1d(bound.form(config, values, meta))
         reports.append(bnd.BoundReport(
             name=name, value=float(np.mean(per_ss)),
             spread=float(np.std(per_ss, ddof=1)) if per_ss.size >= 2 else None,
-            inputs_digest={**digest, **bound.inputs(config, values, run)},
+            inputs_digest={**digest, **bound.inputs(config, values, meta)},
             tag=bound.tag or name.replace("_", "-")))
-    return reports, meta
-
-
-def _stability_constants(config: ExperimentConfig) -> bnd.StabilityConstants:
-    gen = GeneratorSpec.from_json_dict(config.data)
-    beta, beta1, beta2 = estimate_stability(
-        config.learner, gen, config.n, config.stability_trials,
-        derive_seed(config.master_seed, _STABILITY))
-    return bnd.StabilityConstants(beta=beta, beta1=beta1, beta2=beta2, gamma=config.gamma,
-                                  d_out=prediction_space(config.learner).dim or 1)
+    return reports
 
 
 # --- top-level runs ----------------------------------------------------------
@@ -665,11 +648,30 @@ def run_experiment(config: ExperimentConfig, keep_tables: bool = False) -> Exper
     by counter, and results assemble in index order regardless of scheduling.
     """
     t0 = time.perf_counter()
+    exact = config.mode == "exact_enumeration"
+    meta = {
+        "k1": config.k1,
+        "k2": config.k2,
+        "mode": config.mode,
+        "loss": config.loss,
+        "bias_correction": False,
+        "exact_seeds": config.exact_seeds if exact else None,
+        "trials_per_supersample": 2 ** config.n * config.exact_seeds if exact else config.k2,
+        "plugin_alphabet_limit": PLUGIN_ALPHABET_LIMIT,
+    }
     subsets = None
-    subset_meta = None
     if any(BOUNDS[b].needs_m for b in config.bounds):
-        subsets, policy = _subset_family(config)
-        subset_meta = {"subset_policy": policy, "subset_count": len(subsets)}
+        subsets, meta["subset_policy"] = _subset_family(config)
+        meta["subset_count"] = len(subsets)
+    if any(BOUNDS[b].space == "real" for b in config.bounds):
+        beta, beta1, beta2 = estimate_stability(
+            config.learner, GeneratorSpec.from_json_dict(config.data), config.n,
+            config.stability_trials, int(derive_seeds(config.master_seed, _STABILITY)))
+        stab = meta["stability"] = {
+            "beta": beta, "beta1": beta1, "beta2": beta2, "gamma": config.gamma,
+            "d_out": prediction_space(config.learner).dim or 1,
+            "trials": config.stability_trials}
+        stab["sigma_sq"] = bnd.optimal_noise_variance(stab)
 
     k1 = config.k1
     if config.jobs > 1 and k1 > 1:
@@ -686,34 +688,17 @@ def run_experiment(config: ExperimentConfig, keep_tables: bool = False) -> Exper
                   for lo in range(0, k1, step)]
     runs = [run for block in blocks for run in block]
     results = [r for r, _ in runs]
-    exact = config.mode == "exact_enumeration"
-
-    bound_reports, extra_meta = _assemble_bounds(config, results, subset_meta)
-
     gap_means = np.array([r.gap_mean for r in results])
-    meta = {
-        "k1": config.k1,
-        "k2": config.k2,
-        "mode": config.mode,
-        "loss": config.loss,
-        "bias_correction": False,
-        "exact_seeds": config.exact_seeds if exact else None,
-        "trials_per_supersample": 2 ** config.n * config.exact_seeds if exact else config.k2,
-        "plugin_alphabet_limit": PLUGIN_ALPHABET_LIMIT,
-        **(subset_meta or {}),
-        **extra_meta,
-    }
-    report = ExperimentReport(
+    return ExperimentReport(
         config=config.to_json_dict(),
         gap_mean=float(gap_means.mean()),
         gap_std=float(np.std(gap_means, ddof=1)) if config.k1 > 1 else None,
         supersamples=results,
-        bounds=bound_reports,
+        bounds=_assemble_bounds(config, results, meta),
         estimator_meta=meta,
         wall_clock_sec=time.perf_counter() - t0,
         tables=[t for _, t in runs] if keep_tables else None,
     )
-    return report
 
 
 CURVE_HEADER = ("n", "learner", "bound_name", "gap_mean", "gap_std",

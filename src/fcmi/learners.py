@@ -442,7 +442,7 @@ def _linear_rows(spec, xs, ys, train_idx, query_xs, seeds):
 
 def _members(spec: LearnerSpec, seeds) -> list[tuple[LearnerSpec, np.ndarray]]:
     """Each member of an ensemble with its row seeds: member j fits row t
-    with seed ``derive_seed(seeds[t], j)``."""
+    with seed ``derive_seeds(seeds[t], j)``."""
     seeds = np.asarray(seeds, dtype=np.uint64)
     return [(member, derive_seeds(seeds, j)) for j, member in enumerate(_wrapped(spec))]
 
@@ -552,7 +552,7 @@ def estimate_stability(spec: LearnerSpec, gen, n: int, trials: int,
     train = np.tile(np.arange(n), (n + 1, 1))
     np.fill_diagonal(train[1:], n)
     acc = np.zeros((n, n + 1))
-    # trial t draws with seed derive_seed(seed, t, 0) and fits with derive_seed(seed, t, 1)
+    # trial t draws with seed derive_seeds(seed, t, 0) and fits with derive_seeds(seed, t, 1)
     draw_seeds, fit_seeds = derive_seeds(seed, np.arange(trials), np.arange(2)[:, None])
     for t in range(trials):
         xs, ys = sample_examples(gen, n + 2, int(draw_seeds[t]))

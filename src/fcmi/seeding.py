@@ -151,15 +151,6 @@ def derive_seeds(seed, *path) -> np.ndarray:
     return low | (high << 32)
 
 
-def derive_seed(seed: int, *path: int) -> int:
-    """One counter-style child seed, from numpy's own SeedSequence: the bits
-    of the one-element ``derive_seeds``."""
-    seed, path = int(seed), tuple(int(p) for p in path)
-    if seed < 0 or any(p < 0 for p in path):
-        raise ContractViolation(f"seeds must be nonnegative integers, got {(seed, *path)}")
-    return int(np.random.SeedSequence(seed, spawn_key=path).generate_state(1, np.uint64)[0])
-
-
 # --- PCG64 --------------------------------------------------------------------
 #
 # A 128-bit value is four 32-bit limbs, least significant first, each held in

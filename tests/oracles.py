@@ -5,7 +5,7 @@ exact information measures of one joint, the symmetrized-KL cap of one set
 of cells, the plug-in estimate of gathered symbols and the trial-table
 quantities it gives, the subset-size
 monotonicity check of one exact trial table, the bound reports the retired
-per-bound wrappers formed and one fit of a learner. The tests compare the
+per-bound wrappers formed, one fit of a learner and one counter seed. The tests compare the
 batched paths against these references, bit for bit where both do the same
 arithmetic in the same order, and use them to build expected values.
 """
@@ -278,10 +278,11 @@ PARENT_TAGS = {"fcmi_m1": "fcmi-m1", "fcmi_mn": "fcmi-mn", "fcmi_subset_m": "fcm
                "det_stability_squared": "det-stability-squared"}
 
 
-def wrapper_bound_report(name: str, config, values, run: dict) -> BoundReport:
+def wrapper_bound_report(name: str, config, values, meta: dict) -> BoundReport:
     """The report the wrapper of bound ``name`` formed from ``values``, the
     per-supersample estimates it reads (lists of floats, or None), and
-    ``run``: the run's subset meta and stability constants and meta."""
+    ``meta``: the run's estimator meta, with its subset policy and count and
+    its stability record."""
     n, digest = config.n, {"mode": config.mode, "k2": config.k2, "loss": config.loss}
     rows = None if values is None else np.asarray(values, dtype=float)
     if name in ("fcmi_m1", "fcmi_stability"):
@@ -293,7 +294,8 @@ def wrapper_bound_report(name: str, config, values, run: dict) -> BoundReport:
     elif name == "fcmi_subset_m":
         per_ss = np.mean(np.sqrt(2.0 * rows / config.subset_m), axis=1)
         inputs = {"k1": rows.shape[0], "m": config.subset_m, "subsets": rows.shape[1],
-                  **run["subsets"]}
+                  "subset_policy": meta["subset_policy"],
+                  "subset_count": meta["subset_count"]}
     elif name == "fcmi_stability_squared":
         per_ss, inputs = (8.0 / n) * (np.sum(rows, axis=1) + 2.0), {"k1": rows.shape[0], "n": n}
     elif name == "ensemble_mn":
@@ -307,10 +309,10 @@ def wrapper_bound_report(name: str, config, values, run: dict) -> BoundReport:
             cap = vc_fcmi_bound(1, n)
             value, inputs = math.sqrt(2.0 * cap / n), {"d_vc": 1, "n": n, "fcmi_cap": cap}
         elif name == "det_stability":
-            value, inputs = deterministic_stability_bound(run["constants"]), run["stability"]
+            value, inputs = deterministic_stability_bound(meta["stability"]), meta["stability"]
         else:
-            value = deterministic_stability_squared_bound(run["constants"], n)
-            inputs = run["stability"]
+            value = deterministic_stability_squared_bound(meta["stability"], n)
+            inputs = meta["stability"]
         return BoundReport(name, value, None, {**inputs, **digest}, PARENT_TAGS[name])
     spread = float(np.std(per_ss, ddof=1)) if per_ss.size >= 2 else None
     return BoundReport(name, float(np.mean(per_ss)), spread, {**inputs, **digest},
@@ -357,3 +359,12 @@ def train_predict(spec: LearnerSpec, train_xs, train_ys, query_xs,
                                      np.arange(len(train_ys))[None], query_xs, [seed])
     return LearnerOutput(preds[0], None if codes is None else int(codes[0]))
 
+
+# --- one counter seed: numpy's own SeedSequence -----------------------------------
+
+
+def seed_sequence_seed(seed: int, *path: int) -> int:
+    """The child seed of ``seed`` at spawn key ``path``, from one SeedSequence:
+    the reference for ``seeding.derive_seeds``."""
+    ss = np.random.SeedSequence(int(seed), spawn_key=tuple(int(p) for p in path))
+    return int(ss.generate_state(1, np.uint64)[0])

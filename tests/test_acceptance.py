@@ -19,8 +19,7 @@ from fcmi.harness import ExperimentConfig, canonical_json, run_experiment
 from fcmi.infotheory import subset_mi
 from fcmi.learners import LearnerSpec, fill_table
 from fcmi.lemma_lab import run_all_verifiers
-from fcmi.seeding import derive_seed
-from oracles import threshold_erm_fit, verify_monotonicity_in_m
+from oracles import seed_sequence_seed, threshold_erm_fit, verify_monotonicity_in_m
 
 
 def _report(criterion: str, ok: bool) -> None:
@@ -220,7 +219,7 @@ def test_c09_ensembling():
         combined = _exact_fcmi(ss, spec, seeds)
         member_mis = [
             _exact_fcmi(ss, LearnerSpec.from_json_dict(m),
-                        [derive_seed(s, j) for s in seeds])
+                        [seed_sequence_seed(s, j) for s in seeds])
             for j, m in enumerate(members)
         ]
         cap = sum(member_mis)

@@ -1,7 +1,5 @@
-import dataclasses
 import math
 import warnings
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -11,16 +9,25 @@ from hypothesis import strategies as st
 from fcmi import harness
 from fcmi.bounds import (
     BoundReport,
-    StabilityConstants,
     deterministic_stability_bound,
     deterministic_stability_squared_bound,
     optimal_noise_variance,
     vc_fcmi_bound,
 )
 from fcmi.core import ContractViolation
-from fcmi.harness import BOUNDS, ExperimentConfig, SupersampleResult, canonical_json
+from fcmi.harness import (
+    BOUNDS,
+    ExperimentConfig,
+    SupersampleResult,
+    canonical_json,
+    load_report,
+    persist,
+    run_experiment,
+)
 from fcmi.lemma_lab import AbsoluteContinuityError
 from oracles import PARENT_TAGS, stability_kl_decomposition, wrapper_bound_report
+from test_cli import EXAMPLE_RUNS, example_runs  # noqa: F401 (a fixture used below)
+from test_golden import GOLDEN, POOLS
 
 LOG2 = math.log(2.0)
 
@@ -48,14 +55,17 @@ def bound_report(name: str, per_ss, n: int, subset_m=None) -> BoundReport:
     """The report of bound ``name`` over one supersample per entry of
     ``per_ss``, each that supersample's estimate the bound reads."""
     reads = BOUNDS[name].reads
-    subset_meta = None
+    meta = {}
     if BOUNDS[name].needs_m:
-        subset_meta = {"subset_policy": "enumerated",
-                       "subset_count": len(per_ss[0]) if per_ss else 0}
+        meta = {"subset_policy": "enumerated", "subset_count": len(per_ss[0]) if per_ss else 0}
     results = _results({reads: per_ss} if reads else {}, len(per_ss))
-    (report,), _ = harness._assemble_bounds(_config([name], n, subset_m), results,
-                                            subset_meta)
+    (report,) = harness._assemble_bounds(_config([name], n, subset_m), results, meta)
     return report
+
+
+def stability(beta, beta1=0.0, beta2=0.0, gamma=1.0, d_out=1) -> dict:
+    """The constants of a stability record, as ``estimator_meta`` holds them."""
+    return {"beta": beta, "beta1": beta1, "beta2": beta2, "gamma": gamma, "d_out": d_out}
 
 
 class TestFcmiM1:
@@ -232,43 +242,39 @@ class TestKlDecomposition:
 
 class TestDeterministicStability:
     def test_perfectly_stable(self):
-        c = StabilityConstants(beta=0.0)
+        c = stability(0.0)
         assert deterministic_stability_bound(c) == 0.0
 
     def test_hand_value_d1(self):
-        c = StabilityConstants(beta=0.01, gamma=1.0, d_out=1)
+        c = stability(0.01, gamma=1.0, d_out=1)
         assert deterministic_stability_bound(c) == pytest.approx(
             2 ** 1.5 * 0.1, abs=1e-12)
 
     def test_hand_value_d16(self):
-        c = StabilityConstants(beta=1.0, gamma=1.0, d_out=16)
+        c = stability(1.0, gamma=1.0, d_out=16)
         assert deterministic_stability_bound(c) == pytest.approx(
             2 ** 1.5 * 2.0, abs=1e-12)
 
     def test_squared_all_zero_betas(self):
-        c = StabilityConstants(beta=0.0)
+        c = stability(0.0)
         assert deterministic_stability_squared_bound(c, 32) == pytest.approx(
             1.0, abs=1e-12)
 
     def test_squared_hand_value(self):
-        c = StabilityConstants(beta=0.1, gamma=1.0, d_out=1)
+        c = stability(0.1, gamma=1.0, d_out=1)
         expected = 32 / 100 + 12 ** 1.5 * math.sqrt(2 * 0.01)
         got = deterministic_stability_squared_bound(c, 100)
         assert got == pytest.approx(expected, abs=1e-12)
         assert got == pytest.approx(6.1988, abs=1e-3)
 
     def test_squared_vanishes_asymptotically(self):
-        c = StabilityConstants(beta=0.0)
+        c = stability(0.0)
         assert deterministic_stability_squared_bound(c, 10 ** 9) < 1e-6
 
     def test_optimal_noise_variance(self):
-        c = StabilityConstants(beta=0.2, gamma=2.0, d_out=4)
+        c = stability(0.2, gamma=2.0, d_out=4)
         assert optimal_noise_variance(c) == pytest.approx(
             0.2 / (2 * 2 * 2.0), abs=1e-12)
-
-    def test_negative_constants_rejected(self):
-        with pytest.raises(ContractViolation):
-            StabilityConstants(beta=-0.1)
 
 
 class TestBoundReport:
@@ -311,7 +317,7 @@ class TestAssembly:
 
     def test_missing_estimate_refused(self):
         with pytest.raises(ContractViolation, match="missing estimate"):
-            harness._assemble_bounds(_config(["fcmi_mn"], 2), _results({}, 2), None)
+            harness._assemble_bounds(_config(["fcmi_mn"], 2), _results({}, 2), {})
 
     def test_tags_follow_the_name_unless_declared(self):
         declared = {name: b.tag for name, b in BOUNDS.items() if b.tag is not None}
@@ -338,18 +344,48 @@ class TestAssembly:
                      "member_fcmi": rows(members),
                      "fcmi_full": [r[0] for r in rows(1)],
                      "weight_mi_full": [r[0] for r in rows(1)]}
-        stab = StabilityConstants(
-            beta=data.draw(est), beta1=data.draw(est), beta2=data.draw(est),
-            gamma=data.draw(st.floats(0.1, 4.0)), d_out=data.draw(st.integers(1, 16)))
+        stab = stability(data.draw(est), data.draw(est), data.draw(est),
+                         data.draw(st.floats(0.1, 4.0)), data.draw(st.integers(1, 16)))
+        stab.update(trials=25, sigma_sq=optimal_noise_variance(stab))
         config = _config(BOUNDS, n, m)
-        subset_meta = {"subset_policy": "sampled", "subset_count": subsets}
-        with mock.patch.object(harness, "_stability_constants", lambda c: stab):
-            got, meta = harness._assemble_bounds(config, _results(estimates, k1), subset_meta)
-        run = {"subsets": subset_meta, "constants": stab, "stability": meta["stability"]}
-        assert meta["stability"] == {**dataclasses.asdict(stab), "trials": 25,
-                                     "sigma_sq": optimal_noise_variance(stab)}
+        meta = {"subset_policy": "sampled", "subset_count": subsets, "stability": stab}
+        got = harness._assemble_bounds(config, _results(estimates, k1), meta)
         for report in got:
             reads = BOUNDS[report.name].reads
             want = wrapper_bound_report(report.name, config,
-                                        estimates[reads] if reads else None, run)
+                                        estimates[reads] if reads else None, meta)
             assert canonical_json(report) == canonical_json(want), report.name
+
+
+def _reformed(path) -> tuple[list[BoundReport], list[BoundReport]]:
+    """The bounds of the report at ``path`` as loaded, and as formed again
+    from its config echo, supersample estimates and estimator_meta."""
+    report = load_report(path)
+    config = ExperimentConfig.from_json_dict(report.config)
+    return report.bounds, harness._assemble_bounds(config, report.supersamples,
+                                                   report.estimator_meta)
+
+
+class TestReportRoundTrip:
+    """Every bound a report holds follows, bit for bit, from what the report
+    records: the golden and example configs together request every bound."""
+
+    @pytest.mark.parametrize("name", sorted(GOLDEN))
+    def test_golden_report(self, tmp_path, monkeypatch, name):
+        config = GOLDEN[name][0]
+        monkeypatch.chdir(tmp_path)
+        if config["data"]["kind"] == "csv":
+            pool = config["data"]["params"]["path"]
+            POOLS[pool](tmp_path / pool)
+        persist(run_experiment(ExperimentConfig.from_json_dict(config)), tmp_path / "report.json")
+        loaded, reformed = _reformed(tmp_path / "report.json")
+        assert reformed == loaded
+        assert canonical_json(reformed) == canonical_json(loaded)
+
+    @pytest.mark.parametrize("name", sorted(EXAMPLE_RUNS))
+    def test_example_report(self, example_runs, name):  # noqa: F811
+        code, out = example_runs[name]
+        assert code == 0
+        loaded, reformed = _reformed(out / "report.json")
+        assert reformed == loaded
+        assert canonical_json(reformed) == canonical_json(loaded)

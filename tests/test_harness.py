@@ -32,7 +32,8 @@ from fcmi.harness import (
 )
 from fcmi.infotheory import PLUGIN_ALPHABET_LIMIT, product_alphabet_size, subset_mi
 from fcmi.learners import LearnerSpec, fill_table, needs_binary_labels, prediction_space
-from fcmi.seeding import derive_seed, derive_seeds, split_masks
+from fcmi.seeding import derive_seeds, split_masks
+from oracles import seed_sequence_seed
 
 
 def base_dict(**overrides) -> dict:
@@ -51,6 +52,11 @@ def base_dict(**overrides) -> dict:
 
 def base_config(**overrides):
     return ExperimentConfig.from_json_dict(base_dict(**overrides))
+
+
+def draw_supersample(config, a: int):
+    """Supersample ``a`` of a run, drawn with its counter data seed."""
+    return _draw_supersample(config, seed_sequence_seed(config.master_seed, harness._DATA, a))
 
 
 @pytest.fixture(scope="module")
@@ -369,7 +375,7 @@ class TestRunExperiment:
         report = run_experiment(config)
         ones = []
         for a in range(config.k1):
-            ss = _draw_supersample(config, a)
+            ss = draw_supersample(config, a)
             ones.append(float(np.mean(ss.ys)))
         assert report.gap_mean == pytest.approx(np.mean(ones), abs=0.06)
         for res in report.supersamples:
@@ -403,7 +409,7 @@ class TestRunExperiment:
                              data={"kind": "threshold_realizable",
                                    "params": {"threshold": 0.5, "noise": 0.1}})
         report = run_experiment(config)
-        ss = _draw_supersample(config, 0)
+        ss = draw_supersample(config, 0)
         # threshold_erm ignores the seed, so any seed reproduces the enumeration
         table = fill_table(ss, LearnerSpec("threshold_erm"), *exact_rows(config.n, (0,)))
         expected = subset_mi(table, [(i,) for i in range(config.n)]).tolist()
@@ -415,7 +421,7 @@ class TestRunExperiment:
     def test_exact_mode_gap_is_average_over_all_splits(self):
         config = base_config(mode="exact_enumeration", k1=1)
         report = run_experiment(config)
-        ss = _draw_supersample(config, 0)
+        ss = draw_supersample(config, 0)
         table = fill_table(ss, LearnerSpec("memorizer"), *exact_rows(config.n, (0,)))
         assert report.supersamples[0].gap_mean == pytest.approx(
             float((table.test_loss - table.train_loss).mean()), abs=1e-12)
@@ -440,7 +446,7 @@ class TestRunExperiment:
                              bounds=["fcmi_subset_m"],
                              subset_policy={"m": 2})
         report = run_experiment(config)
-        ss = _draw_supersample(config, 0)
+        ss = draw_supersample(config, 0)
         table = fill_table(ss, LearnerSpec("memorizer"), *exact_rows(config.n, (0,)))
         subsets = [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
         bound = report.bounds[0]
@@ -656,7 +662,7 @@ class TestSeedBlocks:
         assert [a for a, *_ in seen] == list(range(k1))
         ms, n = config.master_seed, config.n
         for a, data_seed, masks, row_seeds in seen:
-            assert data_seed == derive_seed(ms, harness._DATA, a)
+            assert data_seed == seed_sequence_seed(ms, harness._DATA, a)
             if mode == "exact_enumeration":
                 want = exact_rows(n, derive_seeds(ms, harness._TRIAL, a, np.arange(2)))
             else:
@@ -719,7 +725,7 @@ class TestEnsembleMembers:
         if "ensemble_mn" not in bounds:
             return
         monkeypatch.undo()
-        ss = _draw_supersample(config, 0)
+        ss = draw_supersample(config, 0)
         seeds = derive_seeds(config.master_seed, harness._TRIAL, 0, np.arange(1))
         want = [float(subset_mi(fill_table(ss, LearnerSpec.from_json_dict(m),
                                            *exact_rows(8, derive_seeds(seeds, j))),

@@ -26,8 +26,8 @@ from fcmi.learners import (
     prediction_space,
     sgld_fit,
 )
-from fcmi.seeding import derive_seed
-from oracles import threshold_erm_fit, train_predict, where_sigmoid
+from fcmi.seeding import derive_seeds
+from oracles import seed_sequence_seed, threshold_erm_fit, train_predict, where_sigmoid
 
 
 def mk(x, y=0):
@@ -329,7 +329,7 @@ class TestBatchedLinear:
         xs = rng.normal(0.0, 1.0, (2 * size, 2))
         ys = rng.integers(0, 2, 2 * size)
         train_idx = np.stack([rng.permutation(2 * size)[:size] for _ in range(n_sets)])
-        seeds = [derive_seed(12, t) for t in range(n_sets)]
+        seeds = [seed_sequence_seed(12, t) for t in range(n_sets)]
         _check_batch_matches_oracles(kind, "prob", 3, xs, ys, train_idx, xs[:7], seeds,
                                      fcmi.learners._BATCH_CELLS)
 
@@ -507,7 +507,7 @@ def _scalar_fit_predict(spec, train_xs, train_ys, query_xs, seed):
         return _scalar_knn(train_xs, train_ys, query_xs, int(p.get("k", 1))), None
     members = [LearnerSpec.from_json_dict(m) for m in p["members"]]
     per_member = np.stack([
-        _scalar_fit_predict(m, train_xs, train_ys, query_xs, derive_seed(seed, j))[0]
+        _scalar_fit_predict(m, train_xs, train_ys, query_xs, seed_sequence_seed(seed, j))[0]
         for j, m in enumerate(members)
     ])
     return np.array([np.bincount(votes).argmax() for votes in per_member.T],
@@ -824,8 +824,8 @@ class TestReproducibility:
         assert a.weight_code == b.weight_code
 
     def test_derive_seed_is_stable(self):
-        assert derive_seed(1, 2, 3) == derive_seed(1, 2, 3)
-        assert derive_seed(1, 2, 3) != derive_seed(1, 3, 2)
+        assert derive_seeds(1, 2, 3) == derive_seeds(1, 2, 3)
+        assert derive_seeds(1, 2, 3) != derive_seeds(1, 3, 2)
 
     def test_integer_tuning_values_fit_like_floats(self):
         """Tuning values reach the fit function as given; an integer gives
@@ -892,10 +892,10 @@ def _stability_oracle(spec, gen, n, which, trials, seed=0):
 
     acc = np.zeros((n, n)) if which == "train" else np.zeros(n)
     for t in range(trials):
-        xs, ys = sample_examples(gen, n + 2, derive_seed(seed, t, 0))
+        xs, ys = sample_examples(gen, n + 2, seed_sequence_seed(seed, t, 0))
         base_xs, base_ys = xs[:n], ys[:n]
         queries = xs[n + 1:n + 2] if which == "test" else base_xs
-        r = derive_seed(seed, t, 1)
+        r = seed_sequence_seed(seed, t, 1)
         base_preds = train_predict(spec, base_xs, base_ys, queries, r).predictions
         for i in range(n):
             swapped_xs, swapped_ys = base_xs.copy(), base_ys.copy()

@@ -1,9 +1,8 @@
 """Counter seeds and split masks against numpy's own streams.
 
-The scalar forms the array arithmetic replaced are kept here as oracles: one
-``SeedSequence`` per derived seed and one ``default_rng(s).integers(0, 2, n)``
-per mask. The scalar ``derive_seed`` is that SeedSequence itself, so it is
-checked against the one-element ``derive_seeds``. ``Generator.integers`` is
+The scalar forms the array arithmetic replaced are kept as oracles: one
+``SeedSequence`` per derived seed (``oracles.seed_sequence_seed``) and one
+``default_rng(s).integers(0, 2, n)`` per mask. ``Generator.integers`` is
 not frozen across numpy versions, so these tests pin the streams of the
 installed numpy.
 """
@@ -17,14 +16,8 @@ from hypothesis import strategies as st
 
 import fcmi.seeding
 from fcmi.core import ContractViolation
-from fcmi.seeding import derive_seed, derive_seeds, split_masks
-
-
-def _seed_sequence_seed(seed: int, *path: int) -> int:
-    """The scalar derive_seed: one SeedSequence per child seed."""
-    ss = np.random.SeedSequence(entropy=int(seed),
-                                spawn_key=tuple(int(p) for p in path))
-    return int(ss.generate_state(1, np.uint64)[0])
+from fcmi.seeding import derive_seeds, split_masks
+from oracles import seed_sequence_seed
 
 
 def _rng_masks(seeds, n: int) -> np.ndarray:
@@ -47,31 +40,27 @@ class TestDeriveSeeds:
     @pytest.mark.parametrize("path", [(), (0,), (1, 2), (2 ** 32, 7), (0, 0, 0, 0, 0),
                                       (2 ** 70, 1, 2), (3, 2 ** 64 - 1)])
     def test_scalar_edge_values(self, seed, path):
-        """``derive_seed`` is numpy's own SeedSequence, so it is checked
-        against the one-element ``derive_seeds``, and that against the
-        oracle."""
-        want = derive_seeds(seed, *path)
-        assert want.shape == () and int(want) == _seed_sequence_seed(seed, *path)
-        assert derive_seed(seed, *path) == int(want)
+        got = derive_seeds(seed, *path)
+        assert got.shape == () and int(got) == seed_sequence_seed(seed, *path)
 
     @pytest.mark.parametrize("args", [(-1,), (3, -2), (0, 1, -(2 ** 70))])
     def test_scalar_refuses_negative(self, args):
         with pytest.raises(ContractViolation, match="nonnegative"):
-            derive_seed(*args)
+            derive_seeds(*args)
 
     @given(st.lists(uint64s, min_size=1, max_size=30), st.lists(any_ints, max_size=4))
     @settings(max_examples=200, deadline=None)
     def test_array_in_seed_position(self, seeds, path):
         got = derive_seeds(np.array(seeds, dtype=np.uint64), *path)
         assert got.dtype == np.uint64
-        assert got.tolist() == [_seed_sequence_seed(s, *path) for s in seeds]
+        assert got.tolist() == [seed_sequence_seed(s, *path) for s in seeds]
 
     @given(any_ints, st.lists(any_ints, max_size=3), st.lists(uint32s, min_size=1, max_size=30),
            st.lists(any_ints, max_size=2))
     @settings(max_examples=200, deadline=None)
     def test_array_in_counter_position(self, seed, head, counters, tail):
         got = derive_seeds(seed, *head, np.array(counters, dtype=np.uint64), *tail)
-        assert got.tolist() == [_seed_sequence_seed(seed, *head, c, *tail)
+        assert got.tolist() == [seed_sequence_seed(seed, *head, c, *tail)
                                 for c in counters]
 
     @pytest.mark.parametrize("counters", [[2 ** 32], [0, 2 ** 63 - 1]])
@@ -82,12 +71,12 @@ class TestDeriveSeeds:
         counters = np.array(counters, dtype=dtype)
         with pytest.raises(ContractViolation, match="below 2\\^32"):
             derive_seeds(3, 1, counters)
-        assert int(derive_seeds(3, 1, 2 ** 32)) == _seed_sequence_seed(3, 1, 2 ** 32)
+        assert int(derive_seeds(3, 1, 2 ** 32)) == seed_sequence_seed(3, 1, 2 ** 32)
 
     def test_broadcast_and_int64_counters(self):
         got = derive_seeds(7, np.arange(3), np.arange(2)[:, None])
         assert got.shape == (2, 3)
-        assert got.tolist() == [[_seed_sequence_seed(7, t, j) for t in range(3)]
+        assert got.tolist() == [[seed_sequence_seed(7, t, j) for t in range(3)]
                                 for j in range(2)]
         assert derive_seeds(np.array([], dtype=np.uint64), 1).shape == (0,)
 
@@ -101,7 +90,7 @@ class TestDeriveSeeds:
 class TestSplitMasks:
     @pytest.mark.parametrize("n", range(1, 65))
     def test_equals_numpy_for_small_n(self, n):
-        seeds = np.array(EDGE_VALUES + [derive_seed(5, n, t) for t in range(20)],
+        seeds = np.array(EDGE_VALUES + [seed_sequence_seed(5, n, t) for t in range(20)],
                          dtype=np.uint64)
         got = split_masks(seeds, n)
         assert got.dtype == np.uint8 and got.flags.c_contiguous
