@@ -2,7 +2,8 @@
 
 Samples supersamples, runs the learner across train/test splits, estimates
 the information quantities each requested bound needs, and assembles a
-deterministic, canonically serialized report. All per-trial seeds derive from
+deterministic, canonically serialized report. ``BOUNDS`` declares each bound
+whole, its closed-form arithmetic included. All per-trial seeds derive from
 the master seed by counter, so scheduling cannot perturb results.
 """
 
@@ -20,7 +21,6 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from . import bounds as bnd
 from .core import (
     ENUMERATION_LIMIT,
     LOSS_SPACE,
@@ -242,13 +242,30 @@ class SupersampleResult(JsonFields):
     member_fcmi: list[float] | None = None
 
 
+@dataclass(frozen=True)
+class BoundReport(JsonFields):
+    """A named bound value with its Monte Carlo spread across supersamples."""
+
+    name: str
+    value: float
+    spread: float | None
+    inputs_digest: dict
+    tag: str
+
+    PARSE = {"value": float, "spread": or_none(float)}
+
+    def __post_init__(self) -> None:
+        if self.value < 0 or math.isnan(self.value):
+            raise ContractViolation(f"bound value must be >= 0, got {self.value}")
+
+
 @dataclass
 class ExperimentReport(JsonFields):
     config: dict
     gap_mean: float
     gap_std: float | None
     supersamples: list[SupersampleResult]
-    bounds: list[bnd.BoundReport]
+    bounds: list[BoundReport]
     estimator_meta: dict
     # volatile / bulky companions, excluded from serialization and equality
     wall_clock_sec: float | None = field(default=None, compare=False)
@@ -258,26 +275,8 @@ class ExperimentReport(JsonFields):
         "gap_mean": float,
         "gap_std": or_none(float),
         "supersamples": lambda ss: [SupersampleResult.from_json_dict(s) for s in ss],
-        "bounds": lambda bs: [bnd.BoundReport.from_json_dict(b) for b in bs],
+        "bounds": lambda bs: [BoundReport.from_json_dict(b) for b in bs],
     }
-
-
-def _json_scalar(value) -> str:
-    """The JSON text of a string, number, boolean or null, as ``json.dumps``
-    writes it with ``ensure_ascii=False`` and ``allow_nan=False``."""
-    if isinstance(value, str):
-        return encode_basestring(value)
-    if value is None:
-        return "null"
-    if value is True or value is False:
-        return "true" if value else "false"
-    if isinstance(value, int):
-        return int.__repr__(value)
-    if isinstance(value, float):
-        if not math.isfinite(value):
-            raise ValueError(f"Out of range float values are not JSON compliant: {value!r}")
-        return float.__repr__(value)
-    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
 def _write_json(value, indent: str, out: list) -> None:
@@ -288,7 +287,7 @@ def _write_json(value, indent: str, out: list) -> None:
     elif isinstance(value, (list, tuple)):
         items, opener, closer = value, "[", "]"
     else:
-        out.append(_json_scalar(value))
+        out.append(json.dumps(value, ensure_ascii=False, allow_nan=False))
         return
     if not items:
         out.append(opener + closer)
@@ -332,11 +331,16 @@ def persist(report, path) -> None:
     Path(path).write_text(canonical_json(report), encoding="utf-8")
 
 
+def _refuse_constant(name: str):
+    raise ValueError(f"{name} is not a JSON number")
+
+
 def load_report(path) -> ExperimentReport:
     """A persisted report; ParseError unless it holds every field and every
     config key its curve rows read."""
     try:
-        data = json.loads(Path(path).read_text(encoding="utf-8"))
+        data = json.loads(Path(path).read_text(encoding="utf-8"),
+                          parse_constant=_refuse_constant)
         if not isinstance(data, dict):
             raise TypeError("a report must be a JSON object")
         report = ExperimentReport.from_json_dict(data)
@@ -432,6 +436,26 @@ def _full_tuple_roots(c, v, meta):
     return np.sqrt(2.0 * v / c.n)
 
 
+def _vc_cap(n):
+    """The growth-function cap on f-CMI (nats) of a class of VC dimension
+    d = 1: max((d + 1) log 2, d log(2 e n / d))."""
+    return max(2 * math.log(2.0), math.log(2.0 * math.e * n))
+
+
+def _det_stability(c, v, meta):
+    """2^(3/2) d^(1/4) sqrt(gamma beta) for a self-stable learner."""
+    s = meta["stability"]
+    return 2.0 ** 1.5 * s["d_out"] ** 0.25 * math.sqrt(s["gamma"] * s["beta"])
+
+
+def _det_stability_squared(c, v, meta):
+    """32/n + 12^(3/2) sqrt(d) gamma sqrt(2 b^2 + n b1^2 + n b2^2), on the
+    squared gap."""
+    s = meta["stability"]
+    inner = 2.0 * s["beta"] ** 2 + c.n * s["beta1"] ** 2 + c.n * s["beta2"] ** 2
+    return 32.0 / c.n + 12.0 ** 1.5 * math.sqrt(s["d_out"]) * s["gamma"] * math.sqrt(inner)
+
+
 BOUNDS: dict[str, Bound] = {
     "fcmi_m1": Bound("finite", _per_pair_roots, reads="mi_per_index"),
     "fcmi_mn": Bound("finite", _full_tuple_roots, reads="fcmi_full",
@@ -458,8 +482,8 @@ BOUNDS: dict[str, Bound] = {
         reads="cmi_allpairs_per_index", exact_only=True),
     # the growth-function cap on f-CMI (nats) in the fcmi_mn form
     "vc": Bound(
-        "finite", lambda c, v, meta: math.sqrt(2.0 * bnd.vc_fcmi_bound(1, c.n) / c.n),
-        inputs=lambda c, v, meta: {"d_vc": 1, "n": c.n, "fcmi_cap": bnd.vc_fcmi_bound(1, c.n)},
+        "finite", lambda c, v, meta: math.sqrt(2.0 * _vc_cap(c.n) / c.n),
+        inputs=lambda c, v, meta: {"d_vc": 1, "n": c.n, "fcmi_cap": _vc_cap(c.n)},
         tag="vc-sauer-shelah", learner="threshold_erm"),
     # the members draw independent seeds, so the sum of their MIs caps the
     # combined predictor's; a left-to-right sum per supersample
@@ -467,13 +491,10 @@ BOUNDS: dict[str, Bound] = {
         "finite", lambda c, v, meta: np.sqrt(2.0 * np.array([sum(r) for r in v]) / c.n),
         reads="member_fcmi", inputs=lambda c, v, meta: {"members": v.shape[1], "n": c.n},
         tag="ensemble-sum", learner="ensemble", exact_only=True),
-    "det_stability": Bound(
-        "real", lambda c, v, meta: bnd.deterministic_stability_bound(meta["stability"]),
-        inputs=lambda c, v, meta: meta["stability"]),
-    "det_stability_squared": Bound(
-        "real", lambda c, v, meta: bnd.deterministic_stability_squared_bound(
-            meta["stability"], c.n),
-        inputs=lambda c, v, meta: meta["stability"]),
+    "det_stability": Bound("real", _det_stability,
+                           inputs=lambda c, v, meta: meta["stability"]),
+    "det_stability_squared": Bound("real", _det_stability_squared,
+                                   inputs=lambda c, v, meta: meta["stability"]),
 }
 
 
@@ -620,7 +641,7 @@ def _collect(results: list[SupersampleResult], attr: str) -> np.ndarray:
 
 
 def _assemble_bounds(config: ExperimentConfig, results: list[SupersampleResult],
-                     meta: dict) -> list[bnd.BoundReport]:
+                     meta: dict) -> list[BoundReport]:
     """Each requested bound's report, formed from what a report records: the
     mean of the bound's form over supersamples, and their standard deviation
     when there are two or more."""
@@ -630,7 +651,7 @@ def _assemble_bounds(config: ExperimentConfig, results: list[SupersampleResult],
         bound = BOUNDS[name]
         values = None if bound.reads is None else _collect(results, bound.reads)
         per_ss = np.atleast_1d(bound.form(config, values, meta))
-        reports.append(bnd.BoundReport(
+        reports.append(BoundReport(
             name=name, value=float(np.mean(per_ss)),
             spread=float(np.std(per_ss, ddof=1)) if per_ss.size >= 2 else None,
             inputs_digest={**digest, **bound.inputs(config, values, meta)},
@@ -667,11 +688,12 @@ def run_experiment(config: ExperimentConfig, keep_tables: bool = False) -> Exper
         beta, beta1, beta2 = estimate_stability(
             config.learner, GeneratorSpec.from_json_dict(config.data), config.n,
             config.stability_trials, int(derive_seeds(config.master_seed, _STABILITY)))
-        stab = meta["stability"] = {
+        d_out = prediction_space(config.learner).dim or 1
+        meta["stability"] = {
             "beta": beta, "beta1": beta1, "beta2": beta2, "gamma": config.gamma,
-            "d_out": prediction_space(config.learner).dim or 1,
-            "trials": config.stability_trials}
-        stab["sigma_sq"] = bnd.optimal_noise_variance(stab)
+            "d_out": d_out, "trials": config.stability_trials,
+            # the variance of the Gaussian smoothing the paper's proof adds
+            "sigma_sq": beta / (2.0 * math.sqrt(d_out) * config.gamma)}
 
     k1 = config.k1
     if config.jobs > 1 and k1 > 1:
@@ -679,7 +701,7 @@ def run_experiment(config: ExperimentConfig, keep_tables: bool = False) -> Exper
         from concurrent.futures import ProcessPoolExecutor
 
         # a block of one supersample per task
-        with ProcessPoolExecutor(max_workers=config.jobs) as workers:
+        with ProcessPoolExecutor(max_workers=min(config.jobs, k1)) as workers:
             blocks = list(workers.map(_run_block, [config] * k1, range(k1), range(1, k1 + 1),
                                       [subsets] * k1, [keep_tables] * k1))
     else:

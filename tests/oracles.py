@@ -18,13 +18,8 @@ from typing import Sequence
 
 import numpy as np
 
-from fcmi.bounds import (
-    BoundReport,
-    deterministic_stability_bound,
-    deterministic_stability_squared_bound,
-    vc_fcmi_bound,
-)
 from fcmi.core import ContractViolation, TrialTable, split_slots
+from fcmi.harness import BoundReport
 from fcmi.infotheory import all_subsets, subset_mi, weight_mi
 from fcmi.learners import LearnerSpec, _fit_predict_rows, _threshold_weights
 from fcmi.lemma_lab import AbsoluteContinuityError
@@ -266,9 +261,28 @@ def verify_monotonicity_in_m(table: TrialTable, use_weights: bool = False,
 # --- the reports of the retired per-bound wrappers -------------------------------
 #
 # Before each bound was declared whole in ``fcmi.harness.BOUNDS``, one wrapper
-# per bound in ``fcmi.bounds`` formed its report. This is their arithmetic, in
-# their order: estimates to a float array, one form per supersample, then the
-# mean and, over two or more supersamples, the standard deviation.
+# per bound formed its report. This is their arithmetic, in their order:
+# estimates to a float array, one form per supersample, then the mean and,
+# over two or more supersamples, the standard deviation. The closed forms
+# that read no information estimate are written out here as the README's
+# bounds table states them.
+
+
+def vc_fcmi_cap(d_vc: int, n: int) -> float:
+    """Growth-function cap on f-CMI: max((d+1) log 2, d log(2 e n / d)) nats."""
+    return max((d_vc + 1) * math.log(2.0), d_vc * math.log(2.0 * math.e * n / d_vc))
+
+
+def det_stability_bound(s: dict) -> float:
+    """2^(3/2) d^(1/4) sqrt(gamma beta) of the stability record ``s``."""
+    return 2.0 ** 1.5 * s["d_out"] ** 0.25 * math.sqrt(s["gamma"] * s["beta"])
+
+
+def det_stability_squared_bound(s: dict, n: int) -> float:
+    """32/n + 12^(3/2) sqrt(d) gamma sqrt(2 b^2 + n b1^2 + n b2^2)."""
+    inner = 2.0 * s["beta"] ** 2 + n * s["beta1"] ** 2 + n * s["beta2"] ** 2
+    return 32.0 / n + 12.0 ** 1.5 * math.sqrt(s["d_out"]) * s["gamma"] * math.sqrt(inner)
+
 
 PARENT_TAGS = {"fcmi_m1": "fcmi-m1", "fcmi_mn": "fcmi-mn", "fcmi_subset_m": "fcmi-subset-m",
                "fcmi_squared": "fcmi-squared", "cmi_weights": "cmi-weights",
@@ -306,12 +320,12 @@ def wrapper_bound_report(name: str, config, values, meta: dict) -> BoundReport:
             mean = float(np.mean(values))
             value, inputs = (8.0 / n) * (mean + 2.0), {"n": n, "fcmi_mean": mean}
         elif name == "vc":
-            cap = vc_fcmi_bound(1, n)
+            cap = vc_fcmi_cap(1, n)
             value, inputs = math.sqrt(2.0 * cap / n), {"d_vc": 1, "n": n, "fcmi_cap": cap}
         elif name == "det_stability":
-            value, inputs = deterministic_stability_bound(meta["stability"]), meta["stability"]
+            value, inputs = det_stability_bound(meta["stability"]), meta["stability"]
         else:
-            value = deterministic_stability_squared_bound(meta["stability"], n)
+            value = det_stability_squared_bound(meta["stability"], n)
             inputs = meta["stability"]
         return BoundReport(name, value, None, {**inputs, **digest}, PARENT_TAGS[name])
     spread = float(np.std(per_ss, ddof=1)) if per_ss.size >= 2 else None

@@ -12,10 +12,9 @@ import time
 import numpy as np
 import pytest
 
-from fcmi.bounds import vc_fcmi_bound
 from fcmi.core import PredictionSpace, TrialTable, exact_rows
 from fcmi.datagen import GeneratorSpec, sample_supersample
-from fcmi.harness import ExperimentConfig, canonical_json, run_experiment
+from fcmi.harness import BOUNDS, ExperimentConfig, canonical_json, run_experiment
 from fcmi.infotheory import subset_mi
 from fcmi.learners import LearnerSpec, fill_table
 from fcmi.lemma_lab import run_all_verifiers
@@ -134,7 +133,9 @@ def test_c06_vc_dominance_and_pattern_count():
     gen = GeneratorSpec("threshold_realizable", {"threshold": 0.5, "noise": 0.1})
     ok = True
     for n in (2, 4, 8):
-        cap = vc_fcmi_bound(1, n)
+        config = _config(data={"kind": "threshold_realizable", "params": {}}, n=n, k1=1,
+                         k2=1, learner={"kind": "threshold_erm", "params": {}}, bounds=["vc"])
+        cap = BOUNDS["vc"].inputs(config, None, {})["fcmi_cap"]
         for seed in range(3):
             ss = sample_supersample(gen, n, seed=seed)
             ok = ok and _exact_fcmi(ss, LearnerSpec("threshold_erm")) <= cap + 1e-9

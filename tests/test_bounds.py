@@ -7,16 +7,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fcmi import harness
-from fcmi.bounds import (
-    BoundReport,
-    deterministic_stability_bound,
-    deterministic_stability_squared_bound,
-    optimal_noise_variance,
-    vc_fcmi_bound,
-)
 from fcmi.core import ContractViolation
 from fcmi.harness import (
     BOUNDS,
+    BoundReport,
     ExperimentConfig,
     SupersampleResult,
     canonical_json,
@@ -25,7 +19,7 @@ from fcmi.harness import (
     run_experiment,
 )
 from fcmi.lemma_lab import AbsoluteContinuityError
-from oracles import PARENT_TAGS, stability_kl_decomposition, wrapper_bound_report
+from oracles import PARENT_TAGS, stability_kl_decomposition, vc_fcmi_cap, wrapper_bound_report
 from test_cli import EXAMPLE_RUNS, example_runs  # noqa: F401 (a fixture used below)
 from test_golden import GOLDEN, POOLS
 
@@ -51,13 +45,14 @@ def _results(estimates: dict, k1: int) -> list[SupersampleResult]:
             for a in range(k1)]
 
 
-def bound_report(name: str, per_ss, n: int, subset_m=None) -> BoundReport:
+def bound_report(name: str, per_ss, n: int, subset_m=None, stab=None) -> BoundReport:
     """The report of bound ``name`` over one supersample per entry of
-    ``per_ss``, each that supersample's estimate the bound reads."""
+    ``per_ss``, each that supersample's estimate the bound reads, in a run
+    whose stability record is ``stab``."""
     reads = BOUNDS[name].reads
-    meta = {}
+    meta = {"stability": stab}
     if BOUNDS[name].needs_m:
-        meta = {"subset_policy": "enumerated", "subset_count": len(per_ss[0]) if per_ss else 0}
+        meta.update(subset_policy="enumerated", subset_count=len(per_ss[0]) if per_ss else 0)
     results = _results({reads: per_ss} if reads else {}, len(per_ss))
     (report,) = harness._assemble_bounds(_config([name], n, subset_m), results, meta)
     return report
@@ -178,24 +173,19 @@ class TestStabilityFcmi:
 
 
 class TestVcBound:
+    """The cap at VC dimension d = 1, echoed as ``fcmi_cap``."""
+
     def test_d1_n1(self):
         # max(2 log 2, log 2e) = log 2e
-        assert vc_fcmi_bound(1, 1) == pytest.approx(math.log(2 * math.e), abs=1e-12)
+        assert bound_report("vc", [], 1).inputs_digest["fcmi_cap"] == pytest.approx(
+            math.log(2 * math.e), abs=1e-12)
 
     def test_d1_n4(self):
-        assert vc_fcmi_bound(1, 4) == pytest.approx(math.log(8 * math.e), abs=1e-12)
-
-    def test_d3_n2_small_sample_branch(self):
-        # 2n <= d + 1, so both branches are evaluated and the larger one wins
-        expected = max(4 * LOG2, 3 * math.log(4 * math.e / 3))
-        assert vc_fcmi_bound(3, 2) == pytest.approx(expected, abs=1e-12)
-
-    def test_rejects_bad_inputs(self):
-        with pytest.raises(ContractViolation):
-            vc_fcmi_bound(0, 5)
+        assert bound_report("vc", [], 4).inputs_digest["fcmi_cap"] == pytest.approx(
+            math.log(8 * math.e), abs=1e-12)
 
     def test_report_is_the_cap_in_the_fcmi_mn_form(self):
-        cap = vc_fcmi_bound(1, 4)
+        cap = vc_fcmi_cap(1, 4)
         report = bound_report("vc", [], 4)
         assert report.value == math.sqrt(2.0 * cap / 4)
         assert (report.spread, report.tag) == (None, "vc-sauer-shelah")
@@ -243,38 +233,47 @@ class TestKlDecomposition:
 class TestDeterministicStability:
     def test_perfectly_stable(self):
         c = stability(0.0)
-        assert deterministic_stability_bound(c) == 0.0
+        assert bound_report("det_stability", [], 1, stab=c).value == 0.0
 
     def test_hand_value_d1(self):
         c = stability(0.01, gamma=1.0, d_out=1)
-        assert deterministic_stability_bound(c) == pytest.approx(
+        assert bound_report("det_stability", [], 1, stab=c).value == pytest.approx(
             2 ** 1.5 * 0.1, abs=1e-12)
 
     def test_hand_value_d16(self):
         c = stability(1.0, gamma=1.0, d_out=16)
-        assert deterministic_stability_bound(c) == pytest.approx(
+        assert bound_report("det_stability", [], 1, stab=c).value == pytest.approx(
             2 ** 1.5 * 2.0, abs=1e-12)
 
     def test_squared_all_zero_betas(self):
         c = stability(0.0)
-        assert deterministic_stability_squared_bound(c, 32) == pytest.approx(
+        assert bound_report("det_stability_squared", [], 32, stab=c).value == pytest.approx(
             1.0, abs=1e-12)
 
     def test_squared_hand_value(self):
         c = stability(0.1, gamma=1.0, d_out=1)
         expected = 32 / 100 + 12 ** 1.5 * math.sqrt(2 * 0.01)
-        got = deterministic_stability_squared_bound(c, 100)
+        got = bound_report("det_stability_squared", [], 100, stab=c).value
         assert got == pytest.approx(expected, abs=1e-12)
         assert got == pytest.approx(6.1988, abs=1e-3)
 
     def test_squared_vanishes_asymptotically(self):
         c = stability(0.0)
-        assert deterministic_stability_squared_bound(c, 10 ** 9) < 1e-6
+        assert bound_report("det_stability_squared", [], 10 ** 9, stab=c).value < 1e-6
 
-    def test_optimal_noise_variance(self):
-        c = stability(0.2, gamma=2.0, d_out=4)
-        assert optimal_noise_variance(c) == pytest.approx(
-            0.2 / (2 * 2 * 2.0), abs=1e-12)
+    def test_optimal_noise_variance(self, monkeypatch):
+        """A run's stability record holds sigma^2 = beta / (2 sqrt(d) gamma),
+        the noise variance of the smoothed predictions in the paper's proof."""
+        monkeypatch.setattr(harness, "estimate_stability", lambda *args: (0.2, 0.1, 0.3))
+        config = ExperimentConfig.from_json_dict({
+            "data": {"kind": "two_gaussians", "params": {"dim": 2, "sep": 2.0}},
+            "n": 4, "k1": 1, "k2": 2, "loss": "absolute",
+            "learner": {"kind": "logistic_gd", "params": {"output": "prob", "steps": 2}},
+            "bounds": ["det_stability"], "stability": {"trials": 3, "gamma": 2.0}})
+        report = run_experiment(config)
+        assert report.estimator_meta["stability"] == {
+            "beta": 0.2, "beta1": 0.1, "beta2": 0.3, "gamma": 2.0, "d_out": 1,
+            "sigma_sq": 0.2 / (2 * 1 * 2.0), "trials": 3}
 
 
 class TestBoundReport:
@@ -346,7 +345,7 @@ class TestAssembly:
                      "weight_mi_full": [r[0] for r in rows(1)]}
         stab = stability(data.draw(est), data.draw(est), data.draw(est),
                          data.draw(st.floats(0.1, 4.0)), data.draw(st.integers(1, 16)))
-        stab.update(trials=25, sigma_sq=optimal_noise_variance(stab))
+        stab.update(trials=25, sigma_sq=data.draw(est))
         config = _config(BOUNDS, n, m)
         meta = {"subset_policy": "sampled", "subset_count": subsets, "stability": stab}
         got = harness._assemble_bounds(config, _results(estimates, k1), meta)

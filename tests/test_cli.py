@@ -743,6 +743,26 @@ class TestReport:
         assert main(["report", str(report)]) == 2
         assert f"missing key '{path[-1]}'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("path, bad, text", [
+        (("gap_mean",), float("nan"), "NaN"),
+        (("bounds", 0, "value"), float("inf"), "Infinity")],
+        ids=["gap_mean_nan", "bound_value_infinity"])
+    def test_non_finite_number_is_parse_error(self, tmp_path, capsys, path, bad, text):
+        """``NaN`` and ``Infinity``, which the report writer never emits, are
+        refused with exit 2 before any curve or SVG is written."""
+        report = self._make_reports(tmp_path)[0]
+        capsys.readouterr()
+        payload = json.loads(report.read_text())
+        node = payload
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = bad
+        report.write_text(json.dumps(payload), encoding="utf-8")
+        out_csv, out_svg = tmp_path / "curves.csv", tmp_path / "svg"
+        assert main(["report", str(report), "--csv", str(out_csv), "--svg", str(out_svg)]) == 2
+        assert capsys.readouterr().err == f"error: {report}: {text} is not a JSON number\n"
+        assert not out_csv.exists() and not out_svg.exists()
+
     def test_svg_rendering_deterministic(self, tmp_path):
         paths = self._make_reports(tmp_path)
         svg1 = tmp_path / "svg1"

@@ -503,15 +503,15 @@ class TestRunExperiment:
         assert bound.spread == pytest.approx(np.std(roots, ddof=1), rel=1e-12)
 
     def test_vc_is_in_gap_units(self):
-        from fcmi.bounds import vc_fcmi_bound
-
         config = base_config(
             data={"kind": "threshold_realizable", "params": {"threshold": 0.5}},
             learner={"kind": "threshold_erm", "params": {}},
             bounds=["vc"], n=6, k1=1, k2=10)
         (bound,) = run_experiment(config).bounds
-        cap = vc_fcmi_bound(1, 6)
-        assert bound.inputs_digest["fcmi_cap"] == cap
+        # the cap at d = 1, in nats: max(2 log 2, log(2 e n))
+        cap = bound.inputs_digest["fcmi_cap"]
+        assert bound.inputs_digest["d_vc"] == 1
+        assert cap == pytest.approx(math.log(12 * math.e), abs=1e-12)
         assert bound.value == math.sqrt(2 * cap / 6)
 
     def test_csv_read_once_per_run(self, tmp_path, monkeypatch):
@@ -576,6 +576,32 @@ class TestReproducibility:
         parallel = run_experiment(base_config(k1=3, jobs=2, **overrides))
         # the pool size is not echoed, so the whole report matches byte for byte
         assert canonical_json(serial) == canonical_json(parallel)
+
+    def test_pool_asks_for_no_more_workers_than_supersamples(self, monkeypatch):
+        """``jobs`` past k1 sizes the pool at k1. The stand-in pool records its
+        size and maps in this process, so the test starts no process."""
+        import concurrent.futures
+
+        asked = []
+
+        class InProcessPool:
+            def __init__(self, max_workers):
+                asked.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *iterables):
+                return map(fn, *iterables)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
+        serial = run_experiment(base_config(k1=2, jobs=1))
+        pooled = run_experiment(base_config(k1=2, jobs=64))
+        assert asked == [2]
+        assert canonical_json(pooled) == canonical_json(serial)
 
     @pytest.mark.parametrize("mode", ["monte_carlo", "exact_enumeration"])
     def test_parallel_keeps_the_serial_tables(self, mode):
