@@ -1,8 +1,9 @@
 """Command-line entry point: run, sweep, verify-lemmas, and report.
 
-Exit codes are the only success/failure channel: 0 on success, 2 for
-configuration or usage errors, 3 for runtime failures. Stdout carries data,
-stderr carries diagnostics.
+Exit codes are the only success/failure channel: 0 on success, 2 for a
+``ConfigError`` (refused input or usage), 3 for any other failure, which is
+printed as ``error: <message>``; no failure leaves as a traceback. Stdout
+carries data, stderr carries diagnostics.
 """
 
 from __future__ import annotations
@@ -12,11 +13,9 @@ import json
 import sys
 from pathlib import Path
 
-from .core import ContractViolation, SizeError
+from .core import ConfigError
 from .harness import (
-    ConfigError,
     ExperimentConfig,
-    ParseError,
     canonical_json,
     curve_rows,
     curve_table_csv,
@@ -113,8 +112,8 @@ def _sweep_configs(raw, args) -> list[ExperimentConfig]:
     for idx, member in enumerate(members):
         try:
             configs.append(_config_from_args(member, args))
-        except (ConfigError, SizeError) as e:
-            raise type(e)(f"sweep member {idx}: {e}") from e
+        except ConfigError as e:
+            raise ConfigError(f"sweep member {idx}: {e}") from e
     return configs
 
 
@@ -327,10 +326,10 @@ def main(argv=None) -> int:
         return EXIT_CONFIG if e.code not in (0, None) else EXIT_OK
     try:
         return _COMMANDS[args.command](args)
-    except (ConfigError, ParseError, SizeError) as e:
+    except ConfigError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_CONFIG
-    except (ContractViolation, OSError, RuntimeError, ValueError) as e:
+    except Exception as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_RUNTIME
 

@@ -1,4 +1,6 @@
-"""Supersample data model: paired examples, split masks, trial tables, and gaps."""
+"""Supersample data model: paired examples, split masks, trial tables, and gaps,
+and the package's two exceptions: ``ConfigError`` refuses outside input (a
+config, kind spec, csv pool or report), ``ContractViolation`` a broken contract."""
 
 from __future__ import annotations
 
@@ -12,12 +14,12 @@ import numpy as np
 ENUMERATION_LIMIT = 20
 
 
+class ConfigError(Exception):
+    """Outside input is refused; no ValueError, so no runtime handler takes it."""
+
+
 class ContractViolation(ValueError):
     """An operation received inputs that violate its contract."""
-
-
-class SizeError(ValueError):
-    """A requested enumeration exceeds the configured size limit."""
 
 
 def json_data(obj):
@@ -61,17 +63,30 @@ class JsonFields:
                       for f in fields(cls) if f.compare})
 
 
-# the values a declared type admits, for kind parameters and config fields
-# alike: a boolean, 0 or 1 for a boolean, an integer for an integer, a finite
-# float's value for a float (not JSON's Infinity or NaN) and a string for a
-# string; a boolean is no number
-_ADMITS = {bool: (lambda v: isinstance(v, (int, np.integer)) and v in (0, 1), "a boolean"),
-           int: (lambda v: isinstance(v, (int, np.integer)) and not isinstance(v, bool),
-                 "an integer"),
-           float: (lambda v: isinstance(v, (int, float, np.integer, np.floating))
-                   and not isinstance(v, bool) and abs(v) <= sys.float_info.max,
-                   "a finite number"),
-           str: (lambda v: isinstance(v, str), "a string")}
+# what each declared type, by name, admits in a kind parameter, a config field
+# or a report field: 0, 1 or a boolean for a boolean, an integer for an
+# integer, a finite number in the float range for a float (not JSON's Infinity
+# or NaN) and a string for a string; a boolean is no number
+_ADMITS = {"bool": (bool, lambda v: isinstance(v, (int, np.integer)) and v in (0, 1),
+                    "a boolean"),
+           "int": (int, lambda v: isinstance(v, (int, np.integer)) and not isinstance(v, bool),
+                   "an integer"),
+           "float": (float, lambda v: isinstance(v, (int, float, np.integer, np.floating))
+                     and not isinstance(v, bool) and abs(v) <= sys.float_info.max,
+                     "a finite number"),
+           "str": (str, lambda v: isinstance(v, str), "a string")}
+
+
+def admit(annotation: str, value, key: str):
+    """``value`` as the type its annotation text names in ``_ADMITS`` (None passes
+    an optional type, anything an unnamed one); ConfigError naming ``key`` if not."""
+    rule = _ADMITS.get(annotation.removesuffix(" | None"))
+    if rule is None or value is None and annotation.endswith(" | None"):
+        return value
+    kind, ok, noun = rule
+    if not ok(value):
+        raise ConfigError(f"{key} must be {noun}, got {value!r}")
+    return kind(value)
 
 
 @dataclass(frozen=True)
@@ -94,23 +109,20 @@ class KindSpec(JsonFields):
     def __post_init__(self) -> None:
         declared = self.KINDS.get(self.kind) if isinstance(self.kind, str) else None
         if declared is None:
-            raise ContractViolation(
+            raise ConfigError(
                 f"unknown {self.NOUN} kind {self.kind!r} (known: {', '.join(self.KINDS)})")
         if not isinstance(self.params, dict):
-            raise ContractViolation(f"{self.NOUN} params must be an object, got {self.params!r}")
+            raise ConfigError(f"{self.NOUN} params must be an object, got {self.params!r}")
         for name, value in self.params.items():
             if name not in declared:
-                raise ContractViolation(
+                raise ConfigError(
                     f"{self.kind} has no parameter {name!r} "
                     f"(declared: {', '.join(declared) or 'none'})")
             # a default of another type (a required one, say) admits any value
-            ok, noun = _ADMITS.get(type(declared[name]), (lambda v: True, None))
-            if not ok(value):
-                raise ContractViolation(
-                    f"{self.kind} parameter {name!r} must be {noun}, got {value!r}")
+            admit(type(declared[name]).__name__, value, f"{self.kind} parameter {name!r}")
         for name, default in declared.items():
             if default is MISSING and name not in self.params:
-                raise ContractViolation(f"{self.kind} needs params.{name}")
+                raise ConfigError(f"{self.kind} needs params.{name}")
 
     def param(self, name: str):
         """The value given for ``name``, else its declared default."""
@@ -119,7 +131,7 @@ class KindSpec(JsonFields):
     @classmethod
     def from_json_dict(cls, d) -> "KindSpec":
         if not isinstance(d, dict) or "kind" not in d or set(d) - {"kind", "params"}:
-            raise ContractViolation(
+            raise ConfigError(
                 f"{cls.NOUN} must be an object with a kind and optional params, got {d!r}")
         return cls(d["kind"], d.get("params", {}))
 
@@ -165,7 +177,7 @@ def enumerate_splits(n: int) -> np.ndarray:
     if n < 1:
         raise ContractViolation("n must be >= 1")
     if n > ENUMERATION_LIMIT:
-        raise SizeError(
+        raise ContractViolation(
             f"refusing to enumerate 2**{n} splits (limit n <= {ENUMERATION_LIMIT})")
     codes = np.arange(2 ** n)
     masks = np.empty((2 ** n, n), dtype=np.uint8)

@@ -6,7 +6,7 @@ import math
 
 import numpy as np
 
-from .core import ContractViolation, KindSpec, Supersample
+from .core import ConfigError, ContractViolation, KindSpec, Supersample
 
 # the closed range of each bounded generator parameter
 _RANGES = {"noise": (0.0, 0.5), "dim": (1, math.inf), "threshold": (0.0, 1.0)}
@@ -25,7 +25,7 @@ class GeneratorSpec(KindSpec):
         for name, value in self.params.items():
             lo, hi = _RANGES.get(name, (-math.inf, math.inf))
             if not lo <= value <= hi:
-                raise ContractViolation(f"{name} must be in [{lo}, {hi}], got {value!r}")
+                raise ConfigError(f"{name} must be in [{lo}, {hi}], got {value!r}")
 
 
 def _flip(labels: np.ndarray, noise: float, rng: np.random.Generator) -> np.ndarray:

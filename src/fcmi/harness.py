@@ -25,13 +25,13 @@ from .core import (
     ENUMERATION_LIMIT,
     LOSS_SPACE,
     LOSSES,
+    ConfigError,
     ContractViolation,
     JsonFields,
     KindSpec,
-    SizeError,
     Supersample,
     TrialTable,
-    _ADMITS,
+    admit,
     aggregate_gap,
     exact_rows,
     json_data,
@@ -66,17 +66,6 @@ _DATA, _SPLIT, _TRIAL, _STABILITY, _SUBSET = 0, 1, 2, 3, 4
 # scratch held at once, whatever k1
 _BLOCK_CELLS = 2 ** 16
 
-class ConfigError(ValueError):
-    """The experiment configuration is malformed."""
-
-
-class UnsupportedCombinationError(ConfigError):
-    """A requested bound cannot be computed for this learner/mode."""
-
-
-class ParseError(ValueError):
-    """A persisted report or table failed to parse."""
-
 
 class _DataSource(KindSpec):
     """The config's data object: a generator, or a csv pool of examples."""
@@ -95,8 +84,13 @@ def _key(f) -> str:
     return f.metadata.get("key") or f.name
 
 
-# the config field annotations whose values are checked and converted
-_SCALARS = {"bool": bool, "int": int, "int | None": int, "float": float, "str": str}
+def _admit(f, value):
+    """A config field's value by its annotation's type rule and its least value."""
+    value = admit(f.type, value, _key(f))
+    least = f.metadata.get("least")
+    if least is not None and value < least:
+        raise ConfigError(f"{_key(f)} must be >= {least}, got {value}")
+    return value
 
 
 @dataclass
@@ -133,19 +127,7 @@ class ExperimentConfig:
 
     def __post_init__(self) -> None:
         for f in fields(self):  # f.type is the annotation's text
-            value = getattr(self, f.name)
-            kind = _SCALARS.get(f.type)
-            if kind is None or value is None and f.type == "int | None":
-                continue
-            # the type rule of kind parameters: a JSON float is refused for an
-            # integer, not truncated, and a boolean or a string for a number
-            ok, noun = _ADMITS[kind]
-            if not ok(value):
-                raise ConfigError(f"{_key(f)} must be {noun}, got {value!r}")
-            least = f.metadata.get("least")
-            if least is not None and value < least:
-                raise ConfigError(f"{_key(f)} must be >= {least}, got {value}")
-            setattr(self, f.name, kind(value))
+            setattr(self, f.name, _admit(f, getattr(self, f.name)))
         if self.mode not in ("monte_carlo", "exact_enumeration"):
             raise ConfigError(f"unknown mode {self.mode!r}")
         if self.loss not in LOSSES:
@@ -161,12 +143,9 @@ class ExperimentConfig:
             raise ConfigError("duplicate bound requested")
         if not self.gamma > 0:
             raise ConfigError("stability.gamma must be > 0")
-        try:
-            source = _DataSource.from_json_dict(self.data)
-            gen = None if source.kind == "csv" else GeneratorSpec(source.kind, source.params)
-            prediction_space(self.learner)
-        except ContractViolation as e:
-            raise ConfigError(str(e)) from e
+        source = _DataSource.from_json_dict(self.data)
+        gen = None if source.kind == "csv" else GeneratorSpec(source.kind, source.params)
+        prediction_space(self.learner)
         if gen is None and not isinstance(source.params["path"], str):
             # open() would take an integer as a file descriptor
             raise ConfigError(f"csv params.path must be a string, got {source.params['path']!r}")
@@ -205,11 +184,7 @@ class ExperimentConfig:
             if "learner" in kwargs:
                 kwargs["learner"] = LearnerSpec.from_json_dict(kwargs["learner"])
             return cls(**kwargs)
-        except ContractViolation as e:  # a kind spec's refusal, worded as the data's
-            raise ConfigError(str(e)) from e
-        except (TypeError, ValueError) as e:
-            if isinstance(e, (ConfigError, SizeError)):
-                raise
+        except (TypeError, ValueError) as e:  # an unforeseen bad value, refused all the same
             raise ConfigError(f"bad experiment config: {e}") from e
 
     def to_json_dict(self) -> dict:
@@ -336,7 +311,7 @@ def _refuse_constant(name: str):
 
 
 def load_report(path) -> ExperimentReport:
-    """A persisted report; ParseError unless it holds every field and every
+    """A persisted report; ConfigError unless it holds every field and every
     config key its curve rows read."""
     try:
         data = json.loads(Path(path).read_text(encoding="utf-8"),
@@ -346,11 +321,11 @@ def load_report(path) -> ExperimentReport:
         report = ExperimentReport.from_json_dict(data)
         curve_rows(report)
     except OSError as e:
-        raise ParseError(f"{path}: {e.strerror}") from e
+        raise ConfigError(f"{path}: {e.strerror}") from e
     except KeyError as e:
-        raise ParseError(f"{path}: missing key {e}") from e
-    except (json.JSONDecodeError, TypeError, ValueError) as e:
-        raise ParseError(f"{path}: {e}") from e
+        raise ConfigError(f"{path}: missing key {e}") from e
+    except (ConfigError, TypeError, ValueError) as e:
+        raise ConfigError(f"{path}: {e}") from e
     return report
 
 
@@ -509,29 +484,27 @@ def _check_bounds_supported(config: ExperimentConfig, num_classes: int) -> None:
     spec = config.learner
     space = prediction_space(spec, num_classes)
     if LOSS_SPACE[config.loss] != space.kind:
-        raise UnsupportedCombinationError(
+        raise ConfigError(
             f"loss {config.loss!r} does not match the {space.kind!r} prediction "
             f"space of learner {spec.kind!r}")
     for b in config.bounds:
         bound = BOUNDS[b]
         if bound.space != space.kind:
-            raise UnsupportedCombinationError(
+            raise ConfigError(
                 f"bound {b!r} needs {_SPACE_NOUN[bound.space]}; learner "
                 f"{spec.kind!r} has {_SPACE_NOUN[space.kind]}")
         if bound.space == "real" and config.data["kind"] == "csv":
-            raise UnsupportedCombinationError(
+            raise ConfigError(
                 f"bound {b!r} estimates stability by resampling a synthetic "
                 f"generator; csv data sources are not resamplable")
         if bound.learner not in (None, spec.kind):
-            raise UnsupportedCombinationError(
+            raise ConfigError(
                 f"bound {b!r} is implemented for learner {bound.learner!r} only, "
                 f"not {spec.kind!r}")
         if bound.exact_only and config.mode != "exact_enumeration":
-            raise UnsupportedCombinationError(
-                f"bound {b!r} is computed in exact_enumeration mode only")
+            raise ConfigError(f"bound {b!r} is computed in exact_enumeration mode only")
     if config.mode == "exact_enumeration" and config.n > ENUMERATION_LIMIT:
-        raise SizeError(
-            f"exact_enumeration refuses n={config.n} (limit {ENUMERATION_LIMIT})")
+        raise ConfigError(f"exact_enumeration refuses n={config.n} (limit {ENUMERATION_LIMIT})")
     m = config.subset_m
     for b in config.bounds:
         if BOUNDS[b].needs_m and (m is None or not 1 <= m <= config.n):
@@ -541,7 +514,7 @@ def _check_bounds_supported(config: ExperimentConfig, num_classes: int) -> None:
     for b in config.bounds:
         cells = BOUNDS[b].cells(config, space.size) if BOUNDS[b].cells else 0
         if cells > PLUGIN_ALPHABET_LIMIT:
-            raise UnsupportedCombinationError(
+            raise ConfigError(
                 f"bound {b!r} in monte_carlo mode needs a joint alphabet of "
                 f"{cells} cells (> {PLUGIN_ALPHABET_LIMIT}); use exact mode "
                 f"or a smaller m/n")

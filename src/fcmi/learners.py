@@ -20,6 +20,7 @@ import numpy as np
 
 from .core import (
     LOSSES,
+    ConfigError,
     ContractViolation,
     KindSpec,
     PredictionSpace,
@@ -49,7 +50,7 @@ def prediction_space(spec: LearnerSpec, num_classes: int = 2) -> PredictionSpace
         return PredictionSpace("finite", size=2)
     # memorizer, knn or ensemble: LearnerSpec admits no other kind
     if any(prediction_space(s, num_classes).kind != "finite" for s in _wrapped(spec)):
-        raise ContractViolation("ensemble members must predict class labels")
+        raise ConfigError("ensemble members must predict class labels")
     return PredictionSpace("finite", size=num_classes)
 
 
@@ -384,13 +385,13 @@ class LearnerSpec(KindSpec):
         p = self.params
         for name, value in p.items():
             if name in _AT_LEAST and value < _AT_LEAST[name]:
-                raise ContractViolation(f"{self.kind} needs {name} >= {_AT_LEAST[name]}")
+                raise ConfigError(f"{self.kind} needs {name} >= {_AT_LEAST[name]}")
             if name in _POSITIVE and value <= 0:
-                raise ContractViolation(f"{self.kind} needs {name} > 0")
+                raise ConfigError(f"{self.kind} needs {name} > 0")
         if "output" in p and p["output"] not in ("label", "prob"):
-            raise ContractViolation("output must be 'label' or 'prob'")
+            raise ConfigError("output must be 'label' or 'prob'")
         if "members" in p and not (isinstance(p["members"], list) and p["members"]):
-            raise ContractViolation("ensemble needs a nonempty list of members")
+            raise ConfigError("ensemble needs a nonempty list of members")
         _wrapped(self)  # a wrapped learner's spec is checked like this one
 
 

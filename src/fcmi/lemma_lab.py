@@ -30,10 +30,6 @@ MARGIN_TOL = -1e-9
 _LAM_GRID = 64
 
 
-class AbsoluteContinuityError(ValueError):
-    """KL divergence is +inf: p puts mass where q has none."""
-
-
 @dataclass(frozen=True)
 class MarginReport(JsonFields):
     """Aggregate outcome of one verifier over many random instances."""
@@ -310,7 +306,7 @@ def _kl_margins(laws: np.ndarray, weights: np.ndarray) -> np.ndarray:
     if np.any(bad):
         raise ContractViolation(f"probabilities sum to {totals[bad][0]}, not 1")
     if np.any(live[:, :, None] & ((p0 > 0) != (p1 > 0))):
-        raise AbsoluteContinuityError("p has mass outside the support of q (KL = +inf)")
+        raise ContractViolation("p has mass outside the support of q (KL = +inf)")
     # finite even in an unchecked cell, which then adds 0 * kl_sum = 0 to the cap
     kl_sum = _xlogy_ratio(p1, p0).sum(axis=2) + _xlogy_ratio(p0, p1).sum(axis=2)
     cmi, cap = 0.0, 0.0

@@ -22,7 +22,6 @@ from fcmi.core import ContractViolation, TrialTable, split_slots
 from fcmi.harness import BoundReport
 from fcmi.infotheory import all_subsets, subset_mi, weight_mi
 from fcmi.learners import LearnerSpec, _fit_predict_rows, _threshold_weights
-from fcmi.lemma_lab import AbsoluteContinuityError
 
 _NEG_TOL = 1e-12
 
@@ -54,13 +53,13 @@ def entropy(p) -> float:
 
 
 def kl_divergence(p, q) -> float:
-    """KL(p || q); raises AbsoluteContinuityError when the support check fails."""
+    """KL(p || q); raises ContractViolation when the support check fails."""
     pa = _as_distribution(p)
     qa = _as_distribution(q)
     if pa.shape != qa.shape:
         raise ContractViolation("p and q must share one alphabet")
     if np.any((pa > 0) & (qa == 0)):
-        raise AbsoluteContinuityError("p has mass outside the support of q (KL = +inf)")
+        raise ContractViolation("p has mass outside the support of q (KL = +inf)")
     mask = pa > 0
     return float(np.sum(pa[mask] * np.log(pa[mask] / qa[mask])))
 

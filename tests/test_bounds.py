@@ -18,7 +18,6 @@ from fcmi.harness import (
     persist,
     run_experiment,
 )
-from fcmi.lemma_lab import AbsoluteContinuityError
 from oracles import PARENT_TAGS, stability_kl_decomposition, vc_fcmi_cap, wrapper_bound_report
 from test_cli import EXAMPLE_RUNS, example_runs  # noqa: F401 (a fixture used below)
 from test_golden import GOLDEN, POOLS
@@ -212,7 +211,7 @@ class TestKlDecomposition:
         assert stability_kl_decomposition([([0.5, 0.5], [0.5, 0.5])]) == 0.0
 
     def test_deterministic_divergence(self):
-        with pytest.raises(AbsoluteContinuityError):
+        with pytest.raises(ContractViolation):
             stability_kl_decomposition([([1.0, 0.0], [0.0, 1.0])])
 
     def test_hand_value_single_cell(self):

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from fcmi.core import (
     ContractViolation,
     PredictionSpace,
-    SizeError,
     Supersample,
     TrialTable,
     absolute_loss,
@@ -107,7 +106,7 @@ class TestEnumerateSplits:
         assert len({tuple(m) for m in masks.tolist()}) == 2 ** n
 
     def test_over_limit_refused(self):
-        with pytest.raises(SizeError):
+        with pytest.raises(ContractViolation):
             enumerate_splits(21)
 
 

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from fcmi.core import ContractViolation
+from fcmi.core import ConfigError
 from fcmi.datagen import GeneratorSpec, sample_examples, sample_supersample
 from oracles import threshold_erm_fit
 
@@ -114,7 +114,7 @@ class TestValidation:
     def test_noise_range(self):
         for kind in ("two_gaussians", "threshold_realizable"):
             GeneratorSpec(kind, {"noise": 0.5})
-            with pytest.raises(ContractViolation, match="noise"):
+            with pytest.raises(ConfigError, match="noise"):
                 GeneratorSpec(kind, {"noise": 0.7})
 
     @pytest.mark.parametrize("kind, params", [
@@ -125,7 +125,7 @@ class TestValidation:
         ("threshold_realizable", {"threshold": "0.5"}),
     ])
     def test_refuses_undeclared_or_mistyped_params(self, kind, params):
-        with pytest.raises(ContractViolation):
+        with pytest.raises(ConfigError):
             GeneratorSpec(kind, params)
 
     def test_defaults_fill_in_but_stay_out_of_the_echo(self):
@@ -134,9 +134,9 @@ class TestValidation:
         assert gen.to_json_dict() == {"kind": "two_gaussians", "params": {"sep": 3}}
 
     def test_threshold_range(self):
-        with pytest.raises(ContractViolation):
+        with pytest.raises(ConfigError):
             GeneratorSpec("threshold_realizable", {"threshold": 1.5})
 
     def test_unknown_kind(self):
-        with pytest.raises(ContractViolation):
+        with pytest.raises(ConfigError):
             GeneratorSpec("mnist", {})

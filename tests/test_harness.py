@@ -14,14 +14,12 @@ from hypothesis import strategies as st
 import fcmi.learners
 from fcmi import cli, harness
 from fcmi.cli import main
-from fcmi.core import ENUMERATION_LIMIT, LOSS_SPACE, SizeError, exact_rows
+from fcmi.core import ENUMERATION_LIMIT, LOSS_SPACE, exact_rows
 from fcmi.harness import (
     BOUNDS,
     ConfigError,
     ExperimentConfig,
-    ParseError,
     SupersampleResult,
-    UnsupportedCombinationError,
     _draw_supersample,
     canonical_json,
     curve_rows,
@@ -143,39 +141,39 @@ def _parent_check(config, num_classes: int) -> None:
     spec = config.learner
     space = prediction_space(spec, num_classes)
     if LOSS_SPACE[config.loss] != space.kind:
-        raise UnsupportedCombinationError(
+        raise ConfigError(
             f"loss {config.loss!r} does not match the {space.kind!r} prediction "
             f"space of learner {spec.kind!r}")
     for b in config.bounds:
         if b in _REAL_SPACE:
             if space.kind != "real":
-                raise UnsupportedCombinationError(
+                raise ConfigError(
                     f"bound {b!r} needs a real-vector learner; {spec.kind!r} is not")
             if config.data["kind"] == "csv":
-                raise UnsupportedCombinationError(
+                raise ConfigError(
                     f"bound {b!r} estimates stability by resampling a synthetic "
                     f"generator; csv data sources are not resamplable")
             continue
         if space.kind != "finite":
-            raise UnsupportedCombinationError(
+            raise ConfigError(
                 f"bound {b!r} needs a finite prediction alphabet; learner "
                 f"{spec.kind!r} emits real vectors")
         if b == "cmi_weights" and not has_weight_code(spec):
-            raise UnsupportedCombinationError(
+            raise ConfigError(
                 f"bound 'cmi_weights' needs a discrete weight code; learner "
                 f"{spec.kind!r} exposes none")
         if b == "vc" and spec.kind != "threshold_erm":
-            raise UnsupportedCombinationError(
+            raise ConfigError(
                 f"bound 'vc' is implemented for the threshold family only, "
                 f"not {spec.kind!r}")
         if b == "ensemble_mn" and spec.kind != "ensemble":
-            raise UnsupportedCombinationError(
+            raise ConfigError(
                 f"bound 'ensemble_mn' needs an ensemble learner, not {spec.kind!r}")
         if b in _EXACT_ONLY and config.mode != "exact_enumeration":
-            raise UnsupportedCombinationError(
+            raise ConfigError(
                 f"bound {b!r} is computed in exact_enumeration mode only")
     if config.mode == "exact_enumeration" and config.n > ENUMERATION_LIMIT:
-        raise SizeError(
+        raise ConfigError(
             f"exact_enumeration refuses n={config.n} (limit {ENUMERATION_LIMIT})")
     if "fcmi_subset_m" in config.bounds:
         m = config.subset_m
@@ -194,7 +192,7 @@ def _parent_check(config, num_classes: int) -> None:
             else:
                 continue
             if cells > PLUGIN_ALPHABET_LIMIT:
-                raise UnsupportedCombinationError(
+                raise ConfigError(
                     f"bound {b!r} in monte_carlo mode needs a joint alphabet of "
                     f"{cells} cells (> {PLUGIN_ALPHABET_LIMIT}); use exact mode "
                     f"or a smaller m/n")
@@ -218,7 +216,7 @@ class TestConfig:
         d = _placed(d, pools)
         try:
             config = ExperimentConfig.from_json_dict(d)
-        except (ConfigError, SizeError):
+        except ConfigError:
             assume(False)
         echo = config.to_json_dict()
         again = ExperimentConfig.from_json_dict(echo)
@@ -322,48 +320,48 @@ class TestBoundDeclarations:
                 raise ConfigError("needs labels in {0, 1}")
             _parent_check(config, classes)
             outcomes.append(None)
-        except (ConfigError, SizeError) as e:
+        except ConfigError as e:
             outcomes.append(type(e))
         try:
             ExperimentConfig.from_json_dict(d)
             outcomes.append(None)
-        except (ConfigError, SizeError) as e:
+        except ConfigError as e:
             outcomes.append(type(e))
         assert outcomes[0] is outcomes[1], (bounds, outcomes)
 
 
 class TestUnsupportedCombinations:
     def test_weight_bound_needs_weight_code(self):
-        with pytest.raises(UnsupportedCombinationError, match="knn"):
+        with pytest.raises(ConfigError, match="knn"):
             base_config(learner={"kind": "knn", "params": {"k": 3}}, bounds=["cmi_weights"])
 
     def test_vc_needs_threshold_family(self):
-        with pytest.raises(UnsupportedCombinationError, match="vc"):
+        with pytest.raises(ConfigError, match="vc"):
             base_config(learner={"kind": "knn", "params": {"k": 3}}, bounds=["vc"])
 
     def test_fcmi_needs_finite_alphabet(self):
-        with pytest.raises(UnsupportedCombinationError, match="finite"):
+        with pytest.raises(ConfigError, match="finite"):
             base_config(learner={"kind": "logistic_gd", "params": {"output": "prob"}},
                         loss="absolute")
 
     def test_loss_space_mismatch(self):
-        with pytest.raises(UnsupportedCombinationError, match="loss"):
+        with pytest.raises(ConfigError, match="loss"):
             base_config(learner={"kind": "logistic_gd", "params": {"output": "prob"}})
 
     def test_stability_bound_needs_real_output(self):
-        with pytest.raises(UnsupportedCombinationError, match="real-vector"):
+        with pytest.raises(ConfigError, match="real-vector"):
             base_config(bounds=["det_stability"])
 
     def test_mc_alphabet_guard(self):
-        with pytest.raises(UnsupportedCombinationError, match="alphabet"):
+        with pytest.raises(ConfigError, match="alphabet"):
             base_config(n=12, bounds=["fcmi_mn"])
 
     def test_exact_mode_size_limit(self):
-        with pytest.raises(SizeError):
+        with pytest.raises(ConfigError):
             base_config(n=24, mode="exact_enumeration")
 
     def test_conditional_bound_is_exact_only(self):
-        with pytest.raises(UnsupportedCombinationError, match="exact"):
+        with pytest.raises(ConfigError, match="exact"):
             base_config(bounds=["fcmi_stability"])
 
 
@@ -627,7 +625,7 @@ class TestReproducibility:
         path = tmp_path / "r.json"
         persist(report, path)
         path.write_text(path.read_text()[:50], encoding="utf-8")
-        with pytest.raises(ParseError):
+        with pytest.raises(ConfigError):
             load_report(path)
 
 

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fcmi.core import ContractViolation, Supersample, exact_rows, split_slots
+from fcmi.core import ConfigError, ContractViolation, Supersample, exact_rows, split_slots
 from fcmi.datagen import GeneratorSpec, sample_supersample
 import fcmi.learners
 from fcmi.learners import (
@@ -138,7 +138,7 @@ class TestKnn:
         assert out.predictions.tolist() == [1]
 
     def test_k_must_be_positive(self):
-        with pytest.raises(ContractViolation):
+        with pytest.raises(ConfigError):
             LearnerSpec("knn", {"k": 0})
 
 
@@ -855,7 +855,7 @@ class TestReproducibility:
         ("ensemble", {"members": [{"kind": "knn", "param": {"k": 1}}]}),
     ])
     def test_refuses_undeclared_or_mistyped_params(self, kind, params):
-        with pytest.raises(ContractViolation) as refused:
+        with pytest.raises(ConfigError) as refused:
             LearnerSpec(kind, params)
         # a parameter the kind does not declare, ensemble's combiner among
         # them, is refused by name
