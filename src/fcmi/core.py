@@ -41,16 +41,11 @@ def json_data(obj):
     return obj
 
 
-def or_none(convert):
-    """``convert`` for a JSON value that may be null."""
-    return lambda v: None if v is None else convert(v)
-
-
 class JsonFields:
     """A dataclass serialized from its fields, each under its own name. A
     ``compare=False`` field is a volatile or bulky companion (a wall clock,
     trial tables) and stays out. ``PARSE`` maps a field to the conversion of
-    its JSON value, for the fields that need one."""
+    its JSON value; any other field's value takes its annotation's ``admit``."""
 
     PARSE: ClassVar[dict[str, Callable]] = {}
 
@@ -59,8 +54,8 @@ class JsonFields:
 
     @classmethod
     def from_json_dict(cls, d: dict):
-        return cls(**{f.name: cls.PARSE.get(f.name, lambda v: v)(d[f.name])
-                      for f in fields(cls) if f.compare})
+        return cls(**{f.name: cls.PARSE[f.name](d[f.name]) if f.name in cls.PARSE
+                      else admit(f.type, d[f.name], f.name) for f in fields(cls) if f.compare})
 
 
 # what each declared type, by name, admits in a kind parameter, a config field

@@ -35,7 +35,6 @@ from .core import (
     aggregate_gap,
     exact_rows,
     json_data,
-    or_none,
 )
 from .datagen import GeneratorSpec, sample_supersample
 from .infotheory import (
@@ -227,8 +226,6 @@ class BoundReport(JsonFields):
     inputs_digest: dict
     tag: str
 
-    PARSE = {"value": float, "spread": or_none(float)}
-
     def __post_init__(self) -> None:
         if self.value < 0 or math.isnan(self.value):
             raise ContractViolation(f"bound value must be >= 0, got {self.value}")
@@ -247,8 +244,6 @@ class ExperimentReport(JsonFields):
     tables: list[TrialTable] | None = field(default=None, compare=False)
 
     PARSE = {
-        "gap_mean": float,
-        "gap_std": or_none(float),
         "supersamples": lambda ss: [SupersampleResult.from_json_dict(s) for s in ss],
         "bounds": lambda bs: [BoundReport.from_json_dict(b) for b in bs],
     }
@@ -312,7 +307,7 @@ def _refuse_constant(name: str):
 
 def load_report(path) -> ExperimentReport:
     """A persisted report; ConfigError unless it holds every field and every
-    config key its curve rows read."""
+    config key its curve rows read, each of its declared type."""
     try:
         data = json.loads(Path(path).read_text(encoding="utf-8"),
                           parse_constant=_refuse_constant)
@@ -341,7 +336,8 @@ def _load_pool(config: ExperimentConfig) -> tuple[np.ndarray, np.ndarray] | None
     try:
         # utf-8-sig drops the byte-order mark a spreadsheet may write
         with open(path, newline="", encoding="utf-8-sig") as fh:
-            rows = list(csv.DictReader(fh))
+            reader = csv.DictReader(fh)
+            rows = list(reader)
     except (OSError, UnicodeDecodeError) as e:
         raise ConfigError(f"{path}: {e}") from e
     if not rows:
@@ -351,6 +347,15 @@ def _load_pool(config: ExperimentConfig) -> tuple[np.ndarray, np.ndarray] | None
         dim += 1
     if dim == 0 or "y" not in rows[0]:
         raise ConfigError(f"{path}: expected columns x_0..x_{{p-1}} and y")
+    # only the declared columns, each once, and no row longer than the header
+    # (DictReader files a longer row's excess fields under the key None)
+    header, declared = reader.fieldnames, {"y", *(f"x_{j}" for j in range(dim))}
+    extra = sorted({c for c in header if c not in declared or header.count(c) > 1})
+    if extra:
+        raise ConfigError(f"{path}: unknown or repeated column(s) {', '.join(map(repr, extra))}")
+    longer = next((j for j, r in enumerate(rows) if None in r), None)
+    if longer is not None:
+        raise ConfigError(f"{path}: row {longer + 1} has more fields than the header")
     try:
         xs = np.array([[float(r[f"x_{j}"]) for j in range(dim)] for r in rows])
         ys = np.array([int(r["y"]) for r in rows], dtype=np.int64)
@@ -701,22 +706,28 @@ CURVE_HEADER = ("n", "learner", "bound_name", "gap_mean", "gap_std",
 
 
 def curve_rows(report: ExperimentReport) -> list[dict]:
-    """One curve-table row per bound in the report."""
+    """One curve-table row per bound in the report; each config key a row
+    reads takes its field's rule (``_admit``), else ConfigError."""
     cfg = report.config
-    clip = cfg["clip_bounds"]
+    echoed = {f.name: f for f in fields(ExperimentConfig)}
+
+    def read(name):
+        return _admit(echoed[name], cfg[name])
+
+    clip = read("clip_bounds")
     rows = []
     for b in report.bounds:
         rows.append({
-            "n": cfg["n"],
-            "learner": cfg["learner"]["kind"],
+            "n": read("n"),
+            "learner": admit("str", cfg["learner"]["kind"], "learner.kind"),
             "bound_name": b.name,
             "gap_mean": report.gap_mean,
             "gap_std": report.gap_std,
             "bound_value": min(1.0, b.value) if clip else b.value,
             "bound_spread": b.spread,
-            "k1": cfg["k1"],
-            "k2": cfg["k2"],
-            "mode": cfg["mode"],
+            "k1": read("k1"),
+            "k2": read("k2"),
+            "mode": read("mode"),
         })
     return rows
 

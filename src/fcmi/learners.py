@@ -326,9 +326,10 @@ def sgld_fit(xs: np.ndarray, ys: np.ndarray, seeds, steps: int = 200,
     Fits B training sets at once: (B, N, d) inputs, (B, N) labels and one
     seed per set. Returns the (B, d + 1) weights, bias last. Per-step noise
     variance is lr_t / beta_t with the inverse temperature
-    beta_t = min(temp_max, max(temp_min, 10 * exp(t / temp_scale))). The
-    standard-normal stream is drawn unconditionally so that runs at different
-    temperatures share it.
+    beta_t = min(temp_max, max(temp_min, 10 * exp(t / temp_scale))), the
+    exponent capped at 709: 10 e^709 is past every float already, so beta_t
+    is temp_max there as it would be past it. The standard-normal stream is
+    drawn unconditionally so that runs at different temperatures share it.
     """
     if np.any((ys != 0) & (ys != 1)):
         raise ContractViolation("sgld_linear needs binary labels")
@@ -343,7 +344,7 @@ def sgld_fit(xs: np.ndarray, ys: np.ndarray, seeds, steps: int = 200,
             eps = np.stack([rng.standard_normal((min(block, steps - t), X.shape[2]))
                             for rng in rngs])
         lr = lr0 * lr_decay ** (t // lr_decay_every)
-        beta = min(temp_max, max(temp_min, 10.0 * math.exp(t / temp_scale)))
+        beta = min(temp_max, max(temp_min, 10.0 * math.exp(min(t / temp_scale, 709.0))))
         grad = _logistic_grad(X, w, ys)
         w = w - 0.5 * lr * grad + math.sqrt(lr / beta) * eps[row, t % block]
     return w

@@ -62,6 +62,29 @@ class TestRun:
         path.write_text("{not json", encoding="utf-8")
         assert main(["run", str(path)]) == 2
 
+    def test_exact_past_enumeration_limit_is_config_error(self, tmp_path, monkeypatch,
+                                                           capsys):
+        fits = count_fits(monkeypatch)
+        config = write_config(tmp_path, n=24, mode="exact_enumeration")
+        assert main(["run", str(config), "-o", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == "error: exact_enumeration refuses n=24 (limit 20)\n"
+        assert fits == []
+
+    def test_any_other_failure_is_runtime_error(self, tmp_path, monkeypatch, capsys):
+        """A failure of no class the program names still leaves ``main`` as
+        exit 3 and one ``error:`` line, not as a traceback."""
+        def overflowing(*args, **kwargs):
+            raise OverflowError("math range error")
+
+        monkeypatch.setattr(fcmi.cli, "run_experiment", overflowing)
+        assert main(["run", str(write_config(tmp_path)), "-o", str(tmp_path / "out")]) == 3
+        assert capsys.readouterr().err == "error: math range error\n"
+
+    def test_sgld_temperature_past_the_float_range_runs(self, tmp_path):
+        config = write_config(tmp_path, learner={"kind": "sgld_linear", "params": {
+            "steps": 5, "temp_scale": 1e-300}})
+        assert main(["run", str(config), "-o", str(tmp_path / "out")]) == 0
+
     def test_unsupported_combination_is_config_error(self, tmp_path):
         config = write_config(tmp_path,
                               learner={"kind": "knn", "params": {"k": 3}},
@@ -309,8 +332,14 @@ class TestCsvValidation:
          dict(learner={"kind": "logistic_gd", "params": {"output": "prob", "steps": 5}},
               loss="absolute", bounds=["det_stability"]), "not resamplable"),
         (b"x_0,y\n0.1,\xff\n", {}, "data.csv: 'utf-8' codec can't decode byte 0xff"),
+        ("x_0,x_2,y\n" + "".join(f"{i / 10},{i / 5},{i % 2}\n" for i in range(10)), {},
+         "data.csv: unknown or repeated column(s) 'x_2'"),
+        ("x_0,x_0,y\n" + "".join(f"{i / 10},{i / 5},{i % 2}\n" for i in range(10)), {},
+         "data.csv: unknown or repeated column(s) 'x_0'"),
+        ("x_0,y\n" + "".join(f"{i / 10},{i % 2}{',7' * (i == 2)}\n" for i in range(10)), {},
+         "data.csv: row 3 has more fields than the header"),
     ], ids=["empty_file", "header_only", "no_y_column", "negative_label", "det_stability",
-            "not_utf8"])
+            "not_utf8", "undeclared_column", "repeated_column", "row_longer_than_header"])
     def test_refused_pool_names_the_fault(self, tmp_path, monkeypatch, capsys, text,
                                           overrides, message):
         fits = count_fits(monkeypatch)
@@ -761,6 +790,28 @@ class TestReport:
         out_csv, out_svg = tmp_path / "curves.csv", tmp_path / "svg"
         assert main(["report", str(report), "--csv", str(out_csv), "--svg", str(out_svg)]) == 2
         assert capsys.readouterr().err == f"error: {report}: {text} is not a JSON number\n"
+        assert not out_csv.exists() and not out_svg.exists()
+
+    @pytest.mark.parametrize("path, bad, message", [
+        (("bounds", 0, "value"), 10 ** 400, "value must be a finite number, got 1000"),
+        (("config", "n"), "five", "n must be an integer, got 'five'"),
+        (("gap_mean",), "0.1", "gap_mean must be a finite number, got '0.1'"),
+        (("bounds", 0, "value"), True, "value must be a finite number, got True")],
+        ids=["bound_value_past_float_range", "n_string", "gap_mean_string", "bound_value_bool"])
+    def test_malformed_number_is_parse_error(self, tmp_path, capsys, path, bad, message):
+        """A number the curve rows read takes the config's number rule: exit
+        2 before any curve or SVG is written, not a crash or a coerced value."""
+        report = self._make_reports(tmp_path)[0]
+        capsys.readouterr()
+        payload = json.loads(report.read_text())
+        node = payload
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = bad
+        report.write_text(json.dumps(payload), encoding="utf-8")
+        out_csv, out_svg = tmp_path / "curves.csv", tmp_path / "svg"
+        assert main(["report", str(report), "--csv", str(out_csv), "--svg", str(out_svg)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {report}: {message}")
         assert not out_csv.exists() and not out_svg.exists()
 
     def test_svg_rendering_deterministic(self, tmp_path):

@@ -210,6 +210,16 @@ class TestSgld:
                           [(0.2,), (0.9,)], 5)
         assert all(p in (0, 1) for p in out.predictions)
 
+    def test_schedule_past_the_float_range(self):
+        """At temp_scale 1e-300, t / temp_scale passes the exponent math.exp
+        takes from t = 1 on; both schedules read temp_min at t = 0 and
+        temp_max after, so the weights are those of temp_scale 0.1."""
+        rng = np.random.default_rng(4)
+        xs, ys = arrays([mk(x, int(x > 0.5)) for x in rng.random(10)])
+        tiny = sgld_fit(xs[None], ys[None], [5], steps=50, temp_scale=1e-300)
+        assert np.array_equal(tiny, sgld_fit(xs[None], ys[None], [5], steps=50,
+                                             temp_scale=0.1))
+
 
 # The per-fit, per-query linear learners the batched ones replaced, kept
 # verbatim (bar the names) as oracles: batching must not move a single bit.
