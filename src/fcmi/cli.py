@@ -1,5 +1,10 @@
 """Command-line entry point: run, sweep, verify-lemmas, and report.
 
+Every file a command writes goes through ``harness.persist``, which creates
+the directories it lacks; ``run`` and ``sweep`` still create ``-o`` before
+any fit, so an unusable output directory is refused early, and ``report --svg
+DIR`` creates ``DIR`` even when no bound is drawn.
+
 Exit codes are the only success/failure channel: 0 on success, 2 for a
 ``ConfigError`` (refused input or usage), 3 for any other failure, which is
 printed as ``error: <message>``; no failure leaves as a traceback. Stdout
@@ -77,19 +82,15 @@ def _cmd_run(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     report = run_experiment(config, keep_tables=args.dump_tables)
     persist(report, out / "report.json")
-    (out / "curves.csv").write_text(curve_table_csv(curve_rows(report)),
-                                    encoding="utf-8")
+    persist(curve_table_csv(curve_rows(report)), out / "curves.csv")
     if args.verbose:
         for res in report.supersamples:
             mi = (f" mean_mi={sum(res.mi_per_index) / len(res.mi_per_index):.5f}"
                   if res.mi_per_index else "")
             print(f"{res.supersample_id}: gap={res.gap_mean:+.4f}{mi}",
                   file=sys.stderr)
-    if args.dump_tables:
-        tdir = out / "tables"
-        tdir.mkdir(exist_ok=True)
-        for table in report.tables:
-            persist(table, tdir / f"{table.supersample_id}.json")
+    for table in report.tables or []:
+        persist(table, out / "tables" / f"{table.supersample_id}.json")
     print(f"gap_mean={report.gap_mean:.6f} "
           + " ".join(f"{b.name}={b.value:.6f}" for b in report.bounds)
           + f" wall_clock={report.wall_clock_sec:.2f}s", file=sys.stderr)
@@ -133,16 +134,9 @@ def _cmd_sweep(args) -> int:
             return EXIT_RUNTIME
         persist(report, out / f"report_{idx:03d}.json")
         rows.extend(curve_rows(report))
-    (out / "curves.csv").write_text(curve_table_csv(rows), encoding="utf-8")
+    persist(curve_table_csv(rows), out / "curves.csv")
     print(f"swept {len(configs)} configs -> {out}/curves.csv", file=sys.stderr)
     return EXIT_OK
-
-
-def _write_text(path: str, text: str) -> None:
-    """Write ``text`` to the file ``path``, creating its directory first."""
-    out = Path(path)
-    out.parent.mkdir(parents=True, exist_ok=True)
-    out.write_text(text, encoding="utf-8")
 
 
 def _cmd_verify_lemmas(args) -> int:
@@ -151,12 +145,11 @@ def _cmd_verify_lemmas(args) -> int:
     if args.seed < 0:
         raise ConfigError(f"--seed must be >= 0, got {args.seed}")
     reports = run_all_verifiers(instances=args.instances, seed=args.seed)
-    payload = [r.to_json_dict() for r in reports]
-    text = canonical_json({"verifiers": payload})
+    summary = {"verifiers": [r.to_json_dict() for r in reports]}
     if args.output:
-        _write_text(args.output, text)
+        persist(summary, args.output)
     else:
-        sys.stdout.write(text)
+        sys.stdout.write(canonical_json(summary))
     bad = [r for r in reports if r.violations > 0]
     for r in reports:
         status = "ok" if r.violations == 0 else "VIOLATED"
@@ -172,16 +165,15 @@ def _cmd_report(args) -> int:
         rows.extend(curve_rows(report))
     csv_text = curve_table_csv(rows)
     if args.csv:
-        _write_text(args.csv, csv_text)
+        persist(csv_text, args.csv)
     else:
         sys.stdout.write(csv_text)
     if args.svg:
         svg_dir = Path(args.svg)
-        svg_dir.mkdir(parents=True, exist_ok=True)
+        svg_dir.mkdir(parents=True, exist_ok=True)  # also when no bound is drawn
         for name in sorted({r["bound_name"] for r in rows}):
             series = [r for r in rows if r["bound_name"] == name]
-            (svg_dir / f"{name}.svg").write_text(render_curves_svg(name, series),
-                                                 encoding="utf-8")
+            persist(render_curves_svg(name, series), svg_dir / f"{name}.svg")
     return EXIT_OK
 
 
@@ -270,29 +262,24 @@ def build_parser() -> argparse.ArgumentParser:
                     "their underlying inequalities numerically.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    run_p = sub.add_parser("run", help="run one experiment config")
-    run_p.add_argument("config")
-    run_p.add_argument("-o", "--output-dir", default=".")
-    run_p.add_argument("--seed", type=int, default=None,
-                       help="override master_seed")
-    run_p.add_argument("--jobs", type=int, default=None,
-                       help="worker pool size for supersamples")
-    run_p.add_argument("--set", action="append", metavar="KEY=VALUE",
-                       help="dotted-path config override")
-    run_p.add_argument("--clip-bounds", action="store_true",
-                       help="clip plotted bound values at 1")
+    # the arguments run and sweep share, each config taking them alike
+    experiment = argparse.ArgumentParser(add_help=False)
+    experiment.add_argument("config")
+    experiment.add_argument("-o", "--output-dir", default=".")
+    experiment.add_argument("--seed", type=int, default=None, help="override master_seed")
+    experiment.add_argument("--jobs", type=int, default=None,
+                            help="worker pool size for supersamples")
+    experiment.add_argument("--set", action="append", metavar="KEY=VALUE",
+                            help="dotted-path config override")
+    experiment.add_argument("--clip-bounds", action="store_true",
+                            help="clip plotted bound values at 1")
+
+    run_p = sub.add_parser("run", parents=[experiment], help="run one experiment config")
     run_p.add_argument("--dump-tables", action="store_true",
                        help="also write per-supersample prediction tables")
     run_p.add_argument("-v", "--verbose", action="store_true",
                        help="per-supersample diagnostics on stderr")
-
-    sweep_p = sub.add_parser("sweep", help="run a list of experiment configs")
-    sweep_p.add_argument("config")
-    sweep_p.add_argument("-o", "--output-dir", default=".")
-    sweep_p.add_argument("--seed", type=int, default=None)
-    sweep_p.add_argument("--jobs", type=int, default=None)
-    sweep_p.add_argument("--set", action="append", metavar="KEY=VALUE")
-    sweep_p.add_argument("--clip-bounds", action="store_true")
+    sub.add_parser("sweep", parents=[experiment], help="run a list of experiment configs")
 
     ver_p = sub.add_parser("verify-lemmas",
                            help="check every implemented inequality numerically")

@@ -296,9 +296,14 @@ def canonical_json(payload) -> str:
     return "".join(out)
 
 
-def persist(report, path) -> None:
-    """Write a report, table, or plain payload as canonical JSON."""
-    Path(path).write_text(canonical_json(report), encoding="utf-8")
+def persist(content, path) -> None:
+    """Write ``content`` to the file ``path``, creating the directories it
+    lacks: a ``str`` as it is, anything else (a report, a table, a plain
+    payload) as ``canonical_json``. Every file the commands write comes here."""
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text(content if isinstance(content, str) else canonical_json(content),
+                    encoding="utf-8")
 
 
 def _refuse_constant(name: str):
@@ -307,13 +312,17 @@ def _refuse_constant(name: str):
 
 def load_report(path) -> ExperimentReport:
     """A persisted report; ConfigError unless it holds every field and every
-    config key its curve rows read, each of its declared type."""
+    config key its curve rows read, each of its declared type, and names only
+    bounds of ``BOUNDS`` (a name also names the bound's SVG file)."""
     try:
         data = json.loads(Path(path).read_text(encoding="utf-8"),
                           parse_constant=_refuse_constant)
         if not isinstance(data, dict):
             raise TypeError("a report must be a JSON object")
         report = ExperimentReport.from_json_dict(data)
+        for b in report.bounds:
+            if b.name not in BOUNDS:
+                raise ConfigError(f"unknown bound {b.name!r} (known: {', '.join(BOUNDS)})")
         curve_rows(report)
     except OSError as e:
         raise ConfigError(f"{path}: {e.strerror}") from e
@@ -347,15 +356,17 @@ def _load_pool(config: ExperimentConfig) -> tuple[np.ndarray, np.ndarray] | None
         dim += 1
     if dim == 0 or "y" not in rows[0]:
         raise ConfigError(f"{path}: expected columns x_0..x_{{p-1}} and y")
-    # only the declared columns, each once, and no row longer than the header
-    # (DictReader files a longer row's excess fields under the key None)
+    # only the declared columns, each once, and each row as long as the header
     header, declared = reader.fieldnames, {"y", *(f"x_{j}" for j in range(dim))}
     extra = sorted({c for c in header if c not in declared or header.count(c) > 1})
     if extra:
         raise ConfigError(f"{path}: unknown or repeated column(s) {', '.join(map(repr, extra))}")
-    longer = next((j for j, r in enumerate(rows) if None in r), None)
-    if longer is not None:
-        raise ConfigError(f"{path}: row {longer + 1} has more fields than the header")
+    # (DictReader files a longer row's excess under the key None and fills a
+    # shorter row's missing fields with None)
+    for j, r in enumerate(rows):
+        if None in r or None in r.values():
+            raise ConfigError(f"{path}: row {j + 1} has "
+                              f"{'more' if None in r else 'fewer'} fields than the header")
     try:
         xs = np.array([[float(r[f"x_{j}"]) for j in range(dim)] for r in rows])
         ys = np.array([int(r["y"]) for r in rows], dtype=np.int64)
@@ -733,16 +744,11 @@ def curve_rows(report: ExperimentReport) -> list[dict]:
 
 
 def curve_table_csv(rows) -> str:
-    """Deterministic CSV bytes for curve rows (fixed header, repr floats)."""
-    def fmt(v):
-        if v is None:
-            return ""
-        if isinstance(v, float):
-            return repr(v)
-        return str(v)
-
+    """Deterministic CSV text of curve rows under ``CURVE_HEADER``: floats by
+    ``repr``, None as an empty field, and a field holding a comma, quote or
+    newline quoted."""
     out = io.StringIO()
-    out.write(",".join(CURVE_HEADER) + "\n")
-    for row in rows:
-        out.write(",".join(fmt(row[k]) for k in CURVE_HEADER) + "\n")
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(CURVE_HEADER)
+    writer.writerows([row[k] for k in CURVE_HEADER] for row in rows)
     return out.getvalue()

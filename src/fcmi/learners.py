@@ -228,6 +228,20 @@ def _threshold_rows(spec, xs, ys, train_idx, query_xs, seeds):
     return _in_chunks(fit, len(train_idx), _chunk_rows(max(size + 1, len(query_xs))))
 
 
+def _plurality(counts) -> np.ndarray:
+    """Cell by cell, the index of the largest of the equal-shape vote counts
+    ``counts``, one per class in ascending order: a running maximum in which a
+    class takes a cell only with more votes, so ties stay with the lower class,
+    as an argmax gives."""
+    counts = iter(counts)
+    most = next(counts)
+    winner = np.zeros(np.shape(most), dtype=np.intp)
+    for c, count in enumerate(counts, 1):
+        np.copyto(winner, c, where=count > most)
+        most = np.maximum(most, count)
+    return winner
+
+
 def _knn_rows(spec, xs, ys, train_idx, query_xs, seeds):
     """Majority label of the k nearest training points; distance ties fall to
     the lower training position and vote ties to the lower class.
@@ -258,14 +272,7 @@ def _knn_rows(spec, xs, ys, train_idx, query_xs, seeds):
             counts[queries, classes[point[entry]]] += take
             if found.min() == k:
                 break
-        # a running maximum over the classes: a class takes a cell only with
-        # more votes, so ties stay with the lower class, as an argmax gives
-        winner = np.zeros((len(query_xs), hi - lo), dtype=np.intp)
-        most = counts[:, 0]
-        for c in range(1, len(labels)):
-            np.copyto(winner, c, where=counts[:, c] > most)
-            most = np.maximum(most, counts[:, c])
-        return labels[winner].T, None
+        return labels[_plurality(counts.swapaxes(0, 1))].T, None
 
     return _in_chunks(fit, len(train_idx),
                       _chunk_rows(max(len(point), len(query_xs) * len(labels))))
@@ -413,17 +420,12 @@ def ensemble_combine(member_predictions) -> np.ndarray:
     if len(votes) < 1:
         raise ContractViolation("need at least one member prediction")
     # one count per distinct label, in ascending order, so the work grows
-    # with the number of labels, not with their values; a later label takes
-    # a cell only with more votes, and the counts take the narrowest dtype
+    # with the number of labels, not with their values; the counts take the
+    # narrowest dtype
     labels = np.unique(votes)
     tally = _unsigned(len(votes) + 1)
-    winners = np.full(votes.shape[1:], labels[0])
-    most = (votes == labels[0]).sum(axis=0, dtype=tally)
-    for label in labels[1:]:
-        count = (votes == label).sum(axis=0, dtype=tally)
-        winners = np.where(count > most, label, winners)
-        most = np.maximum(most, count)
-    return winners[()]  # a scalar for a 1-D input
+    winner = _plurality((votes == label).sum(axis=0, dtype=tally) for label in labels)
+    return labels[winner][()]  # a scalar for a 1-D input
 
 
 def _linear_rows(spec, xs, ys, train_idx, query_xs, seeds):

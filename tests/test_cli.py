@@ -338,8 +338,11 @@ class TestCsvValidation:
          "data.csv: unknown or repeated column(s) 'x_0'"),
         ("x_0,y\n" + "".join(f"{i / 10},{i % 2}{',7' * (i == 2)}\n" for i in range(10)), {},
          "data.csv: row 3 has more fields than the header"),
+        ("x_0,y\n" + "".join(f"{i / 10}" + f",{i % 2}" * (i != 3) + "\n" for i in range(10)),
+         {}, "data.csv: row 4 has fewer fields than the header"),
     ], ids=["empty_file", "header_only", "no_y_column", "negative_label", "det_stability",
-            "not_utf8", "undeclared_column", "repeated_column", "row_longer_than_header"])
+            "not_utf8", "undeclared_column", "repeated_column", "row_longer_than_header",
+            "row_shorter_than_header"])
     def test_refused_pool_names_the_fault(self, tmp_path, monkeypatch, capsys, text,
                                           overrides, message):
         fits = count_fits(monkeypatch)
@@ -813,6 +816,53 @@ class TestReport:
         assert main(["report", str(report), "--csv", str(out_csv), "--svg", str(out_svg)]) == 2
         assert capsys.readouterr().err.startswith(f"error: {report}: {message}")
         assert not out_csv.exists() and not out_svg.exists()
+
+    def test_unknown_bound_name_is_parse_error(self, tmp_path, monkeypatch, capsys):
+        """A bound name outside ``BOUNDS`` would also name an SVG file outside
+        the SVG directory: it exits 2 and no SVG is written anywhere."""
+        payload = json.loads(self._make_reports(tmp_path)[0].read_text())
+        capsys.readouterr()
+        payload["bounds"][0]["name"] = "../../escaped"
+        (tmp_path / "evil.json").write_text(json.dumps(payload), encoding="utf-8")
+        monkeypatch.chdir(tmp_path)
+        assert main(["report", "evil.json", "--svg", "svgdir/sub"]) == 2
+        assert capsys.readouterr().err.startswith(
+            "error: evil.json: unknown bound '../../escaped' (known: ")
+        assert list(tmp_path.rglob("*.svg")) == [] and not (tmp_path / "svgdir").exists()
+
+    def test_field_holding_a_comma_is_quoted(self, tmp_path):
+        """A learner kind with a comma is one quoted field of the curve table,
+        which reads back as ten fields a row."""
+        report = self._make_reports(tmp_path)[0]
+        payload = json.loads(report.read_text())
+        payload["config"]["learner"]["kind"] = "a,b"
+        report.write_text(json.dumps(payload), encoding="utf-8")
+        out_csv = tmp_path / "curves.csv"
+        assert main(["report", str(report), "--csv", str(out_csv)]) == 0
+        with open(out_csv, newline="", encoding="utf-8") as fh:
+            rows = list(csv.reader(fh))
+        assert [len(r) for r in rows] == [10, 10] and rows[1][1] == "a,b"
+
+    @pytest.mark.parametrize("argv, files, empty_dirs", [
+        (["run", "config.json", "-o", "x/y", "--dump-tables"],
+         ["x/y/report.json", "x/y/curves.csv", "x/y/tables/ss000.json"], []),
+        (["report", "given/report.json", "--csv", "a/b.csv", "--svg", "c/d"],
+         ["a/b.csv", "c/d/fcmi_m1.svg"], []),
+        (["verify-lemmas", "--instances", "5", "-o", "e/f.json"], ["e/f.json"], []),
+        (["report", "unbounded.json", "--svg", "g/h"], [], ["g/h"]),
+    ], ids=["run_dump_tables", "report_csv_svg", "verify_lemmas", "svg_of_no_bound"])
+    def test_missing_directories_are_created(self, tmp_path, monkeypatch, argv, files,
+                                             empty_dirs):
+        """Each output path's missing directories are made; ``--svg DIR`` makes
+        ``DIR`` even when the reports hold no bound to draw."""
+        monkeypatch.chdir(tmp_path)
+        assert main(["run", str(write_config(tmp_path)), "-o", "given"]) == 0
+        payload = json.loads(Path("given/report.json").read_text(encoding="utf-8"))
+        Path("unbounded.json").write_text(json.dumps({**payload, "bounds": []}),
+                                          encoding="utf-8")
+        assert main(argv) == 0
+        assert all(Path(f).is_file() for f in files)
+        assert all(Path(d).is_dir() and not any(Path(d).iterdir()) for d in empty_dirs)
 
     def test_svg_rendering_deterministic(self, tmp_path):
         paths = self._make_reports(tmp_path)
