@@ -189,6 +189,7 @@ def render_curves_svg(bound_name: str, rows: list[dict]) -> str:
     """Deterministic line chart of one bound against n, with error bars: one
     series per (learner, mode) in its own colour, its gap dashed and its
     bound solid, each series sorted by n and named in the legend."""
+    from xml.sax.saxutils import escape  # here: it loads urllib.request, which no run needs
     series: dict[tuple[str, str], list[dict]] = {}
     for r in sorted(rows, key=lambda r: (r["learner"], r["mode"], r["n"])):
         series.setdefault((r["learner"], r["mode"]), []).append(r)
@@ -218,7 +219,7 @@ def render_curves_svg(bound_name: str, rows: list[dict]) -> str:
         f'<text x="{plot_w / 2:.2f}" y="{height - 20:.2f}" font-size="14" '
         f'text-anchor="middle">n</text>',
         f'<text x="{plot_w / 2:.2f}" y="30" font-size="14" '
-        f'text-anchor="middle">{bound_name}: gap vs bound</text>',
+        f'text-anchor="middle">{escape(bound_name)}: gap vs bound</text>',
         f'<text x="{pad:.2f}" y="{height - pad + 18:.2f}" font-size="12" '
         f'text-anchor="middle">{xmin}</text>',
         f'<text x="{plot_w - pad:.2f}" y="{height - pad + 18:.2f}" font-size="12" '
@@ -250,7 +251,7 @@ def render_curves_svg(bound_name: str, rows: list[dict]) -> str:
         parts.append(f'<line x1="{plot_w:.2f}" y1="{y:.2f}" x2="{plot_w + 24:.2f}" '
                      f'y2="{y:.2f}" stroke="{color}" stroke-width="2"{dash}/>')
         parts.append(f'<text x="{plot_w + 30:.2f}" y="{y + 4:.2f}" '
-                     f'font-size="12">{label}</text>')
+                     f'font-size="12">{escape(label)}</text>')
     parts.append("</svg>")
     return "\n".join(parts) + "\n"
 

@@ -44,24 +44,27 @@ def json_data(obj):
 class JsonFields:
     """A dataclass serialized from its fields, each under its own name. A
     ``compare=False`` field is a volatile or bulky companion (a wall clock,
-    trial tables) and stays out. ``PARSE`` maps a field to the conversion of
-    its JSON value; any other field's value takes its annotation's ``admit``."""
+    trial tables) and stays out, as does a field whose default and value are
+    None (its missing key reads back as None). ``PARSE`` maps a field to the
+    conversion of its JSON value; any other takes its annotation's ``admit``."""
 
     PARSE: ClassVar[dict[str, Callable]] = {}
 
     def to_json_dict(self) -> dict:
-        return {f.name: json_data(getattr(self, f.name)) for f in fields(self) if f.compare}
+        pairs = ((f, getattr(self, f.name)) for f in fields(self) if f.compare)
+        return {f.name: json_data(v) for f, v in pairs if v is not None or f.default is not None}
 
     @classmethod
     def from_json_dict(cls, d: dict):
+        given = [f for f in fields(cls) if f.compare and (f.name in d or f.default is not None)]
         return cls(**{f.name: cls.PARSE[f.name](d[f.name]) if f.name in cls.PARSE
-                      else admit(f.type, d[f.name], f.name) for f in fields(cls) if f.compare})
+                      else admit(f.type, d[f.name], f.name) for f in given})
 
 
 # what each declared type, by name, admits in a kind parameter, a config field
-# or a report field: 0, 1 or a boolean for a boolean, an integer for an
-# integer, a finite number in the float range for a float (not JSON's Infinity
-# or NaN) and a string for a string; a boolean is no number
+# or a report field (a boolean is no number): 0, 1 or a boolean for a boolean,
+# an integer for an integer, a finite number in the float range for a float
+# (not JSON's Infinity or NaN), a list of those for a list of floats, a string for a string
 _ADMITS = {"bool": (bool, lambda v: isinstance(v, (int, np.integer)) and v in (0, 1),
                     "a boolean"),
            "int": (int, lambda v: isinstance(v, (int, np.integer)) and not isinstance(v, bool),
@@ -69,6 +72,9 @@ _ADMITS = {"bool": (bool, lambda v: isinstance(v, (int, np.integer)) and v in (0
            "float": (float, lambda v: isinstance(v, (int, float, np.integer, np.floating))
                      and not isinstance(v, bool) and abs(v) <= sys.float_info.max,
                      "a finite number"),
+           "list[float]": (lambda v: list(map(float, v)),
+                           lambda v: isinstance(v, list) and all(map(_ADMITS["float"][1], v)),
+                           "a list of finite numbers"),
            "str": (str, lambda v: isinstance(v, str), "a string")}
 
 

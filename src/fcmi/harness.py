@@ -198,22 +198,36 @@ class ExperimentConfig:
         return out
 
 
+def _estimate(compute: Callable, also: Callable = lambda config, reads: False):
+    """An estimate field, None until ``compute(table, config, subsets)`` makes
+    it from a finite trial table: when a requested bound reads it, or when
+    ``also(config, reads)`` holds of the fields the requested bounds read."""
+    return field(default=None, metadata={"compute": compute, "also": also})
+
+
 @dataclass
 class SupersampleResult(JsonFields):
-    """Per-supersample gap statistics and information estimates."""
+    """Per-supersample gap statistics and the estimates a run made, each declared
+    once with its computation (a call of infotheory's function, not the field)."""
 
     supersample_id: str
     gap_mean: float
     gap_std: float | None
-    mi_per_index: list[float] | None = None
-    fcmi_full: float | None = None
-    mi_testslots: float | None = None
-    weight_mi_full: float | None = None
-    weight_mi_per_index: list[float] | None = None
-    cmi_per_index: list[float] | None = None
-    cmi_allpairs_per_index: list[float] | None = None
-    subset_mi: list[float] | None = None
-    member_fcmi: list[float] | None = None
+    mi_per_index: list[float] | None = _estimate(
+        lambda t, c, s: subset_mi(t, np.arange(t.n)[:, None]).tolist(), lambda c, reads: True)
+    fcmi_full: float | None = _estimate(lambda t, c, s: float(subset_mi(t, [range(t.n)])[0]),
+                                        lambda c, reads: c.mode == "exact_enumeration")
+    mi_testslots: float | None = _estimate(lambda t, c, s: mi_testslots(t), lambda c, reads: True)
+    weight_mi_full: float | None = _estimate(lambda t, c, s: float(weight_mi(t, [range(t.n)])[0]))
+    weight_mi_per_index: list[float] | None = _estimate(
+        lambda t, c, s: weight_mi(t, np.arange(t.n)[:, None]).tolist(),
+        lambda c, reads: c.mode == "exact_enumeration" and "weight_mi_full" in reads)
+    cmi_per_index: list[float] | None = _estimate(lambda t, c, s: split_cmi(t).tolist())
+    cmi_allpairs_per_index: list[float] | None = _estimate(
+        lambda t, c, s: split_cmi(t, all_pairs=True).tolist())
+    subset_mi: list[float] | None = _estimate(lambda t, c, s: subset_mi(t, s).tolist())
+    member_fcmi: list[float] | None = _estimate(
+        lambda t, c, s: [float(subset_mi(m, [range(m.n)])[0]) for m in t.members])
 
 
 @dataclass(frozen=True)
@@ -576,40 +590,19 @@ def _run_block(config: ExperimentConfig, lo: int, hi: int,
 def _run_supersample(config: ExperimentConfig, a: int, data_seed: int, masks: np.ndarray,
                      row_seeds: np.ndarray, subsets: list[tuple[int, ...]] | None,
                      keep_table: bool = False):
-    """Every estimate the requested bounds read from one supersample's trial
-    table, and the table itself when it is kept (None otherwise, so it is
-    freed, or never sent back from a worker, once its estimates are made)."""
+    """One supersample's result, with each estimate ``_estimate``'s rule makes,
+    and its trial table when it is kept (None otherwise, so it is freed, or
+    never sent back from a worker, once its estimates are made)."""
     supersample = _draw_supersample(config, data_seed)
-    n = config.n
-    exact = config.mode == "exact_enumeration"
     reads = {BOUNDS[b].reads for b in config.bounds}
     table = fill_table(supersample, config.learner, masks, row_seeds, config.loss,
                        supersample_id=f"ss{a:03d}", members="member_fcmi" in reads)
-    kept = table if keep_table else None
-    gap_mean, gap_std = aggregate_gap(table)
-    result = SupersampleResult(supersample_id=table.supersample_id,
-                               gap_mean=gap_mean, gap_std=gap_std)
-    if table.prediction_space.kind != "finite":
-        return result, kept
-
-    every_pair = [tuple(range(n))]
-    result.mi_per_index = subset_mi(table, [(i,) for i in range(n)]).tolist()
-    result.mi_testslots = mi_testslots(table)
-    if exact or "fcmi_full" in reads:
-        result.fcmi_full = float(subset_mi(table, every_pair)[0])
-    if "weight_mi_full" in reads:
-        result.weight_mi_full = float(weight_mi(table, every_pair)[0])
-        if exact:
-            result.weight_mi_per_index = weight_mi(table, [(i,) for i in range(n)]).tolist()
-    if "cmi_per_index" in reads:
-        result.cmi_per_index = split_cmi(table).tolist()
-    if "cmi_allpairs_per_index" in reads:
-        result.cmi_allpairs_per_index = split_cmi(table, all_pairs=True).tolist()
-    if "subset_mi" in reads:
-        result.subset_mi = subset_mi(table, subsets).tolist()
-    if "member_fcmi" in reads:
-        result.member_fcmi = [float(subset_mi(m, every_pair)[0]) for m in table.members]
-    return result, kept
+    result = SupersampleResult(table.supersample_id, *aggregate_gap(table))
+    if table.prediction_space.kind == "finite":
+        for f in fields(SupersampleResult):
+            if "compute" in f.metadata and (f.name in reads or f.metadata["also"](config, reads)):
+                setattr(result, f.name, f.metadata["compute"](table, config, subsets))
+    return result, table if keep_table else None
 
 
 # --- bound assembly ----------------------------------------------------------

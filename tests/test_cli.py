@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from xml.dom import minidom
 from xml.etree import ElementTree
 
 import numpy as np
@@ -14,6 +15,13 @@ import fcmi.harness
 import fcmi.learners
 from fcmi.cli import main, render_curves_svg
 from fcmi.harness import load_report
+
+
+# the supersample estimate keys a report held, each one ``null`` when not made,
+# before a report held only the estimates its run made
+PARENT_ESTIMATE_KEYS = ("mi_per_index", "fcmi_full", "mi_testslots", "weight_mi_full",
+                        "weight_mi_per_index", "cmi_per_index", "cmi_allpairs_per_index",
+                        "subset_mi", "member_fcmi")
 
 
 def write_config(tmp_path, name="config.json", **overrides):
@@ -186,7 +194,7 @@ class TestRun:
         report = json.loads((out / "report.json").read_text(encoding="utf-8"))
         expected = []
         for res in report["supersamples"]:
-            mi = res["mi_per_index"]
+            mi = res.get("mi_per_index")
             expected.append(f"{res['supersample_id']}: gap={res['gap_mean']:+.4f}"
                             + (f" mean_mi={sum(mi) / len(mi):.5f}" if mean_mi else ""))
         *lines, summary = capsys.readouterr().err.splitlines()
@@ -795,15 +803,41 @@ class TestReport:
         assert capsys.readouterr().err == f"error: {report}: {text} is not a JSON number\n"
         assert not out_csv.exists() and not out_svg.exists()
 
+    def test_null_estimates_of_an_older_report_read_as_absent(self, tmp_path, capsys):
+        """A report that writes every estimate key, ``null`` where the run
+        made none, loads as the report without those keys and gives the
+        same curve rows."""
+        report = self._make_reports(tmp_path)[0]
+        payload = json.loads(report.read_text())
+        assert payload["supersamples"][0].keys() == {
+            "supersample_id", "gap_mean", "gap_std", "mi_per_index", "mi_testslots"}
+        for record in payload["supersamples"]:
+            for key in PARENT_ESTIMATE_KEYS:
+                record.setdefault(key, None)
+        older = tmp_path / "older.json"
+        older.write_text(json.dumps(payload), encoding="utf-8")
+        assert load_report(older) == load_report(report)
+        assert main(["report", str(report)]) == 0
+        rows = capsys.readouterr().out
+        assert main(["report", str(older)]) == 0
+        assert capsys.readouterr().out == rows
+
     @pytest.mark.parametrize("path, bad, message", [
         (("bounds", 0, "value"), 10 ** 400, "value must be a finite number, got 1000"),
         (("config", "n"), "five", "n must be an integer, got 'five'"),
         (("gap_mean",), "0.1", "gap_mean must be a finite number, got '0.1'"),
-        (("bounds", 0, "value"), True, "value must be a finite number, got True")],
-        ids=["bound_value_past_float_range", "n_string", "gap_mean_string", "bound_value_bool"])
+        (("bounds", 0, "value"), True, "value must be a finite number, got True"),
+        (("supersamples", 0, "mi_per_index"), ["abc", None, True],
+         "mi_per_index must be a list of finite numbers, got ['abc', None, True]"),
+        (("supersamples", 0, "cmi_per_index"), "zzz",
+         "cmi_per_index must be a list of finite numbers, got 'zzz'")],
+        ids=["bound_value_past_float_range", "n_string", "gap_mean_string", "bound_value_bool",
+             "mi_per_index_items", "cmi_per_index_string"])
     def test_malformed_number_is_parse_error(self, tmp_path, capsys, path, bad, message):
-        """A number the curve rows read takes the config's number rule: exit
-        2 before any curve or SVG is written, not a crash or a coerced value."""
+        """A number the curve rows read takes the config's number rule, and a
+        supersample estimate its declared type whether or not the run made it
+        (``cmi_per_index`` here): exit 2 before any curve or SVG is written,
+        not a crash or a coerced value."""
         report = self._make_reports(tmp_path)[0]
         capsys.readouterr()
         payload = json.loads(report.read_text())
@@ -877,6 +911,18 @@ class TestReport:
         assert f1.read_bytes() == f2.read_bytes()
         assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
 
+    def test_svg_label_is_escaped(self, tmp_path):
+        """A learner kind holding markup characters gives a well-formed SVG
+        whose legend reads the kind back."""
+        report = self._make_reports(tmp_path)[0]
+        payload = json.loads(report.read_text())
+        payload["config"]["learner"]["kind"] = "a<b&c"
+        report.write_text(json.dumps(payload), encoding="utf-8")
+        assert main(["report", str(report), "--svg", str(tmp_path / "svg")]) == 0
+        doc = minidom.parse(str(tmp_path / "svg" / "fcmi_m1.svg"))
+        labels = [t.firstChild.data for t in doc.getElementsByTagName("text")]
+        assert "a<b&c (monte_carlo)" in labels
+
     def test_svg_smoke_contents(self):
         rows = [
             {"n": 10, "learner": "knn", "bound_name": "fcmi_m1", "gap_mean": 0.1,
@@ -916,13 +962,23 @@ class TestReport:
         assert render_curves_svg("fcmi_m1", rows[::-1]) == svg
 
 
+def assert_import_leaves_out(module: str) -> None:
+    """Importing ``fcmi.cli`` in a fresh interpreter does not load ``module``."""
+    code = f"import sys, fcmi.cli; assert {module!r} not in sys.modules"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(Path(fcmi.cli.__file__).parents[1]), os.environ.get("PYTHONPATH", "")])}
+    subprocess.run([sys.executable, "-c", code], check=True, env=env)
+
+
 class TestUsage:
     def test_import_loads_no_process_pool(self):
         """Only a run with jobs > 1 loads concurrent.futures."""
-        code = "import sys, fcmi.cli; assert 'concurrent.futures' not in sys.modules"
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-            [str(Path(fcmi.cli.__file__).parents[1]), os.environ.get("PYTHONPATH", "")])}
-        subprocess.run([sys.executable, "-c", code], check=True, env=env)
+        assert_import_leaves_out("concurrent.futures")
+
+    def test_import_loads_no_svg_escaper(self):
+        """The SVG labels' escaper, which loads urllib.request, is loaded only
+        when an SVG is drawn."""
+        assert_import_leaves_out("xml.sax.saxutils")
 
     def test_no_command_is_usage_error(self):
         assert main([]) == 2

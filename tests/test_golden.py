@@ -40,14 +40,14 @@ GOLDEN = {
              bounds=["fcmi_m1", "fcmi_mn", "cmi_weights"], master_seed=7),
         "abc2d3be9a7ec9d5f188696d6a638aaf8e3297b1cbafa9a020292da3dc46a897",
         "0.09895833333333331", "0.13994821710983749",
-        "f285c593919c2ad81d6630272fd68f70485250f8005f954edadf0da4f8af885b"),
+        "7fd3a3330e18f8e0778a15ede8ad38fa04a3eaae0562cae3fcadafc57820760b"),
     "mc_knn3_n8": (
         dict(data=GAUSS_DATA, n=8, k1=2, k2=50,
              learner={"kind": "knn", "params": {"k": 3}},
              mode="monte_carlo", bounds=["fcmi_m1"], master_seed=8),
         "119d9755266a8ce67eb8fb399fb1356ccad2f5e498841ef973e5a26fda08cf56",
         "0.06375", "0.07601397897755385",
-        "ef8ba8d3239c05cb8df3fb7f731d474dd47777f5dceb78d47fe4c23465327266"),
+        "8ad1ad51248ed329562d091dde8ce83436a297ed367277ffdf23511f4b903b1e"),
     "mc_logistic_prob_n5": (
         dict(data=GAUSS_DATA, n=5, k1=2, k2=20,
              learner={"kind": "logistic_gd",
@@ -56,7 +56,7 @@ GOLDEN = {
              stability={"trials": 3, "gamma": 1.0}, master_seed=9),
         "8826f3eb923cda0afe782e3de065c099b9d5ce752ce4c673adf82b862a49e05a",
         "0.12099090068470245", "0.0659531386634707",
-        "66b459de189fa0793b12eac8243528d137153bd7f612c68a5be13fba6ba53ef3"),
+        "17fc0d471b50a996e7b9c80bee60839347922cb03b3aadffde51721f6e6ce910"),
     "mc_sgld_prob_n5_det_squared": (
         dict(data=GAUSS_DATA, n=5, k1=2, k2=20,
              learner={"kind": "sgld_linear",
@@ -65,7 +65,7 @@ GOLDEN = {
              stability={"trials": 3, "gamma": 1.0}, master_seed=11),
         "f6cae7f29d29bf26f3ffa21449750e52b84ae6397bce1de3742d8845adad9d5e",
         "0.040621370952066436", "0.06182084609102157",
-        "d6ba21a01fff9602fc4d8641b635cc6760d7dd78ada32bc4ec4db34cadd49817"),
+        "785bc2d74395adff284f31b7c1bf7d107ba394e55d92913b109adb6e96b118a8"),
     # 100 trials of 200 training rows span more than one batch of linear fits
     "mc_logistic_label_n200": (
         dict(data=GAUSS_DATA, n=200, k1=2, k2=100,
@@ -73,7 +73,7 @@ GOLDEN = {
              mode="monte_carlo", bounds=["fcmi_m1"], master_seed=12),
         "bfa24d3f0b7f669a34a999bcdc85d06a9c463a362bb66a1a29435fc6be52c48b",
         "0.002174999999999999", "0.001944543648263006",
-        "2b39c8685d270ccefc90444bda1084fb32bb4bfc1af035175f2ae4b46a04a843"),
+        "7044097e9aa6518799a5e951e4d3caba304142743b7df50711857838446f6bd2"),
     "csv_knn3_n6_jobs2": (
         dict(data=CSV_DATA, n=6, k1=3, k2=30,
              learner={"kind": "knn", "params": {"k": 3}},
@@ -81,7 +81,7 @@ GOLDEN = {
              subset_policy={"m": 2}, master_seed=10, jobs=2),
         "ed2bba1ec1538a37c3759f13dd32d2c2e7c12b0d58f2d6af7410253f9eab0cc8",
         "0.1314814814814815", "0.04018987854483462",
-        "3ba8cbf7a33f773af82c2311a4482bd98a321633c34f73a0bc79262748bca7ff"),
+        "180e7fe5b32d09a51839117fdd813223b581dc7406df4035e85f098255101807"),
     "exact_knn3_n7_stability": (
         dict(data=GAUSS_DATA, n=7, k1=2, k2=1,
              learner={"kind": "knn", "params": {"k": 3}},
@@ -90,7 +90,7 @@ GOLDEN = {
              master_seed=13),
         "c3dd97d9a112967a11def5935d3d6ec664d5ff97b2f4faaacf9b77e4554f659a",
         "0.19308035714285715", "0.16572815184059708",
-        "2bca733344e666a27021674d1c465799ecc09f939eee914f87366d7e9515698a"),
+        "ee56471411457c8fd47950d6fa5d0fa73eda8c90e5e4139ee8630697c682e709"),
     # duplicated inputs with conflicting labels, three classes
     "exact_memorizer_dup_csv_n6": (
         dict(data=DUP_CSV_DATA, n=6, k1=2, k2=1,
@@ -99,7 +99,7 @@ GOLDEN = {
              bounds=["fcmi_m1", "fcmi_mn", "fcmi_stability"], master_seed=14),
         "5ed510bb31dc4a7d86b7ac8021e140093ab70a895d55e2a03534e138328a1249",
         "0.625", "0.05892556509887899",
-        "510ec4e1304e188955288a95e043c50aa023aaaaab785f8652f060d879388069"),
+        "186f2c02fd293da1cf10f8adb32f89966fc98e90f73311ed5f12529c7c042c9d"),
     "exact_ensemble_n6_seeds2": (
         dict(data=THRESHOLD_DATA, n=6, k1=2, k2=1,
              learner={"kind": "ensemble", "params": {"members": [
@@ -110,7 +110,7 @@ GOLDEN = {
              exact_seeds=2, master_seed=15),
         "5953d77e23e5ae9f9c1398e620013b80c4a9a97cf641bae320eddb8049bbf631",
         "0.13020833333333331", "0.05155986946151908",
-        "3887953398fe4f94f147f3463d55c409525525a8a10c58f1c4c2de1cf16568cd"),
+        "383d9406657e28b3333550e501a08f2ba2859b9fe0f749e3591a2536a48dad0e"),
     # a two-word run entropy (2^32 + 7), an odd n and 700 trials whose split
     # masks span more than one block of the array PCG64 stream
     "mc_knn1_n13_two_word_seed": (
@@ -119,7 +119,7 @@ GOLDEN = {
              mode="monte_carlo", bounds=["fcmi_m1"], master_seed=2 ** 32 + 7),
         "2315d21d14212726742fb63821fb7a1f0651d87b2444666fdb35624d3c3f40b1",
         "0.34203296703296704", "0.13264079950389415",
-        "2b7172c3361b7b850e72ea2b121490d4e1985b0399960e6662e8778f81121b96"),
+        "6155c81b3f7db4896bdc4dbec3c0cc4c3cfde5d336811a4a1003e86067f73b39"),
     "mc_ensemble_n6": (
         dict(data=THRESHOLD_DATA, n=6, k1=2, k2=60,
              learner={"kind": "ensemble", "params": {"members": [
@@ -129,7 +129,7 @@ GOLDEN = {
              mode="monte_carlo", bounds=["fcmi_m1"], master_seed=16),
         "399d51268bbcbc2f6e565b59634a1ee068ebf7d8448d05b48f3b750f81adf236",
         "0.08888888888888889", "0.01178511301977581",
-        "26926360b018b056c3f972c454290c62168989665a7d78fe904ebdb3827ad75d"),
+        "a88cd182118c1a177dc4ac5eb485ae69b68d182c3920deb8f4d7f2813f0e093f"),
     "mc_memorizer_csv_n7": (
         dict(data=CSV_DATA, n=7, k1=2, k2=80,
              learner={"kind": "memorizer", "params": {}},
@@ -137,7 +137,7 @@ GOLDEN = {
              subset_policy={"m": 2}, master_seed=17),
         "98f1e3bca3d963df5fb4458834ffee828861100e3d94f4c0779b83c7d884665e",
         "0.525892857142857", "0.07197336879934503",
-        "628b9aec90417bb97756992153bb1d6bfd99ecaea8e5b2a00ae7d33920efc176"),
+        "560d25a2e2ac35dbd8b40b6d97997883fd71217e13bbb86b79738170364f9053"),
     # C(4, 2) = 6 subsets over an enumerate_limit of 5: a sampled family of 4
     "mc_threshold_erm_n4_squared_vc_sampled_subsets": (
         dict(data=THRESHOLD_DATA, n=4, k1=2, k2=50,
@@ -147,7 +147,7 @@ GOLDEN = {
              master_seed=21),
         "20ae8403ccd82bd51ca45e80bec73359124b374caad6857c664887acbaeeb328",
         "0.1125", "0.1025304832720494",
-        "0d0d9850d315b80fff098de8143a7a478cd51a7fc273477a6dc43933f01b7b5d"),
+        "1f909a378194b07990d476b9d386e9d00da69fac03f6d80d28cddd325258b7a4"),
     "exact_threshold_erm_n6_vc_squared_subsets": (
         dict(data=THRESHOLD_DATA, n=6, k1=2, k2=1,
              learner={"kind": "threshold_erm", "params": {}},
@@ -155,7 +155,7 @@ GOLDEN = {
              subset_policy={"m": 3}, master_seed=22),
         "5842b456577d14587febe896d7e46f03a82e32526730668c9ae525d2d37d7eb7",
         "0.08854166666666667", "0.04419417382415922",
-        "1372022d70dc60da94e2e2f669b43d8d0b4a35a72825906a7d86891726f1c923"),
+        "3d11cfc7f749b4042b40b548ad38e186ad0d7d5bf2e8d81126de3756ea8100b5"),
     # 8,192 rows of 12 pairs: split CMI with both targets, 66 m=2 subsets
     "exact_knn3_n12_seeds2_subsets": (
         dict(data=GAUSS_DATA, n=12, k1=1, k2=1,
@@ -166,7 +166,7 @@ GOLDEN = {
              subset_policy={"m": 2}, exact_seeds=2, master_seed=23),
         "ac5af40d425208ced1a6f349ad58f4dce2c909aaa7ccfcf443ca06cb56770a5c",
         "0.11580403645833334", "None",
-        "bf07aac4ce3ef0c11559faff9c7dbe3df0bc36354de8db27c8e1ea734da1bbb0"),
+        "ecdf92295e48297f145372c340d14ca2b662aa27c98cca14233c7d2c7a8b747e"),
     # three classes, 20 subsets of m=3
     "mc_knn3_dup_csv_n6_subsets_m3": (
         dict(data=DUP_CSV_DATA, n=6, k1=2, k2=40,
@@ -175,7 +175,7 @@ GOLDEN = {
              subset_policy={"m": 3}, master_seed=24),
         "96e28d6069b6a9ac24555a00fc339b3fd5e7b43361976ceeec3f829d94ea5258",
         "0.10833333333333334", "0.06481812160876686",
-        "0c88a2e3bf2ca7148b3971a8d9b7f45d6afe4dd0fcfd01dd8184d638bdfb2f60"),
+        "f35950ae22273b9dd1e7e37988c61d6c9a88ab408305c75cd5c0a290c5bd5583"),
     # even k over duplicated inputs and labels {0, 2, 5}: the position tie
     # rule among equal distances and the vote tie rule toward the lower label
     "exact_knn4_gap_labels_dup_csv_n8": (
@@ -187,7 +187,7 @@ GOLDEN = {
              subset_policy={"m": 2}, master_seed=25),
         "290b51f15740075ceda8fd62576bd09ae9f4ae6969bb3baf246ab4cf4e655b6a",
         "0.2724609375", "0.03866990209613932",
-        "598ba072e93e1ef77f0cc83d3fbf85a55b24fbf64d75af7364f478805fa0d112"),
+        "959fb76cf1d545859b01aefda9dc44f958cb1ec8be119a298cd20fbc6f5b386c"),
 }
 
 # name: (learner, generator, n, trials, seed, (beta, beta1, beta2) reprs)
@@ -248,6 +248,7 @@ def test_dumped_table_bytes_and_gap(tmp_path, monkeypatch, name):
     report_bytes = (out / "report.json").read_bytes()
     assert hashlib.sha256(report_bytes).hexdigest() == report_sha
     report = json.loads(report_bytes)
+    assert all(v is not None for s in report["supersamples"] for v in s.values())
     assert repr(report["gap_mean"]) == gap_mean
     assert repr(report["gap_std"]) == gap_std
 
