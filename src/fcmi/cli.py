@@ -28,7 +28,6 @@ from .harness import (
     persist,
     run_experiment,
 )
-from .lemma_lab import run_all_verifiers
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -140,6 +139,7 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_verify_lemmas(args) -> int:
+    from .lemma_lab import run_all_verifiers  # here: no other command needs the verifiers
     if args.instances < 1:
         raise ConfigError(f"--instances must be >= 1, got {args.instances}")
     if args.seed < 0:
@@ -276,34 +276,30 @@ def build_parser() -> argparse.ArgumentParser:
                             help="clip plotted bound values at 1")
 
     run_p = sub.add_parser("run", parents=[experiment], help="run one experiment config")
+    run_p.set_defaults(handler=_cmd_run)
     run_p.add_argument("--dump-tables", action="store_true",
                        help="also write per-supersample prediction tables")
     run_p.add_argument("-v", "--verbose", action="store_true",
                        help="per-supersample diagnostics on stderr")
-    sub.add_parser("sweep", parents=[experiment], help="run a list of experiment configs")
+    sub.add_parser("sweep", parents=[experiment],
+                   help="run a list of experiment configs").set_defaults(handler=_cmd_sweep)
 
     ver_p = sub.add_parser("verify-lemmas",
                            help="check every implemented inequality numerically")
+    ver_p.set_defaults(handler=_cmd_verify_lemmas)
     ver_p.add_argument("--instances", type=int, default=1000)
     ver_p.add_argument("--seed", type=int, default=0)
     ver_p.add_argument("-o", "--output", default=None,
                        help="write the JSON summary here instead of stdout")
 
     rep_p = sub.add_parser("report", help="merge reports into a curve table")
+    rep_p.set_defaults(handler=_cmd_report)
     rep_p.add_argument("reports", nargs="+")
     rep_p.add_argument("--csv", default=None, help="write CSV here instead of stdout")
     rep_p.add_argument("--svg", default=None, metavar="DIR",
                        help="also render one SVG chart per bound")
 
     return parser
-
-
-_COMMANDS = {
-    "run": _cmd_run,
-    "sweep": _cmd_sweep,
-    "verify-lemmas": _cmd_verify_lemmas,
-    "report": _cmd_report,
-}
 
 
 def main(argv=None) -> int:
@@ -313,7 +309,7 @@ def main(argv=None) -> int:
     except SystemExit as e:
         return EXIT_CONFIG if e.code not in (0, None) else EXIT_OK
     try:
-        return _COMMANDS[args.command](args)
+        return args.handler(args)
     except ConfigError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_CONFIG

@@ -225,7 +225,7 @@ LOSS_SPACE = {"zero_one": "finite", "absolute": "real"}
 
 
 @dataclass(frozen=True)
-class PredictionSpace:
+class PredictionSpace(JsonFields):
     """Descriptor of the learner's output space: a finite alphabet or real vectors."""
 
     kind: str  # "finite" | "real"
@@ -241,11 +241,6 @@ class PredictionSpace:
                 raise ContractViolation("real prediction space needs dim >= 1")
         else:
             raise ContractViolation(f"unknown prediction space kind {self.kind!r}")
-
-    def to_json_dict(self) -> dict:
-        if self.kind == "finite":
-            return {"kind": "finite", "size": self.size}
-        return {"kind": "real", "dim": self.dim}
 
 
 def _unsigned(size: int):

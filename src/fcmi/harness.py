@@ -59,6 +59,9 @@ from .seeding import derive_seeds, split_masks
 
 # spawn-key channels for counter-based seed derivation
 _DATA, _SPLIT, _TRIAL, _STABILITY, _SUBSET = 0, 1, 2, 3, 4
+# supersamples, trials, exact seeds and stability trials are numbered by
+# 32-bit seed counters, so each count is at most 2**32
+_COUNTERS = 2 ** 32
 
 # split-mask cells (k2 * n a supersample) of one block of supersamples, whose
 # seeds are derived and masks drawn together; bounds the masks and seed
@@ -73,10 +76,10 @@ class _DataSource(KindSpec):
     KINDS = {**GeneratorSpec.KINDS, "csv": {"path": MISSING}}
 
 
-def _field(default=MISSING, key=None, least=None, **kwargs):
+def _field(default=MISSING, key=None, least=None, most=None, **kwargs):
     """A config field: its default, its JSON key when that is not its name
-    (a dotted path for a nested key) and, for an integer, its least value."""
-    return field(default=default, metadata={"key": key, "least": least}, **kwargs)
+    (a dotted path for a nested key) and, for an integer, its least and most values."""
+    return field(default=default, metadata={"key": key, "least": least, "most": most}, **kwargs)
 
 
 def _key(f) -> str:
@@ -84,11 +87,13 @@ def _key(f) -> str:
 
 
 def _admit(f, value):
-    """A config field's value by its annotation's type rule and its least value."""
+    """A config field's value by its annotation's type rule and its least and most values."""
     value = admit(f.type, value, _key(f))
-    least = f.metadata.get("least")
+    least, most = f.metadata.get("least"), f.metadata.get("most")
     if least is not None and value < least:
         raise ConfigError(f"{_key(f)} must be >= {least}, got {value}")
+    if most is not None and value > most:
+        raise ConfigError(f"{_key(f)} must be <= {most}, got {value}")
     return value
 
 
@@ -102,8 +107,8 @@ class ExperimentConfig:
 
     data: dict
     n: int = _field(least=1)
-    k1: int = _field(least=1)
-    k2: int = _field(least=1)
+    k1: int = _field(least=1, most=_COUNTERS)
+    k2: int = _field(least=1, most=_COUNTERS)
     learner: LearnerSpec
     mode: str = "monte_carlo"
     bounds: tuple[str, ...] = ("fcmi_m1",)
@@ -112,8 +117,8 @@ class ExperimentConfig:
     subset_m: int | None = _field(None, "subset_policy.m")
     subset_enumerate_limit: int = _field(1000, "subset_policy.enumerate_limit", least=0)
     subset_sample_count: int = _field(200, "subset_policy.sample_count", least=1)
-    exact_seeds: int = _field(1, least=1)
-    stability_trials: int = _field(25, "stability.trials", least=1)
+    exact_seeds: int = _field(1, least=1, most=_COUNTERS)
+    stability_trials: int = _field(25, "stability.trials", least=1, most=_COUNTERS)
     gamma: float = _field(1.0, "stability.gamma")
     clip_bounds: bool = False
     # schedules supersamples but changes no result, so equality and the

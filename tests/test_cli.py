@@ -13,6 +13,7 @@ import pytest
 import fcmi.cli
 import fcmi.harness
 import fcmi.learners
+import fcmi.lemma_lab
 from fcmi.cli import main, render_curves_svg
 from fcmi.harness import load_report
 
@@ -430,6 +431,8 @@ class TestConfigCheck:
         "n_float": dict(n=5.5),
         "k1_bool": dict(k1=True),
         "k2_float": dict(k2=50.9),
+        # a count past the 32-bit seed counters
+        "k2_past_seed_counters": dict(k2=10 ** 19),
         "master_seed_negative": dict(master_seed=-1),
         "master_seed_bool": dict(master_seed=True),
         "master_seed_float": dict(master_seed=3.0),
@@ -532,8 +535,10 @@ class TestConfigCheck:
          "two_gaussians parameter 'sep' must be a finite number, got inf"),
         ('data={"kind": [1]}', "unknown data kind [1]"),
         ('learner={"kind": {}}', "unknown learner kind {}"),
+        ("learner.params=[1]", "learner params must be an object, got [1]"),
+        ('learner={"kind": "ensemble"}', "ensemble needs params.members"),
     ], ids=["knn_k_zero", "undeclared_param", "unknown_kind", "sep_infinity",
-            "data_kind_list", "learner_kind_object"])
+            "data_kind_list", "learner_kind_object", "params_list", "required_param"])
     def test_kind_refusal_is_the_whole_message(self, tmp_path, monkeypatch, capsys,
                                                assignment, message):
         """A learner's refusal is worded as a data source's: the error line is
@@ -711,7 +716,7 @@ class TestVerifyLemmas:
                              ids=["zero_instances", "negative_instances", "negative_seed"])
     def test_bad_input_is_config_error(self, tmp_path, monkeypatch, capsys, flags):
         calls = []
-        monkeypatch.setattr(fcmi.cli, "run_all_verifiers",
+        monkeypatch.setattr(fcmi.lemma_lab, "run_all_verifiers",
                             lambda **kwargs: calls.append(kwargs))
         out_file = tmp_path / "lemmas.json"
         assert main(["verify-lemmas", *flags, "-o", str(out_file)]) == 2
@@ -979,6 +984,10 @@ class TestUsage:
         """The SVG labels' escaper, which loads urllib.request, is loaded only
         when an SVG is drawn."""
         assert_import_leaves_out("xml.sax.saxutils")
+
+    def test_import_loads_no_verifiers(self):
+        """Only verify-lemmas loads the lemma verifiers."""
+        assert_import_leaves_out("fcmi.lemma_lab")
 
     def test_no_command_is_usage_error(self):
         assert main([]) == 2

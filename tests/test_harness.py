@@ -248,6 +248,25 @@ class TestConfig:
         with pytest.raises(ConfigError, match=re.escape(named)):
             base_config(**d)
 
+    @pytest.mark.parametrize("name, key", [
+        ("k1", "k1"), ("k2", "k2"), ("exact_seeds", "exact_seeds"),
+        ("stability_trials", "stability.trials")])
+    def test_counts_stop_at_the_seed_counters(self, name, key):
+        """Each count numbers a 32-bit seed counter, so 2**32 is the most. The
+        configs are built only: a run of one would not fit in memory."""
+        def at(count):
+            group, _, sub = key.rpartition(".")
+            return {group: {sub: count}} if group else {key: count}
+        assert getattr(base_config(**at(2 ** 32)), name) == 2 ** 32
+        with pytest.raises(ConfigError, match=re.escape(
+                f"{key} must be <= 4294967296, got 4294967297")):
+            base_config(**at(2 ** 32 + 1))
+
+    def test_refuses_a_config_that_is_no_object(self):
+        with pytest.raises(ConfigError,
+                           match=re.escape("an experiment config must be a JSON object, got [1]")):
+            ExperimentConfig.from_json_dict([1])
+
     def test_rejects_unknown_bound(self):
         with pytest.raises(ConfigError):
             base_config(bounds=["nope"])

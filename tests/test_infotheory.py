@@ -653,6 +653,11 @@ class TestExactEnumeration:
         assert a == b
         assert 0.0 <= a <= 3 * LOG2 + 1e-12
 
+    def test_weight_mi_needs_a_weight_code(self):
+        table = exact_table(threshold_instance(), LearnerSpec("knn", {"k": 1}))
+        with pytest.raises(ContractViolation, match="exposes no discrete weight code"):
+            weight_mi(table, [(0, 1)])
+
     def test_empty_seed_policy_rejected(self):
         ss = Supersample([[0.0], [0.1]], [0, 0])
         with pytest.raises(ContractViolation):

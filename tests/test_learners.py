@@ -168,6 +168,10 @@ class TestLogisticGd:
         with pytest.raises(ContractViolation):
             fit_predict(LearnerSpec("logistic_gd"), [mk(0.1, 2)], [(0.1,)], 0)
 
+    def test_sgld_rejects_nonbinary_labels(self):
+        with pytest.raises(ContractViolation, match="sgld_linear needs binary labels"):
+            sgld_fit(np.array([[[0.1], [0.2]]]), np.array([[0, 2]]), [0])
+
 
 def _sigmoid_oracle(z):
     return 1.0 / (1.0 + math.exp(-z))
@@ -780,6 +784,10 @@ class TestEnsemble:
 
     def test_unanimous(self):
         assert ensemble_combine([2, 2, 2]) == 2
+
+    def test_needs_a_member(self):
+        with pytest.raises(ContractViolation, match="at least one member"):
+            ensemble_combine([])
 
     def test_cost_does_not_grow_with_label_value(self):
         # one count per distinct label: counting every class index up to
